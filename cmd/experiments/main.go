@@ -27,9 +27,7 @@
 // monitor — plus the parallel-pipeline rows (pipeline-{2,4,8}shard,
 // each run and recorded at a multicore GOMAXPROCS of shards+1), the
 // wire-v2 frame-decoder throughput with the encoded stream size, the
-// parallel front-end rows (pipeline-{2,4}parser-{4,8}shard: N decode
-// workers feeding the sync sequencer and the sharded back-ends, from
-// encoded v2 bytes), the skewed-workload row (skewed-zipf-1M: a
+// skewed-workload row (skewed-zipf-1M: a
 // Zipf-skewed stream through the rebalancing 4-shard pipeline) and the
 // compaction row (compaction-quiet-1M, recording the live
 // escalated-vector count with sweeps disabled versus with the GC's
@@ -756,9 +754,12 @@ func benchMonitorResults() ([]benchResult, error) {
 	}); err != nil {
 		return nil, err
 	}
+	hdr := monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}
 	if err := timeIt("monitor/sharded4-bursty-1M", &results, func() error {
-		_, err := monitor.ShardedRaces(tb.Threads(), tb.Decls(), stream, 4, 0)
-		return err
+		sk := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4})
+		sk.StepBatch(stream)
+		sk.Finish()
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -773,8 +774,9 @@ func benchMonitorResults() ([]benchResult, error) {
 		procs := shards + 1
 		runtime.GOMAXPROCS(procs)
 		err := timeIt(fmt.Sprintf("monitor/pipeline-%dshard-bursty-1M", shards), &results, func() error {
-			got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), stream, monitor.PipelineConfig{Shards: shards})
-			if len(got) != mon.RaceCount() {
+			sk := monitor.Open(hdr, monitor.PipelineConfig{Shards: shards})
+			sk.StepBatch(stream)
+			if got := sk.Finish(); len(got) != mon.RaceCount() {
 				return fmt.Errorf("pipeline reported %d races, sequential %d", len(got), mon.RaceCount())
 			}
 			return nil
@@ -817,32 +819,6 @@ func benchMonitorResults() ([]benchResult, error) {
 		return nil, err
 	}
 	results[len(results)-1].EncodedBytes = len(encoded)
-	// Parallel front-end rows: the encoded v2 bytes decoded by N workers
-	// feeding the ordering sequencer, race checking split across the
-	// sharded back-ends — the fully parallel ingest path. GOMAXPROCS is
-	// raised to parsers + shards + 2 (frame producer and sync front-end)
-	// for the row and recorded in it; on machines with fewer physical
-	// cores the wall clock reports what the hardware could deliver.
-	for _, pc := range []struct{ parsers, shards int }{{2, 4}, {2, 8}, {4, 4}, {4, 8}} {
-		procs := pc.parsers + pc.shards + 2
-		runtime.GOMAXPROCS(procs)
-		err := timeIt(fmt.Sprintf("monitor/pipeline-%dparser-%dshard-1M", pc.parsers, pc.shards), &results, func() error {
-			got, _, err := monitor.ReadRacesParallel(bytes.NewReader(encoded), pc.parsers,
-				monitor.PipelineConfig{Shards: pc.shards})
-			if err != nil {
-				return err
-			}
-			if len(got) != mon.RaceCount() {
-				return fmt.Errorf("parallel front-end reported %d races, sequential %d", len(got), mon.RaceCount())
-			}
-			return nil
-		})
-		runtime.GOMAXPROCS(prevProcs)
-		if err != nil {
-			return nil, err
-		}
-		results[len(results)-1].GoMaxProcs = procs
-	}
 	// Skewed workload: a Zipf-skewed stream (hot nonatomic locations)
 	// through the rebalancing 4-shard pipeline — the row the
 	// skew-adaptive router exists for.
@@ -856,9 +832,9 @@ func benchMonitorResults() ([]benchResult, error) {
 	seqSkew.StepBatch(skewStream)
 	runtime.GOMAXPROCS(5)
 	err = timeIt("monitor/skewed-zipf-1M", &results, func() error {
-		got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), skewStream,
-			monitor.PipelineConfig{Shards: 4, Rebalance: true})
-		if len(got) != seqSkew.RaceCount() {
+		sk := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4, Rebalance: true})
+		sk.StepBatch(skewStream)
+		if got := sk.Finish(); len(got) != seqSkew.RaceCount() {
 			return fmt.Errorf("rebalancing pipeline reported %d races, sequential %d", len(got), seqSkew.RaceCount())
 		}
 		return nil

@@ -8,27 +8,27 @@
 //
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
-//	        [-stale PCT] [-skew S] [-halts] [-json] [-pipeline] [-stream]
+//	        [-stale PCT] [-skew S] [-halts] [-json] [-stream]
 //	        [-rebalance] [-predicate hb|syncp|short:k] [-trace FILE|-]
-//	        [-parsers N] [-emit FILE] [-format binary|text] [-wire 1|2]
-//	        [-golden FILE] [-update-golden] [-checkpoint FILE]
-//	        [-checkpoint-at N] [-resume FILE] [-stats-addr ADDR]
-//	        [-stats-interval DUR] [-stats-linger DUR]
+//	        [-emit FILE] [-format binary|text] [-wire 1|2]
+//	        [-static-prefilter] [-private-locs N] [-private-pct PCT]
+//	        [-golden FILE] [-update-golden] [-max-races N]
+//	        [-checkpoint FILE] [-checkpoint-at N] [-resume FILE]
+//	        [-stats-addr ADDR] [-stats-interval DUR] [-stats-linger DUR]
+//
+// Every monitoring mode builds its engine with monitor.Open: a
+// sequential monitor at -shards 1 (the default), or with -shards M > 1
+// the two-stage parallel pipeline — one sync front-end pass, M race
+// back-ends (clamped to the nonatomic location count). Reports are
+// identical at any shard count.
 //
 // Modes:
 //
-//	(default)  generate the schedule into memory, then monitor it —
-//	           with -shards M > 1, through the two-stage parallel
-//	           pipeline (one sync front-end pass, M race back-ends;
-//	           identical reports at any shard count).
-//	-pipeline  generate and monitor in one fused pass through the
-//	           parallel pipeline, never materialising the event slice:
-//	           -shards M is the race back-end count. The multicore
-//	           ingest mode.
-//	-stream    generate and monitor in one fused pass on a single
-//	           sequential monitor: memory stays O(locations + threads²)
-//	           plus the windowed live RA-message set, regardless of
-//	           -events. Requires -shards 1.
+//	(default)  generate the schedule into memory, then monitor it.
+//	-stream    generate and monitor in one fused pass, never
+//	           materialising the schedule: memory stays O(locations +
+//	           threads²) plus the windowed live RA-message set (and the
+//	           pipeline's bounded rings), regardless of -events.
 //	-trace F   ingest a raw trace (binary v1/v2 or text wire format,
 //	           sniffed automatically) from file F, or from stdin with
 //	           "-", and monitor it in one bounded-memory pass (v2
@@ -51,11 +51,11 @@
 // trace could expose; "short:k" (k ≥ 1) restricts syncp to access
 // pairs at most k events apart, bounding the candidate state to O(k)
 // per location regardless of trace length. Every monitoring mode
-// accepts it (-stream, -pipeline, -trace, sharded batch); reports
-// stay identical at any shard count. -emit does not monitor, so
-// combining it with a non-default -predicate is an error. A
-// checkpoint records its monitor's predicate, which is authoritative
-// on -resume (a conflicting -predicate is ignored with a warning).
+// accepts it, at any shard count, with identical reports. -emit does
+// not monitor, so combining it with a non-default -predicate is an
+// error. A checkpoint records its monitor's predicate, which is
+// authoritative on -resume (a conflicting -predicate is ignored with a
+// warning).
 // With -json the summary carries the predicate and, for short:k, the
 // window's live/peak candidate counts.
 //
@@ -64,22 +64,19 @@
 // hot-location workloads for the sharded pipeline. -rebalance enables
 // the pipeline's skew-adaptive router, which migrates hot locations
 // between race back-ends at GC barriers (reports stay identical; only
-// the load split changes). -parsers N decodes a -trace's v2 frames on N
-// parallel workers feeding the ordering sequencer; it falls back to the
-// sequential decoder for v1/text traces and for runs that checkpoint or
-// resume (the reader continuation is a sequential-decoder construct).
+// the load split changes).
 //
 // Checkpoint/resume: -checkpoint FILE snapshots the monitor (or
 // pipeline front-end + back-ends) in the LDCK format of
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
-// after the N-th monitored event, stopping there. Works in the -stream,
-// -pipeline and -trace modes. -resume FILE (with -trace) restores the
-// snapshot and continues over the trace: a checkpoint taken by -trace
-// carries the reader's byte offset and v2 delta context, so the resumed
-// run seeks straight to where monitoring stopped; a checkpoint taken by
-// -stream/-pipeline carries no offset, so the resumed run skips the
-// already-monitored prefix by count (the trace must therefore be the
-// same event stream, e.g. the -emit of the same seed and parameters).
+// after the N-th monitored event, stopping there. Works in the -stream
+// and -trace modes. -resume FILE (with -trace) restores the snapshot and
+// continues over the trace: a checkpoint taken by -trace carries the
+// reader's byte offset and v2 delta context, so the resumed run seeks
+// straight to where monitoring stopped; a checkpoint taken by -stream
+// carries no offset, so the resumed run skips the already-monitored
+// prefix by count (the trace must therefore be the same event stream,
+// e.g. the -emit of the same seed and parameters).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
 // run that never stopped. A snapshot records whether its run had a
@@ -91,19 +88,20 @@
 //
 // Telemetry: -stats-addr ADDR serves the live obs-registry snapshot
 // over HTTP while the run ingests — GET /stats returns the merged
-// monitor.*/pipeline.*/parse.* metrics as JSON plus per-counter rates
-// since the previous scrape; /debug/vars is expvar; /debug/pprof/* are
-// the standard profile handlers. -stats-interval DUR prints a progress
-// line (events, throughput, races, RA window, ring occupancy) to stderr
-// every DUR. -stats-linger DUR keeps the endpoint alive after the run
-// so short CI runs can be scraped. With -json, the summary's "stats"
-// object carries the final exact snapshot. Scrapes read atomics the hot
-// path publishes at GC sweeps and batch boundaries — they never lock
-// the monitor.
+// monitor.*/pipeline.* metrics as JSON with the process uptime (counters
+// are monotonic; a client computes rates from two scrapes, so
+// concurrent scrapers never disturb each other); /debug/vars is expvar;
+// /debug/pprof/* are the standard profile handlers. -stats-interval DUR
+// prints a progress line (events, throughput, races, RA window, ring
+// occupancy) to stderr every DUR. -stats-linger DUR keeps the endpoint
+// alive after the run so short CI runs can be scraped. With -json, the
+// summary's "stats" object carries the final exact snapshot. Scrapes
+// read atomics the hot path publishes at GC sweeps and batch boundaries
+// — they never lock the monitor.
 //
 // Examples:
 //
-//	racemon -pipeline -shards 4 -events 5000000 -json
+//	racemon -stream -shards 4 -events 5000000 -json
 //	racemon -stream -events 5000000 -json
 //	racemon -emit trace.bin -events 100000 && racemon -trace trace.bin
 //	racemon -emit trace.bin -wire 1 -events 100000   # v1 for old readers
@@ -129,7 +127,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"slices"
 	"time"
 
 	"localdrf/internal/monitor"
@@ -151,14 +148,11 @@ type result struct {
 	Events       int     `json:"events"`
 	Completed    bool    `json:"completed"`
 	Shards       int     `json:"shards"`
-	Parsers      int     `json:"parsers,omitempty"`
 	GenNs        int64   `json:"gen_ns"`
 	MonitorNs    int64   `json:"monitor_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	RaceCount    int     `json:"race_count"`
-	// The RA retention stats are omitted when no single monitor produced
-	// them (sharded runs keep their monitors internal) or when they are
-	// genuinely zero.
+	// The RA retention stats are omitted when they are zero.
 	RALive      int    `json:"ra_live,omitempty"`
 	RALivePeak  int    `json:"ra_live_peak,omitempty"`
 	RACollected uint64 `json:"ra_collected,omitempty"`
@@ -166,9 +160,7 @@ type result struct {
 	// predicate ("syncp", "short:k"); omitted for the default hb so
 	// existing consumers and goldens see unchanged JSON. The window
 	// fields are the short:k candidate-window telemetry (peak is the
-	// bounded-memory claim, measured); present only when a single
-	// front-end owns the window (the batch-sharded wrapper keeps its
-	// pipeline internal).
+	// bounded-memory claim, measured).
 	Predicate    string `json:"predicate,omitempty"`
 	WindowK      int    `json:"window_k,omitempty"`
 	WindowLive   int    `json:"window_live,omitempty"`
@@ -181,10 +173,9 @@ type result struct {
 	StaticMayRace   int           `json:"static_may_race,omitempty"`
 	Races           []raceJSON    `json:"races,omitempty"`
 	Locations       locationsJSON `json:"locations"`
-	// Stats is the final telemetry snapshot of the run's obs registries
-	// (monitor.*, pipeline.*, parse.* — see internal/monitor's metric
-	// catalogue). Absent in modes with no accessible sink (emit, the
-	// batch-sharded wrapper).
+	// Stats is the final telemetry snapshot of the run's sink
+	// (monitor.*, pipeline.* — see internal/monitor's metric catalogue).
+	// Absent for -emit, which does not monitor.
 	Stats *obs.Snapshot `json:"stats,omitempty"`
 }
 
@@ -220,7 +211,7 @@ func main() {
 	threads := flag.Int("threads", 8, "thread count of the generated program")
 	policy := flag.String("policy", "fair", "scheduling policy: fair|unfair|bursty")
 	seed := flag.Int64("seed", 1, "generator seed (program and schedule)")
-	shards := flag.Int("shards", 1, "location shards monitored in parallel")
+	shards := flag.Int("shards", 1, "race back-ends monitoring location shards in parallel (1 = sequential monitor)")
 	locs := flag.Int("locs", 48, "nonatomic location count")
 	atomics := flag.Int("atomics", 8, "atomic location count")
 	ra := flag.Int("ra", 8, "release-acquire location count")
@@ -231,10 +222,8 @@ func main() {
 	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
 	privateLocs := flag.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
 	privatePct := flag.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
-	parsers := flag.Int("parsers", 1, "parallel trace-decode workers for -trace (v2 traces; ≥ 2 enables the parallel front-end)")
 	asJSON := flag.Bool("json", false, "emit a JSON summary")
 	maxRaces := flag.Int("max-races", 20, "race reports listed in the output (0 = all)")
-	pipeline := flag.Bool("pipeline", false, "generate and monitor in one fused pass through the parallel pipeline (-shards = back-end count)")
 	stream := flag.Bool("stream", false, "generate and monitor in one pass (no materialised schedule)")
 	halts := flag.Bool("halts", false, "emit thread-retirement events when generated threads complete")
 	traceFile := flag.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
@@ -270,10 +259,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: -events, -threads, -locs and -shards must be ≥ 1 (-atomics/-ra ≥ 0)")
 		os.Exit(2)
 	}
-	if *parsers < 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -parsers must be ≥ 1")
-		os.Exit(2)
-	}
 	if *skew < 0 {
 		fmt.Fprintln(os.Stderr, "racemon: -skew must be ≥ 0")
 		os.Exit(2)
@@ -286,17 +271,13 @@ func main() {
 		format = monitor.BinaryV2
 	}
 	modeFlags := 0
-	for _, on := range []bool{*pipeline, *stream, *traceFile != "", *emitFile != ""} {
+	for _, on := range []bool{*stream, *traceFile != "", *emitFile != ""} {
 		if on {
 			modeFlags++
 		}
 	}
 	if modeFlags > 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -pipeline, -stream, -trace and -emit are mutually exclusive")
-		os.Exit(2)
-	}
-	if *stream && *shards != 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -stream monitors in a single pass; -shards must be 1")
+		fmt.Fprintln(os.Stderr, "racemon: -stream, -trace and -emit are mutually exclusive")
 		os.Exit(2)
 	}
 	if *resumeFile != "" && *traceFile == "" {
@@ -307,8 +288,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: -checkpoint-at needs -checkpoint FILE")
 		os.Exit(2)
 	}
-	if *checkpointFile != "" && !*stream && !*pipeline && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -checkpoint needs a streaming mode (-stream, -pipeline or -trace)")
+	if *checkpointFile != "" && !*stream && *traceFile == "" {
+		fmt.Fprintln(os.Stderr, "racemon: -checkpoint needs a streaming mode (-stream or -trace)")
 		os.Exit(2)
 	}
 	if *updateGolden && *golden == "" {
@@ -362,25 +343,16 @@ func main() {
 		prefilter: *staticPrefilter,
 	}
 	ck := ckParams{file: *checkpointFile, at: *checkpointAt}
+	cfg := monitor.PipelineConfig{Shards: *shards, Rebalance: *rebalance, Predicate: spec.Pred, WindowK: spec.K}
 	var res result
 	var reports []race.Report
 	switch {
 	case *traceFile != "":
-		par, warn := parallelParseDecision(*parsers, *resumeFile, ck.file)
-		if warn != "" {
-			fmt.Fprintln(os.Stderr, "racemon: "+warn)
-		}
-		if par {
-			res, reports = runTraceParallel(*traceFile, *shards, *parsers, *rebalance, spec)
-		} else {
-			res, reports = runTrace(*traceFile, *shards, *resumeFile, ck, *rebalance, spec)
-		}
+		res, reports = runTrace(*traceFile, *resumeFile, cfg, ck)
 	case *emitFile != "":
 		res = runEmit(*emitFile, format, gp)
-	case *pipeline:
-		res, reports = runPipeline(gp, *shards, *rebalance, ck, spec)
 	default:
-		res, reports = runGenerated(gp, *shards, *stream, *rebalance, ck, spec)
+		res, reports = runGenerated(gp, *stream, cfg, ck)
 	}
 	if stopProgress != nil {
 		close(stopProgress)
@@ -432,13 +404,8 @@ func main() {
 	}
 	fmt.Fprintf(out, "monitor   %8.1f ms  (%.1fM events/sec, %d shard(s), mode=%s)\n",
 		float64(res.MonitorNs)/1e6, res.EventsPerSec/1e6, res.Shards, res.Mode)
-	if res.Shards == 1 || res.Mode == "pipeline" {
-		// The pipeline's sync front-end owns the RA window, so its stats
-		// are visible at any shard count; the batch-sharded wrapper keeps
-		// its pipeline internal.
-		fmt.Fprintf(out, "ra msgs   live=%d peak=%d collected=%d (windowed GC)\n",
-			res.RALive, res.RALivePeak, res.RACollected)
-	}
+	fmt.Fprintf(out, "ra msgs   live=%d peak=%d collected=%d (windowed GC)\n",
+		res.RALive, res.RALivePeak, res.RACollected)
 	if res.Predicate != "" {
 		fmt.Fprintf(out, "predict   predicate=%s", res.Predicate)
 		if res.WindowK > 0 {
@@ -540,179 +507,59 @@ func writeSnapshot(path string, snap func(io.Writer) error) {
 	}
 }
 
-// runPipeline is the fused parallel mode: schedgen batches feed the
-// two-stage pipeline directly — one sync front-end pass, shards race
-// back-ends, no materialised schedule.
-func runPipeline(gp genParams, shards int, rebalance bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
+// runGenerated monitors a generated schedule: materialised first, or,
+// with stream, fused with generation so the schedule never exists in
+// memory and -checkpoint-at can stop the run at an exact event.
+func runGenerated(gp genParams, stream bool, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
 	tb, name := gp.program()
+	opt := gp.options()
 	res := result{
-		Program: name, Mode: "pipeline", Threads: tb.Threads(), Policy: gp.policy.String(),
-		Seed: gp.seed, Shards: shards,
-		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
+		Program: name, Mode: "batch", Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
+		Shards: cfg.Shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
 	}
-	pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-		Shards: shards, Rebalance: rebalance, StaticFilter: gp.staticMask(tb, &res),
-		Predicate: spec.Pred, WindowK: spec.K,
-	})
-	tel.attach(pl.Obs())
+	cfg.StaticFilter = gp.staticMask(tb, &res)
+	sk := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
+	tel.attach(sk.Obs())
+	if !stream {
+		genStart := time.Now()
+		events, completed, err := schedgen.Generate(tb.Program(), tb, opt, make([]monitor.Event, 0, gp.events))
+		if err != nil {
+			fatalf("generate: %v", err)
+		}
+		res.GenNs = time.Since(genStart).Nanoseconds()
+		res.Completed = completed
+		start := time.Now()
+		sk.StepBatch(events)
+		return res, finish(&res, sk, start)
+	}
+	res.Mode = "stream"
 	start := time.Now()
-	completed, err := schedgen.StreamBatch(tb.Program(), tb, gp.options(), 0, func(evs []monitor.Event) error {
+	completed, err := schedgen.StreamBatch(tb.Program(), tb, opt, 0, func(evs []monitor.Event) error {
 		if ck.at > 0 {
-			if remaining := ck.at - pl.Events(); uint64(len(evs)) >= remaining {
-				pl.StepBatch(evs[:remaining])
+			if remaining := ck.at - sk.Events(); uint64(len(evs)) >= remaining {
+				sk.StepBatch(evs[:remaining])
 				return errCheckpointStop
 			}
 		}
-		pl.StepBatch(evs)
+		sk.StepBatch(evs)
 		return nil
 	})
 	if err == errCheckpointStop {
 		err, completed = nil, false
 	}
 	if err != nil {
-		fatalf("pipeline: %v", err)
+		fatalf("stream: %v", err)
 	}
+	res.Completed = completed
 	if ck.file != "" {
-		writeSnapshot(ck.file, pl.Snapshot)
+		writeSnapshot(ck.file, sk.Snapshot)
 	}
-	reports := pl.Finish()
-	res.MonitorNs = time.Since(start).Nanoseconds()
-	res.Completed = completed
-	res.Events = int(pl.Events())
-	st := pl.RAStats()
-	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
-	res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
-	res.RaceCount = pl.RaceCount()
-	fillPredict(&res, pl.Predicate(), pl.WindowK(), pl.WindowStats())
-	stats := pl.Stats()
-	res.Stats = &stats
-	return res, reports
+	return res, finish(&res, sk, start)
 }
 
-// runGenerated is the in-process generation path: the batch (and
-// optionally sharded) mode, or -stream's single fused pass.
-func runGenerated(gp genParams, shards int, stream, rebalance bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
-	tb, name := gp.program()
-	opt := gp.options()
-	res := result{
-		Program: name, Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
-		Shards: shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
-	}
-	mask := gp.staticMask(tb, &res)
-
-	if stream {
-		res.Mode = "stream"
-		m := monitor.New(tb.Threads(), tb.Decls())
-		spec.Apply(m)
-		m.SetStaticFilter(mask)
-		tel.attach(m.Obs())
-		start := time.Now()
-		completed, err := schedgen.Stream(tb.Program(), tb, opt, func(e monitor.Event) error {
-			m.Step(e)
-			if ck.at > 0 && m.Events() >= ck.at {
-				return errCheckpointStop
-			}
-			return nil
-		})
-		if err == errCheckpointStop {
-			err, completed = nil, false
-		}
-		if err != nil {
-			fatalf("stream: %v", err)
-		}
-		if ck.file != "" {
-			writeSnapshot(ck.file, m.Snapshot)
-		}
-		res.MonitorNs = time.Since(start).Nanoseconds()
-		res.Completed = completed
-		res.Events = int(m.Events())
-		fill(&res, m)
-		fillPredict(&res, m.Predicate(), m.WindowK(), m.WindowStats())
-		stats := m.Stats()
-		res.Stats = &stats
-		return res, m.Reports()
-	}
-
-	res.Mode = "batch"
-	genStart := time.Now()
-	streamEv, completed, err := schedgen.Generate(tb.Program(), tb, opt, make([]monitor.Event, 0, gp.events))
-	if err != nil {
-		fatalf("generate: %v", err)
-	}
-	res.GenNs = time.Since(genStart).Nanoseconds()
-	res.Completed = completed
-	res.Events = len(streamEv)
-
-	monStart := time.Now()
-	var reports []race.Report
-	if shards == 1 {
-		// Run the monitor directly so the RA retention stats are visible.
-		m := monitor.New(tb.Threads(), tb.Decls())
-		spec.Apply(m)
-		m.SetStaticFilter(mask)
-		tel.attach(m.Obs())
-		for _, e := range streamEv {
-			m.Step(e)
-		}
-		reports = m.Reports()
-		fill(&res, m)
-		fillPredict(&res, m.Predicate(), m.WindowK(), m.WindowStats())
-		stats := m.Stats()
-		res.Stats = &stats
-	} else {
-		reports, err = monitor.ShardedRacesConfig(tb.Threads(), tb.Decls(), streamEv, shards, 0,
-			monitor.PipelineConfig{Rebalance: rebalance, StaticFilter: mask,
-				Predicate: spec.Pred, WindowK: spec.K})
-		if err != nil {
-			fatalf("monitor: %v", err)
-		}
-		// The wrapper keeps its pipeline internal, so only the predicate
-		// itself (not the window telemetry) is reportable.
-		fillPredict(&res, spec.Pred, spec.K, monitor.WindowStats{})
-	}
-	res.MonitorNs = time.Since(monStart).Nanoseconds()
-	res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
-	res.RaceCount = len(reports)
-	return res, reports
-}
-
-// traceSink abstracts the two ingestion targets of runTrace — a
-// sequential monitor or a cfg.Shards pipeline — behind the operations
-// the feeding loop needs. Everything but reports is promoted from the
-// embedded monitor/pipeline, which share the method set.
-type traceSink interface {
-	Step(monitor.Event)
-	StepBatch([]monitor.Event)
-	Events() uint64
-	RAStats() monitor.RAStats
-	Predicate() monitor.Predicate
-	WindowK() int
-	WindowStats() monitor.WindowStats
-	Snapshot(io.Writer) error
-	SnapshotWithReader(io.Writer, monitor.ReaderCheckpoint) error
-	Obs() *obs.Registry
-	Stats() obs.Snapshot
-	reports() []race.Report
-}
-
-type monitorSink struct{ *monitor.Monitor }
-
-func (s monitorSink) reports() []race.Report { return s.Reports() }
-
-type pipelineSink struct{ *monitor.Pipeline }
-
-func (s pipelineSink) reports() []race.Report { return s.Finish() }
-
-// headerEqual reports whether a snapshot was taken over the same
-// program shape as the trace being resumed.
-func headerEqual(a, b monitor.Header) bool {
-	return a.Threads == b.Threads && slices.Equal(a.Decls, b.Decls)
-}
-
-// runTrace ingests a wire-format trace from a file or stdin — through a
-// sequential monitor, or a parallel pipeline when shards > 1 —
-// optionally resuming from a snapshot and/or checkpointing mid-ingest.
-func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance bool, spec predict.Spec) (result, []race.Report) {
+// runTrace ingests a wire-format trace from a file or stdin, optionally
+// resuming from a snapshot and/or checkpointing mid-ingest.
+func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
 	var rd io.Reader = os.Stdin
 	name := "stdin"
 	if path != "-" {
@@ -729,72 +576,32 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 		fatalf("trace: %v", err)
 	}
 	hdr := tr.Header()
-
-	// Resume: restore the snapshot and position the reader — by byte
-	// offset when the checkpoint was taken mid-ingest (it carries a
-	// reader continuation), by event count otherwise (a -stream/-pipeline
-	// checkpoint over the same generated stream).
-	var snap *monitor.Snapshot
+	var sk monitor.Sink
 	if resumePath != "" {
 		f, err := os.Open(resumePath)
 		if err != nil {
 			fatalf("resume: %v", err)
 		}
-		snap, err = monitor.ReadSnapshot(f)
+		snap, err := monitor.ReadSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatalf("resume: %v", err)
 		}
-		if !headerEqual(snap.Header(), hdr) {
-			fatalf("resume: snapshot was taken over a different program shape than %s", name)
-		}
-		if rck, ok := snap.Reader(); ok {
-			if err := tr.Resume(rck); err != nil {
-				fatalf("resume: %v", err)
-			}
+		if err := tr.ResumeAt(snap); err != nil {
+			fatalf("resume %s: %v", name, err)
 		}
 		if snap.StaticFiltered() {
 			fmt.Fprintln(os.Stderr, "racemon: resume: the snapshotted run had a static prefilter active; the mask is not recorded, so monitoring continues unfiltered from here")
 		}
-	}
-	var sink traceSink
-	if shards > 1 {
-		cfg := monitor.PipelineConfig{Shards: shards, Rebalance: rebalance,
-			Predicate: spec.Pred, WindowK: spec.K}
-		var pl *monitor.Pipeline
-		if snap != nil {
-			// The snapshot's predicate is authoritative; cfg's is ignored.
-			pl = snap.Pipeline(cfg)
-			if warn := predicateOverrideWarning(spec, pl.Predicate(), pl.WindowK()); warn != "" {
-				fmt.Fprintln(os.Stderr, "racemon: "+warn)
-			}
-		} else {
-			pl = monitor.NewPipeline(hdr.Threads, hdr.Decls, cfg)
-		}
-		sink = pipelineSink{pl}
-	} else if snap != nil {
-		m := snap.Monitor()
-		if warn := predicateOverrideWarning(spec, m.Predicate(), m.WindowK()); warn != "" {
+		sk = snap.Open(cfg)
+		requested := predict.Spec{Pred: cfg.Predicate, K: cfg.WindowK}
+		if warn := predicateOverrideWarning(requested, sk.Predicate(), sk.WindowK()); warn != "" {
 			fmt.Fprintln(os.Stderr, "racemon: "+warn)
 		}
-		sink = monitorSink{m}
 	} else {
-		m := tr.NewMonitor()
-		spec.Apply(m)
-		sink = monitorSink{m}
+		sk = monitor.Open(hdr, cfg)
 	}
-	tel.attach(sink.Obs())
-	if snap != nil {
-		if _, ok := snap.Reader(); !ok {
-			// No byte offset recorded: skip the already-monitored prefix
-			// by count (works for every trace format).
-			for skip := sink.Events(); skip > 0; skip-- {
-				if _, ok, err := tr.Next(); err != nil || !ok {
-					fatalf("resume: trace ends inside the %d already-monitored events (err=%v)", sink.Events(), err)
-				}
-			}
-		}
-	}
+	tel.attach(sk.Obs())
 
 	// Completed records whether the run actually observed the end of
 	// the trace (as opposed to stopping at -checkpoint-at — the run
@@ -808,7 +615,7 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 		// maximum frame event count, so no batch can overshoot the stop.
 		const maxBatch = 1 << 16
 		var buf []monitor.Event
-		for sink.Events()+maxBatch <= ck.at {
+		for sk.Events()+maxBatch <= ck.at {
 			batch, ok, err := tr.NextBatch(buf[:0])
 			if err != nil {
 				fatalf("trace: %v", err)
@@ -816,11 +623,11 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 			if !ok {
 				break
 			}
-			sink.StepBatch(batch)
+			sk.StepBatch(batch)
 			buf = batch
 		}
 		for {
-			if sink.Events() >= ck.at {
+			if sk.Events() >= ck.at {
 				completed = false
 				break
 			}
@@ -831,7 +638,7 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 			if !ok {
 				break
 			}
-			sink.Step(e)
+			sk.Step(e)
 		}
 	} else {
 		// Batched ingestion: v2 traces decode a frame at a time; v1 and
@@ -846,7 +653,7 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 			if !ok {
 				break
 			}
-			sink.StepBatch(batch)
+			sk.StepBatch(batch)
 			buf = batch
 		}
 	}
@@ -856,25 +663,18 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 			if err != nil {
 				// Text traces carry no resumable offset; fall back to a
 				// plain snapshot (resume then skips by count).
-				return sink.Snapshot(w)
+				return sk.Snapshot(w)
 			}
-			return sink.SnapshotWithReader(w, rck)
+			return sk.SnapshotWithReader(w, rck)
 		})
 	}
 
-	reports := sink.reports()
 	res := result{
 		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
-		Completed: completed, Shards: shards,
-		MonitorNs: time.Since(start).Nanoseconds(),
-		Events:    int(sink.Events()),
+		Completed: completed, Shards: cfg.Shards,
 	}
 	fillLocations(&res, hdr.Decls)
-	fillStats(&res, sink.RAStats(), len(reports))
-	fillPredict(&res, sink.Predicate(), sink.WindowK(), sink.WindowStats())
-	stats := sink.Stats()
-	res.Stats = &stats
-	return res, reports
+	return res, finish(&res, sk, start)
 }
 
 // predicateOverrideWarning: a checkpoint records its monitor's
@@ -890,30 +690,6 @@ func predicateOverrideWarning(requested predict.Spec, pred monitor.Predicate, k 
 	return fmt.Sprintf("-predicate %s ignored: the snapshot was taken under %s, which is authoritative on -resume", requested, restored)
 }
 
-// parallelParseDecision decides whether -trace ingest may use the
-// parallel front-end, and returns a warning to print when -parsers > 1
-// has to be dropped: checkpoint/resume rides the sequential reader's
-// byte-offset continuation, which the parallel front-end cannot
-// produce, so combining them silently falling back would hide a real
-// performance cliff from the user.
-func parallelParseDecision(parsers int, resumeFile, checkpointFile string) (parallel bool, warning string) {
-	if parsers <= 1 {
-		return false, ""
-	}
-	var conflict string
-	switch {
-	case resumeFile != "" && checkpointFile != "":
-		conflict = "-resume and -checkpoint"
-	case resumeFile != "":
-		conflict = "-resume"
-	case checkpointFile != "":
-		conflict = "-checkpoint"
-	default:
-		return true, ""
-	}
-	return false, fmt.Sprintf("-parsers %d ignored: %s needs the sequential reader's byte-offset continuation, which the parallel front-end cannot produce; decoding sequentially", parsers, conflict)
-}
-
 // staticFilterDecision decides what to do with -static-prefilter
 // outside the generated modes. The flag analyses the generated
 // program, so with -emit or a plain -trace it is a configuration
@@ -923,7 +699,7 @@ func parallelParseDecision(parsers int, resumeFile, checkpointFile string) (para
 // carry), but exiting would make resumption of prefiltered runs
 // impossible, and silently dropping the flag would hide that the
 // resumed half monitors unfiltered. So that combination proceeds with
-// a warning, mirroring the -parsers fallback.
+// a warning.
 func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string) (fatal, warning string) {
 	if !prefilter {
 		return "", ""
@@ -938,73 +714,6 @@ func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string
 	default:
 		return "", ""
 	}
-}
-
-// runTraceParallel ingests a wire-format trace through the parallel
-// front-end: parsers decode workers feed the ordering sequencer, which
-// feeds a sequential monitor (shards == 1) or the sharded pipeline. v1
-// and text traces fall back to sequential decoding inside the reader.
-func runTraceParallel(path string, shards, parsers int, rebalance bool, spec predict.Spec) (result, []race.Report) {
-	var rd io.Reader = os.Stdin
-	name := "stdin"
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		rd, name = f, path
-	}
-	start := time.Now()
-	// The decode workers publish parse.* into their own registry (they
-	// start before the sink exists); /stats and the summary merge it with
-	// the sink's monitor.*/pipeline.* cells.
-	preg := obs.NewRegistry()
-	pr, err := monitor.NewParallelTraceReaderObs(rd, parsers, preg)
-	if err != nil {
-		fatalf("trace: %v", err)
-	}
-	defer pr.Close()
-	tel.attach(preg)
-	hdr := pr.Header()
-	var reports []race.Report
-	var st monitor.RAStats
-	var ws monitor.WindowStats
-	var events uint64
-	var stats obs.Snapshot
-	if shards > 1 {
-		pl := monitor.NewPipeline(hdr.Threads, hdr.Decls, monitor.PipelineConfig{
-			Shards: shards, Rebalance: rebalance, Predicate: spec.Pred, WindowK: spec.K})
-		tel.attach(pl.Obs())
-		if err := pl.FeedBatch(pr); err != nil {
-			pl.Abort()
-			fatalf("trace: %v", err)
-		}
-		reports = pl.Finish()
-		st, events, ws = pl.RAStats(), pl.Events(), pl.WindowStats()
-		stats = obs.Merge(pl.Stats(), preg.Snapshot())
-	} else {
-		m := pr.NewMonitor()
-		spec.Apply(m)
-		tel.attach(m.Obs())
-		if err := m.FeedBatch(pr); err != nil {
-			fatalf("trace: %v", err)
-		}
-		reports = m.Reports()
-		st, events, ws = m.RAStats(), m.Events(), m.WindowStats()
-		stats = obs.Merge(m.Stats(), preg.Snapshot())
-	}
-	res := result{
-		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
-		Completed: true, Shards: shards, Parsers: parsers,
-		MonitorNs: time.Since(start).Nanoseconds(),
-		Events:    int(events),
-	}
-	fillLocations(&res, hdr.Decls)
-	fillStats(&res, st, len(reports))
-	fillPredict(&res, spec.Pred, spec.K, ws)
-	res.Stats = &stats
-	return res, reports
 }
 
 // fillLocations tallies a trace header's declarations into the summary.
@@ -1050,33 +759,31 @@ func runEmit(path string, format monitor.Format, gp genParams) result {
 	}
 }
 
-// fill copies per-monitor telemetry into the summary.
-func fill(res *result, m *monitor.Monitor) {
-	fillStats(res, m.RAStats(), m.RaceCount())
-}
-
-// fillStats copies retention telemetry and derived throughput into the
-// summary.
-func fillStats(res *result, st monitor.RAStats, races int) {
-	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
+// finish drains the sink and records its outcome in the summary:
+// timing since start, throughput, RA retention, the decided predicate
+// (PredHB leaves those fields zero, so default summaries are unchanged)
+// with its short:k window telemetry, and the final metrics snapshot.
+func finish(res *result, sk monitor.Sink, start time.Time) []race.Report {
+	reports := sk.Finish()
+	res.MonitorNs = time.Since(start).Nanoseconds()
+	res.Events = int(sk.Events())
 	if res.MonitorNs > 0 {
 		res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
 	}
-	res.RaceCount = races
-}
-
-// fillPredict records the decided predicate and, under short:k, the
-// candidate-window telemetry. PredHB leaves every field zero so the
-// JSON summary of default runs is unchanged.
-func fillPredict(res *result, pred monitor.Predicate, k int, ws monitor.WindowStats) {
-	if pred == monitor.PredHB {
-		return
+	res.RaceCount = len(reports)
+	st := sk.RAStats()
+	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
+	if pred := sk.Predicate(); pred != monitor.PredHB {
+		res.Predicate = predict.Spec{Pred: pred, K: sk.WindowK()}.String()
+		if pred == monitor.PredShort {
+			ws := sk.WindowStats()
+			res.WindowK = sk.WindowK()
+			res.WindowLive, res.WindowPeak, res.WindowPruned = ws.Live, ws.Peak, ws.Pruned
+		}
 	}
-	res.Predicate = predict.Spec{Pred: pred, K: k}.String()
-	if pred == monitor.PredShort {
-		res.WindowK = k
-		res.WindowLive, res.WindowPeak, res.WindowPruned = ws.Live, ws.Peak, ws.Pruned
-	}
+	stats := sk.Stats()
+	res.Stats = &stats
+	return reports
 }
 
 // checkGolden compares (or, with update, rewrites) the deterministic

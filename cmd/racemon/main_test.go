@@ -2,45 +2,11 @@ package main
 
 import (
 	"errors"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestParallelParseDecision pins the -trace front-end selection: the
-// parallel decoder only when nothing needs the sequential reader's
-// byte-offset continuation, and a warning (never silence) when
-// -parsers > 1 has to be dropped.
-func TestParallelParseDecision(t *testing.T) {
-	cases := []struct {
-		name       string
-		parsers    int
-		resume, ck string
-		parallel   bool
-		warnHas    string
-	}{
-		{"sequential-by-default", 1, "", "", false, ""},
-		{"parallel", 4, "", "", true, ""},
-		{"checkpoint-drops", 4, "", "snap.ldck", false, "-checkpoint"},
-		{"resume-drops", 4, "snap.ldck", "", false, "-resume"},
-		{"both-drop", 4, "a.ldck", "b.ldck", false, "-resume and -checkpoint"},
-		{"parsers-1-no-warning", 1, "", "snap.ldck", false, ""},
-	}
-	for _, tc := range cases {
-		par, warn := parallelParseDecision(tc.parsers, tc.resume, tc.ck)
-		if par != tc.parallel {
-			t.Errorf("%s: parallel = %v, want %v", tc.name, par, tc.parallel)
-		}
-		if tc.warnHas == "" && warn != "" {
-			t.Errorf("%s: unexpected warning %q", tc.name, warn)
-		}
-		if tc.warnHas != "" && !strings.Contains(warn, tc.warnHas) {
-			t.Errorf("%s: warning %q does not mention %s", tc.name, warn, tc.warnHas)
-		}
-	}
-}
 
 // TestStaticFilterDecision pins the -static-prefilter interactions:
 // hard errors for -emit and plain -trace (the flag analyses the
@@ -86,45 +52,6 @@ func buildRacemon(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestParsersCheckpointWarningCLI runs the real binary: -trace -parsers 4
-// with -checkpoint must print the fallback warning to stderr (and still
-// produce the checkpoint); without -checkpoint it must not warn.
-func TestParsersCheckpointWarningCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := buildRacemon(t)
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.ldtr")
-	if out, err := exec.Command(bin, "-events", "2000", "-emit", trace).CombinedOutput(); err != nil {
-		t.Fatalf("emit: %v\n%s", err, out)
-	}
-
-	ck := filepath.Join(dir, "snap.ldck")
-	cmd := exec.Command(bin, "-trace", trace, "-parsers", "4", "-checkpoint", ck)
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("racemon -trace -parsers -checkpoint: %v\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-parsers 4 ignored") {
-		t.Fatalf("no fallback warning on stderr:\n%s", stderr.String())
-	}
-	if _, err := os.Stat(ck); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-
-	cmd = exec.Command(bin, "-trace", trace, "-parsers", "4")
-	stderr.Reset()
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("racemon -trace -parsers: %v\n%s", err, stderr.String())
-	}
-	if strings.Contains(stderr.String(), "ignored") {
-		t.Fatalf("spurious warning without -checkpoint:\n%s", stderr.String())
-	}
 }
 
 // TestStaticPrefilterResumeCLI runs the real binary through the

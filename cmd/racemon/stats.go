@@ -2,7 +2,7 @@ package main
 
 // Live run telemetry: the -stats-addr HTTP endpoint, the -stats-interval
 // progress line, and the "stats" object of the -json summary all read
-// the same obs registries the monitor/pipeline publish into. Reads are
+// the obs registry the monitor or pipeline publishes into. Reads are
 // atomic snapshots with bounded staleness (one GC window/batch), so
 // scraping never perturbs the hot path.
 
@@ -14,84 +14,48 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"localdrf/internal/obs"
 )
 
-// telemetry aggregates the run's metric registries — the sink's
-// (monitor or pipeline front-end) and, for parallel trace ingest, the
-// decoder's — for the three consumers above. Registries are attached as
-// the mode runner constructs its sinks; the HTTP server may already be
-// serving by then, so the list is mutex-guarded.
+// telemetry serves the run's sink registry to the three consumers
+// above. The mode runner attaches the registry once it has built the
+// sink; the HTTP server may already be serving by then.
 type telemetry struct {
 	start time.Time
-
-	mu     sync.Mutex
-	regs   []*obs.Registry
-	prev   obs.Snapshot // last /stats scrape, for rate computation
-	prevAt time.Time
+	reg   atomic.Pointer[obs.Registry]
 }
 
 var tel = &telemetry{start: time.Now()}
 
-func (t *telemetry) attach(reg *obs.Registry) {
-	t.mu.Lock()
-	t.regs = append(t.regs, reg)
-	t.mu.Unlock()
-}
+func (t *telemetry) attach(reg *obs.Registry) { t.reg.Store(reg) }
 
-// snapshot merges one atomic snapshot of every attached registry.
-// Metric names are disjoint by prefix (monitor.*, pipeline.*, parse.*).
+// snapshot is one atomic snapshot of the attached registry (empty
+// before the sink exists).
 func (t *telemetry) snapshot() obs.Snapshot {
-	t.mu.Lock()
-	regs := make([]*obs.Registry, len(t.regs))
-	copy(regs, t.regs)
-	t.mu.Unlock()
-	snaps := make([]obs.Snapshot, len(regs))
-	for i, r := range regs {
-		snaps[i] = r.Snapshot()
+	if reg := t.reg.Load(); reg != nil {
+		return reg.Snapshot()
 	}
-	return obs.Merge(snaps...)
+	return obs.Merge()
 }
 
-// statsDoc is the GET /stats response: the merged metric snapshot plus
-// counter rates over the interval since the previous scrape (since
-// process start on the first).
+// statsDoc is the GET /stats response: the sink's metric snapshot and
+// the process uptime. Counters are monotonic, so a client computes a
+// rate from two scrapes; there is no server-side "since the previous
+// scrape" state for concurrent scrapers to disturb.
 type statsDoc struct {
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	Metrics       obs.Snapshot       `json:"metrics"`
-	Rates         map[string]float64 `json:"rates,omitempty"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	Metrics       obs.Snapshot `json:"metrics"`
 }
 
 func (t *telemetry) stats() statsDoc {
-	s := t.snapshot()
-	now := time.Now()
-	t.mu.Lock()
-	prev, prevAt := t.prev, t.prevAt
-	t.prev, t.prevAt = s, now
-	t.mu.Unlock()
-	if prevAt.IsZero() {
-		prevAt = t.start
-	}
-	doc := statsDoc{UptimeSeconds: now.Sub(t.start).Seconds(), Metrics: s}
-	if secs := now.Sub(prevAt).Seconds(); secs > 0 {
-		d := s.Delta(prev)
-		for n, v := range d.Counters {
-			if v > 0 {
-				if doc.Rates == nil {
-					doc.Rates = make(map[string]float64)
-				}
-				doc.Rates[n+"_per_sec"] = float64(v) / secs
-			}
-		}
-	}
-	return doc
+	return statsDoc{UptimeSeconds: time.Since(t.start).Seconds(), Metrics: t.snapshot()}
 }
 
-// startStats binds addr and serves /stats (JSON snapshot + rates),
-// /debug/vars (expvar, including the merged snapshot under "racemon"),
+// startStats binds addr and serves /stats (JSON snapshot + uptime),
+// /debug/vars (expvar, including the snapshot under "racemon"),
 // and the net/http/pprof profile handlers. The server lives for the
 // process; -stats-linger keeps the process alive after short runs so CI
 // can scrape it.

@@ -82,24 +82,26 @@
 //
 // # Parallel ingest pipeline
 //
-// Multicore ingest is a staged pipeline, not replay-per-shard:
+// Every caller that turns an event stream into reports — racemon's
+// generated, -stream and -trace modes, racemond's sessions, the
+// experiments rows — builds its engine the same way:
+// monitor.Open(header, PipelineConfig) returns a monitor.Sink (Step,
+// StepBatch, Finish, Abort, Snapshot, Stats, Obs, …), and
+// Snapshot.Open resumes one from a checkpoint, with
+// TraceReader.ResumeAt positioning the trace where the checkpoint
+// stopped. At most one shard gives the sequential monitor; more give
+// the staged pipeline, not replay-per-shard:
 //
-//	wire bytes ─▶ parser 1 ─┐
-//	              parser 2 ─┤ (frame-parallel      sync        ┌─▶ race back-end 1
-//	              ...       ├─▶ decode, then ─▶ front-end ─────┼─▶ race back-end 2
-//	              parser N ─┘  FIFO sequencing) (sequencer)    └─▶ race back-end M
+//	wire bytes ─▶ frame decode ─▶ sync front-end ─┬─▶ race back-end 1
+//	              (TraceReader)                   ├─▶ race back-end 2
+//	                                              └─▶ race back-end M
 //
 // On the left, the delta-compressed framed v2 wire format (varint
 // thread/location/timestamp deltas; ≥1.5× smaller than v1 on the
-// reference stream; v1 traces still decode) is decoded by N parser
-// workers (monitor.ParallelTraceReader): frames are self-delimiting, so
-// the structural work — tag and varint extraction, the bulk of decode
-// cost — runs fully in parallel, while the per-frame delta context
-// (previous thread, per-thread location, per-location timestamp, halt
-// set) is carried frame-to-frame through a small handoff record, and a
-// round-robin collector (engine.FanRing) restores global FIFO order.
-// Decode errors surface in stream order with the exact message the
-// sequential reader would produce.
+// reference stream; v1 traces still decode) is decoded a frame at a
+// time. (A frame-parallel decoder feeding an ordering sequencer was
+// measured on a 2-CPU host against this one and lost, so it was
+// removed.)
 //
 // In the middle, a single synchronisation front-end consumes the
 // ordered stream once — all clock joins, RA message retention and
@@ -109,9 +111,7 @@
 // SPSC rings (engine.BatchQueue), so total work is O(events) +
 // O(events/shards × check cost) per back-end instead of O(shards ×
 // events), and the merged report set is byte-identical to the
-// sequential monitor at any parser count, shard count, batch size and
-// GC interval (monitor.Pipeline, monitor.ShardedRaces,
-// monitor.ReadRacesParallel).
+// sequential monitor at any shard count, batch size and GC interval.
 //
 // The static loc-mod-shards split degenerates under skewed traffic —
 // real streams are Zipf-like, and one back-end can receive nearly every
@@ -228,15 +228,15 @@
 // sizes and latencies), the pipeline (routed/delta/min records, the
 // batch-size histogram, quiesce latency, ring occupancy and stall/idle
 // counts, per-back-end record/escalation/race vectors, migrations,
-// load imbalance) and the parallel decoder (per-worker frames/bytes,
-// sequencer wait) — see internal/monitor's obs.go for the full list.
+// load imbalance) — see internal/monitor's obs.go for the full list.
 // Instrumentation is proven free: the modeltest matrix includes a
 // pipeline hammered by concurrent snapshot reads whose reports,
 // RAStats and checkpoint bytes must equal the sequential monitor's,
 // and the bench suite tracks an obs-overhead row (the online pass with
 // a 1ms scraper) against the uninstrumented-equivalent baseline.
 // cmd/racemon surfaces all of it: -stats-addr serves GET /stats (JSON
-// snapshot plus per-counter rates), expvar at /debug/vars and pprof at
+// snapshot of monotonic counters plus uptime; clients derive rates from
+// two scrapes), expvar at /debug/vars and pprof at
 // /debug/pprof while the run ingests; -stats-interval prints a
 // progress line; -stats-linger holds the endpoint open after short
 // runs; and the -json summary embeds the final exact snapshot under
@@ -278,28 +278,26 @@
 // exhaustive oracle race.Races on every corpus program, on hundreds of
 // random programs, and on hundreds of generated schedules — at every GC
 // interval (fixed and adaptive) and across the full pipeline
-// (shards × batch × GC × rebalance) matrix, with the parallel
-// wire-format reader round-tripping at {1,2,4} parsers; cmd/racemon
-// exposes the checkpoint workflow as -checkpoint FILE [-checkpoint-at
-// N] and -resume FILE.
+// (shards × batch × GC × rebalance) matrix; cmd/racemon exposes the
+// checkpoint workflow as -checkpoint FILE [-checkpoint-at N] and
+// -resume FILE.
 //
 // The command-line tools (cmd/litmus, cmd/drfcheck, cmd/memsim,
 // cmd/racemon, cmd/experiments) and the examples directory exercise all
 // of the above; EXPERIMENTS.md records paper-versus-measured results for
 // every table and figure. cmd/racemon generates a million-event schedule
 // (optionally Zipf-skewed: -skew S) and monitors it materialised or
-// fused through the parallel pipeline (-pipeline -shards N
-// [-rebalance]), on a single sequential monitor (-stream), and
-// writes/ingests raw traces (-emit FILE [-wire 1|2], -trace FILE|-,
-// decoded by -parsers N workers); its JSON reports the windowed GC's
-// live, peak and collected RA-message counts. cmd/experiments -run
-// bench emits engine-versus-baseline timings as JSON (BENCH_engine.json)
-// and streaming-monitor throughput (BENCH_monitor.json: events/sec for
-// the sequential, fused, sharded, pipeline-{2,4,8}shard,
-// wire-v2-decode, pipeline-{2,4}parser-{4,8}shard, skewed-zipf,
-// compaction-quiet and obs-overhead rows — compaction-quiet recording
-// escalated-vector counts before and after demotion — each parallel
-// row at a recorded GOMAXPROCS, plus peak live RA messages and
+// fused with generation (-stream), sequentially or through the
+// parallel pipeline (-shards N [-rebalance]), and writes/ingests raw
+// traces (-emit FILE [-wire 1|2], -trace FILE|-); its JSON reports the
+// windowed GC's live, peak and collected RA-message counts.
+// cmd/experiments -run bench emits engine-versus-baseline timings as
+// JSON (BENCH_engine.json) and streaming-monitor throughput
+// (BENCH_monitor.json: events/sec for the sequential, fused, sharded,
+// pipeline-{2,4,8}shard, wire-v2-decode, skewed-zipf, compaction-quiet
+// and obs-overhead rows — compaction-quiet recording escalated-vector
+// counts before and after demotion — each parallel row at a recorded
+// GOMAXPROCS, plus peak live RA messages and
 // allocs/event; the document records the host CPU model and Go
 // version) so the performance trajectory is tracked across PRs.
 // cmd/experiments -run bench-compare reruns the monitor suite and

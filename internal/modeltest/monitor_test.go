@@ -159,9 +159,11 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 				for _, batch := range []int{1, 64, 4096} {
 					for _, gc := range []uint64{16, 0} {
 						for _, reb := range []bool{false, true} {
-							got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), events, monitor.PipelineConfig{
+							pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
 								Shards: shards, BatchSize: batch, GCInterval: gc, Rebalance: reb,
 							})
+							pl.StepBatch(events)
+							got := pl.Finish()
 							if !race.ReportsEqual(got, want) {
 								t.Fatalf("seed %d %v shards=%d batch=%d gc=%d rebalance=%v: pipeline diverged",
 									seed, pol, shards, batch, gc, reb)
@@ -173,14 +175,12 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			if seed >= 8 {
 				continue
 			}
-			// For a subset: the sharded entry point, halt-carrying
+			// For a subset: the sinks monitor.Open builds, halt-carrying
 			// streams, and the wire-format round trips (v1 and v2).
 			for _, shards := range []int{2, 3} {
-				sharded, err := monitor.ShardedRaces(tb.Threads(), tb.Decls(), events, shards, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !race.ReportsEqual(sharded, want) {
+				sk := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, monitor.PipelineConfig{Shards: shards})
+				sk.StepBatch(events)
+				if sharded := sk.Finish(); !race.ReportsEqual(sharded, want) {
 					t.Fatalf("seed %d %v shards=%d: sharded mode diverged", seed, pol, shards)
 				}
 			}
@@ -264,22 +264,6 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 				}
 				if !race.ReportsEqual(decoded, want) {
 					t.Fatalf("seed %d %v: %v wire round-trip diverged", seed, pol, format)
-				}
-				if format != monitor.BinaryV2 {
-					continue
-				}
-				// The parallel front-end must round-trip the same trace
-				// through a rebalancing pipeline at every parser count
-				// (parsers=1 is the sequential-fallback regression).
-				for _, parsers := range []int{1, 2, 4} {
-					preports, _, err := monitor.ReadRacesParallel(bytes.NewReader(data), parsers,
-						monitor.PipelineConfig{Shards: 2, Rebalance: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !race.ReportsEqual(preports, want) {
-						t.Fatalf("seed %d %v parsers=%d: parallel wire round-trip diverged", seed, pol, parsers)
-					}
 				}
 			}
 		}

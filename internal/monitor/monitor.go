@@ -126,6 +126,19 @@
 // predict.go for the construction and internal/predict for the
 // reference decider and the flag syntax ("hb", "syncp", "short:k")
 // racemon exposes.
+//
+// # Entry points
+//
+// Open(Header, PipelineConfig) builds the engine for a stream and
+// returns it as a Sink — the method set Monitor and Pipeline share
+// (Step, StepBatch, Finish, Abort, Snapshot, Stats, Obs, …). At most
+// one shard gives a Monitor, more a Pipeline; the config's GC interval,
+// predicate and static filter apply either way. Snapshot.Open resumes
+// a checkpoint the same way, and TraceReader.ResumeAt positions a
+// reopened trace where that checkpoint stopped. racemon, racemond and
+// the experiments all build their engines through this seam. New and
+// NewPipeline remain for callers that need the concrete type; Table
+// and ReadRaces are the one-call forms the differential tests use.
 package monitor
 
 import (
@@ -387,12 +400,12 @@ func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
 	return liveT, liveC, true
 }
 
-// Monitor is the streaming race detector. Create one with New, feed it
-// events in trace order with Step (or Feed/FeedBatch, from a Source),
-// and collect the deduplicated reports with Reports. A Monitor is not
-// safe for concurrent use; the parallel mode (Pipeline, ShardedRaces)
-// splits the work between a synchronisation front-end and per-location
-// race back-ends instead.
+// Monitor is the streaming race detector. Create one with New (or Open),
+// feed it events in trace order with Step (or Feed/FeedBatch, from a
+// Source), and collect the deduplicated reports with Reports. A Monitor
+// is not safe for concurrent use; the parallel mode (Pipeline) splits
+// the work between a synchronisation front-end and per-location race
+// back-ends instead.
 type Monitor struct {
 	decls    []LocDecl
 	nthreads int

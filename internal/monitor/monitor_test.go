@@ -206,22 +206,23 @@ func TestDifferentialOnLitmusTraces(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesUnsharded: the sharded parallel mode returns exactly
-// the single-pass report set at any shard count.
+// openRaces monitors events through the sink Open builds for cfg.
+func openRaces(nthreads int, decls []LocDecl, events []Event, cfg PipelineConfig) []race.Report {
+	s := Open(Header{Threads: nthreads, Decls: decls}, cfg)
+	s.StepBatch(events)
+	return s.Finish()
+}
+
+// TestShardedMatchesUnsharded: a sharded sink returns exactly the
+// single-pass report set at any shard count.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	decls, events := syntheticWorkload(6, 24, 30_000, 31)
-	want, err := ShardedRaces(6, decls, events, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := openRaces(6, decls, events, PipelineConfig{})
 	if len(want) == 0 {
 		t.Fatal("synthetic workload produced no races; not a useful fixture")
 	}
 	for _, shards := range []int{2, 3, 4, 8} {
-		got, err := ShardedRaces(6, decls, events, shards, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := openRaces(6, decls, events, PipelineConfig{Shards: shards})
 		if !eq(got, want) {
 			t.Fatalf("shards=%d: got %d reports, want %d\ngot  %v\nwant %v",
 				shards, len(got), len(want), got, want)
@@ -268,10 +269,10 @@ func syntheticWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event)
 	return decls, events
 }
 
-// TestShardedClampAndSkip: shard counts larger than the nonatomic
-// location count are clamped, and shards owning no nonatomic location
-// are skipped — in both cases the report set is identical to the
-// unsharded pass.
+// TestShardedClampAndSkip: Open clamps shard counts larger than the
+// nonatomic location count, and shards owning no nonatomic location are
+// skipped — in both cases the report set is identical to the unsharded
+// pass.
 func TestShardedClampAndSkip(t *testing.T) {
 	// Only two NA locations, both ≡ 0 (mod 2): after clamping 8 → 2
 	// shards, shard 1 owns nothing and must be skipped, not replayed.
@@ -305,18 +306,17 @@ func TestShardedClampAndSkip(t *testing.T) {
 		}
 		events = append(events, Event{Thread: int32(rnd(4)), Loc: int32(l), Kind: k})
 	}
-	want, err := ShardedRaces(4, decls, events, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := openRaces(4, decls, events, PipelineConfig{})
 	if len(want) == 0 {
 		t.Fatal("workload produced no races; not a useful fixture")
 	}
 	for _, shards := range []int{2, 3, 8, 64} {
-		got, err := ShardedRaces(4, decls, events, shards, 0)
-		if err != nil {
-			t.Fatal(err)
+		sk := Open(Header{Threads: 4, Decls: decls}, PipelineConfig{Shards: shards})
+		sk.Abort()
+		if p, ok := sk.(*Pipeline); !ok || p.shards != 2 {
+			t.Fatalf("shards=%d: Open did not clamp to the 2 nonatomic locations", shards)
 		}
+		got := openRaces(4, decls, events, PipelineConfig{Shards: shards})
 		if !race.ReportsEqual(got, want) {
 			t.Fatalf("shards=%d: got %v, want %v", shards, got, want)
 		}
@@ -445,12 +445,11 @@ func raWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event) {
 	return decls, events
 }
 
-// TestShardedHonoursConfig: the satellite regression — every path of
-// the sharded entry point, *including* the degenerate single-shard
-// case, must honour a configured GC interval exactly as a sequential
-// New+SetGCInterval+Step run does. Reports alone cannot detect the bug
-// (they are interval-invariant by design), so the test compares the RA
-// retention statistics, which differ per interval.
+// TestShardedHonoursConfig: every sink Open builds, *including* the
+// single-shard Monitor, must honour a configured GC interval exactly as
+// a sequential New+SetGCInterval+Step run does. Reports alone cannot
+// detect the bug (they are interval-invariant by design), so the test
+// compares the RA retention statistics, which differ per interval.
 func TestShardedHonoursConfig(t *testing.T) {
 	decls, events := raWorkload(5, 12, 40_000, 17)
 	for _, interval := range []uint64{16, 0 /* default */} {
@@ -462,7 +461,7 @@ func TestShardedHonoursConfig(t *testing.T) {
 			ref.Step(e)
 		}
 		for _, shards := range []int{1, 2, 4} {
-			p := NewPipeline(5, decls, PipelineConfig{Shards: shards, GCInterval: interval})
+			p := Open(Header{Threads: 5, Decls: decls}, PipelineConfig{Shards: shards, GCInterval: interval})
 			p.StepBatch(events)
 			got := p.Finish()
 			if !race.ReportsEqual(got, ref.Reports()) {

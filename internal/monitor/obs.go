@@ -67,9 +67,6 @@ package monitor
 //	pipeline.backend_escalated       vec      escalated sides per back-end
 //	pipeline.backend_races           vec      races found per back-end
 //
-//	parse.frames / parse.bytes       vec      frames / payload bytes per parse worker
-//	parse.sequencer_wait_ns          counter  time NextBatch blocked on out-of-order frames
-//
 // The registry also backs racemon's /debug/vars and the periodic
 // progress line; see cmd/racemon.
 

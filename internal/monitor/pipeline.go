@@ -854,12 +854,3 @@ func (p *Pipeline) WindowK() int { return p.fe.WindowK() }
 // the same stream, because the window lives in the front-end and its
 // prune schedule is a function of the stream alone.
 func (p *Pipeline) WindowStats() WindowStats { return p.fe.WindowStats() }
-
-// PipelineRaces monitors a materialised event stream through a pipeline
-// and returns the deduplicated reports — byte-identical to a sequential
-// New+Step pass at any configuration.
-func PipelineRaces(nthreads int, decls []LocDecl, events []Event, cfg PipelineConfig) []race.Report {
-	p := NewPipeline(nthreads, decls, cfg)
-	p.StepBatch(events)
-	return p.Finish()
-}

@@ -38,6 +38,14 @@ func mustNotLeakGoroutines(t *testing.T, fn func()) {
 	}
 }
 
+// pipelineRaces feeds events through a fresh Pipeline — even at one
+// shard, unlike Open — and returns its reports.
+func pipelineRaces(nthreads int, decls []LocDecl, events []Event, cfg PipelineConfig) []race.Report {
+	p := NewPipeline(nthreads, decls, cfg)
+	p.StepBatch(events)
+	return p.Finish()
+}
+
 // TestPipelineMatrixMatchesSequential is the pipeline determinism bar on
 // synthetic streams: byte-identical reports to the sequential monitor at
 // every (shard count, batch size, GC interval) combination, on both an
@@ -68,7 +76,7 @@ func TestPipelineMatrixMatchesSequential(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 3, 4, 8} {
 				for _, batch := range []int{1, 64, 4096} {
-					got := PipelineRaces(6, w.decls, w.events, PipelineConfig{
+					got := pipelineRaces(6, w.decls, w.events, PipelineConfig{
 						Shards: shards, BatchSize: batch, GCInterval: interval,
 					})
 					if !race.ReportsEqual(got, want) {
@@ -85,8 +93,8 @@ func TestPipelineMatrixMatchesSequential(t *testing.T) {
 // block on full rings mid-stream; the result must not change.
 func TestPipelineBackpressure(t *testing.T) {
 	decls, events := syntheticWorkload(6, 24, 30_000, 31)
-	want := PipelineRaces(6, decls, events, PipelineConfig{Shards: 1})
-	got := PipelineRaces(6, decls, events, PipelineConfig{Shards: 4, BatchSize: 8, QueueDepth: 1})
+	want := pipelineRaces(6, decls, events, PipelineConfig{Shards: 1})
+	got := pipelineRaces(6, decls, events, PipelineConfig{Shards: 4, BatchSize: 8, QueueDepth: 1})
 	if !race.ReportsEqual(got, want) {
 		t.Fatalf("backpressured pipeline diverged: got %v, want %v", got, want)
 	}
@@ -132,7 +140,7 @@ func TestPipelineRaceStress(t *testing.T) {
 // Source, FeedBatch from a BatchSource) agree with the push side.
 func TestPipelineFeedSources(t *testing.T) {
 	decls, events := syntheticWorkload(4, 12, 10_000, 7)
-	want := PipelineRaces(4, decls, events, PipelineConfig{Shards: 2})
+	want := pipelineRaces(4, decls, events, PipelineConfig{Shards: 2})
 	p := NewPipeline(4, decls, PipelineConfig{Shards: 2})
 	if err := p.Feed(&SliceSource{Events: events}); err != nil {
 		t.Fatal(err)

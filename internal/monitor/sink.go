@@ -1,0 +1,115 @@
+package monitor
+
+// The monitoring seam (see "Entry points" in the package doc). Whether
+// the engine behind a Sink is one Monitor or a sharded Pipeline is
+// configuration: reports, retention statistics and snapshots are
+// byte-identical either way.
+
+import (
+	"fmt"
+	"io"
+
+	"localdrf/internal/obs"
+	"localdrf/internal/prog"
+	"localdrf/internal/race"
+)
+
+// Sink is the method set Monitor and Pipeline share. Feed it the stream
+// in trace order from one goroutine (Step, StepBatch), then call Finish
+// for the canonically sorted report set, or Abort to drop it.
+type Sink interface {
+	Step(Event)
+	StepBatch([]Event)
+	// Finish returns the deduplicated reports. The sink must not be fed
+	// afterwards.
+	Finish() []race.Report
+	// Abort tears the sink down without producing reports (see
+	// Pipeline.Abort for the concurrency contract).
+	Abort()
+	Events() uint64
+	RAStats() RAStats
+	Predicate() Predicate
+	WindowK() int
+	WindowStats() WindowStats
+	Snapshot(io.Writer) error
+	SnapshotWithReader(io.Writer, ReaderCheckpoint) error
+	Obs() *obs.Registry
+	Stats() obs.Snapshot
+}
+
+// Finish returns Reports: for a sequential monitor there is nothing to
+// drain.
+func (m *Monitor) Finish() []race.Report { return m.Reports() }
+
+// Abort is a no-op: a sequential monitor owns no goroutines.
+func (m *Monitor) Abort() {}
+
+// Open builds the sink for a stream with header hdr. cfg.Shards is
+// clamped to the number of nonatomic locations (a back-end with no
+// location to own would only replay clock deltas); at most one shard
+// gives a sequential Monitor with cfg's GC interval, predicate and
+// static filter applied, more give a Pipeline.
+func Open(hdr Header, cfg PipelineConfig) Sink {
+	cfg.Shards = clampShards(hdr.Decls, cfg.Shards)
+	if cfg.Shards > 1 {
+		return NewPipeline(hdr.Threads, hdr.Decls, cfg)
+	}
+	m := New(hdr.Threads, hdr.Decls)
+	applyGC(m, cfg)
+	if cfg.Predicate != PredHB {
+		m.SetPredicate(cfg.Predicate, cfg.WindowK)
+	}
+	m.SetStaticFilter(cfg.StaticFilter)
+	return m
+}
+
+// Open resumes the checkpoint as a sink, with Open's shard clamp: a
+// restored Monitor at most one shard, a Pipeline (see Snapshot.Pipeline)
+// above. The checkpointed predicate is authoritative; cfg's is ignored.
+// Single use, like Monitor.
+func (s *Snapshot) Open(cfg PipelineConfig) Sink {
+	cfg.Shards = clampShards(s.hdr.Decls, cfg.Shards)
+	if cfg.Shards > 1 {
+		return s.Pipeline(cfg)
+	}
+	m := s.take()
+	applyGC(m, cfg)
+	m.SetStaticFilter(cfg.StaticFilter)
+	return m
+}
+
+// clampShards bounds a requested back-end count by the nonatomic
+// location count, and below by 1.
+func clampShards(decls []LocDecl, shards int) int {
+	na := 0
+	for _, d := range decls {
+		if d.Kind == prog.NonAtomic {
+			na++
+		}
+	}
+	return max(1, min(shards, na))
+}
+
+// ResumeAt positions a freshly opened reader where the checkpoint's
+// monitoring stopped: the trace must have the snapshot's header; then
+// the reader seeks to the recorded byte offset, or, for a snapshot taken
+// without a reader continuation, decodes and drops the already-monitored
+// events by count (so the trace must be the same event stream).
+func (tr *TraceReader) ResumeAt(s *Snapshot) error {
+	if !s.hdr.Equal(tr.hdr) {
+		return fmt.Errorf("monitor: resume: the trace's header differs from the snapshot's")
+	}
+	if s.rck != nil {
+		return tr.Resume(*s.rck)
+	}
+	for skip := s.events; skip > 0; skip-- {
+		_, ok, err := tr.Next()
+		if err != nil {
+			return fmt.Errorf("monitor: resume: %w", err)
+		}
+		if !ok {
+			return fmt.Errorf("monitor: resume: the trace ends inside the %d already-monitored events", s.events)
+		}
+	}
+	return nil
+}

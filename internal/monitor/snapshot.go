@@ -140,6 +140,9 @@ type Snapshot struct {
 	m        *Monitor
 	rck      *ReaderCheckpoint
 	filtered bool
+	// events is the restored monitor's event count, kept for
+	// TraceReader.ResumeAt after the monitor has been handed over.
+	events uint64
 }
 
 // Header returns the thread count and location declarations the snapshot
@@ -794,7 +797,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := d.decodeNA(m); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{hdr: hdr, m: m}
+	s := &Snapshot{hdr: hdr, m: m, events: m.events}
 	tag, c, err := d.next()
 	if err != nil {
 		return nil, err

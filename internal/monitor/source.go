@@ -6,8 +6,6 @@ package monitor
 // generator both feed monitors this way. The push side is simply
 // Monitor.Step.
 
-import "localdrf/internal/race"
-
 // Source is a pull-based stream of monitor events. Next returns the next
 // event and ok=true, ok=false at the end of the stream, or an error
 // (after which the stream must not be read further).
@@ -36,14 +34,4 @@ func (s *SliceSource) Next() (Event, bool, error) {
 	e := s.Events[s.next]
 	s.next++
 	return e, true, nil
-}
-
-// SourceRaces runs a fresh monitor over a source in one bounded-memory
-// pass and returns the deduplicated reports.
-func SourceRaces(nthreads int, decls []LocDecl, src Source) ([]race.Report, error) {
-	m := New(nthreads, decls)
-	if err := m.Feed(src); err != nil {
-		return nil, err
-	}
-	return m.Reports(), nil
 }

@@ -175,6 +175,11 @@ type Header struct {
 	Decls   []LocDecl
 }
 
+// Equal reports whether two headers describe the same program shape.
+func (h Header) Equal(o Header) bool {
+	return h.Threads == o.Threads && slices.Equal(h.Decls, o.Decls)
+}
+
 // validateHeader checks the format limits and per-declaration sanity
 // shared by encoder and decoder.
 func validateHeader(hdr Header) error {

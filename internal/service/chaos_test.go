@@ -85,15 +85,30 @@ func TestChaosParityMatrix(t *testing.T) {
 			for _, fault := range chaosFaults {
 				name := fmt.Sprintf("%s/shards=%d/ck=%d", fault.name, shards, every)
 				t.Run(name, func(t *testing.T) {
-					_, addr := startServer(t, Config{
+					s, addr := startServer(t, Config{
 						Shards: shards, CheckpointDir: t.TempDir(),
 						CheckpointEvery: every, CheckpointRing: 3,
 					})
 					res := runClient(t, addr, "chaos", trace, fault.wrap(trace))
 					mustMatch(t, res, want)
+					checkConservation(t, s)
 				})
 			}
 		}
+	}
+}
+
+// checkConservation closes s — after which its counters are exact — and
+// checks that every admitted session ended exactly once: completed, or
+// failed with an ingest error.
+func checkConservation(t *testing.T, s *Server) {
+	t.Helper()
+	s.Close()
+	started := counter(s, "service.sessions_started")
+	completed := counter(s, "service.sessions_completed")
+	failed := counter(s, "service.ingest_errors")
+	if started != completed+failed {
+		t.Errorf("sessions_started = %d, want sessions_completed + ingest_errors = %d + %d", started, completed, failed)
 	}
 }
 
@@ -109,6 +124,9 @@ type crashableServer struct {
 }
 
 func startCrashable(t *testing.T, cfg Config) *crashableServer {
+	if cfg.ReadTimeout == 0 {
+		cfg.ReadTimeout = testReadTimeout
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +141,7 @@ func startCrashable(t *testing.T, cfg Config) *crashableServer {
 // crash kills the running instance and boots a fresh one over the same
 // checkpoint directory and address.
 func (cs *crashableServer) crash() {
-	cs.cur.Close()
+	checkConservation(cs.t, cs.cur)
 	cs.cur = New(cs.cfg)
 	// The address may need a moment to rebind after the old listener dies.
 	var ln net.Listener
@@ -178,6 +196,7 @@ func TestChaosServerCrashRestart(t *testing.T) {
 		t.Fatalf("session did not survive the crash: %v", runErr)
 	}
 	mustMatch(t, res, want)
+	checkConservation(t, cs.cur)
 }
 
 // TestChaosCrashWithTornCheckpoint: the crash interacts with the
@@ -206,6 +225,7 @@ func TestChaosCrashWithTornCheckpoint(t *testing.T) {
 		t.Fatalf("session did not survive crash + torn checkpoint: %v", runErr)
 	}
 	mustMatch(t, res, want)
+	checkConservation(t, cs.cur)
 }
 
 // TestChaosMultiSessionCrash: several concurrent sessions, one server
@@ -241,4 +261,5 @@ func TestChaosMultiSessionCrash(t *testing.T) {
 		}
 		mustMatch(t, results[i], wants[i])
 	}
+	checkConservation(t, cs.cur)
 }

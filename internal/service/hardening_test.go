@@ -1,7 +1,7 @@
 package service
 
-// Hardening regressions: the retry-after backoff ratchet and the /stats
-// concurrency guard.
+// Hardening regressions: the retry-after backoff ratchet and /stats
+// under concurrent scrapers.
 
 import (
 	"bufio"
@@ -78,11 +78,10 @@ func TestBackoffHintAppliesOnce(t *testing.T) {
 	}
 }
 
-// TestStatsHandlerConcurrent hammers the /stats endpoint (aggregate —
-// whose rate computation keeps cross-request scrape state — and the
-// per-session view) from four goroutines while a session is live. Run
-// under -race this pins the statsMu guard on the previous-scrape state;
-// without it concurrent scrapes race on statsPrev/statsAt.
+// TestStatsHandlerConcurrent hammers the /stats endpoint (aggregate and
+// per-session views) from four goroutines while a session is live. Run
+// under -race it pins that scrapes share no unsynchronised state with
+// each other or with the session.
 func TestStatsHandlerConcurrent(t *testing.T) {
 	s, addr := startServer(t, Config{Shards: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 5_000})
 	// Hold a live attached session open for the duration of the hammer:

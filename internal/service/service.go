@@ -40,7 +40,6 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,9 +67,10 @@ type Config struct {
 	// admissions are shed with "busy retry-after" (default 64).
 	MaxSessions int
 	// Shards > 1 monitors each session through a sharded Pipeline
-	// instead of a sequential Monitor (default 1). Reports are
-	// identical either way; shards trade per-session cores for
-	// per-session throughput.
+	// instead of a sequential Monitor (default 1; see monitor.Open,
+	// which clamps it to the trace's nonatomic location count).
+	// Reports are identical either way; shards trade per-session cores
+	// for per-session throughput.
 	Shards int
 	// ReadTimeout bounds every read from a client connection — the
 	// slow-loris defence (default 10s; 0 disables).
@@ -138,7 +138,7 @@ type session struct {
 }
 
 // svcCells caches the service-level metric cells (service.* namespace,
-// alongside the monitor.*/pipeline.*/parse.* catalogues).
+// alongside the monitor.*/pipeline.* catalogues).
 type svcCells struct {
 	attached     *obs.Gauge   // service.sessions_attached: currently ingesting
 	tracked      *obs.Gauge   // service.sessions_tracked: known to the in-memory table
@@ -198,11 +198,6 @@ type Server struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-
-	// stats-endpoint scrape state (rates since previous scrape).
-	statsMu   sync.Mutex
-	statsPrev obs.Snapshot
-	statsAt   time.Time
 }
 
 // New builds a Server (not yet listening) and starts its idle-eviction
@@ -435,34 +430,6 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// sink abstracts the session's monitoring target: a sequential Monitor
-// or a sharded Pipeline.
-type sink interface {
-	StepBatch([]monitor.Event)
-	Events() uint64
-	RAStats() monitor.RAStats
-	SnapshotWithReader(io.Writer, monitor.ReaderCheckpoint) error
-	Obs() *obs.Registry
-	finish() []race.Report
-	abort()
-}
-
-type monitorSink struct{ *monitor.Monitor }
-
-func (s monitorSink) finish() []race.Report { return s.Reports() }
-func (s monitorSink) abort()                {}
-
-type pipelineSink struct{ *monitor.Pipeline }
-
-func (s pipelineSink) finish() []race.Report { return s.Finish() }
-func (s pipelineSink) abort()                { s.Abort() }
-
-// headerEqual reports whether a recovered snapshot and the incoming
-// trace describe the same program shape.
-func headerEqual(a, b monitor.Header) bool {
-	return a.Threads == b.Threads && slices.Equal(a.Decls, b.Decls)
-}
-
 // handleConn runs one connection: handshake, admission, ingest.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
@@ -518,9 +485,10 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// The snapshot's header is known before any trace bytes arrive, so
 	// a recovered sink is built now and its event count rides on the ok
 	// reply (purely informative; resume positioning is server-side).
-	var sk sink
+	cfg := monitor.PipelineConfig{Shards: s.cfg.Shards}
+	var sk monitor.Sink
 	if snap != nil {
-		sk = s.newSink(snapSource{snap})
+		sk = snap.Open(cfg)
 		events = sk.Events()
 		s.c.recovered.Add(1)
 		s.logf("session %s: recovered at event %d", sess.id, events)
@@ -539,28 +507,12 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		return
 	}
 	if snap != nil {
-		if !headerEqual(snap.Header(), tr.Header()) {
-			s.fail(sess, conn, sk, fmt.Errorf("service: resumed stream has a different header than the session's checkpoint"))
-			return
-		}
-		if rck, hasRck := snap.Reader(); hasRck {
-			err = tr.Resume(rck)
-		} else {
-			// Count-skip: a snapshot without a reader continuation still
-			// resumes — decode and drop the already-monitored prefix.
-			for skip := events; skip > 0 && err == nil; skip-- {
-				var more bool
-				if _, more, err = tr.Next(); err == nil && !more {
-					err = fmt.Errorf("service: replayed stream ends inside the %d already-monitored events", events)
-				}
-			}
-		}
-		if err != nil {
+		if err := tr.ResumeAt(snap); err != nil {
 			s.fail(sess, conn, sk, err)
 			return
 		}
-	} else if sk == nil {
-		sk = s.newSink(headerSource{tr.Header()})
+	} else {
+		sk = monitor.Open(tr.Header(), cfg)
 	}
 	s.mu.Lock()
 	sess.reg = sk.Obs()
@@ -596,7 +548,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// Clean END marker: finalize and answer. The ring is destroyed only
 	// after the done line is on the wire — a crash in between re-runs
 	// the tail, which is idempotent (same trace, same result).
-	reports := sk.finish()
+	reports := sk.Finish()
 	st := sk.RAStats()
 	res := SessionResult{
 		Session: sess.id, Events: sk.Events(), RaceCount: len(reports),
@@ -628,7 +580,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 // fail ends a session abnormally: classify, count, tear down the sink
 // WITHOUT checkpointing (the live state past the last checkpoint is
 // unproven), best-effort error reply.
-func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
+func (s *Server) fail(sess *session, conn net.Conn, sk monitor.Sink, err error) {
 	s.c.ingestErrs.Add(1)
 	switch {
 	case errors.Is(err, ErrChunkCorrupt):
@@ -642,7 +594,7 @@ func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
 		}
 	}
 	if sk != nil {
-		sk.abort()
+		sk.Abort()
 	}
 	s.logf("session %s: ingest failed: %v", sess.id, err)
 	if conn != nil {
@@ -650,31 +602,6 @@ func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
 		fmt.Fprintf(conn, "err %v\n", err)
 	}
 }
-
-// sinkSource is what newSink needs to size a fresh or recovered sink.
-type sinkSource interface {
-	build(cfg Config) sink
-}
-
-type snapSource struct{ snap *monitor.Snapshot }
-
-func (ss snapSource) build(cfg Config) sink {
-	if cfg.Shards > 1 {
-		return pipelineSink{ss.snap.Pipeline(monitor.PipelineConfig{Shards: cfg.Shards})}
-	}
-	return monitorSink{ss.snap.Monitor()}
-}
-
-type headerSource struct{ hdr monitor.Header }
-
-func (hs headerSource) build(cfg Config) sink {
-	if cfg.Shards > 1 {
-		return pipelineSink{monitor.NewPipeline(hs.hdr.Threads, hs.hdr.Decls, monitor.PipelineConfig{Shards: cfg.Shards})}
-	}
-	return monitorSink{monitor.New(hs.hdr.Threads, hs.hdr.Decls)}
-}
-
-func (s *Server) newSink(src sinkSource) sink { return src.build(s.cfg) }
 
 func toRaceJSON(r race.Report) RaceJSON {
 	return RaceJSON{

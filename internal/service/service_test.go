@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -72,9 +73,19 @@ func referenceResult(t testing.TB, session string, trace []byte) SessionResult {
 	return res
 }
 
+// testReadTimeout replaces the 10s default read timeout in tests. A
+// retry that arrives while the server is still draining the cut
+// connection's backlog is told "busy retry-after <ReadTimeout>"; under
+// the race detector that backlog takes long enough to hit this often,
+// and a 10s hint per hit made the chaos matrix take minutes.
+const testReadTimeout = time.Second
+
 // startServer builds and serves a Server on a loopback port.
 func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
+	if cfg.ReadTimeout == 0 {
+		cfg.ReadTimeout = testReadTimeout
+	}
 	s := New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -113,8 +124,18 @@ func mustMatch(t testing.TB, got *SessionResult, want SessionResult) {
 }
 
 // counter reads a service counter by name from the registry snapshot.
+// A handler may still be running after its client has the result (the
+// done line goes out before sessions_completed moves), so counters are
+// exact only once Close has waited for every handler: assertions that
+// follow a client result read through closedCounter.
 func counter(s *Server, name string) uint64 {
 	return s.reg.Snapshot().Counters[name]
+}
+
+// closedCounter closes the server and then reads the counter.
+func closedCounter(s *Server, name string) uint64 {
+	s.Close()
+	return counter(s, name)
 }
 
 // TestServiceBasic: an unfaulted session completes and matches the
@@ -133,10 +154,9 @@ func TestServiceBasic(t *testing.T) {
 		if res.Resumed != 0 {
 			t.Fatalf("shards=%d: uninterrupted session reports %d resumes", shards, res.Resumed)
 		}
-		if got := counter(s, "service.sessions_completed"); got != 1 {
+		if got := closedCounter(s, "service.sessions_completed"); got != 1 {
 			t.Fatalf("shards=%d: sessions_completed = %d, want 1", shards, got)
 		}
-		s.Close()
 	}
 }
 
@@ -157,7 +177,7 @@ func TestServiceResumesAfterDisconnect(t *testing.T) {
 	if res.Resumed < 1 {
 		t.Fatal("cut session reports no resume")
 	}
-	if got := counter(s, "service.sessions_recovered"); got < 1 {
+	if got := closedCounter(s, "service.sessions_recovered"); got < 1 {
 		t.Fatalf("sessions_recovered = %d, want >= 1", got)
 	}
 	if got := counter(s, "service.stream_truncated"); got < 1 {
@@ -181,7 +201,7 @@ func TestServiceDetectsCorruption(t *testing.T) {
 		return conn
 	})
 	mustMatch(t, res, want)
-	if got := counter(s, "service.chunk_crc_errors"); got != 1 {
+	if got := closedCounter(s, "service.chunk_crc_errors"); got != 1 {
 		t.Fatalf("chunk_crc_errors = %d, want 1", got)
 	}
 }
@@ -211,16 +231,21 @@ func TestServiceSheds(t *testing.T) {
 	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("second session with cap 1: err = %v, want busy", err)
 	}
-	if got := counter(s, "service.sessions_rejected"); got != 1 {
-		t.Fatalf("sessions_rejected = %d, want 1", got)
-	}
 
 	occupier.Close()
 	// The slot frees once the server notices the disconnect; the bounded
-	// retry loop must ride that out and complete.
+	// retry loop must ride that out and complete. Every attempt before
+	// the last was shed too.
 	want := referenceResult(t, "shedme", trace)
-	res := runClient(t, addr, "shedme", trace, nil)
+	lastAttempt := 0
+	res := runClient(t, addr, "shedme", trace, func(attempt int, conn net.Conn) net.Conn {
+		lastAttempt = attempt
+		return conn
+	})
 	mustMatch(t, res, want)
+	if got, want := closedCounter(s, "service.sessions_rejected"), uint64(1+lastAttempt); got != want {
+		t.Fatalf("sessions_rejected = %d, want %d", got, want)
+	}
 }
 
 // TestServiceSlowLoris: a client that stalls mid-upload is cut off by
@@ -281,7 +306,7 @@ func TestServiceCheckpointBackpressure(t *testing.T) {
 	want := referenceResult(t, "degraded", trace)
 	res := runClient(t, addr, "degraded", trace, nil)
 	mustMatch(t, res, want) // a failed checkpoint must not corrupt the outcome
-	if got := counter(s, "service.checkpoint_failures"); got != 1 {
+	if got := closedCounter(s, "service.checkpoint_failures"); got != 1 {
 		t.Fatalf("checkpoint_failures = %d, want 1", got)
 	}
 	if got := counter(s, "service.checkpoints"); got < 1 {
@@ -343,6 +368,41 @@ func TestServiceStatsEndpoint(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats?session=nosuch", nil))
 	if rec.Code != 404 {
 		t.Fatalf("GET /stats?session=nosuch: %d, want 404", rec.Code)
+	}
+}
+
+// TestServiceStatsScrapesAreStable: /stats publishes monotonic counters
+// and uptime, no rates against "the previous scrape", so two
+// back-to-back scrapes of an idle server differ only in uptime_ns — a
+// scraper cannot shrink another's rate window.
+func TestServiceStatsScrapesAreStable(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	runClient(t, addr, "stable", genTrace(t, 31, 20_000), nil)
+	s.Close() // idle: every handler has exited
+	scrape := func() map[string]json.RawMessage {
+		rec := httptest.NewRecorder()
+		s.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("GET /stats: %v\n%s", err, rec.Body.String())
+		}
+		if _, ok := doc["uptime_ns"]; !ok {
+			t.Fatalf("GET /stats has no uptime_ns:\n%s", rec.Body.String())
+		}
+		delete(doc, "uptime_ns")
+		return doc
+	}
+	first, second := scrape(), scrape()
+	if len(first) != len(second) {
+		t.Fatalf("scrapes have different keys: %d vs %d", len(first), len(second))
+	}
+	for k, v := range first {
+		if !bytes.Equal(v, second[k]) {
+			t.Fatalf("%q differs between back-to-back scrapes:\n%s\n%s", k, v, second[k])
+		}
+	}
+	if !bytes.Contains(first["service"], []byte(`"service.sessions_completed": 1`)) {
+		t.Fatalf("service object lacks the completed session:\n%s", first["service"])
 	}
 }
 

@@ -23,7 +23,9 @@ type sessionStats struct {
 	IdleNs   int64  `json:"idle_ns,omitempty"`
 }
 
-// statsDoc is the aggregate /stats payload.
+// statsDoc is the aggregate /stats payload. Counters are monotonic and
+// carry no rates: a client derives a rate from two scrapes and their
+// uptime_ns, so concurrent scrapers cannot disturb each other's windows.
 type statsDoc struct {
 	UptimeNs int64          `json:"uptime_ns"`
 	Sessions []sessionStats `json:"sessions"`
@@ -32,9 +34,6 @@ type statsDoc struct {
 	// aggregate ingest view — counters sum across sessions).
 	Service  obs.Snapshot `json:"service"`
 	Monitors obs.Snapshot `json:"monitors"`
-	// Rates are per-second counter rates since the previous scrape
-	// (service.* and merged monitor cells together).
-	Rates map[string]float64 `json:"rates,omitempty"`
 }
 
 // sessionDoc is the per-session /stats?session=ID payload.
@@ -73,29 +72,10 @@ func (s *Server) statsSnapshot() statsDoc {
 	return doc
 }
 
-// rates computes per-second counter rates against the previous scrape.
-func (s *Server) rates(cur obs.Snapshot) map[string]float64 {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	now := time.Now()
-	var out map[string]float64
-	if !s.statsAt.IsZero() {
-		if dt := now.Sub(s.statsAt).Seconds(); dt > 0 {
-			delta := cur.Delta(s.statsPrev)
-			out = make(map[string]float64, len(delta.Counters))
-			for name, v := range delta.Counters {
-				out[name] = float64(v) / dt
-			}
-		}
-	}
-	s.statsPrev, s.statsAt = cur, now
-	return out
-}
-
 // StatsHandler serves the service's telemetry:
 //
-//	GET /stats              aggregate: session table, service.* cells,
-//	                        merged per-session monitor cells, rates
+//	GET /stats              aggregate: uptime, session table, service.*
+//	                        cells, merged per-session monitor cells
 //	GET /stats?session=ID   one session's row + its live registry
 //
 // Mount it (plus expvar/pprof if desired) on whatever mux the binary
@@ -133,9 +113,7 @@ func (s *Server) StatsHandler() http.Handler {
 			enc.Encode(doc)
 			return
 		}
-		doc := s.statsSnapshot()
-		doc.Rates = s.rates(obs.Merge(doc.Service, doc.Monitors))
-		enc.Encode(doc)
+		enc.Encode(s.statsSnapshot())
 	})
 	return mux
 }

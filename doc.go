@@ -61,7 +61,11 @@
 // single core. Its live state is bounded: nonatomic locations are kept
 // as FastTrack-style epochs (a single thread@clock word) that escalate
 // to per-thread vectors only on genuinely concurrent history, and
-// release-acquire messages are garbage-collected as soon as the
+// release-acquire messages live in a flat per-location store (a dense
+// slice of live messages, their clocks in one arena, and an
+// open-addressed timestamp index under a per-process hash key, so
+// publishing a message allocates nothing) from which they are
+// garbage-collected, in one compacting pass per sweep, as soon as the
 // pointwise-minimum thread frontier passes their writer event (the join
 // is then provably a no-op forever), so memory tracks the
 // synchronisation window rather than the trace length — O(events ×
@@ -99,7 +103,10 @@
 // On the left, the delta-compressed framed v2 wire format (varint
 // thread/location/timestamp deltas; ≥1.5× smaller than v1 on the
 // reference stream; v1 traces still decode) is decoded a frame at a
-// time. (A frame-parallel decoder feeding an ordering sequencer was
+// time, in a single pass: the batch grows once by the frame's event
+// count and events decode in place, one-byte varints inline, and the
+// kind-versus-declaration check is one compare against a per-location
+// class table. (A frame-parallel decoder feeding an ordering sequencer was
 // measured on a 2-CPU host against this one and lost, so it was
 // removed.)
 //

@@ -66,12 +66,19 @@
 // characterisation of happens-before, once min_u C_u[w] ≥ k every current
 // and future clock already dominates the clock published by thread w's
 // k-th event, so the reads-from join is a no-op and dropping the message
-// cannot change any report. Retention statistics (live, peak, collected)
-// are exposed via RAStats, and live counts are tracked per location so
-// sweeps skip locations with nothing retained. Under the program
-// semantics' freshness constraint threads read monotonically newer
-// messages, so the live set tracks the spread between the fastest and
-// slowest thread — a window — rather than the trace length. The criterion
+// cannot change any report. The messages of each location sit in a flat
+// store (rastore.go): a dense slice of live (timestamp, writer) entries,
+// their clocks in one arena of nthreads words per slot, and an
+// open-addressed timestamp index whose hash is keyed per process, so a
+// peer choosing timestamps cannot build collision chains. Publishing
+// copies the writer's clock into the arena (in place when the timestamp
+// is already live), so steady state allocates nothing; a sweep compacts
+// each non-empty store in one pass and rebuilds its small index.
+// Retention statistics (live, peak, collected) are exposed via RAStats.
+// Under the program semantics' freshness constraint threads read
+// monotonically newer messages, so the live set tracks the spread
+// between the fastest and slowest thread — a window — rather than the
+// trace length. The criterion
 // is exact, not heuristic, with one escape hatch for its flip side: a
 // declared thread that goes silent would hold the frontier down forever
 // (it could still legitimately read any message it has not passed), so
@@ -199,23 +206,6 @@ type Event struct {
 type LocDecl struct {
 	Name prog.Loc
 	Kind prog.LocKind
-}
-
-// tsKey is the canonical map key of an RA timestamp (normalised rational,
-// so equal timestamps collide regardless of representation).
-type tsKey struct{ num, den int64 }
-
-func timeKey(t ts.Time) tsKey {
-	num, den := t.Fraction() // one normalisation for both components
-	return tsKey{num, den}
-}
-
-// raMsg is one retained release-acquire message: the clock its writer
-// published and the writer thread (whose entry vc[writer] is the write
-// event's own index — the GC criterion).
-type raMsg struct {
-	vc     []uint64
-	writer int32
 }
 
 // Sentinel values of naState.wT / naState.rT.
@@ -426,7 +416,7 @@ type Monitor struct {
 	windowK uint64
 	win     *window
 	at      [][]uint64 // released clock L_A per atomic location
-	ra      []map[tsKey]raMsg
+	ra      []raStore  // live RA messages per location (rastore.go)
 	// minClock caches the pointwise minimum of all live thread clocks as
 	// of the last GC sweep (halted threads count as +∞). Stale entries
 	// are only ever too small, so every use (RA GC, epoch overwrite)
@@ -440,11 +430,11 @@ type Monitor struct {
 	// adaptMin/adaptMax bound the live-pressure-driven GC interval
 	// adaptation (0 = fixed interval; see SetAdaptiveGC).
 	adaptMin, adaptMax uint64
-	// RA retention statistics (aggregate and per location).
+	// RA retention statistics (the per-location live counts are the
+	// stores' lengths).
 	raLive      int
 	raPeak      int
 	raCollected uint64
-	raLiveLoc   []int
 	events      uint64
 	// Observability (obs.go): plain single-writer tallies, published
 	// into reg's atomic cells at GC sweeps / Reset / Stats so the hot
@@ -470,17 +460,16 @@ func New(nthreads int, decls []LocDecl) *Monitor {
 // not pay an O(locations) checker it would never touch.
 func newSync(nthreads int, decls []LocDecl) *Monitor {
 	m := &Monitor{
-		decls:     decls,
-		nthreads:  nthreads,
-		clocks:    make([][]uint64, nthreads),
-		at:        make([][]uint64, len(decls)),
-		ra:        make([]map[tsKey]raMsg, len(decls)),
-		minClock:  make([]uint64, nthreads),
-		halted:    make([]bool, nthreads),
-		raLiveLoc: make([]int, len(decls)),
-		gcEvery:   defaultGCInterval,
-		nextGC:    defaultGCInterval,
-		reg:       obs.NewRegistry(),
+		decls:    decls,
+		nthreads: nthreads,
+		clocks:   make([][]uint64, nthreads),
+		at:       make([][]uint64, len(decls)),
+		ra:       make([]raStore, len(decls)),
+		minClock: make([]uint64, nthreads),
+		halted:   make([]bool, nthreads),
+		gcEvery:  defaultGCInterval,
+		nextGC:   defaultGCInterval,
+		reg:      obs.NewRegistry(),
 	}
 	m.mo = newMonCells(m.reg)
 	for t := range m.clocks {
@@ -491,7 +480,7 @@ func newSync(nthreads int, decls []LocDecl) *Monitor {
 		case prog.Atomic:
 			m.at[l] = make([]uint64, nthreads)
 		case prog.ReleaseAcquire:
-			m.ra[l] = make(map[tsKey]raMsg)
+			m.ra[l].n = nthreads
 		}
 	}
 	return m
@@ -511,17 +500,14 @@ func (m *Monitor) Reset() {
 			clear(la)
 		}
 	}
-	for l, mm := range m.ra {
-		if len(mm) > 0 {
-			m.ra[l] = make(map[tsKey]raMsg)
-		}
+	for l := range m.ra {
+		m.ra[l].reset()
 	}
 	if m.win != nil {
 		m.win.reset()
 	}
 	clear(m.minClock)
 	clear(m.halted)
-	clear(m.raLiveLoc)
 	m.raLive, m.raPeak, m.raCollected = 0, 0, 0
 	m.nextGC = m.gcEvery
 	m.events = 0
@@ -657,8 +643,8 @@ func (m *Monitor) Step(e Event) {
 		}
 		copy(la, c)
 	case ReadRA:
-		if msg, ok := m.ra[e.Loc][timeKey(e.Time)]; ok {
-			join(c, msg.vc)
+		if vc := m.ra[e.Loc].lookup(timeKey(e.Time)); vc != nil {
+			join(c, vc)
 		}
 	case WriteRA:
 		m.publishRA(e.Loc, e.Time, e.Thread, c)
@@ -667,22 +653,17 @@ func (m *Monitor) Step(e Event) {
 	}
 }
 
-// publishRA snapshots the writer's clock as a retained RA message — the
-// WriteRA effect, shared by the sequential Step and the pipeline
+// publishRA copies the writer's clock into the location's store as a
+// retained RA message (overwriting a live message of the same timestamp)
+// — the WriteRA effect, shared by the sequential Step and the pipeline
 // front-end.
 func (m *Monitor) publishRA(loc int32, tm ts.Time, writer int32, c []uint64) {
-	vc := make([]uint64, len(c))
-	copy(vc, c)
-	mm := m.ra[loc]
-	k := timeKey(tm)
-	if _, dup := mm[k]; !dup {
+	if m.ra[loc].put(timeKey(tm), writer, c) {
 		m.raLive++
-		m.raLiveLoc[loc]++
 		if m.raLive > m.raPeak {
 			m.raPeak = m.raLive
 		}
 	}
-	mm[k] = raMsg{vc: vc, writer: writer}
 }
 
 // readNA checks a nonatomic read by thread t against the write history
@@ -854,19 +835,12 @@ func (m *Monitor) gc() {
 	}
 	preLive := uint64(m.raLive) // the pressure that built up this window
 	var collected uint64
-	for l, mm := range m.ra {
-		if m.raLiveLoc[l] == 0 {
-			continue
-		}
-		for k, msg := range mm {
-			if msg.vc[msg.writer] <= min[msg.writer] {
-				delete(mm, k)
-				m.raLive--
-				m.raLiveLoc[l]--
-				collected++
-			}
+	for l := range m.ra {
+		if len(m.ra[l].live) > 0 {
+			collected += uint64(m.ra[l].sweep(min))
 		}
 	}
+	m.raLive -= int(collected)
 	m.raCollected += collected
 	if collected > 0 {
 		m.gcProductive++

@@ -539,7 +539,6 @@ func TestResetReuse(t *testing.T) {
 func BenchmarkMonitorBursty(b *testing.B) {
 	decls, events := burstyWorkload(8, 64, 1_000_000, 97)
 	m := New(8, decls)
-	b.SetBytes(1) // report events/sec as MB/s (1 "byte" = 1 event)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
@@ -547,15 +546,15 @@ func BenchmarkMonitorBursty(b *testing.B) {
 			m.Step(e)
 		}
 	}
+	reportEventRate(b, len(events))
 }
 
 // BenchmarkMonitorRAHeavy measures the release-acquire hot path: message
-// publication (clock snapshot + map insert via timeKey), reads-from
-// joins, and the windowed GC sweeps.
+// publication (clock copy into the location's flat store), reads-from
+// lookups and joins, and the windowed GC sweeps.
 func BenchmarkMonitorRAHeavy(b *testing.B) {
 	decls, events := raWorkload(8, 16, 1_000_000, 23)
 	m := New(8, decls)
-	b.SetBytes(1) // report events/sec as MB/s (1 "byte" = 1 event)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
@@ -563,6 +562,13 @@ func BenchmarkMonitorRAHeavy(b *testing.B) {
 			m.Step(e)
 		}
 	}
+	reportEventRate(b, len(events))
+}
+
+// reportEventRate reports a bench's throughput as events per second,
+// given the events one op processes.
+func reportEventRate(b *testing.B, eventsPerOp int) {
+	b.ReportMetric(float64(eventsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "ev/s")
 }
 
 // burstyWorkload synthesises a stream with long same-thread bursts and a

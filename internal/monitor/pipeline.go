@@ -483,8 +483,8 @@ func (p *Pipeline) Step(e Event) {
 			copy(la, c)
 		}
 	case ReadRA:
-		if msg, ok := m.ra[e.Loc][timeKey(e.Time)]; ok {
-			p.changed = joinTrack(c, msg.vc, p.changed[:0])
+		if vc := m.ra[e.Loc].lookup(timeKey(e.Time)); vc != nil {
+			p.changed = joinTrack(c, vc, p.changed[:0])
 			p.broadcastClock(e.Thread, c)
 		}
 	case WriteRA:

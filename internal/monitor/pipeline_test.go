@@ -511,13 +511,13 @@ func TestHaltValidation(t *testing.T) {
 // sequential bound; real speedups need GOMAXPROCS ≥ shards+1).
 func BenchmarkPipeline4Bursty(b *testing.B) {
 	decls, events := burstyWorkload(8, 64, 1_000_000, 97)
-	b.SetBytes(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := NewPipeline(8, decls, PipelineConfig{Shards: 4})
 		p.StepBatch(events)
 		p.Finish()
 	}
+	reportEventRate(b, len(events))
 }
 
 // TestPipelineAbortContract pins the teardown contract documented on

@@ -341,40 +341,22 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 	sw.section(snapTagAtomic)
 
 	// live RA messages, sorted per location for canonical bytes
-	var keys []tsKey
+	var slots []int32
 	for l, d := range m.decls {
 		if d.Kind != prog.ReleaseAcquire {
 			continue
 		}
-		mm := m.ra[l]
-		keys = keys[:0]
-		for k := range mm {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, func(a, b tsKey) int {
-			if a.num != b.num {
-				if a.num < b.num {
-					return -1
-				}
-				return 1
-			}
-			if a.den != b.den {
-				if a.den < b.den {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
+		st := &m.ra[l]
+		slots = st.sortedSlots(slots[:0])
 		sw.chunk(snapTagRA)
-		sw.uvarint(uint64(len(keys)))
-		for _, k := range keys {
+		sw.uvarint(uint64(len(slots)))
+		for _, i := range slots {
 			sw.chunk(snapTagRA)
-			msg := mm[k]
-			sw.varint(k.num)
-			sw.uvarint(uint64(k.den))
-			sw.uvarint(uint64(msg.writer))
-			sw.clock(msg.vc)
+			e := st.live[i]
+			sw.varint(e.key.num)
+			sw.uvarint(uint64(e.key.den))
+			sw.uvarint(uint64(e.writer))
+			sw.clock(st.clock(int(i)))
 		}
 	}
 	sw.section(snapTagRA)
@@ -979,6 +961,7 @@ func (d *snapDecoder) decodeRA(m *Monitor) error {
 	if err != nil {
 		return err
 	}
+	vc := make([]uint64, m.nthreads) // decode buffer; put copies it
 	for l, decl := range m.decls {
 		if decl.Kind != prog.ReleaseAcquire {
 			continue
@@ -990,10 +973,10 @@ func (d *snapDecoder) decodeRA(m *Monitor) error {
 		if err != nil {
 			return err
 		}
-		// No allocation is driven by the count itself: the map below
+		// No allocation is driven by the count itself: the store below
 		// grows only with messages actually decoded, and a hostile count
 		// runs out of section bytes (an error) rather than memory.
-		mm := m.ra[l]
+		st := &m.ra[l]
 		for i := uint64(0); i < count; i++ {
 			if err := d.more(&c, snapTagRA, "ra"); err != nil {
 				return err
@@ -1016,18 +999,14 @@ func (d *snapDecoder) decodeRA(m *Monitor) error {
 			if writer >= uint64(m.nthreads) {
 				return c.errf("message writer %d out of range [0,%d)", writer, m.nthreads)
 			}
-			vc := make([]uint64, m.nthreads)
 			if err := c.clock(vc, "message clock"); err != nil {
 				return err
 			}
-			k := tsKey{num: num, den: int64(den)}
-			if _, dup := mm[k]; dup {
+			if !st.put(tsKey{num: num, den: int64(den)}, int32(writer), vc) {
 				return c.errf("duplicate message timestamp %d/%d", num, den)
 			}
-			mm[k] = raMsg{vc: vc, writer: int32(writer)}
 		}
-		m.raLiveLoc[l] = len(mm)
-		m.raLive += len(mm)
+		m.raLive += len(st.live)
 	}
 	return c.done()
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -816,6 +817,40 @@ func FuzzRestore(f *testing.F) {
 	}())
 	f.Add([]byte("LDCK\x01"))
 	f.Add([]byte{})
+
+	// Many live RA messages at non-integer rational timestamps (negative
+	// numerators included), and a copy whose store holds one timestamp
+	// twice: seeds that put the restore path's RA store insertion and its
+	// duplicate-timestamp rejection under the fuzzer.
+	raDecls := []LocDecl{{Name: "x", Kind: prog.NonAtomic}, {Name: "R", Kind: prog.ReleaseAcquire}}
+	ram := New(4, raDecls)
+	ram.SetGCInterval(1 << 62) // retain every message
+	for i := int64(0); i < 200; i++ {
+		tm := ts.New(2*i-199, 2)
+		if i >= 100 {
+			tm = ts.New(3*i+1, 3)
+		}
+		ram.Step(Event{Thread: int32(i % 4), Loc: 1, Kind: WriteRA, Time: tm})
+	}
+	var manyRA bytes.Buffer
+	if err := ram.Snapshot(&manyRA); err != nil {
+		f.Fatal(err)
+	}
+	if ram.RAStats().Live != 200 {
+		f.Fatalf("fixture retains %d RA messages, want 200", ram.RAStats().Live)
+	}
+	f.Add(manyRA.Bytes())
+	st := &ram.ra[1]
+	st.live = append(st.live, st.live[7])
+	st.clocks = append(st.clocks, st.clock(7)...)
+	var dupRA bytes.Buffer
+	if err := ram.Snapshot(&dupRA); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(dupRA.Bytes())); err == nil || !strings.Contains(err.Error(), "duplicate message timestamp") {
+		f.Fatalf("snapshot with a duplicated RA timestamp: got %v, want a duplicate-timestamp error", err)
+	}
+	f.Add(dupRA.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))

@@ -497,9 +497,12 @@ type TraceReader struct {
 	prevThread int32
 	prevLoc    []int32
 	prevNum    []int64
-	frameBuf   []byte
-	batch      []Event
-	cur        int
+	// locClass[l] is Kind>>1 of the accesses location l admits (0 na,
+	// 1 at, 2 ra) — the v2 decoder's one-compare declaration check.
+	locClass []uint8
+	frameBuf []byte
+	batch    []Event
+	cur      int
 	// lim tightens the format caps for untrusted peers (see ReaderLimits).
 	lim ReaderLimits
 }
@@ -717,6 +720,11 @@ func (tr *TraceReader) readBinaryHeader() error {
 	if tr.v2 {
 		tr.prevLoc = make([]int32, hdr.Threads)
 		tr.prevNum = make([]int64, len(hdr.Decls))
+		// prog.LocKind counts na, at, ra in the order Kind pairs them.
+		tr.locClass = make([]uint8, len(hdr.Decls))
+		for l, d := range hdr.Decls {
+			tr.locClass[l] = uint8(d.Kind)
+		}
 	}
 	return nil
 }
@@ -753,13 +761,18 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 		return dst, false, fmt.Errorf("monitor: trace frame: %d events exceeds the reader's per-frame limit %d", count, lim)
 	}
 	pos := n
-	for i := uint64(0); i < count; i++ {
-		e, next, err := tr.decodeV2Event(p, pos)
+	// Grow dst once by the frame's event count and decode in place. Every
+	// event takes at least its tag byte, so a count beyond the payload
+	// only sizes dst for one event past the bytes: that event fails as a
+	// truncated one, as it would decoding event by event.
+	base, fit := len(dst), int(min(count, uint64(len(p)-pos)+1))
+	dst = slices.Grow(dst, fit)[:base+fit]
+	for i := base; i < len(dst); i++ {
+		next, err := tr.decodeV2Event(p, pos, &dst[i])
 		if err != nil {
-			return dst, false, err
+			return dst[:i], false, err
 		}
 		pos = next
-		dst = append(dst, e)
 	}
 	if pos != len(p) {
 		return dst, false, fmt.Errorf("monitor: trace frame: %d trailing bytes after %d events", len(p)-pos, count)
@@ -767,83 +780,108 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 	return dst, true, nil
 }
 
-// decodeV2Event decodes one delta-encoded event at p[pos:], updating the
-// cross-frame delta context, and returns the event and the next offset.
-func (tr *TraceReader) decodeV2Event(p []byte, pos int) (Event, int, error) {
+// decodeV2Event decodes one delta-encoded event at p[pos:] into e,
+// updating the cross-frame delta context, and returns the next offset.
+// It performs every check validateEvent and checkHalt would — the
+// declaration check as one compare against locClass, the halt check only
+// once some thread has halted — and defers to them for the error text.
+func (tr *TraceReader) decodeV2Event(p []byte, pos int, e *Event) (int, error) {
 	if pos >= len(p) {
-		return Event{}, 0, fmt.Errorf("monitor: trace frame: truncated event (missing tag)")
+		return 0, fmt.Errorf("monitor: trace frame: truncated event (missing tag)")
 	}
 	tag := p[pos]
 	pos++
-	e := Event{Kind: Kind(tag & 7)}
-	if e.Kind > KindHalt {
-		return Event{}, 0, fmt.Errorf("monitor: trace event: unknown kind %d", e.Kind)
+	kind := Kind(tag & 7)
+	if kind > KindHalt {
+		return 0, fmt.Errorf("monitor: trace event: unknown kind %d", kind)
 	}
+	// Varint fields: one-byte values — nearly all of them — decode
+	// inline; longer ones go through uvarintSlow.
+	var u uint64
 	thread := int64(tr.prevThread)
 	if tag&(1<<3) != 0 {
-		d, n := binary.Varint(p[pos:])
-		if n <= 0 {
-			return Event{}, 0, fmt.Errorf("monitor: trace event: bad thread delta varint")
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad thread delta varint")
 		}
-		pos += n
-		thread += d
+		thread += unzigzag(u)
 	}
 	if thread < 0 || thread >= int64(tr.hdr.Threads) {
-		return Event{}, 0, fmt.Errorf("monitor: trace event: thread %d out of range [0,%d)", thread, tr.hdr.Threads)
+		return 0, fmt.Errorf("monitor: trace event: thread %d out of range [0,%d)", thread, tr.hdr.Threads)
 	}
-	e.Thread = int32(thread)
-	tr.prevThread = e.Thread
+	// The event is assembled in locals and stored through e once at the
+	// end, so the compiler need not reload the decoder state after it.
+	ev := Event{Thread: int32(thread), Kind: kind}
+	tr.prevThread = ev.Thread
 	locField := tag >> 4
-	if e.Kind == KindHalt {
+	if kind == KindHalt {
 		if locField != 0 {
-			return Event{}, 0, fmt.Errorf("monitor: trace event: halt with nonzero location field")
+			return 0, fmt.Errorf("monitor: trace event: halt with nonzero location field")
 		}
-		if err := checkHalt(&tr.halted, tr.hdr.Threads, e); err != nil {
-			return Event{}, 0, err
-		}
-		return e, pos, nil
+		*e = ev
+		return pos, checkHalt(&tr.halted, tr.hdr.Threads, ev)
 	}
 	d := int64(locField) - 7
 	if locField == 15 {
-		var n int
-		d, n = binary.Varint(p[pos:])
-		if n <= 0 {
-			return Event{}, 0, fmt.Errorf("monitor: trace event: bad location delta varint")
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad location delta varint")
 		}
-		pos += n
+		d = unzigzag(u)
 	}
-	loc := int64(tr.prevLoc[e.Thread]) + d
+	loc := int64(tr.prevLoc[ev.Thread]) + d
 	if loc < 0 || loc >= int64(len(tr.hdr.Decls)) {
-		return Event{}, 0, fmt.Errorf("monitor: trace event: location index %d out of range [0,%d)", loc, len(tr.hdr.Decls))
+		return 0, fmt.Errorf("monitor: trace event: location index %d out of range [0,%d)", loc, len(tr.hdr.Decls))
 	}
-	e.Loc = int32(loc)
-	tr.prevLoc[e.Thread] = e.Loc
-	if e.Kind == ReadRA || e.Kind == WriteRA {
-		dnum, n := binary.Varint(p[pos:])
-		if n <= 0 {
-			return Event{}, 0, fmt.Errorf("monitor: trace event: bad timestamp delta varint")
+	ev.Loc = int32(loc)
+	tr.prevLoc[ev.Thread] = ev.Loc
+	if kind == ReadRA || kind == WriteRA {
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad timestamp delta varint")
 		}
-		pos += n
-		den, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return Event{}, 0, fmt.Errorf("monitor: trace event: bad timestamp denominator varint")
+		num := tr.prevNum[loc] + unzigzag(u)
+		var den uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			den, pos = uint64(p[pos]), pos+1
+		} else if den, pos = uvarintSlow(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad timestamp denominator varint")
 		}
-		pos += n
 		if den == 0 || den > uint64(math.MaxInt64) {
-			return Event{}, 0, fmt.Errorf("monitor: trace event timestamp: denominator %d out of range", den)
+			return 0, fmt.Errorf("monitor: trace event timestamp: denominator %d out of range", den)
 		}
-		num := tr.prevNum[e.Loc] + dnum
-		tr.prevNum[e.Loc] = num
-		e.Time = ts.New(num, int64(den))
+		tr.prevNum[loc] = num
+		ev.Time = ts.New(num, int64(den))
 	}
-	if err := validateEvent(tr.hdr, e); err != nil {
-		return Event{}, 0, err
+	if tr.locClass[loc] != uint8(kind>>1) {
+		return 0, validateEvent(tr.hdr, ev)
 	}
-	if err := checkHalt(&tr.halted, tr.hdr.Threads, e); err != nil {
-		return Event{}, 0, err
+	if tr.halted != nil {
+		if err := checkHalt(&tr.halted, tr.hdr.Threads, ev); err != nil {
+			return 0, err
+		}
 	}
-	return e, pos, nil
+	*e = ev
+	return pos, nil
 }
+
+// uvarintSlow decodes the uvarint at p[pos:], returning the value and
+// the offset after it, or a negative offset if it is truncated or
+// overflows.
+func uvarintSlow(p []byte, pos int) (uint64, int) {
+	v, n := binary.Uvarint(p[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to its signed value (as
+// binary.Varint does).
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func (tr *TraceReader) nextBinary() (Event, bool, error) {
 	kb, err := tr.cr.ReadByte()

@@ -246,6 +246,59 @@ func TestWireV2Rejects(t *testing.T) {
 		}
 	}
 
+	// The declaration and halt checks run off the decoder's fast path
+	// (validateEvent and checkHalt only format the error), so pin their
+	// exact messages, through both Next and NextBatch. The header is
+	// x: nonatomic (0), F: atomic (1), R: ra (2).
+	exact := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"ReadRA on a nonatomic location",
+			`monitor: trace event: ra access on location "x" declared nonatomic`,
+			// count=1, ReadRA at loc delta 0, dnum 1, den 1.
+			append(append([]byte{}, hdrOnly...), 0x04, 0x01, byte(ReadRA)|7<<4, 0x02, 0x01)},
+		{"WriteAT on an RA location",
+			`monitor: trace event: atomic access on location "R" declared ra`,
+			append(append([]byte{}, hdrOnly...), 0x02, 0x01, byte(WriteAT)|9<<4)},
+		{"WriteNA on an atomic location",
+			`monitor: trace event: nonatomic access on location "F" declared atomic`,
+			append(append([]byte{}, hdrOnly...), 0x02, 0x01, byte(WriteNA)|8<<4)},
+		{"event after halt, in the next frame",
+			"monitor: trace event: thread 0 acts after its halt",
+			append(append([]byte{}, hdrOnly...),
+				0x02, 0x01, byte(KindHalt), // frame 1: halt t0
+				0x02, 0x01, byte(WriteNA)|7<<4)}, // frame 2: WriteNA by t0
+		// A frame declaring more events than its payload can hold fails
+		// at the first event the bytes run out for, unless an earlier
+		// event fails first.
+		{"event count exceeding payload, two events present",
+			"monitor: trace frame: truncated event (missing tag)",
+			append(append([]byte{}, hdrOnly...), 0x03, 0x05, byte(WriteNA)|7<<4, byte(WriteNA)|7<<4)},
+		{"event count exceeding payload, first event mismatched",
+			`monitor: trace event: nonatomic access on location "F" declared atomic`,
+			append(append([]byte{}, hdrOnly...), 0x02, 0x05, byte(WriteNA)|8<<4)},
+	}
+	for _, tc := range exact {
+		if _, err := ReadRaces(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Next: got error %v, want %q", tc.name, err, tc.want)
+		}
+		tr, err := NewTraceReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch []Event
+		for err == nil {
+			var ok bool
+			if batch, ok, err = tr.NextBatch(batch[:0]); !ok && err == nil {
+				break
+			}
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NextBatch: got error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
 	// The frozen v1 side of negotiation: a halt event cannot be written
 	// to a v1 binary trace, and a kind byte of 6 in a v1 body is
 	// rejected.
@@ -337,4 +390,49 @@ func TestWireV2TimestampDeltas(t *testing.T) {
 			t.Fatalf("event %d: timestamp %v, want %v", i, e.Time, want.Time)
 		}
 	}
+}
+
+// BenchmarkDecodeV2 measures the decode layer alone: NewTraceReader plus
+// NextBatch over a 1M-event bursty v2 trace held in memory, with no
+// monitor behind it.
+func BenchmarkDecodeV2(b *testing.B) {
+	decls, events := burstyWorkload(8, 64, 1_000_000, 97)
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, Header{Threads: 8, Decls: decls}, BinaryV2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range events {
+		if err := tw.Write(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	batch := make([]Event, 0, defaultFrameEvents)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			var ok bool
+			batch, ok, err = tr.NextBatch(batch[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n += len(batch)
+		}
+		if n != len(events) {
+			b.Fatalf("decoded %d events, want %d", n, len(events))
+		}
+	}
+	reportEventRate(b, len(events))
 }

@@ -28,7 +28,8 @@
 // each run and recorded at a multicore GOMAXPROCS of shards+1), the
 // wire-v2 frame-decoder throughput with the encoded stream size, the
 // skewed-workload row (skewed-zipf-1M: a
-// Zipf-skewed stream through the rebalancing 4-shard pipeline) and the
+// Zipf-skewed stream through the 4-shard pipeline's static
+// loc-mod-shards split) and the
 // compaction row (compaction-quiet-1M, recording the live
 // escalated-vector count with sweeps disabled versus with the GC's
 // epoch re-compaction running). Every multicore row records the
@@ -820,8 +821,8 @@ func benchMonitorResults() ([]benchResult, error) {
 	}
 	results[len(results)-1].EncodedBytes = len(encoded)
 	// Skewed workload: a Zipf-skewed stream (hot nonatomic locations)
-	// through the rebalancing 4-shard pipeline — the row the
-	// skew-adaptive router exists for.
+	// through the 4-shard pipeline on its static loc-mod-shards split,
+	// so the hot locations load some back-ends more than others.
 	skewOpt := opt
 	skewOpt.LocSkew = 1.3
 	skewStream, _, err := schedgen.Generate(p, tb, skewOpt, nil)
@@ -832,10 +833,10 @@ func benchMonitorResults() ([]benchResult, error) {
 	seqSkew.StepBatch(skewStream)
 	runtime.GOMAXPROCS(5)
 	err = timeIt("monitor/skewed-zipf-1M", &results, func() error {
-		sk := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4, Rebalance: true})
+		sk := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4})
 		sk.StepBatch(skewStream)
 		if got := sk.Finish(); len(got) != seqSkew.RaceCount() {
-			return fmt.Errorf("rebalancing pipeline reported %d races, sequential %d", len(got), seqSkew.RaceCount())
+			return fmt.Errorf("skewed pipeline reported %d races, sequential %d", len(got), seqSkew.RaceCount())
 		}
 		return nil
 	})

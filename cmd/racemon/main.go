@@ -9,8 +9,8 @@
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
 //	        [-stale PCT] [-skew S] [-halts] [-json] [-stream]
-//	        [-rebalance] [-predicate hb|syncp|short:k] [-trace FILE|-]
-//	        [-emit FILE] [-format binary|text] [-wire 1|2]
+//	        [-predicate hb|syncp|short:k] [-trace FILE|-]
+//	        [-emit FILE] [-format binary|text]
 //	        [-static-prefilter] [-private-locs N] [-private-pct PCT]
 //	        [-golden FILE] [-update-golden] [-max-races N]
 //	        [-checkpoint FILE] [-checkpoint-at N] [-resume FILE]
@@ -29,19 +29,19 @@
 //	           materialising the schedule: memory stays O(locations +
 //	           threads²) plus the windowed live RA-message set (and the
 //	           pipeline's bounded rings), regardless of -events.
-//	-trace F   ingest a raw trace (binary v1/v2 or text wire format,
-//	           sniffed automatically) from file F, or from stdin with
-//	           "-", and monitor it in one bounded-memory pass (v2
-//	           frames are decoded and fed a batch at a time).
-//	           Generation flags are ignored.
+//	-trace F   ingest a raw trace (binary or text wire format, sniffed
+//	           automatically) from file F, or from stdin with "-", and
+//	           monitor it in one bounded-memory pass (binary frames are
+//	           decoded and fed a batch at a time). Generation flags are
+//	           ignored.
 //	-emit F    generate the schedule and write it to F in the wire
-//	           format (-format binary|text; -wire selects the binary
-//	           version, default 2 = delta-compressed frames) without
-//	           monitoring — the producer side of -trace.
+//	           format (-format binary|text; binary is the
+//	           delta-compressed framed encoding) without monitoring —
+//	           the producer side of -trace.
 //
 // -halts appends a thread-retirement event when a generated thread runs
-// to completion (wire v2/text and the monitor understand it; it never
-// changes reports, only RA retention).
+// to completion (both wire formats and the monitor understand it; it
+// never changes reports, only RA retention).
 //
 // -predicate selects the race predicate the monitor decides (see
 // internal/monitor's predictive-detection overview): "hb" (the
@@ -61,10 +61,8 @@
 //
 // -skew S redirects each generated nonatomic access to a location drawn
 // from a Zipf distribution with exponent S (0 = uniform, the default) —
-// hot-location workloads for the sharded pipeline. -rebalance enables
-// the pipeline's skew-adaptive router, which migrates hot locations
-// between race back-ends at GC barriers (reports stay identical; only
-// the load split changes).
+// hot-location workloads for the sharded pipeline, whose back-ends own
+// locations by the static loc-mod-shards split.
 //
 // Checkpoint/resume: -checkpoint FILE snapshots the monitor (or
 // pipeline front-end + back-ends) in the LDCK format of
@@ -72,7 +70,7 @@
 // after the N-th monitored event, stopping there. Works in the -stream
 // and -trace modes. -resume FILE (with -trace) restores the snapshot and
 // continues over the trace: a checkpoint taken by -trace carries the
-// reader's byte offset and v2 delta context, so the resumed run seeks
+// reader's byte offset and delta context, so the resumed run seeks
 // straight to where monitoring stopped; a checkpoint taken by -stream
 // carries no offset, so the resumed run skips the already-monitored
 // prefix by count (the trace must therefore be the same event stream,
@@ -104,7 +102,6 @@
 //	racemon -stream -shards 4 -events 5000000 -json
 //	racemon -stream -events 5000000 -json
 //	racemon -emit trace.bin -events 100000 && racemon -trace trace.bin
-//	racemon -emit trace.bin -wire 1 -events 100000   # v1 for old readers
 //	racemon -emit - -format text -events 50 -threads 2 | head
 //	racemon -trace - < trace.bin
 //	racemon -trace trace.bin -checkpoint ck.ldck -checkpoint-at 50000
@@ -217,7 +214,6 @@ func main() {
 	ra := flag.Int("ra", 8, "release-acquire location count")
 	stale := flag.Int("stale", 10, "percent of reads returning stale values")
 	skew := flag.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
-	rebalance := flag.Bool("rebalance", false, "migrate hot locations between pipeline back-ends at GC barriers (sharded modes)")
 	predicateS := flag.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
 	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
 	privateLocs := flag.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
@@ -229,7 +225,6 @@ func main() {
 	traceFile := flag.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
 	emitFile := flag.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
 	formatS := flag.String("format", "binary", "wire format for -emit: binary|text")
-	wire := flag.Int("wire", 2, "binary wire version for -emit: 1 (per-event) or 2 (delta-compressed frames)")
 	golden := flag.String("golden", "", "compare the deterministic report set against this golden JSON file")
 	updateGolden := flag.Bool("update-golden", false, "rewrite the -golden file instead of comparing")
 	checkpointFile := flag.String("checkpoint", "", "write a monitor snapshot to FILE (at end of run, or at -checkpoint-at)")
@@ -262,13 +257,6 @@ func main() {
 	if *skew < 0 {
 		fmt.Fprintln(os.Stderr, "racemon: -skew must be ≥ 0")
 		os.Exit(2)
-	}
-	if *wire != 1 && *wire != 2 {
-		fmt.Fprintln(os.Stderr, "racemon: -wire must be 1 or 2")
-		os.Exit(2)
-	}
-	if format == monitor.Binary && *wire == 2 {
-		format = monitor.BinaryV2
 	}
 	modeFlags := 0
 	for _, on := range []bool{*stream, *traceFile != "", *emitFile != ""} {
@@ -343,7 +331,7 @@ func main() {
 		prefilter: *staticPrefilter,
 	}
 	ck := ckParams{file: *checkpointFile, at: *checkpointAt}
-	cfg := monitor.PipelineConfig{Shards: *shards, Rebalance: *rebalance, Predicate: spec.Pred, WindowK: spec.K}
+	cfg := monitor.PipelineConfig{Shards: *shards, Predicate: spec.Pred, WindowK: spec.K}
 	var res result
 	var reports []race.Report
 	switch {
@@ -641,8 +629,8 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 			sk.Step(e)
 		}
 	} else {
-		// Batched ingestion: v2 traces decode a frame at a time; v1 and
-		// text are batched by the reader. (An end-of-trace -checkpoint
+		// Batched ingestion: binary traces decode a frame at a time; text
+		// is batched by the reader. (An end-of-trace -checkpoint
 		// needs no mid-stream precision, so it takes this path too.)
 		var buf []monitor.Event
 		for {

@@ -100,10 +100,10 @@
 //	              (TraceReader)                   ├─▶ race back-end 2
 //	                                              └─▶ race back-end M
 //
-// On the left, the delta-compressed framed v2 wire format (varint
-// thread/location/timestamp deltas; ≥1.5× smaller than v1 on the
-// reference stream; v1 traces still decode) is decoded a frame at a
-// time, in a single pass: the batch grows once by the frame's event
+// On the left, the delta-compressed framed binary wire format (varint
+// thread/location/timestamp deltas, ~2.1 bytes per event on the
+// reference stream; the older per-event version 1 is retired and
+// rejected) is decoded a frame at a time, in a single pass: the batch grows once by the frame's event
 // count and events decode in place, one-byte varints inline, and the
 // kind-versus-declaration check is one compare against a per-location
 // class table. (A frame-parallel decoder feeding an ordering sequencer was
@@ -114,27 +114,19 @@
 // ordered stream once — all clock joins, RA message retention and
 // windowed GC — and routes each nonatomic access, plus a compact
 // clock-delta side channel, to the race back-end owning its location
-// (initially loc mod shards). Records travel in batches over bounded
+// (loc mod shards). Records travel in batches over bounded
 // SPSC rings (engine.BatchQueue), so total work is O(events) +
 // O(events/shards × check cost) per back-end instead of O(shards ×
 // events), and the merged report set is byte-identical to the
 // sequential monitor at any shard count, batch size and GC interval.
 //
-// The static loc-mod-shards split degenerates under skewed traffic —
-// real streams are Zipf-like, and one back-end can receive nearly every
-// record. With PipelineConfig.Rebalance the front-end counts per-location
-// traffic and, at GC-sweep barriers, migrates hot locations from the
-// most- to the least-loaded back-end. The migration protocol is
-// correct by construction: the rings are quiesced (a nil-batch barrier
-// acknowledged by every back-end, so nothing is in flight), the
-// location's epoch-or-vector state moves wholesale between the two
-// checkers, and the router remaps before feeding resumes — the same
-// checking code then sees the same state at the same stream positions,
-// so reports, retention statistics and snapshots are unchanged at every
-// configuration. Traffic counters are halved each sweep so the router
-// tracks the recent window, and migrations are capped per sweep.
+// Routing is the static loc-mod-shards split. Under Zipf-skewed traffic
+// it loads some back-ends more than others (Pipeline.BackendLoads
+// reports the split); a skew-adaptive router that migrated hot locations
+// between back-ends at GC barriers was measured on a 2-CPU host against
+// the static split, never won, and was removed.
 //
-// The same GC-sweep barrier also drives escalation compaction: a
+// The GC-sweep barrier also drives escalation compaction: a
 // nonatomic location whose last-access record escalated to a per-thread
 // vector during a racy phase is demoted back to a FastTrack epoch once
 // the advancing minimum-frontier proves at most one thread's component
@@ -166,17 +158,17 @@
 // sequentially, sharded at any count (Snapshot.Pipeline routes each
 // restored location to its owning back-end), or under a different GC
 // regime, all report-preserving. Checkpoints taken mid-ingestion of a
-// wire-format trace carry the reader's byte offset and v2 delta context
+// wire-format trace carry the reader's byte offset and delta context
 // (monitor.ReaderCheckpoint), so the resumed process seeks straight to
 // where monitoring stopped instead of re-decoding the prefix. The
 // snapshot decoder validates everything and errors (never panics) on
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
 // grid split point of all 210 schedgen streams (every tenth seed
-// Zipf-skewed) across the {1,2,4,8}-shard × rebalance on/off × {GC-16,
-// default, adaptive} matrix, including double splits, cross-config
-// resumes, and snapshots taken at rebalance barriers — which are
-// byte-identical to the sequential monitor's despite live migrations.
+// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default, adaptive}
+// matrix, including double splits, cross-config resumes, and snapshots
+// taken by pipelines — which are byte-identical to the sequential
+// monitor's.
 //
 // # Static analysis
 //
@@ -234,8 +226,8 @@
 // productivity, RA retention, escalations/demotions, snapshot codec
 // sizes and latencies), the pipeline (routed/delta/min records, the
 // batch-size histogram, quiesce latency, ring occupancy and stall/idle
-// counts, per-back-end record/escalation/race vectors, migrations,
-// load imbalance) — see internal/monitor's obs.go for the full list.
+// counts, per-back-end record/escalation/race vectors) — see
+// internal/monitor's obs.go for the full list.
 // Instrumentation is proven free: the modeltest matrix includes a
 // pipeline hammered by concurrent snapshot reads whose reports,
 // RAStats and checkpoint bytes must equal the sequential monitor's,
@@ -285,7 +277,7 @@
 // exhaustive oracle race.Races on every corpus program, on hundreds of
 // random programs, and on hundreds of generated schedules — at every GC
 // interval (fixed and adaptive) and across the full pipeline
-// (shards × batch × GC × rebalance) matrix; cmd/racemon exposes the
+// (shards × batch × GC) matrix; cmd/racemon exposes the
 // checkpoint workflow as -checkpoint FILE [-checkpoint-at N] and
 // -resume FILE.
 //
@@ -295,8 +287,8 @@
 // every table and figure. cmd/racemon generates a million-event schedule
 // (optionally Zipf-skewed: -skew S) and monitors it materialised or
 // fused with generation (-stream), sequentially or through the
-// parallel pipeline (-shards N [-rebalance]), and writes/ingests raw
-// traces (-emit FILE [-wire 1|2], -trace FILE|-); its JSON reports the
+// parallel pipeline (-shards N), and writes/ingests raw traces
+// (-emit FILE [-format binary|text], -trace FILE|-); its JSON reports the
 // windowed GC's live, peak and collected RA-message counts.
 // cmd/experiments -run bench emits engine-versus-baseline timings as
 // JSON (BENCH_engine.json) and streaming-monitor throughput
@@ -314,7 +306,7 @@
 // host; -run bench-plot renders the events/sec trajectory across bench
 // JSON snapshots as a dependency-free small-multiples SVG (a CI
 // artifact). CI also fails if any racemon smoke run's report set —
-// including the pipeline at 4 back-ends and both wire-version round
-// trips — drifts from the committed golden, and curls a live racemon
+// including the pipeline at 4 back-ends and the binary and text wire
+// round trips — drifts from the committed golden, and curls a live racemon
 // -stats-addr endpoint to assert the telemetry keys it ships.
 package localdrf

@@ -104,13 +104,13 @@ func resumeSeq(t *testing.T, snap []byte, rest []monitor.Event) outcome {
 // resumePipeline restores a snapshot into a cfg-shard pipeline (zero GC
 // fields: continue with the snapshot's recorded GC state), finishes the
 // stream and returns the outcome.
-func resumePipeline(t *testing.T, snap []byte, rest []monitor.Event, shards int, rebalance bool) outcome {
+func resumePipeline(t *testing.T, snap []byte, rest []monitor.Event, shards int) outcome {
 	t.Helper()
 	s, err := monitor.ReadSnapshot(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatalf("read snapshot: %v", err)
 	}
-	p := s.Pipeline(monitor.PipelineConfig{Shards: shards, Rebalance: rebalance})
+	p := s.Pipeline(monitor.PipelineConfig{Shards: shards})
 	p.StepBatch(rest)
 	reports := p.Finish()
 	return outcome{reports: reports, stats: p.RAStats(), events: p.Events()}
@@ -136,8 +136,7 @@ func splitGrid(n int) []int {
 // TestSplitResumeParity is the full metamorphic sweep: 210 schedgen
 // streams (70 seeds × 3 policies, stale reads, halts on a third of the
 // seeds, Zipf location skew on every tenth seed) × every grid split
-// point × {1,2,4,8} shards × rebalance on/off × {GC-16, default,
-// adaptive} — run-to-k → snapshot → restore → finish must reproduce the
+// point × {1,2,4,8} shards × {GC-16, default, adaptive} — run-to-k → snapshot → restore → finish must reproduce the
 // unsplit outcome exactly. Sequential checkpoints resume into pipelines
 // at every shard count (the shards=1 row is the degenerate-path
 // regression), which also makes every row a cross-mode resume proof.
@@ -177,13 +176,11 @@ func TestSplitResumeParity(t *testing.T) {
 					}
 					checks++
 					for _, shards := range []int{1, 2, 4, 8} {
-						for _, reb := range []bool{false, true} {
-							if got := resumePipeline(t, snap, events[k:], shards, reb); !got.equal(want) {
-								t.Fatalf("seed %d %v %s k=%d shards=%d rebalance=%v: pipeline resume diverged\ngot  %+v\nwant %+v",
-									seed, pol, g.name, k, shards, reb, got, want)
-							}
-							checks++
+						if got := resumePipeline(t, snap, events[k:], shards); !got.equal(want) {
+							t.Fatalf("seed %d %v %s k=%d shards=%d: pipeline resume diverged\ngot  %+v\nwant %+v",
+								seed, pol, g.name, k, shards, got, want)
 						}
+						checks++
 					}
 				}
 			}
@@ -235,7 +232,7 @@ func TestSplitResumePipelineOrigin(t *testing.T) {
 					if got := resumeSeq(t, buf.Bytes(), events[k:]); !got.equal(want) {
 						t.Fatalf("seed %d %v %s shards=%d: pipeline→sequential resume diverged", seed, pol, g.name, shards)
 					}
-					if got := resumePipeline(t, buf.Bytes(), events[k:], 3, shards%2 == 0); !got.equal(want) {
+					if got := resumePipeline(t, buf.Bytes(), events[k:], 3); !got.equal(want) {
 						t.Fatalf("seed %d %v %s shards=%d: pipeline→pipeline(3) resume diverged", seed, pol, g.name, shards)
 					}
 				}
@@ -289,7 +286,7 @@ func TestDoubleSplitResume(t *testing.T) {
 				if got := resumeSeq(t, snap2.Bytes(), events[k2:]); !got.equal(want) {
 					t.Fatalf("seed %d %v %s: double-split resume diverged", seed, pol, g.name)
 				}
-				if got := resumePipeline(t, snap2.Bytes(), events[k2:], 4, true); !got.equal(want) {
+				if got := resumePipeline(t, snap2.Bytes(), events[k2:], 4); !got.equal(want) {
 					t.Fatalf("seed %d %v %s: double-split pipeline resume diverged", seed, pol, g.name)
 				}
 			}
@@ -358,78 +355,13 @@ func TestCrossConfigResume(t *testing.T) {
 	}
 }
 
-// TestRebalanceSnapshotParity: checkpoints and the skew-adaptive router
-// compose. A long Zipf-skewed stream is fed through a rebalancing
-// pipeline; after live migrations have happened, a mid-stream snapshot
-// (aligned to a GC-sweep barrier — the only points where migrations
-// occur) must be byte-identical to the snapshot the unsplit sequential
-// monitor writes at the same position: migrations relocate per-location
-// state between back-ends but never change it, and the snapshot codec
-// reassembles declaration order regardless of placement. The snapshot
-// must then restore at every shard count, with rebalancing off or on,
-// to the unsplit outcome — and the pipeline that served it finishes
-// unharmed.
-func TestRebalanceSnapshotParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("split-resume sweep skipped in -short mode")
-	}
-	cfg := progsynth.ScaledConfig{
-		Threads: 6, Iters: 700, OpsPerIter: 5,
-		NonAtomic: 8, Atomics: 2, RAs: 2,
-		WritePct: 45, SyncPct: 30, MaxConst: 3,
-	}
-	g := gcMode{name: "gc64", interval: 64}
-	for seed := int64(0); seed < 4; seed++ {
-		p := progsynth.Scaled(seed, cfg)
-		tb := monitor.NewTable(p)
-		events, _, err := schedgen.Generate(p, tb, schedgen.Options{
-			Policy: schedgen.Bursty, Seed: seed*17 + 1, MaxEvents: 20_000,
-			StaleReadPct: 30, LocSkew: 1.5,
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runSeq(tb.Threads(), tb.Decls(), events, g)
-		k := len(events) / 2 / 64 * 64
-		pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-			Shards: 4, GCInterval: 64, Rebalance: true,
-		})
-		pl.StepBatch(events[:k])
-		if pl.Migrations() == 0 {
-			t.Fatalf("seed %d: no migrations before the snapshot point — fixture not skewed enough", seed)
-		}
-		var snap bytes.Buffer
-		if err := pl.Snapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if unsplit := snapshotSeq(t, tb.Threads(), tb.Decls(), events, k, g); !bytes.Equal(snap.Bytes(), unsplit) {
-			t.Fatalf("seed %d k=%d: rebalancing-pipeline snapshot not byte-identical to the sequential snapshot", seed, k)
-		}
-		pl.StepBatch(events[k:])
-		cont := outcome{reports: pl.Finish(), stats: pl.RAStats(), events: pl.Events()}
-		if !cont.equal(want) {
-			t.Fatalf("seed %d: rebalancing pipeline diverged after serving a snapshot", seed)
-		}
-		if got := resumeSeq(t, snap.Bytes(), events[k:]); !got.equal(want) {
-			t.Fatalf("seed %d: sequential resume from rebalance-barrier snapshot diverged", seed)
-		}
-		for _, shards := range []int{1, 2, 3, 4, 8} {
-			for _, reb := range []bool{false, true} {
-				if got := resumePipeline(t, snap.Bytes(), events[k:], shards, reb); !got.equal(want) {
-					t.Fatalf("seed %d shards=%d rebalance=%v: resume from rebalance-barrier snapshot diverged",
-						seed, shards, reb)
-				}
-			}
-		}
-	}
-}
-
-// TestWireResumeParity: the end-to-end crash-resume story over the wire
-// formats — encode a schedgen stream (v1 and v2), ingest to k through a
-// TraceReader, checkpoint monitor + reader, then reopen the trace,
-// Resume at the recorded byte offset and finish: reports, stats and
-// event counts must equal the one-shot ingest. Split points are chosen
-// to land mid-frame for v2 (pending events ride the snapshot).
+// TestWireResumeParity: the end-to-end crash-resume story over the
+// binary wire format — encode a schedgen stream (halt-free for every
+// seed, plus a halt-carrying one for every other seed), ingest to k
+// through a TraceReader, checkpoint monitor + reader, then reopen the
+// trace, Resume at the recorded byte offset and finish: reports, stats
+// and event counts must equal the one-shot ingest. Split points land
+// mid-frame (pending events ride the snapshot).
 func TestWireResumeParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("split-resume sweep skipped in -short mode")
@@ -437,7 +369,7 @@ func TestWireResumeParity(t *testing.T) {
 	// Short per-thread programs (Iters 4 ≈ 170 events total < MaxEvents),
 	// so every thread RUNS TO COMPLETION and EmitHalts really emits halt
 	// events — checkpoints on halt-carrying streams then land both before
-	// and after halts, and (v2) mid-frame with a pending pre-halt access
+	// and after halts, and mid-frame with a pending pre-halt access
 	// of an already-decoded halt. A long-program config here would never
 	// halt within the event budget and silently skip that coverage.
 	cfg := progsynth.ScaledConfig{
@@ -448,16 +380,15 @@ func TestWireResumeParity(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		p := progsynth.Scaled(seed, cfg)
 		tb := monitor.NewTable(p)
-		halts := seed%2 == 0
-		for _, format := range []monitor.Format{monitor.Binary, monitor.BinaryV2} {
-			if halts && format == monitor.Binary {
-				continue // the frozen v1 grammar has no halt events
+		for _, halts := range []bool{false, true} {
+			if halts && seed%2 != 0 {
+				continue
 			}
 			var wire bytes.Buffer
 			n, completed, err := schedgen.Encode(&wire, p, tb, schedgen.Options{
 				Policy: schedgen.Bursty, Seed: seed * 17, MaxEvents: 260, StaleReadPct: 30,
 				EmitHalts: halts,
-			}, format)
+			}, monitor.BinaryV2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,7 +408,7 @@ func TestWireResumeParity(t *testing.T) {
 				for i := 0; i < k; i++ {
 					e, ok, err := tr.Next()
 					if err != nil || !ok {
-						t.Fatalf("seed %d %v k=%d: short trace (i=%d ok=%v err=%v)", seed, format, k, i, ok, err)
+						t.Fatalf("seed %d halts=%v k=%d: short trace (i=%d ok=%v err=%v)", seed, halts, k, i, ok, err)
 					}
 					m.Step(e)
 				}
@@ -502,7 +433,7 @@ func TestWireResumeParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := tr2.Resume(rck2); err != nil {
-					t.Fatalf("seed %d %v k=%d: %v", seed, format, k, err)
+					t.Fatalf("seed %d halts=%v k=%d: %v", seed, halts, k, err)
 				}
 				m2 := s.Monitor()
 				if err := m2.FeedBatch(tr2); err != nil {
@@ -510,8 +441,8 @@ func TestWireResumeParity(t *testing.T) {
 				}
 				if !race.ReportsEqual(m2.Reports(), ref.Reports()) ||
 					m2.RAStats() != ref.RAStats() || m2.Events() != ref.Events() {
-					t.Fatalf("seed %d %v k=%d: wire resume diverged\ngot  %v %+v %d\nwant %v %+v %d",
-						seed, format, k, m2.Reports(), m2.RAStats(), m2.Events(),
+					t.Fatalf("seed %d halts=%v k=%d: wire resume diverged\ngot  %v %+v %d\nwant %v %+v %d",
+						seed, halts, k, m2.Reports(), m2.RAStats(), m2.Events(),
 						ref.Reports(), ref.RAStats(), ref.Events())
 				}
 			}

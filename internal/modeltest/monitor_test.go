@@ -92,13 +92,12 @@ func TestMonitorMatchesRacesOnRandom(t *testing.T) {
 // with stale reads, compared against the oracle on the synthesised
 // transitions. Every tenth seed generates under a Zipf location skew
 // (LocSkew 1.3), so ~20 of the streams concentrate their nonatomic
-// traffic on a few hot locations — the regime the rebalancing router
-// exists for. Every stream is checked twice — once with the default
+// traffic on a few hot locations, unevenly loading the pipeline's
+// back-ends. Every stream is checked twice — once with the default
 // monitor and once with an aggressive GC interval, so the windowed RA
 // collection and epoch handoffs are exercised on every stream and proved
-// report-preserving — and the pipeline matrix runs with the
-// skew-adaptive router both off and on. (Short streams: the oracle's
-// transitive closure is cubic.)
+// report-preserving — and through the pipeline matrix. (Short streams:
+// the oracle's transitive closure is cubic.)
 func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive cross-validation skipped in -short mode")
@@ -158,16 +157,14 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			for _, shards := range []int{1, 2, 3, 4, 8} {
 				for _, batch := range []int{1, 64, 4096} {
 					for _, gc := range []uint64{16, 0} {
-						for _, reb := range []bool{false, true} {
-							pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-								Shards: shards, BatchSize: batch, GCInterval: gc, Rebalance: reb,
-							})
-							pl.StepBatch(events)
-							got := pl.Finish()
-							if !race.ReportsEqual(got, want) {
-								t.Fatalf("seed %d %v shards=%d batch=%d gc=%d rebalance=%v: pipeline diverged",
-									seed, pol, shards, batch, gc, reb)
-							}
+						pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
+							Shards: shards, BatchSize: batch, GCInterval: gc,
+						})
+						pl.StepBatch(events)
+						got := pl.Finish()
+						if !race.ReportsEqual(got, want) {
+							t.Fatalf("seed %d %v shards=%d batch=%d gc=%d: pipeline diverged",
+								seed, pol, shards, batch, gc)
 						}
 					}
 				}
@@ -176,7 +173,7 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 				continue
 			}
 			// For a subset: the sinks monitor.Open builds, halt-carrying
-			// streams, and the wire-format round trips (v1 and v2).
+			// streams, and the wire-format round trips (binary and text).
 			for _, shards := range []int{2, 3} {
 				sk := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, monitor.PipelineConfig{Shards: shards})
 				sk.StepBatch(events)
@@ -191,7 +188,7 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			// sequential monitor at the same GC interval.
 			{
 				pm := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-					Shards: 2, BatchSize: 64, GCInterval: 16, Rebalance: true,
+					Shards: 2, BatchSize: 64, GCInterval: 16,
 				})
 				stop := make(chan struct{})
 				var wg sync.WaitGroup
@@ -250,7 +247,7 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			if !race.ReportsEqual(mh.Reports(), want) {
 				t.Fatalf("seed %d %v: halt-carrying stream diverged", seed, pol)
 			}
-			for _, format := range []monitor.Format{monitor.Binary, monitor.BinaryV2} {
+			for _, format := range []monitor.Format{monitor.BinaryV2, monitor.Text} {
 				var buf bytes.Buffer
 				if _, _, err := schedgen.Encode(&buf, p, tb, schedgen.Options{
 					Policy: pol, Seed: seed * 17, MaxEvents: 260, StaleReadPct: 30, LocSkew: skew,
@@ -268,5 +265,5 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("monitor == race.Races on %d schedgen streams (windowed/adaptive GC + pipeline matrix ± rebalance, ~1/10 Zipf-skewed)", streams)
+	t.Logf("monitor == race.Races on %d schedgen streams (windowed/adaptive GC + pipeline matrix, ~1/10 Zipf-skewed)", streams)
 }

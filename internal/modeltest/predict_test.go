@@ -14,7 +14,6 @@ package modeltest
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"localdrf/internal/explore"
@@ -362,63 +361,5 @@ func TestShortWindowBounded(t *testing.T) {
 	}
 	if ws.Live > ws.Peak {
 		t.Fatalf("inconsistent window stats %+v", ws)
-	}
-}
-
-// TestSnapshotV1Golden pins backward compatibility of the snapshot
-// codec: a version-1 snapshot written by the pre-predict encoder (a
-// committed fixture) still restores, reports no static filter and the
-// default predicate, and finishes its stream to the exact unsplit
-// outcome. The fixture's generator parameters are reproduced here;
-// regenerating the events keeps the test self-contained.
-func TestSnapshotV1Golden(t *testing.T) {
-	cfg := progsynth.ScaledConfig{
-		Threads: 6, Iters: 40, OpsPerIter: 5,
-		NonAtomic: 8, Atomics: 2, RAs: 2,
-		WritePct: 45, SyncPct: 30, MaxConst: 3,
-	}
-	p := progsynth.Scaled(3, cfg)
-	tb := monitor.NewTable(p)
-	events, _, err := schedgen.Generate(p, tb, schedgen.Options{
-		Policy: schedgen.Bursty, Seed: 51, MaxEvents: 260, StaleReadPct: 30, EmitHalts: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile("testdata/snapshot-v1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := monitor.ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("v1 golden no longer decodes: %v", err)
-	}
-	if s.StaticFiltered() {
-		t.Fatal("v1 golden reports a static filter (v1 cannot record one)")
-	}
-	m := s.Monitor()
-	if m.Predicate() != monitor.PredHB || m.WindowK() != 0 {
-		t.Fatalf("v1 golden restored predicate %v/%d, want hb/0", m.Predicate(), m.WindowK())
-	}
-	half := len(events) / 2
-	if m.Events() != uint64(half) {
-		t.Fatalf("v1 golden at event %d, want %d — generator drifted from the fixture", m.Events(), half)
-	}
-	m.StepBatch(events[half:])
-	g := gcMode{name: "gc16", interval: 16}
-	want := runSeq(tb.Threads(), tb.Decls(), events, g)
-	got := outcome{reports: m.Reports(), stats: m.RAStats(), events: m.Events()}
-	if !got.equal(want) {
-		t.Fatalf("v1 golden resume diverged\ngot  %+v\nwant %+v", got, want)
-	}
-	// Future versions stay rejected rather than misread. The version
-	// byte directly follows the 4-byte "LDCK" magic.
-	bad := bytes.Clone(data)
-	if bad[4] != 1 {
-		t.Fatalf("golden version byte is %d, want 1", bad[4])
-	}
-	bad[4] = 99
-	if _, err := monitor.ReadSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Fatal("version-99 snapshot was accepted")
 	}
 }

@@ -313,7 +313,7 @@ func TestShardedClampAndSkip(t *testing.T) {
 	for _, shards := range []int{2, 3, 8, 64} {
 		sk := Open(Header{Threads: 4, Decls: decls}, PipelineConfig{Shards: shards})
 		sk.Abort()
-		if p, ok := sk.(*Pipeline); !ok || p.shards != 2 {
+		if p, ok := sk.(*Pipeline); !ok || len(p.backs) != 2 {
 			t.Fatalf("shards=%d: Open did not clamp to the 2 nonatomic locations", shards)
 		}
 		got := openRaces(4, decls, events, PipelineConfig{Shards: shards})

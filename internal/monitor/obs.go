@@ -59,8 +59,6 @@ package monitor
 //	pipeline.batch_records           hist     flushed batch sizes (count = batches)
 //	pipeline.quiesces                counter  quiesce barriers
 //	pipeline.quiesce_ns              hist     quiesce latency
-//	pipeline.migrations              counter  rebalancer location moves
-//	pipeline.load_imbalance_permille gauge    1000·max/mean back-end traffic at last sweep
 //	pipeline.ring_occupancy          vec      batches queued per back-end ring (sampled)
 //	pipeline.ring_stalls/.ring_idles counter  producer-full / consumer-empty blocks
 //	pipeline.backend_records         vec      NA records applied per back-end
@@ -224,8 +222,6 @@ type pipeCells struct {
 	batchHist  *obs.Hist
 	quiesces   *obs.Counter
 	quiesceNs  *obs.Hist
-	migrations *obs.Counter
-	imbalance  *obs.Gauge
 	ringOcc    *obs.Vec
 	ringStalls *obs.Counter
 	ringIdles  *obs.Counter
@@ -242,8 +238,6 @@ func newPipeCells(reg *obs.Registry, shards int) pipeCells {
 		batchHist:  reg.Hist("pipeline.batch_records"),
 		quiesces:   reg.Counter("pipeline.quiesces"),
 		quiesceNs:  reg.Hist("pipeline.quiesce_ns"),
-		migrations: reg.Counter("pipeline.migrations"),
-		imbalance:  reg.Gauge("pipeline.load_imbalance_permille"),
 		ringOcc:    reg.Vec("pipeline.ring_occupancy", shards),
 		ringStalls: reg.Counter("pipeline.ring_stalls"),
 		ringIdles:  reg.Counter("pipeline.ring_idles"),

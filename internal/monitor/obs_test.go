@@ -78,7 +78,7 @@ func TestPipelineStats(t *testing.T) {
 			naCount++
 		}
 	}
-	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 256, GCInterval: 128, Rebalance: true})
+	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 256, GCInterval: 128})
 	p.StepBatch(events)
 	s := p.Stats()
 
@@ -104,9 +104,6 @@ func TestPipelineStats(t *testing.T) {
 	}
 	if s.Counter("pipeline.quiesces") == 0 {
 		t.Fatalf("no quiesces recorded (Stats itself quiesces)")
-	}
-	if got, want := s.Counter("pipeline.migrations"), p.Migrations(); got != want {
-		t.Fatalf("pipeline.migrations = %d, Migrations() = %d", got, want)
 	}
 	loads := p.BackendLoads()
 	var loadSum uint64
@@ -142,7 +139,7 @@ func TestStatsReadsRaceFreeUnderIngest(t *testing.T) {
 	ref.StepBatch(events)
 	want := ref.Reports()
 
-	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 64, GCInterval: 64, Rebalance: true})
+	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 64, GCInterval: 64})
 	reg := p.Obs()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -86,17 +86,6 @@ type PipelineConfig struct {
 	// AdaptiveGCMax > 0; they take precedence over GCInterval. As with
 	// every interval schedule, the report set is unchanged.
 	AdaptiveGCMin, AdaptiveGCMax uint64
-	// Rebalance enables the skew-adaptive router: the front-end counts
-	// nonatomic records per location and, at GC-sweep barriers where one
-	// back-end carries more than ~1.5× the mean traffic, quiesces the
-	// rings and migrates the hottest locations to the least-loaded
-	// back-end (the location's epoch/vector state moves wholesale while
-	// nothing is in flight). The static loc-mod-shards split degenerates
-	// under skewed traffic — one back-end can receive nearly every
-	// record; see TestRebalanceBoundsHotShard. Reports, retention
-	// statistics and snapshots are identical with or without rebalancing
-	// at every configuration.
-	Rebalance bool
 	// StaticFilter, when non-nil, marks nonatomic locations a sound
 	// static certificate (internal/staticrace) proved race-free; their
 	// accesses are not routed to the back-ends at all (see
@@ -259,21 +248,19 @@ func (b *backend) run() {
 // then call Finish to drain the back-ends and merge the reports. After
 // Finish the pipeline must not be fed again.
 type Pipeline struct {
-	fe     *Monitor // front-end: clocks, atomics, RA messages, GC; built checker-free by newSync
-	shards int
-	owner  []int32 // owner[loc]: back-end index (initially loc % shards; rebalancing remaps)
-	dense  []int32 // dense[loc]: index in the owner's checker (initially loc / shards)
-	// backLocs[s][d] is the declaration index stored at back-end s's dense
-	// slot d — the inverse of owner/dense, needed for the swap-remove when
-	// a location migrates away.
-	backLocs [][]int32
-	lanes    []*lane
-	backs    []*backend
-	wg       sync.WaitGroup
-	changed  []int32 // scratch for joinTrack
-	done     bool
-	reports  []race.Report
-	races    int
+	fe *Monitor // front-end: clocks, atomics, RA messages, GC; built checker-free by newSync
+	// owner[loc] = loc % shards is the owning back-end and dense[loc] =
+	// loc / shards the index in its checker, tabulated so routing costs
+	// two loads instead of two divisions.
+	owner   []int32
+	dense   []int32
+	lanes   []*lane
+	backs   []*backend
+	wg      sync.WaitGroup
+	changed []int32 // scratch for joinTrack
+	done    bool
+	reports []race.Report
+	races   int
 	// Teardown state (see the contract on Abort). aborted is the single
 	// CAS that elects the tearing-down goroutine; tornDown is closed once
 	// every back-end has exited, so late Abort calls can wait instead of
@@ -286,13 +273,8 @@ type Pipeline struct {
 	ackWait  []bool
 	// staticSkip mirrors cfg.StaticFilter (see PipelineConfig).
 	staticSkip []bool
-	// Skew-adaptive routing state (nil/zero unless cfg.Rebalance).
-	rebalance bool
-	traffic   []uint32 // NA records per location, halved each sweep (recency-biased)
-	loads     []uint64 // scratch: per-back-end traffic at a sweep
 	// Observability (obs.go): front-end-owned plain tallies, published
-	// into po's cells at GC sweeps / Stats. Migration counts live only
-	// in po.migrations (written by the feeder during quiesces).
+	// into po's cells at GC sweeps / Stats.
 	po          pipeCells
 	routed      uint64 // NA records routed
 	deltaRecs   uint64 // opClock records enqueued across all lanes
@@ -330,10 +312,8 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 	nthreads, decls := fe.nthreads, fe.decls
 	p := &Pipeline{
 		fe:       fe,
-		shards:   cfg.Shards,
 		owner:    make([]int32, len(decls)),
 		dense:    make([]int32, len(decls)),
-		backLocs: make([][]int32, cfg.Shards),
 		lanes:    make([]*lane, cfg.Shards),
 		backs:    make([]*backend, cfg.Shards),
 		changed:  make([]int32, 0, nthreads),
@@ -348,15 +328,8 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 	}
 	p.po = newPipeCells(fe.reg, cfg.Shards)
 	for l := range p.owner {
-		s := l % cfg.Shards
-		p.owner[l] = int32(s)
+		p.owner[l] = int32(l % cfg.Shards)
 		p.dense[l] = int32(l / cfg.Shards)
-		p.backLocs[s] = append(p.backLocs[s], int32(l))
-	}
-	if cfg.Rebalance {
-		p.rebalance = true
-		p.traffic = make([]uint32, len(decls))
-		p.loads = make([]uint64, cfg.Shards)
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		free := engine.NewBatchQueue[[]pipeRec](cfg.QueueDepth + 2)
@@ -440,9 +413,6 @@ func (p *Pipeline) Step(e Event) {
 	if m.events >= m.nextGC {
 		m.gc()
 		p.broadcastMin()
-		if p.rebalance {
-			p.maybeRebalance()
-		}
 		// m.gc published the front-end cells; sample the pipeline's own
 		// (ring occupancy, stall counts, record totals) at the same cadence.
 		p.publishObs()
@@ -459,9 +429,6 @@ func (p *Pipeline) Step(e Event) {
 			return
 		}
 		p.routed++
-		if p.rebalance {
-			p.traffic[e.Loc]++
-		}
 		p.lanes[p.owner[e.Loc]].put(pipeRec{
 			aux: c[t],
 			loc: p.dense[e.Loc], // the back-end's own dense index
@@ -601,134 +568,9 @@ func (p *Pipeline) quiesce() {
 	p.po.quiesceNs.Observe(uint64(time.Since(start)))
 }
 
-// maxMigrationsPerSweep caps the rebalancer's work at one barrier so a
-// pathological traffic pattern cannot turn a GC sweep into an unbounded
-// repartitioning pass.
-const maxMigrationsPerSweep = 32
-
-// maybeRebalance runs at a GC-sweep barrier when rebalancing is enabled:
-// if the recency-weighted traffic of the most-loaded back-end exceeds
-// ~1.5× the mean, the rings are quiesced (so nothing is in flight) and
-// the hottest locations migrate greedily from the most- to the
-// least-loaded back-end until the imbalance closes or the per-sweep cap
-// is hit. A migration moves the location's naState wholesale between the
-// two checkers — the same checking code then sees the same state at the
-// same stream positions, so reports and snapshots are unchanged by
-// construction. Traffic counters are halved afterwards, biasing future
-// decisions toward recent behaviour (a phase change re-triggers).
-func (p *Pipeline) maybeRebalance() {
-	if p.shards < 2 {
-		return
-	}
-	loads := p.loads
-	clear(loads)
-	var total uint64
-	for l, n := range p.traffic {
-		loads[p.owner[l]] += uint64(n)
-		total += uint64(n)
-	}
-	avg := total / uint64(p.shards)
-	hi, _ := loadExtremes(loads)
-	if avg > 0 {
-		p.po.imbalance.Set(int64(loads[hi] * 1000 / avg))
-	}
-	if total == 0 || loads[hi] <= avg+avg/2 {
-		p.decayTraffic()
-		return
-	}
-	p.quiesce()
-	for moves := 0; moves < maxMigrationsPerSweep; moves++ {
-		hi, lo := loadExtremes(loads)
-		gap := loads[hi] - loads[lo]
-		if loads[hi] <= avg+avg/2 || gap < 2 {
-			break
-		}
-		// The hottest location of the overloaded back-end whose move
-		// strictly narrows the gap (moving more than the gap would just
-		// swap which back-end is hot).
-		best, bestN := int32(-1), uint32(0)
-		for _, l := range p.backLocs[hi] {
-			if n := p.traffic[l]; n > bestN && uint64(n) < gap {
-				best, bestN = l, n
-			}
-		}
-		if best < 0 {
-			break
-		}
-		p.moveLoc(best, int32(hi), int32(lo))
-		loads[hi] -= uint64(bestN)
-		loads[lo] += uint64(bestN)
-	}
-	p.decayTraffic()
-}
-
-// loadExtremes returns the indices of the most- and least-loaded
-// back-ends.
-func loadExtremes(loads []uint64) (hi, lo int) {
-	for s, v := range loads {
-		if v > loads[hi] {
-			hi = s
-		}
-		if v < loads[lo] {
-			lo = s
-		}
-	}
-	return hi, lo
-}
-
-// decayTraffic halves every traffic counter — exponential decay, so the
-// router tracks the recent window rather than the whole stream.
-func (p *Pipeline) decayTraffic() {
-	for l := range p.traffic {
-		p.traffic[l] >>= 1
-	}
-}
-
-// moveLoc migrates declaration index l from back-end a to back-end b.
-// Must only be called while the rings are quiesced: the two checkers'
-// state is mutated from the feeding goroutine, ordered against the
-// back-end goroutines by the quiesce ack (before) and the next ring Put
-// (after). The vacated dense slot is filled by swap-remove, and the race
-// count and escalation telemetry ride along with the moved state.
-func (p *Pipeline) moveLoc(l, a, b int32) {
-	cka, ckb := &p.backs[a].ck, &p.backs[b].ck
-	d := p.dense[l]
-	st := cka.na[d]
-	last := int32(len(cka.na) - 1)
-	if d != last {
-		cka.na[d] = cka.na[last]
-		moved := p.backLocs[a][last]
-		p.backLocs[a][d] = moved
-		p.dense[moved] = d
-	}
-	cka.na = cka.na[:last]
-	p.backLocs[a] = p.backLocs[a][:last]
-	p.owner[l] = b
-	p.dense[l] = int32(len(ckb.na))
-	ckb.na = append(ckb.na, st)
-	p.backLocs[b] = append(p.backLocs[b], l)
-	if st.reported != nil {
-		n := 0
-		for _, mask := range st.reported {
-			n += bits.OnesCount8(mask)
-		}
-		cka.races -= n
-		ckb.races += n
-	}
-	if st.wT == escalated {
-		cka.escalatedSides--
-		ckb.escalatedSides++
-	}
-	if st.rT == escalated {
-		cka.escalatedSides--
-		ckb.escalatedSides++
-	}
-	p.po.migrations.Add(1)
-}
-
 // BackendLoads returns the number of nonatomic access records each
-// back-end has applied so far — the balance the skew-adaptive router
-// maintains. It quiesces a live pipeline so in-flight batches are
+// back-end has applied so far — the balance of the static loc-mod-shards
+// split. It quiesces a live pipeline so in-flight batches are
 // counted; the values are read from the pipeline.backend_records metric
 // vector, which each back-end publishes exactly at the barrier.
 func (p *Pipeline) BackendLoads() []uint64 {
@@ -737,10 +579,6 @@ func (p *Pipeline) BackendLoads() []uint64 {
 	}
 	return p.po.backRecs.Values(nil)
 }
-
-// Migrations returns how many location migrations the rebalancer has
-// performed (the pipeline.migrations metric).
-func (p *Pipeline) Migrations() uint64 { return p.po.migrations.Load() }
 
 // EscalatedVectors returns the number of per-thread access vectors
 // currently escalated across all back-ends (see Monitor.EscalatedVectors).

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -395,99 +394,6 @@ func TestAdaptiveGCAdapts(t *testing.T) {
 	q.SetGCInterval(128)
 	if q.adaptMax != 0 || q.gcEvery != 128 {
 		t.Fatal("SetGCInterval did not disable adaptive mode")
-	}
-}
-
-// TestRebalanceBoundsHotShard: the static loc-mod-shards split has an
-// adversarial worst case — a program whose nonatomic locations all sit
-// at declaration indices ≡ 0 (mod shards) routes every access record to
-// back-end 0. The skew-adaptive router must detect and repair that: by
-// the end of the stream no back-end may carry more than 1.5× the mean
-// record count (the rebalancer's own trigger threshold; only the short
-// pre-first-sweep prefix is exempt, and it is noise at this stream
-// length), while the static split demonstrably leaves every record on
-// one back-end. Reports are identical in all configurations.
-func TestRebalanceBoundsHotShard(t *testing.T) {
-	const shards = 4
-	// 16 nonatomic locations, every one at an index ≡ 0 (mod 4); the
-	// filler slots are atomics, so the static router pins all
-	// nonatomic traffic to back-end 0.
-	decls := make([]LocDecl, 64)
-	for i := range decls {
-		k := prog.Atomic
-		if i%shards == 0 {
-			k = prog.NonAtomic
-		}
-		decls[i] = LocDecl{Name: prog.Loc(fmt.Sprintf("l%d", i)), Kind: k}
-	}
-	x := uint64(23)
-	rnd := func(m int) int {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return int(x % uint64(m))
-	}
-	events := make([]Event, 0, 200_000)
-	for len(events) < cap(events) {
-		t := int32(rnd(4))
-		if rnd(10) == 0 {
-			l := int32(rnd(16)*shards + 1 + rnd(shards-1)) // an atomic slot
-			k := ReadAT
-			if rnd(2) == 0 {
-				k = WriteAT
-			}
-			events = append(events, Event{Thread: t, Loc: l, Kind: k})
-			continue
-		}
-		l := int32(rnd(16) * shards) // a nonatomic slot: always ≡ 0 (mod shards)
-		k := ReadNA
-		if rnd(3) == 0 {
-			k = WriteNA
-		}
-		events = append(events, Event{Thread: t, Loc: l, Kind: k})
-	}
-
-	ref := New(4, decls)
-	ref.SetGCInterval(512)
-	ref.StepBatch(events)
-	want := ref.Reports()
-
-	static := NewPipeline(4, decls, PipelineConfig{Shards: shards, GCInterval: 512})
-	static.StepBatch(events)
-	staticLoads := static.BackendLoads()
-	if !race.ReportsEqual(static.Finish(), want) {
-		t.Fatal("static pipeline diverged from sequential monitor")
-	}
-	for s := 1; s < shards; s++ {
-		if staticLoads[s] != 0 {
-			t.Fatalf("adversarial workload broke: back-end %d applied %d records under the static split (want 0)",
-				s, staticLoads[s])
-		}
-	}
-
-	reb := NewPipeline(4, decls, PipelineConfig{Shards: shards, GCInterval: 512, Rebalance: true})
-	reb.StepBatch(events)
-	loads := reb.BackendLoads()
-	if reb.Migrations() == 0 {
-		t.Fatal("rebalancer never migrated a location on the adversarial workload")
-	}
-	var total, max uint64
-	for _, v := range loads {
-		total += v
-		if v > max {
-			max = v
-		}
-	}
-	if total != staticLoads[0] {
-		t.Fatalf("rebalanced pipeline applied %d records, static applied %d", total, staticLoads[0])
-	}
-	avg := total / shards
-	if bound := avg + avg/2; max > bound {
-		t.Fatalf("hot back-end applied %d of %d records (loads %v); bound %d (1.5× mean)",
-			max, total, loads, bound)
-	}
-	if !race.ReportsEqual(reb.Finish(), want) {
-		t.Fatal("rebalanced pipeline diverged from sequential monitor")
 	}
 }
 

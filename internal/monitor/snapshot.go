@@ -40,7 +40,7 @@ package monitor
 //	            varint lastT; if wT/rT is the escalated sentinel the
 //	            per-thread vector follows (threads uvarints); if bit2,
 //	            the threads² dedup mask bytes follow
-//	predict(8)  OPTIONAL (v2+), present iff the predicate is not the
+//	predict(8)  OPTIONAL, present iff the predicate is not the
 //	            default or a static pre-filter was active: predicate
 //	            byte, uvarint window k, flags byte (bit0 = a static
 //	            pre-filter was active — the mask itself is config and
@@ -51,9 +51,10 @@ package monitor
 //	            byte), mask byte (1 = threads² window dedup masks
 //	            follow); then uvarint window peak, uvarint pruned
 //	reader (7)  OPTIONAL — a TraceReader continuation (see
-//	            ReaderCheckpoint): uvarint byte offset, v2 flag byte,
-//	            varint prevThread, v2 only: threads varints prevLoc +
-//	            nlocs varints prevNum; halted bitset; uvarint pending
+//	            ReaderCheckpoint): uvarint byte offset, wire-version
+//	            flag byte (always 1: binary v2), varint prevThread,
+//	            threads varints prevLoc, nlocs varints prevNum; halted
+//	            bitset; uvarint pending
 //	            count + pending events (kind byte, uvarint thread,
 //	            uvarint loc, RA kinds: varint num + uvarint den)
 //	end    (0)  empty payload, terminates the snapshot
@@ -102,13 +103,9 @@ import (
 
 const (
 	snapMagic = "LDCK"
-	// snapVersion is the version written; every version down to
-	// snapVersionMin still decodes. Version 2 added the optional predict
-	// section (predicate, short-race window state, static-filter flag);
-	// a version-1 snapshot is exactly a version-2 one with the section
-	// absent, so old checkpoints restore as default-predicate monitors.
-	snapVersion    = 2
-	snapVersionMin = 1
+	// snapVersion is the one version written and decoded; the decoder
+	// rejects any other.
+	snapVersion = 2
 
 	snapTagEnd     = 0
 	snapTagHeader  = 1
@@ -119,6 +116,11 @@ const (
 	snapTagNA      = 6
 	snapTagReader  = 7
 	snapTagPredict = 8
+
+	// readerWireFlag is the reader section's wire-version flag byte: 1
+	// names binary v2, the only resumable trace format. The byte is kept
+	// so existing checkpoints stay byte-identical and restorable.
+	readerWireFlag = 1
 
 	// maxSnapSection bounds one section's payload so a hostile length
 	// prefix cannot demand an arbitrary allocation. snapChunk is where
@@ -153,8 +155,7 @@ func (s *Snapshot) Header() Header { return s.hdr }
 // pre-filter installed. The mask itself is configuration and is not
 // serialised, so a resume that does not reinstall one runs unfiltered —
 // callers (racemon) use this flag to warn about the mismatch instead of
-// silently dropping the filter. Version-1 snapshots predate the flag
-// and report false.
+// silently dropping the filter.
 func (s *Snapshot) StaticFiltered() bool { return s.filtered }
 
 // Reader returns the trace-reader continuation stored in the snapshot,
@@ -398,7 +399,7 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 
 	// predict: emitted only when there is something non-default to
 	// record, so default-predicate unfiltered snapshots stay bytewise
-	// minimal (and a version-1 decoder's view of the state is complete).
+	// minimal.
 	if m.pred != PredHB || filtered {
 		sw.byte(byte(m.pred))
 		sw.uvarint(m.windowK)
@@ -442,19 +443,13 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 
 	if rck != nil {
 		sw.uvarint(uint64(rck.Offset))
-		v2 := byte(0)
-		if rck.V2 {
-			v2 = 1
-		}
-		sw.byte(v2)
+		sw.byte(readerWireFlag)
 		sw.varint(int64(rck.PrevThread))
-		if rck.V2 {
-			for _, v := range rck.PrevLoc {
-				sw.varint(int64(v))
-			}
-			for _, v := range rck.PrevNum {
-				sw.varint(v)
-			}
+		for _, v := range rck.PrevLoc {
+			sw.varint(int64(v))
+		}
+		for _, v := range rck.PrevNum {
+			sw.varint(v)
 		}
 		sw.bitset(rck.Halted, hdr.Threads)
 		sw.uvarint(uint64(len(rck.Pending)))
@@ -515,20 +510,16 @@ func (ck *ReaderCheckpoint) validate(hdr Header) error {
 	if ck.Offset < 0 {
 		return fmt.Errorf("reader checkpoint: negative offset %d", ck.Offset)
 	}
-	if ck.V2 {
-		if len(ck.PrevLoc) != hdr.Threads {
-			return fmt.Errorf("reader checkpoint: prevLoc length %d, want %d threads", len(ck.PrevLoc), hdr.Threads)
+	if len(ck.PrevLoc) != hdr.Threads {
+		return fmt.Errorf("reader checkpoint: prevLoc length %d, want %d threads", len(ck.PrevLoc), hdr.Threads)
+	}
+	if len(ck.PrevNum) != len(hdr.Decls) {
+		return fmt.Errorf("reader checkpoint: prevNum length %d, want %d locations", len(ck.PrevNum), len(hdr.Decls))
+	}
+	for t, l := range ck.PrevLoc {
+		if l < 0 || (int(l) >= len(hdr.Decls) && l != 0) {
+			return fmt.Errorf("reader checkpoint: prevLoc[%d] = %d out of range", t, l)
 		}
-		if len(ck.PrevNum) != len(hdr.Decls) {
-			return fmt.Errorf("reader checkpoint: prevNum length %d, want %d locations", len(ck.PrevNum), len(hdr.Decls))
-		}
-		for t, l := range ck.PrevLoc {
-			if l < 0 || (int(l) >= len(hdr.Decls) && l != 0) {
-				return fmt.Errorf("reader checkpoint: prevLoc[%d] = %d out of range", t, l)
-			}
-		}
-	} else if len(ck.Pending) > 0 {
-		return fmt.Errorf("reader checkpoint: pending events on a non-v2 trace")
 	}
 	if ck.PrevThread < 0 || int(ck.PrevThread) >= hdr.Threads {
 		return fmt.Errorf("reader checkpoint: prevThread %d out of range [0,%d)", ck.PrevThread, hdr.Threads)
@@ -754,9 +745,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if string(magic[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("monitor: not a snapshot (bad magic %q)", magic[:len(snapMagic)])
 	}
-	ver := magic[len(snapMagic)]
-	if ver < snapVersionMin || ver > snapVersion {
-		return nil, fmt.Errorf("monitor: snapshot: unsupported version %d (accept %d–%d)", ver, snapVersionMin, snapVersion)
+	if ver := magic[len(snapMagic)]; ver != snapVersion {
+		return nil, fmt.Errorf("monitor: snapshot: unsupported version %d (have %d)", ver, snapVersion)
 	}
 
 	hdr, err := d.decodeHeader()
@@ -784,7 +774,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tag == snapTagPredict && ver >= 2 {
+	if tag == snapTagPredict {
 		c.what = "predict"
 		filtered, err := d.decodePredict(c, m)
 		if err != nil {
@@ -1241,14 +1231,14 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 	if off > uint64(math.MaxInt64) {
 		return nil, c.errf("offset %d out of range", off)
 	}
-	v2b, err := c.byte("v2 flag")
+	flag, err := c.byte("wire-version flag")
 	if err != nil {
 		return nil, err
 	}
-	if v2b > 1 {
-		return nil, c.errf("v2 flag %d not 0 or 1", v2b)
+	if flag != readerWireFlag {
+		return nil, c.errf("wire-version flag %d, want %d (binary v2)", flag, readerWireFlag)
 	}
-	rck := &ReaderCheckpoint{Offset: int64(off), V2: v2b == 1}
+	rck := &ReaderCheckpoint{Offset: int64(off)}
 	prevThread, err := c.varint("prevThread")
 	if err != nil {
 		return nil, err
@@ -1257,23 +1247,21 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 		return nil, c.errf("prevThread %d out of range [0,%d)", prevThread, hdr.Threads)
 	}
 	rck.PrevThread = int32(prevThread)
-	if rck.V2 {
-		rck.PrevLoc = make([]int32, hdr.Threads)
-		for t := range rck.PrevLoc {
-			v, err := c.varint("prevLoc")
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 || (v >= int64(len(hdr.Decls)) && v != 0) {
-				return nil, c.errf("prevLoc[%d] = %d out of range", t, v)
-			}
-			rck.PrevLoc[t] = int32(v)
+	rck.PrevLoc = make([]int32, hdr.Threads)
+	for t := range rck.PrevLoc {
+		v, err := c.varint("prevLoc")
+		if err != nil {
+			return nil, err
 		}
-		rck.PrevNum = make([]int64, len(hdr.Decls))
-		for l := range rck.PrevNum {
-			if rck.PrevNum[l], err = c.varint("prevNum"); err != nil {
-				return nil, err
-			}
+		if v < 0 || (v >= int64(len(hdr.Decls)) && v != 0) {
+			return nil, c.errf("prevLoc[%d] = %d out of range", t, v)
+		}
+		rck.PrevLoc[t] = int32(v)
+	}
+	rck.PrevNum = make([]int64, len(hdr.Decls))
+	for l := range rck.PrevNum {
+		if rck.PrevNum[l], err = c.varint("prevNum"); err != nil {
+			return nil, err
 		}
 	}
 	if rck.Halted, err = c.bitset(hdr.Threads, "halted"); err != nil {

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,71 +276,68 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 // TestReaderCheckpointResume: ingest k events from a binary trace, save
 // monitor + reader continuation, then reopen the trace, Resume at the
 // recorded offset and finish — reports and stats must equal a one-shot
-// ingest. Covers v1 (per-event offsets) and v2 (frame offsets with
-// mid-frame pending events), at split points inside and at frame
-// boundaries.
+// ingest. Frame offsets with mid-frame pending events, at split points
+// inside and at frame boundaries.
 func TestReaderCheckpointResume(t *testing.T) {
 	decls, events := raWorkload(5, 12, 10_000, 17)
 	hdr := Header{Threads: 5, Decls: decls}
-	for _, format := range []Format{Binary, BinaryV2} {
-		data := encodeStream(t, hdr, events, format)
-		want, err := ReadRaces(bytes.NewReader(data))
+	data := encodeStream(t, hdr, events, BinaryV2)
+	want, err := ReadRaces(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refM, err := MonitorReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 3000, 4096, 5000, 8192, 9_999, 10_000} {
+		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		refM, err := MonitorReader(bytes.NewReader(data))
+		m := tr.NewMonitor()
+		for i := 0; i < k; i++ {
+			e, ok, err := tr.Next()
+			if err != nil || !ok {
+				t.Fatalf("k=%d i=%d: next: ok=%v err=%v", k, i, ok, err)
+			}
+			m.Step(e)
+		}
+		rck, err := tr.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{0, 1, 3000, 4096, 5000, 8192, 9_999, 10_000} {
-			tr, err := NewTraceReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := tr.NewMonitor()
-			for i := 0; i < k; i++ {
-				e, ok, err := tr.Next()
-				if err != nil || !ok {
-					t.Fatalf("%v k=%d i=%d: next: ok=%v err=%v", format, k, i, ok, err)
-				}
-				m.Step(e)
-			}
-			rck, err := tr.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := m.SnapshotWithReader(&buf, rck); err != nil {
-				t.Fatal(err)
-			}
-			s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rck2, ok := s.Reader()
-			if !ok {
-				t.Fatal("snapshot lost the reader continuation")
-			}
-			tr2, err := NewTraceReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr2.Resume(rck2); err != nil {
-				t.Fatalf("%v k=%d: resume: %v", format, k, err)
-			}
-			m2 := s.Monitor()
-			if err := m2.FeedBatch(tr2); err != nil {
-				t.Fatalf("%v k=%d: feed: %v", format, k, err)
-			}
-			if got := m2.Reports(); !race.ReportsEqual(got, want) {
-				t.Fatalf("%v k=%d: resumed ingest diverged\ngot  %v\nwant %v", format, k, got, want)
-			}
-			if m2.RAStats() != refM.RAStats() {
-				t.Fatalf("%v k=%d: RA stats %+v, want %+v", format, k, m2.RAStats(), refM.RAStats())
-			}
-			if m2.Events() != uint64(len(events)) {
-				t.Fatalf("%v k=%d: events %d, want %d", format, k, m2.Events(), len(events))
-			}
+		var buf bytes.Buffer
+		if err := m.SnapshotWithReader(&buf, rck); err != nil {
+			t.Fatal(err)
+		}
+		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rck2, ok := s.Reader()
+		if !ok {
+			t.Fatal("snapshot lost the reader continuation")
+		}
+		tr2, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr2.Resume(rck2); err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		m2 := s.Monitor()
+		if err := m2.FeedBatch(tr2); err != nil {
+			t.Fatalf("k=%d: feed: %v", k, err)
+		}
+		if got := m2.Reports(); !race.ReportsEqual(got, want) {
+			t.Fatalf("k=%d: resumed ingest diverged\ngot  %v\nwant %v", k, got, want)
+		}
+		if m2.RAStats() != refM.RAStats() {
+			t.Fatalf("k=%d: RA stats %+v, want %+v", k, m2.RAStats(), refM.RAStats())
+		}
+		if m2.Events() != uint64(len(events)) {
+			t.Fatalf("k=%d: events %d, want %d", k, m2.Events(), len(events))
 		}
 	}
 }
@@ -432,30 +430,36 @@ func TestReaderCheckpointText(t *testing.T) {
 	}
 }
 
-// TestReaderResumeValidation: version mismatches, in-header offsets and
-// over-long offsets are rejected.
+// TestReaderResumeValidation: in-header offsets, over-long offsets and
+// delta contexts sized for another header are rejected.
 func TestReaderResumeValidation(t *testing.T) {
 	decls, events := raWorkload(3, 6, 200, 7)
 	hdr := Header{Threads: 3, Decls: decls}
-	v1 := encodeStream(t, hdr, events, Binary)
-	v2 := encodeStream(t, hdr, events, BinaryV2)
+	data := encodeStream(t, hdr, events, BinaryV2)
 
-	trV1, _ := NewTraceReader(bytes.NewReader(v1))
-	ckV1, err := trV1.Checkpoint()
+	tr, _ := NewTraceReader(bytes.NewReader(data))
+	ck, err := tr.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trV2, _ := NewTraceReader(bytes.NewReader(v2))
-	if err := trV2.Resume(ckV1); err == nil {
-		t.Fatal("v2 reader accepted a v1 checkpoint")
+	resume := func(mutate func(*ReaderCheckpoint)) error {
+		c := ck
+		c.PrevLoc, c.PrevNum = slices.Clone(ck.PrevLoc), slices.Clone(ck.PrevNum)
+		mutate(&c)
+		tr, _ := NewTraceReader(bytes.NewReader(data))
+		return tr.Resume(c)
 	}
-	tr, _ := NewTraceReader(bytes.NewReader(v1))
-	if err := tr.Resume(ReaderCheckpoint{Offset: 1}); err == nil {
+	if err := resume(func(*ReaderCheckpoint) {}); err != nil {
+		t.Fatalf("checkpoint at the first frame rejected: %v", err)
+	}
+	if err := resume(func(c *ReaderCheckpoint) { c.Offset = 1 }); err == nil {
 		t.Fatal("offset inside the header accepted")
 	}
-	tr, _ = NewTraceReader(bytes.NewReader(v1))
-	if err := tr.Resume(ReaderCheckpoint{Offset: int64(len(v1)) + 100}); err == nil {
+	if err := resume(func(c *ReaderCheckpoint) { c.Offset = int64(len(data)) + 100 }); err == nil {
 		t.Fatal("offset beyond the trace accepted")
+	}
+	if err := resume(func(c *ReaderCheckpoint) { c.PrevLoc = c.PrevLoc[:1] }); err == nil {
+		t.Fatal("delta context for another thread count accepted")
 	}
 }
 
@@ -632,14 +636,38 @@ func TestRestoreValidates(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// Bad magic / version.
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("LDTR\x01"))); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("LDTR\x02"))); err == nil {
 		t.Error("wire magic accepted as snapshot")
 	}
-	bad := bytes.Clone(valid)
-	bad[4] = 9
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Error("unknown version accepted")
+	// Version 2 is the only one decoded, and a reader section must carry
+	// the binary-v2 flag byte 1: pin the errors for the retired version-1
+	// header, a future version, and the retired v1 reader flag 0.
+	withVersion := func(ver byte) []byte {
+		b := bytes.Clone(valid)
+		b[len(snapMagic)] = ver
+		return b
+	}
+	pinned := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"version 1", "monitor: snapshot: unsupported version 1 (have 2)", withVersion(1)},
+		{"version 99", "monitor: snapshot: unsupported version 99 (have 2)", withVersion(99)},
+		{"reader flag 0", "monitor: snapshot reader section: wire-version flag 0, want 1 (binary v2)",
+			minimalSnapshot(func(s map[byte][]byte) {
+				var rd []byte
+				rd = appendUvarint(rd, 100) // offset
+				rd = append(rd, 0)          // the v1 trace flag
+				rd = appendVarint(rd, 0)    // prevThread
+				rd = append(rd, 0)          // halted
+				rd = appendUvarint(rd, 0)   // no pending events
+				s[snapTagReader] = rd
+			})},
+	}
+	for _, tc := range pinned {
+		if _, err := ReadSnapshot(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -2,25 +2,18 @@ package monitor
 
 // The raw-trace wire format: a versioned, self-describing encoding of an
 // event stream, so executions that never ran inside this process (or
-// this binary) can be monitored. Three interchangeable encodings share
+// this binary) can be monitored. Two interchangeable encodings share
 // one logical format; the decoder sniffs which it was handed.
 //
-// Binary v1 (magic "LDTR", then version byte 1) — one record per event,
-// no inter-event state, no thread-retirement events:
+// Binary (magic "LDTR", then version byte 2) — the delta-compressed
+// batch format. The header is
 //
-//	"LDTR" <version=1>
+//	"LDTR" <version=2>
 //	uvarint threads
 //	uvarint nlocs
 //	nlocs × ( uvarint len, len name bytes, kind byte 0=na 1=at 2=ra )
-//	events until EOF:
-//	    kind byte (0..5, the Kind enumeration)
-//	    uvarint thread
-//	    uvarint loc
-//	    RA kinds only: varint num, uvarint den   (the message timestamp)
 //
-// Binary v2 (magic "LDTR", then version byte 2) — the delta-compressed
-// batch format: the same header as v1, followed by self-delimiting
-// FRAMES instead of a flat event list. Each frame is
+// followed by self-delimiting FRAMES until EOF. Each frame is
 //
 //	uvarint payloadLen            (bytes that follow, ≤ 1 MiB)
 //	payload:
@@ -47,9 +40,7 @@ package monitor
 // small increments under the program semantics. Encoder and decoder
 // carry this context ACROSS frames; frames delimit I/O and batch
 // decoding (TraceReader.NextBatch yields a frame at a time), not
-// context. On the schedgen reference stream v2 is ≥ 1.5× smaller than
-// v1 (most events fit in 2 bytes: tag + one loc-delta byte; v1 needs at
-// least 3).
+// context. Most events fit in 2 bytes: tag + one loc-delta byte.
 //
 // Text (first line "ldtrace 1"; '#' starts a comment, blank lines are
 // skipped):
@@ -69,15 +60,12 @@ package monitor
 // timestamp ("num" or "num/den") is required exactly for release-acquire
 // events.
 //
-// Version negotiation: the decoder accepts v1 and v2 binary traces (and
-// text) transparently; the encoder writes whichever the caller asked
-// for. KindHalt exists only in v2 and text — the v1 grammar is frozen,
-// so writing a halt event to a v1 binary writer is an error and a kind
-// byte of 6 in a v1 trace is rejected. A halt is a promise that the
-// thread performs no further events — the monitor's +∞ frontier
-// treatment is only sound under it — so both encoder and decoder track
-// halted threads and reject any later event of a halted thread
-// (including a second halt).
+// Versions: the binary decoder accepts version 2 only (version 1 is
+// retired) and the text decoder "ldtrace 1" only; any other version is
+// rejected. A halt is a promise that the thread performs no further
+// events — the monitor's +∞ frontier treatment is only sound under it —
+// so both encoder and decoder track halted threads and reject any later
+// event of a halted thread (including a second halt).
 //
 // The decoder VALIDATES everything it hands to the monitor — thread and
 // location bounds (including after delta reconstruction), kind bytes,
@@ -106,47 +94,39 @@ import (
 type Format int
 
 const (
-	// Binary is the per-event varint encoding (magic "LDTR", version 1).
-	Binary Format = iota
+	// BinaryV2 is the delta-compressed framed encoding (magic "LDTR",
+	// version 2), decodable a frame (batch) at a time.
+	BinaryV2 Format = iota
 	// Text is the line-oriented human-readable encoding.
 	Text
-	// BinaryV2 is the delta-compressed framed encoding (magic "LDTR",
-	// version 2): smaller on the wire and decodable a frame (batch) at a
-	// time. The decoder accepts v1 and v2 interchangeably.
-	BinaryV2
 )
 
-// String names the format ("binary", "text" or "binary-v2").
+// String names the format ("binary-v2" or "text").
 func (f Format) String() string {
-	switch f {
-	case Text:
+	if f == Text {
 		return "text"
-	case BinaryV2:
-		return "binary-v2"
 	}
-	return "binary"
+	return "binary-v2"
 }
 
-// ParseFormat parses "binary", "text", or "binary-v2" (alias "v2").
+// ParseFormat parses "binary" (aliases "binary-v2", "v2") or "text".
 func ParseFormat(s string) (Format, error) {
 	switch s {
-	case "binary":
-		return Binary, nil
+	case "binary", "binary-v2", "v2":
+		return BinaryV2, nil
 	case "text":
 		return Text, nil
-	case "binary-v2", "v2":
-		return BinaryV2, nil
 	}
-	return Binary, fmt.Errorf("monitor: unknown trace format %q (want binary|text|binary-v2)", s)
+	return BinaryV2, fmt.Errorf("monitor: unknown trace format %q (want binary|text)", s)
 }
 
 const (
-	binaryMagic  = "LDTR"
-	textMagic    = "ldtrace"
-	wireVersion  = 1
-	wireVersion2 = 2
+	binaryMagic   = "LDTR"
+	textMagic     = "ldtrace"
+	binaryVersion = 2
+	textVersion   = 1
 
-	// Frame limits of the v2 format: a frame payload is bounded so a
+	// Frame limits of the binary format: a frame payload is bounded so a
 	// hostile length prefix cannot demand an arbitrary allocation, and
 	// the event count is bounded so count × minimum-event-size must fit
 	// the payload.
@@ -273,7 +253,7 @@ type TraceWriter struct {
 	hdr    Header
 	format Format
 	buf    [binary.MaxVarintLen64]byte
-	// v2 frame state (see the package comment for the layout).
+	// Frame state (see the package comment for the layout).
 	frame      []byte
 	count      int
 	prevThread int32
@@ -313,15 +293,11 @@ func NewTraceWriter(w io.Writer, hdr Header, format Format) (*TraceWriter, error
 	}
 	tw := &TraceWriter{w: bufio.NewWriter(w), hdr: hdr, format: format}
 	switch format {
-	case Binary, BinaryV2:
-		ver := byte(wireVersion)
-		if format == BinaryV2 {
-			ver = wireVersion2
-			tw.prevLoc = make([]int32, hdr.Threads)
-			tw.prevNum = make([]int64, len(hdr.Decls))
-		}
+	case BinaryV2:
+		tw.prevLoc = make([]int32, hdr.Threads)
+		tw.prevNum = make([]int64, len(hdr.Decls))
 		tw.w.WriteString(binaryMagic)
-		tw.w.WriteByte(ver)
+		tw.w.WriteByte(binaryVersion)
 		tw.putUvarint(uint64(hdr.Threads))
 		tw.putUvarint(uint64(len(hdr.Decls)))
 		for _, d := range hdr.Decls {
@@ -330,7 +306,7 @@ func NewTraceWriter(w io.Writer, hdr Header, format Format) (*TraceWriter, error
 			tw.w.WriteByte(byte(d.Kind))
 		}
 	case Text:
-		fmt.Fprintf(tw.w, "%s %d\n", textMagic, wireVersion)
+		fmt.Fprintf(tw.w, "%s %d\n", textMagic, textVersion)
 		fmt.Fprintf(tw.w, "threads %d\n", hdr.Threads)
 		for _, d := range hdr.Decls {
 			fmt.Fprintf(tw.w, "loc %s %s\n", d.Name, kindTag(d.Kind))
@@ -349,34 +325,17 @@ func (tw *TraceWriter) putUvarint(v uint64) {
 	tw.w.Write(tw.buf[:n])
 }
 
-func (tw *TraceWriter) putVarint(v int64) {
-	n := binary.PutVarint(tw.buf[:], v)
-	tw.w.Write(tw.buf[:n])
-}
-
 // Write encodes one event. Invalid events (out-of-range indices, kind
-// mismatching the declared location kind) are rejected, as are halt
-// events in the frozen v1 binary grammar.
+// mismatching the declared location kind, events after their thread's
+// halt) are rejected.
 func (tw *TraceWriter) Write(e Event) error {
 	if err := validateEvent(tw.hdr, e); err != nil {
 		return err
-	}
-	if tw.format == Binary && e.Kind == KindHalt {
-		return fmt.Errorf("monitor: trace event: halt events need the v2 binary or text format (v1 is frozen)")
 	}
 	if err := checkHalt(&tw.halted, tw.hdr.Threads, e); err != nil {
 		return err
 	}
 	switch tw.format {
-	case Binary:
-		tw.w.WriteByte(byte(e.Kind))
-		tw.putUvarint(uint64(e.Thread))
-		tw.putUvarint(uint64(e.Loc))
-		if e.Kind == ReadRA || e.Kind == WriteRA {
-			num, den := e.Time.Fraction()
-			tw.putVarint(num)
-			tw.putUvarint(uint64(den))
-		}
 	case BinaryV2:
 		tw.writeV2(e)
 	case Text:
@@ -475,7 +434,7 @@ func (tw *TraceWriter) Flush() error {
 // cannot safely consume.
 type TraceReader struct {
 	br *bufio.Reader
-	// cr counts the bytes the binary decoders consume (ReadByte/Read pass
+	// cr counts the bytes the binary decoder consumes (ReadByte/Read pass
 	// through to br) — the logical stream offset that Checkpoint records
 	// and Resume discards up to. The text decoder reads br directly and
 	// does not support checkpoints.
@@ -491,14 +450,13 @@ type TraceReader struct {
 	// halted[t]: thread t's halt has been decoded — later events of t
 	// are malformed (see checkHalt). Allocated on the first halt.
 	halted []bool
-	// v2 state: the delta context (carried across frames) and the
+	// Binary state: the delta context (carried across frames) and the
 	// decoded-but-not-yet-yielded events of the current frame.
-	v2         bool
 	prevThread int32
 	prevLoc    []int32
 	prevNum    []int64
 	// locClass[l] is Kind>>1 of the accesses location l admits (0 na,
-	// 1 at, 2 ra) — the v2 decoder's one-compare declaration check.
+	// 1 at, 2 ra) — the binary decoder's one-compare declaration check.
 	locClass []uint8
 	frameBuf []byte
 	batch    []Event
@@ -522,7 +480,7 @@ type ReaderLimits struct {
 	// raised before the oversized allocation happens. 0 = format caps
 	// only.
 	MaxHeaderBytes int
-	// MaxFrameEvents caps the declared event count of one v2 frame
+	// MaxFrameEvents caps the declared event count of one binary frame
 	// (the format cap is 65536). A frame declaring more events than
 	// this is rejected before decoding. 0 = format cap only.
 	MaxFrameEvents int
@@ -600,31 +558,28 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 	if tr.text {
 		return tr.nextText()
 	}
-	if tr.v2 {
-		if tr.cur >= len(tr.batch) {
-			var ok bool
-			var err error
-			tr.batch, ok, err = tr.decodeFrame(tr.batch[:0])
-			tr.cur = 0
-			if err != nil || !ok {
-				return Event{}, false, err
-			}
+	if tr.cur >= len(tr.batch) {
+		var ok bool
+		var err error
+		tr.batch, ok, err = tr.decodeFrame(tr.batch[:0])
+		tr.cur = 0
+		if err != nil || !ok {
+			return Event{}, false, err
 		}
-		e := tr.batch[tr.cur]
-		tr.cur++
-		return e, true, nil
 	}
-	return tr.nextBinary()
+	e := tr.batch[tr.cur]
+	tr.cur++
+	return e, true, nil
 }
 
 // NextBatch decodes and validates the next batch of events, appending to
-// dst — for the v2 format a whole frame at a time (the natural batch
-// boundary), for v1 and text a bounded run of single events. ok=false
-// with nothing appended means the end of the trace. TraceReader thereby
+// dst — for the binary format a whole frame at a time (the natural batch
+// boundary), for text a bounded run of single events. ok=false with
+// nothing appended means the end of the trace. TraceReader thereby
 // implements BatchSource, the preferred way to feed Monitor.FeedBatch or
 // a Pipeline.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
-	if tr.v2 {
+	if !tr.text {
 		if tr.cur < len(tr.batch) {
 			dst = append(dst, tr.batch[tr.cur:]...)
 			tr.cur = len(tr.batch)
@@ -670,12 +625,9 @@ func (tr *TraceReader) readBinaryHeader() error {
 		}
 		return fmt.Errorf("monitor: trace header: %w", err)
 	}
-	ver := magicVer[len(binaryMagic)]
-	if ver != wireVersion && ver != wireVersion2 {
-		return fmt.Errorf("monitor: trace header: unsupported version %d (have %d and %d)",
-			ver, wireVersion, wireVersion2)
+	if ver := magicVer[len(binaryMagic)]; ver != binaryVersion {
+		return fmt.Errorf("monitor: trace header: unsupported version %d (have %d)", ver, binaryVersion)
 	}
-	tr.v2 = ver == wireVersion2
 	threads, err := tr.readUvarintField("header thread count", maxWireThreads)
 	if err != nil {
 		return err
@@ -717,19 +669,17 @@ func (tr *TraceReader) readBinaryHeader() error {
 		return err
 	}
 	tr.hdr = hdr
-	if tr.v2 {
-		tr.prevLoc = make([]int32, hdr.Threads)
-		tr.prevNum = make([]int64, len(hdr.Decls))
-		// prog.LocKind counts na, at, ra in the order Kind pairs them.
-		tr.locClass = make([]uint8, len(hdr.Decls))
-		for l, d := range hdr.Decls {
-			tr.locClass[l] = uint8(d.Kind)
-		}
+	tr.prevLoc = make([]int32, hdr.Threads)
+	tr.prevNum = make([]int64, len(hdr.Decls))
+	// prog.LocKind counts na, at, ra in the order Kind pairs them.
+	tr.locClass = make([]uint8, len(hdr.Decls))
+	for l, d := range hdr.Decls {
+		tr.locClass[l] = uint8(d.Kind)
 	}
 	return nil
 }
 
-// decodeFrame reads and decodes the next v2 frame, appending its
+// decodeFrame reads and decodes the next binary frame, appending its
 // validated events to dst. ok=false at a clean end of trace (EOF exactly
 // at a frame boundary).
 func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
@@ -883,52 +833,6 @@ func uvarintSlow(p []byte, pos int) (uint64, int) {
 // binary.Varint does).
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func (tr *TraceReader) nextBinary() (Event, bool, error) {
-	kb, err := tr.cr.ReadByte()
-	if err == io.EOF {
-		return Event{}, false, nil // clean end of trace
-	}
-	if err != nil {
-		return Event{}, false, err
-	}
-	e := Event{Kind: Kind(kb)}
-	if e.Kind > WriteRA {
-		// The v1 grammar is frozen at kinds 0..5 — halt markers exist
-		// only in the v2 and text encodings.
-		return Event{}, false, fmt.Errorf("monitor: trace event: unknown kind %d", e.Kind)
-	}
-	thread, err := tr.readUvarintField("event thread", uint64(math.MaxInt32))
-	if err != nil {
-		return Event{}, false, err
-	}
-	loc, err := tr.readUvarintField("event location", uint64(math.MaxInt32))
-	if err != nil {
-		return Event{}, false, err
-	}
-	e.Thread, e.Loc = int32(thread), int32(loc)
-	if e.Kind == ReadRA || e.Kind == WriteRA {
-		num, err := binary.ReadVarint(&tr.cr)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Event{}, false, fmt.Errorf("monitor: trace event timestamp: %w", err)
-		}
-		den, err := tr.readUvarintField("event timestamp denominator", uint64(math.MaxInt64))
-		if err != nil {
-			return Event{}, false, err
-		}
-		if den == 0 {
-			return Event{}, false, fmt.Errorf("monitor: trace event timestamp: zero denominator")
-		}
-		e.Time = ts.New(num, int64(den))
-	}
-	if err := validateEvent(tr.hdr, e); err != nil {
-		return Event{}, false, err
-	}
-	return e, true, nil
-}
-
 // readLine returns the next non-blank, non-comment text line, trimmed,
 // with ok=false at EOF.
 func (tr *TraceReader) readLine() (string, bool, error) {
@@ -970,8 +874,8 @@ func (tr *TraceReader) readTextHeader() error {
 	if len(f) != 2 || f[0] != textMagic {
 		return tr.textErr("not a trace: want %q, got %q", textMagic+" 1", line)
 	}
-	if f[1] != strconv.Itoa(wireVersion) {
-		return tr.textErr("unsupported version %s (have %d)", f[1], wireVersion)
+	if f[1] != strconv.Itoa(textVersion) {
+		return tr.textErr("unsupported version %s (have %d)", f[1], textVersion)
 	}
 	line, ok, err = tr.readLine()
 	if err != nil {
@@ -1140,49 +1044,46 @@ func parseTime(s string) (ts.Time, error) {
 // ---- Checkpoint / resume ----
 
 // ReaderCheckpoint is a resumable position in a binary wire-format
-// trace: the byte offset of the next undecoded frame (v2) or event (v1),
-// the v2 delta context carried across frames, the decoder's halted-
-// thread set, and — for checkpoints taken mid-frame — the already-
-// decoded events of the current frame that were not yet delivered.
+// trace: the byte offset of the next undecoded frame, the delta context
+// carried across frames, the decoder's halted-thread set, and — for
+// checkpoints taken mid-frame — the already-decoded events of the
+// current frame that were not yet delivered.
 // Obtain one with Checkpoint, persist it inside a snapshot
 // (Monitor.SnapshotWithReader), and hand it to Resume on a fresh reader
 // over the same trace.
 type ReaderCheckpoint struct {
 	// Offset is the number of logical trace bytes consumed: the header
-	// plus every fully decoded frame (v2) or event (v1).
+	// plus every fully decoded frame.
 	Offset int64
-	// V2 records which binary version the trace uses; Resume refuses a
-	// checkpoint whose version does not match the reopened trace.
-	V2 bool
-	// PrevThread, PrevLoc, PrevNum are the v2 delta context as of Offset
-	// (PrevLoc/PrevNum are nil for v1).
+	// PrevThread, PrevLoc, PrevNum are the delta context as of Offset.
 	PrevThread int32
 	PrevLoc    []int32
 	PrevNum    []int64
 	// Halted is the decoder's halted-thread set (nil when no thread has
 	// halted).
 	Halted []bool
-	// Pending holds the validated events of the current v2 frame that
+	// Pending holds the validated events of the current frame that
 	// were decoded but not yet delivered when the checkpoint was taken;
 	// Resume yields them before decoding the frame at Offset.
 	Pending []Event
 }
 
 // Checkpoint captures the reader's current position — valid at any event
-// boundary, including mid-frame for v2 traces (the undelivered rest of
-// the frame rides along as Pending). Only binary traces support
-// checkpoints; the text format errors.
+// boundary, including mid-frame (the undelivered rest of the frame
+// rides along as Pending). Only binary traces support checkpoints; the
+// text format errors.
 func (tr *TraceReader) Checkpoint() (ReaderCheckpoint, error) {
 	if tr.text {
 		return ReaderCheckpoint{}, fmt.Errorf("monitor: trace checkpoint: text traces are not resumable (use a binary format)")
 	}
-	ck := ReaderCheckpoint{Offset: tr.cr.n, V2: tr.v2, PrevThread: tr.prevThread}
-	if tr.v2 {
-		ck.PrevLoc = slices.Clone(tr.prevLoc)
-		ck.PrevNum = slices.Clone(tr.prevNum)
-		if tr.cur < len(tr.batch) {
-			ck.Pending = slices.Clone(tr.batch[tr.cur:])
-		}
+	ck := ReaderCheckpoint{
+		Offset:     tr.cr.n,
+		PrevThread: tr.prevThread,
+		PrevLoc:    slices.Clone(tr.prevLoc),
+		PrevNum:    slices.Clone(tr.prevNum),
+	}
+	if tr.cur < len(tr.batch) {
+		ck.Pending = slices.Clone(tr.batch[tr.cur:])
 	}
 	if tr.halted != nil {
 		ck.Halted = slices.Clone(tr.halted)
@@ -1201,9 +1102,6 @@ func (tr *TraceReader) Resume(ck ReaderCheckpoint) error {
 	if tr.text {
 		return fmt.Errorf("monitor: trace resume: text traces are not resumable")
 	}
-	if tr.v2 != ck.V2 {
-		return fmt.Errorf("monitor: trace resume: checkpoint is for binary v%d, trace is v%d", wireVer(ck.V2), wireVer(tr.v2))
-	}
 	if len(tr.batch) > 0 || tr.halted != nil {
 		return fmt.Errorf("monitor: trace resume: reader has already decoded events")
 	}
@@ -1217,25 +1115,16 @@ func (tr *TraceReader) Resume(ck ReaderCheckpoint) error {
 		return fmt.Errorf("monitor: trace resume: %w", err)
 	}
 	tr.prevThread = ck.PrevThread
-	if tr.v2 {
-		copy(tr.prevLoc, ck.PrevLoc)
-		copy(tr.prevNum, ck.PrevNum)
-		if len(ck.Pending) > 0 {
-			tr.batch = append(tr.batch[:0], ck.Pending...)
-			tr.cur = 0
-		}
+	copy(tr.prevLoc, ck.PrevLoc)
+	copy(tr.prevNum, ck.PrevNum)
+	if len(ck.Pending) > 0 {
+		tr.batch = append(tr.batch[:0], ck.Pending...)
+		tr.cur = 0
 	}
 	if ck.Halted != nil {
 		tr.halted = slices.Clone(ck.Halted)
 	}
 	return nil
-}
-
-func wireVer(v2 bool) int {
-	if v2 {
-		return wireVersion2
-	}
-	return wireVersion
 }
 
 // discard consumes exactly n bytes, erroring if the stream ends first.

@@ -61,7 +61,7 @@ func encodeAll(t *testing.T, hdr Header, events []Event, format Format) []byte {
 // not carry and the monitor ignores), in both formats.
 func TestWireRoundTrip(t *testing.T) {
 	hdr, events := wireWorkload()
-	for _, format := range []Format{Binary, Text} {
+	for _, format := range []Format{BinaryV2, Text} {
 		data := encodeAll(t, hdr, events, format)
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
@@ -106,7 +106,7 @@ func TestWireMonitorParity(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("workload produced no races; not a useful fixture")
 	}
-	for _, format := range []Format{Binary, Text} {
+	for _, format := range []Format{BinaryV2, Text} {
 		data := encodeAll(t, hdr, events, format)
 		got, err := ReadRaces(bytes.NewReader(data))
 		if err != nil {
@@ -141,7 +141,7 @@ loc x na
 // panicking or silently yielding events the monitor would crash on.
 func TestWireDecoderRejects(t *testing.T) {
 	hdr, events := wireWorkload()
-	bin := encodeAll(t, hdr, events, Binary)
+	bin := encodeAll(t, hdr, events, BinaryV2)
 	txt := encodeAll(t, hdr, events, Text)
 
 	cases := []struct {
@@ -154,7 +154,7 @@ func TestWireDecoderRejects(t *testing.T) {
 		{"truncated binary event", bin[:len(bin)-1]},
 		{"bad binary version", append([]byte("LDTR\x07"), bin[5:]...)},
 		{"binary junk after header", func() []byte {
-			h := encodeAll(t, hdr, nil, Binary)
+			h := encodeAll(t, hdr, nil, BinaryV2)
 			return append(h, 0xEE, 0x01, 0x02)
 		}()},
 		{"text junk", []byte("not a trace\n")},
@@ -186,8 +186,8 @@ func TestWireDecoderRejects(t *testing.T) {
 // vectors. The decoder must reject it before any monitor exists.
 func hostileHeader() []byte {
 	var buf bytes.Buffer
-	buf.WriteString("LDTR")
-	buf.WriteByte(1)
+	buf.WriteString(binaryMagic)
+	buf.WriteByte(binaryVersion)
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
 	const threads, locs = 1 << 10, 1 << 14 // product 2× over maxWireCells
@@ -207,7 +207,7 @@ func hostileHeader() []byte {
 func TestWireWriterRejects(t *testing.T) {
 	hdr, _ := wireWorkload()
 	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, hdr, Binary)
+	tw, err := NewTraceWriter(&buf, hdr, BinaryV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestWireWriterRejects(t *testing.T) {
 			t.Errorf("writer accepted invalid event %+v", e)
 		}
 	}
-	if _, err := NewTraceWriter(&buf, Header{Threads: 0}, Binary); err == nil {
+	if _, err := NewTraceWriter(&buf, Header{Threads: 0}, BinaryV2); err == nil {
 		t.Error("writer accepted zero-thread header")
 	}
 	if _, err := NewTraceWriter(&buf, Header{
@@ -234,32 +234,30 @@ func TestWireWriterRejects(t *testing.T) {
 }
 
 // FuzzTraceReader: the decoder must never panic, and every event it does
-// yield must be safe for the monitor to consume. Seeds cover all three
-// formats (v1, v2 framed, text) and a few corruption shapes, including a
-// v2→v1 version-byte downgrade; the fuzz body exercises both the
-// per-event and the batch decoding paths.
+// yield must be safe for the monitor to consume. Seeds cover both
+// formats (binary with and without halts, text) and a few corruption
+// shapes, including binary frames under the retired version byte 1 and
+// under a future version 3; the fuzz body exercises both the per-event
+// and the batch decoding paths.
 func FuzzTraceReader(f *testing.F) {
 	hdr, events := wireWorkload()
-	events = append(events, Event{Thread: 0, Kind: KindHalt}) // v2/text only
-	bin := encodeAllFuzz(f, hdr, events[:len(events)-1], Binary)
+	noHalt := encodeAllFuzz(f, hdr, events, BinaryV2)
+	events = append(events, Event{Thread: 0, Kind: KindHalt})
 	txt := encodeAllFuzz(f, hdr, events, Text)
 	v2 := encodeAllFuzz(f, hdr, events, BinaryV2)
-	f.Add(bin)
+	withVersion := func(ver byte) []byte {
+		b := append([]byte{}, v2...)
+		b[4] = ver
+		return b
+	}
+	f.Add(noHalt)
 	f.Add(txt)
 	f.Add(v2)
-	f.Add(bin[:9])
+	f.Add(v2[:9])         // truncated header
 	f.Add(v2[:len(v2)-3]) // truncated mid-frame
-	f.Add(func() []byte { // v2 frames under a v1 version byte
-		b := append([]byte{}, v2...)
-		b[4] = 1
-		return b
-	}())
-	f.Add(func() []byte { // v1 events under a v2 version byte
-		b := append([]byte{}, bin...)
-		b[4] = 2
-		return b
-	}())
-	f.Add([]byte("LDTR\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add(withVersion(1)) // rejected: the retired v1 version byte
+	f.Add(withVersion(3)) // rejected: a future version
+	f.Add([]byte("LDTR\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte("LDTR\x02\x02\x01\x01x\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte("ldtrace 1\nthreads 3\nloc R ra\n0 w R -5/3\n0 halt\n"))
 	f.Add([]byte{})
@@ -404,7 +402,7 @@ func TestTraceReaderLimits(t *testing.T) {
 
 	t.Run("generous-limits-identical", func(t *testing.T) {
 		lim := ReaderLimits{MaxHeaderBytes: 1 << 20, MaxFrameEvents: maxFrameEvents}
-		for _, format := range []Format{Binary, BinaryV2, Text} {
+		for _, format := range []Format{BinaryV2, Text} {
 			data := encodeAll(t, hdr, events, format)
 			ref, err := NewTraceReader(bytes.NewReader(data))
 			if err != nil {

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -149,11 +150,11 @@ func TestWireV2MonitorParity(t *testing.T) {
 	}
 }
 
-// TestWireV2SemanticsMatchV1: a halt-free stream encodes to both
-// versions and decodes to identical event sequences — v2 is a pure
-// compression of v1's semantics.
-func TestWireV2SemanticsMatchV1(t *testing.T) {
-	hdr, events := wireWorkload()
+// TestWireV2SemanticsMatchText: a halt-carrying stream encodes to both
+// formats and decodes to identical event sequences — the binary format
+// is a pure compression of the text format's semantics.
+func TestWireV2SemanticsMatchText(t *testing.T) {
+	hdr, events := haltWorkload()
 	decode := func(data []byte) []Event {
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
@@ -171,42 +172,40 @@ func TestWireV2SemanticsMatchV1(t *testing.T) {
 			out = append(out, e)
 		}
 	}
-	v1 := decode(encodeAll(t, hdr, events, Binary))
-	v2 := decode(encodeAll(t, hdr, events, BinaryV2))
-	if len(v1) != len(v2) {
-		t.Fatalf("v1 decoded %d events, v2 %d", len(v1), len(v2))
+	txt := decode(encodeAll(t, hdr, events, Text))
+	bin := decode(encodeAll(t, hdr, events, BinaryV2))
+	if len(txt) != len(events) || len(bin) != len(events) {
+		t.Fatalf("text decoded %d events, binary %d, want %d", len(txt), len(bin), len(events))
 	}
-	for i := range v1 {
-		if v1[i].Thread != v2[i].Thread || v1[i].Loc != v2[i].Loc || v1[i].Kind != v2[i].Kind || !v1[i].Time.Equal(v2[i].Time) {
-			t.Fatalf("event %d: v1 %+v, v2 %+v", i, v1[i], v2[i])
+	for i := range txt {
+		if txt[i].Thread != bin[i].Thread || txt[i].Loc != bin[i].Loc || txt[i].Kind != bin[i].Kind || !txt[i].Time.Equal(bin[i].Time) {
+			t.Fatalf("event %d: text %+v, binary %+v", i, txt[i], bin[i])
 		}
 	}
 }
 
-// TestWireV2Rejects: the v2 decoder errors (never panics) on every
-// malformed-frame class, and the frozen v1 grammar rejects what only v2
-// can carry.
+// TestWireV2Rejects: the binary decoder errors (never panics) on every
+// malformed-frame class and on every version byte but 2.
 func TestWireV2Rejects(t *testing.T) {
 	hdr, events := haltWorkload()
 	v2 := encodeAll(t, hdr, events, BinaryV2)
 	hdrOnly := encodeAll(t, hdr, nil, BinaryV2)
 
-	// Header downgrade v2 → v1: same bytes with the version byte flipped
-	// claim to be a v1 trace; the frames are then parsed as v1 events and
-	// must produce an error, not a panic or bogus events.
-	downgrade := append([]byte{}, v2...)
-	downgrade[4] = 1
+	// The retired version 1 is rejected at the header, before any frame
+	// is parsed — the same bytes under version byte 1 never yield events.
+	for _, ver := range []byte{1, 3} {
+		b := append([]byte{}, v2...)
+		b[4] = ver
+		want := fmt.Sprintf("monitor: trace header: unsupported version %d (have 2)", ver)
+		if _, err := NewTraceReader(bytes.NewReader(b)); err == nil || err.Error() != want {
+			t.Errorf("version-%d header: got error %v, want %q", ver, err, want)
+		}
+	}
 
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"downgraded v2 frames parsed as v1", downgrade},
-		{"future version", func() []byte {
-			b := append([]byte{}, v2...)
-			b[4] = 3
-			return b
-		}()},
 		{"truncated frame payload", v2[:len(v2)-1]},
 		{"truncated frame length", append(append([]byte{}, hdrOnly...), 0xff)},
 		{"zero-length frame", append(append([]byte{}, hdrOnly...), 0x00)},
@@ -299,25 +298,8 @@ func TestWireV2Rejects(t *testing.T) {
 		}
 	}
 
-	// The frozen v1 side of negotiation: a halt event cannot be written
-	// to a v1 binary trace, and a kind byte of 6 in a v1 body is
-	// rejected.
-	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, hdr, Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Write(Event{Thread: 0, Kind: KindHalt}); err == nil {
-		t.Error("v1 writer accepted a halt event")
-	}
-	v1hdr := encodeAll(t, hdr, nil, Binary)
-	bogus := append(append([]byte{}, v1hdr...), byte(KindHalt), 0x00, 0x00)
-	if _, err := ReadRaces(bytes.NewReader(bogus)); err == nil {
-		t.Error("v1 decoder accepted kind byte 6")
-	}
-
-	// The encoder enforces the halt promise too, in every halt-capable
-	// format: no event after a thread's halt, no double halt.
+	// The encoder enforces the halt promise too, in both formats: no
+	// event after a thread's halt, no double halt.
 	for _, format := range []Format{BinaryV2, Text} {
 		var hbuf bytes.Buffer
 		htw, err := NewTraceWriter(&hbuf, hdr, format)

@@ -140,8 +140,8 @@ func subset(a, b []race.Report) bool {
 
 // FuzzPredict decodes an arbitrary wire-format trace and cross-checks
 // the streaming monitor against the reference decider for the syncp and
-// short:k predicates. Seeds are real corpus traces in both binary
-// formats.
+// short:k predicates. Seeds are real corpus traces in the binary
+// format, each with and without thread-retirement (halt) events.
 func FuzzPredict(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := progsynth.ScaledConfig{
@@ -151,13 +151,13 @@ func FuzzPredict(f *testing.F) {
 		}
 		p := progsynth.Scaled(seed, cfg)
 		tb := monitor.NewTable(p)
-		for _, format := range []monitor.Format{monitor.Binary, monitor.BinaryV2} {
+		for _, halts := range []bool{false, true} {
 			var buf bytes.Buffer
 			opt := schedgen.Options{
 				Policy: schedgen.Bursty, Seed: seed, MaxEvents: 300,
-				StaleReadPct: 25, EmitHalts: format == monitor.BinaryV2,
+				StaleReadPct: 25, EmitHalts: halts,
 			}
-			if _, _, err := schedgen.Encode(&buf, p, tb, opt, format); err != nil {
+			if _, _, err := schedgen.Encode(&buf, p, tb, opt, monitor.BinaryV2); err != nil {
 				f.Fatalf("encode: %v", err)
 			}
 			f.Add(buf.Bytes(), uint16(seed*13))

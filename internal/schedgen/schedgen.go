@@ -155,7 +155,7 @@ type Options struct {
 	// the declared nonatomic locations (rank r has weight 1/(r+1)^s, rank
 	// 0 being the first nonatomic declaration — so low dense indices run
 	// hot). Skewed streams exercise the sharded pipeline's hot-location
-	// paths and its rebalancing router; under the package's plausible-
+	// paths and its back-end imbalance; under the package's plausible-
 	// schedule contract the redirection is harmless — reads still return
 	// entries of the (redirected) location's own history, and the race
 	// oracle and monitor agree on any stream. 0 (the default) leaves
@@ -224,7 +224,7 @@ func Generate(p *prog.Program, tb *monitor.Table, opt Options, dst []monitor.Eve
 }
 
 // Encode generates a schedule and writes it to w in the wire format
-// (monitor.Binary or monitor.Text) without ever materialising the event
+// (monitor.BinaryV2 or monitor.Text) without ever materialising the event
 // slice — generate-and-encode in O(locations + threads) live memory. It
 // returns the number of events written and whether the program ran to
 // completion before MaxEvents.

@@ -85,17 +85,18 @@
 // than silently dropping the flag.
 //
 // Telemetry: -stats-addr ADDR serves the live obs-registry snapshot
-// over HTTP while the run ingests — GET /stats returns the merged
-// monitor.*/pipeline.* metrics as JSON with the process uptime (counters
-// are monotonic; a client computes rates from two scrapes, so
-// concurrent scrapers never disturb each other); /debug/vars is expvar;
-// /debug/pprof/* are the standard profile handlers. -stats-interval DUR
-// prints a progress line (events, throughput, races, RA window, ring
-// occupancy) to stderr every DUR. -stats-linger DUR keeps the endpoint
-// alive after the run so short CI runs can be scraped. With -json, the
-// summary's "stats" object carries the final exact snapshot. Scrapes
-// read atomics the hot path publishes at GC sweeps and batch boundaries
-// — they never lock the monitor.
+// over HTTP while the run ingests, through obshttp.Serve, the endpoint
+// racemond's -stats-addr serves too; an address in use is fatal. GET
+// /stats returns the merged monitor.*/pipeline.* metrics as JSON with
+// the process uptime as uptime_ns (counters are monotonic; a client
+// computes rates from two scrapes, so concurrent scrapers never disturb
+// each other); /debug/vars is expvar; /debug/pprof/* are the standard
+// profile handlers. -stats-interval DUR prints a progress line (events,
+// throughput, races, RA window, ring occupancy) to stderr every DUR.
+// -stats-linger DUR keeps the endpoint alive after the run so short CI
+// runs can be scraped. With -json, the summary's "stats" object carries
+// the final exact snapshot. Scrapes read atomics the hot path publishes
+// at GC sweeps and batch boundaries — they never lock the monitor.
 //
 // Examples:
 //

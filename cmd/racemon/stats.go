@@ -10,14 +10,13 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sync/atomic"
 	"time"
 
 	"localdrf/internal/obs"
+	"localdrf/internal/obs/obshttp"
 )
 
 // telemetry serves the run's sink registry to the three consumers
@@ -42,50 +41,38 @@ func (t *telemetry) snapshot() obs.Snapshot {
 }
 
 // statsDoc is the GET /stats response: the sink's metric snapshot and
-// the process uptime. Counters are monotonic, so a client computes a
-// rate from two scrapes; there is no server-side "since the previous
-// scrape" state for concurrent scrapers to disturb.
+// the process uptime, in nanoseconds as racemond's. Counters are
+// monotonic, so a client computes a rate from two scrapes; there is no
+// server-side "since the previous scrape" state for concurrent scrapers
+// to disturb.
 type statsDoc struct {
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	Metrics       obs.Snapshot `json:"metrics"`
+	UptimeNs int64        `json:"uptime_ns"`
+	Metrics  obs.Snapshot `json:"metrics"`
 }
 
 func (t *telemetry) stats() statsDoc {
-	return statsDoc{UptimeSeconds: time.Since(t.start).Seconds(), Metrics: t.snapshot()}
+	return statsDoc{UptimeNs: time.Since(t.start).Nanoseconds(), Metrics: t.snapshot()}
 }
 
-// startStats binds addr and serves /stats (JSON snapshot + uptime),
-// /debug/vars (expvar, including the snapshot under "racemon"),
-// and the net/http/pprof profile handlers. The server lives for the
-// process; -stats-linger keeps the process alive after short runs so CI
-// can scrape it.
+// startStats serves the telemetry endpoint (obshttp.Serve) on addr,
+// exiting if it cannot bind: /stats is the JSON snapshot plus uptime,
+// and /debug/vars carries the snapshot under "racemon". The server
+// lives for the process; -stats-linger keeps the process alive after
+// short runs so CI can scrape it.
 func startStats(addr string) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatalf("stats: %v", err)
-	}
 	expvar.Publish("racemon", expvar.Func(func() any { return tel.snapshot() }))
-	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+	bound, _, err := obshttp.Serve(addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tel.stats()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "racemon: stats server: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "racemon: serving stats on http://%s/stats\n", ln.Addr())
+	}))
+	if err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Fprintf(os.Stderr, "racemon: serving stats on http://%s/stats\n", bound)
 }
 
 // progressLoop prints a one-line telemetry digest to stderr every

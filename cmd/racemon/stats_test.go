@@ -12,7 +12,7 @@ import (
 
 // TestStatsScrapesAreStable: /stats publishes monotonic counters and the
 // uptime, no rates against "the previous scrape", so two back-to-back
-// scrapes of an idle run differ only in uptime_seconds — a scraper
+// scrapes of an idle run differ only in uptime_ns — a scraper
 // cannot shrink another's rate window.
 func TestStatsScrapesAreStable(t *testing.T) {
 	m := monitor.New(2, []monitor.LocDecl{{Name: "x", Kind: prog.NonAtomic}})
@@ -22,7 +22,7 @@ func TestStatsScrapesAreStable(t *testing.T) {
 	tl.attach(m.Obs())
 	scrape := func() []byte {
 		doc := tl.stats()
-		doc.UptimeSeconds = 0
+		doc.UptimeNs = 0
 		b, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)

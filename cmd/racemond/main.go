@@ -28,19 +28,19 @@
 // including across a server kill -9 + restart in the middle of the
 // drive, which is exactly what the CI job does.
 //
-// -stats-addr serves GET /stats (aggregate + ?session=ID views; see
-// service.StatsHandler) plus expvar and pprof.
+// -stats-addr serves the telemetry endpoint racemon serves too
+// (obshttp.Serve): GET /stats (aggregate + ?session=ID views; see
+// service.StatsHandler) plus expvar and pprof. The endpoint binds before
+// the service starts, so an address in use exits non-zero instead of
+// serving sessions without telemetry.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"reflect"
@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"localdrf/internal/monitor"
+	"localdrf/internal/obs/obshttp"
 	"localdrf/internal/progsynth"
 	"localdrf/internal/schedgen"
 	"localdrf/internal/service"
@@ -117,15 +118,9 @@ func main() {
 	}
 	srv := service.New(cfg)
 	if *statsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/stats", srv.StatsHandler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.Handle("/debug/pprof/", http.DefaultServeMux)
-		go func() {
-			if err := http.ListenAndServe(*statsAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "racemond: stats endpoint: %v\n", err)
-			}
-		}()
+		if _, _, err := obshttp.Serve(*statsAddr, srv.StatsHandler()); err != nil {
+			fatalf("%v", err)
+		}
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -70,10 +70,11 @@
 // is then provably a no-op forever), so memory tracks the
 // synchronisation window rather than the trace length — O(events ×
 // threads) time worst case, O(locations + threads²) space until
-// histories actually race. Traces are ingested three ways: converted
-// machine traces (monitor.Table), a pull Source, or the versioned raw
-// wire format (binary and text) whose validating decoder monitors
-// executions recorded outside the process (MonitorTraceReader). The
+// histories actually race. Traces are ingested two ways: converted
+// machine traces (monitor.Table), or the versioned raw wire format
+// (binary and text) whose validating decoder monitors executions
+// recorded outside the process (MonitorTraceReader), one decoded batch
+// at a time into StepBatch. The
 // monitor is fed by internal/schedgen, which executes scaled-up random
 // programs (progsynth.Scaled: many threads looping over many locations,
 // with a sync-heartbeat ring so frontiers keep advancing) under fair,
@@ -142,7 +143,7 @@
 // process or under another configuration. monitor.Monitor.Snapshot
 // serialises the complete live state — thread and release clocks,
 // epoch-or-vector per-location last-access state, dedup bitmasks, live
-// RA messages, the GC frontier/interval/adaptive bounds and the halt
+// RA messages, the GC frontier and interval, and the halt
 // set — in a versioned, self-describing framed binary format ("LDCK");
 // monitor.Restore rebuilds a monitor that finishes the stream with
 // reports and RAStats byte-identical to a run that never stopped. The
@@ -165,7 +166,7 @@
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
 // grid split point of all 210 schedgen streams (every tenth seed
-// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default, adaptive}
+// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default}
 // matrix, including double splits, cross-config resumes, and snapshots
 // taken by pipelines — which are byte-identical to the sequential
 // monitor's.
@@ -234,12 +235,12 @@
 // and the bench suite tracks an obs-overhead row (the online pass with
 // a 1ms scraper) against the uninstrumented-equivalent baseline.
 // cmd/racemon surfaces all of it: -stats-addr serves GET /stats (JSON
-// snapshot of monotonic counters plus uptime; clients derive rates from
-// two scrapes), expvar at /debug/vars and pprof at
-// /debug/pprof while the run ingests; -stats-interval prints a
-// progress line; -stats-linger holds the endpoint open after short
-// runs; and the -json summary embeds the final exact snapshot under
-// "stats".
+// snapshot of monotonic counters plus uptime_ns; clients derive rates
+// from two scrapes), expvar at /debug/vars and pprof at /debug/pprof
+// while the run ingests — the one obshttp.Serve endpoint racemond's
+// -stats-addr serves too; -stats-interval prints a progress line;
+// -stats-linger holds the endpoint open after short runs; and the
+// -json summary embeds the final exact snapshot under "stats".
 //
 // # Service
 //
@@ -276,10 +277,9 @@
 // The monitor's verdicts are differentially tested against the
 // exhaustive oracle race.Races on every corpus program, on hundreds of
 // random programs, and on hundreds of generated schedules — at every GC
-// interval (fixed and adaptive) and across the full pipeline
-// (shards × batch × GC) matrix; cmd/racemon exposes the
-// checkpoint workflow as -checkpoint FILE [-checkpoint-at N] and
-// -resume FILE.
+// interval and across the full pipeline (shards × batch × GC) matrix;
+// cmd/racemon exposes the checkpoint workflow as -checkpoint FILE
+// [-checkpoint-at N] and -resume FILE.
 //
 // The command-line tools (cmd/litmus, cmd/drfcheck, cmd/memsim,
 // cmd/racemon, cmd/experiments) and the examples directory exercise all

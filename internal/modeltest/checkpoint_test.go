@@ -28,32 +28,35 @@ import (
 // monitors and pipeline front-ends.
 type gcMode struct {
 	name     string
-	interval uint64 // fixed interval when > 0
-	amin     uint64 // adaptive bounds when amax > 0
-	amax     uint64
+	interval uint64 // fixed interval when > 0, else the default
 }
 
 var gcModes = []gcMode{
 	{name: "gc16", interval: 16},
 	{name: "default"},
-	{name: "adaptive", amin: 16, amax: 4096},
 }
 
 func (g gcMode) applyMonitor(m *monitor.Monitor) {
-	switch {
-	case g.amax > 0:
-		m.SetAdaptiveGC(g.amin, g.amax)
-	case g.interval > 0:
+	if g.interval > 0 {
 		m.SetGCInterval(g.interval)
 	}
 }
 
 func (g gcMode) pipelineConfig(shards int) monitor.PipelineConfig {
-	return monitor.PipelineConfig{
-		Shards:        shards,
-		GCInterval:    g.interval,
-		AdaptiveGCMin: g.amin,
-		AdaptiveGCMax: g.amax,
+	return monitor.PipelineConfig{Shards: shards, GCInterval: g.interval}
+}
+
+// stepAll drains tr into sk with the NextBatch → StepBatch loop the
+// drivers run.
+func stepAll(tr *monitor.TraceReader, sk monitor.Sink) error {
+	var buf []monitor.Event
+	for {
+		batch, ok, err := tr.NextBatch(buf[:0])
+		if err != nil || !ok {
+			return err
+		}
+		sk.StepBatch(batch)
+		buf = batch
 	}
 }
 
@@ -136,8 +139,9 @@ func splitGrid(n int) []int {
 // TestSplitResumeParity is the full metamorphic sweep: 210 schedgen
 // streams (70 seeds × 3 policies, stale reads, halts on a third of the
 // seeds, Zipf location skew on every tenth seed) × every grid split
-// point × {1,2,4,8} shards × {GC-16, default, adaptive} — run-to-k → snapshot → restore → finish must reproduce the
-// unsplit outcome exactly. Sequential checkpoints resume into pipelines
+// point × {1,2,4,8} shards × {GC-16, default} — run-to-k → snapshot →
+// restore → finish must reproduce the unsplit outcome exactly.
+// Sequential checkpoints resume into pipelines
 // at every shard count (the shards=1 row is the degenerate-path
 // regression), which also makes every row a cross-mode resume proof.
 func TestSplitResumeParity(t *testing.T) {
@@ -295,11 +299,12 @@ func TestDoubleSplitResume(t *testing.T) {
 }
 
 // TestCrossConfigResume: a checkpoint taken under one GC regime resumes
-// under another — snapshot under fixed GC-16, resume under adaptive GC
-// (and the reverse) — and the REPORT set still matches the unsplit run
-// exactly. (Retention telemetry legitimately differs across regimes, so
-// only reports are compared; the no-op-join invariant is what makes the
-// report set interval-schedule-independent.)
+// under another — snapshot under GC-16, resume under GC-64 (and the
+// reverse; both sweep within the 260-event streams), or snapshot under
+// the default and resume under GC-16 — and the REPORT set still matches
+// the unsplit run exactly. (Retention telemetry legitimately differs
+// across regimes, so only reports are compared; the no-op-join
+// invariant is what makes the report set interval-independent.)
 func TestCrossConfigResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("split-resume sweep skipped in -short mode")
@@ -321,9 +326,10 @@ func TestCrossConfigResume(t *testing.T) {
 			}
 			want := runSeq(tb.Threads(), tb.Decls(), events, gcMode{})
 			k := len(events) / 2
+			gc64 := gcMode{name: "gc64", interval: 64}
 			pairs := []struct{ at, resume gcMode }{
-				{gcModes[0], gcModes[2]}, // GC-16 → adaptive
-				{gcModes[2], gcModes[0]}, // adaptive → GC-16
+				{gcModes[0], gc64},       // GC-16 → GC-64
+				{gc64, gcModes[0]},       // GC-64 → GC-16
 				{gcModes[1], gcModes[0]}, // default → GC-16
 			}
 			for _, pair := range pairs {
@@ -436,7 +442,7 @@ func TestWireResumeParity(t *testing.T) {
 					t.Fatalf("seed %d halts=%v k=%d: %v", seed, halts, k, err)
 				}
 				m2 := s.Monitor()
-				if err := m2.FeedBatch(tr2); err != nil {
+				if err := stepAll(tr2, m2); err != nil {
 					t.Fatal(err)
 				}
 				if !race.ReportsEqual(m2.Reports(), ref.Reports()) ||

@@ -248,7 +248,7 @@ func TestPredictSplitResumeParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range specs {
-				for _, g := range []gcMode{gcModes[0], gcModes[1]} {
+				for _, g := range gcModes {
 					newMon := func() *monitor.Monitor {
 						m := monitor.New(tb.Threads(), tb.Decls())
 						g.applyMonitor(m)

@@ -60,9 +60,9 @@
 //
 // Windowed RA GC: release-acquire messages are retained only while some
 // thread could still gain an edge from them. The monitor periodically
-// (every GC interval; see SetGCInterval and SetAdaptiveGC) recomputes the
-// pointwise minimum of all thread clocks and deletes every message whose
-// writer event index lies below that frontier: by the vector-clock
+// (every GC interval; see SetGCInterval) recomputes the pointwise
+// minimum of all thread clocks and deletes every message whose writer
+// event index lies below that frontier: by the vector-clock
 // characterisation of happens-before, once min_u C_u[w] ≥ k every current
 // and future clock already dominates the clock published by thread w's
 // k-th event, so the reads-from join is a no-op and dropping the message
@@ -143,9 +143,11 @@
 // predicate and static filter apply either way. Snapshot.Open resumes
 // a checkpoint the same way, and TraceReader.ResumeAt positions a
 // reopened trace where that checkpoint stopped. racemon, racemond and
-// the experiments all build their engines through this seam. New and
-// NewPipeline remain for callers that need the concrete type; Table
-// and ReadRaces are the one-call forms the differential tests use.
+// the experiments all build their engines through this seam, and all
+// ingest with one loop: TraceReader.NextBatch, then the Sink's
+// StepBatch. New and NewPipeline remain for callers that need the
+// concrete type; Table and ReadRaces (MonitorReader's loop over a
+// whole trace) are the one-call forms the differential tests use.
 package monitor
 
 import (
@@ -391,11 +393,10 @@ func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
 }
 
 // Monitor is the streaming race detector. Create one with New (or Open),
-// feed it events in trace order with Step (or Feed/FeedBatch, from a
-// Source), and collect the deduplicated reports with Reports. A Monitor
-// is not safe for concurrent use; the parallel mode (Pipeline) splits
-// the work between a synchronisation front-end and per-location race
-// back-ends instead.
+// feed it events in trace order with Step or StepBatch, and collect the
+// deduplicated reports with Reports. A Monitor is not safe for
+// concurrent use; the parallel mode (Pipeline) splits the work between
+// a synchronisation front-end and per-location race back-ends instead.
 type Monitor struct {
 	decls    []LocDecl
 	nthreads int
@@ -427,9 +428,6 @@ type Monitor struct {
 	halted  []bool
 	gcEvery uint64
 	nextGC  uint64
-	// adaptMin/adaptMax bound the live-pressure-driven GC interval
-	// adaptation (0 = fixed interval; see SetAdaptiveGC).
-	adaptMin, adaptMax uint64
 	// RA retention statistics (the per-location live counts are the
 	// stores' lengths).
 	raLive      int
@@ -517,55 +515,15 @@ func (m *Monitor) Reset() {
 }
 
 // SetGCInterval sets the frontier-refresh / RA-collection period in
-// events (0 restores the default) and disables adaptive mode. Smaller
-// intervals bound the live RA set more tightly at the cost of more
-// frequent O(threads² + live) sweeps; the report set is identical at any
-// interval.
+// events (0 restores the default). Smaller intervals bound the live RA
+// set more tightly at the cost of more frequent O(threads² + live)
+// sweeps; the report set is identical at any interval.
 func (m *Monitor) SetGCInterval(events uint64) {
 	if events == 0 {
 		events = defaultGCInterval
 	}
 	m.gcEvery = events
-	m.adaptMin, m.adaptMax = 0, 0
 	m.nextGC = m.events + events
-}
-
-// SetAdaptiveGC lets the GC interval float between min and max, driven
-// by live-message pressure: after a sweep that reclaimed something
-// while many messages had accumulated relative to the window, the
-// interval halves (sweeping sooner caps the peak); after a sweep that
-// reclaimed nothing — a quiet stream, or a frontier pinned by a silent
-// thread, where sweeping more often provably cannot help — it doubles.
-// Streams with collectable RA churn are swept aggressively while
-// unproductive sweeping backs off instead of spiralling into a
-// per-event O(threads² + live) scan. Because the collection criterion
-// is exact — a swept message's join is provably a no-op forever — the
-// report set is identical under ANY interval schedule, adaptive or
-// fixed (differentially tested); only retention telemetry varies. min
-// and max are clamped to ≥ 1; min > max is normalised by swapping.
-func (m *Monitor) SetAdaptiveGC(min, max uint64) {
-	if min == 0 {
-		min = 1
-	}
-	if max == 0 {
-		max = defaultGCInterval
-	}
-	if min > max {
-		min, max = max, min
-	}
-	m.adaptMin, m.adaptMax = min, max
-	m.gcEvery = clampU64(m.gcEvery, min, max)
-	m.nextGC = m.events + m.gcEvery
-}
-
-func clampU64(v, lo, hi uint64) uint64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // RAStats is the release-acquire retention telemetry of a monitor run.
@@ -650,6 +608,15 @@ func (m *Monitor) Step(e Event) {
 		m.publishRA(e.Loc, e.Time, e.Thread, c)
 	case KindHalt:
 		m.halted[t] = true
+	}
+}
+
+// StepBatch consumes a batch of events in order — equivalent to calling
+// Step on each. It is the ingestion verb every driver runs: pull a batch
+// with TraceReader.NextBatch, hand it here, repeat.
+func (m *Monitor) StepBatch(events []Event) {
+	for i := range events {
+		m.Step(events[i])
 	}
 }
 
@@ -792,8 +759,7 @@ func (ck *checker) report(ls *naState, u, t int32, wi, wj bool) {
 // happens-before), so the reads-from join is a no-op forever and the
 // message is dead weight. Halted threads are excluded from the minimum
 // (+∞): they perform no further reads, so nothing is retained for them.
-// It also schedules the next sweep, adapting the interval to live
-// pressure when SetAdaptiveGC is active.
+// It also schedules the next sweep, one fixed interval on.
 func (m *Monitor) gc() {
 	m.gcSweeps++
 	if m.nthreads == 0 {
@@ -833,7 +799,6 @@ func (m *Monitor) gc() {
 		// locations drop expired candidates at deterministic positions.
 		m.win.pruneAll(m.events)
 	}
-	preLive := uint64(m.raLive) // the pressure that built up this window
 	var collected uint64
 	for l := range m.ra {
 		if len(m.ra[l].live) > 0 {
@@ -844,22 +809,6 @@ func (m *Monitor) gc() {
 	m.raCollected += collected
 	if collected > 0 {
 		m.gcProductive++
-	}
-	if m.adaptMax > 0 {
-		switch {
-		case collected == 0:
-			// Unproductive sweep: nothing was reclaimable — either the
-			// stream is quiet or the frontier is pinned. Sweeping more
-			// often cannot reclaim more, so back off.
-			m.gcEvery = clampU64(m.gcEvery*2, m.adaptMin, m.adaptMax)
-		case preLive > m.gcEvery/2:
-			// Reclaimable messages piled up across half a window:
-			// tighten to cap the peak.
-			m.gcEvery = clampU64(m.gcEvery/2, m.adaptMin, m.adaptMax)
-		case preLive*8 < m.gcEvery:
-			// The window is far wider than the live set needs.
-			m.gcEvery = clampU64(m.gcEvery*2, m.adaptMin, m.adaptMax)
-		}
 	}
 	m.nextGC = m.events + m.gcEvery
 	// The sweep is the hot path's publication point: a handful of atomic

@@ -36,7 +36,7 @@ package monitor
 //	monitor.gc.sweeps                counter  frontier refreshes
 //	monitor.gc.sweeps_productive     counter  sweeps that reclaimed ≥ 1 RA message
 //	monitor.gc.sweeps_unproductive   counter  sweeps that reclaimed none
-//	monitor.gc.interval              gauge    current interval (adapts under SetAdaptiveGC)
+//	monitor.gc.interval              gauge    current interval (fixed; see SetGCInterval)
 //	monitor.ra.live / .peak          gauge    retained RA messages now / high-water
 //	monitor.ra.collected             counter  RA messages reclaimed
 //	monitor.escalations              counter  epoch→vector transitions

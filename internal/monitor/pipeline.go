@@ -10,7 +10,7 @@ package monitor
 // events) total work, so parallelism made monitoring slower below ~6
 // cores. The pipeline resolves it by splitting the two concerns:
 //
-//   - The front-end (the caller's goroutine, via Step/StepBatch/Feed)
+//   - The front-end (the caller's goroutine, via Step/StepBatch)
 //     consumes the stream exactly once. It performs every clock
 //     operation: program-order increments, SC-atomic and RA reads-from
 //     joins, RA message publication, windowed RA GC, and halt
@@ -81,11 +81,6 @@ type PipelineConfig struct {
 	// GCInterval is the front-end's RA GC interval in events (0 = the
 	// monitor default). The report set is identical at any interval.
 	GCInterval uint64
-	// AdaptiveGCMin/AdaptiveGCMax enable the live-pressure-driven GC
-	// interval between the two bounds (see Monitor.SetAdaptiveGC) when
-	// AdaptiveGCMax > 0; they take precedence over GCInterval. As with
-	// every interval schedule, the report set is unchanged.
-	AdaptiveGCMin, AdaptiveGCMax uint64
 	// StaticFilter, when non-nil, marks nonatomic locations a sound
 	// static certificate (internal/staticrace) proved race-free; their
 	// accesses are not routed to the back-ends at all (see
@@ -243,10 +238,10 @@ func (b *backend) run() {
 }
 
 // Pipeline is the push side of the two-stage parallel monitor: create
-// one with NewPipeline, feed it the stream in trace order (Step,
-// StepBatch, Feed, FeedBatch — from the single front-end goroutine),
-// then call Finish to drain the back-ends and merge the reports. After
-// Finish the pipeline must not be fed again.
+// one with NewPipeline, feed it the stream in trace order (Step or
+// StepBatch, from the single front-end goroutine), then call Finish to
+// drain the back-ends and merge the reports. After Finish the pipeline
+// must not be fed again.
 type Pipeline struct {
 	fe *Monitor // front-end: clocks, atomics, RA messages, GC; built checker-free by newSync
 	// owner[loc] = loc % shards is the owning back-end and dense[loc] =
@@ -293,12 +288,11 @@ func NewPipeline(nthreads int, decls []LocDecl, cfg PipelineConfig) *Pipeline {
 	return newPipelineFrom(fe, cfg)
 }
 
-// applyGC applies a pipeline config's GC settings to the front-end.
+// applyGC applies a pipeline config's GC interval to the front-end; a
+// zero interval keeps the monitor's own (the default, or a restored
+// snapshot's).
 func applyGC(fe *Monitor, cfg PipelineConfig) {
-	switch {
-	case cfg.AdaptiveGCMax > 0:
-		fe.SetAdaptiveGC(cfg.AdaptiveGCMin, cfg.AdaptiveGCMax)
-	case cfg.GCInterval > 0:
+	if cfg.GCInterval > 0 {
 		fe.SetGCInterval(cfg.GCInterval)
 	}
 }
@@ -467,17 +461,6 @@ func (p *Pipeline) StepBatch(events []Event) {
 	for i := range events {
 		p.Step(events[i])
 	}
-}
-
-// Feed consumes src to the end of the stream. On a source error the
-// error is returned and the pipeline remains finishable.
-func (p *Pipeline) Feed(src Source) error {
-	return feedEvents(src, p.Step)
-}
-
-// FeedBatch consumes a batched source to the end of the stream.
-func (p *Pipeline) FeedBatch(src BatchSource) error {
-	return feedBatches(src, p.StepBatch)
 }
 
 // broadcastClock sends the entries of thread t's clock raised by the

@@ -135,27 +135,6 @@ func TestPipelineRaceStress(t *testing.T) {
 	}
 }
 
-// TestPipelineFeedSources: the pull-side entry points (Feed from a
-// Source, FeedBatch from a BatchSource) agree with the push side.
-func TestPipelineFeedSources(t *testing.T) {
-	decls, events := syntheticWorkload(4, 12, 10_000, 7)
-	want := pipelineRaces(4, decls, events, PipelineConfig{Shards: 2})
-	p := NewPipeline(4, decls, PipelineConfig{Shards: 2})
-	if err := p.Feed(&SliceSource{Events: events}); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Finish(); !race.ReportsEqual(got, want) {
-		t.Fatalf("Feed diverged: got %v, want %v", got, want)
-	}
-	p2 := NewPipeline(4, decls, PipelineConfig{Shards: 2})
-	if err := p2.FeedBatch(&SliceSource{Events: events}); err != nil {
-		t.Fatal(err)
-	}
-	if got := p2.Finish(); !race.ReportsEqual(got, want) {
-		t.Fatalf("FeedBatch diverged: got %v, want %v", got, want)
-	}
-}
-
 // TestPipelineAbortNoLeak: aborting a pipeline mid-stream — including
 // while a feeder is concurrently blocked on a full ring — tears down
 // every back-end goroutine. Runs under -race in CI, so the teardown
@@ -292,108 +271,6 @@ func TestHaltInPipeline(t *testing.T) {
 	}
 	if p.RAStats() != ref.RAStats() {
 		t.Fatalf("pipeline RA stats %+v, want %+v", p.RAStats(), ref.RAStats())
-	}
-}
-
-// TestAdaptiveGC: the live-pressure-driven interval keeps the report set
-// identical at aggressive and lazy settings (the no-op-join invariant is
-// schedule-independent), collects on RA-heavy streams, and stays inside
-// its [min,max] bounds.
-func TestAdaptiveGC(t *testing.T) {
-	decls, events := raWorkload(5, 12, 40_000, 17)
-	ref := New(5, decls)
-	ref.StepBatch(events)
-	want := ref.Reports()
-	if len(want) == 0 {
-		t.Fatal("workload produced no races; not a useful fixture")
-	}
-	for _, bounds := range [][2]uint64{
-		{16, 64},          // aggressive: sweeps every few dozen events
-		{4096, 1 << 20},   // lazy: may relax to a megaevent between sweeps
-		{1, 1 << 62},      // unbounded range: adaptation alone drives it
-		{1 << 20, 1 << 4}, // swapped bounds are normalised
-	} {
-		m := New(5, decls)
-		m.SetAdaptiveGC(bounds[0], bounds[1])
-		lo, hi := bounds[0], bounds[1]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		m.StepBatch(events)
-		if !race.ReportsEqual(m.Reports(), want) {
-			t.Fatalf("adaptive GC %v diverged", bounds)
-		}
-		if m.gcEvery < lo || m.gcEvery > hi {
-			t.Fatalf("adaptive GC %v: interval %d escaped [%d,%d]", bounds, m.gcEvery, lo, hi)
-		}
-		if st := m.RAStats(); st.Collected == 0 {
-			t.Fatalf("adaptive GC %v collected nothing", bounds)
-		}
-	}
-}
-
-// TestAdaptiveGCAdapts: productive pressure tightens the interval;
-// quiet streams and pinned frontiers (where sweeping cannot reclaim
-// anything) relax it instead of spiralling into per-event sweeps.
-func TestAdaptiveGCAdapts(t *testing.T) {
-	decls := []LocDecl{
-		{Name: "R", Kind: prog.ReleaseAcquire},
-		{Name: "x", Kind: prog.NonAtomic},
-	}
-	// Productive pressure: thread 0 publishes a message almost every
-	// event while thread 1 periodically acquires the latest, so each
-	// sweep reclaims the consumed prefix and still finds a window's
-	// worth of accumulated messages — the interval must tighten to the
-	// floor.
-	m := New(2, decls)
-	m.SetAdaptiveGC(16, 4096)
-	tm := int64(0)
-	for i := 0; i < 20_000; i++ {
-		if i%8 == 7 {
-			m.Step(Event{Thread: 1, Loc: 0, Kind: ReadRA, Time: ts.FromInt(tm)})
-			continue
-		}
-		tm++
-		m.Step(Event{Thread: 0, Loc: 0, Kind: WriteRA, Time: ts.FromInt(tm)})
-	}
-	if m.gcEvery != 16 {
-		t.Fatalf("productive pressure: interval %d, want the 16 floor", m.gcEvery)
-	}
-	if st := m.RAStats(); st.Collected == 0 {
-		t.Fatal("productive pressure collected nothing")
-	}
-	// Quiet: pure nonatomic traffic retains nothing, so the interval
-	// relaxes to the ceiling.
-	q := New(2, decls)
-	q.SetAdaptiveGC(16, 4096)
-	for i := 0; i < 20_000; i++ {
-		q.Step(Event{Thread: 0, Loc: 1, Kind: WriteNA})
-	}
-	if q.gcEvery != 4096 {
-		t.Fatalf("quiet stream: interval %d, want the 4096 ceiling", q.gcEvery)
-	}
-	// Pinned frontier: two threads publish and never synchronise, so no
-	// sweep can ever reclaim a message. The retention is semantically
-	// required — tightening would only buy O(threads² + live) scans per
-	// sweep — so the controller must back off to the ceiling, not chase
-	// the growing live set down to the floor.
-	pin := New(2, decls)
-	pin.SetAdaptiveGC(16, 4096)
-	tm = 0
-	for i := 0; i < 20_000; i++ {
-		tm++
-		pin.Step(Event{Thread: int32(i % 2), Loc: 0, Kind: WriteRA, Time: ts.FromInt(tm)})
-	}
-	if pin.gcEvery != 4096 {
-		t.Fatalf("pinned frontier: interval %d, want the 4096 ceiling", pin.gcEvery)
-	}
-	if st := pin.RAStats(); st.Collected != 0 {
-		t.Fatalf("pinned frontier unexpectedly collected %d", st.Collected)
-	}
-	// SetGCInterval returns to fixed mode.
-	q.SetGCInterval(128)
-	if q.adaptMax != 0 || q.gcEvery != 128 {
-		t.Fatal("SetGCInterval did not disable adaptive mode")
 	}
 }
 

@@ -1,7 +1,7 @@
 package monitor
 
 // Predictive race detection: the second checker family behind the same
-// Source/pipeline plumbing. The default predicate (PredHB) decides the
+// ingestion/pipeline plumbing. The default predicate (PredHB) decides the
 // paper's defs. 9/10 over the observed trace exactly. The two predictive
 // predicates report races exposed by feasible reorderings the observed
 // schedule did not take:

@@ -7,6 +7,20 @@ import (
 	"localdrf/internal/race"
 )
 
+// stepAll drains tr into sk with the NextBatch → StepBatch loop the
+// drivers run.
+func stepAll(tr *TraceReader, sk Sink) error {
+	var buf []Event
+	for {
+		batch, ok, err := tr.NextBatch(buf[:0])
+		if err != nil || !ok {
+			return err
+		}
+		sk.StepBatch(batch)
+		buf = batch
+	}
+}
+
 // TestResumeAt: a checkpoint without a reader continuation resumes by
 // skipping the monitored prefix by count, in every wire format, into a
 // sink at a different shard count; a trace of another shape, or one
@@ -44,7 +58,7 @@ func TestResumeAt(t *testing.T) {
 			t.Fatalf("%v: %v", format, err)
 		}
 		sk := s.Open(PipelineConfig{Shards: 2})
-		if err := feedBatches(tr, sk.StepBatch); err != nil {
+		if err := stepAll(tr, sk); err != nil {
 			t.Fatalf("%v: %v", format, err)
 		}
 		if got := sk.Finish(); !race.ReportsEqual(got, want) {

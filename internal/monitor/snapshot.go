@@ -3,8 +3,8 @@ package monitor
 // Checkpoint/resume: the snapshot codec that serialises the COMPLETE
 // live state of a monitor — thread and release clocks, epoch-or-vector
 // per-location last-access state, dedup bitmasks, live RA messages, GC
-// frontier/interval/adaptive bounds, halt set — so monitoring can stop
-// at any event index and resume later (possibly in another process, or
+// frontier and interval, halt set — so monitoring can stop at any
+// event index and resume later (possibly in another process, or
 // under a different shard/GC configuration) with reports and RAStats
 // byte-identical to a run that never stopped. The format doubles as a
 // direct measurement of the paper's boundedness claim: the encoded size
@@ -24,7 +24,8 @@ package monitor
 //	header (1)  uvarint threads, uvarint nlocs,
 //	            nlocs × (uvarint len, name bytes, kind byte) — the wire
 //	            format's header fields, same limits (validateHeader)
-//	sync   (2)  uvarint events, gcEvery, nextGC, adaptMin, adaptMax,
+//	sync   (2)  uvarint events, gcEvery, nextGC, adaptMin, adaptMax
+//	            (both always 0: the retired adaptive-GC bounds),
 //	            raPeak, raCollected; halted bitset ⌈threads/8⌉ bytes
 //	clocks (3)  threads × threads uvarints (row t = thread t's clock),
 //	            then threads uvarints (cached minimum frontier)
@@ -97,7 +98,6 @@ import (
 	"time"
 
 	"localdrf/internal/prog"
-	"localdrf/internal/race"
 	"localdrf/internal/ts"
 )
 
@@ -186,11 +186,11 @@ func (s *Snapshot) Monitor() *Monitor { return s.take() }
 // synchronisation state becomes the front-end and every location's race
 // state is routed to the back-end owning it under cfg.Shards — the shard
 // count (and batch size, queue depth) need not match whatever produced
-// the snapshot. A zero GC configuration in cfg means "continue with the
-// snapshot's recorded GC state" (interval, adaptive bounds, and the
-// position of the next sweep — what same-config resume parity needs);
-// a nonzero GCInterval or AdaptiveGCMax overrides it, which is still
-// report-preserving. Single use, like Monitor.
+// the snapshot. A zero cfg.GCInterval means "continue with the
+// snapshot's recorded GC state" (the interval and the position of the
+// next sweep — what same-config resume parity needs); a nonzero one
+// overrides it, which is still report-preserving. Single use, like
+// Monitor.
 func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
 	m := s.take()
 	cfg = cfg.withDefaults()
@@ -201,8 +201,8 @@ func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
 // Restore decodes a snapshot and returns the restored sequential
 // monitor — the inverse of Monitor.Snapshot. The monitor resumes with
 // the GC configuration the snapshot recorded; callers may override it
-// with SetGCInterval/SetAdaptiveGC (the report set is identical under
-// any interval schedule, only retention telemetry changes).
+// with SetGCInterval (the report set is identical under any interval,
+// only retention telemetry changes).
 func Restore(r io.Reader) (*Monitor, error) {
 	s, err := ReadSnapshot(r)
 	if err != nil {
@@ -318,8 +318,8 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 	sw.uvarint(m.events)
 	sw.uvarint(m.gcEvery)
 	sw.uvarint(m.nextGC)
-	sw.uvarint(m.adaptMin)
-	sw.uvarint(m.adaptMax)
+	sw.uvarint(0) // adaptMin, retired (see decodeSync)
+	sw.uvarint(0) // adaptMax, retired
 	sw.uvarint(uint64(m.raPeak))
 	sw.uvarint(m.raCollected)
 	sw.bitset(m.halted, m.nthreads)
@@ -877,18 +877,17 @@ func (d *snapDecoder) decodeSync(m *Monitor) error {
 	if m.nextGC, err = c.uvarint("nextGC"); err != nil {
 		return err
 	}
-	if m.adaptMin, err = c.uvarint("adaptMin"); err != nil {
-		return err
-	}
-	if m.adaptMax, err = c.uvarint("adaptMax"); err != nil {
-		return err
-	}
-	if m.adaptMax > 0 && (m.adaptMin == 0 || m.adaptMin > m.adaptMax ||
-		m.gcEvery < m.adaptMin || m.gcEvery > m.adaptMax) {
-		return c.errf("adaptive bounds [%d,%d] do not contain interval %d", m.adaptMin, m.adaptMax, m.gcEvery)
-	}
-	if m.adaptMax == 0 && m.adaptMin != 0 {
-		return c.errf("adaptMin %d without adaptMax", m.adaptMin)
+	// adaptMin and adaptMax held the retired adaptive-GC bounds. They
+	// are still written, as 0, so existing checkpoints stay
+	// byte-identical and restorable, as with readerWireFlag.
+	for _, field := range [...]string{"adaptMin", "adaptMax"} {
+		v, err := c.uvarint(field)
+		if err != nil {
+			return err
+		}
+		if v != 0 {
+			return c.errf("%s %d, want 0 (adaptive GC is retired)", field, v)
+		}
 	}
 	peak, err := c.uvarint("raPeak")
 	if err != nil {
@@ -1323,16 +1322,4 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 		return nil, fmt.Errorf("monitor: snapshot reader section: %w", err)
 	}
 	return rck, nil
-}
-
-// ---- Convenience ----
-
-// SnapshotRaces is a debugging aid: the reports a restored monitor would
-// produce if the stream ended at the checkpoint.
-func SnapshotRaces(r io.Reader) ([]race.Report, error) {
-	m, err := Restore(r)
-	if err != nil {
-		return nil, err
-	}
-	return m.Reports(), nil
 }

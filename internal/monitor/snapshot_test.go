@@ -128,36 +128,6 @@ func TestSnapshotHaltedThreads(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdaptiveGC: the adaptive controller's full state (current
-// interval, bounds, next sweep) survives the round trip, so the restored
-// run sweeps at exactly the positions the unsplit run would.
-func TestSnapshotAdaptiveGC(t *testing.T) {
-	decls, events := raWorkload(5, 12, 40_000, 17)
-	ref := New(5, decls)
-	ref.SetAdaptiveGC(16, 4096)
-	wantReports, wantStats, _ := finish(ref, events)
-	for _, k := range []int{500, 20_000} {
-		m := New(5, decls)
-		m.SetAdaptiveGC(16, 4096)
-		m.StepBatch(events[:k])
-		var buf bytes.Buffer
-		if err := m.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Restore(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, _ := finish(restored, events[k:])
-		if !race.ReportsEqual(got, wantReports) {
-			t.Fatalf("k=%d: reports diverged", k)
-		}
-		if stats != wantStats {
-			t.Fatalf("k=%d: RA stats %+v, want %+v (adaptive state lost?)", k, stats, wantStats)
-		}
-	}
-}
-
 // TestPipelineSnapshotByteParity: a pipeline snapshot is byte-identical
 // to the sequential monitor's at the same stream position and GC
 // configuration, at any shard count and at a mid-stream quiesce — the
@@ -327,7 +297,7 @@ func TestReaderCheckpointResume(t *testing.T) {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
 		m2 := s.Monitor()
-		if err := m2.FeedBatch(tr2); err != nil {
+		if err := stepAll(tr2, m2); err != nil {
 			t.Fatalf("k=%d: feed: %v", k, err)
 		}
 		if got := m2.Reports(); !race.ReportsEqual(got, want) {
@@ -404,7 +374,7 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
 		m2 := s.Monitor()
-		if err := m2.FeedBatch(tr2); err != nil {
+		if err := stepAll(tr2, m2); err != nil {
 			t.Fatalf("k=%d: feed: %v", k, err)
 		}
 		if !race.ReportsEqual(m2.Reports(), ref.Reports()) || m2.Events() != ref.Events() {
@@ -639,13 +609,29 @@ func TestRestoreValidates(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("LDTR\x02"))); err == nil {
 		t.Error("wire magic accepted as snapshot")
 	}
-	// Version 2 is the only one decoded, and a reader section must carry
-	// the binary-v2 flag byte 1: pin the errors for the retired version-1
-	// header, a future version, and the retired v1 reader flag 0.
+	// Version 2 is the only one decoded, a reader section must carry
+	// the binary-v2 flag byte 1, and the sync section's retired
+	// adaptive-GC bounds must be 0: pin the errors for the retired
+	// version-1 header, a future version, the retired v1 reader flag 0,
+	// and a nonzero adaptMin or adaptMax.
 	withVersion := func(ver byte) []byte {
 		b := bytes.Clone(valid)
 		b[len(snapMagic)] = ver
 		return b
+	}
+	withAdaptive := func(adaptMin, adaptMax uint64) []byte {
+		return minimalSnapshot(func(s map[byte][]byte) {
+			var sy []byte
+			sy = appendUvarint(sy, 10)   // events
+			sy = appendUvarint(sy, 4096) // gcEvery
+			sy = appendUvarint(sy, 4106) // nextGC
+			sy = appendUvarint(sy, adaptMin)
+			sy = appendUvarint(sy, adaptMax)
+			sy = appendUvarint(sy, 0) // raPeak
+			sy = appendUvarint(sy, 0) // raCollected
+			sy = append(sy, 0)        // halted bitset
+			s[snapTagSync] = sy
+		})
 	}
 	pinned := []struct {
 		name, want string
@@ -663,6 +649,10 @@ func TestRestoreValidates(t *testing.T) {
 				rd = appendUvarint(rd, 0)   // no pending events
 				s[snapTagReader] = rd
 			})},
+		{"adaptMin 16", "monitor: snapshot sync section: adaptMin 16, want 0 (adaptive GC is retired)",
+			withAdaptive(16, 4096)},
+		{"adaptMax 8192", "monitor: snapshot sync section: adaptMax 8192, want 0 (adaptive GC is retired)",
+			withAdaptive(0, 8192)},
 	}
 	for _, tc := range pinned {
 		if _, err := ReadSnapshot(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {

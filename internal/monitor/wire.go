@@ -428,9 +428,10 @@ func (tw *TraceWriter) Flush() error {
 // ---- Decoder ----
 
 // TraceReader decodes a wire-format trace (either encoding, sniffed from
-// the first bytes) and yields validated events via Next — it implements
-// Source, so a reader can be fed straight into Monitor.Feed. Malformed
-// input produces an error, never a panic, and never an event the monitor
+// the first bytes) and yields validated events, a batch at a time via
+// NextBatch (the loop every driver runs into a Sink's StepBatch) or one
+// at a time via Next (for an exact stop position). Malformed input
+// produces an error, never a panic, and never an event the monitor
 // cannot safely consume.
 type TraceReader struct {
 	br *bufio.Reader
@@ -575,9 +576,8 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 // NextBatch decodes and validates the next batch of events, appending to
 // dst — for the binary format a whole frame at a time (the natural batch
 // boundary), for text a bounded run of single events. ok=false with
-// nothing appended means the end of the trace. TraceReader thereby
-// implements BatchSource, the preferred way to feed Monitor.FeedBatch or
-// a Pipeline.
+// nothing appended means the end of the trace. Hand each batch to a
+// Monitor's or Pipeline's StepBatch.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	if !tr.text {
 		if tr.cur < len(tr.batch) {
@@ -1157,10 +1157,18 @@ func MonitorReader(r io.Reader) (*Monitor, error) {
 		return nil, err
 	}
 	m := tr.NewMonitor()
-	if err := m.Feed(tr); err != nil {
-		return nil, err
+	var buf []Event
+	for {
+		batch, ok, err := tr.NextBatch(buf[:0])
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return m, nil
+		}
+		m.StepBatch(batch)
+		buf = batch
 	}
-	return m, nil
 }
 
 // ReadRaces monitors a wire-format trace from r and returns the

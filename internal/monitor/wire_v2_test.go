@@ -142,11 +142,11 @@ func TestWireV2MonitorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tr.NewMonitor()
-	if err := m.FeedBatch(tr); err != nil {
+	if err := stepAll(tr, m); err != nil {
 		t.Fatal(err)
 	}
 	if !race.ReportsEqual(m.Reports(), want) {
-		t.Fatalf("v2 FeedBatch reports %v, want %v", m.Reports(), want)
+		t.Fatalf("v2 NextBatch reports %v, want %v", m.Reports(), want)
 	}
 }
 

@@ -36,8 +36,9 @@
 // Snapshot is safe to call from any goroutine at any time — every value
 // is an atomic load — and marshals to JSON with deterministic key order
 // (Go maps marshal sorted). Snapshot.Delta subtracts a previous snapshot
-// for rate computation, which is how racemon's /stats endpoint derives
-// events/sec between polls.
+// for rate computation, which is how racemon's -stats-interval progress
+// line derives events/sec between ticks. racemon and racemond serve
+// snapshots over HTTP through the subpackage obshttp.
 package obs
 
 import (

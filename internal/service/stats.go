@@ -11,8 +11,9 @@ import (
 
 // The service's observability rides the existing obs/stats surface —
 // one registry per session sink (the same monitor.*/pipeline.* cells
-// racemon serves) plus the server's service.* registry, mounted under
-// a single /stats endpoint. No second metrics path.
+// racemon serves) plus the server's service.* registry, behind one
+// /stats handler that cmd/racemond serves through obshttp.Serve, the
+// endpoint racemon serves too. No second metrics path.
 
 // sessionStats is one session's row in the /stats listing.
 type sessionStats struct {
@@ -25,7 +26,8 @@ type sessionStats struct {
 
 // statsDoc is the aggregate /stats payload. Counters are monotonic and
 // carry no rates: a client derives a rate from two scrapes and their
-// uptime_ns, so concurrent scrapers cannot disturb each other's windows.
+// uptime_ns (racemon's /stats reports the same field), so concurrent
+// scrapers cannot disturb each other's windows.
 type statsDoc struct {
 	UptimeNs int64          `json:"uptime_ns"`
 	Sessions []sessionStats `json:"sessions"`
@@ -78,11 +80,10 @@ func (s *Server) statsSnapshot() statsDoc {
 //	                        cells, merged per-session monitor cells
 //	GET /stats?session=ID   one session's row + its live registry
 //
-// Mount it (plus expvar/pprof if desired) on whatever mux the binary
-// serves — cmd/racemond does.
+// cmd/racemond passes it to obshttp.Serve, which mounts it at /stats
+// beside expvar and pprof.
 func (s *Server) StatsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -115,5 +116,4 @@ func (s *Server) StatsHandler() http.Handler {
 		}
 		enc.Encode(s.statsSnapshot())
 	})
-	return mux
 }

@@ -2,8 +2,8 @@ package localdrf
 
 // The benchmark harness: one testing.B target per table and figure of
 // the paper (plus ablations). Each benchmark regenerates the experiment
-// behind its table/figure; EXPERIMENTS.md records the resulting
-// paper-vs-measured comparison. Run with:
+// behind its table/figure; cmd/experiments prints the resulting
+// paper-vs-measured comparison (-run fig5b, -run fig5c, ...). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -78,8 +78,8 @@ func BenchmarkLitmusSweepSequential(b *testing.B) {
 // BenchmarkStreamingMonitor measures the full racemon pipeline at the
 // million-event scale: generate a bursty schedule of a scaled random
 // program, then monitor it online — the workload the exhaustive
-// checkers cannot reach (BENCH_monitor.json tracks the monitoring half
-// alone; this benchmark covers generation + monitoring end to end).
+// checkers cannot reach (generation + monitoring end to end; the
+// per-layer benches live in internal/monitor and internal/schedgen).
 func BenchmarkStreamingMonitor(b *testing.B) {
 	const nevents = 1_000_000
 	cfg := progsynth.ScaledDefaults()

@@ -7,8 +7,9 @@
 //	memsim -arch arm -bench minilight      # one benchmark, all schemes
 //	memsim -arch arm -scheme sra           # one scheme, all benchmarks
 //
-// Results are simulated times normalised to the simulated baseline; see
-// DESIGN.md for why this is a simulation and what it preserves.
+// Results are simulated times normalised to the simulated baseline; the
+// package doc of internal/sim says why this is a simulation and what it
+// preserves.
 package main
 
 import (

@@ -213,7 +213,7 @@ func main() {
 	locs := flag.Int("locs", 48, "nonatomic location count")
 	atomics := flag.Int("atomics", 8, "atomic location count")
 	ra := flag.Int("ra", 8, "release-acquire location count")
-	stale := flag.Int("stale", 10, "percent of reads returning stale values")
+	stale := flag.Int("stale", 10, "percent of reads returning stale values (0..100)")
 	skew := flag.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
 	predicateS := flag.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
 	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")

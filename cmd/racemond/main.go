@@ -82,7 +82,7 @@ func main() {
 	locs := flag.Int("locs", 48, "-drive: nonatomic location count")
 	atomics := flag.Int("atomics", 8, "-drive: atomic location count")
 	ra := flag.Int("ra", 8, "-drive: release-acquire location count")
-	stale := flag.Int("stale", 10, "-drive: percent of stale reads")
+	stale := flag.Int("stale", 10, "-drive: percent of stale reads (0..100)")
 	halts := flag.Bool("halts", false, "-drive: emit thread-retirement events")
 	attempts := flag.Int("attempts", 30, "-drive: connection attempts per session (rides through restarts)")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "-drive: initial retry backoff")

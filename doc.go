@@ -33,7 +33,9 @@
 //
 //   - The performance evaluation (§8): a pipeline-simulator substitute
 //     regenerates the shape of figs. 5a–5c over the paper's 29-benchmark
-//     suite (see DESIGN.md for the substitution rationale).
+//     suite (the package doc of internal/sim holds the substitution
+//     rationale; cmd/experiments -run fig5a, fig5b and fig5c print it
+//     next to the paper's numbers).
 //
 // All exhaustive searches — operational outcome enumeration, the trace
 // scans of the race machinery, the hardware candidate-execution
@@ -269,10 +271,7 @@
 // checkpoint intervals and requires the final reports and RAStats to
 // be byte-identical to an uninterrupted run, including across
 // kill-and-restart of the server process — which CI also drills with
-// real processes via racemond -drive's golden-checked 8-session load,
-// and cmd/experiments -run bench-service soaks with up to 128
-// concurrent sessions (BENCH_service.json: aggregate events/sec, p99
-// ingest latency, peak RSS).
+// real processes via racemond -drive's golden-checked 8-session load.
 //
 // The monitor's verdicts are differentially tested against the
 // exhaustive oracle race.Races on every corpus program, on hundreds of
@@ -283,29 +282,20 @@
 //
 // The command-line tools (cmd/litmus, cmd/drfcheck, cmd/memsim,
 // cmd/racemon, cmd/experiments) and the examples directory exercise all
-// of the above; EXPERIMENTS.md records paper-versus-measured results for
-// every table and figure. cmd/racemon generates a million-event schedule
+// of the above; cmd/experiments -run all prints paper-versus-measured
+// results for every table and figure and exits 1 on any semantic
+// mismatch. cmd/racemon generates a million-event schedule
 // (optionally Zipf-skewed: -skew S) and monitors it materialised or
 // fused with generation (-stream), sequentially or through the
 // parallel pipeline (-shards N), and writes/ingests raw traces
 // (-emit FILE [-format binary|text], -trace FILE|-); its JSON reports the
 // windowed GC's live, peak and collected RA-message counts.
-// cmd/experiments -run bench emits engine-versus-baseline timings as
-// JSON (BENCH_engine.json) and streaming-monitor throughput
-// (BENCH_monitor.json: events/sec for the sequential, fused, sharded,
-// pipeline-{2,4,8}shard, wire-v2-decode, skewed-zipf, compaction-quiet
-// and obs-overhead rows — compaction-quiet recording escalated-vector
-// counts before and after demotion — each parallel row at a recorded
-// GOMAXPROCS, plus peak live RA messages and
-// allocs/event; the document records the host CPU model and Go
-// version) so the performance trajectory is tracked across PRs.
-// cmd/experiments -run bench-compare reruns the monitor suite and
-// fails (exit nonzero, and CI with it) if any row regresses more than
-// 15% in events/sec against the committed BENCH_monitor.json, warning
-// first when the baseline's recorded CPU or toolchain differs from the
-// host; -run bench-plot renders the events/sec trajectory across bench
-// JSON snapshots as a dependency-free small-multiples SVG (a CI
-// artifact). CI also fails if any racemon smoke run's report set —
+// Performance is measured by cmd/ldbench, end to end and per layer on
+// the racemon -trace and racemond jobs; CI runs its -compare between a
+// change and its base commit and fails on an end-to-end metric worse
+// than its BENCHMARK.json bound or on a wrong answer. Each layer also
+// has testing.B benchmarks in the package that owns it, reporting ev/s.
+// CI also fails if any racemon smoke run's report set —
 // including the pipeline at 4 back-ends and the binary and text wire
 // round trips — drifts from the committed golden, and curls a live racemon
 // -stats-addr endpoint to assert the telemetry keys it ships.

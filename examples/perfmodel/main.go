@@ -49,5 +49,5 @@ func main() {
 	fmt.Println("paper's averages: AArch64 BAL +2.5% FBS +0.6% SRA +85.3%;")
 	fmt.Println("                  POWER   BAL +2.9% FBS +26.0% SRA +40.8%")
 	fmt.Println("(the simulator reproduces the shape — who wins, by roughly what")
-	fmt.Println(" factor, and why — not the absolute numbers; see EXPERIMENTS.md)")
+	fmt.Println(" factor, and why — not the absolute numbers; see experiments -run fig5b)")
 }

@@ -534,8 +534,7 @@ func TestResetReuse(t *testing.T) {
 }
 
 // BenchmarkMonitorBursty measures single-core monitoring throughput on a
-// bursty synthetic stream — the headline events/sec figure
-// (cmd/experiments -run bench-monitor records it in BENCH_monitor.json).
+// bursty synthetic stream.
 func BenchmarkMonitorBursty(b *testing.B) {
 	decls, events := burstyWorkload(8, 64, 1_000_000, 97)
 	m := New(8, decls)

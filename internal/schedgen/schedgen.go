@@ -134,7 +134,8 @@ type Options struct {
 	// StaleReadPct is the percentage of nonatomic and release-acquire
 	// reads that return a random non-latest history entry (a weak read in
 	// the def. 6 sense) instead of the latest write. Stale RA reads
-	// exercise the monitor's per-message reads-from joins.
+	// exercise the monitor's per-message reads-from joins. Values
+	// outside 0..100 are an error.
 	StaleReadPct int
 	// HistoryDepth bounds how many recent writes per location are kept
 	// for stale reads (0 means 4). Memory stays O(locations × depth)
@@ -284,6 +285,9 @@ func StreamBatch(p *prog.Program, tb *monitor.Table, opt Options, batch int, emi
 // boolean result reports whether the program ran to completion before
 // MaxEvents.
 func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.Event) error) (bool, error) {
+	if opt.StaleReadPct < 0 || opt.StaleReadPct > 100 {
+		return false, fmt.Errorf("schedgen: stale-read percentage %d outside 0..100", opt.StaleReadPct)
+	}
 	depth := opt.HistoryDepth
 	if depth <= 0 {
 		depth = 4

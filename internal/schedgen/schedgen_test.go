@@ -2,7 +2,9 @@ package schedgen
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"localdrf/internal/monitor"
@@ -206,6 +208,34 @@ func TestBurstiness(t *testing.T) {
 	}
 	if switches(bursty)*4 > switches(fair) {
 		t.Fatalf("bursty not bursty enough: %d switches vs fair %d", switches(bursty), switches(fair))
+	}
+}
+
+// TestOptionsRejected: an unknown policy name and a stale-read
+// percentage outside 0..100 are errors, on every entry point, before any
+// event is emitted; the ends of the range are accepted.
+func TestOptionsRejected(t *testing.T) {
+	if _, err := ParsePolicy("greedy"); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Fatalf("ParsePolicy(greedy): err = %v, want unknown policy", err)
+	}
+	p := progsynth.Scaled(4, smallCfg())
+	tb := monitor.NewTable(p)
+	for _, pct := range []int{-20, -1, 101, 150} {
+		opt := Options{Policy: Bursty, Seed: 5, MaxEvents: 100, StaleReadPct: pct}
+		want := fmt.Sprintf("stale-read percentage %d outside 0..100", pct)
+		if ev, _, err := Generate(p, tb, opt, nil); err == nil || !strings.Contains(err.Error(), want) || len(ev) != 0 {
+			t.Fatalf("Generate stale %d: %d events, err = %v, want %q", pct, len(ev), err, want)
+		}
+		var buf bytes.Buffer
+		if n, _, err := Encode(&buf, p, tb, opt, monitor.BinaryV2); err == nil || !strings.Contains(err.Error(), want) || n != 0 {
+			t.Fatalf("Encode stale %d: %d events, err = %v, want %q", pct, n, err, want)
+		}
+	}
+	for _, pct := range []int{0, 100} {
+		opt := Options{Policy: Bursty, Seed: 5, MaxEvents: 100, StaleReadPct: pct}
+		if ev, _, err := Generate(p, tb, opt, nil); err != nil || len(ev) != 100 {
+			t.Fatalf("Generate stale %d: %d events, err = %v", pct, len(ev), err)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package sim is the performance-evaluation substitute for §8 of the
-// paper (see DESIGN.md, "Substitutions").
+// paper. This package doc is the substitution rationale: what is
+// simulated instead of measured, and why.
 //
 // The paper measures patched OCaml compilers on a Cavium ThunderX
 // (AArch64) and a virtualised IBM POWER machine. Go cannot control the

@@ -5,7 +5,7 @@ import (
 	"localdrf/internal/workload"
 )
 
-// ---- Performance evaluation (§8, simulated; see DESIGN.md) ----
+// ---- Performance evaluation (§8, simulated; see internal/sim) ----
 
 // Benchmark is one fig. 5a workload: the paper's name and access rate
 // with a reconstructed access-class mix.

@@ -86,7 +86,6 @@ func BenchmarkStreamingMonitor(b *testing.B) {
 	cfg.Iters = cfg.IterationsFor(nevents)
 	p := progsynth.Scaled(1, cfg)
 	tb := monitor.NewTable(p)
-	mon := tb.NewMonitor()
 	var stream []monitor.Event
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +96,7 @@ func BenchmarkStreamingMonitor(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Reset()
+		mon := tb.NewMonitor()
 		for _, e := range stream {
 			mon.Step(e)
 		}

@@ -8,7 +8,7 @@
 //
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
-//	        [-stale PCT] [-skew S] [-halts] [-json] [-stream]
+//	        [-stale PCT] [-skew S] [-halts] [-json]
 //	        [-predicate hb|syncp|short:k] [-trace FILE|-]
 //	        [-emit FILE] [-format binary|text]
 //	        [-static-prefilter] [-private-locs N] [-private-pct PCT]
@@ -20,15 +20,18 @@
 // sequential monitor at -shards 1 (the default), or with -shards M > 1
 // the two-stage parallel pipeline — one sync front-end pass, M race
 // back-ends (clamped to the nonatomic location count). Reports are
-// identical at any shard count.
+// identical at any shard count. The generated modes refuse a workload
+// the generator or the wire format cannot carry (a count below 1, a
+// header over the format's thread or location limits) with exit 2
+// before anything runs.
 //
 // Modes:
 //
-//	(default)  generate the schedule into memory, then monitor it.
-//	-stream    generate and monitor in one fused pass, never
+//	(default)  generate and monitor in one fused pass, never
 //	           materialising the schedule: memory stays O(locations +
 //	           threads²) plus the windowed live RA-message set (and the
-//	           pipeline's bounded rings), regardless of -events.
+//	           pipeline's bounded rings), regardless of -events. The
+//	           JSON summary names this mode "stream".
 //	-trace F   ingest a raw trace (binary or text wire format, sniffed
 //	           automatically) from file F, or from stdin with "-", and
 //	           monitor it in one bounded-memory pass (binary frames are
@@ -67,14 +70,15 @@
 // Checkpoint/resume: -checkpoint FILE snapshots the monitor (or
 // pipeline front-end + back-ends) in the LDCK format of
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
-// after the N-th monitored event, stopping there. Works in the -stream
-// and -trace modes. -resume FILE (with -trace) restores the snapshot and
-// continues over the trace: a checkpoint taken by -trace carries the
-// reader's byte offset and delta context, so the resumed run seeks
-// straight to where monitoring stopped; a checkpoint taken by -stream
-// carries no offset, so the resumed run skips the already-monitored
-// prefix by count (the trace must therefore be the same event stream,
-// e.g. the -emit of the same seed and parameters).
+// after the N-th monitored event, stopping there. Works in every
+// monitoring mode (not with -emit). -resume FILE (with -trace) restores
+// the snapshot and continues over the trace: a checkpoint taken by
+// -trace carries the reader's byte offset and delta context, so the
+// resumed run seeks straight to where monitoring stopped; a checkpoint
+// taken by a generated run carries no offset, so the resumed run skips
+// the already-monitored prefix by count (the trace must therefore be
+// the same event stream, e.g. the -emit of the same seed and
+// parameters).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
 // run that never stopped. A snapshot records whether its run had a
@@ -100,8 +104,8 @@
 //
 // Examples:
 //
-//	racemon -stream -shards 4 -events 5000000 -json
-//	racemon -stream -events 5000000 -json
+//	racemon -shards 4 -events 5000000 -json
+//	racemon -events 5000000 -json
 //	racemon -emit trace.bin -events 100000 && racemon -trace trace.bin
 //	racemon -emit - -format text -events 50 -threads 2 | head
 //	racemon -trace - < trace.bin
@@ -221,7 +225,6 @@ func main() {
 	privatePct := flag.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
 	asJSON := flag.Bool("json", false, "emit a JSON summary")
 	maxRaces := flag.Int("max-races", 20, "race reports listed in the output (0 = all)")
-	stream := flag.Bool("stream", false, "generate and monitor in one pass (no materialised schedule)")
 	halts := flag.Bool("halts", false, "emit thread-retirement events when generated threads complete")
 	traceFile := flag.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
 	emitFile := flag.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
@@ -251,22 +254,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: "+err.Error())
 		os.Exit(2)
 	}
-	if *threads < 1 || *events < 1 || *locs < 1 || *atomics < 0 || *ra < 0 || *shards < 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -events, -threads, -locs and -shards must be ≥ 1 (-atomics/-ra ≥ 0)")
+	if *shards < 1 {
+		fmt.Fprintln(os.Stderr, "racemon: -shards must be ≥ 1")
 		os.Exit(2)
 	}
 	if *skew < 0 {
 		fmt.Fprintln(os.Stderr, "racemon: -skew must be ≥ 0")
 		os.Exit(2)
 	}
-	modeFlags := 0
-	for _, on := range []bool{*stream, *traceFile != "", *emitFile != ""} {
-		if on {
-			modeFlags++
-		}
-	}
-	if modeFlags > 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -stream, -trace and -emit are mutually exclusive")
+	if *traceFile != "" && *emitFile != "" {
+		fmt.Fprintln(os.Stderr, "racemon: -trace and -emit are mutually exclusive")
 		os.Exit(2)
 	}
 	if *resumeFile != "" && *traceFile == "" {
@@ -277,8 +274,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: -checkpoint-at needs -checkpoint FILE")
 		os.Exit(2)
 	}
-	if *checkpointFile != "" && !*stream && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -checkpoint needs a streaming mode (-stream or -trace)")
+	if *checkpointFile != "" && *emitFile != "" {
+		fmt.Fprintln(os.Stderr, "racemon: -checkpoint cannot be used with -emit, which does not monitor")
 		os.Exit(2)
 	}
 	if *updateGolden && *golden == "" {
@@ -331,6 +328,14 @@ func main() {
 		skew: *skew, privateLocs: *privateLocs, privatePct: *privatePct,
 		prefilter: *staticPrefilter,
 	}
+	if *traceFile == "" {
+		// Generated modes: refuse a workload the generator or the wire
+		// format cannot carry before anything runs.
+		if err := schedgen.CheckScaled(gp.config(), gp.events); err != nil {
+			fmt.Fprintln(os.Stderr, "racemon: "+err.Error())
+			os.Exit(2)
+		}
+	}
 	ck := ckParams{file: *checkpointFile, at: *checkpointAt}
 	cfg := monitor.PipelineConfig{Shards: *shards, Predicate: spec.Pred, WindowK: spec.K}
 	var res result
@@ -341,7 +346,7 @@ func main() {
 	case *emitFile != "":
 		res = runEmit(*emitFile, format, gp)
 	default:
-		res, reports = runGenerated(gp, *stream, cfg, ck)
+		res, reports = runGenerated(gp, cfg, ck)
 	}
 	if stopProgress != nil {
 		close(stopProgress)
@@ -388,9 +393,6 @@ func main() {
 	} else {
 		fmt.Fprintf(out, "trace     %d events\n", res.Events)
 	}
-	if res.GenNs > 0 {
-		fmt.Fprintf(out, "generate  %8.1f ms\n", float64(res.GenNs)/1e6)
-	}
 	fmt.Fprintf(out, "monitor   %8.1f ms  (%.1fM events/sec, %d shard(s), mode=%s)\n",
 		float64(res.MonitorNs)/1e6, res.EventsPerSec/1e6, res.Shards, res.Mode)
 	fmt.Fprintf(out, "ra msgs   live=%d peak=%d collected=%d (windowed GC)\n",
@@ -433,9 +435,10 @@ type genParams struct {
 	prefilter   bool
 }
 
-// program builds the generator-side program and table shared by the
-// generated-schedule modes.
-func (gp genParams) program() (*monitor.Table, string) {
+// config is the progsynth configuration of the parameters, with loop
+// counts sized so the program cannot halt before the schedule reaches
+// the requested length.
+func (gp genParams) config() progsynth.ScaledConfig {
 	cfg := progsynth.ScaledDefaults()
 	cfg.Threads = gp.threads
 	cfg.NonAtomic = gp.locs
@@ -443,10 +446,14 @@ func (gp genParams) program() (*monitor.Table, string) {
 	cfg.RAs = gp.ra
 	cfg.PrivateLocs = gp.privateLocs
 	cfg.PrivatePct = gp.privatePct
-	// Size the loop counts so the program cannot halt before the schedule
-	// reaches the requested length.
 	cfg.Iters = cfg.IterationsFor(gp.events)
-	p := progsynth.Scaled(gp.seed, cfg)
+	return cfg
+}
+
+// program builds the generator-side program and table shared by the
+// generated-schedule modes.
+func (gp genParams) program() (*monitor.Table, string) {
+	p := progsynth.Scaled(gp.seed, gp.config())
 	return monitor.NewTable(p), p.Name
 }
 
@@ -496,34 +503,20 @@ func writeSnapshot(path string, snap func(io.Writer) error) {
 	}
 }
 
-// runGenerated monitors a generated schedule: materialised first, or,
-// with stream, fused with generation so the schedule never exists in
-// memory and -checkpoint-at can stop the run at an exact event.
-func runGenerated(gp genParams, stream bool, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
+// runGenerated monitors a generated schedule fused with its generation,
+// so the schedule never exists in memory and -checkpoint-at can stop
+// the run at an exact event.
+func runGenerated(gp genParams, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
 	tb, name := gp.program()
-	opt := gp.options()
 	res := result{
-		Program: name, Mode: "batch", Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
+		Program: name, Mode: "stream", Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
 		Shards: cfg.Shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
 	}
 	cfg.StaticFilter = gp.staticMask(tb, &res)
 	sk := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
 	tel.attach(sk.Obs())
-	if !stream {
-		genStart := time.Now()
-		events, completed, err := schedgen.Generate(tb.Program(), tb, opt, make([]monitor.Event, 0, gp.events))
-		if err != nil {
-			fatalf("generate: %v", err)
-		}
-		res.GenNs = time.Since(genStart).Nanoseconds()
-		res.Completed = completed
-		start := time.Now()
-		sk.StepBatch(events)
-		return res, finish(&res, sk, start)
-	}
-	res.Mode = "stream"
 	start := time.Now()
-	completed, err := schedgen.StreamBatch(tb.Program(), tb, opt, 0, func(evs []monitor.Event) error {
+	completed, err := schedgen.StreamBatch(tb.Program(), tb, gp.options(), 0, func(evs []monitor.Event) error {
 		if ck.at > 0 {
 			if remaining := ck.at - sk.Events(); uint64(len(evs)) >= remaining {
 				sk.StepBatch(evs[:remaining])

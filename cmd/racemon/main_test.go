@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -130,5 +131,51 @@ func TestPredicateResumeCLI(t *testing.T) {
 	if !strings.Contains(stderr.String(), "-predicate syncp ignored") ||
 		!strings.Contains(stderr.String(), "short:16") {
 		t.Fatalf("no override warning on stderr:\n%s", stderr.String())
+	}
+}
+
+// TestGeneratedFlagsCLI: generation flags the generator or the wire
+// format cannot carry exit 2 before anything runs — no panic, and no
+// checkpoint file left behind by a run that monitored the whole stream
+// first.
+func TestGeneratedFlagsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "ck.ldck")
+	for _, args := range [][]string{
+		{"-threads", "1100", "-checkpoint", ck},
+		{"-threads", "1100"},
+		{"-threads", "0"},
+		{"-locs", "0"},
+		{"-events", "0"},
+		{"-atomics", "-1"},
+		{"-private-locs", "70000"},
+		{"-emit", filepath.Join(dir, "t.ldtr"), "-checkpoint", ck},
+		{"-stream"},
+	} {
+		// The case's own flags come last, so they win over the default.
+		wantExit2(t, bin, append([]string{"-events", "1000"}, args...)...)
+		if _, err := os.Stat(ck); !os.IsNotExist(err) {
+			t.Fatalf("racemon %v left a checkpoint file (stat: %v)", args, err)
+		}
+	}
+}
+
+// wantExit2 runs the binary and requires exit status 2 without a panic.
+func wantExit2(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%s %v: err=%v, want exit 2\n%s", filepath.Base(bin), args, err, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "panic") {
+		t.Errorf("%s %v panicked:\n%s", filepath.Base(bin), args, stderr.String())
 	}
 }

@@ -61,6 +61,12 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// usagef reports a flag error and exits 2, before anything runs.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "racemond: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7341", "listen address (serve mode) or server address (-drive)")
 	ckptDir := flag.String("ckpt", "", "checkpoint-ring root directory ('' = no checkpointing)")
@@ -91,13 +97,37 @@ func main() {
 	updateGolden := flag.Bool("update-golden", false, "-drive: rewrite the -golden file instead of comparing")
 	flag.Parse()
 
+	// A negative count or duration would not fail loudly inside the
+	// service: -max-sessions -1 sheds every admission, a negative
+	// -read-timeout turns off the slow-loris deadline.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"-max-sessions", int64(*maxSessions)}, {"-ckpt-ring", int64(*ckptRing)}, {"-shards", int64(*shards)},
+		{"-read-timeout", int64(*readTimeout)}, {"-idle-timeout", int64(*idleTimeout)},
+		{"-retry-after", int64(*retryAfter)}, {"-backoff", int64(*backoff)},
+	} {
+		if f.v < 0 {
+			usagef("%s must not be negative (0 selects the default)", f.name)
+		}
+	}
+
 	if *drive > 0 {
-		runDrive(driveParams{
+		pol, err := schedgen.ParsePolicy(*policy)
+		if err != nil {
+			usagef("%v", err)
+		}
+		dp := driveParams{
 			addr: *addr, n: *drive, events: *events, threads: *threads,
-			policy: *policy, seedBase: *seedBase, locs: *locs, atomics: *atomics,
+			policy: pol, seedBase: *seedBase, locs: *locs, atomics: *atomics,
 			ra: *ra, stale: *stale, halts: *halts, attempts: *attempts,
 			backoff: *backoff, asJSON: *asJSON, golden: *golden, update: *updateGolden,
-		})
+		}
+		if err := schedgen.CheckScaled(dp.config(), dp.events); err != nil {
+			usagef("%v", err)
+		}
+		runDrive(dp)
 		return
 	}
 
@@ -143,7 +173,7 @@ type driveParams struct {
 	n        int
 	events   int
 	threads  int
-	policy   string
+	policy   schedgen.Policy
 	seedBase int64
 	locs     int
 	atomics  int
@@ -179,24 +209,26 @@ type goldenSession struct {
 	Races     []service.RaceJSON `json:"races"`
 }
 
-// genTrace encodes session i's deterministic wire-v2 trace.
-func (dp driveParams) genTrace(i int) []byte {
-	pol, err := schedgen.ParsePolicy(dp.policy)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	seed := dp.seedBase + int64(i)
+// config is the progsynth configuration every session's program is
+// built from, sized for the requested schedule length.
+func (dp driveParams) config() progsynth.ScaledConfig {
 	cfg := progsynth.ScaledDefaults()
 	cfg.Threads = dp.threads
 	cfg.NonAtomic = dp.locs
 	cfg.Atomics = dp.atomics
 	cfg.RAs = dp.ra
 	cfg.Iters = cfg.IterationsFor(dp.events)
-	p := progsynth.Scaled(seed, cfg)
+	return cfg
+}
+
+// genTrace encodes session i's deterministic wire-v2 trace.
+func (dp driveParams) genTrace(i int) []byte {
+	seed := dp.seedBase + int64(i)
+	p := progsynth.Scaled(seed, dp.config())
 	tb := monitor.NewTable(p)
 	var buf bytes.Buffer
 	opts := schedgen.Options{
-		Policy: pol, Seed: seed, MaxEvents: dp.events,
+		Policy: dp.policy, Seed: seed, MaxEvents: dp.events,
 		StaleReadPct: dp.stale, EmitHalts: dp.halts,
 	}
 	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, opts, monitor.BinaryV2); err != nil {

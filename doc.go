@@ -90,8 +90,8 @@
 // # Parallel ingest pipeline
 //
 // Every caller that turns an event stream into reports — racemon's
-// generated, -stream and -trace modes, racemond's sessions, the
-// experiments rows — builds its engine the same way:
+// generated and -trace modes, racemond's sessions, the experiments
+// rows — builds its engine the same way:
 // monitor.Open(header, PipelineConfig) returns a monitor.Sink (Step,
 // StepBatch, Finish, Abort, Snapshot, Stats, Obs, …), and
 // Snapshot.Open resumes one from a checkpoint, with
@@ -113,9 +113,10 @@
 // measured on a 2-CPU host against this one and lost, so it was
 // removed.)
 //
-// In the middle, a single synchronisation front-end consumes the
-// ordered stream once — all clock joins, RA message retention and
-// windowed GC — and routes each nonatomic access, plus a compact
+// In the middle, a single synchronisation front-end — the sequential
+// monitor's own Step, so the two engines share one per-event path —
+// consumes the ordered stream once — all clock joins, RA message
+// retention and windowed GC — and routes each nonatomic access, plus a compact
 // clock-delta side channel, to the race back-end owning its location
 // (loc mod shards). Records travel in batches over bounded
 // SPSC rings (engine.BatchQueue), so total work is O(events) +
@@ -285,9 +286,9 @@
 // of the above; cmd/experiments -run all prints paper-versus-measured
 // results for every table and figure and exits 1 on any semantic
 // mismatch. cmd/racemon generates a million-event schedule
-// (optionally Zipf-skewed: -skew S) and monitors it materialised or
-// fused with generation (-stream), sequentially or through the
-// parallel pipeline (-shards N), and writes/ingests raw traces
+// (optionally Zipf-skewed: -skew S) and monitors it fused with
+// generation, never materialising the schedule, sequentially or
+// through the parallel pipeline (-shards N), and writes/ingests raw traces
 // (-emit FILE [-format binary|text], -trace FILE|-); its JSON reports the
 // windowed GC's live, peak and collected RA-message counts.
 // Performance is measured by cmd/ldbench, end to end and per layer on

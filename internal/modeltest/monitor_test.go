@@ -32,13 +32,12 @@ const tracesPerProgram = 4_000
 func diffProgram(t *testing.T, p *prog.Program, cap int) int {
 	t.Helper()
 	tb := monitor.NewTable(p)
-	m := tb.NewMonitor()
 	var buf []monitor.Event
 	count := 0
 	err := explore.Traces(p, explore.Options{}, 0, func(tr explore.Trace) bool {
 		count++
 		want := race.Races(tr)
-		m.Reset()
+		m := tb.NewMonitor()
 		var err error
 		buf, err = tb.Events(tr, buf[:0])
 		if err != nil {

@@ -1,5 +1,8 @@
 package monitor
 
-// ReportEventRate gives the external test package (schedule_test.go)
-// the in-package benches' ev/s metric.
-var ReportEventRate = reportEventRate
+// ReportEventRate and BenchMonitor give the external test package
+// (schedule_test.go) the in-package benches' ev/s metric and loop.
+var (
+	ReportEventRate = reportEventRate
+	BenchMonitor    = benchMonitor
+)

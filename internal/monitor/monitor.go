@@ -136,6 +136,11 @@
 //
 // # Entry points
 //
+// New is the only constructor: every engine starts as a New monitor (a
+// restored checkpoint is a New monitor with its state decoded in).
+// NewPipeline wraps one as the front-end of a sharded Pipeline, whose
+// Step is the monitor's Step — one per-event path for both engines.
+//
 // Open(Header, PipelineConfig) builds the engine for a stream and
 // returns it as a Sink — the method set Monitor and Pipeline share
 // (Step, StepBatch, Finish, Abort, Snapshot, Stats, Obs, …). At most
@@ -314,30 +319,6 @@ func newChecker(nthreads int, nlocs int, clocks [][]uint64, minClock []uint64) c
 	return ck
 }
 
-// reset clears the per-location histories and the race count, reusing
-// escalated vectors and bitmasks.
-func (ck *checker) reset() {
-	for l := range ck.na {
-		ls := &ck.na[l]
-		ls.wT, ls.rT = noEpoch, noEpoch
-		ls.wC, ls.rC = 0, 0
-		ls.lastT = -1
-		ls.wClean, ls.rClean = false, false
-		if ls.writes != nil {
-			clear(ls.writes)
-		}
-		if ls.reads != nil {
-			clear(ls.reads)
-		}
-		if ls.reported != nil {
-			clear(ls.reported)
-		}
-	}
-	ck.races = 0
-	ck.escalatedSides = 0
-	ck.escalations, ck.demotions = 0, 0
-}
-
 // compactAll demotes escalated per-thread vectors back to epochs wherever
 // the cached minimum frontier proves at most one entry still live: a
 // vector entry w with min_t C_t[u] ≥ w is already ordered before every
@@ -395,16 +376,23 @@ func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
 // Monitor is the streaming race detector. Create one with New (or Open),
 // feed it events in trace order with Step or StepBatch, and collect the
 // deduplicated reports with Reports. A Monitor is not safe for
-// concurrent use; the parallel mode (Pipeline) splits the work between
-// a synchronisation front-end and per-location race back-ends instead.
+// concurrent use; the parallel mode (Pipeline) runs a Monitor as its
+// synchronisation front-end and moves the race checking to
+// per-location back-ends.
 type Monitor struct {
 	decls    []LocDecl
 	nthreads int
 	clocks   [][]uint64 // clocks[t][u]: thread t's vector clock
-	ck       checker    // nonatomic race checking over clocks/minClock
+	// ck checks nonatomic races over clocks/minClock. A pipeline
+	// front-end's checker is empty: its state lives in the back-ends.
+	ck checker
+	// p is the pipeline this monitor is the front-end of, nil for a
+	// sequential run. Step consults it at exactly three points: routing
+	// a nonatomic access, broadcasting a clock join, and the GC barrier.
+	p *Pipeline
 	// staticSkip, when non-nil, marks nonatomic locations a sound static
 	// certificate proved race-free; their events bypass the checker (see
-	// staticfilter.go). Configuration like gcEvery: kept across Reset.
+	// staticfilter.go), or, on a pipeline front-end, are not routed.
 	// The mask itself is never serialised into snapshots, but a snapshot
 	// records THAT a filter was active, so a resume without one can warn
 	// (see the predict section in snapshot.go).
@@ -435,8 +423,8 @@ type Monitor struct {
 	raCollected uint64
 	events      uint64
 	// Observability (obs.go): plain single-writer tallies, published
-	// into reg's atomic cells at GC sweeps / Reset / Stats so the hot
-	// path never performs an atomic operation.
+	// into reg's atomic cells at GC sweeps and Stats so the hot path
+	// never performs an atomic operation.
 	reg          *obs.Registry
 	mo           monCells
 	kinds        [len(kindNames)]uint64
@@ -445,18 +433,9 @@ type Monitor struct {
 }
 
 // New returns a monitor for nthreads threads over the given locations.
+// It is the one constructor: NewPipeline, Open and snapshot restore all
+// start from a New monitor.
 func New(nthreads int, decls []LocDecl) *Monitor {
-	m := newSync(nthreads, decls)
-	m.ck = newChecker(nthreads, len(decls), m.clocks, m.minClock)
-	return m
-}
-
-// newSync builds the synchronisation half of a monitor — clocks, atomic
-// released clocks, RA retention, GC bookkeeping — without the nonatomic
-// checker. The pipeline front-end runs on exactly this (its nonatomic
-// accesses are routed to the back-ends' checkers instead), so it does
-// not pay an O(locations) checker it would never touch.
-func newSync(nthreads int, decls []LocDecl) *Monitor {
 	m := &Monitor{
 		decls:    decls,
 		nthreads: nthreads,
@@ -481,37 +460,8 @@ func newSync(nthreads int, decls []LocDecl) *Monitor {
 			m.ra[l].n = nthreads
 		}
 	}
+	m.ck = newChecker(nthreads, len(decls), m.clocks, m.minClock)
 	return m
-}
-
-// Reset clears all monitoring state (clocks, per-location epochs and
-// vectors, RA messages and statistics, halted threads, and reports) so
-// the monitor can be reused for another trace of the same program shape
-// without reallocating. The GC interval configuration is kept.
-func (m *Monitor) Reset() {
-	for _, c := range m.clocks {
-		clear(c)
-	}
-	m.ck.reset()
-	for _, la := range m.at {
-		if la != nil {
-			clear(la)
-		}
-	}
-	for l := range m.ra {
-		m.ra[l].reset()
-	}
-	if m.win != nil {
-		m.win.reset()
-	}
-	clear(m.minClock)
-	clear(m.halted)
-	m.raLive, m.raPeak, m.raCollected = 0, 0, 0
-	m.nextGC = m.gcEvery
-	m.events = 0
-	clear(m.kinds[:])
-	m.gcSweeps, m.gcProductive = 0, 0
-	m.publishObs()
 }
 
 // SetGCInterval sets the frontier-refresh / RA-collection period in
@@ -530,7 +480,7 @@ func (m *Monitor) SetGCInterval(events uint64) {
 type RAStats struct {
 	// Live is the number of RA messages currently retained.
 	Live int
-	// Peak is the high-water mark of Live since the last Reset.
+	// Peak is the high-water mark of Live.
 	Peak int
 	// Collected is how many dead messages the windowed GC reclaimed.
 	Collected uint64
@@ -541,7 +491,7 @@ func (m *Monitor) RAStats() RAStats {
 	return RAStats{Live: m.raLive, Peak: m.raPeak, Collected: m.raCollected}
 }
 
-// Events returns the number of events consumed since the last Reset.
+// Events returns the number of events consumed.
 func (m *Monitor) Events() uint64 { return m.events }
 
 // EscalatedVectors returns the number of per-thread access vectors
@@ -562,6 +512,11 @@ func (m *Monitor) RaceCount() int {
 // (thread < nthreads, loc < len(decls), kind matching the declared
 // location kind); the wire-format decoder validates ingested traces, and
 // Table guarantees it for converted machine traces.
+//
+// Step is the per-event front-end of both engines: on a pipeline's
+// front-end (m.p != nil) nonatomic accesses are routed to the back-ends
+// instead of checked, joins are broadcast as clock deltas, and each GC
+// sweep is followed by the pipeline's barrier.
 func (m *Monitor) Step(e Event) {
 	m.events++
 	m.kinds[e.Kind]++
@@ -572,24 +527,24 @@ func (m *Monitor) Step(e Event) {
 		m.gc()
 	}
 	switch e.Kind {
-	case ReadNA:
-		if m.staticSkip == nil || !m.staticSkip[e.Loc] {
-			if m.win != nil {
-				m.win.access(e.Loc, e.Thread, false, c, m.events)
-			} else {
-				m.ck.readNA(&m.ck.na[e.Loc], e.Thread, c)
-			}
+	case ReadNA, WriteNA:
+		if m.staticSkip != nil && m.staticSkip[e.Loc] {
+			return
 		}
-	case WriteNA:
-		if m.staticSkip == nil || !m.staticSkip[e.Loc] {
-			if m.win != nil {
-				m.win.access(e.Loc, e.Thread, true, c, m.events)
-			} else {
-				m.ck.writeNA(&m.ck.na[e.Loc], e.Thread, c)
-			}
+		switch {
+		case m.win != nil:
+			// PredShort: the access is checked in the bounded window at its
+			// global stream index (the pipeline routes nothing either).
+			m.win.access(e.Loc, e.Thread, e.Kind == WriteNA, c, m.events)
+		case m.p != nil:
+			m.p.route(e, c[t])
+		case e.Kind == ReadNA:
+			m.ck.readNA(&m.ck.na[e.Loc], e.Thread, c)
+		default:
+			m.ck.writeNA(&m.ck.na[e.Loc], e.Thread, c)
 		}
 	case ReadAT:
-		join(c, m.at[e.Loc])
+		m.join(e.Thread, c, m.at[e.Loc])
 	case WriteAT:
 		la := m.at[e.Loc]
 		if m.pred == PredHB {
@@ -597,12 +552,12 @@ func (m *Monitor) Step(e Event) {
 			// its clock (the reads-from edge to later readers) but does
 			// not join the previous released clock: write→write coherence
 			// is exactly what a sync-preserving reordering may flip.
-			join(c, la)
+			m.join(e.Thread, c, la)
 		}
 		copy(la, c)
 	case ReadRA:
 		if vc := m.ra[e.Loc].lookup(timeKey(e.Time)); vc != nil {
-			join(c, vc)
+			m.join(e.Thread, c, vc)
 		}
 	case WriteRA:
 		m.publishRA(e.Loc, e.Time, e.Thread, c)
@@ -620,10 +575,23 @@ func (m *Monitor) StepBatch(events []Event) {
 	}
 }
 
+// join merges vc into thread t's clock c pointwise (c ⊔= vc). On a
+// pipeline front-end each raised entry is also sent to the back-ends'
+// clock mirrors, in stream position.
+func (m *Monitor) join(t int32, c, vc []uint64) {
+	for u, v := range vc {
+		if v > c[u] {
+			c[u] = v
+			if m.p != nil {
+				m.p.delta(t, u, v)
+			}
+		}
+	}
+}
+
 // publishRA copies the writer's clock into the location's store as a
 // retained RA message (overwriting a live message of the same timestamp)
-// — the WriteRA effect, shared by the sequential Step and the pipeline
-// front-end.
+// — the WriteRA effect.
 func (m *Monitor) publishRA(loc int32, tm ts.Time, writer int32, c []uint64) {
 	if m.ra[loc].put(timeKey(tm), writer, c) {
 		m.raLive++
@@ -714,7 +682,7 @@ func (ck *checker) writeNA(ls *naState, t int32, c []uint64) {
 }
 
 // escalateWrites materialises the per-thread write vector from the
-// current epoch. The slice is reused across Reset cycles.
+// current epoch. The slice is reused after a demotion.
 func (ck *checker) escalateWrites(ls *naState) {
 	if ls.writes == nil {
 		ls.writes = make([]uint64, ck.nthreads)
@@ -791,8 +759,8 @@ func (m *Monitor) gc() {
 		}
 	}
 	// The refreshed frontier may prove escalated vectors collapsible —
-	// demote them while it is exact (the pipeline front-end owns no
-	// checker; its back-ends compact at the same barrier, in-band).
+	// demote them while it is exact (a pipeline front-end's checker is
+	// empty; its back-ends compact at the same barrier, in-band).
 	m.ck.compactAll()
 	if m.win != nil {
 		// Prune the short-race windows at the same barrier, so quiet
@@ -814,6 +782,9 @@ func (m *Monitor) gc() {
 	// The sweep is the hot path's publication point: a handful of atomic
 	// stores per window keeps the live endpoint at most one window stale.
 	m.publishObs()
+	if m.p != nil {
+		m.p.barrier()
+	}
 }
 
 // scanWrites checks the current access of thread t (a read, or a write
@@ -845,28 +816,6 @@ func (ck *checker) scanReads(ls *naState, t int32, c []uint64) bool {
 		}
 	}
 	return clean
-}
-
-// join merges vc into c pointwise (c ⊔= vc).
-func join(c, vc []uint64) {
-	for u, v := range vc {
-		if v > c[u] {
-			c[u] = v
-		}
-	}
-}
-
-// joinTrack is join with change tracking: every index of c that the join
-// raised is appended to changed — the pipeline front-end's clock-delta
-// side channel.
-func joinTrack(c, vc []uint64, changed []int32) []int32 {
-	for u, v := range vc {
-		if v > c[u] {
-			c[u] = v
-			changed = append(changed, int32(u))
-		}
-	}
-	return changed
 }
 
 // Reports returns the distinct races observed, in the canonical order of

@@ -179,13 +179,12 @@ func TestDifferentialOnLitmusTraces(t *testing.T) {
 			t.Fatalf("missing litmus test %s", name)
 		}
 		tb := NewTable(tc.Prog)
-		m := tb.NewMonitor()
 		var buf []Event
 		traces := 0
 		err := explore.Traces(tc.Prog, explore.Options{}, 0, func(tr explore.Trace) bool {
 			traces++
 			want := race.Races(tr)
-			m.Reset()
+			m := tb.NewMonitor()
 			var err error
 			buf, err = tb.Events(tr, buf[:0])
 			if err != nil {
@@ -513,39 +512,11 @@ func TestEpochEscalation(t *testing.T) {
 	}
 }
 
-// TestResetReuse: a Reset monitor behaves exactly like a fresh one.
-func TestResetReuse(t *testing.T) {
-	decls, events := syntheticWorkload(4, 12, 5_000, 7)
-	m := New(4, decls)
-	for _, e := range events {
-		m.Step(e)
-	}
-	first := m.Reports()
-	m.Reset()
-	if m.RaceCount() != 0 || m.Events() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-	for _, e := range events {
-		m.Step(e)
-	}
-	if !eq(m.Reports(), first) {
-		t.Fatalf("reused monitor diverged: %v vs %v", m.Reports(), first)
-	}
-}
-
 // BenchmarkMonitorBursty measures single-core monitoring throughput on a
 // bursty synthetic stream.
 func BenchmarkMonitorBursty(b *testing.B) {
 	decls, events := burstyWorkload(8, 64, 1_000_000, 97)
-	m := New(8, decls)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		for _, e := range events {
-			m.Step(e)
-		}
-	}
-	reportEventRate(b, len(events))
+	benchMonitor(b, func() *Monitor { return New(8, decls) }, events)
 }
 
 // BenchmarkMonitorRAHeavy measures the release-acquire hot path: message
@@ -553,10 +524,17 @@ func BenchmarkMonitorBursty(b *testing.B) {
 // lookups and joins, and the windowed GC sweeps.
 func BenchmarkMonitorRAHeavy(b *testing.B) {
 	decls, events := raWorkload(8, 16, 1_000_000, 23)
-	m := New(8, decls)
+	benchMonitor(b, func() *Monitor { return New(8, decls) }, events)
+}
+
+// benchMonitor steps events through a fresh monitor per op, built
+// outside the timed region, and reports the throughput in ev/s.
+func benchMonitor(b *testing.B, fresh func() *Monitor, events []Event) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
+		b.StopTimer()
+		m := fresh()
+		b.StartTimer()
 		for _, e := range events {
 			m.Step(e)
 		}

@@ -161,7 +161,7 @@ func newMonCells(reg *obs.Registry) monCells {
 }
 
 // publishObs copies the monitor's plain tallies into the registry's
-// atomic cells. Called at GC sweeps, Reset, and Stats — always from the
+// atomic cells. Called at GC sweeps and Stats — always from the
 // goroutine that owns the monitor.
 func (m *Monitor) publishObs() {
 	mo := &m.mo
@@ -176,9 +176,9 @@ func (m *Monitor) publishObs() {
 	mo.raLive.Set(int64(m.raLive))
 	mo.raPeak.Set(int64(m.raPeak))
 	mo.raCollected.Store(m.raCollected)
-	if m.ck.na != nil {
-		// A pipeline front-end owns no checker; the pipeline aggregates
-		// its back-ends into these cells instead (Pipeline.publishObs).
+	if m.p == nil {
+		// A pipeline front-end's checker is empty; the pipeline aggregates
+		// its back-ends into these cells instead (Pipeline.Stats).
 		races := uint64(m.ck.races)
 		if m.win != nil {
 			races += uint64(m.win.races)

@@ -7,6 +7,8 @@ package monitor
 
 import (
 	"bytes"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,12 +63,6 @@ func TestMonitorStats(t *testing.T) {
 	}
 	if got := s.Gauge("monitor.gc.interval"); got != 512 {
 		t.Fatalf("monitor.gc.interval = %d, want 512", got)
-	}
-
-	m.Reset()
-	s = m.Obs().Snapshot()
-	if s.Counter("monitor.events") != 0 || s.Counter("monitor.races") != 0 || s.Gauge("monitor.ra.live") != 0 {
-		t.Fatalf("Reset did not republish zeroed cells: %+v", s.Counters)
 	}
 }
 
@@ -126,6 +122,54 @@ func TestPipelineStats(t *testing.T) {
 	if raceSum != uint64(p.RaceCount()) {
 		t.Fatalf("backend_races sum = %d, want %d", raceSum, p.RaceCount())
 	}
+}
+
+// TestEnginesPublishSameTelemetry: after Finish, a pipeline at 2 and 4
+// shards publishes every monitor.* and predict.* counter and gauge with
+// the value the sequential monitor publishes for the same stream, under
+// each predicate — the two engines share one front-end, and the
+// pipeline aggregates its back-ends into the same cells.
+func TestEnginesPublishSameTelemetry(t *testing.T) {
+	decls, events := raWorkload(6, 16, 60_000, 23)
+	for _, pc := range []struct {
+		pred Predicate
+		k    int
+	}{{PredHB, 0}, {PredSyncP, 0}, {PredShort, 64}} {
+		m := New(6, decls)
+		m.SetPredicate(pc.pred, pc.k)
+		m.SetGCInterval(256)
+		m.StepBatch(events)
+		m.Finish()
+		want := m.Stats()
+		if want.Counter("monitor.races") == 0 || want.Counter("monitor.gc.sweeps") == 0 {
+			t.Fatalf("%v: the workload must race and sweep", pc.pred)
+		}
+		for _, shards := range []int{2, 4} {
+			p := NewPipeline(6, decls, PipelineConfig{Shards: shards, GCInterval: 256, Predicate: pc.pred, WindowK: pc.k})
+			p.StepBatch(events)
+			p.Finish()
+			got := p.Stats()
+			for _, prefix := range []string{"monitor.", "predict."} {
+				if w, g := filterKeys(want.Counters, prefix), filterKeys(got.Counters, prefix); !maps.Equal(w, g) {
+					t.Errorf("%v, %d shards: %s* counters\npipeline   %v\nsequential %v", pc.pred, shards, prefix, g, w)
+				}
+				if w, g := filterKeys(want.Gauges, prefix), filterKeys(got.Gauges, prefix); !maps.Equal(w, g) {
+					t.Errorf("%v, %d shards: %s* gauges\npipeline   %v\nsequential %v", pc.pred, shards, prefix, g, w)
+				}
+			}
+		}
+	}
+}
+
+// filterKeys returns the entries of m whose names start with prefix.
+func filterKeys[V comparable](m map[string]V, prefix string) map[string]V {
+	out := map[string]V{}
+	for k, v := range m {
+		if strings.HasPrefix(k, prefix) {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // TestStatsReadsRaceFreeUnderIngest hammers Obs().Snapshot() from

@@ -10,12 +10,14 @@ package monitor
 // events) total work, so parallelism made monitoring slower below ~6
 // cores. The pipeline resolves it by splitting the two concerns:
 //
-//   - The front-end (the caller's goroutine, via Step/StepBatch)
-//     consumes the stream exactly once. It performs every clock
-//     operation: program-order increments, SC-atomic and RA reads-from
-//     joins, RA message publication, windowed RA GC, and halt
-//     bookkeeping. Nonatomic accesses need no clock work beyond the
-//     program-order increment — the front-end only *routes* them.
+//   - The front-end is a Monitor (the caller's goroutine): Pipeline.Step
+//     is Monitor.Step, which consumes the stream exactly once. It
+//     performs every clock operation: program-order increments,
+//     SC-atomic and RA reads-from joins, RA message publication,
+//     windowed RA GC, and halt bookkeeping. Nonatomic accesses need no
+//     clock work beyond the program-order increment — the front-end
+//     only *routes* them (Monitor.p is the hook; a sequential monitor's
+//     is nil).
 //
 //   - Each back-end owns the nonatomic locations with loc % shards ==
 //     its index, and receives exactly two kinds of records, in stream
@@ -243,7 +245,7 @@ func (b *backend) run() {
 // drain the back-ends and merge the reports. After Finish the pipeline
 // must not be fed again.
 type Pipeline struct {
-	fe *Monitor // front-end: clocks, atomics, RA messages, GC; built checker-free by newSync
+	fe *Monitor // front-end: clocks, atomics, RA messages, GC; its checker is empty
 	// owner[loc] = loc % shards is the owning back-end and dense[loc] =
 	// loc / shards the index in its checker, tabulated so routing costs
 	// two loads instead of two divisions.
@@ -252,7 +254,6 @@ type Pipeline struct {
 	lanes   []*lane
 	backs   []*backend
 	wg      sync.WaitGroup
-	changed []int32 // scratch for joinTrack
 	done    bool
 	reports []race.Report
 	races   int
@@ -266,8 +267,6 @@ type Pipeline struct {
 	aborted  atomic.Bool
 	tornDown chan struct{}
 	ackWait  []bool
-	// staticSkip mirrors cfg.StaticFilter (see PipelineConfig).
-	staticSkip []bool
 	// Observability (obs.go): front-end-owned plain tallies, published
 	// into po's cells at GC sweeps / Stats.
 	po          pipeCells
@@ -277,32 +276,24 @@ type Pipeline struct {
 }
 
 // NewPipeline starts cfg.Shards race back-end goroutines for a stream of
-// nthreads threads over the given locations.
+// nthreads threads over the given locations: a New monitor, configured
+// with cfg's predicate, becomes the front-end.
 func NewPipeline(nthreads int, decls []LocDecl, cfg PipelineConfig) *Pipeline {
-	cfg = cfg.withDefaults()
-	fe := newSync(nthreads, decls)
-	applyGC(fe, cfg)
+	m := New(nthreads, decls)
 	if cfg.Predicate != PredHB {
-		fe.SetPredicate(cfg.Predicate, cfg.WindowK)
+		m.SetPredicate(cfg.Predicate, cfg.WindowK)
 	}
-	return newPipelineFrom(fe, cfg)
+	return newPipelineFrom(m, cfg)
 }
 
-// applyGC applies a pipeline config's GC interval to the front-end; a
-// zero interval keeps the monitor's own (the default, or a restored
-// snapshot's).
-func applyGC(fe *Monitor, cfg PipelineConfig) {
-	if cfg.GCInterval > 0 {
-		fe.SetGCInterval(cfg.GCInterval)
-	}
-}
-
-// newPipelineFrom builds the lanes and back-ends around an existing
-// front-end — either a fresh checker-free sync monitor (NewPipeline) or
-// a fully restored monitor (Snapshot.Pipeline), whose per-location race
-// state is moved out to the owning back-ends and whose clocks seed every
-// back-end mirror. cfg must already have defaults applied.
+// newPipelineFrom builds the lanes and back-ends around a monitor — a
+// fresh one (NewPipeline) or a restored one (Snapshot.Pipeline) — which
+// becomes the front-end. cfg's defaults, GC interval and static filter
+// are applied; the monitor's per-location race state moves out to the
+// owning back-ends and its clocks seed every back-end mirror.
 func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
+	cfg = cfg.withDefaults()
+	fe.configure(cfg)
 	nthreads, decls := fe.nthreads, fe.decls
 	p := &Pipeline{
 		fe:       fe,
@@ -310,15 +301,8 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 		dense:    make([]int32, len(decls)),
 		lanes:    make([]*lane, cfg.Shards),
 		backs:    make([]*backend, cfg.Shards),
-		changed:  make([]int32, 0, nthreads),
 		tornDown: make(chan struct{}),
 		ackWait:  make([]bool, cfg.Shards),
-	}
-	if cfg.StaticFilter != nil {
-		if len(cfg.StaticFilter) != len(decls) {
-			panic("monitor: pipeline static filter mask length != declaration count")
-		}
-		p.staticSkip = cfg.StaticFilter
 	}
 	p.po = newPipeCells(fe.reg, cfg.Shards)
 	for l := range p.owner {
@@ -363,27 +347,26 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 		}
 		p.backs[s] = b
 	}
-	if fe.ck.na != nil {
-		// Restored front-end: move each location's race-checking state to
-		// the back-end owning it (its dense slot), crediting the races its
-		// dedup masks already record, and strip the front-end's checker —
-		// the sync half must not retain it.
-		for l := range fe.ck.na {
-			b := p.backs[p.owner[l]]
-			st := fe.ck.na[l]
-			b.ck.na[p.dense[l]] = st
-			for _, mask := range st.reported {
-				b.ck.races += bits.OnesCount8(mask)
-			}
-			if st.wT == escalated {
-				b.ck.escalatedSides++
-			}
-			if st.rT == escalated {
-				b.ck.escalatedSides++
-			}
+	// Move each location's race-checking state to the back-end owning it
+	// (its dense slot), crediting the races its dedup masks already
+	// record, and empty the front-end's checker: the sync half must not
+	// retain it.
+	for l := range fe.ck.na {
+		b := p.backs[p.owner[l]]
+		st := fe.ck.na[l]
+		b.ck.na[p.dense[l]] = st
+		for _, mask := range st.reported {
+			b.ck.races += bits.OnesCount8(mask)
 		}
-		fe.ck = checker{}
+		if st.wT == escalated {
+			b.ck.escalatedSides++
+		}
+		if st.rT == escalated {
+			b.ck.escalatedSides++
+		}
 	}
+	fe.ck = checker{}
+	fe.p = p
 	for _, b := range p.backs {
 		b := b
 		p.wg.Add(1)
@@ -395,91 +378,41 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// Step consumes the next event of the trace: clock work on the
-// front-end, nonatomic accesses routed to their owning back-end.
-func (p *Pipeline) Step(e Event) {
-	m := p.fe
-	m.events++
-	m.kinds[e.Kind]++
-	t := int(e.Thread)
-	c := m.clocks[t]
-	c[t]++
-	if m.events >= m.nextGC {
-		m.gc()
-		p.broadcastMin()
-		// m.gc published the front-end cells; sample the pipeline's own
-		// (ring occupancy, stall counts, record totals) at the same cadence.
-		p.publishObs()
-	}
-	switch e.Kind {
-	case ReadNA, WriteNA:
-		if p.staticSkip != nil && p.staticSkip[e.Loc] {
-			return
-		}
-		if m.win != nil {
-			// PredShort: the access is checked in the front-end's bounded
-			// window at its global stream index — nothing is routed.
-			m.win.access(e.Loc, e.Thread, e.Kind == WriteNA, c, m.events)
-			return
-		}
-		p.routed++
-		p.lanes[p.owner[e.Loc]].put(pipeRec{
-			aux: c[t],
-			loc: p.dense[e.Loc], // the back-end's own dense index
-			tk:  uint32(e.Thread)<<3 | uint32(e.Kind),
-		})
-	case ReadAT:
-		p.changed = joinTrack(c, m.at[e.Loc], p.changed[:0])
-		p.broadcastClock(e.Thread, c)
-	case WriteAT:
-		la := m.at[e.Loc]
-		if m.pred == PredHB {
-			p.changed = joinTrack(c, la, p.changed[:0])
-			copy(la, c)
-			p.broadcastClock(e.Thread, c)
-		} else {
-			// Predictive predicates: publish without joining the previous
-			// released clock (see Monitor.Step). No entry of c was raised,
-			// so there is no delta to broadcast.
-			copy(la, c)
-		}
-	case ReadRA:
-		if vc := m.ra[e.Loc].lookup(timeKey(e.Time)); vc != nil {
-			p.changed = joinTrack(c, vc, p.changed[:0])
-			p.broadcastClock(e.Thread, c)
-		}
-	case WriteRA:
-		m.publishRA(e.Loc, e.Time, e.Thread, c)
-	case KindHalt:
-		m.halted[t] = true
-	}
+// Step consumes the next event of the trace: Monitor.Step on the
+// front-end, which routes nonatomic accesses to their owning back-end.
+func (p *Pipeline) Step(e Event) { p.fe.Step(e) }
+
+// StepBatch consumes a batch of events in order.
+func (p *Pipeline) StepBatch(events []Event) { p.fe.StepBatch(events) }
+
+// route sends a nonatomic access, with its thread's own clock component,
+// to the back-end owning its location.
+func (p *Pipeline) route(e Event, own uint64) {
+	p.routed++
+	p.lanes[p.owner[e.Loc]].put(pipeRec{
+		aux: own,
+		loc: p.dense[e.Loc], // the back-end's own dense index
+		tk:  uint32(e.Thread)<<3 | uint32(e.Kind),
+	})
 }
 
-// StepBatch consumes a batch of events — the preferred feeding
-// granularity (no per-event call through an interface).
-func (p *Pipeline) StepBatch(events []Event) {
-	for i := range events {
-		p.Step(events[i])
+// delta sends one clock entry a join raised, clocks[t][u] = v, to every
+// back-end.
+func (p *Pipeline) delta(t int32, u int, v uint64) {
+	r := pipeRec{aux: v, loc: int32(u), tk: uint32(t)<<3 | opClock}
+	for _, ln := range p.lanes {
+		ln.put(r)
 	}
+	p.deltaRecs += uint64(len(p.lanes))
 }
 
-// broadcastClock sends the entries of thread t's clock raised by the
-// last join (p.changed) to every back-end, in stream position.
-func (p *Pipeline) broadcastClock(t int32, c []uint64) {
-	for _, u := range p.changed {
-		r := pipeRec{aux: c[u], loc: u, tk: uint32(t)<<3 | opClock}
-		for _, ln := range p.lanes {
-			ln.put(r)
-		}
-	}
-	p.deltaRecs += uint64(len(p.changed)) * uint64(len(p.lanes))
-}
-
-// broadcastMin sends the refreshed minimum frontier to every back-end —
-// the epoch-overwrite criterion must flip at the same stream position
-// everywhere — followed by the GC-barrier marker that triggers the
-// back-ends' compaction sweep over the completed frontier.
-func (p *Pipeline) broadcastMin() {
+// barrier follows every front-end GC sweep. It sends the refreshed
+// minimum frontier to every back-end — the epoch-overwrite criterion
+// must flip at the same stream position everywhere — followed by the
+// GC-barrier marker that triggers the back-ends' compaction sweep over
+// the completed frontier, and samples the pipeline's own tallies (ring
+// occupancy, stall counts, record totals) at the front-end's cadence.
+func (p *Pipeline) barrier() {
 	for u, v := range p.fe.minClock {
 		r := pipeRec{aux: v, loc: int32(u), tk: opMin}
 		for _, ln := range p.lanes {
@@ -490,6 +423,7 @@ func (p *Pipeline) broadcastMin() {
 		ln.put(pipeRec{tk: opCompact})
 	}
 	p.minRecsSent += uint64(len(p.fe.minClock)+1) * uint64(len(p.lanes))
+	p.publishObs()
 }
 
 // Finish flushes the remaining batches, waits for the back-ends to
@@ -605,7 +539,7 @@ func (p *Pipeline) snapshotWith(w io.Writer, rck *ReaderCheckpoint) error {
 	p.quiesce()
 	return snapshotTo(w, p.fe, func(l int32) *naState {
 		return &p.backs[p.owner[l]].ck.na[p.dense[l]]
-	}, rck, p.staticSkip != nil)
+	}, rck)
 }
 
 // Abort tears the pipeline down mid-stream without draining: the rings

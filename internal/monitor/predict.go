@@ -123,8 +123,8 @@ type WindowStats struct {
 	// Live is the number of window entries currently held (including
 	// expired entries not yet visited by a prune pass).
 	Live int
-	// Peak is the high-water mark of Live since the last Reset — the
-	// bounded-memory claim of PredShort, measured.
+	// Peak is the high-water mark of Live — the bounded-memory claim
+	// of PredShort, measured.
 	Peak int
 	// Pruned is how many expired entries the window has dropped.
 	Pruned uint64
@@ -270,19 +270,4 @@ func (w *window) appendReports(out []race.Report, decls []LocDecl) []race.Report
 		}
 	}
 	return out
-}
-
-// reset clears the window state (entries, masks, telemetry), reusing
-// allocations; the k bound is configuration and survives.
-func (w *window) reset() {
-	for l := range w.locs {
-		wl := &w.locs[l]
-		wl.entries = wl.entries[:0]
-		wl.head = 0
-		if wl.reported != nil {
-			clear(wl.reported)
-		}
-	}
-	w.races, w.live, w.peak = 0, 0, 0
-	w.pruned = 0
 }

@@ -61,8 +61,8 @@ const minRAIndex = 8
 // timestamp to its slot+1, 0 marking an empty cell. Messages leave only
 // through sweep, which compacts the slots and rebuilds the index, so the
 // table never needs tombstones. Slots, arena and index keep their
-// capacity across sweeps and Reset, so steady-state publication
-// allocates nothing.
+// capacity across sweeps, so steady-state publication allocates
+// nothing.
 type raStore struct {
 	n      int // clock width: the monitor's thread count
 	live   []raEntry
@@ -161,13 +161,6 @@ func (s *raStore) sweep(min []uint64) int {
 		s.rehash(indexSize(pre))
 	}
 	return dropped
-}
-
-// reset empties the store, keeping its buffers.
-func (s *raStore) reset() {
-	s.live = s.live[:0]
-	s.clocks = s.clocks[:0]
-	clear(s.index)
 }
 
 // indexSize is the table length for live messages: the smallest power of

@@ -124,13 +124,6 @@ func TestRAStoreDifferential(t *testing.T) {
 		grow := op%1000 < 700
 		what := ""
 		switch r := rng.IntN(100); {
-		case op%2000 == 1650:
-			// Mid-growth, with the store full: Reset must empty it and
-			// keep it usable.
-			what = "reset"
-			m.Reset()
-			clear(model)
-			stats = RAStats{}
 		case grow && r < 60 || !grow && r < 20:
 			what = "put"
 			tm := pool[rng.IntN(len(pool))]

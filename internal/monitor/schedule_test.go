@@ -6,6 +6,7 @@ package monitor_test
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,16 +26,6 @@ func generate(tb testing.TB, cfg progsynth.ScaledConfig, opt schedgen.Options) (
 		tb.Fatal(err)
 	}
 	return tab, events
-}
-
-// benchSteps reports the ev/s of feeding events to m, reset each op.
-func benchSteps(b *testing.B, m *monitor.Monitor, events []monitor.Event) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		m.StepBatch(events)
-	}
-	monitor.ReportEventRate(b, len(events))
 }
 
 // BenchmarkScheduleBursty runs the sequential monitor over racemon's
@@ -57,13 +48,17 @@ func BenchmarkScheduleBursty(b *testing.B) {
 		k    int
 	}{{"hb", monitor.PredHB, 0}, {"syncp", monitor.PredSyncP, 0}, {"short64", monitor.PredShort, 64}} {
 		b.Run(pc.name, func(b *testing.B) {
-			m := tab.NewMonitor()
-			m.SetPredicate(pc.pred, pc.k)
-			benchSteps(b, m, events)
+			monitor.BenchMonitor(b, func() *monitor.Monitor {
+				m := tab.NewMonitor()
+				m.SetPredicate(pc.pred, pc.k)
+				return m
+			}, events)
 		})
 	}
 	b.Run("hb-scrape-1ms", func(b *testing.B) {
-		m := tab.NewMonitor()
+		// The scraper follows each op's fresh monitor.
+		var cur atomic.Pointer[monitor.Monitor]
+		cur.Store(tab.NewMonitor())
 		stop, done := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
@@ -74,11 +69,15 @@ func BenchmarkScheduleBursty(b *testing.B) {
 				case <-stop:
 					return
 				case <-tick.C:
-					_ = m.Obs().Snapshot()
+					_ = cur.Load().Obs().Snapshot()
 				}
 			}
 		}()
-		benchSteps(b, m, events)
+		monitor.BenchMonitor(b, func() *monitor.Monitor {
+			m := tab.NewMonitor()
+			cur.Store(m)
+			return m
+		}, events)
 		close(stop)
 		<-done
 	})
@@ -118,12 +117,14 @@ func BenchmarkSchedulePrivate(b *testing.B) {
 		b.Fatal("static analysis certified nothing on the private-heavy program")
 	}
 	b.Run("prefilter-off", func(b *testing.B) {
-		benchSteps(b, tab.NewMonitor(), events)
+		monitor.BenchMonitor(b, tab.NewMonitor, events)
 	})
 	b.Run("prefilter-on", func(b *testing.B) {
-		m := tab.NewMonitor()
-		m.SetStaticFilter(mask)
-		benchSteps(b, m, events)
+		monitor.BenchMonitor(b, func() *monitor.Monitor {
+			m := tab.NewMonitor()
+			m.SetStaticFilter(mask)
+			return m
+		}, events)
 	})
 }
 

@@ -50,32 +50,37 @@ func (m *Monitor) Abort() {}
 // gives a sequential Monitor with cfg's GC interval, predicate and
 // static filter applied, more give a Pipeline.
 func Open(hdr Header, cfg PipelineConfig) Sink {
-	cfg.Shards = clampShards(hdr.Decls, cfg.Shards)
-	if cfg.Shards > 1 {
-		return NewPipeline(hdr.Threads, hdr.Decls, cfg)
-	}
 	m := New(hdr.Threads, hdr.Decls)
-	applyGC(m, cfg)
 	if cfg.Predicate != PredHB {
 		m.SetPredicate(cfg.Predicate, cfg.WindowK)
 	}
-	m.SetStaticFilter(cfg.StaticFilter)
-	return m
+	return open(m, cfg)
 }
 
 // Open resumes the checkpoint as a sink, with Open's shard clamp: a
 // restored Monitor at most one shard, a Pipeline (see Snapshot.Pipeline)
 // above. The checkpointed predicate is authoritative; cfg's is ignored.
 // Single use, like Monitor.
-func (s *Snapshot) Open(cfg PipelineConfig) Sink {
-	cfg.Shards = clampShards(s.hdr.Decls, cfg.Shards)
+func (s *Snapshot) Open(cfg PipelineConfig) Sink { return open(s.Monitor(), cfg) }
+
+// open is the tail both Opens share: clamp the shards, then return the
+// configured monitor, or a pipeline with the monitor as its front-end.
+func open(m *Monitor, cfg PipelineConfig) Sink {
+	cfg.Shards = clampShards(m.decls, cfg.Shards)
 	if cfg.Shards > 1 {
-		return s.Pipeline(cfg)
+		return newPipelineFrom(m, cfg)
 	}
-	m := s.take()
-	applyGC(m, cfg)
-	m.SetStaticFilter(cfg.StaticFilter)
+	m.configure(cfg)
 	return m
+}
+
+// configure applies cfg's GC interval — zero keeps the monitor's own,
+// the default or a restored snapshot's — and its static filter.
+func (m *Monitor) configure(cfg PipelineConfig) {
+	if cfg.GCInterval > 0 {
+		m.SetGCInterval(cfg.GCInterval)
+	}
+	m.SetStaticFilter(cfg.StaticFilter)
 }
 
 // clampShards bounds a requested back-end count by the nonatomic

@@ -167,8 +167,10 @@ func (s *Snapshot) Reader() (ReaderCheckpoint, bool) {
 	return *s.rck, true
 }
 
-// take hands over the restored monitor exactly once.
-func (s *Snapshot) take() *Monitor {
+// Monitor returns the restored sequential monitor, ready to consume the
+// remainder of the stream. Single use; see Pipeline for the sharded
+// continuation.
+func (s *Snapshot) Monitor() *Monitor {
 	if s.m == nil {
 		panic("monitor: snapshot already consumed (Monitor/Pipeline may be called once)")
 	}
@@ -176,11 +178,6 @@ func (s *Snapshot) take() *Monitor {
 	s.m = nil
 	return m
 }
-
-// Monitor returns the restored sequential monitor, ready to consume the
-// remainder of the stream. Single use; see Pipeline for the sharded
-// continuation.
-func (s *Snapshot) Monitor() *Monitor { return s.take() }
 
 // Pipeline resumes the checkpoint as a parallel pipeline: the restored
 // synchronisation state becomes the front-end and every location's race
@@ -192,10 +189,7 @@ func (s *Snapshot) Monitor() *Monitor { return s.take() }
 // overrides it, which is still report-preserving. Single use, like
 // Monitor.
 func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
-	m := s.take()
-	cfg = cfg.withDefaults()
-	applyGC(m, cfg)
-	return newPipelineFrom(m, cfg)
+	return newPipelineFrom(s.Monitor(), cfg)
 }
 
 // Restore decodes a snapshot and returns the restored sequential
@@ -215,7 +209,7 @@ func Restore(r io.Reader) (*Monitor, error) {
 // monitor remains usable; a Restore of the written bytes continues the
 // stream with reports and RAStats byte-identical to this monitor's.
 func (m *Monitor) Snapshot(w io.Writer) error {
-	return snapshotTo(w, m, m.naAt, nil, m.staticSkip != nil)
+	return snapshotTo(w, m, m.naAt, nil)
 }
 
 // SnapshotWithReader is Snapshot plus a trace-reader continuation, for
@@ -223,7 +217,7 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 // side can seek the trace to ck.Offset (TraceReader.Resume) instead of
 // re-decoding the consumed prefix.
 func (m *Monitor) SnapshotWithReader(w io.Writer, ck ReaderCheckpoint) error {
-	return snapshotTo(w, m, m.naAt, &ck, m.staticSkip != nil)
+	return snapshotTo(w, m, m.naAt, &ck)
 }
 
 // naAt is the sequential monitor's location-state accessor (the pipeline
@@ -283,12 +277,12 @@ func (sw *snapWriter) chunk(tag byte) {
 
 // snapshotTo writes one snapshot of the sync state in m and the
 // per-location race state reachable through naAt (the sequential
-// monitor's own array, or the pipeline's sharded back-ends). filtered
-// records whether a static pre-filter was active — passed explicitly
-// because the pipeline keeps its mask on the Pipeline, not the
-// front-end, and a filtered sequential monitor and a filtered pipeline
-// must snapshot byte-identically.
-func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderCheckpoint, filtered bool) error {
+// monitor's own array, or the pipeline's sharded back-ends). Whether a
+// static pre-filter was active is read off m, which holds the mask for
+// both engines, so a filtered sequential monitor and a filtered
+// pipeline snapshot byte-identically.
+func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderCheckpoint) error {
+	filtered := m.staticSkip != nil
 	hdr := Header{Threads: m.nthreads, Decls: m.decls}
 	if err := validateHeader(hdr); err != nil {
 		return fmt.Errorf("monitor: snapshot: %w", err)

@@ -10,10 +10,9 @@ package monitor
 // an unfiltered one, and its reports are identical by the certificate's
 // soundness — both proven in the modeltest differential matrix.
 //
-// The filter is configuration, like the GC interval: it survives Reset,
-// and the mask itself is not serialised into snapshots — a restored
-// monitor or pipeline applies it again via SetStaticFilter /
-// PipelineConfig.StaticFilter. Since snapshot v2 the header does record
+// The filter is configuration, like the GC interval: the mask itself
+// is not serialised into snapshots — a restored monitor or pipeline
+// applies it again via SetStaticFilter / PipelineConfig.StaticFilter. Since snapshot v2 the header does record
 // *whether* a filter was active (Snapshot.StaticFiltered), so a resumer
 // that cannot rebuild the mask can at least warn instead of silently
 // monitoring a filtered prefix unfiltered.

@@ -160,18 +160,29 @@ func (h Header) Equal(o Header) bool {
 	return h.Threads == o.Threads && slices.Equal(h.Decls, o.Decls)
 }
 
+// CheckShape reports whether a trace of the given thread and location
+// counts fits the format's size limits — the first checks every header
+// passes (validateHeader), exported so a producer can refuse an
+// oversized workload before generating any of it.
+func CheckShape(threads, locs int) error {
+	if threads < 1 || threads > maxWireThreads {
+		return fmt.Errorf("monitor: trace header: thread count %d out of range [1,%d]", threads, maxWireThreads)
+	}
+	if locs > maxWireLocs {
+		return fmt.Errorf("monitor: trace header: %d locations exceeds the limit %d", locs, maxWireLocs)
+	}
+	if threads*locs > maxWireCells {
+		return fmt.Errorf("monitor: trace header: %d threads × %d locations exceeds the limit %d cells",
+			threads, locs, maxWireCells)
+	}
+	return nil
+}
+
 // validateHeader checks the format limits and per-declaration sanity
 // shared by encoder and decoder.
 func validateHeader(hdr Header) error {
-	if hdr.Threads < 1 || hdr.Threads > maxWireThreads {
-		return fmt.Errorf("monitor: trace header: thread count %d out of range [1,%d]", hdr.Threads, maxWireThreads)
-	}
-	if len(hdr.Decls) > maxWireLocs {
-		return fmt.Errorf("monitor: trace header: %d locations exceeds the limit %d", len(hdr.Decls), maxWireLocs)
-	}
-	if hdr.Threads*len(hdr.Decls) > maxWireCells {
-		return fmt.Errorf("monitor: trace header: %d threads × %d locations exceeds the limit %d cells",
-			hdr.Threads, len(hdr.Decls), maxWireCells)
+	if err := CheckShape(hdr.Threads, len(hdr.Decls)); err != nil {
+		return err
 	}
 	seen := make(map[prog.Loc]bool, len(hdr.Decls))
 	for i, d := range hdr.Decls {

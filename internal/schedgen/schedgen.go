@@ -31,6 +31,7 @@ import (
 
 	"localdrf/internal/monitor"
 	"localdrf/internal/prog"
+	"localdrf/internal/progsynth"
 	"localdrf/internal/ts"
 )
 
@@ -203,6 +204,24 @@ func (c *cell) at(i int) (int64, prog.Val) {
 	return c.times[j], c.vals[j]
 }
 
+// CheckScaled is the check to run before generating an events-long
+// schedule of progsynth.Scaled(seed, cfg): the event, thread and
+// nonatomic location counts must be ≥ 1 (progsynth draws from the
+// nonatomic pool, and a zero thread count would silently select its
+// defaults), the atomic, release-acquire and private pools ≥ 0, and the
+// program's trace header must fit the wire format (monitor.CheckShape),
+// so no run can fail on its header after monitoring began.
+func CheckScaled(cfg progsynth.ScaledConfig, events int) error {
+	if events < 1 || cfg.Threads < 1 || cfg.NonAtomic < 1 || cfg.Atomics < 0 || cfg.RAs < 0 || cfg.PrivateLocs < 0 {
+		return fmt.Errorf("schedgen: events, threads and nonatomic locations must be ≥ 1, atomic, release-acquire and private locations ≥ 0 (got %d, %d, %d; %d, %d, %d)",
+			events, cfg.Threads, cfg.NonAtomic, cfg.Atomics, cfg.RAs, cfg.PrivateLocs)
+	}
+	// Summed in float64 so that absurd counts saturate instead of
+	// wrapping below the limit.
+	locs := float64(cfg.NonAtomic) + float64(cfg.Atomics) + float64(cfg.RAs) + float64(cfg.Threads)*float64(cfg.PrivateLocs)
+	return monitor.CheckShape(cfg.Threads, int(min(locs, math.MaxInt32)))
+}
+
 // Generate executes p under the given options and appends the resulting
 // event stream to dst (pass nil to allocate). It returns the stream and
 // whether the program ran to completion before MaxEvents. For workloads
@@ -279,7 +298,7 @@ func StreamBatch(p *prog.Program, tb *monitor.Table, opt Options, batch int, emi
 
 // Stream executes p under the given options, pushing each event to emit
 // as it is produced — the generate-and-feed core that Generate, Encode
-// and StreamBatch wrap, and that cmd/racemon's -stream mode feeds
+// and StreamBatch wrap, and that cmd/racemon's generated mode feeds
 // straight into a monitor without buffering the schedule. Generation
 // stops early if emit returns an error (which is returned as-is). The
 // boolean result reports whether the program ran to completion before

@@ -57,30 +57,34 @@ type Config struct {
 	// ("" disables checkpointing; sessions then recover by full replay).
 	CheckpointDir string
 	// CheckpointEvery checkpoints a session after every N monitored
-	// events (default 100000; requires CheckpointDir).
+	// events (0 means the default, 100000; requires CheckpointDir).
 	CheckpointEvery uint64
 	// CheckpointRing is how many snapshot generations each session
-	// keeps (default 3). Recovery falls back entry by entry past
-	// corrupt files, so more generations tolerate more torn writes.
+	// keeps (0 means the default, 3). Recovery falls back entry by
+	// entry past corrupt files, so more generations tolerate more torn
+	// writes.
 	CheckpointRing int
 	// MaxSessions caps concurrently attached sessions; excess
-	// admissions are shed with "busy retry-after" (default 64).
+	// admissions are shed with "busy retry-after" (0 means the default,
+	// 64; a negative cap sheds every admission).
 	MaxSessions int
 	// Shards > 1 monitors each session through a sharded Pipeline
-	// instead of a sequential Monitor (default 1; see monitor.Open,
-	// which clamps it to the trace's nonatomic location count).
+	// instead of a sequential Monitor (values < 1 mean 1; see
+	// monitor.Open, which clamps it to the trace's nonatomic location
+	// count).
 	// Reports are identical either way; shards trade per-session cores
 	// for per-session throughput.
 	Shards int
 	// ReadTimeout bounds every read from a client connection — the
-	// slow-loris defence (default 10s; 0 disables).
+	// slow-loris defence (0 means the default, 10s; a negative value
+	// disables the deadline).
 	ReadTimeout time.Duration
 	// IdleTimeout evicts the in-memory bookkeeping of detached
-	// sessions (default 5m). The on-disk ring survives eviction; a
-	// later resume recovers from it.
+	// sessions (0 means the default, 5m). The on-disk ring survives
+	// eviction; a later resume recovers from it.
 	IdleTimeout time.Duration
 	// RetryAfter is the backoff hint sent with "busy" rejections
-	// (default 1s).
+	// (0 means the default, 1s).
 	RetryAfter time.Duration
 	// Limits caps what an untrusted trace header/frame may demand
 	// (zero value: 1 MiB header budget, format-cap frames).

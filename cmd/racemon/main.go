@@ -73,12 +73,13 @@
 // after the N-th monitored event, stopping there. Works in every
 // monitoring mode (not with -emit). -resume FILE (with -trace) restores
 // the snapshot and continues over the trace: a checkpoint taken by
-// -trace carries the reader's byte offset and delta context, so the
-// resumed run seeks straight to where monitoring stopped; a checkpoint
-// taken by a generated run carries no offset, so the resumed run skips
-// the already-monitored prefix by count (the trace must therefore be
-// the same event stream, e.g. the -emit of the same seed and
-// parameters).
+// -trace over a binary trace carries the reader's byte offset and delta
+// context, so the resumed run seeks straight to where monitoring
+// stopped; a checkpoint taken by -trace over a text trace, or by a
+// generated run, carries no offset (it is the same plain snapshot), so
+// the resumed run skips the already-monitored prefix by count (the
+// trace must therefore be the same event stream, e.g. the -emit of the
+// same seed and parameters, in either format).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
 // run that never stopped. A snapshot records whether its run had a
@@ -640,15 +641,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		}
 	}
 	if ck.file != "" {
-		writeSnapshot(ck.file, func(w io.Writer) error {
-			rck, err := tr.Checkpoint()
-			if err != nil {
-				// Text traces carry no resumable offset; fall back to a
-				// plain snapshot (resume then skips by count).
-				return sk.Snapshot(w)
-			}
-			return sk.SnapshotWithReader(w, rck)
-		})
+		writeSnapshot(ck.file, func(w io.Writer) error { return tr.Checkpoint(w, sk) })
 	}
 
 	res := result{

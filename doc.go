@@ -148,8 +148,9 @@
 // epoch-or-vector per-location last-access state, dedup bitmasks, live
 // RA messages, the GC frontier and interval, and the halt
 // set — in a versioned, self-describing framed binary format ("LDCK");
-// monitor.Restore rebuilds a monitor that finishes the stream with
-// reports and RAStats byte-identical to a run that never stopped. The
+// monitor.ReadSnapshot then Snapshot.Open rebuild a monitor that
+// finishes the stream with reports and RAStats byte-identical to a run
+// that never stopped. The
 // encoding is canonical, so resume composes (a snapshot of a restored
 // monitor equals the unsplit snapshot at the same index) and the
 // encoded size is a direct measurement of the paper's boundedness
@@ -159,12 +160,14 @@
 // the front-end's sync state and the back-ends' per-location state are
 // reassembled in declaration order — producing bytes identical to the
 // sequential monitor's at the same position, so checkpoints resume
-// sequentially, sharded at any count (Snapshot.Pipeline routes each
+// sequentially, sharded at any count (Snapshot.Open routes each
 // restored location to its owning back-end), or under a different GC
-// regime, all report-preserving. Checkpoints taken mid-ingestion of a
-// wire-format trace carry the reader's byte offset and delta context
-// (monitor.ReaderCheckpoint), so the resumed process seeks straight to
-// where monitoring stopped instead of re-decoding the prefix. The
+// regime, all report-preserving. One call checkpoints mid-ingestion of
+// either trace format, TraceReader.Checkpoint(w, sink): over a binary
+// trace the snapshot carries the reader's byte offset and delta
+// context, so the resumed process (TraceReader.ResumeAt) seeks straight
+// to where monitoring stopped instead of re-decoding the prefix; over a
+// text trace it is the plain snapshot, resumed by event count. The
 // snapshot decoder validates everything and errors (never panics) on
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every

@@ -92,19 +92,27 @@ func snapshotSeq(t *testing.T, nthreads int, decls []monitor.LocDecl, events []m
 	return buf.Bytes()
 }
 
+// restore decodes a snapshot and opens it at one shard: a sequential
+// monitor with the snapshot's recorded GC state.
+func restore(t *testing.T, snap []byte) *monitor.Monitor {
+	t.Helper()
+	s, err := monitor.ReadSnapshot(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return s.Open(monitor.PipelineConfig{}).(*monitor.Monitor)
+}
+
 // resumeSeq restores a snapshot into a sequential monitor, finishes the
 // stream and returns the outcome.
 func resumeSeq(t *testing.T, snap []byte, rest []monitor.Event) outcome {
 	t.Helper()
-	m, err := monitor.Restore(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
+	m := restore(t, snap)
 	m.StepBatch(rest)
 	return outcome{reports: m.Reports(), stats: m.RAStats(), events: m.Events()}
 }
 
-// resumePipeline restores a snapshot into a cfg-shard pipeline (zero GC
+// resumePipeline opens a snapshot at the given shard count (zero GC
 // fields: continue with the snapshot's recorded GC state), finishes the
 // stream and returns the outcome.
 func resumePipeline(t *testing.T, snap []byte, rest []monitor.Event, shards int) outcome {
@@ -113,7 +121,7 @@ func resumePipeline(t *testing.T, snap []byte, rest []monitor.Event, shards int)
 	if err != nil {
 		t.Fatalf("read snapshot: %v", err)
 	}
-	p := s.Pipeline(monitor.PipelineConfig{Shards: shards})
+	p := s.Open(monitor.PipelineConfig{Shards: shards})
 	p.StepBatch(rest)
 	reports := p.Finish()
 	return outcome{reports: reports, stats: p.RAStats(), events: p.Events()}
@@ -273,10 +281,7 @@ func TestDoubleSplitResume(t *testing.T) {
 			for _, g := range gcModes {
 				want := runSeq(tb.Threads(), tb.Decls(), events, g)
 				snap1 := snapshotSeq(t, tb.Threads(), tb.Decls(), events, k1, g)
-				m, err := monitor.Restore(bytes.NewReader(snap1))
-				if err != nil {
-					t.Fatal(err)
-				}
+				m := restore(t, snap1)
 				m.StepBatch(events[k1:k2])
 				var snap2 bytes.Buffer
 				if err := m.Snapshot(&snap2); err != nil {
@@ -334,10 +339,7 @@ func TestCrossConfigResume(t *testing.T) {
 			}
 			for _, pair := range pairs {
 				snap := snapshotSeq(t, tb.Threads(), tb.Decls(), events, k, pair.at)
-				m, err := monitor.Restore(bytes.NewReader(snap))
-				if err != nil {
-					t.Fatal(err)
-				}
+				m := restore(t, snap)
 				pair.resume.applyMonitor(m)
 				m.StepBatch(events[k:])
 				if !race.ReportsEqual(m.Reports(), want.reports) {
@@ -350,7 +352,7 @@ func TestCrossConfigResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := s.Pipeline(pair.resume.pipelineConfig(4))
+				pl := s.Open(pair.resume.pipelineConfig(4))
 				pl.StepBatch(events[k:])
 				if got := pl.Finish(); !race.ReportsEqual(got, want.reports) {
 					t.Fatalf("seed %d %v %s→%s shards=4: cross-config pipeline resume changed the report set",
@@ -365,7 +367,7 @@ func TestCrossConfigResume(t *testing.T) {
 // binary wire format — encode a schedgen stream (halt-free for every
 // seed, plus a halt-carrying one for every other seed), ingest to k
 // through a TraceReader, checkpoint monitor + reader, then reopen the
-// trace, Resume at the recorded byte offset and finish: reports, stats
+// trace, ResumeAt the recorded byte offset and finish: reports, stats
 // and event counts must equal the one-shot ingest. Split points land
 // mid-frame (pending events ride the snapshot).
 func TestWireResumeParity(t *testing.T) {
@@ -418,30 +420,30 @@ func TestWireResumeParity(t *testing.T) {
 					}
 					m.Step(e)
 				}
-				rck, err := tr.Checkpoint()
-				if err != nil {
+				var snap, plain bytes.Buffer
+				if err := tr.Checkpoint(&snap, m); err != nil {
 					t.Fatal(err)
 				}
-				var snap bytes.Buffer
-				if err := m.SnapshotWithReader(&snap, rck); err != nil {
+				// The continuation is one more section before the end
+				// section (tag 0, length 0) that closes the plain snapshot.
+				if err := m.Snapshot(&plain); err != nil {
 					t.Fatal(err)
+				}
+				if snap.Len() <= plain.Len() || !bytes.HasPrefix(snap.Bytes(), plain.Bytes()[:plain.Len()-2]) {
+					t.Fatal("snapshot lost its reader continuation")
 				}
 				s, err := monitor.ReadSnapshot(bytes.NewReader(snap.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rck2, ok := s.Reader()
-				if !ok {
-					t.Fatal("snapshot lost its reader continuation")
-				}
 				tr2, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tr2.Resume(rck2); err != nil {
+				if err := tr2.ResumeAt(s); err != nil {
 					t.Fatalf("seed %d halts=%v k=%d: %v", seed, halts, k, err)
 				}
-				m2 := s.Monitor()
+				m2 := s.Open(monitor.PipelineConfig{}).(*monitor.Monitor)
 				if err := stepAll(tr2, m2); err != nil {
 					t.Fatal(err)
 				}

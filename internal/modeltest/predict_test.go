@@ -268,10 +268,7 @@ func TestPredictSplitResumeParity(t *testing.T) {
 						if err := ms.Snapshot(&snap); err != nil {
 							t.Fatalf("snapshot at %d: %v", k, err)
 						}
-						mr, err := monitor.Restore(bytes.NewReader(snap.Bytes()))
-						if err != nil {
-							t.Fatalf("restore: %v", err)
-						}
+						mr := restore(t, snap.Bytes())
 						if mr.Predicate() != spec.Pred || mr.WindowK() != spec.K {
 							t.Fatalf("seed %d %v %v k=%d: restored predicate %v/%d",
 								seed, pol, spec, k, mr.Predicate(), mr.WindowK())
@@ -307,7 +304,7 @@ func TestPredictSplitResumeParity(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							pl := s.Pipeline(monitor.PipelineConfig{Shards: shards})
+							pl := s.Open(monitor.PipelineConfig{Shards: shards})
 							pl.StepBatch(events[k:])
 							preports := pl.Finish()
 							pg := predOutcome{

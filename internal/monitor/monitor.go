@@ -96,10 +96,12 @@
 // messages are windowed as above instead of accumulating O(messages).
 //
 // Because the live state is bounded, it is also cheaply serialisable:
-// Snapshot/Restore (snapshot.go) checkpoint a monitor — or a quiesced
-// Pipeline — at any event index and resume it with byte-identical
-// reports and retention statistics, optionally carrying a TraceReader
-// continuation (byte offset + v2 delta context) so interrupted trace
+// the snapshot codec (snapshot.go) checkpoints a monitor — or a
+// quiesced Pipeline — at any event index, and ReadSnapshot then
+// Snapshot.Open resumes it with byte-identical reports and retention
+// statistics. TraceReader.Checkpoint snapshots a sink at the reader's
+// position; over a binary trace the snapshot carries the reader
+// continuation (byte offset + v2 delta context), so interrupted trace
 // ingestion seeks instead of re-decoding.
 //
 // # Predictive detection
@@ -145,11 +147,13 @@
 // returns it as a Sink — the method set Monitor and Pipeline share
 // (Step, StepBatch, Finish, Abort, Snapshot, Stats, Obs, …). At most
 // one shard gives a Monitor, more a Pipeline; the config's GC interval,
-// predicate and static filter apply either way. Snapshot.Open resumes
-// a checkpoint the same way, and TraceReader.ResumeAt positions a
-// reopened trace where that checkpoint stopped. racemon, racemond and
-// the experiments all build their engines through this seam, and all
-// ingest with one loop: TraceReader.NextBatch, then the Sink's
+// predicate and static filter apply either way. Checkpointing is one
+// call, TraceReader.Checkpoint(w, sink), for both trace formats;
+// resuming is one path: ReadSnapshot, then TraceReader.ResumeAt to
+// position a reopened trace where the checkpoint stopped, then
+// Snapshot.Open, which builds the sink as Open does. racemon, racemond
+// and the experiments all build their engines through this seam, and
+// all ingest with one loop: TraceReader.NextBatch, then the Sink's
 // StepBatch. New and NewPipeline remain for callers that need the
 // concrete type; Table and ReadRaces (MonitorReader's loop over a
 // whole trace) are the one-call forms the differential tests use.

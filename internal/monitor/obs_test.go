@@ -244,7 +244,7 @@ func TestSnapshotMetrics(t *testing.T) {
 	if h := s.Histograms["monitor.snapshot.encode_ns"]; h.Count != 1 {
 		t.Fatalf("encode_ns count=%d, want 1", h.Count)
 	}
-	m2, err := Restore(bytes.NewReader(buf.Bytes()))
+	m2, err := restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ type PipelineConfig struct {
 	// WindowK. Under PredShort nonatomic accesses are checked against
 	// the front-end's bounded candidate window instead of being routed
 	// to the back-ends (the distance bound needs the global event index,
-	// which only the front-end has). Ignored by Snapshot.Pipeline — the
+	// which only the front-end has). Ignored by Snapshot.Open — the
 	// checkpointed predicate is authoritative on resume.
 	Predicate Predicate
 	// WindowK is the event-distance bound of PredShort (ignored for the
@@ -287,7 +287,7 @@ func NewPipeline(nthreads int, decls []LocDecl, cfg PipelineConfig) *Pipeline {
 }
 
 // newPipelineFrom builds the lanes and back-ends around a monitor — a
-// fresh one (NewPipeline) or a restored one (Snapshot.Pipeline) — which
+// fresh one (NewPipeline) or a restored one (Snapshot.Open) — which
 // becomes the front-end. cfg's defaults, GC interval and static filter
 // are applied; the monitor's per-location race state moves out to the
 // owning back-ends and its clocks seed every back-end mirror.
@@ -519,17 +519,11 @@ func (p *Pipeline) EscalatedVectors() int {
 // can be resumed sequentially, at a different shard count, or not at
 // all. Must be called from the feeding goroutine (between Steps); the
 // pipeline remains feedable afterwards.
-func (p *Pipeline) Snapshot(w io.Writer) error {
-	return p.snapshotWith(w, nil)
-}
+func (p *Pipeline) Snapshot(w io.Writer) error { return p.snapshotAt(w, nil) }
 
-// SnapshotWithReader is Snapshot plus a trace-reader continuation (see
-// Monitor.SnapshotWithReader).
-func (p *Pipeline) SnapshotWithReader(w io.Writer, ck ReaderCheckpoint) error {
-	return p.snapshotWith(w, &ck)
-}
-
-func (p *Pipeline) snapshotWith(w io.Writer, rck *ReaderCheckpoint) error {
+// snapshotAt is Snapshot with an optional reader continuation (see
+// TraceReader.Checkpoint).
+func (p *Pipeline) snapshotAt(w io.Writer, rck *readerCk) error {
 	if p.aborted.Load() {
 		return fmt.Errorf("monitor: pipeline snapshot: pipeline aborted")
 	}

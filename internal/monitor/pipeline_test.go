@@ -333,7 +333,7 @@ func TestPipelineAbortContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pre-abort snapshot unreadable: %v", err)
 			}
-			if got := s.Monitor().Events(); got != 20_000 {
+			if got := s.take().Events(); got != 20_000 {
 				t.Fatalf("pre-abort snapshot events = %d, want 20000", got)
 			}
 		})

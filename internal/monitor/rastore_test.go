@@ -103,7 +103,7 @@ func TestRAStoreDifferential(t *testing.T) {
 			t.Fatalf("op %d (%s): snapshot bytes depend on the store's history", op, what)
 		}
 		if op%64 == 0 {
-			r, err := Restore(bytes.NewReader(a.Bytes()))
+			r, err := restore(bytes.NewReader(a.Bytes()))
 			if err != nil {
 				t.Fatalf("op %d (%s): restore: %v", op, what, err)
 			}

@@ -35,7 +35,7 @@ func generate(tb testing.TB, cfg progsynth.ScaledConfig, opt schedgen.Options) (
 //   - hb, syncp, short64: one sub-bench per predicate;
 //   - hb-scrape-1ms: hb with a goroutine calling Obs().Snapshot() every
 //     millisecond, the /stats endpoint's access pattern;
-//   - snapshot-restore: Snapshot plus Restore of the state after the
+//   - snapshot-restore: Snapshot plus ReadSnapshot of the state after the
 //     whole schedule; ev/s counts the schedule's events per round trip.
 func BenchmarkScheduleBursty(b *testing.B) {
 	const n = 1_000_000
@@ -91,7 +91,7 @@ func BenchmarkScheduleBursty(b *testing.B) {
 			if err := m.Snapshot(&buf); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := monitor.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			if _, err := monitor.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,9 +32,11 @@ type Sink interface {
 	WindowK() int
 	WindowStats() WindowStats
 	Snapshot(io.Writer) error
-	SnapshotWithReader(io.Writer, ReaderCheckpoint) error
 	Obs() *obs.Registry
 	Stats() obs.Snapshot
+	// snapshotAt writes the snapshot with an optional trace-reader
+	// continuation; TraceReader.Checkpoint is its one outside caller.
+	snapshotAt(io.Writer, *readerCk) error
 }
 
 // Finish returns Reports: for a sequential monitor there is nothing to
@@ -58,10 +60,16 @@ func Open(hdr Header, cfg PipelineConfig) Sink {
 }
 
 // Open resumes the checkpoint as a sink, with Open's shard clamp: a
-// restored Monitor at most one shard, a Pipeline (see Snapshot.Pipeline)
-// above. The checkpointed predicate is authoritative; cfg's is ignored.
-// Single use, like Monitor.
-func (s *Snapshot) Open(cfg PipelineConfig) Sink { return open(s.Monitor(), cfg) }
+// restored Monitor at most one shard; above, a Pipeline whose front-end
+// is the restored synchronisation state and whose back-ends receive
+// every location's race state — the shard count (and batch size, queue
+// depth) need not match whatever produced the snapshot. A zero
+// cfg.GCInterval continues with the snapshot's recorded GC state (the
+// interval and the position of the next sweep — what same-config resume
+// parity needs); a nonzero one overrides it, which still preserves the
+// report set. The checkpointed predicate is authoritative; cfg's is
+// ignored. Single use: a second Open panics.
+func (s *Snapshot) Open(cfg PipelineConfig) Sink { return open(s.take(), cfg) }
 
 // open is the tail both Opens share: clamp the shards, then return the
 // configured monitor, or a pipeline with the monitor as its front-end.
@@ -97,15 +105,24 @@ func clampShards(decls []LocDecl, shards int) int {
 
 // ResumeAt positions a freshly opened reader where the checkpoint's
 // monitoring stopped: the trace must have the snapshot's header; then
-// the reader seeks to the recorded byte offset, or, for a snapshot taken
-// without a reader continuation, decodes and drops the already-monitored
-// events by count (so the trace must be the same event stream).
+// the reader seeks to the recorded byte offset (a binary trace's
+// Checkpoint), or, for a snapshot without a reader continuation (a text
+// trace's Checkpoint, or Snapshot), decodes and drops the
+// already-monitored events by count (so the trace must be the same event
+// stream). Either way the reader then counts those events as delivered.
 func (tr *TraceReader) ResumeAt(s *Snapshot) error {
 	if !s.hdr.Equal(tr.hdr) {
 		return fmt.Errorf("monitor: resume: the trace's header differs from the snapshot's")
 	}
+	if tr.delivered > 0 {
+		return fmt.Errorf("monitor: resume: the reader has already decoded events")
+	}
 	if s.rck != nil {
-		return tr.Resume(*s.rck)
+		if err := tr.resume(s.rck); err != nil {
+			return err
+		}
+		tr.delivered = s.events
+		return nil
 	}
 	for skip := s.events; skip > 0; skip-- {
 		_, ok, err := tr.Next()

@@ -22,8 +22,9 @@ package monitor
 // in this order (tags in parentheses):
 //
 //	header (1)  uvarint threads, uvarint nlocs,
-//	            nlocs × (uvarint len, name bytes, kind byte) — the wire
-//	            format's header fields, same limits (validateHeader)
+//	            nlocs × (uvarint len, name bytes, kind byte) — the binary
+//	            wire header's bytes after magic and version, written by
+//	            appendHeader and read by readHeader, same limits
 //	sync   (2)  uvarint events, gcEvery, nextGC, adaptMin, adaptMax
 //	            (both always 0: the retired adaptive-GC bounds),
 //	            raPeak, raCollected; halted bitset ⌈threads/8⌉ bytes
@@ -51,8 +52,8 @@ package monitor
 //	            nondecreasing, uvarint epoch, uvarint thread, write
 //	            byte), mask byte (1 = threads² window dedup masks
 //	            follow); then uvarint window peak, uvarint pruned
-//	reader (7)  OPTIONAL — a TraceReader continuation (see
-//	            ReaderCheckpoint): uvarint byte offset, wire-version
+//	reader (7)  OPTIONAL, written by TraceReader.Checkpoint over a
+//	            binary trace (see readerCk): uvarint byte offset, wire-version
 //	            flag byte (always 1: binary v2), varint prevThread,
 //	            threads varints prevLoc, nlocs varints prevNum; halted
 //	            bitset; uvarint pending
@@ -134,22 +135,18 @@ const (
 )
 
 // Snapshot is a decoded checkpoint: the restored monitor plus the
-// optional trace-reader continuation that was saved with it. Exactly one
-// of Monitor or Pipeline may be called, once — both hand over the same
-// underlying restored state.
+// optional trace-reader continuation that was saved with it. Resume it
+// with TraceReader.ResumeAt and Open, in that order: Open hands the
+// restored state over once.
 type Snapshot struct {
 	hdr      Header
 	m        *Monitor
-	rck      *ReaderCheckpoint
+	rck      *readerCk
 	filtered bool
 	// events is the restored monitor's event count, kept for
 	// TraceReader.ResumeAt after the monitor has been handed over.
 	events uint64
 }
-
-// Header returns the thread count and location declarations the snapshot
-// was taken over.
-func (s *Snapshot) Header() Header { return s.hdr }
 
 // StaticFiltered reports whether the checkpointed run had a static
 // pre-filter installed. The mask itself is configuration and is not
@@ -158,66 +155,26 @@ func (s *Snapshot) Header() Header { return s.hdr }
 // silently dropping the filter.
 func (s *Snapshot) StaticFiltered() bool { return s.filtered }
 
-// Reader returns the trace-reader continuation stored in the snapshot,
-// if any (ok=false when the checkpoint was not taken mid-ingestion).
-func (s *Snapshot) Reader() (ReaderCheckpoint, bool) {
-	if s.rck == nil {
-		return ReaderCheckpoint{}, false
-	}
-	return *s.rck, true
-}
-
-// Monitor returns the restored sequential monitor, ready to consume the
-// remainder of the stream. Single use; see Pipeline for the sharded
-// continuation.
-func (s *Snapshot) Monitor() *Monitor {
+// take hands the restored monitor over, once (Open's single use).
+func (s *Snapshot) take() *Monitor {
 	if s.m == nil {
-		panic("monitor: snapshot already consumed (Monitor/Pipeline may be called once)")
+		panic("monitor: snapshot already consumed (Open may be called once)")
 	}
 	m := s.m
 	s.m = nil
 	return m
 }
 
-// Pipeline resumes the checkpoint as a parallel pipeline: the restored
-// synchronisation state becomes the front-end and every location's race
-// state is routed to the back-end owning it under cfg.Shards — the shard
-// count (and batch size, queue depth) need not match whatever produced
-// the snapshot. A zero cfg.GCInterval means "continue with the
-// snapshot's recorded GC state" (the interval and the position of the
-// next sweep — what same-config resume parity needs); a nonzero one
-// overrides it, which is still report-preserving. Single use, like
-// Monitor.
-func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
-	return newPipelineFrom(s.Monitor(), cfg)
-}
-
-// Restore decodes a snapshot and returns the restored sequential
-// monitor — the inverse of Monitor.Snapshot. The monitor resumes with
-// the GC configuration the snapshot recorded; callers may override it
-// with SetGCInterval (the report set is identical under any interval,
-// only retention telemetry changes).
-func Restore(r io.Reader) (*Monitor, error) {
-	s, err := ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return s.Monitor(), nil
-}
-
 // Snapshot serialises the monitor's complete live state to w. The
-// monitor remains usable; a Restore of the written bytes continues the
-// stream with reports and RAStats byte-identical to this monitor's.
-func (m *Monitor) Snapshot(w io.Writer) error {
-	return snapshotTo(w, m, m.naAt, nil)
-}
+// monitor remains usable; opening the written bytes (ReadSnapshot, then
+// Snapshot.Open) continues the stream with reports and RAStats
+// byte-identical to this monitor's.
+func (m *Monitor) Snapshot(w io.Writer) error { return m.snapshotAt(w, nil) }
 
-// SnapshotWithReader is Snapshot plus a trace-reader continuation, for
-// checkpoints taken mid-ingestion of a wire-format trace: the restored
-// side can seek the trace to ck.Offset (TraceReader.Resume) instead of
-// re-decoding the consumed prefix.
-func (m *Monitor) SnapshotWithReader(w io.Writer, ck ReaderCheckpoint) error {
-	return snapshotTo(w, m, m.naAt, &ck)
+// snapshotAt is Snapshot with an optional reader continuation (see
+// TraceReader.Checkpoint).
+func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
+	return snapshotTo(w, m, m.naAt, rck)
 }
 
 // naAt is the sequential monitor's location-state accessor (the pipeline
@@ -281,7 +238,7 @@ func (sw *snapWriter) chunk(tag byte) {
 // static pre-filter was active is read off m, which holds the mask for
 // both engines, so a filtered sequential monitor and a filtered
 // pipeline snapshot byte-identically.
-func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderCheckpoint) error {
+func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *readerCk) error {
 	filtered := m.staticSkip != nil
 	hdr := Header{Threads: m.nthreads, Decls: m.decls}
 	if err := validateHeader(hdr); err != nil {
@@ -298,14 +255,7 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 	sw.w.WriteString(snapMagic)
 	sw.w.WriteByte(snapVersion)
 
-	// header
-	sw.uvarint(uint64(hdr.Threads))
-	sw.uvarint(uint64(len(hdr.Decls)))
-	for _, d := range hdr.Decls {
-		sw.uvarint(uint64(len(d.Name)))
-		sw.bytes([]byte(d.Name))
-		sw.byte(byte(d.Kind))
-	}
+	sw.buf = appendHeader(sw.buf, hdr)
 	sw.section(snapTagHeader)
 
 	// sync
@@ -500,7 +450,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // validate checks a reader continuation against the snapshot header
 // before it is encoded (the decoder re-checks the same constraints, so
 // encoder and decoder accept exactly the same continuations).
-func (ck *ReaderCheckpoint) validate(hdr Header) error {
+func (ck *readerCk) validate(hdr Header) error {
 	if ck.Offset < 0 {
 		return fmt.Errorf("reader checkpoint: negative offset %d", ck.Offset)
 	}
@@ -651,6 +601,25 @@ func (c *snapCursor) bitset(n int, field string) ([]bool, error) {
 	return bs, nil
 }
 
+// ReadByte and Read make the cursor a headerReader, so the header
+// section decodes through readHeader.
+func (c *snapCursor) ReadByte() (byte, error) {
+	if c.pos >= len(c.p) {
+		return 0, io.EOF
+	}
+	c.pos++
+	return c.p[c.pos-1], nil
+}
+
+func (c *snapCursor) Read(p []byte) (int, error) {
+	if c.pos >= len(c.p) {
+		return 0, io.EOF
+	}
+	n := copy(p, c.p[c.pos:])
+	c.pos += n
+	return n, nil
+}
+
 func (c *snapCursor) done() error {
 	if c.pos != len(c.p) {
 		return c.errf("%d trailing bytes", len(c.p)-c.pos)
@@ -721,10 +690,10 @@ func (d *snapDecoder) more(c **snapCursor, tag byte, what string) error {
 	return nil
 }
 
-// ReadSnapshot decodes and validates a snapshot written by
-// Monitor.Snapshot / Pipeline.Snapshot (and their *WithReader forms).
-// Malformed input produces an error, never a panic, and never a monitor
-// that a subsequent Step could crash.
+// ReadSnapshot decodes and validates a snapshot written by a Sink's
+// Snapshot or by TraceReader.Checkpoint. Malformed input produces an
+// error, never a panic, and never a monitor that a subsequent Step could
+// crash.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	start := time.Now()
 	cr := &countingReader{r: r}
@@ -743,8 +712,18 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("monitor: snapshot: unsupported version %d (have %d)", ver, snapVersion)
 	}
 
-	hdr, err := d.decodeHeader()
+	c, err := d.expect(snapTagHeader, "header")
 	if err != nil {
+		return nil, err
+	}
+	hdr, err := readHeader(c, 0)
+	if err != nil {
+		return nil, c.errf("%v", err)
+	}
+	if err := c.done(); err != nil {
+		return nil, err
+	}
+	if err := validateHeader(hdr); err != nil {
 		return nil, err
 	}
 	m := New(hdr.Threads, hdr.Decls)
@@ -805,53 +784,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	m.mo.snapDecBytes.Observe(cr.n)
 	m.mo.snapDecNs.Observe(uint64(time.Since(start)))
 	return s, nil
-}
-
-func (d *snapDecoder) decodeHeader() (Header, error) {
-	c, err := d.expect(snapTagHeader, "header")
-	if err != nil {
-		return Header{}, err
-	}
-	threads, err := c.uvarint("thread count")
-	if err != nil {
-		return Header{}, err
-	}
-	if threads > maxWireThreads {
-		return Header{}, c.errf("thread count %d exceeds the limit %d", threads, maxWireThreads)
-	}
-	nlocs, err := c.uvarint("location count")
-	if err != nil {
-		return Header{}, err
-	}
-	if nlocs > maxWireLocs {
-		return Header{}, c.errf("location count %d exceeds the limit %d", nlocs, maxWireLocs)
-	}
-	hdr := Header{Threads: int(threads)}
-	for i := uint64(0); i < nlocs; i++ {
-		nameLen, err := c.uvarint("location name length")
-		if err != nil {
-			return Header{}, err
-		}
-		if nameLen > maxWireName {
-			return Header{}, c.errf("location name length %d exceeds the limit %d", nameLen, maxWireName)
-		}
-		name, err := c.take(int(nameLen), "location name")
-		if err != nil {
-			return Header{}, err
-		}
-		kind, err := c.byte("location kind")
-		if err != nil {
-			return Header{}, err
-		}
-		hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(name), Kind: prog.LocKind(kind)})
-	}
-	if err := c.done(); err != nil {
-		return Header{}, err
-	}
-	if err := validateHeader(hdr); err != nil {
-		return Header{}, err
-	}
-	return hdr, nil
 }
 
 func (d *snapDecoder) decodeSync(m *Monitor) error {
@@ -1216,7 +1148,7 @@ func (d *snapDecoder) decodePredict(c *snapCursor, m *Monitor) (bool, error) {
 	return pf == 1, c.done()
 }
 
-func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
+func decodeReader(c *snapCursor, hdr Header) (*readerCk, error) {
 	off, err := c.uvarint("offset")
 	if err != nil {
 		return nil, err
@@ -1231,7 +1163,7 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 	if flag != readerWireFlag {
 		return nil, c.errf("wire-version flag %d, want %d (binary v2)", flag, readerWireFlag)
 	}
-	rck := &ReaderCheckpoint{Offset: int64(off)}
+	rck := &readerCk{Offset: int64(off)}
 	prevThread, err := c.varint("prevThread")
 	if err != nil {
 		return nil, err

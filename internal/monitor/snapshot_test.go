@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,16 @@ import (
 	"localdrf/internal/race"
 	"localdrf/internal/ts"
 )
+
+// restore decodes a snapshot and takes its monitor: ReadSnapshot, then
+// the hand-over behind Snapshot.Open.
+func restore(r io.Reader) (*Monitor, error) {
+	s, err := ReadSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	return s.take(), nil
+}
 
 // finish runs the remaining events through a monitor and returns its
 // final observable state.
@@ -49,7 +60,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err := m.Snapshot(&buf); err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
-			restored, err := Restore(bytes.NewReader(buf.Bytes()))
+			restored, err := restore(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -86,7 +97,7 @@ func TestSnapshotDecodeEncodeIdentity(t *testing.T) {
 	if err := m.Snapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(bytes.NewReader(a.Bytes()))
+	restored, err := restore(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +126,7 @@ func TestSnapshotHaltedThreads(t *testing.T) {
 	if err := m.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(bytes.NewReader(buf.Bytes()))
+	restored, err := restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +204,7 @@ func TestSnapshotCrossModeResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.Pipeline(PipelineConfig{Shards: shards})
+		p := newPipelineFrom(s.take(), PipelineConfig{Shards: shards})
 		p.StepBatch(events[k:])
 		if got := p.Finish(); !race.ReportsEqual(got, wantReports) {
 			t.Fatalf("shards=%d: sequential→pipeline resume diverged\ngot  %v\nwant %v", shards, got, wantReports)
@@ -211,7 +222,7 @@ func TestSnapshotCrossModeResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Abort()
-	restored, err := Restore(bytes.NewReader(plSnap.Bytes()))
+	restored, err := restore(bytes.NewReader(plSnap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 }
 
 // TestReaderCheckpointResume: ingest k events from a binary trace, save
-// monitor + reader continuation, then reopen the trace, Resume at the
+// monitor + reader continuation, then reopen the trace, ResumeAt the
 // recorded offset and finish — reports and stats must equal a one-shot
 // ingest. Frame offsets with mid-frame pending events, at split points
 // inside and at frame boundaries.
@@ -273,30 +284,25 @@ func TestReaderCheckpointResume(t *testing.T) {
 			}
 			m.Step(e)
 		}
-		rck, err := tr.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := m.SnapshotWithReader(&buf, rck); err != nil {
+		if err := tr.Checkpoint(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rck2, ok := s.Reader()
-		if !ok {
+		if s.rck == nil {
 			t.Fatal("snapshot lost the reader continuation")
 		}
 		tr2, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr2.Resume(rck2); err != nil {
+		if err := tr2.ResumeAt(s); err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
-		m2 := s.Monitor()
+		m2 := s.take()
 		if err := stepAll(tr2, m2); err != nil {
 			t.Fatalf("k=%d: feed: %v", k, err)
 		}
@@ -353,27 +359,25 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 			}
 			m.Step(e)
 		}
-		rck, err := tr.Checkpoint()
-		if err != nil {
-			t.Fatalf("k=%d: checkpoint: %v", k, err)
-		}
 		var buf bytes.Buffer
-		if err := m.SnapshotWithReader(&buf, rck); err != nil {
+		if err := tr.Checkpoint(&buf, m); err != nil {
 			t.Fatalf("k=%d: snapshot rejected a legitimate mid-frame halt checkpoint: %v", k, err)
 		}
 		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		rck2, _ := s.Reader()
+		if s.rck == nil {
+			t.Fatalf("k=%d: snapshot lost the reader continuation", k)
+		}
 		tr2, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr2.Resume(rck2); err != nil {
+		if err := tr2.ResumeAt(s); err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
-		m2 := s.Monitor()
+		m2 := s.take()
 		if err := stepAll(tr2, m2); err != nil {
 			t.Fatalf("k=%d: feed: %v", k, err)
 		}
@@ -384,19 +388,123 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 	}
 }
 
-// TestReaderCheckpointText: the text format refuses checkpoints instead
-// of producing a bogus offset.
+// TestReaderCheckpointText: on a text trace Checkpoint writes the plain
+// snapshot — the bytes Snapshot writes, with no reader section — which
+// ResumeAt then resumes by count; a binary continuation cannot be
+// applied to a text reader.
 func TestReaderCheckpointText(t *testing.T) {
-	data := []byte("ldtrace 1\nthreads 1\nloc x na\n0 w x\n")
+	decls, events := raWorkload(5, 12, 10_000, 17)
+	hdr := Header{Threads: 5, Decls: decls}
+	data := encodeStream(t, hdr, events, Text)
+	want, err := ReadRaces(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 4096, 5000, 10_000} {
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tr.NewMonitor()
+		for i := 0; i < k; i++ {
+			e, ok, err := tr.Next()
+			if err != nil || !ok {
+				t.Fatalf("k=%d i=%d: next: ok=%v err=%v", k, i, ok, err)
+			}
+			m.Step(e)
+		}
+		var ck, plain bytes.Buffer
+		if err := tr.Checkpoint(&ck, m); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if err := m.Snapshot(&plain); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ck.Bytes(), plain.Bytes()) {
+			t.Fatalf("k=%d: text checkpoint differs from the plain snapshot (%d vs %d bytes)", k, ck.Len(), plain.Len())
+		}
+		s, err := ReadSnapshot(bytes.NewReader(ck.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr2, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr2.ResumeAt(s); err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		m2 := s.take()
+		if err := stepAll(tr2, m2); err != nil {
+			t.Fatalf("k=%d: feed: %v", k, err)
+		}
+		if !race.ReportsEqual(m2.Reports(), want) || m2.Events() != uint64(len(events)) {
+			t.Fatalf("k=%d: count resume diverged", k)
+		}
+	}
 	tr, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Checkpoint(); err == nil {
-		t.Fatal("text trace produced a checkpoint")
+	if err := tr.resume(&readerCk{}); err == nil {
+		t.Fatal("text trace accepted a binary continuation")
 	}
-	if err := tr.Resume(ReaderCheckpoint{}); err == nil {
-		t.Fatal("text trace accepted a resume")
+}
+
+// TestCheckpointCountMismatch: Checkpoint refuses, writing nothing, a
+// sink that has not consumed exactly the events the reader delivered —
+// in both formats, ahead or behind — and a resumed reader counts its
+// skipped prefix, so checkpointing again after ResumeAt works.
+func TestCheckpointCountMismatch(t *testing.T) {
+	decls, events := raWorkload(3, 6, 500, 7)
+	hdr := Header{Threads: 3, Decls: decls}
+	for _, format := range []Format{BinaryV2, Text} {
+		data := encodeStream(t, hdr, events, format)
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		behind, ahead := tr.NewMonitor(), tr.NewMonitor()
+		for i := 0; i < 100; i++ {
+			e, _, err := tr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ahead.Step(e)
+			if i < 99 {
+				behind.Step(e)
+			}
+		}
+		ahead.Step(events[100])
+		for _, sk := range []Sink{behind, ahead} {
+			var buf bytes.Buffer
+			if err := tr.Checkpoint(&buf, sk); err == nil || buf.Len() != 0 {
+				t.Fatalf("%v: sink at %d events, reader at 100: err=%v, %d bytes written", format, sk.Events(), err, buf.Len())
+			}
+		}
+		// A resumed reader has delivered the snapshot's events.
+		var snap bytes.Buffer
+		if err := behind.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr2, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr2.ResumeAt(s); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr2.Checkpoint(&buf, s.take()); err != nil {
+			t.Fatalf("%v: checkpoint right after ResumeAt: %v", format, err)
+		}
+		if err := tr2.ResumeAt(s); err == nil {
+			t.Fatalf("%v: ResumeAt accepted a reader that has delivered events", format)
+		}
 	}
 }
 
@@ -408,27 +516,32 @@ func TestReaderResumeValidation(t *testing.T) {
 	data := encodeStream(t, hdr, events, BinaryV2)
 
 	tr, _ := NewTraceReader(bytes.NewReader(data))
-	ck, err := tr.Checkpoint()
+	var snap bytes.Buffer
+	if err := tr.Checkpoint(&snap, tr.NewMonitor()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume := func(mutate func(*ReaderCheckpoint)) error {
+	ck := *s.rck
+	resume := func(mutate func(*readerCk)) error {
 		c := ck
 		c.PrevLoc, c.PrevNum = slices.Clone(ck.PrevLoc), slices.Clone(ck.PrevNum)
 		mutate(&c)
 		tr, _ := NewTraceReader(bytes.NewReader(data))
-		return tr.Resume(c)
+		return tr.resume(&c)
 	}
-	if err := resume(func(*ReaderCheckpoint) {}); err != nil {
+	if err := resume(func(*readerCk) {}); err != nil {
 		t.Fatalf("checkpoint at the first frame rejected: %v", err)
 	}
-	if err := resume(func(c *ReaderCheckpoint) { c.Offset = 1 }); err == nil {
+	if err := resume(func(c *readerCk) { c.Offset = 1 }); err == nil {
 		t.Fatal("offset inside the header accepted")
 	}
-	if err := resume(func(c *ReaderCheckpoint) { c.Offset = int64(len(data)) + 100 }); err == nil {
+	if err := resume(func(c *readerCk) { c.Offset = int64(len(data)) + 100 }); err == nil {
 		t.Fatal("offset beyond the trace accepted")
 	}
-	if err := resume(func(c *ReaderCheckpoint) { c.PrevLoc = c.PrevLoc[:1] }); err == nil {
+	if err := resume(func(c *readerCk) { c.PrevLoc = c.PrevLoc[:1] }); err == nil {
 		t.Fatal("delta context for another thread count accepted")
 	}
 }
@@ -752,7 +865,7 @@ func TestSnapshotChunkedSections(t *testing.T) {
 	if a.Len() < 3*snapChunk {
 		t.Fatalf("fixture too small to chunk: %d bytes", a.Len())
 	}
-	restored, err := Restore(bytes.NewReader(a.Bytes()))
+	restored, err := restore(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatalf("decoder rejected the encoder's own output: %v", err)
 	}
@@ -817,12 +930,8 @@ func FuzzRestore(f *testing.F) {
 		}
 		m.Step(e)
 	}
-	rck, err := tr.Checkpoint()
-	if err != nil {
-		f.Fatal(err)
-	}
 	var withReader bytes.Buffer
-	if err := m.SnapshotWithReader(&withReader, rck); err != nil {
+	if err := tr.Checkpoint(&withReader, m); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(withReader.Bytes())
@@ -875,19 +984,19 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h := s.Header()
+		h := s.hdr
 		// Cap the restored shape: the limits admit sizes that are fine for
 		// real monitors but too slow to exercise per fuzz exec.
 		if h.Threads > 64 || len(h.Decls) > 1024 {
 			return
 		}
-		if rck, ok := s.Reader(); ok {
+		if s.rck != nil {
 			// Accepted continuations must satisfy their own invariants.
-			if err := rck.validate(h); err != nil {
+			if err := s.rck.validate(h); err != nil {
 				t.Fatalf("accepted reader continuation fails validation: %v", err)
 			}
 		}
-		rm := s.Monitor()
+		rm := s.take()
 		// The restored monitor must consume arbitrary in-bounds events
 		// without panicking.
 		for i, d := range h.Decls {
@@ -933,11 +1042,11 @@ func TestSnapshotConsumedPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Monitor()
+	_ = s.Open(PipelineConfig{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second Monitor() did not panic")
+			t.Fatal("second Open did not panic")
 		}
 	}()
-	_ = s.Monitor()
+	_ = s.Open(PipelineConfig{})
 }

@@ -58,7 +58,9 @@ package monitor
 // Event lines are "<thread> r|w <locname> [<time>]" or "<thread> halt";
 // the location's declared kind selects the event flavour, and the
 // timestamp ("num" or "num/den") is required exactly for release-acquire
-// events.
+// events. A line, comment and newline included, is at most 64 KiB
+// (maxTextLine); the longest line the encoder writes, an RA event on a
+// 4 KiB name, is about 4.2 KB.
 //
 // Versions: the binary decoder accepts version 2 only (version 1 is
 // retired) and the text decoder "ldtrace 1" only; any other version is
@@ -133,6 +135,10 @@ const (
 	maxFrameBytes      = 1 << 20
 	maxFrameEvents     = 1 << 16
 	defaultFrameEvents = 4096
+
+	// maxTextLine bounds one text line, so a peer cannot make the
+	// decoder buffer an unterminated line without limit.
+	maxTextLine = 1 << 16
 
 	// Format limits, enforced by both encoder and decoder. They exist so
 	// a malformed or hostile header cannot make the decoder (or the
@@ -307,15 +313,7 @@ func NewTraceWriter(w io.Writer, hdr Header, format Format) (*TraceWriter, error
 	case BinaryV2:
 		tw.prevLoc = make([]int32, hdr.Threads)
 		tw.prevNum = make([]int64, len(hdr.Decls))
-		tw.w.WriteString(binaryMagic)
-		tw.w.WriteByte(binaryVersion)
-		tw.putUvarint(uint64(hdr.Threads))
-		tw.putUvarint(uint64(len(hdr.Decls)))
-		for _, d := range hdr.Decls {
-			tw.putUvarint(uint64(len(d.Name)))
-			tw.w.WriteString(string(d.Name))
-			tw.w.WriteByte(byte(d.Kind))
-		}
+		tw.w.Write(appendHeader(append([]byte(binaryMagic), binaryVersion), hdr))
 	case Text:
 		fmt.Fprintf(tw.w, "%s %d\n", textMagic, textVersion)
 		fmt.Fprintf(tw.w, "threads %d\n", hdr.Threads)
@@ -417,6 +415,80 @@ func (tw *TraceWriter) flushFrame() {
 	tw.count = 0
 }
 
+// appendHeader appends the header fields both binary formats share: the
+// trace header after magic and version, and the LDCK header section.
+func appendHeader(b []byte, hdr Header) []byte {
+	b = appendUvarint(b, uint64(hdr.Threads))
+	b = appendUvarint(b, uint64(len(hdr.Decls)))
+	for _, d := range hdr.Decls {
+		b = appendUvarint(b, uint64(len(d.Name)))
+		b = append(b, d.Name...)
+		b = append(b, byte(d.Kind))
+	}
+	return b
+}
+
+// readHeader decodes what appendHeader writes, charging each declaration
+// against budget (see ReaderLimits.MaxHeaderBytes; 0 = format caps only)
+// before its name is allocated. Errors name the field; the caller adds
+// the context and runs validateHeader.
+func readHeader(r headerReader, budget int) (Header, error) {
+	field := func(what string, max uint64) (uint64, error) {
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, fmt.Errorf("%s: %w", what, err)
+		}
+		if v > max {
+			return 0, fmt.Errorf("%s %d exceeds the limit %d", what, v, max)
+		}
+		return v, nil
+	}
+	threads, err := field("thread count", maxWireThreads)
+	if err != nil {
+		return Header{}, err
+	}
+	nlocs, err := field("location count", maxWireLocs)
+	if err != nil {
+		return Header{}, err
+	}
+	hdr := Header{Threads: int(threads)}
+	left := budget
+	for i := uint64(0); i < nlocs; i++ {
+		nameLen, err := field("location name length", maxWireName)
+		if err != nil {
+			return Header{}, err
+		}
+		if budget > 0 {
+			if left -= int(nameLen) + headerDeclOverhead; left <= 0 {
+				return Header{}, fmt.Errorf("declared sizes exceed the reader's %d-byte header budget after %d locations", budget, i)
+			}
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(r, name); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Header{}, fmt.Errorf("location name: %w", err)
+		}
+		kind, err := r.ReadByte()
+		if err != nil {
+			return Header{}, fmt.Errorf("location kind: %w", io.ErrUnexpectedEOF)
+		}
+		hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(name), Kind: prog.LocKind(kind)})
+	}
+	return hdr, nil
+}
+
+// headerReader is what readHeader decodes from: the trace reader's
+// counting reader or a snapshot section cursor.
+type headerReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 func appendUvarint(b []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	return append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
@@ -448,8 +520,8 @@ type TraceReader struct {
 	br *bufio.Reader
 	// cr counts the bytes the binary decoder consumes (ReadByte/Read pass
 	// through to br) — the logical stream offset that Checkpoint records
-	// and Resume discards up to. The text decoder reads br directly and
-	// does not support checkpoints.
+	// and resume discards up to. The text decoder reads br directly; its
+	// checkpoints resume by event count.
 	cr   countReader
 	hdr  Header
 	text bool
@@ -473,6 +545,10 @@ type TraceReader struct {
 	frameBuf []byte
 	batch    []Event
 	cur      int
+	// delivered counts the events handed out by Next and NextBatch,
+	// including a resumed reader's skipped prefix: Checkpoint requires
+	// the sink to have consumed exactly these.
+	delivered uint64
 	// lim tightens the format caps for untrusted peers (see ReaderLimits).
 	lim ReaderLimits
 }
@@ -482,9 +558,9 @@ type TraceReader struct {
 // alone admit headers that are individually valid but collectively
 // enormous: 65536 locations × 4 KiB names is ~270 MB of name bytes a
 // hostile header can demand before validateHeader ever runs. A server
-// decoding traces from the network sets limits matched to its tenancy
-// budget; the zero value applies only the format caps (the historical
-// behaviour, right for trusted local files).
+// decoding traces from the network sets a budget matched to its
+// tenancy; the zero value applies only the format caps (right for
+// trusted local files).
 type ReaderLimits struct {
 	// MaxHeaderBytes caps the total header-declared size: the sum over
 	// location declarations of name length + headerDeclOverhead bytes of
@@ -492,10 +568,6 @@ type ReaderLimits struct {
 	// raised before the oversized allocation happens. 0 = format caps
 	// only.
 	MaxHeaderBytes int
-	// MaxFrameEvents caps the declared event count of one binary frame
-	// (the format cap is 65536). A frame declaring more events than
-	// this is rejected before decoding. 0 = format cap only.
-	MaxFrameEvents int
 }
 
 // headerDeclOverhead is the fixed per-declaration cost MaxHeaderBytes
@@ -534,7 +606,7 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 // NewTraceReaderLimits is NewTraceReader with tightened allocation caps
 // for untrusted input (see ReaderLimits).
 func NewTraceReaderLimits(r io.Reader, lim ReaderLimits) (*TraceReader, error) {
-	if lim.MaxHeaderBytes < 0 || lim.MaxFrameEvents < 0 {
+	if lim.MaxHeaderBytes < 0 {
 		return nil, fmt.Errorf("monitor: trace reader: negative ReaderLimits")
 	}
 	tr := &TraceReader{br: bufio.NewReader(r), lim: lim}
@@ -568,7 +640,11 @@ func (tr *TraceReader) NewMonitor() *Monitor { return New(tr.hdr.Threads, tr.hdr
 // Next decodes and validates the next event; ok=false at end of trace.
 func (tr *TraceReader) Next() (Event, bool, error) {
 	if tr.text {
-		return tr.nextText()
+		e, ok, err := tr.nextText()
+		if ok {
+			tr.delivered++
+		}
+		return e, ok, err
 	}
 	if tr.cur >= len(tr.batch) {
 		var ok bool
@@ -581,6 +657,7 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 	}
 	e := tr.batch[tr.cur]
 	tr.cur++
+	tr.delivered++
 	return e, true, nil
 }
 
@@ -591,12 +668,17 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 // Monitor's or Pipeline's StepBatch.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	if !tr.text {
+		base := len(dst)
+		var ok bool
+		var err error
 		if tr.cur < len(tr.batch) {
-			dst = append(dst, tr.batch[tr.cur:]...)
+			dst, ok = append(dst, tr.batch[tr.cur:]...), true
 			tr.cur = len(tr.batch)
-			return dst, true, nil
+		} else {
+			dst, ok, err = tr.decodeFrame(dst)
 		}
-		return tr.decodeFrame(dst)
+		tr.delivered += uint64(len(dst) - base)
+		return dst, ok, err
 	}
 	n := 0
 	for ; n < defaultFrameEvents; n++ {
@@ -612,22 +694,6 @@ func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	return dst, n > 0, nil
 }
 
-// readUvarintField reads a bounded uvarint, mapping EOF inside the field
-// to ErrUnexpectedEOF.
-func (tr *TraceReader) readUvarintField(what string, max uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(&tr.cr)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("monitor: trace %s: %w", what, err)
-	}
-	if v > max {
-		return 0, fmt.Errorf("monitor: trace %s: value %d exceeds the limit %d", what, v, max)
-	}
-	return v, nil
-}
-
 func (tr *TraceReader) readBinaryHeader() error {
 	var magicVer [len(binaryMagic) + 1]byte
 	if _, err := io.ReadFull(&tr.cr, magicVer[:]); err != nil {
@@ -639,42 +705,9 @@ func (tr *TraceReader) readBinaryHeader() error {
 	if ver := magicVer[len(binaryMagic)]; ver != binaryVersion {
 		return fmt.Errorf("monitor: trace header: unsupported version %d (have %d)", ver, binaryVersion)
 	}
-	threads, err := tr.readUvarintField("header thread count", maxWireThreads)
+	hdr, err := readHeader(&tr.cr, tr.lim.MaxHeaderBytes)
 	if err != nil {
-		return err
-	}
-	nlocs, err := tr.readUvarintField("header location count", maxWireLocs)
-	if err != nil {
-		return err
-	}
-	hdr := Header{Threads: int(threads)}
-	budget := tr.lim.MaxHeaderBytes
-	for i := uint64(0); i < nlocs; i++ {
-		nameLen, err := tr.readUvarintField("location name length", maxWireName)
-		if err != nil {
-			return err
-		}
-		if budget > 0 {
-			// Charge the declaration against the caller's budget BEFORE
-			// allocating the name, so a hostile header errors instead of
-			// ballooning the decoder.
-			if budget -= int(nameLen) + headerDeclOverhead; budget <= 0 {
-				return fmt.Errorf("monitor: trace header: declared sizes exceed the reader's %d-byte header budget after %d locations",
-					tr.lim.MaxHeaderBytes, i)
-			}
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(&tr.cr, name); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("monitor: trace header: location name: %w", err)
-		}
-		kind, err := tr.cr.ReadByte()
-		if err != nil {
-			return fmt.Errorf("monitor: trace header: location kind: %w", io.ErrUnexpectedEOF)
-		}
-		hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(name), Kind: prog.LocKind(kind)})
+		return fmt.Errorf("monitor: trace header: %w", err)
 	}
 	if err := validateHeader(hdr); err != nil {
 		return err
@@ -717,9 +750,6 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count == 0 || count > maxFrameEvents {
 		return dst, false, fmt.Errorf("monitor: trace frame: bad event count")
-	}
-	if lim := tr.lim.MaxFrameEvents; lim > 0 && count > uint64(lim) {
-		return dst, false, fmt.Errorf("monitor: trace frame: %d events exceeds the reader's per-frame limit %d", count, lim)
 	}
 	pos := n
 	// Grow dst once by the frame's event count and decode in place. Every
@@ -848,14 +878,15 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // with ok=false at EOF.
 func (tr *TraceReader) readLine() (string, bool, error) {
 	for {
-		line, err := tr.br.ReadString('\n')
-		if line == "" && err != nil {
+		raw, err := tr.rawLine()
+		if len(raw) == 0 && err != nil {
 			if err == io.EOF {
 				return "", false, nil
 			}
 			return "", false, err
 		}
 		tr.line++
+		line := string(raw)
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -867,6 +898,26 @@ func (tr *TraceReader) readLine() (string, bool, error) {
 			return "", false, nil
 		}
 	}
+}
+
+// rawLine reads through the next '\n', failing as soon as more than
+// maxTextLine bytes have arrived without one, so an unterminated line
+// costs at most maxTextLine plus one buffer. The result is valid until
+// the next read.
+func (tr *TraceReader) rawLine() ([]byte, error) {
+	line, err := tr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line = slices.Clone(line)
+		for err == bufio.ErrBufferFull && len(line) <= maxTextLine {
+			var frag []byte
+			frag, err = tr.br.ReadSlice('\n')
+			line = append(line, frag...)
+		}
+	}
+	if len(line) > maxTextLine {
+		return nil, fmt.Errorf("monitor: trace line %d: longer than %d bytes", tr.line+1, maxTextLine)
+	}
+	return line, err
 }
 
 func (tr *TraceReader) textErr(format string, args ...any) error {
@@ -1054,15 +1105,14 @@ func parseTime(s string) (ts.Time, error) {
 
 // ---- Checkpoint / resume ----
 
-// ReaderCheckpoint is a resumable position in a binary wire-format
-// trace: the byte offset of the next undecoded frame, the delta context
-// carried across frames, the decoder's halted-thread set, and — for
-// checkpoints taken mid-frame — the already-decoded events of the
-// current frame that were not yet delivered.
-// Obtain one with Checkpoint, persist it inside a snapshot
-// (Monitor.SnapshotWithReader), and hand it to Resume on a fresh reader
-// over the same trace.
-type ReaderCheckpoint struct {
+// readerCk is a resumable position in a binary wire-format trace: the
+// byte offset of the next undecoded frame, the delta context carried
+// across frames, the decoder's halted-thread set, and — for checkpoints
+// taken mid-frame — the already-decoded events of the current frame
+// that were not yet delivered. Checkpoint stores one in the snapshot's
+// reader section; ResumeAt hands it to resume on a fresh reader over the
+// same trace.
+type readerCk struct {
 	// Offset is the number of logical trace bytes consumed: the header
 	// plus every fully decoded frame.
 	Offset int64
@@ -1075,19 +1125,26 @@ type ReaderCheckpoint struct {
 	Halted []bool
 	// Pending holds the validated events of the current frame that
 	// were decoded but not yet delivered when the checkpoint was taken;
-	// Resume yields them before decoding the frame at Offset.
+	// resume yields them before decoding the frame at Offset.
 	Pending []Event
 }
 
-// Checkpoint captures the reader's current position — valid at any event
-// boundary, including mid-frame (the undelivered rest of the frame
-// rides along as Pending). Only binary traces support checkpoints; the
-// text format errors.
-func (tr *TraceReader) Checkpoint() (ReaderCheckpoint, error) {
-	if tr.text {
-		return ReaderCheckpoint{}, fmt.Errorf("monitor: trace checkpoint: text traces are not resumable (use a binary format)")
+// Checkpoint writes sk's snapshot at the reader's position — valid at
+// any event boundary. On a binary trace the snapshot carries the reader
+// continuation (byte offset, delta context, and mid-frame the
+// undelivered rest of the frame), so ResumeAt seeks straight back; on a
+// text trace it is the plain snapshot, which ResumeAt resumes by event
+// count. sk must have consumed exactly the events this reader delivered
+// (a resumed reader counts its skipped prefix); otherwise Checkpoint
+// errors and writes nothing.
+func (tr *TraceReader) Checkpoint(w io.Writer, sk Sink) error {
+	if got := sk.Events(); got != tr.delivered {
+		return fmt.Errorf("monitor: trace checkpoint: the sink has consumed %d events, the reader delivered %d", got, tr.delivered)
 	}
-	ck := ReaderCheckpoint{
+	if tr.text {
+		return sk.snapshotAt(w, nil)
+	}
+	ck := &readerCk{
 		Offset:     tr.cr.n,
 		PrevThread: tr.prevThread,
 		PrevLoc:    slices.Clone(tr.prevLoc),
@@ -1099,22 +1156,18 @@ func (tr *TraceReader) Checkpoint() (ReaderCheckpoint, error) {
 	if tr.halted != nil {
 		ck.Halted = slices.Clone(tr.halted)
 	}
-	return ck, nil
+	return sk.snapshotAt(w, ck)
 }
 
-// Resume fast-forwards a freshly created reader to a checkpoint taken
+// resume fast-forwards a fresh binary reader to a continuation taken
 // over the same trace: it discards the stream up to ck.Offset, installs
-// the delta context and halted set, and queues the checkpoint's pending
-// events. It must be called before any event has been read, and the
-// trace must be the same bytes the checkpoint was taken over — a
+// the delta context and halted set, and queues the pending events. The
+// trace must be the same bytes the continuation was taken over — a
 // different trace yields decode errors (or garbage events on a
 // maliciously matched one; the offset is a position, not a fingerprint).
-func (tr *TraceReader) Resume(ck ReaderCheckpoint) error {
+func (tr *TraceReader) resume(ck *readerCk) error {
 	if tr.text {
-		return fmt.Errorf("monitor: trace resume: text traces are not resumable")
-	}
-	if len(tr.batch) > 0 || tr.halted != nil {
-		return fmt.Errorf("monitor: trace resume: reader has already decoded events")
+		return fmt.Errorf("monitor: trace resume: a text trace cannot seek to a binary trace's offset")
 	}
 	if err := ck.validate(tr.hdr); err != nil {
 		return fmt.Errorf("monitor: trace resume: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -137,6 +138,61 @@ loc x na
 	}
 }
 
+// floodReader yields prefix, then n bytes of 'a' with no newline,
+// counting the bytes it hands out.
+type floodReader struct {
+	prefix string
+	n      int
+	read   int
+}
+
+func (f *floodReader) Read(p []byte) (int, error) {
+	total := len(f.prefix) + f.n
+	if f.read >= total {
+		return 0, io.EOF
+	}
+	k := min(len(p), total-f.read)
+	for i := range k {
+		if pos := f.read + i; pos < len(f.prefix) {
+			p[i] = f.prefix[pos]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	f.read += k
+	return k, nil
+}
+
+// TestWireTextLineLimit: the text decoder fails on a line longer than
+// maxTextLine, in the header or among the events, after reading at most
+// one buffer past the limit; a line of exactly maxTextLine bytes,
+// comment and newline included, is accepted.
+func TestWireTextLineLimit(t *testing.T) {
+	for _, prefix := range []string{"", "ldtrace 1\nthreads 1\nloc x na\n"} {
+		f := &floodReader{prefix: prefix, n: maxTextLine + 2<<20}
+		tr, err := NewTraceReader(f)
+		if err == nil {
+			_, _, err = tr.Next()
+		}
+		if err == nil || !strings.Contains(err.Error(), "longer than") {
+			t.Fatalf("prefix %q: err = %v, want a line-length error", prefix, err)
+		}
+		if limit := len(prefix) + maxTextLine + 4096; f.read > limit {
+			t.Fatalf("prefix %q: read %d bytes of an unterminated line, want at most %d", prefix, f.read, limit)
+		}
+	}
+	event := "0 w x #"
+	hdr := "ldtrace 1\nthreads 1\nloc x na\n"
+	fits := hdr + event + strings.Repeat("c", maxTextLine-len(event)-1) + "\n"
+	if _, err := ReadRaces(strings.NewReader(fits)); err != nil {
+		t.Fatalf("a %d-byte line rejected: %v", maxTextLine, err)
+	}
+	over := hdr + event + strings.Repeat("c", maxTextLine-len(event)) + "\n"
+	if _, err := ReadRaces(strings.NewReader(over)); err == nil {
+		t.Fatalf("a %d-byte line accepted", maxTextLine+1)
+	}
+}
+
 // TestWireDecoderRejects: every malformed-input class errors instead of
 // panicking or silently yielding events the monitor would crash on.
 func TestWireDecoderRejects(t *testing.T) {
@@ -267,7 +323,7 @@ func FuzzTraceReader(f *testing.F) {
 		// limits mean it rejects hostile shapes early, so draining it is
 		// cheap regardless of what the header declares.
 		if tr, err := NewTraceReaderLimits(bytes.NewReader(data),
-			ReaderLimits{MaxHeaderBytes: 1 << 12, MaxFrameEvents: 256}); err == nil {
+			ReaderLimits{MaxHeaderBytes: 1 << 12}); err == nil {
 			for i := 0; i < 1<<16; i++ {
 				if _, ok, err := tr.Next(); err != nil || !ok {
 					break
@@ -344,10 +400,10 @@ func encodeAllFuzz(f *testing.F, hdr Header, events []Event, format Format) []by
 }
 
 // TestTraceReaderLimits: ReaderLimits turns "individually legal,
-// collectively enormous" header declarations and oversized v2 frame
-// counts into validation errors raised before the allocation they
-// describe — the ingest hardening a server decoding untrusted network
-// traces relies on. Generous limits must change nothing.
+// collectively enormous" header declarations into validation errors
+// raised before the allocation they describe — the ingest hardening a
+// server decoding untrusted network traces relies on. Generous limits
+// must change nothing.
 func TestTraceReaderLimits(t *testing.T) {
 	hdr, events := wireWorkload()
 	v2 := encodeAll(t, hdr, events, BinaryV2)
@@ -355,9 +411,6 @@ func TestTraceReaderLimits(t *testing.T) {
 	t.Run("negative", func(t *testing.T) {
 		if _, err := NewTraceReaderLimits(bytes.NewReader(v2), ReaderLimits{MaxHeaderBytes: -1}); err == nil {
 			t.Error("negative MaxHeaderBytes accepted")
-		}
-		if _, err := NewTraceReaderLimits(bytes.NewReader(v2), ReaderLimits{MaxFrameEvents: -1}); err == nil {
-			t.Error("negative MaxFrameEvents accepted")
 		}
 	})
 
@@ -383,25 +436,8 @@ func TestTraceReaderLimits(t *testing.T) {
 		}
 	})
 
-	t.Run("frame-event-cap", func(t *testing.T) {
-		// Build a v2 trace whose single frame carries well over 16 events.
-		var long []Event
-		for i := 0; i < 200; i++ {
-			long = append(long, Event{Thread: int32(i % hdr.Threads), Loc: 0, Kind: WriteNA})
-		}
-		data := encodeAll(t, hdr, long, BinaryV2)
-		tr, err := NewTraceReaderLimits(bytes.NewReader(data), ReaderLimits{MaxFrameEvents: 16})
-		if err != nil {
-			t.Fatalf("header: %v", err)
-		}
-		_, _, err = tr.NextBatch(nil)
-		if err == nil || !strings.Contains(err.Error(), "per-frame limit") {
-			t.Fatalf("oversized frame: err = %v, want per-frame-limit error", err)
-		}
-	})
-
 	t.Run("generous-limits-identical", func(t *testing.T) {
-		lim := ReaderLimits{MaxHeaderBytes: 1 << 20, MaxFrameEvents: maxFrameEvents}
+		lim := ReaderLimits{MaxHeaderBytes: 1 << 20}
 		for _, format := range []Format{BinaryV2, Text} {
 			data := encodeAll(t, hdr, events, format)
 			ref, err := NewTraceReader(bytes.NewReader(data))

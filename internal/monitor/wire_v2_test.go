@@ -277,6 +277,11 @@ func TestWireV2Rejects(t *testing.T) {
 		{"event count exceeding payload, first event mismatched",
 			`monitor: trace event: nonatomic access on location "F" declared atomic`,
 			append(append([]byte{}, hdrOnly...), 0x02, 0x05, byte(WriteNA)|8<<4)},
+		// The format's per-frame cap is checked before any event: 65537
+		// events is one too many.
+		{"event count above the frame cap",
+			"monitor: trace frame: bad event count",
+			append(append([]byte{}, hdrOnly...), 0x03, 0x81, 0x80, 0x04)},
 	}
 	for _, tc := range exact {
 		if _, err := ReadRaces(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {

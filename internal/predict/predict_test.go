@@ -165,7 +165,7 @@ func FuzzPredict(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw uint16) {
 		tr, err := monitor.NewTraceReaderLimits(bytes.NewReader(data), monitor.ReaderLimits{
-			MaxHeaderBytes: 1 << 14, MaxFrameEvents: 1 << 12,
+			MaxHeaderBytes: 1 << 14,
 		})
 		if err != nil {
 			t.Skip()

@@ -1,7 +1,7 @@
 package service
 
-// Hardening regressions: the retry-after backoff ratchet and /stats
-// under concurrent scrapers.
+// Hardening regressions: the retry-after backoff ratchet, /stats under
+// concurrent scrapers, and the protocol line bound.
 
 import (
 	"bufio"
@@ -117,4 +117,39 @@ func TestStatsHandlerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// floodReader yields n bytes of 'a' with no newline, counting the bytes
+// it hands out.
+type floodReader struct{ n, read int }
+
+func (f *floodReader) Read(p []byte) (int, error) {
+	if f.read >= f.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), f.n-f.read)
+	for i := range p[:k] {
+		p[i] = 'a'
+	}
+	f.read += k
+	return k, nil
+}
+
+// TestReadLineBounded: an unterminated protocol line fails once it
+// passes maxLine, having read at most one buffer beyond it, instead of
+// buffering whatever the peer sends.
+func TestReadLineBounded(t *testing.T) {
+	const bufSize = 64 << 10 // the server's connection buffer
+	f := &floodReader{n: maxLine + 2<<20}
+	if _, err := readLine(bufio.NewReaderSize(f, bufSize)); err == nil {
+		t.Fatal("unterminated oversized line accepted")
+	}
+	if f.read > maxLine+bufSize {
+		t.Fatalf("read %d bytes of an unterminated line, want at most %d", f.read, maxLine+bufSize)
+	}
+	// A line of exactly maxLine bytes, newline included, still reads.
+	line := strings.Repeat("a", maxLine-1) + "\n"
+	if got, err := readLine(bufio.NewReaderSize(strings.NewReader(line), bufSize)); err != nil || len(got) != maxLine-1 {
+		t.Fatalf("maxLine-byte line: %d bytes, %v", len(got), err)
+	}
 }

@@ -54,6 +54,10 @@ const (
 	maxLine = 1 << 20
 	// maxSessionID bounds the session identifier.
 	maxSessionID = 64
+	// maxHeaderBytes is the trace-header budget of a session (see
+	// monitor.ReaderLimits): a peer's header may declare at most this
+	// many bytes of location names plus per-declaration overhead.
+	maxHeaderBytes = 1 << 20
 )
 
 // castagnoli is the CRC-32C table (the polynomial with hardware support
@@ -80,16 +84,24 @@ func validSessionID(id string) bool {
 	return true
 }
 
-// readLine reads one \n-terminated protocol line, bounded by maxLine.
+// readLine reads one \n-terminated protocol line, bounded by maxLine: it
+// fails once more than maxLine bytes arrive without a '\n', having read
+// at most one buffer past the limit.
 func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		line = append(line, frag...)
+		if len(line) > maxLine {
+			return "", fmt.Errorf("service: protocol line exceeds %d bytes", maxLine)
+		}
+		if err != bufio.ErrBufferFull {
+			if err != nil {
+				return "", err
+			}
+			return strings.TrimSuffix(string(line), "\n"), nil
+		}
 	}
-	if len(line) > maxLine {
-		return "", fmt.Errorf("service: protocol line exceeds %d bytes", maxLine)
-	}
-	return strings.TrimSuffix(line, "\n"), nil
 }
 
 // parseHandshake validates "racemond 1 session <id>".

@@ -167,20 +167,3 @@ func (r *ckRing) prune() {
 func (r *ckRing) destroy() {
 	r.fs.RemoveAll(r.dir)
 }
-
-// sessionDirs lists the session ids that have checkpoint rings under
-// dir (used by the stats endpoint after a restart, before sessions
-// re-attach).
-func sessionDirs(fs faultinject.FS, dir string) []string {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() && validSessionID(e.Name()) {
-			ids = append(ids, e.Name())
-		}
-	}
-	return ids
-}

@@ -35,7 +35,7 @@ func recoveredEvents(t *testing.T, snap *monitor.Snapshot) uint64 {
 	if snap == nil {
 		t.Fatal("recovery returned no snapshot")
 	}
-	return snap.Monitor().Events()
+	return snap.Open(monitor.PipelineConfig{}).Events()
 }
 
 func newTestRing(t *testing.T, size int) *ckRing {

@@ -51,10 +51,15 @@ import (
 
 // Config tunes a Server. The zero value serves with defaults: no
 // checkpointing (sessions restart from event 0 on any failure),
-// sequential monitors, 64 sessions, 10s ingest timeout.
+// sequential monitors, 64 sessions, 10s ingest timeout. A peer's trace
+// header may declare at most 1 MiB of location names and overhead
+// (maxHeaderBytes); that budget is a service constant, not a setting.
 type Config struct {
 	// CheckpointDir is the root of the per-session checkpoint rings
 	// ("" disables checkpointing; sessions then recover by full replay).
+	// Sessions of either trace format checkpoint: a binary trace's
+	// snapshot resumes at its byte offset, a text trace's by event
+	// count.
 	CheckpointDir string
 	// CheckpointEvery checkpoints a session after every N monitored
 	// events (0 means the default, 100000; requires CheckpointDir).
@@ -86,9 +91,6 @@ type Config struct {
 	// RetryAfter is the backoff hint sent with "busy" rejections
 	// (0 means the default, 1s).
 	RetryAfter time.Duration
-	// Limits caps what an untrusted trace header/frame may demand
-	// (zero value: 1 MiB header budget, format-cap frames).
-	Limits monitor.ReaderLimits
 	// FS is the filesystem the checkpoint rings write through
 	// (default the real one; the chaos harness injects faults here).
 	FS faultinject.FS
@@ -117,9 +119,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = time.Second
-	}
-	if cfg.Limits == (monitor.ReaderLimits{}) {
-		cfg.Limits = monitor.ReaderLimits{MaxHeaderBytes: 1 << 20}
 	}
 	if cfg.FS == nil {
 		cfg.FS = faultinject.OS()
@@ -505,7 +504,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// The trace decoder reads through the CRC chunk layer: damaged or
 	// truncated bytes surface as errors HERE, never as events.
 	cr := &chunkReader{br: br}
-	tr, err := monitor.NewTraceReaderLimits(cr, s.cfg.Limits)
+	tr, err := monitor.NewTraceReaderLimits(cr, monitor.ReaderLimits{MaxHeaderBytes: maxHeaderBytes})
 	if err != nil {
 		s.fail(sess, conn, sk, err)
 		return
@@ -540,10 +539,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		events = sk.Events()
 		buf = batch
 		if nextCk > 0 && events >= nextCk {
-			rck, err := tr.Checkpoint()
-			if err == nil {
-				err = ring.write(func(w io.Writer) error { return sk.SnapshotWithReader(w, rck) })
-			}
+			err := ring.write(func(w io.Writer) error { return tr.Checkpoint(w, sk) })
 			s.noteCheckpoint(sess, err)
 			nextCk = (events/s.cfg.CheckpointEvery + 1) * s.cfg.CheckpointEvery
 		}

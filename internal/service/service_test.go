@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -22,6 +23,12 @@ import (
 // (RA edges, atomics, stale reads, races).
 func genTrace(t testing.TB, seed int64, events int) []byte {
 	t.Helper()
+	return genTraceFormat(t, seed, events, monitor.BinaryV2)
+}
+
+// genTraceFormat is genTrace in the given wire encoding.
+func genTraceFormat(t testing.TB, seed int64, events int, format monitor.Format) []byte {
+	t.Helper()
 	cfg := progsynth.ScaledDefaults()
 	cfg.Threads = 6
 	cfg.NonAtomic = 24
@@ -32,7 +39,7 @@ func genTrace(t testing.TB, seed int64, events int) []byte {
 	tb := monitor.NewTable(p)
 	var buf bytes.Buffer
 	opts := schedgen.Options{Policy: schedgen.Bursty, Seed: seed, MaxEvents: events, StaleReadPct: 10}
-	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, opts, monitor.BinaryV2); err != nil {
+	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, opts, format); err != nil {
 		t.Fatalf("generate trace: %v", err)
 	}
 	return buf.Bytes()
@@ -182,6 +189,49 @@ func TestServiceResumesAfterDisconnect(t *testing.T) {
 	}
 	if got := counter(s, "service.stream_truncated"); got < 1 {
 		t.Fatalf("stream_truncated = %d, want >= 1", got)
+	}
+}
+
+// TestServiceTextTraceCheckpoints: a text-trace session checkpoints too —
+// its snapshots carry no byte offset and resume by event count — so a
+// session cut mid-upload recovers to the reference outcome, no
+// checkpoint fails, and the server stays healthy: the next handshake is
+// admitted.
+func TestServiceTextTraceCheckpoints(t *testing.T) {
+	trace := genTraceFormat(t, 29, 60_000, monitor.Text)
+	want := referenceResult(t, "text", trace)
+	s, addr := startServer(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 10_000})
+	res := runClient(t, addr, "text", trace, func(attempt int, conn net.Conn) net.Conn {
+		if attempt == 0 {
+			return faultinject.WrapConn(conn, faultinject.ConnPlan{CutAfter: int64(len(trace) / 2)})
+		}
+		return conn
+	})
+	mustMatch(t, res, want)
+	s.mu.Lock()
+	deg := s.degraded
+	s.mu.Unlock()
+	if deg {
+		t.Fatal("server degraded after a text-trace session")
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "%s %d session next\n", protoMagic, protoVersion)
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	if err != nil || !strings.HasPrefix(line, "ok ") {
+		t.Fatalf("handshake after the text session: %q %v, want ok", line, err)
+	}
+	if got := closedCounter(s, "service.checkpoint_failures"); got != 0 {
+		t.Fatalf("checkpoint_failures = %d, want 0", got)
+	}
+	if got := counter(s, "service.checkpoints"); got < 1 {
+		t.Fatalf("checkpoints = %d, want >= 1", got)
+	}
+	if got := counter(s, "service.sessions_recovered"); got < 1 {
+		t.Fatalf("sessions_recovered = %d, want >= 1", got)
 	}
 }
 

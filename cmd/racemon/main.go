@@ -18,8 +18,8 @@
 //
 // Every monitoring mode builds its engine with monitor.Open: a
 // sequential monitor at -shards 1 (the default), or with -shards M > 1
-// the two-stage parallel pipeline — one sync front-end pass, M race
-// back-ends (clamped to the nonatomic location count). Reports are
+// a sharded one — one sync front-end pass, M race back-ends (clamped
+// to the nonatomic location count). Reports are
 // identical at any shard count. The generated modes refuse a workload
 // the generator or the wire format cannot carry (a count below 1, a
 // header over the format's thread or location limits) with exit 2
@@ -30,7 +30,7 @@
 //	(default)  generate and monitor in one fused pass, never
 //	           materialising the schedule: memory stays O(locations +
 //	           threads²) plus the windowed live RA-message set (and the
-//	           pipeline's bounded rings), regardless of -events. The
+//	           back-ends' bounded rings), regardless of -events. The
 //	           JSON summary names this mode "stream".
 //	-trace F   ingest a raw trace (binary or text wire format, sniffed
 //	           automatically) from file F, or from stdin with "-", and
@@ -64,11 +64,11 @@
 //
 // -skew S redirects each generated nonatomic access to a location drawn
 // from a Zipf distribution with exponent S (0 = uniform, the default) —
-// hot-location workloads for the sharded pipeline, whose back-ends own
+// hot-location workloads for a sharded monitor, whose back-ends own
 // locations by the static loc-mod-shards split.
 //
-// Checkpoint/resume: -checkpoint FILE snapshots the monitor (or
-// pipeline front-end + back-ends) in the LDCK format of
+// Checkpoint/resume: -checkpoint FILE snapshots the monitor (front-end
+// and, when sharded, back-ends) in the LDCK format of
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
 // after the N-th monitored event, stopping there. Works in every
 // monitoring mode (not with -emit). -resume FILE (with -trace) restores
@@ -176,7 +176,7 @@ type result struct {
 	StaticMayRace   int           `json:"static_may_race,omitempty"`
 	Races           []raceJSON    `json:"races,omitempty"`
 	Locations       locationsJSON `json:"locations"`
-	// Stats is the final telemetry snapshot of the run's sink
+	// Stats is the final telemetry snapshot of the run's monitor
 	// (monitor.*, pipeline.* — see internal/monitor's metric catalogue).
 	// Absent for -emit, which does not monitor.
 	Stats *obs.Snapshot `json:"stats,omitempty"`
@@ -514,17 +514,17 @@ func runGenerated(gp genParams, cfg monitor.PipelineConfig, ck ckParams) (result
 		Shards: cfg.Shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
 	}
 	cfg.StaticFilter = gp.staticMask(tb, &res)
-	sk := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
-	tel.attach(sk.Obs())
+	m := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
+	tel.attach(m.Obs())
 	start := time.Now()
 	completed, err := schedgen.StreamBatch(tb.Program(), tb, gp.options(), 0, func(evs []monitor.Event) error {
 		if ck.at > 0 {
-			if remaining := ck.at - sk.Events(); uint64(len(evs)) >= remaining {
-				sk.StepBatch(evs[:remaining])
+			if remaining := ck.at - m.Events(); uint64(len(evs)) >= remaining {
+				m.StepBatch(evs[:remaining])
 				return errCheckpointStop
 			}
 		}
-		sk.StepBatch(evs)
+		m.StepBatch(evs)
 		return nil
 	})
 	if err == errCheckpointStop {
@@ -535,9 +535,9 @@ func runGenerated(gp genParams, cfg monitor.PipelineConfig, ck ckParams) (result
 	}
 	res.Completed = completed
 	if ck.file != "" {
-		writeSnapshot(ck.file, sk.Snapshot)
+		writeSnapshot(ck.file, m.Snapshot)
 	}
-	return res, finish(&res, sk, start)
+	return res, finish(&res, m, start)
 }
 
 // runTrace ingests a wire-format trace from a file or stdin, optionally
@@ -559,7 +559,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		fatalf("trace: %v", err)
 	}
 	hdr := tr.Header()
-	var sk monitor.Sink
+	var m *monitor.Monitor
 	if resumePath != "" {
 		f, err := os.Open(resumePath)
 		if err != nil {
@@ -576,15 +576,15 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		if snap.StaticFiltered() {
 			fmt.Fprintln(os.Stderr, "racemon: resume: the snapshotted run had a static prefilter active; the mask is not recorded, so monitoring continues unfiltered from here")
 		}
-		sk = snap.Open(cfg)
+		m = snap.Open(cfg)
 		requested := predict.Spec{Pred: cfg.Predicate, K: cfg.WindowK}
-		if warn := predicateOverrideWarning(requested, sk.Predicate(), sk.WindowK()); warn != "" {
+		if warn := predicateOverrideWarning(requested, m.Predicate(), m.WindowK()); warn != "" {
 			fmt.Fprintln(os.Stderr, "racemon: "+warn)
 		}
 	} else {
-		sk = monitor.Open(hdr, cfg)
+		m = monitor.Open(hdr, cfg)
 	}
-	tel.attach(sk.Obs())
+	tel.attach(m.Obs())
 
 	// Completed records whether the run actually observed the end of
 	// the trace (as opposed to stopping at -checkpoint-at — the run
@@ -598,7 +598,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		// maximum frame event count, so no batch can overshoot the stop.
 		const maxBatch = 1 << 16
 		var buf []monitor.Event
-		for sk.Events()+maxBatch <= ck.at {
+		for m.Events()+maxBatch <= ck.at {
 			batch, ok, err := tr.NextBatch(buf[:0])
 			if err != nil {
 				fatalf("trace: %v", err)
@@ -606,11 +606,11 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 			if !ok {
 				break
 			}
-			sk.StepBatch(batch)
+			m.StepBatch(batch)
 			buf = batch
 		}
 		for {
-			if sk.Events() >= ck.at {
+			if m.Events() >= ck.at {
 				completed = false
 				break
 			}
@@ -621,7 +621,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 			if !ok {
 				break
 			}
-			sk.Step(e)
+			m.Step(e)
 		}
 	} else {
 		// Batched ingestion: binary traces decode a frame at a time; text
@@ -636,12 +636,12 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 			if !ok {
 				break
 			}
-			sk.StepBatch(batch)
+			m.StepBatch(batch)
 			buf = batch
 		}
 	}
 	if ck.file != "" {
-		writeSnapshot(ck.file, func(w io.Writer) error { return tr.Checkpoint(w, sk) })
+		writeSnapshot(ck.file, func(w io.Writer) error { return tr.Checkpoint(w, m) })
 	}
 
 	res := result{
@@ -649,7 +649,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		Completed: completed, Shards: cfg.Shards,
 	}
 	fillLocations(&res, hdr.Decls)
-	return res, finish(&res, sk, start)
+	return res, finish(&res, m, start)
 }
 
 // predicateOverrideWarning: a checkpoint records its monitor's
@@ -734,29 +734,29 @@ func runEmit(path string, format monitor.Format, gp genParams) result {
 	}
 }
 
-// finish drains the sink and records its outcome in the summary:
+// finish drains the monitor and records its outcome in the summary:
 // timing since start, throughput, RA retention, the decided predicate
 // (PredHB leaves those fields zero, so default summaries are unchanged)
 // with its short:k window telemetry, and the final metrics snapshot.
-func finish(res *result, sk monitor.Sink, start time.Time) []race.Report {
-	reports := sk.Finish()
+func finish(res *result, m *monitor.Monitor, start time.Time) []race.Report {
+	reports := m.Finish()
 	res.MonitorNs = time.Since(start).Nanoseconds()
-	res.Events = int(sk.Events())
+	res.Events = int(m.Events())
 	if res.MonitorNs > 0 {
 		res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
 	}
 	res.RaceCount = len(reports)
-	st := sk.RAStats()
+	st := m.RAStats()
 	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
-	if pred := sk.Predicate(); pred != monitor.PredHB {
-		res.Predicate = predict.Spec{Pred: pred, K: sk.WindowK()}.String()
+	if pred := m.Predicate(); pred != monitor.PredHB {
+		res.Predicate = predict.Spec{Pred: pred, K: m.WindowK()}.String()
 		if pred == monitor.PredShort {
-			ws := sk.WindowStats()
-			res.WindowK = sk.WindowK()
+			ws := m.WindowStats()
+			res.WindowK = m.WindowK()
 			res.WindowLive, res.WindowPeak, res.WindowPruned = ws.Live, ws.Peak, ws.Pruned
 		}
 	}
-	stats := sk.Stats()
+	stats := m.Stats()
 	res.Stats = &stats
 	return reports
 }

@@ -2,7 +2,7 @@ package main
 
 // Live run telemetry: the -stats-addr HTTP endpoint, the -stats-interval
 // progress line, and the "stats" object of the -json summary all read
-// the obs registry the monitor or pipeline publishes into. Reads are
+// the obs registry the monitor publishes into. Reads are
 // atomic snapshots with bounded staleness (one GC window/batch), so
 // scraping never perturbs the hot path.
 
@@ -19,9 +19,9 @@ import (
 	"localdrf/internal/obs/obshttp"
 )
 
-// telemetry serves the run's sink registry to the three consumers
+// telemetry serves the run's monitor registry to the three consumers
 // above. The mode runner attaches the registry once it has built the
-// sink; the HTTP server may already be serving by then.
+// monitor; the HTTP server may already be serving by then.
 type telemetry struct {
 	start time.Time
 	reg   atomic.Pointer[obs.Registry]
@@ -32,7 +32,7 @@ var tel = &telemetry{start: time.Now()}
 func (t *telemetry) attach(reg *obs.Registry) { t.reg.Store(reg) }
 
 // snapshot is one atomic snapshot of the attached registry (empty
-// before the sink exists).
+// before the monitor exists).
 func (t *telemetry) snapshot() obs.Snapshot {
 	if reg := t.reg.Load(); reg != nil {
 		return reg.Snapshot()
@@ -40,7 +40,7 @@ func (t *telemetry) snapshot() obs.Snapshot {
 	return obs.Merge()
 }
 
-// statsDoc is the GET /stats response: the sink's metric snapshot and
+// statsDoc is the GET /stats response: the monitor's metric snapshot and
 // the process uptime, in nanoseconds as racemond's. Counters are
 // monotonic, so a client computes a rate from two scrapes; there is no
 // server-side "since the previous scrape" state for concurrent scrapers
@@ -105,7 +105,7 @@ func progressLoop(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// liveRaces reads the race count visible mid-run: the pipeline's
+// liveRaces reads the race count visible mid-run: a sharded monitor's
 // back-ends publish per-shard tallies every batch, while monitor.races
 // is only aggregated at Stats() barriers, so take the larger.
 func liveRaces(s obs.Snapshot) uint64 {

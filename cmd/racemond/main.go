@@ -1,6 +1,6 @@
 // Command racemond is the race-monitoring service: a long-running TCP
 // server that accepts many concurrent wire-format trace sessions (one
-// monitor or pipeline per session), checkpoints each session into a
+// monitor, sequential or sharded, per session), checkpoints each session into a
 // per-session ring of LDCK snapshot files, recovers every session from
 // its newest valid ring entry after a crash, and sheds load explicitly
 // when full. See internal/service for the protocol and the fault

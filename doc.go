@@ -89,15 +89,14 @@
 //
 // # Parallel ingest pipeline
 //
-// Every caller that turns an event stream into reports — racemon's
-// generated and -trace modes, racemond's sessions, the experiments
-// rows — builds its engine the same way:
-// monitor.Open(header, PipelineConfig) returns a monitor.Sink (Step,
-// StepBatch, Finish, Abort, Snapshot, Stats, Obs, …), and
+// There is one engine type, monitor.Monitor. Every caller that turns
+// an event stream into reports — racemon's generated and -trace modes
+// and racemond's sessions — builds it the same way:
+// monitor.Open(header, PipelineConfig) returns a *monitor.Monitor, and
 // Snapshot.Open resumes one from a checkpoint, with
 // TraceReader.ResumeAt positioning the trace where the checkpoint
-// stopped. At most one shard gives the sequential monitor; more give
-// the staged pipeline, not replay-per-shard:
+// stopped. At most one shard gives a sequential monitor; more give the
+// same monitor with staged race back-ends, not replay-per-shard:
 //
 //	wire bytes ─▶ frame decode ─▶ sync front-end ─┬─▶ race back-end 1
 //	              (TraceReader)                   ├─▶ race back-end 2
@@ -113,8 +112,8 @@
 // measured on a 2-CPU host against this one and lost, so it was
 // removed.)
 //
-// In the middle, a single synchronisation front-end — the sequential
-// monitor's own Step, so the two engines share one per-event path —
+// In the middle, a single synchronisation front-end — the monitor's
+// own Step, so both modes share one per-event path —
 // consumes the ordered stream once — all clock joins, RA message
 // retention and windowed GC — and routes each nonatomic access, plus a compact
 // clock-delta side channel, to the race back-end owning its location
@@ -125,7 +124,7 @@
 // sequential monitor at any shard count, batch size and GC interval.
 //
 // Routing is the static loc-mod-shards split. Under Zipf-skewed traffic
-// it loads some back-ends more than others (Pipeline.BackendLoads
+// it loads some back-ends more than others (Monitor.BackendLoads
 // reports the split); a skew-adaptive router that migrated hot locations
 // between back-ends at GC barriers was measured on a 2-CPU host against
 // the static split, never won, and was removed.
@@ -155,7 +154,7 @@
 // monitor equals the unsplit snapshot at the same index) and the
 // encoded size is a direct measurement of the paper's boundedness
 // claim: it stays flat over a million-event stream (~11 KB) while an
-// unbounded-GC control grows without limit. monitor.Pipeline snapshots
+// unbounded-GC control grows without limit. A sharded monitor snapshots
 // by quiesce-drain — a barrier through every back-end ring, after which
 // the front-end's sync state and the back-ends' per-location state are
 // reassembled in declaration order — producing bytes identical to the
@@ -163,7 +162,7 @@
 // sequentially, sharded at any count (Snapshot.Open routes each
 // restored location to its owning back-end), or under a different GC
 // regime, all report-preserving. One call checkpoints mid-ingestion of
-// either trace format, TraceReader.Checkpoint(w, sink): over a binary
+// either trace format, TraceReader.Checkpoint(w, m): over a binary
 // trace the snapshot carries the reader's byte offset and delta
 // context, so the resumed process (TraceReader.ResumeAt) seeks straight
 // to where monitoring stopped instead of re-decoding the prefix; over a
@@ -174,8 +173,8 @@
 // grid split point of all 210 schedgen streams (every tenth seed
 // Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default}
 // matrix, including double splits, cross-config resumes, and snapshots
-// taken by pipelines — which are byte-identical to the sequential
-// monitor's.
+// taken by sharded monitors — which are byte-identical to the
+// sequential monitor's.
 //
 // # Static analysis
 //
@@ -201,7 +200,8 @@
 // The certificates license two consumers. First, the monitor's static
 // pre-filter: Monitor.SetStaticFilter / PipelineConfig.StaticFilter
 // (MonitorStaticFilter builds the mask, racemon -static-prefilter and
-// the bench's static-prefilter-1M row exercise it) skip all
+// the internal/monitor bench BenchmarkSchedulePrivate/prefilter-on
+// exercise it) skip all
 // race-checker work for certified locations — by soundness the
 // reports, RAStats and snapshot bytes are proven identical with the
 // filter on, sequentially and at every shard count; only the time
@@ -226,20 +226,21 @@
 // flushes, and quiesce acknowledgements — so concurrent scrapers read
 // consistent values with bounded staleness (at most one GC window or
 // batch) and zero contention on the ingest path. Two read paths exist:
-// Monitor.Stats/Pipeline.Stats publish-then-snapshot for exact values
-// (the pipeline form quiesces, so per-back-end loads are precise), and
+// Monitor.Stats publishes then snapshots for exact values (a sharded
+// monitor quiesces first, so per-back-end loads are precise), and
 // Obs().Snapshot() reads the atomics from any goroutine at any time.
 // The catalogue covers the monitor (events by kind, races, GC sweep
 // productivity, RA retention, escalations/demotions, snapshot codec
-// sizes and latencies), the pipeline (routed/delta/min records, the
+// sizes and latencies), the back-ends (routed/delta/min records, the
 // batch-size histogram, quiesce latency, ring occupancy and stall/idle
 // counts, per-back-end record/escalation/race vectors) — see
 // internal/monitor's obs.go for the full list.
 // Instrumentation is proven free: the modeltest matrix includes a
-// pipeline hammered by concurrent snapshot reads whose reports,
+// sharded monitor hammered by concurrent snapshot reads whose reports,
 // RAStats and checkpoint bytes must equal the sequential monitor's,
-// and the bench suite tracks an obs-overhead row (the online pass with
-// a 1ms scraper) against the uninstrumented-equivalent baseline.
+// and the internal/monitor bench BenchmarkScheduleBursty/hb-scrape-1ms
+// (the online pass with a 1ms scraper) measures it against the
+// unscraped BenchmarkScheduleBursty/hb.
 // cmd/racemon surfaces all of it: -stats-addr serves GET /stats (JSON
 // snapshot of monotonic counters plus uptime_ns; clients derive rates
 // from two scrapes), expvar at /debug/vars and pprof at /debug/pprof
@@ -253,7 +254,7 @@
 // internal/service and cmd/racemond lift the monitor into a
 // long-running, fault-tolerant, multi-tenant service: a TCP server
 // where each connection carries one named trace session (its own
-// sequential Monitor or sharded Pipeline), framed in CRC-32C chunks so
+// Monitor, sequential or sharded), framed in CRC-32C chunks so
 // a flipped byte or a torn stream is detected before any byte reaches
 // the trace decoder. Durability is a per-session ring of LDCK snapshot
 // files (atomic tmp+fsync+rename, newest-first recovery skipping

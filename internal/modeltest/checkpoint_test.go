@@ -46,16 +46,16 @@ func (g gcMode) pipelineConfig(shards int) monitor.PipelineConfig {
 	return monitor.PipelineConfig{Shards: shards, GCInterval: g.interval}
 }
 
-// stepAll drains tr into sk with the NextBatch → StepBatch loop the
+// stepAll drains tr into m with the NextBatch → StepBatch loop the
 // drivers run.
-func stepAll(tr *monitor.TraceReader, sk monitor.Sink) error {
+func stepAll(tr *monitor.TraceReader, m *monitor.Monitor) error {
 	var buf []monitor.Event
 	for {
 		batch, ok, err := tr.NextBatch(buf[:0])
 		if err != nil || !ok {
 			return err
 		}
-		sk.StepBatch(batch)
+		m.StepBatch(batch)
 		buf = batch
 	}
 }
@@ -100,7 +100,11 @@ func restore(t *testing.T, snap []byte) *monitor.Monitor {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	return s.Open(monitor.PipelineConfig{}).(*monitor.Monitor)
+	m := s.Open(monitor.PipelineConfig{})
+	if m.BackendLoads() != nil {
+		t.Fatal("restore: a one-shard Open built back-ends")
+	}
+	return m
 }
 
 // resumeSeq restores a snapshot into a sequential monitor, finishes the
@@ -443,7 +447,10 @@ func TestWireResumeParity(t *testing.T) {
 				if err := tr2.ResumeAt(s); err != nil {
 					t.Fatalf("seed %d halts=%v k=%d: %v", seed, halts, k, err)
 				}
-				m2 := s.Open(monitor.PipelineConfig{}).(*monitor.Monitor)
+				m2 := s.Open(monitor.PipelineConfig{})
+				if m2.BackendLoads() != nil {
+					t.Fatal("a one-shard Open built back-ends")
+				}
 				if err := stepAll(tr2, m2); err != nil {
 					t.Fatal(err)
 				}

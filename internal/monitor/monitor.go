@@ -37,8 +37,8 @@
 // ones ordered whenever the latest is), so per-thread last-access records
 // identify the full deduplicated report set, not merely race existence.
 // That per-location check logic lives in the checker type, which is
-// shared verbatim between the sequential Monitor and the parallel
-// pipeline's race back-ends (pipeline.go) — the two paths cannot
+// shared verbatim between a sequential Monitor and a sharded one's
+// race back-ends (pipeline.go) — the two paths cannot
 // diverge, because they run the same code.
 //
 // # Bounded memory: epochs and windowed RA GC
@@ -96,10 +96,10 @@
 // messages are windowed as above instead of accumulating O(messages).
 //
 // Because the live state is bounded, it is also cheaply serialisable:
-// the snapshot codec (snapshot.go) checkpoints a monitor — or a
-// quiesced Pipeline — at any event index, and ReadSnapshot then
+// the snapshot codec (snapshot.go) checkpoints a monitor — sharded
+// ones after a quiesce — at any event index, and ReadSnapshot then
 // Snapshot.Open resumes it with byte-identical reports and retention
-// statistics. TraceReader.Checkpoint snapshots a sink at the reader's
+// statistics. TraceReader.Checkpoint snapshots a monitor at the reader's
 // position; over a binary trace the snapshot carries the reader
 // continuation (byte offset + v2 delta context), so interrupted trace
 // ingestion seeks instead of re-decoding.
@@ -109,7 +109,7 @@
 // The happens-before predicate above is sound but tied to the observed
 // interleaving: a race the schedule happened to order through an
 // incidental sync edge goes unreported. SetPredicate switches the
-// monitor (and, via PipelineConfig, the pipeline) to predictive
+// monitor (PipelineConfig.Predicate when opening one) to predictive
 // predicates that also report races exposed by feasible reorderings of
 // the observed trace:
 //
@@ -128,8 +128,8 @@
 //     (live, peak, pruned) is exposed via WindowStats and published to
 //     the obs registry as predict.* gauges at GC barriers.
 //
-// The predicates run through the same checker seam, shard-parallel
-// pipeline, and snapshot codec as PredHB — reports are identical at
+// The predicates run through the same checker seam, sharded back-ends
+// and snapshot codec as PredHB — reports are identical at
 // any shard count, and a checkpoint records its predicate (snapshot v2
 // carries the window state), which is authoritative on restore. See
 // predict.go for the construction and internal/predict for the
@@ -138,28 +138,30 @@
 //
 // # Entry points
 //
-// New is the only constructor: every engine starts as a New monitor (a
-// restored checkpoint is a New monitor with its state decoded in).
-// NewPipeline wraps one as the front-end of a sharded Pipeline, whose
-// Step is the monitor's Step — one per-event path for both engines.
+// Monitor is the one engine type, and New its one constructor: every
+// engine starts as a New monitor (a restored checkpoint is a New
+// monitor with its state decoded in). A sharded monitor is a Monitor
+// with race back-ends attached; its Step is the same Step — one
+// per-event path for both modes.
 //
-// Open(Header, PipelineConfig) builds the engine for a stream and
-// returns it as a Sink — the method set Monitor and Pipeline share
-// (Step, StepBatch, Finish, Abort, Snapshot, Stats, Obs, …). At most
-// one shard gives a Monitor, more a Pipeline; the config's GC interval,
-// predicate and static filter apply either way. Checkpointing is one
-// call, TraceReader.Checkpoint(w, sink), for both trace formats;
-// resuming is one path: ReadSnapshot, then TraceReader.ResumeAt to
-// position a reopened trace where the checkpoint stopped, then
-// Snapshot.Open, which builds the sink as Open does. racemon, racemond
-// and the experiments all build their engines through this seam, and
-// all ingest with one loop: TraceReader.NextBatch, then the Sink's
-// StepBatch. New and NewPipeline remain for callers that need the
-// concrete type; Table and ReadRaces (MonitorReader's loop over a
-// whole trace) are the one-call forms the differential tests use.
+// Open(Header, PipelineConfig) builds the monitor for a stream. At most
+// one shard gives a sequential monitor, more a sharded one; the
+// config's GC interval, predicate and static filter apply either way.
+// Checkpointing is one call, TraceReader.Checkpoint(w, m), for both
+// trace formats; resuming is one path: ReadSnapshot, then
+// TraceReader.ResumeAt to position a reopened trace where the
+// checkpoint stopped, then Snapshot.Open, which builds the monitor as
+// Open does. racemon and racemond build their engines through Open,
+// and both ingest with one loop: TraceReader.NextBatch, then
+// StepBatch. NewPipeline builds a sharded monitor without Open's clamp
+// (Pipeline is its alias for Monitor); Table and ReadRaces
+// (MonitorReader's loop over a whole trace) are the one-call forms the
+// differential tests use.
 package monitor
 
 import (
+	"math/bits"
+
 	"localdrf/internal/obs"
 	"localdrf/internal/prog"
 	"localdrf/internal/race"
@@ -243,12 +245,8 @@ type naState struct {
 	// races with u's last access iff the stored index exceeds C_t[u].
 	writes []uint64
 	reads  []uint64
-	// reported[u*threads+t] is a 4-bit set of the access-kind pairs
-	// (earlier kind, later kind) already reported for the thread pair
-	// (u earlier, t later) on this location — the dedup set kept as flat
-	// bitmasks so the racy-location hot path never touches a hash map.
-	// Allocated on the first race at this location.
-	reported []uint8
+	// reported is the location's dedup set, allocated on its first race.
+	reported pairSet
 	// lastT is the thread of the last access (-1 initially); while the
 	// same thread keeps accessing the location, the escalated scans can
 	// be skipped once they have come up clean (the vectors cannot have
@@ -259,8 +257,21 @@ type naState struct {
 	rClean bool
 }
 
-// reportBit is the in-mask index of an access-kind pair.
-func reportBit(wi, wj bool) uint8 {
+// pairSet is one location's dedup set, shared by the HB checker and
+// the short:k window: pairSet[u*threads+t] is a 4-bit set of the
+// access-kind pairs (earlier kind, later kind) already reported for the
+// thread pair (u earlier, t later), bit 2·wi+wj. It is kept as flat
+// bitmasks so the racy-location hot path never touches a hash map, and
+// is nil until the location's first race.
+type pairSet []uint8
+
+// add records a race (u's access earlier, t's later, writes wi and wj)
+// in a set over n threads, allocating it on first use, and reports
+// whether the pair is new.
+func (ps *pairSet) add(n int, u, t int32, wi, wj bool) bool {
+	if *ps == nil {
+		*ps = make(pairSet, n*n)
+	}
 	b := uint8(0)
 	if wi {
 		b |= 2
@@ -268,7 +279,39 @@ func reportBit(wi, wj bool) uint8 {
 	if wj {
 		b |= 1
 	}
-	return 1 << b
+	p := &(*ps)[int(u)*n+int(t)]
+	if *p&(1<<b) != 0 {
+		return false
+	}
+	*p |= 1 << b
+	return true
+}
+
+// races returns the number of distinct races the set records.
+func (ps pairSet) races() int {
+	n := 0
+	for _, mask := range ps {
+		n += bits.OnesCount8(mask)
+	}
+	return n
+}
+
+// appendReports decodes the set, over n threads, into reports on loc.
+func (ps pairSet) appendReports(out []race.Report, n int, loc prog.Loc) []race.Report {
+	for i, mask := range ps {
+		for b := uint8(0); b < 4; b++ {
+			if mask&(1<<b) != 0 {
+				out = append(out, race.Report{
+					Loc:     loc,
+					ThreadI: i / n,
+					ThreadJ: i % n,
+					WriteI:  b&2 != 0,
+					WriteJ:  b&1 != 0,
+				})
+			}
+		}
+	}
+	return out
 }
 
 // defaultGCInterval is how often (in events) the minimum-clock frontier
@@ -281,8 +324,8 @@ const defaultGCInterval = 4096
 // checker is the nonatomic race-checking half of the monitor: the
 // per-location epoch/vector histories, the dedup bitmasks, and the scan
 // logic. It reads — never writes — the thread clocks and the cached
-// minimum frontier it is given. The sequential Monitor embeds one
-// checker over its own clocks; each pipeline back-end owns a checker
+// minimum frontier it is given. A sequential Monitor embeds one checker
+// over its own clocks; each back-end of a sharded one owns a checker
 // over its mirrored copy of the clocks (updated by the front-end's delta
 // side channel), so both execute literally the same checking code and
 // produce bit-identical report state.
@@ -330,8 +373,8 @@ func newChecker(nthreads int, nlocs int, clocks [][]uint64, minClock []uint64) c
 // race and dropping it is exact — the same argument that lets epochs be
 // overwritten in place. Demotion strictly shrinks the live state (and the
 // snapshot encoding, which serialises vectors only while escalated).
-// It runs at every GC sweep, in the sequential monitor and the pipeline
-// back-ends alike, so the two paths demote at identical stream positions
+// It runs at every GC sweep, in a sequential monitor and a sharded
+// one's back-ends alike, so the two paths demote at identical stream positions
 // and snapshots stay byte-identical across configurations.
 func (ck *checker) compactAll() {
 	if ck.escalatedSides == 0 {
@@ -377,26 +420,30 @@ func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
 	return liveT, liveC, true
 }
 
-// Monitor is the streaming race detector. Create one with New (or Open),
-// feed it events in trace order with Step or StepBatch, and collect the
-// deduplicated reports with Reports. A Monitor is not safe for
-// concurrent use; the parallel mode (Pipeline) runs a Monitor as its
-// synchronisation front-end and moves the race checking to
-// per-location back-ends.
+// Monitor is the streaming race detector, the one engine type. Create
+// one with New, Open or Snapshot.Open (NewPipeline for a sharded one),
+// feed it events in trace order with Step or StepBatch from one
+// goroutine, and collect the deduplicated reports with Reports, or with
+// Finish once the stream has ended. A Monitor is not safe for
+// concurrent use (Abort and Obs().Snapshot excepted). A sharded monitor
+// keeps the synchronisation work and moves the race checking to
+// per-location back-end goroutines (pipeline.go); its reports,
+// statistics and snapshots equal a sequential monitor's.
 type Monitor struct {
 	decls    []LocDecl
 	nthreads int
 	clocks   [][]uint64 // clocks[t][u]: thread t's vector clock
-	// ck checks nonatomic races over clocks/minClock. A pipeline
-	// front-end's checker is empty: its state lives in the back-ends.
+	// ck checks nonatomic races over clocks/minClock. A sharded
+	// monitor's checker is empty: its state lives in the back-ends.
 	ck checker
-	// p is the pipeline this monitor is the front-end of, nil for a
-	// sequential run. Step consults it at exactly three points: routing
-	// a nonatomic access, broadcasting a clock join, and the GC barrier.
-	p *Pipeline
+	// p is the back-end set of a sharded monitor (pipeline.go), nil for
+	// a sequential one. Step consults it at exactly three points:
+	// routing a nonatomic access, broadcasting a clock join, and the GC
+	// barrier.
+	p *backendSet
 	// staticSkip, when non-nil, marks nonatomic locations a sound static
 	// certificate proved race-free; their events bypass the checker (see
-	// staticfilter.go), or, on a pipeline front-end, are not routed.
+	// staticfilter.go), or, on a sharded monitor, are not routed.
 	// The mask itself is never serialised into snapshots, but a snapshot
 	// records THAT a filter was active, so a resume without one can warn
 	// (see the predict section in snapshot.go).
@@ -499,17 +546,19 @@ func (m *Monitor) RAStats() RAStats {
 func (m *Monitor) Events() uint64 { return m.events }
 
 // EscalatedVectors returns the number of per-thread access vectors
-// currently escalated (write and read sides counted separately) — the
+// currently escalated (write and read sides counted separately, across
+// all back-ends of a sharded monitor, which settles them first) — the
 // live-state pressure the GC-time compaction pass works against.
-func (m *Monitor) EscalatedVectors() int { return m.ck.escalatedSides }
+func (m *Monitor) EscalatedVectors() int {
+	m.settle()
+	return m.checkSum().escalatedSides
+}
 
-// RaceCount returns the number of distinct races reported so far.
+// RaceCount returns the number of distinct races reported so far (a
+// sharded monitor settles its back-ends first).
 func (m *Monitor) RaceCount() int {
-	n := m.ck.races
-	if m.win != nil {
-		n += m.win.races
-	}
-	return n
+	m.settle()
+	return m.checkSum().races
 }
 
 // Step consumes the next event of the trace. Events must be in bounds
@@ -517,10 +566,10 @@ func (m *Monitor) RaceCount() int {
 // location kind); the wire-format decoder validates ingested traces, and
 // Table guarantees it for converted machine traces.
 //
-// Step is the per-event front-end of both engines: on a pipeline's
-// front-end (m.p != nil) nonatomic accesses are routed to the back-ends
-// instead of checked, joins are broadcast as clock deltas, and each GC
-// sweep is followed by the pipeline's barrier.
+// Step is the per-event front-end of both modes: on a sharded monitor
+// (m.p != nil) nonatomic accesses are routed to the back-ends instead
+// of checked, joins are broadcast as clock deltas, and each GC sweep is
+// followed by the back-ends' barrier.
 func (m *Monitor) Step(e Event) {
 	m.events++
 	m.kinds[e.Kind]++
@@ -538,7 +587,7 @@ func (m *Monitor) Step(e Event) {
 		switch {
 		case m.win != nil:
 			// PredShort: the access is checked in the bounded window at its
-			// global stream index (the pipeline routes nothing either).
+			// global stream index (a sharded monitor routes nothing either).
 			m.win.access(e.Loc, e.Thread, e.Kind == WriteNA, c, m.events)
 		case m.p != nil:
 			m.p.route(e, c[t])
@@ -580,7 +629,7 @@ func (m *Monitor) StepBatch(events []Event) {
 }
 
 // join merges vc into thread t's clock c pointwise (c ⊔= vc). On a
-// pipeline front-end each raised entry is also sent to the back-ends'
+// sharded monitor each raised entry is also sent to the back-ends'
 // clock mirrors, in stream position.
 func (m *Monitor) join(t int32, c, vc []uint64) {
 	for u, v := range vc {
@@ -712,14 +761,9 @@ func (ck *checker) escalateReads(ls *naState) {
 }
 
 // report records one race (u's access earlier, t's later) in the
-// location's dedup bitmask, allocating the mask on first use.
+// location's dedup set.
 func (ck *checker) report(ls *naState, u, t int32, wi, wj bool) {
-	if ls.reported == nil {
-		ls.reported = make([]uint8, ck.nthreads*ck.nthreads)
-	}
-	bit := reportBit(wi, wj)
-	if p := &ls.reported[int(u)*ck.nthreads+int(t)]; *p&bit == 0 {
-		*p |= bit
+	if ls.reported.add(ck.nthreads, u, t, wi, wj) {
 		ck.races++
 	}
 }
@@ -763,7 +807,7 @@ func (m *Monitor) gc() {
 		}
 	}
 	// The refreshed frontier may prove escalated vectors collapsible —
-	// demote them while it is exact (a pipeline front-end's checker is
+	// demote them while it is exact (a sharded monitor's checker is
 	// empty; its back-ends compact at the same barrier, in-band).
 	m.ck.compactAll()
 	if m.win != nil {
@@ -783,12 +827,12 @@ func (m *Monitor) gc() {
 		m.gcProductive++
 	}
 	m.nextGC = m.events + m.gcEvery
+	if m.p != nil {
+		m.p.barrier(m.minClock)
+	}
 	// The sweep is the hot path's publication point: a handful of atomic
 	// stores per window keeps the live endpoint at most one window stale.
 	m.publishObs()
-	if m.p != nil {
-		m.p.barrier()
-	}
 }
 
 // scanWrites checks the current access of thread t (a read, or a write
@@ -822,48 +866,54 @@ func (ck *checker) scanReads(ls *naState, t int32, c []uint64) bool {
 	return clean
 }
 
-// Reports returns the distinct races observed, in the canonical order of
-// race.SortReports — directly comparable with race.Races on the same
-// trace.
+// Reports returns the distinct races observed so far, in the canonical
+// order of race.SortReports — directly comparable with race.Races on the
+// same trace. A sharded monitor settles its back-ends first, so it
+// returns the same set mid-stream as a sequential one.
 func (m *Monitor) Reports() []race.Report {
-	out := make([]race.Report, 0, m.RaceCount())
-	for l := range m.ck.na {
-		out = m.ck.appendReports(out, int32(l), m.decls[l].Name)
-	}
-	if m.win != nil {
-		// Under PredShort nonatomic accesses go to the window, not the
-		// checker, so the two report sources never overlap.
-		out = m.win.appendReports(out, m.decls)
+	m.settle()
+	out := make([]race.Report, 0, m.checkSum().races)
+	for l, d := range m.decls {
+		out = m.naAt(int32(l)).reported.appendReports(out, m.nthreads, d.Name)
+		if m.win != nil {
+			// Under PredShort nonatomic accesses go to the window, not the
+			// checker, so the two report sources never overlap.
+			out = m.win.locs[l].reported.appendReports(out, m.nthreads, d.Name)
+		}
 	}
 	race.SortReports(out)
 	return out
 }
 
-// appendReports decodes the dedup bitmasks of the checker's idx-th
-// location into reports under the given location name. (The checker's
-// index space need not be the declaration index space: pipeline
-// back-ends store only their owned locations densely.)
-func (ck *checker) appendReports(out []race.Report, idx int32, name prog.Loc) []race.Report {
-	ls := &ck.na[idx]
-	if ls.reported == nil {
-		return out
+// naAt returns location l's race state from the checker that owns it:
+// the monitor's own, or the owning back-end's (at its dense index).
+func (m *Monitor) naAt(l int32) *naState {
+	if p := m.p; p != nil {
+		return &p.backs[p.owner[l]].ck.na[p.dense[l]]
 	}
-	for i, mask := range ls.reported {
-		if mask == 0 {
-			continue
-		}
-		u, t := i/ck.nthreads, i%ck.nthreads
-		for b := uint8(0); b < 4; b++ {
-			if mask&(1<<b) != 0 {
-				out = append(out, race.Report{
-					Loc:     name,
-					ThreadI: u,
-					ThreadJ: t,
-					WriteI:  b&2 != 0,
-					WriteJ:  b&1 != 0,
-				})
-			}
+	return &m.ck.na[l]
+}
+
+// checkSum totals the race checkers' tallies (races, escalatedSides,
+// escalations, demotions): the monitor's own checker, every back-end's
+// (the caller has settled them; the front-end's own checker is then
+// empty), and the short:k window's races.
+func (m *Monitor) checkSum() checker {
+	var sum checker
+	add := func(ck *checker) {
+		sum.races += ck.races
+		sum.escalatedSides += ck.escalatedSides
+		sum.escalations += ck.escalations
+		sum.demotions += ck.demotions
+	}
+	add(&m.ck)
+	if m.p != nil {
+		for _, b := range m.p.backs {
+			add(&b.ck)
 		}
 	}
-	return out
+	if m.win != nil {
+		sum.races += m.win.races
+	}
+	return sum
 }

@@ -205,14 +205,14 @@ func TestDifferentialOnLitmusTraces(t *testing.T) {
 	}
 }
 
-// openRaces monitors events through the sink Open builds for cfg.
+// openRaces monitors events through the monitor Open builds for cfg.
 func openRaces(nthreads int, decls []LocDecl, events []Event, cfg PipelineConfig) []race.Report {
 	s := Open(Header{Threads: nthreads, Decls: decls}, cfg)
 	s.StepBatch(events)
 	return s.Finish()
 }
 
-// TestShardedMatchesUnsharded: a sharded sink returns exactly the
+// TestShardedMatchesUnsharded: a sharded monitor returns exactly the
 // single-pass report set at any shard count.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	decls, events := syntheticWorkload(6, 24, 30_000, 31)
@@ -312,7 +312,7 @@ func TestShardedClampAndSkip(t *testing.T) {
 	for _, shards := range []int{2, 3, 8, 64} {
 		sk := Open(Header{Threads: 4, Decls: decls}, PipelineConfig{Shards: shards})
 		sk.Abort()
-		if p, ok := sk.(*Pipeline); !ok || len(p.backs) != 2 {
+		if sk.p == nil || len(sk.p.backs) != 2 {
 			t.Fatalf("shards=%d: Open did not clamp to the 2 nonatomic locations", shards)
 		}
 		got := openRaces(4, decls, events, PipelineConfig{Shards: shards})
@@ -444,7 +444,7 @@ func raWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event) {
 	return decls, events
 }
 
-// TestShardedHonoursConfig: every sink Open builds, *including* the
+// TestShardedHonoursConfig: every monitor Open builds, *including* the
 // single-shard Monitor, must honour a configured GC interval exactly as
 // a sequential New+SetGCInterval+Step run does. Reports alone cannot
 // detect the bug (they are interval-invariant by design), so the test

@@ -1,13 +1,13 @@
 package monitor
 
-// Telemetry for the streaming monitor and the parallel pipeline, built
-// on internal/obs. The design constraint is the hot path: the sequential
+// Telemetry for the streaming monitor, sequential or sharded, built on
+// internal/obs. The design constraint is the hot path: the sequential
 // monitor spends ~25ns per event, so even one atomic RMW per event
 // (~5ns) would be a double-digit regression. The instrumentation
 // therefore splits in two:
 //
 //   - Hot paths tally into PLAIN single-writer fields (Monitor.kinds,
-//     Pipeline.routed, checker.escalations, …) — an ordinary increment,
+//     backendSet.routed, checker.escalations, …) — an ordinary increment,
 //     well under a nanosecond, invisible in the benchmarks.
 //
 //   - At natural barriers — GC sweeps (every ≤ gcEvery events), batch
@@ -20,12 +20,11 @@ package monitor
 //
 // Two read paths follow from that split:
 //
-//   - Monitor.Stats / Pipeline.Stats publish pending tallies first and
-//     return exact values, but must be called from the feeding
-//     goroutine (the pipeline form quiesces, like BackendLoads).
-//   - Monitor.Obs / Pipeline.Obs expose the registry itself; Snapshot
-//     on it is safe from ANY goroutine at any time and reflects the
-//     last publication.
+//   - Monitor.Stats publishes pending tallies first and returns exact
+//     values, but must be called from the feeding goroutine (a sharded
+//     monitor quiesces its back-ends, like BackendLoads).
+//   - Monitor.Obs exposes the registry itself; Snapshot on it is safe
+//     from ANY goroutine at any time and reflects the last publication.
 //
 // Metric names (stable; racemon's /stats and -json "stats" serve them):
 //
@@ -162,7 +161,9 @@ func newMonCells(reg *obs.Registry) monCells {
 
 // publishObs copies the monitor's plain tallies into the registry's
 // atomic cells. Called at GC sweeps and Stats — always from the
-// goroutine that owns the monitor.
+// goroutine that owns the monitor (a sharded monitor's back-ends
+// publish their own vec entries at batch boundaries and quiesce
+// barriers; see backend.run).
 func (m *Monitor) publishObs() {
 	mo := &m.mo
 	mo.events.Store(m.events)
@@ -176,17 +177,25 @@ func (m *Monitor) publishObs() {
 	mo.raLive.Set(int64(m.raLive))
 	mo.raPeak.Set(int64(m.raPeak))
 	mo.raCollected.Store(m.raCollected)
-	if m.p == nil {
-		// A pipeline front-end's checker is empty; the pipeline aggregates
-		// its back-ends into these cells instead (Pipeline.Stats).
-		races := uint64(m.ck.races)
-		if m.win != nil {
-			races += uint64(m.win.races)
+	if p := m.p; p != nil {
+		// A sharded monitor's checker state lives in the back-ends, which
+		// only Stats may read, behind a quiesce. The routing tallies are
+		// the front-end's, and the rings are sampled here.
+		po := &p.po
+		po.routed.Store(p.routed)
+		po.delta.Store(p.deltaRecs)
+		po.minRecs.Store(p.minRecsSent)
+		var stalls, idles uint64
+		for s, ln := range p.lanes {
+			po.ringOcc.Store(s, uint64(ln.q.Len()))
+			st, id := ln.q.Stats()
+			stalls += st
+			idles += id
 		}
-		mo.races.Store(races)
-		mo.escalations.Store(m.ck.escalations)
-		mo.demotions.Store(m.ck.demotions)
-		mo.escalated.Set(int64(m.ck.escalatedSides))
+		po.ringStalls.Store(stalls)
+		po.ringIdles.Store(idles)
+	} else {
+		m.publishChecks()
 	}
 	if mo.pc != nil {
 		mo.pc.predicate.Set(int64(m.pred))
@@ -200,21 +209,40 @@ func (m *Monitor) publishObs() {
 	}
 }
 
-// Obs returns the monitor's metric registry. Registry.Snapshot on it is
-// safe from any goroutine while the monitor runs; values lag the stream
-// by at most one GC window (see Stats for exact values).
+// publishChecks publishes the race checkers' tallies (see checkSum).
+func (m *Monitor) publishChecks() {
+	sum, mo := m.checkSum(), &m.mo
+	mo.races.Store(uint64(sum.races))
+	mo.escalations.Store(sum.escalations)
+	mo.demotions.Store(sum.demotions)
+	mo.escalated.Set(int64(sum.escalatedSides))
+}
+
+// Obs returns the monitor's metric registry (monitor.*, predict.* and,
+// when sharded, pipeline.* metrics together). Registry.Snapshot on it
+// is safe from any goroutine while the monitor runs; values lag the
+// stream by at most one GC window or in-flight batch (see Stats for
+// exact values).
 func (m *Monitor) Obs() *obs.Registry { return m.reg }
 
 // Stats publishes all pending tallies and returns an exact metrics
 // snapshot. Unlike Obs().Snapshot(), it must be called from the feeding
-// goroutine (between Steps). RAStats remains the stable, typed subset.
+// goroutine (between Steps); a finished monitor may be read from
+// anywhere. A sharded monitor settles its back-ends first and
+// aggregates them into the monitor.* cells a sequential one fills
+// itself, so its snapshot is a superset of the sequential one.
+// RAStats remains the stable, typed subset.
 func (m *Monitor) Stats() obs.Snapshot {
+	if m.p != nil {
+		m.settle()
+		m.publishChecks()
+	}
 	m.publishObs()
 	return m.reg.Snapshot()
 }
 
-// pipeCells is the pipeline's own cell bundle, registered in the
-// front-end's registry so one snapshot covers both layers.
+// pipeCells is a sharded monitor's own cell bundle, registered in the
+// monitor's registry so one snapshot covers both layers.
 type pipeCells struct {
 	routed     *obs.Counter
 	delta      *obs.Counter
@@ -245,66 +273,4 @@ func newPipeCells(reg *obs.Registry, shards int) pipeCells {
 		backEsc:    reg.Vec("pipeline.backend_escalated", shards),
 		backRaces:  reg.Vec("pipeline.backend_races", shards),
 	}
-}
-
-// publishObs publishes the front-end-owned pipeline tallies and samples
-// the ring telemetry. Called at GC sweeps and from Stats — always from
-// the feeding goroutine (the back-ends publish their own vec entries at
-// batch boundaries; see backend.publish).
-func (p *Pipeline) publishObs() {
-	po := &p.po
-	po.routed.Store(p.routed)
-	po.delta.Store(p.deltaRecs)
-	po.minRecs.Store(p.minRecsSent)
-	var stalls, idles uint64
-	for s, ln := range p.lanes {
-		po.ringOcc.Store(s, uint64(ln.q.Len()))
-		st, id := ln.q.Stats()
-		stalls += st
-		idles += id
-	}
-	po.ringStalls.Store(stalls)
-	po.ringIdles.Store(idles)
-}
-
-// Obs returns the pipeline's metric registry (shared with the
-// front-end, so monitor.* and pipeline.* metrics appear together).
-// Registry.Snapshot on it is safe from any goroutine while the pipeline
-// runs; values lag by at most one GC window or in-flight batch.
-func (p *Pipeline) Obs() *obs.Registry { return p.fe.reg }
-
-// Stats quiesces a live pipeline, publishes every layer's pending
-// tallies — including exact cross-back-end aggregates into the
-// monitor.* cells — and returns the metrics snapshot. Must be called
-// from the feeding goroutine (between Steps); after Finish it may be
-// called from anywhere.
-func (p *Pipeline) Stats() obs.Snapshot {
-	if !p.done {
-		p.quiesce()
-	}
-	// Behind the quiesce ack (or Finish's wg.Wait) the back-end checkers
-	// are safe to read directly: aggregate them into the monitor.* cells
-	// the sequential monitor fills itself, so a pipeline snapshot is a
-	// superset of the sequential one.
-	var races, esc int
-	var escN, demN uint64
-	for s, b := range p.backs {
-		races += b.ck.races
-		esc += b.ck.escalatedSides
-		escN += b.ck.escalations
-		demN += b.ck.demotions
-		p.po.backRaces.Store(s, uint64(b.ck.races))
-		p.po.backEsc.Store(s, uint64(b.ck.escalatedSides))
-	}
-	if p.fe.win != nil {
-		races += p.fe.win.races
-	}
-	mo := &p.fe.mo
-	mo.races.Store(uint64(races))
-	mo.escalated.Set(int64(esc))
-	mo.escalations.Store(escN)
-	mo.demotions.Store(demN)
-	p.fe.publishObs()
-	p.publishObs()
-	return p.fe.reg.Snapshot()
 }

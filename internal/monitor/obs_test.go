@@ -256,3 +256,25 @@ func TestSnapshotMetrics(t *testing.T) {
 		t.Fatalf("restored reports diverged")
 	}
 }
+
+// TestSnapshotDecodeBytesExact: decode_bytes records the bytes the
+// snapshot occupies, not what the decoder's buffered reader pulled in
+// from a stream that goes on past the end section.
+func TestSnapshotDecodeBytesExact(t *testing.T) {
+	decls, events := raWorkload(5, 12, 20_000, 7)
+	m := New(5, decls)
+	m.StepBatch(events)
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Len()
+	buf.Write(make([]byte, 64<<10))
+	m2, err := restore(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := m2.Stats().Histograms["monitor.snapshot.decode_bytes"]; h.Count != 1 || h.Sum != uint64(snap) {
+		t.Fatalf("decode_bytes count=%d sum=%d, want 1/%d", h.Count, h.Sum, snap)
+	}
+}

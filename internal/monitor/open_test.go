@@ -7,23 +7,23 @@ import (
 	"localdrf/internal/race"
 )
 
-// stepAll drains tr into sk with the NextBatch → StepBatch loop the
+// stepAll drains tr into m with the NextBatch → StepBatch loop the
 // drivers run.
-func stepAll(tr *TraceReader, sk Sink) error {
+func stepAll(tr *TraceReader, m *Monitor) error {
 	var buf []Event
 	for {
 		batch, ok, err := tr.NextBatch(buf[:0])
 		if err != nil || !ok {
 			return err
 		}
-		sk.StepBatch(batch)
+		m.StepBatch(batch)
 		buf = batch
 	}
 }
 
 // TestResumeAt: a checkpoint without a reader continuation resumes by
 // skipping the monitored prefix by count, in every wire format, into a
-// sink at a different shard count; a trace of another shape, or one
+// monitor at a different shard count; a trace of another shape, or one
 // shorter than the monitored prefix, is refused.
 func TestResumeAt(t *testing.T) {
 	decls, events := raWorkload(5, 12, 10_000, 17)
@@ -65,7 +65,7 @@ func TestResumeAt(t *testing.T) {
 			t.Fatalf("%v: count-skip resume diverged\ngot  %v\nwant %v", format, got, want)
 		}
 		if sk.Events() != uint64(len(events)) {
-			t.Fatalf("%v: resumed sink saw %d events, want %d", format, sk.Events(), len(events))
+			t.Fatalf("%v: resumed monitor saw %d events, want %d", format, sk.Events(), len(events))
 		}
 	}
 	if err := reader(hdr, events[:k-1], BinaryV2).ResumeAt(read()); err == nil {

@@ -1,6 +1,6 @@
 package monitor
 
-// The two-stage parallel pipeline: one synchronisation front-end, many
+// The sharded monitor: one synchronisation front-end, many
 // location-partitioned race back-ends.
 //
 // The race checks of defs. 9/10 are independent per nonatomic location,
@@ -8,15 +8,15 @@ package monitor
 // synchronisation events. The previous parallel mode resolved that
 // tension by replaying the whole stream once per shard — O(shards ×
 // events) total work, so parallelism made monitoring slower below ~6
-// cores. The pipeline resolves it by splitting the two concerns:
+// cores. A sharded monitor resolves it by splitting the two concerns:
 //
-//   - The front-end is a Monitor (the caller's goroutine): Pipeline.Step
-//     is Monitor.Step, which consumes the stream exactly once. It
-//     performs every clock operation: program-order increments,
-//     SC-atomic and RA reads-from joins, RA message publication,
-//     windowed RA GC, and halt bookkeeping. Nonatomic accesses need no
-//     clock work beyond the program-order increment — the front-end
-//     only *routes* them (Monitor.p is the hook; a sequential monitor's
+//   - The front-end is the Monitor itself (the caller's goroutine):
+//     Monitor.Step consumes the stream exactly once. It performs every
+//     clock operation: program-order increments, SC-atomic and RA
+//     reads-from joins, RA message publication, windowed RA GC, and
+//     halt bookkeeping. Nonatomic accesses need no clock work beyond
+//     the program-order increment — the front-end only *routes* them
+//     (Monitor.p, the back-end set, is the hook; a sequential monitor's
 //     is nil).
 //
 //   - Each back-end owns the nonatomic locations with loc % shards ==
@@ -28,8 +28,13 @@ package monitor
 //     and each GC sweep broadcasts the refreshed minimum frontier.
 //     Replaying the deltas keeps a back-end's mirror of the clocks
 //     exactly equal to the front-end's at every routed access, so the
-//     checker (the same code the sequential Monitor runs) makes
+//     checker (the same code a sequential Monitor runs) makes
 //     bit-identical decisions.
+//
+// The methods whose behaviour depends on the mode branch once on
+// Monitor.p: Finish drains the back-ends, Abort tears them down, and
+// the readers of race state (Reports, RaceCount, EscalatedVectors,
+// Stats, Snapshot, BackendLoads) settle them first.
 //
 // Records move in batches over bounded SPSC rings (engine.BatchQueue,
 // one per back-end, plus a reverse ring recycling spent buffers), so the
@@ -48,9 +53,6 @@ package monitor
 // report sets is exactly the sequential set.
 
 import (
-	"fmt"
-	"io"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +62,7 @@ import (
 	"localdrf/internal/race"
 )
 
-// Default pipeline tuning. A batch of 4096 records (64 KiB) amortises
+// Default back-end tuning. A batch of 4096 records (64 KiB) amortises
 // the ring hand-off to a fraction of a nanosecond per event; a depth of
 // 8 batches per back-end lets the front-end run ahead of a momentarily
 // stalled back-end without unbounded buffering.
@@ -69,11 +71,14 @@ const (
 	defaultPipelineDepth = 8
 )
 
-// PipelineConfig tunes a Pipeline. The zero value means: one back-end,
-// default batch size and queue depth, default GC interval.
+// PipelineConfig configures an engine (Open, Snapshot.Open,
+// NewPipeline). The zero value means: sequential (NewPipeline: one
+// back-end), default batch size and queue depth, default GC interval.
 type PipelineConfig struct {
 	// Shards is the number of race back-ends (location l is owned by
-	// back-end l % Shards). Values < 1 mean 1.
+	// back-end l % Shards). Open clamps it to the nonatomic location
+	// count and runs sequentially at one or fewer; NewPipeline starts at
+	// least one.
 	Shards int
 	// BatchSize is the number of records per flushed batch.
 	BatchSize int
@@ -177,9 +182,9 @@ type backend struct {
 	free *engine.BatchQueue[[]pipeRec]
 	// ack carries the quiesce barrier's acknowledgements: the front-end
 	// enqueues a nil batch after flushing, and the back-end answers once
-	// every earlier record has been applied (see Pipeline.quiesce).
+	// every earlier record has been applied (see backendSet.quiesce).
 	ack chan struct{}
-	// id/po: this back-end's slots in the pipeline's metric vectors. The
+	// id/po: this back-end's slots in the pipeline.* metric vectors. The
 	// applied-record count lives ONLY in the published cell (no shadow
 	// field): the run loop tallies a plain local and publishes it at
 	// batch boundaries — and, crucially, at the quiesce barrier before
@@ -239,31 +244,34 @@ func (b *backend) run() {
 	}
 }
 
-// Pipeline is the push side of the two-stage parallel monitor: create
-// one with NewPipeline, feed it the stream in trace order (Step or
-// StepBatch, from the single front-end goroutine), then call Finish to
-// drain the back-ends and merge the reports. After Finish the pipeline
-// must not be fed again.
-type Pipeline struct {
-	fe *Monitor // front-end: clocks, atomics, RA messages, GC; its checker is empty
+// Pipeline is the name NewPipeline's callers use for a sharded monitor.
+// It is Monitor itself: one engine type, whose back-ends are a matter of
+// configuration.
+type Pipeline = Monitor
+
+// backendSet is what a sharded monitor adds to a sequential one: the
+// location partition, one lane and back-end per shard, and the teardown
+// and telemetry state. Monitor.p holds it, nil when sequential.
+type backendSet struct {
 	// owner[loc] = loc % shards is the owning back-end and dense[loc] =
 	// loc / shards the index in its checker, tabulated so routing costs
 	// two loads instead of two divisions.
-	owner   []int32
-	dense   []int32
-	lanes   []*lane
-	backs   []*backend
-	wg      sync.WaitGroup
+	owner []int32
+	dense []int32
+	lanes []*lane
+	backs []*backend
+	wg    sync.WaitGroup
+	// done is set by Finish; dropped records that Finish found the set
+	// aborted, so no coherent report set exists.
 	done    bool
-	reports []race.Report
-	races   int
-	// Teardown state (see the contract on Abort). aborted is the single
-	// CAS that elects the tearing-down goroutine; tornDown is closed once
-	// every back-end has exited, so late Abort calls can wait instead of
-	// double-closing. ackWait[s] records, per quiesce, whether lane s
-	// accepted the nil barrier batch — an abort can close the rings
-	// between the Put and the ack, and the barrier must then not wait for
-	// acknowledgements that will never come.
+	dropped bool
+	// Teardown state (see the contract on Monitor.Abort). aborted is the
+	// single CAS that elects the tearing-down goroutine; tornDown is
+	// closed once every back-end has exited, so late Abort calls can wait
+	// instead of double-closing. ackWait[s] records, per quiesce, whether
+	// lane s accepted the nil barrier batch — an abort can close the
+	// rings between the Put and the ack, and the barrier must then not
+	// wait for acknowledgements that will never come.
 	aborted  atomic.Bool
 	tornDown chan struct{}
 	ackWait  []bool
@@ -275,28 +283,25 @@ type Pipeline struct {
 	minRecsSent uint64 // opMin + opCompact records enqueued
 }
 
-// NewPipeline starts cfg.Shards race back-end goroutines for a stream of
-// nthreads threads over the given locations: a New monitor, configured
-// with cfg's predicate, becomes the front-end.
+// NewPipeline returns a sharded monitor for a stream of nthreads
+// threads over the given locations: a New monitor deciding cfg's
+// predicate, with cfg.Shards race back-ends (at least one; unlike Open,
+// the count is not clamped).
 func NewPipeline(nthreads int, decls []LocDecl, cfg PipelineConfig) *Pipeline {
-	m := New(nthreads, decls)
-	if cfg.Predicate != PredHB {
-		m.SetPredicate(cfg.Predicate, cfg.WindowK)
-	}
-	return newPipelineFrom(m, cfg)
+	m := newFor(nthreads, decls, cfg)
+	m.shard(cfg)
+	return m
 }
 
-// newPipelineFrom builds the lanes and back-ends around a monitor — a
-// fresh one (NewPipeline) or a restored one (Snapshot.Open) — which
-// becomes the front-end. cfg's defaults, GC interval and static filter
-// are applied; the monitor's per-location race state moves out to the
-// owning back-ends and its clocks seed every back-end mirror.
-func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
+// shard applies cfg's defaults, GC interval and static filter, and
+// starts the back-ends around the monitor — a fresh one or a restored
+// one — which stays the front-end. Its per-location race state moves
+// out to the owning back-ends and its clocks seed every back-end mirror.
+func (m *Monitor) shard(cfg PipelineConfig) {
 	cfg = cfg.withDefaults()
-	fe.configure(cfg)
-	nthreads, decls := fe.nthreads, fe.decls
-	p := &Pipeline{
-		fe:       fe,
+	m.configure(cfg)
+	nthreads, decls := m.nthreads, m.decls
+	p := &backendSet{
 		owner:    make([]int32, len(decls)),
 		dense:    make([]int32, len(decls)),
 		lanes:    make([]*lane, cfg.Shards),
@@ -304,7 +309,7 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 		tornDown: make(chan struct{}),
 		ackWait:  make([]bool, cfg.Shards),
 	}
-	p.po = newPipeCells(fe.reg, cfg.Shards)
+	p.po = newPipeCells(m.reg, cfg.Shards)
 	for l := range p.owner {
 		p.owner[l] = int32(l % cfg.Shards)
 		p.dense[l] = int32(l / cfg.Shards)
@@ -323,21 +328,21 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 		ln.cur, _ = free.Get()
 		p.lanes[s] = ln
 		// Mirrors start equal to the front-end's clocks — all zeros for a
-		// fresh pipeline, the checkpointed clocks for a restored one (the
+		// fresh monitor, the checkpointed clocks for a restored one (the
 		// same values a backlog of delta records would have replayed).
 		clocks := make([][]uint64, nthreads)
 		minClock := make([]uint64, nthreads)
 		for t := range clocks {
 			clocks[t] = make([]uint64, nthreads)
-			copy(clocks[t], fe.clocks[t])
+			copy(clocks[t], m.clocks[t])
 		}
-		copy(minClock, fe.minClock)
+		copy(minClock, m.minClock)
 		// Owned locations of shard s: s, s+shards, s+2·shards, …
 		owned := 0
 		if s < len(decls) {
 			owned = (len(decls) - s + cfg.Shards - 1) / cfg.Shards
 		}
-		b := &backend{
+		p.backs[s] = &backend{
 			ck:   newChecker(nthreads, owned, clocks, minClock),
 			in:   ln.q,
 			free: free,
@@ -345,19 +350,16 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 			id:   s,
 			po:   &p.po,
 		}
-		p.backs[s] = b
 	}
 	// Move each location's race-checking state to the back-end owning it
-	// (its dense slot), crediting the races its dedup masks already
-	// record, and empty the front-end's checker: the sync half must not
+	// (its dense slot), crediting the races its dedup set already
+	// records, and empty the front-end's checker: the sync half must not
 	// retain it.
-	for l := range fe.ck.na {
+	for l := range m.ck.na {
 		b := p.backs[p.owner[l]]
-		st := fe.ck.na[l]
+		st := m.ck.na[l]
 		b.ck.na[p.dense[l]] = st
-		for _, mask := range st.reported {
-			b.ck.races += bits.OnesCount8(mask)
-		}
+		b.ck.races += st.reported.races()
 		if st.wT == escalated {
 			b.ck.escalatedSides++
 		}
@@ -365,29 +367,20 @@ func newPipelineFrom(fe *Monitor, cfg PipelineConfig) *Pipeline {
 			b.ck.escalatedSides++
 		}
 	}
-	fe.ck = checker{}
-	fe.p = p
+	m.ck = checker{}
+	m.p = p
 	for _, b := range p.backs {
-		b := b
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			b.run()
 		}()
 	}
-	return p
 }
-
-// Step consumes the next event of the trace: Monitor.Step on the
-// front-end, which routes nonatomic accesses to their owning back-end.
-func (p *Pipeline) Step(e Event) { p.fe.Step(e) }
-
-// StepBatch consumes a batch of events in order.
-func (p *Pipeline) StepBatch(events []Event) { p.fe.StepBatch(events) }
 
 // route sends a nonatomic access, with its thread's own clock component,
 // to the back-end owning its location.
-func (p *Pipeline) route(e Event, own uint64) {
+func (p *backendSet) route(e Event, own uint64) {
 	p.routed++
 	p.lanes[p.owner[e.Loc]].put(pipeRec{
 		aux: own,
@@ -398,7 +391,7 @@ func (p *Pipeline) route(e Event, own uint64) {
 
 // delta sends one clock entry a join raised, clocks[t][u] = v, to every
 // back-end.
-func (p *Pipeline) delta(t int32, u int, v uint64) {
+func (p *backendSet) delta(t int32, u int, v uint64) {
 	r := pipeRec{aux: v, loc: int32(u), tk: uint32(t)<<3 | opClock}
 	for _, ln := range p.lanes {
 		ln.put(r)
@@ -410,10 +403,9 @@ func (p *Pipeline) delta(t int32, u int, v uint64) {
 // minimum frontier to every back-end — the epoch-overwrite criterion
 // must flip at the same stream position everywhere — followed by the
 // GC-barrier marker that triggers the back-ends' compaction sweep over
-// the completed frontier, and samples the pipeline's own tallies (ring
-// occupancy, stall counts, record totals) at the front-end's cadence.
-func (p *Pipeline) barrier() {
-	for u, v := range p.fe.minClock {
+// the completed frontier.
+func (p *backendSet) barrier(minClock []uint64) {
+	for u, v := range minClock {
 		r := pipeRec{aux: v, loc: int32(u), tk: opMin}
 		for _, ln := range p.lanes {
 			ln.put(r)
@@ -422,47 +414,11 @@ func (p *Pipeline) barrier() {
 	for _, ln := range p.lanes {
 		ln.put(pipeRec{tk: opCompact})
 	}
-	p.minRecsSent += uint64(len(p.fe.minClock)+1) * uint64(len(p.lanes))
-	p.publishObs()
+	p.minRecsSent += uint64(len(minClock)+1) * uint64(len(p.lanes))
 }
 
-// Finish flushes the remaining batches, waits for the back-ends to
-// drain, and returns the merged, canonically sorted report set.
-// Idempotent; the pipeline must not be fed afterwards.
-func (p *Pipeline) Finish() []race.Report {
-	if p.done {
-		return p.reports
-	}
-	p.done = true
-	if p.aborted.Load() {
-		// Aborted pipelines have dropped in-flight batches; there is no
-		// coherent report set to merge (see Abort).
-		<-p.tornDown
-		return nil
-	}
-	for _, ln := range p.lanes {
-		ln.flush()
-		ln.q.Close()
-	}
-	p.wg.Wait()
-	var out []race.Report
-	for l := range p.fe.decls {
-		out = p.backs[p.owner[l]].ck.appendReports(out, p.dense[l], p.fe.decls[l].Name)
-	}
-	for _, b := range p.backs {
-		p.races += b.ck.races
-	}
-	if p.fe.win != nil {
-		out = p.fe.win.appendReports(out, p.fe.decls)
-		p.races += p.fe.win.races
-	}
-	race.SortReports(out)
-	p.reports = out
-	return out
-}
-
-// quiesce drains the pipeline without ending it: every record routed so
-// far is applied before this returns, and feeding may continue after.
+// quiesce drains the back-ends without ending them: every record routed
+// so far is applied before this returns, and feeding may continue after.
 // The barrier is a nil batch through each lane's ring (the flush path
 // never emits one), acknowledged by the back-end once everything before
 // it has been applied. A concurrent Abort closes the rings; a Put that
@@ -470,7 +426,7 @@ func (p *Pipeline) Finish() []race.Report {
 // barrier, so the barrier only waits on acks whose Put succeeded (a
 // successful Put is always drained and acknowledged — Get keeps
 // delivering queued items after Close).
-func (p *Pipeline) quiesce() {
+func (p *backendSet) quiesce() {
 	start := time.Now()
 	for s, ln := range p.lanes {
 		ln.flush()
@@ -485,60 +441,53 @@ func (p *Pipeline) quiesce() {
 	p.po.quiesceNs.Observe(uint64(time.Since(start)))
 }
 
-// BackendLoads returns the number of nonatomic access records each
-// back-end has applied so far — the balance of the static loc-mod-shards
-// split. It quiesces a live pipeline so in-flight batches are
-// counted; the values are read from the pipeline.backend_records metric
-// vector, which each back-end publishes exactly at the barrier.
-func (p *Pipeline) BackendLoads() []uint64 {
-	if !p.done {
+// settle makes the back-ends' checker state safe to read from the
+// feeding goroutine: a live set is quiesced, and an aborted one is
+// waited out until every back-end has exited. A sequential or finished
+// monitor has nothing to settle.
+func (m *Monitor) settle() {
+	p := m.p
+	if p == nil || p.done {
+		return
+	}
+	if !p.aborted.Load() {
 		p.quiesce()
 	}
-	return p.po.backRecs.Values(nil)
-}
-
-// EscalatedVectors returns the number of per-thread access vectors
-// currently escalated across all back-ends (see Monitor.EscalatedVectors).
-// It quiesces a live pipeline first.
-func (p *Pipeline) EscalatedVectors() int {
-	if !p.done {
-		p.quiesce()
-	}
-	n := 0
-	for _, b := range p.backs {
-		n += b.ck.escalatedSides
-	}
-	return n
-}
-
-// Snapshot serialises the pipeline's complete state to w after a
-// quiesce-drain: the front-end's synchronisation state plus every
-// back-end's per-location race state, reassembled in declaration order —
-// byte-identical to the snapshot a sequential Monitor would write at the
-// same stream position and GC configuration, so a pipeline checkpoint
-// can be resumed sequentially, at a different shard count, or not at
-// all. Must be called from the feeding goroutine (between Steps); the
-// pipeline remains feedable afterwards.
-func (p *Pipeline) Snapshot(w io.Writer) error { return p.snapshotAt(w, nil) }
-
-// snapshotAt is Snapshot with an optional reader continuation (see
-// TraceReader.Checkpoint).
-func (p *Pipeline) snapshotAt(w io.Writer, rck *readerCk) error {
 	if p.aborted.Load() {
-		return fmt.Errorf("monitor: pipeline snapshot: pipeline aborted")
+		<-p.tornDown
 	}
-	if p.done {
-		return fmt.Errorf("monitor: pipeline snapshot: pipeline already finished")
-	}
-	p.quiesce()
-	return snapshotTo(w, p.fe, func(l int32) *naState {
-		return &p.backs[p.owner[l]].ck.na[p.dense[l]]
-	}, rck)
 }
 
-// Abort tears the pipeline down mid-stream without draining: the rings
-// are closed, in-flight batches are dropped, and every back-end
-// goroutine has exited when Abort returns.
+// Finish returns the final, canonically sorted report set. A sharded
+// monitor first flushes the remaining batches and waits for its
+// back-ends to drain; after an Abort it returns nil. Idempotent; the
+// monitor must not be fed afterwards.
+func (m *Monitor) Finish() []race.Report {
+	if p := m.p; p != nil && !p.done {
+		p.done = true
+		if p.aborted.Load() {
+			// An abort dropped in-flight batches; there is no coherent
+			// report set to merge.
+			<-p.tornDown
+			p.dropped = true
+		} else {
+			for _, ln := range p.lanes {
+				ln.flush()
+				ln.q.Close()
+			}
+			p.wg.Wait()
+		}
+	}
+	if m.p != nil && m.p.dropped {
+		return nil
+	}
+	return m.Reports()
+}
+
+// Abort tears a sharded monitor's back-ends down mid-stream without
+// draining: the rings are closed, in-flight batches are dropped, and
+// every back-end goroutine has exited when Abort returns. On a
+// sequential monitor, which owns no goroutines, it is a no-op.
 //
 // Teardown contract:
 //
@@ -546,20 +495,22 @@ func (p *Pipeline) snapshotAt(w io.Writer, rck *readerCk) error {
 //     number of times, concurrently with itself: one caller wins a CAS
 //     and tears the rings down; every other caller blocks until the
 //     back-ends have exited, so all Abort calls return with the same
-//     postcondition (no pipeline goroutines remain).
+//     postcondition (no back-end goroutines remain).
 //   - Abort is safe while the feeder is blocked in Step/StepBatch on a
 //     full ring (the blocked Put unblocks and its records are
 //     discarded), and while the feeder is inside a quiesce barrier
-//     (Snapshot, BackendLoads, a GC sweep): the barrier only waits for
-//     acknowledgements whose nil batch was accepted before the rings
-//     closed, so it cannot wait forever.
+//     (Snapshot, Stats, Reports, BackendLoads, …): the barrier only
+//     waits for acknowledgements whose nil batch was accepted before
+//     the rings closed, so it cannot wait forever.
 //   - Abort is safe after Snapshot and after Finish have returned
 //     (after Finish it is a no-op: the rings are already closed —
 //     Close is idempotent — and the WaitGroup is settled).
 //   - After an abort: Finish returns nil (in-flight batches were
 //     dropped, so no coherent report set exists), Snapshot returns an
 //     error, and further Steps are silently discarded. Events() remains
-//     readable from the feeder.
+//     readable from the feeder; the race readers (Reports, RaceCount,
+//     EscalatedVectors, Stats, BackendLoads) wait for the teardown and
+//     read whatever the back-ends had applied.
 //   - The one prohibited overlap: Abort must not race with a
 //     *concurrently executing* Finish or Snapshot — those drain state
 //     that Abort is tearing down, and the snapshot bytes/report set
@@ -567,7 +518,11 @@ func (p *Pipeline) snapshotAt(w io.Writer, rck *readerCk) error {
 //     drain (e.g. a server tearing down a session) must order the two
 //     themselves; calling Abort once either has returned is always
 //     safe.
-func (p *Pipeline) Abort() {
+func (m *Monitor) Abort() {
+	p := m.p
+	if p == nil {
+		return
+	}
 	if !p.aborted.CompareAndSwap(false, true) {
 		<-p.tornDown
 		return
@@ -580,26 +535,16 @@ func (p *Pipeline) Abort() {
 	close(p.tornDown)
 }
 
-// Events returns the number of events consumed so far.
-func (p *Pipeline) Events() uint64 { return p.fe.events }
-
-// RaceCount returns the number of distinct races found (valid after
-// Finish).
-func (p *Pipeline) RaceCount() int { return p.races }
-
-// RAStats returns the front-end's RA retention statistics — identical to
-// the sequential monitor's on the same stream and GC interval.
-func (p *Pipeline) RAStats() RAStats { return p.fe.RAStats() }
-
-// Predicate returns the race predicate the pipeline decides.
-func (p *Pipeline) Predicate() Predicate { return p.fe.pred }
-
-// WindowK returns the short-race distance bound (0 unless the
-// pipeline decides PredShort).
-func (p *Pipeline) WindowK() int { return p.fe.WindowK() }
-
-// WindowStats returns the short-race window telemetry (zero unless the
-// pipeline runs PredShort) — identical to the sequential monitor's on
-// the same stream, because the window lives in the front-end and its
-// prune schedule is a function of the stream alone.
-func (p *Pipeline) WindowStats() WindowStats { return p.fe.WindowStats() }
+// BackendLoads returns the number of nonatomic access records each
+// back-end has applied so far — the balance of the static loc-mod-shards
+// split — or nil for a sequential monitor. It settles a live set first
+// so in-flight batches are counted; the values are read from the
+// pipeline.backend_records metric vector, which each back-end publishes
+// exactly at the barrier.
+func (m *Monitor) BackendLoads() []uint64 {
+	if m.p == nil {
+		return nil
+	}
+	m.settle()
+	return m.p.po.backRecs.Values(nil)
+}

@@ -1,7 +1,7 @@
 package monitor
 
 // Predictive race detection: the second checker family behind the same
-// ingestion/pipeline plumbing. The default predicate (PredHB) decides the
+// ingestion and back-end plumbing. The default predicate (PredHB) decides the
 // paper's defs. 9/10 over the observed trace exactly. The two predictive
 // predicates report races exposed by feasible reorderings the observed
 // schedule did not take:
@@ -40,16 +40,12 @@ package monitor
 // their proofs use only generic properties of join-only vector-clock
 // systems (a clock entry c[w] = i dominates thread w's clock at its
 // i-th event), which hold for the SP construction exactly as for HB.
-// The sequential monitor and the pipeline therefore run the predictive
+// Sequential and sharded monitors therefore run the predictive
 // predicates through the unchanged checker seam; under PredShort the
 // window lives in the synchronisation half (nonatomic accesses are not
 // routed to back-ends — the window needs the global event index, which
 // only the front-end has), and its state serialises in the snapshot's
 // predict section so split/resume stays byte-identical.
-
-import (
-	"localdrf/internal/race"
-)
 
 // Predicate selects the race definition a monitor decides. The zero
 // value is the observed-trace happens-before predicate.
@@ -155,19 +151,19 @@ type winEntry struct {
 }
 
 // winLoc is one nonatomic location's window state: a FIFO of live
-// entries (entries[head:]) and the same dedup bitmask layout the HB
-// checker uses, so reports merge and sort identically.
+// entries (entries[head:]) and the same dedup set the HB checker uses,
+// so reports merge and sort identically.
 type winLoc struct {
 	head     int
 	entries  []winEntry
-	reported []uint8
+	reported pairSet
 }
 
 // window is the distance-k candidate store of PredShort. Pruning is
 // lazy — an accessed location drops its expired prefix first, and every
 // GC sweep prunes all locations — so the prune schedule is a
 // deterministic function of the event stream alone: sequential runs,
-// pipelines at any shard count and split/resume runs hold identical
+// sharded runs at any shard count and split/resume runs hold identical
 // window state (and telemetry) at every stream position.
 type window struct {
 	nthreads int
@@ -230,44 +226,10 @@ func (w *window) pruneAll(gidx uint64) {
 	}
 }
 
-// report records one window race in the location's dedup bitmask —
-// identical semantics to checker.report.
+// report records one window race in the location's dedup set — the
+// same set the HB checker keeps.
 func (w *window) report(wl *winLoc, u, t int32, wi, wj bool) {
-	if wl.reported == nil {
-		wl.reported = make([]uint8, w.nthreads*w.nthreads)
-	}
-	bit := reportBit(wi, wj)
-	if p := &wl.reported[int(u)*w.nthreads+int(t)]; *p&bit == 0 {
-		*p |= bit
+	if wl.reported.add(w.nthreads, u, t, wi, wj) {
 		w.races++
 	}
-}
-
-// appendReports decodes the window's dedup bitmasks into reports —
-// the same decoding checker.appendReports performs.
-func (w *window) appendReports(out []race.Report, decls []LocDecl) []race.Report {
-	for l := range w.locs {
-		wl := &w.locs[l]
-		if wl.reported == nil {
-			continue
-		}
-		for i, mask := range wl.reported {
-			if mask == 0 {
-				continue
-			}
-			u, t := i/w.nthreads, i%w.nthreads
-			for b := uint8(0); b < 4; b++ {
-				if mask&(1<<b) != 0 {
-					out = append(out, race.Report{
-						Loc:     decls[l].Name,
-						ThreadI: u,
-						ThreadJ: t,
-						WriteI:  b&2 != 0,
-						WriteJ:  b&1 != 0,
-					})
-				}
-			}
-		}
-	}
-	return out
 }

@@ -176,3 +176,63 @@ func TestCompactionDemotes(t *testing.T) {
 		t.Fatalf("pipeline ends with %d escalated vectors, sequential %d", p.EscalatedVectors(), m.EscalatedVectors())
 	}
 }
+
+// TestShardedMidStreamParity: at several positions of a schedgen stream,
+// a 4-shard monitor answers every race reader — Reports, RaceCount,
+// EscalatedVectors, RAStats and the monitor.* and predict.* metrics of
+// Stats (the sharded snapshot adds only pipeline.* metrics) — exactly
+// as the sequential monitor does, under each predicate; feeding then
+// continues, and Finish agrees too.
+func TestShardedMidStreamParity(t *testing.T) {
+	const n = 120_000
+	cfg := progsynth.ScaledDefaults()
+	cfg.Iters = cfg.IterationsFor(n)
+	tab, events := generate(t, cfg, schedgen.Options{Policy: schedgen.Bursty, Seed: 1, MaxEvents: n, StaleReadPct: 10})
+	hdr := monitor.Header{Threads: tab.Threads(), Decls: tab.Decls()}
+	for _, pc := range []struct {
+		pred monitor.Predicate
+		k    int
+	}{{monitor.PredHB, 0}, {monitor.PredSyncP, 0}, {monitor.PredShort, 64}} {
+		seq := monitor.Open(hdr, monitor.PipelineConfig{Predicate: pc.pred, WindowK: pc.k})
+		sh := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4, Predicate: pc.pred, WindowK: pc.k})
+		if len(sh.BackendLoads()) != 4 || seq.BackendLoads() != nil {
+			t.Fatalf("%v: want a 4-shard and a sequential monitor", pc.pred)
+		}
+		prev := 0
+		for _, at := range []int{0, 1, 9_999, 40_000, 77_777, len(events)} {
+			seq.StepBatch(events[prev:at])
+			sh.StepBatch(events[prev:at])
+			prev = at
+			if got, want := sh.Reports(), seq.Reports(); !race.ReportsEqual(got, want) {
+				t.Fatalf("%v at %d: Reports\nsharded    %v\nsequential %v", pc.pred, at, got, want)
+			}
+			if got, want := sh.RaceCount(), seq.RaceCount(); got != want {
+				t.Fatalf("%v at %d: RaceCount %d, sequential %d", pc.pred, at, got, want)
+			}
+			if got, want := sh.EscalatedVectors(), seq.EscalatedVectors(); got != want {
+				t.Fatalf("%v at %d: EscalatedVectors %d, sequential %d", pc.pred, at, got, want)
+			}
+			if got, want := sh.RAStats(), seq.RAStats(); got != want {
+				t.Fatalf("%v at %d: RAStats %+v, sequential %+v", pc.pred, at, got, want)
+			}
+			got, want := sh.Stats(), seq.Stats()
+			for name, w := range want.Counters {
+				if g := got.Counters[name]; g != w {
+					t.Fatalf("%v at %d: counter %s = %d, sequential %d", pc.pred, at, name, g, w)
+				}
+			}
+			for name, w := range want.Gauges {
+				if g := got.Gauges[name]; g != w {
+					t.Fatalf("%v at %d: gauge %s = %d, sequential %d", pc.pred, at, name, g, w)
+				}
+			}
+		}
+		// Under short:k the window, not the checker, sees the accesses.
+		if seq.RaceCount() == 0 || (pc.pred != monitor.PredShort && seq.EscalatedVectors() == 0) {
+			t.Fatalf("%v: the stream must race and escalate", pc.pred)
+		}
+		if got, want := sh.Finish(), seq.Finish(); !race.ReportsEqual(got, want) || len(got) != sh.RaceCount() {
+			t.Fatalf("%v: Finish\nsharded    %v\nsequential %v", pc.pred, got, want)
+		}
+	}
+}

@@ -76,10 +76,10 @@ package monitor
 // snapshots (RA messages are sorted, vectors are emitted only when
 // escalated, masks only when a race was recorded), so a snapshot taken
 // after a restore is byte-identical to one taken by an unsplit run at
-// the same event index — and a Pipeline snapshot is byte-identical to
-// the sequential Monitor's at the same position and GC configuration,
-// which is what makes cross-mode resume (checkpoint sequential, resume
-// sharded, or vice versa) sound.
+// the same event index — and a sharded monitor's snapshot is
+// byte-identical to a sequential one's at the same position and GC
+// configuration, which is what makes cross-mode resume (checkpoint
+// sequential, resume sharded, or vice versa) sound.
 //
 // The decoder VALIDATES everything — section order and framing, header
 // limits, clock-vector lengths, epoch sentinels, thread/location bounds,
@@ -94,7 +94,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -168,18 +167,14 @@ func (s *Snapshot) take() *Monitor {
 // Snapshot serialises the monitor's complete live state to w. The
 // monitor remains usable; opening the written bytes (ReadSnapshot, then
 // Snapshot.Open) continues the stream with reports and RAStats
-// byte-identical to this monitor's.
+// byte-identical to this monitor's. A sharded monitor quiesces its
+// back-ends first and reassembles their per-location state in
+// declaration order, so its snapshot is byte-identical to a sequential
+// monitor's at the same stream position and GC configuration — it can
+// be resumed sequentially, at another shard count, or not at all. Must
+// be called from the feeding goroutine (between Steps); it fails on a
+// sharded monitor that was finished or aborted.
 func (m *Monitor) Snapshot(w io.Writer) error { return m.snapshotAt(w, nil) }
-
-// snapshotAt is Snapshot with an optional reader continuation (see
-// TraceReader.Checkpoint).
-func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
-	return snapshotTo(w, m, m.naAt, rck)
-}
-
-// naAt is the sequential monitor's location-state accessor (the pipeline
-// supplies its own, routing to the owning back-end).
-func (m *Monitor) naAt(l int32) *naState { return &m.ck.na[l] }
 
 // ---- Encoder ----
 
@@ -232,13 +227,19 @@ func (sw *snapWriter) chunk(tag byte) {
 	}
 }
 
-// snapshotTo writes one snapshot of the sync state in m and the
-// per-location race state reachable through naAt (the sequential
-// monitor's own array, or the pipeline's sharded back-ends). Whether a
-// static pre-filter was active is read off m, which holds the mask for
-// both engines, so a filtered sequential monitor and a filtered
-// pipeline snapshot byte-identically.
-func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *readerCk) error {
+// snapshotAt is Snapshot with an optional reader continuation (see
+// TraceReader.Checkpoint). Each location's race state is read through
+// naAt, from whichever checker owns it.
+func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
+	if p := m.p; p != nil {
+		if p.aborted.Load() {
+			return fmt.Errorf("monitor: snapshot: the back-ends were aborted")
+		}
+		if p.done {
+			return fmt.Errorf("monitor: snapshot: the monitor is finished")
+		}
+		p.quiesce()
+	}
 	filtered := m.staticSkip != nil
 	hdr := Header{Threads: m.nthreads, Decls: m.decls}
 	if err := validateHeader(hdr); err != nil {
@@ -312,7 +313,7 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *readerC
 			continue
 		}
 		sw.chunk(snapTagNA)
-		ls := naAt(int32(l))
+		ls := m.naAt(int32(l))
 		var flags byte
 		if ls.wClean {
 			flags |= 1
@@ -423,8 +424,8 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *readerC
 	return nil
 }
 
-// countingWriter / countingReader meter the snapshot codec's byte
-// traffic for the monitor.snapshot.* histograms.
+// countingWriter meters the encoder's bytes for the
+// monitor.snapshot.encode_bytes histogram.
 type countingWriter struct {
 	w io.Writer
 	n uint64
@@ -433,17 +434,6 @@ type countingWriter struct {
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += uint64(n)
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += uint64(n)
 	return n, err
 }
 
@@ -601,6 +591,21 @@ func (c *snapCursor) bitset(n int, field string) ([]bool, error) {
 	return bs, nil
 }
 
+// pairSet decodes a dedup set over n threads: n² mask bytes, each a
+// subset of the four access-kind pair bits.
+func (c *snapCursor) pairSet(n int, field string) (pairSet, error) {
+	raw, err := c.take(n*n, field)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range raw {
+		if b > 15 {
+			return nil, c.errf("%s byte %#x has unknown bits", field, b)
+		}
+	}
+	return pairSet(slices.Clone(raw)), nil
+}
+
 // ReadByte and Read make the cursor a headerReader, so the header
 // section decodes through readHeader.
 func (c *snapCursor) ReadByte() (byte, error) {
@@ -627,22 +632,35 @@ func (c *snapCursor) done() error {
 	return nil
 }
 
-// snapDecoder walks the framed sections in order.
+// snapDecoder walks the framed sections in order. n counts the bytes
+// it has consumed — the magic, and each section's tag, length and
+// payload — not what bufio has read ahead of them.
 type snapDecoder struct {
 	br *bufio.Reader
+	n  uint64
+}
+
+// ReadByte reads one counted byte (binary.ReadUvarint reads the section
+// lengths through it).
+func (d *snapDecoder) ReadByte() (byte, error) {
+	b, err := d.br.ReadByte()
+	if err == nil {
+		d.n++
+	}
+	return b, err
 }
 
 // next reads the next section frame and returns its tag and a cursor
 // over the payload.
 func (d *snapDecoder) next() (byte, *snapCursor, error) {
-	tag, err := d.br.ReadByte()
+	tag, err := d.ReadByte()
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, fmt.Errorf("monitor: snapshot: section tag: %w", err)
 	}
-	n, err := binary.ReadUvarint(d.br)
+	n, err := binary.ReadUvarint(d)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -659,6 +677,7 @@ func (d *snapDecoder) next() (byte, *snapCursor, error) {
 		}
 		return 0, nil, fmt.Errorf("monitor: snapshot: section payload: %w", err)
 	}
+	d.n += n
 	return tag, &snapCursor{p: p}, nil
 }
 
@@ -690,14 +709,13 @@ func (d *snapDecoder) more(c **snapCursor, tag byte, what string) error {
 	return nil
 }
 
-// ReadSnapshot decodes and validates a snapshot written by a Sink's
-// Snapshot or by TraceReader.Checkpoint. Malformed input produces an
-// error, never a panic, and never a monitor that a subsequent Step could
-// crash.
+// ReadSnapshot decodes and validates a snapshot written by
+// Monitor.Snapshot or by TraceReader.Checkpoint. Malformed input
+// produces an error, never a panic, and never a monitor that a
+// subsequent Step could crash.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	start := time.Now()
-	cr := &countingReader{r: r}
-	d := &snapDecoder{br: bufio.NewReader(cr)}
+	d := &snapDecoder{br: bufio.NewReader(r)}
 	var magic [len(snapMagic) + 1]byte
 	if _, err := io.ReadFull(d.br, magic[:]); err != nil {
 		if err == io.EOF {
@@ -705,6 +723,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("monitor: snapshot header: %w", err)
 	}
+	d.n += uint64(len(magic))
 	if string(magic[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("monitor: not a snapshot (bad magic %q)", magic[:len(snapMagic)])
 	}
@@ -778,10 +797,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	// Record the restore cost in the restored monitor's own registry
-	// (the byte count may include bufio readahead past the end section
-	// when the stream continues — telemetry, not framing).
-	m.mo.snapDecBytes.Observe(cr.n)
+	// Record the restore cost in the restored monitor's own registry.
+	m.mo.snapDecBytes.Observe(d.n)
 	m.mo.snapDecNs.Observe(uint64(time.Since(start)))
 	return s, nil
 }
@@ -997,18 +1014,10 @@ func (d *snapDecoder) decodeNA(m *Monitor) error {
 			m.ck.escalatedSides++
 		}
 		if flags&4 != 0 {
-			raw, err := c.take(m.nthreads*m.nthreads, "dedup masks")
-			if err != nil {
+			if ls.reported, err = c.pairSet(m.nthreads, "dedup masks"); err != nil {
 				return err
 			}
-			ls.reported = make([]uint8, len(raw))
-			for i, b := range raw {
-				if b > 15 {
-					return c.errf("dedup mask byte %#x has unknown bits", b)
-				}
-				ls.reported[i] = b
-				races += bits.OnesCount8(b)
-			}
+			races += ls.reported.races()
 		}
 	}
 	m.ck.races = races
@@ -1116,18 +1125,10 @@ func (d *snapDecoder) decodePredict(c *snapCursor, m *Monitor) (bool, error) {
 			return false, c.errf("mask flag %d not 0 or 1", mb)
 		}
 		if mb == 1 {
-			raw, err := c.take(m.nthreads*m.nthreads, "window dedup masks")
-			if err != nil {
+			if wl.reported, err = c.pairSet(m.nthreads, "window dedup masks"); err != nil {
 				return false, err
 			}
-			wl.reported = make([]uint8, len(raw))
-			for i, b := range raw {
-				if b > 15 {
-					return false, c.errf("window dedup mask byte %#x has unknown bits", b)
-				}
-				wl.reported[i] = b
-				races += bits.OnesCount8(b)
-			}
+			races += wl.reported.races()
 		}
 	}
 	w.races = races

@@ -204,7 +204,8 @@ func TestSnapshotCrossModeResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := newPipelineFrom(s.take(), PipelineConfig{Shards: shards})
+		p := s.take()
+		p.shard(PipelineConfig{Shards: shards})
 		p.StepBatch(events[k:])
 		if got := p.Finish(); !race.ReportsEqual(got, wantReports) {
 			t.Fatalf("shards=%d: sequential→pipeline resume diverged\ngot  %v\nwant %v", shards, got, wantReports)
@@ -452,7 +453,7 @@ func TestReaderCheckpointText(t *testing.T) {
 }
 
 // TestCheckpointCountMismatch: Checkpoint refuses, writing nothing, a
-// sink that has not consumed exactly the events the reader delivered —
+// monitor that has not consumed exactly the events the reader delivered —
 // in both formats, ahead or behind — and a resumed reader counts its
 // skipped prefix, so checkpointing again after ResumeAt works.
 func TestCheckpointCountMismatch(t *testing.T) {
@@ -476,10 +477,10 @@ func TestCheckpointCountMismatch(t *testing.T) {
 			}
 		}
 		ahead.Step(events[100])
-		for _, sk := range []Sink{behind, ahead} {
+		for _, sk := range []*Monitor{behind, ahead} {
 			var buf bytes.Buffer
 			if err := tr.Checkpoint(&buf, sk); err == nil || buf.Len() != 0 {
-				t.Fatalf("%v: sink at %d events, reader at 100: err=%v, %d bytes written", format, sk.Events(), err, buf.Len())
+				t.Fatalf("%v: monitor at %d events, reader at 100: err=%v, %d bytes written", format, sk.Events(), err, buf.Len())
 			}
 		}
 		// A resumed reader has delivered the snapshot's events.

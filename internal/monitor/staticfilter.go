@@ -11,14 +11,14 @@ package monitor
 // soundness — both proven in the modeltest differential matrix.
 //
 // The filter is configuration, like the GC interval: the mask itself
-// is not serialised into snapshots — a restored monitor or pipeline
-// applies it again via SetStaticFilter / PipelineConfig.StaticFilter. Since snapshot v2 the header does record
-// *whether* a filter was active (Snapshot.StaticFiltered), so a resumer
+// is not serialised into snapshots — a restored monitor applies it
+// again via SetStaticFilter / PipelineConfig.StaticFilter. Since
+// snapshot v2 the header does record *whether* a filter was active (Snapshot.StaticFiltered), so a resumer
 // that cannot rebuild the mask can at least warn instead of silently
 // monitoring a filtered prefix unfiltered.
-// Filtered locations keep empty checker state, so a filtered sequential
-// monitor and a filtered pipeline still snapshot byte-identically at
-// the same stream position.
+// Filtered locations keep empty checker state, so filtered sequential
+// and sharded monitors still snapshot byte-identically at the same
+// stream position.
 
 import "localdrf/internal/prog"
 

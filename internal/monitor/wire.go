@@ -512,7 +512,7 @@ func (tw *TraceWriter) Flush() error {
 
 // TraceReader decodes a wire-format trace (either encoding, sniffed from
 // the first bytes) and yields validated events, a batch at a time via
-// NextBatch (the loop every driver runs into a Sink's StepBatch) or one
+// NextBatch (the loop every driver runs into Monitor.StepBatch) or one
 // at a time via Next (for an exact stop position). Malformed input
 // produces an error, never a panic, and never an event the monitor
 // cannot safely consume.
@@ -547,7 +547,7 @@ type TraceReader struct {
 	cur      int
 	// delivered counts the events handed out by Next and NextBatch,
 	// including a resumed reader's skipped prefix: Checkpoint requires
-	// the sink to have consumed exactly these.
+	// the monitor to have consumed exactly these.
 	delivered uint64
 	// lim tightens the format caps for untrusted peers (see ReaderLimits).
 	lim ReaderLimits
@@ -664,8 +664,8 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 // NextBatch decodes and validates the next batch of events, appending to
 // dst — for the binary format a whole frame at a time (the natural batch
 // boundary), for text a bounded run of single events. ok=false with
-// nothing appended means the end of the trace. Hand each batch to a
-// Monitor's or Pipeline's StepBatch.
+// nothing appended means the end of the trace. Hand each batch to
+// Monitor.StepBatch.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	if !tr.text {
 		base := len(dst)
@@ -1129,20 +1129,20 @@ type readerCk struct {
 	Pending []Event
 }
 
-// Checkpoint writes sk's snapshot at the reader's position — valid at
+// Checkpoint writes m's snapshot at the reader's position — valid at
 // any event boundary. On a binary trace the snapshot carries the reader
 // continuation (byte offset, delta context, and mid-frame the
 // undelivered rest of the frame), so ResumeAt seeks straight back; on a
 // text trace it is the plain snapshot, which ResumeAt resumes by event
-// count. sk must have consumed exactly the events this reader delivered
+// count. m must have consumed exactly the events this reader delivered
 // (a resumed reader counts its skipped prefix); otherwise Checkpoint
 // errors and writes nothing.
-func (tr *TraceReader) Checkpoint(w io.Writer, sk Sink) error {
-	if got := sk.Events(); got != tr.delivered {
-		return fmt.Errorf("monitor: trace checkpoint: the sink has consumed %d events, the reader delivered %d", got, tr.delivered)
+func (tr *TraceReader) Checkpoint(w io.Writer, m *Monitor) error {
+	if got := m.Events(); got != tr.delivered {
+		return fmt.Errorf("monitor: trace checkpoint: the monitor has consumed %d events, the reader delivered %d", got, tr.delivered)
 	}
 	if tr.text {
-		return sk.snapshotAt(w, nil)
+		return m.snapshotAt(w, nil)
 	}
 	ck := &readerCk{
 		Offset:     tr.cr.n,
@@ -1156,7 +1156,7 @@ func (tr *TraceReader) Checkpoint(w io.Writer, sk Sink) error {
 	if tr.halted != nil {
 		ck.Halted = slices.Clone(tr.halted)
 	}
-	return sk.snapshotAt(w, ck)
+	return m.snapshotAt(w, ck)
 }
 
 // resume fast-forwards a fresh binary reader to a continuation taken

@@ -268,7 +268,7 @@ func Encode(w io.Writer, p *prog.Program, tb *monitor.Table, opt Options, format
 // reused buffer of the given size (≤ 0 means 4096) and emit receives
 // each full batch plus the final partial one. This is the fused
 // generate-and-monitor feeding path for consumers with a batch entry
-// point (monitor.Monitor.StepBatch, monitor.Pipeline.StepBatch) — one
+// point (monitor.Monitor.StepBatch, sequential or sharded) — one
 // callback per batch instead of one per event. The buffer is only valid
 // for the duration of the callback.
 func StreamBatch(p *prog.Program, tb *monitor.Table, opt Options, batch int, emit func([]monitor.Event) error) (bool, error) {

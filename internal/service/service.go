@@ -3,7 +3,7 @@
 // the resume-capable client that feeds it.
 //
 // Each TCP connection carries one session: a named trace stream
-// monitored by its own sequential Monitor or sharded Pipeline. Sessions
+// monitored by its own Monitor, sequential or sharded. Sessions
 // survive everything the transport and the process can do to them —
 // disconnects, corrupted bytes, truncated uploads, slow clients,
 // full disks, and SIGKILL of the server itself — because durable state
@@ -73,8 +73,8 @@ type Config struct {
 	// admissions are shed with "busy retry-after" (0 means the default,
 	// 64; a negative cap sheds every admission).
 	MaxSessions int
-	// Shards > 1 monitors each session through a sharded Pipeline
-	// instead of a sequential Monitor (values < 1 mean 1; see
+	// Shards > 1 gives each session's Monitor that many race back-ends
+	// instead of running it sequentially (values < 1 mean 1; see
 	// monitor.Open, which clamps it to the trace's nonatomic location
 	// count).
 	// Reports are identical either way; shards trade per-session cores
@@ -128,7 +128,7 @@ func (cfg Config) withDefaults() Config {
 
 // session is the server's bookkeeping for one trace stream. Fields are
 // guarded by Server.mu; at most one connection is attached at a time,
-// and only the attached handler goroutine touches the session's sink.
+// and only the attached handler goroutine touches the session's monitor.
 type session struct {
 	id        string
 	attached  bool
@@ -137,7 +137,7 @@ type session struct {
 	events    uint64 // events monitored as of the last detach/checkpoint
 	races     int    // race count as of completion
 	lastSeen  time.Time
-	reg       *obs.Registry // the attached sink's registry (nil when detached)
+	reg       *obs.Registry // the attached monitor's registry (nil when detached)
 }
 
 // svcCells caches the service-level metric cells (service.* namespace,
@@ -486,18 +486,18 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	}
 
 	// The snapshot's header is known before any trace bytes arrive, so
-	// a recovered sink is built now and its event count rides on the ok
+	// a recovered monitor is built now and its event count rides on the ok
 	// reply (purely informative; resume positioning is server-side).
 	cfg := monitor.PipelineConfig{Shards: s.cfg.Shards}
-	var sk monitor.Sink
+	var m *monitor.Monitor
 	if snap != nil {
-		sk = snap.Open(cfg)
-		events = sk.Events()
+		m = snap.Open(cfg)
+		events = m.Events()
 		s.c.recovered.Add(1)
 		s.logf("session %s: recovered at event %d", sess.id, events)
 	}
 	if _, err := fmt.Fprintf(conn, "ok %d\n", events); err != nil {
-		s.fail(sess, conn, sk, err)
+		s.fail(sess, conn, m, err)
 		return
 	}
 
@@ -506,19 +506,19 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	cr := &chunkReader{br: br}
 	tr, err := monitor.NewTraceReaderLimits(cr, monitor.ReaderLimits{MaxHeaderBytes: maxHeaderBytes})
 	if err != nil {
-		s.fail(sess, conn, sk, err)
+		s.fail(sess, conn, m, err)
 		return
 	}
 	if snap != nil {
 		if err := tr.ResumeAt(snap); err != nil {
-			s.fail(sess, conn, sk, err)
+			s.fail(sess, conn, m, err)
 			return
 		}
 	} else {
-		sk = monitor.Open(tr.Header(), cfg)
+		m = monitor.Open(tr.Header(), cfg)
 	}
 	s.mu.Lock()
-	sess.reg = sk.Obs()
+	sess.reg = m.Obs()
 	s.mu.Unlock()
 
 	nextCk := uint64(0)
@@ -529,17 +529,17 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	for {
 		batch, more, err := tr.NextBatch(buf[:0])
 		if err != nil {
-			s.fail(sess, conn, sk, err)
+			s.fail(sess, conn, m, err)
 			return
 		}
 		if !more {
 			break
 		}
-		sk.StepBatch(batch)
-		events = sk.Events()
+		m.StepBatch(batch)
+		events = m.Events()
 		buf = batch
 		if nextCk > 0 && events >= nextCk {
-			err := ring.write(func(w io.Writer) error { return tr.Checkpoint(w, sk) })
+			err := ring.write(func(w io.Writer) error { return tr.Checkpoint(w, m) })
 			s.noteCheckpoint(sess, err)
 			nextCk = (events/s.cfg.CheckpointEvery + 1) * s.cfg.CheckpointEvery
 		}
@@ -548,10 +548,10 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// Clean END marker: finalize and answer. The ring is destroyed only
 	// after the done line is on the wire — a crash in between re-runs
 	// the tail, which is idempotent (same trace, same result).
-	reports := sk.Finish()
-	st := sk.RAStats()
+	reports := m.Finish()
+	st := m.RAStats()
 	res := SessionResult{
-		Session: sess.id, Events: sk.Events(), RaceCount: len(reports),
+		Session: sess.id, Events: m.Events(), RaceCount: len(reports),
 		Races:  make([]RaceJSON, 0, len(reports)),
 		RALive: st.Live, RAPeak: st.Peak, RACollected: st.Collected,
 		Resumed: sess.resumed,
@@ -577,10 +577,10 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	s.logf("session %s: completed (%d events, %d races, resumed %d times)", sess.id, res.Events, res.RaceCount, sess.resumed)
 }
 
-// fail ends a session abnormally: classify, count, tear down the sink
+// fail ends a session abnormally: classify, count, tear down the monitor
 // WITHOUT checkpointing (the live state past the last checkpoint is
 // unproven), best-effort error reply.
-func (s *Server) fail(sess *session, conn net.Conn, sk monitor.Sink, err error) {
+func (s *Server) fail(sess *session, conn net.Conn, m *monitor.Monitor, err error) {
 	s.c.ingestErrs.Add(1)
 	switch {
 	case errors.Is(err, ErrChunkCorrupt):
@@ -593,8 +593,8 @@ func (s *Server) fail(sess *session, conn net.Conn, sk monitor.Sink, err error) 
 			s.c.timeouts.Add(1)
 		}
 	}
-	if sk != nil {
-		sk.Abort()
+	if m != nil {
+		m.Abort()
 	}
 	s.logf("session %s: ingest failed: %v", sess.id, err)
 	if conn != nil {

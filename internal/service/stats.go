@@ -10,7 +10,7 @@ import (
 )
 
 // The service's observability rides the existing obs/stats surface —
-// one registry per session sink (the same monitor.*/pipeline.* cells
+// one registry per session monitor (the same monitor.*/pipeline.* cells
 // racemon serves) plus the server's service.* registry, behind one
 // /stats handler that cmd/racemond serves through obshttp.Serve, the
 // endpoint racemon serves too. No second metrics path.
@@ -41,7 +41,7 @@ type statsDoc struct {
 // sessionDoc is the per-session /stats?session=ID payload.
 type sessionDoc struct {
 	sessionStats
-	// Metrics is the session sink's registry snapshot — only while the
+	// Metrics is the session monitor's registry snapshot — only while the
 	// session is attached (a detached session's state lives in its
 	// checkpoint ring, not in memory).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`

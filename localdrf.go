@@ -221,10 +221,10 @@ type StaticReport = staticrace.Report
 func AnalyzeStatic(p *Program) *StaticReport { return staticrace.Analyze(p) }
 
 // MonitorStaticFilter builds the per-location skip mask that lets a
-// Monitor (SetStaticFilter) or Pipeline (PipelineConfig.StaticFilter)
-// bypass race-checker work for statically certified locations — reports
-// and retention statistics are byte-identical, the certified locations'
-// checks are simply free. Returns nil when the certificate proves
+// Monitor (SetStaticFilter, or PipelineConfig.StaticFilter when opening
+// one) bypass race-checker work for statically certified locations —
+// reports and retention statistics are byte-identical, the certified
+// locations' checks are simply free. Returns nil when the certificate proves
 // nothing.
 func MonitorStaticFilter(p *Program, rep *StaticReport) []bool {
 	return monitor.StaticFilter(monitor.NewTable(p).Decls(), rep.RaceFree)

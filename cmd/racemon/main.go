@@ -7,23 +7,27 @@
 // Usage:
 //
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
-//	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
-//	        [-stale PCT] [-skew S] [-halts] [-json]
-//	        [-predicate hb|syncp|short:k] [-trace FILE|-]
-//	        [-emit FILE] [-format binary|text]
-//	        [-static-prefilter] [-private-locs N] [-private-pct PCT]
-//	        [-golden FILE] [-update-golden] [-max-races N]
+//	        [-locs L] [-atomics A] [-ra R] [-stale PCT] [-halts]
+//	        [-seed S] [-skew S] [-private-locs N] [-private-pct PCT]
+//	        [-shards M] [-predicate hb|syncp|short:k] [-static-prefilter]
+//	        [-trace FILE|-] [-emit FILE] [-format binary|text]
+//	        [-json] [-max-races N] [-golden FILE] [-update-golden]
 //	        [-checkpoint FILE] [-checkpoint-at N] [-resume FILE]
-//	        [-stats-addr ADDR] [-stats-interval DUR] [-stats-linger DUR]
+//	        [-stats-addr ADDR] [-stats-linger DUR]
+//
+// The workload flags of the first two lines describe one
+// schedgen.Scaled: the first line is the flag set racemond -drive
+// registers too, through the same schedgen.Scaled.Flags.
 //
 // Every monitoring mode builds its engine with monitor.Open: a
 // sequential monitor at -shards 1 (the default), or with -shards M > 1
 // a sharded one — one sync front-end pass, M race back-ends (clamped
 // to the nonatomic location count). Reports are
 // identical at any shard count. The generated modes refuse a workload
-// the generator or the wire format cannot carry (a count below 1, a
-// header over the format's thread or location limits) with exit 2
-// before anything runs.
+// the generator or the wire format cannot carry (schedgen.Scaled.Check:
+// a count below 1, a percentage outside 0..100, a skew that is negative
+// or not finite, a header over the format's thread or location limits)
+// with exit 2 before anything runs or any file is created.
 //
 // Modes:
 //
@@ -96,12 +100,11 @@
 // the process uptime as uptime_ns (counters are monotonic; a client
 // computes rates from two scrapes, so concurrent scrapers never disturb
 // each other); /debug/vars is expvar; /debug/pprof/* are the standard
-// profile handlers. -stats-interval DUR prints a progress line (events,
-// throughput, races, RA window, ring occupancy) to stderr every DUR.
-// -stats-linger DUR keeps the endpoint alive after the run so short CI
-// runs can be scraped. With -json, the summary's "stats" object carries
-// the final exact snapshot. Scrapes read atomics the hot path publishes
-// at GC sweeps and batch boundaries — they never lock the monitor.
+// profile handlers. -stats-linger DUR keeps the endpoint alive after
+// the run so short CI runs can be scraped. With -json, the summary's
+// "stats" object carries the final exact snapshot. Scrapes read atomics
+// the hot path publishes at GC sweeps and batch boundaries — they never
+// lock the monitor.
 //
 // Examples:
 //
@@ -136,7 +139,6 @@ import (
 	"localdrf/internal/obs"
 	"localdrf/internal/predict"
 	"localdrf/internal/prog"
-	"localdrf/internal/progsynth"
 	"localdrf/internal/race"
 	"localdrf/internal/schedgen"
 	"localdrf/internal/staticrace"
@@ -172,22 +174,14 @@ type result struct {
 	// Static analysis results, present with -static-prefilter: how many
 	// nonatomic locations the sound static pass certified race-free
 	// (their checker work is skipped) vs left in the may-race set.
-	StaticCertified int           `json:"static_certified,omitempty"`
-	StaticMayRace   int           `json:"static_may_race,omitempty"`
-	Races           []raceJSON    `json:"races,omitempty"`
-	Locations       locationsJSON `json:"locations"`
+	StaticCertified int               `json:"static_certified,omitempty"`
+	StaticMayRace   int               `json:"static_may_race,omitempty"`
+	Races           []race.ReportJSON `json:"races,omitempty"`
+	Locations       locationsJSON     `json:"locations"`
 	// Stats is the final telemetry snapshot of the run's monitor
 	// (monitor.*, pipeline.* — see internal/monitor's metric catalogue).
 	// Absent for -emit, which does not monitor.
 	Stats *obs.Snapshot `json:"stats,omitempty"`
-}
-
-type raceJSON struct {
-	Loc     string `json:"loc"`
-	ThreadI int    `json:"thread_i"`
-	ThreadJ int    `json:"thread_j"`
-	OpI     string `json:"op_i"`
-	OpJ     string `json:"op_j"`
 }
 
 type locationsJSON struct {
@@ -200,8 +194,8 @@ type locationsJSON struct {
 // -golden flag compares (timings and throughput vary run to run; the
 // report set must not).
 type goldenDoc struct {
-	RaceCount int        `json:"race_count"`
-	Races     []raceJSON `json:"races"`
+	RaceCount int               `json:"race_count"`
+	Races     []race.ReportJSON `json:"races"`
 }
 
 func fatalf(format string, args ...any) {
@@ -210,23 +204,20 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	events := flag.Int("events", 1_000_000, "schedule length in events")
-	threads := flag.Int("threads", 8, "thread count of the generated program")
-	policy := flag.String("policy", "fair", "scheduling policy: fair|unfair|bursty")
-	seed := flag.Int64("seed", 1, "generator seed (program and schedule)")
+	work := schedgen.Scaled{
+		Seed: 1, Events: 1_000_000, Threads: 8, Policy: schedgen.Fair,
+		Locs: 48, Atomics: 8, RAs: 8, Stale: 10,
+	}
+	work.Flags(flag.CommandLine)
+	flag.Int64Var(&work.Seed, "seed", work.Seed, "generator seed (program and schedule)")
+	flag.Float64Var(&work.Skew, "skew", work.Skew, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
+	flag.IntVar(&work.PrivateLocs, "private-locs", work.PrivateLocs, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
+	flag.IntVar(&work.PrivatePct, "private-pct", work.PrivatePct, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
 	shards := flag.Int("shards", 1, "race back-ends monitoring location shards in parallel (1 = sequential monitor)")
-	locs := flag.Int("locs", 48, "nonatomic location count")
-	atomics := flag.Int("atomics", 8, "atomic location count")
-	ra := flag.Int("ra", 8, "release-acquire location count")
-	stale := flag.Int("stale", 10, "percent of reads returning stale values (0..100)")
-	skew := flag.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
 	predicateS := flag.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
 	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
-	privateLocs := flag.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
-	privatePct := flag.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
 	asJSON := flag.Bool("json", false, "emit a JSON summary")
 	maxRaces := flag.Int("max-races", 20, "race reports listed in the output (0 = all)")
-	halts := flag.Bool("halts", false, "emit thread-retirement events when generated threads complete")
 	traceFile := flag.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
 	emitFile := flag.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
 	formatS := flag.String("format", "binary", "wire format for -emit: binary|text")
@@ -236,15 +227,9 @@ func main() {
 	checkpointAt := flag.Uint64("checkpoint-at", 0, "snapshot after this many monitored events and stop (0 = at end)")
 	resumeFile := flag.String("resume", "", "restore the monitor from this snapshot before ingesting (-trace only)")
 	statsAddr := flag.String("stats-addr", "", "serve live telemetry over HTTP on this address (GET /stats, /debug/vars, /debug/pprof)")
-	statsInterval := flag.Duration("stats-interval", 0, "print a telemetry progress line to stderr at this interval (0 = off)")
 	statsLinger := flag.Duration("stats-linger", 0, "keep the -stats-addr endpoint alive this long after the run finishes")
 	flag.Parse()
 
-	pol, err := schedgen.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	format, err := monitor.ParseFormat(*formatS)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -257,10 +242,6 @@ func main() {
 	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "racemon: -shards must be ≥ 1")
-		os.Exit(2)
-	}
-	if *skew < 0 {
-		fmt.Fprintln(os.Stderr, "racemon: -skew must be ≥ 0")
 		os.Exit(2)
 	}
 	if *traceFile != "" && *emitFile != "" {
@@ -291,10 +272,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: -stats-linger keeps the HTTP endpoint alive; it needs -stats-addr")
 		os.Exit(2)
 	}
-	if *privateLocs < 0 || *privatePct < 0 || *privatePct > 100 {
-		fmt.Fprintln(os.Stderr, "racemon: -private-locs must be ≥ 0 and -private-pct in 0..100")
-		os.Exit(2)
-	}
 	if *emitFile != "" && spec.Pred != monitor.PredHB {
 		fmt.Fprintln(os.Stderr, "racemon: -emit does not monitor, so -predicate has no effect; drop it or monitor the trace instead")
 		os.Exit(2)
@@ -307,6 +284,14 @@ func main() {
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "racemon: "+warn)
 	}
+	if *traceFile == "" {
+		// Generated modes: refuse a workload the generator or the wire
+		// format cannot carry before anything runs.
+		if err := work.Check(); err != nil {
+			fmt.Fprintln(os.Stderr, "racemon: "+err.Error())
+			os.Exit(2)
+		}
+	}
 
 	if *statsAddr != "" {
 		startStats(*statsAddr)
@@ -317,26 +302,7 @@ func main() {
 			}()
 		}
 	}
-	var stopProgress chan struct{}
-	if *statsInterval > 0 {
-		stopProgress = make(chan struct{})
-		go progressLoop(*statsInterval, stopProgress)
-	}
 
-	gp := genParams{
-		policy: pol, seed: *seed, events: *events, threads: *threads,
-		locs: *locs, atomics: *atomics, ra: *ra, stale: *stale, halts: *halts,
-		skew: *skew, privateLocs: *privateLocs, privatePct: *privatePct,
-		prefilter: *staticPrefilter,
-	}
-	if *traceFile == "" {
-		// Generated modes: refuse a workload the generator or the wire
-		// format cannot carry before anything runs.
-		if err := schedgen.CheckScaled(gp.config(), gp.events); err != nil {
-			fmt.Fprintln(os.Stderr, "racemon: "+err.Error())
-			os.Exit(2)
-		}
-	}
 	ck := ckParams{file: *checkpointFile, at: *checkpointAt}
 	cfg := monitor.PipelineConfig{Shards: *shards, Predicate: spec.Pred, WindowK: spec.K}
 	var res result
@@ -345,12 +311,9 @@ func main() {
 	case *traceFile != "":
 		res, reports = runTrace(*traceFile, *resumeFile, cfg, ck)
 	case *emitFile != "":
-		res = runEmit(*emitFile, format, gp)
+		res = runEmit(*emitFile, format, work)
 	default:
-		res, reports = runGenerated(gp, cfg, ck)
-	}
-	if stopProgress != nil {
-		close(stopProgress)
+		res, reports = runGenerated(work, *staticPrefilter, cfg, ck)
 	}
 
 	listed := reports
@@ -358,7 +321,7 @@ func main() {
 		listed = listed[:*maxRaces]
 	}
 	for _, r := range listed {
-		res.Races = append(res.Races, toJSON(r))
+		res.Races = append(res.Races, r.JSON())
 	}
 
 	if *golden != "" {
@@ -390,7 +353,7 @@ func main() {
 	}
 	if res.Policy != "" {
 		fmt.Fprintf(out, "schedule  %d events, policy=%s, seed=%d, stale=%d%%\n",
-			res.Events, res.Policy, res.Seed, *stale)
+			res.Events, res.Policy, res.Seed, work.Stale)
 	} else {
 		fmt.Fprintf(out, "trace     %d events\n", res.Events)
 	}
@@ -418,65 +381,14 @@ func main() {
 	}
 }
 
-// genParams bundles the generated-schedule knobs, so the mode runners
-// cannot silently transpose adjacent int arguments.
-type genParams struct {
-	policy      schedgen.Policy
-	seed        int64
-	events      int
-	threads     int
-	locs        int
-	atomics     int
-	ra          int
-	stale       int
-	halts       bool
-	skew        float64
-	privateLocs int
-	privatePct  int
-	prefilter   bool
-}
-
-// config is the progsynth configuration of the parameters, with loop
-// counts sized so the program cannot halt before the schedule reaches
-// the requested length.
-func (gp genParams) config() progsynth.ScaledConfig {
-	cfg := progsynth.ScaledDefaults()
-	cfg.Threads = gp.threads
-	cfg.NonAtomic = gp.locs
-	cfg.Atomics = gp.atomics
-	cfg.RAs = gp.ra
-	cfg.PrivateLocs = gp.privateLocs
-	cfg.PrivatePct = gp.privatePct
-	cfg.Iters = cfg.IterationsFor(gp.events)
-	return cfg
-}
-
-// program builds the generator-side program and table shared by the
-// generated-schedule modes.
-func (gp genParams) program() (*monitor.Table, string) {
-	p := progsynth.Scaled(gp.seed, gp.config())
-	return monitor.NewTable(p), p.Name
-}
-
-// staticMask runs the static analysis when -static-prefilter is on,
+// staticMask runs the static analysis over the generated program,
 // records the verdict counts in res, and returns the monitor skip mask
-// (nil when disabled or when nothing certified).
-func (gp genParams) staticMask(tb *monitor.Table, res *result) []bool {
-	if !gp.prefilter {
-		return nil
-	}
+// (nil when nothing certified).
+func staticMask(tb *monitor.Table, res *result) []bool {
 	rep := staticrace.Analyze(tb.Program())
 	res.StaticCertified = len(rep.Certified)
 	res.StaticMayRace = len(rep.MayRace)
 	return monitor.StaticFilter(tb.Decls(), rep.RaceFree)
-}
-
-// options is the schedgen configuration of the parameters.
-func (gp genParams) options() schedgen.Options {
-	return schedgen.Options{
-		Policy: gp.policy, Seed: gp.seed, MaxEvents: gp.events,
-		StaleReadPct: gp.stale, EmitHalts: gp.halts, LocSkew: gp.skew,
-	}
 }
 
 // ckParams bundles the checkpoint flags: where to write the snapshot
@@ -507,17 +419,20 @@ func writeSnapshot(path string, snap func(io.Writer) error) {
 // runGenerated monitors a generated schedule fused with its generation,
 // so the schedule never exists in memory and -checkpoint-at can stop
 // the run at an exact event.
-func runGenerated(gp genParams, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
-	tb, name := gp.program()
+func runGenerated(work schedgen.Scaled, prefilter bool, cfg monitor.PipelineConfig, ck ckParams) (result, []race.Report) {
+	tb, name := work.Program()
 	res := result{
-		Program: name, Mode: "stream", Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
-		Shards: cfg.Shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
+		Program: name, Mode: "stream", Threads: tb.Threads(), Policy: work.Policy.String(), Seed: work.Seed,
+		Shards: cfg.Shards,
 	}
-	cfg.StaticFilter = gp.staticMask(tb, &res)
+	fillLocations(&res, tb.Decls())
+	if prefilter {
+		cfg.StaticFilter = staticMask(tb, &res)
+	}
 	m := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
 	tel.attach(m.Obs())
 	start := time.Now()
-	completed, err := schedgen.StreamBatch(tb.Program(), tb, gp.options(), 0, func(evs []monitor.Event) error {
+	completed, err := schedgen.StreamBatch(tb.Program(), tb, work.Options(), 0, func(evs []monitor.Event) error {
 		if ck.at > 0 {
 			if remaining := ck.at - m.Events(); uint64(len(evs)) >= remaining {
 				m.StepBatch(evs[:remaining])
@@ -691,7 +606,8 @@ func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string
 	}
 }
 
-// fillLocations tallies a trace header's declarations into the summary.
+// fillLocations tallies a program's or a trace header's declarations
+// into the summary.
 func fillLocations(res *result, decls []monitor.LocDecl) {
 	for _, d := range decls {
 		switch d.Kind {
@@ -706,7 +622,7 @@ func fillLocations(res *result, decls []monitor.LocDecl) {
 }
 
 // runEmit generates a schedule straight into the wire format.
-func runEmit(path string, format monitor.Format, gp genParams) result {
+func runEmit(path string, format monitor.Format, work schedgen.Scaled) result {
 	var w io.Writer = os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -720,18 +636,19 @@ func runEmit(path string, format monitor.Format, gp genParams) result {
 		}()
 		w = f
 	}
-	tb, name := gp.program()
+	tb, name := work.Program()
 	start := time.Now()
-	n, completed, err := schedgen.Encode(w, tb.Program(), tb, gp.options(), format)
+	n, completed, err := schedgen.Encode(w, tb.Program(), tb, work.Options(), format)
 	if err != nil {
 		fatalf("emit: %v", err)
 	}
-	return result{
-		Program: name, Mode: "emit", Threads: tb.Threads(), Policy: gp.policy.String(),
-		Seed: gp.seed, Events: n, Completed: completed, Shards: 1,
-		GenNs:     time.Since(start).Nanoseconds(),
-		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
+	res := result{
+		Program: name, Mode: "emit", Threads: tb.Threads(), Policy: work.Policy.String(),
+		Seed: work.Seed, Events: n, Completed: completed, Shards: 1,
+		GenNs: time.Since(start).Nanoseconds(),
 	}
+	fillLocations(&res, tb.Decls())
+	return res
 }
 
 // finish drains the monitor and records its outcome in the summary:
@@ -764,9 +681,9 @@ func finish(res *result, m *monitor.Monitor, start time.Time) []race.Report {
 // checkGolden compares (or, with update, rewrites) the deterministic
 // report set against a committed golden file.
 func checkGolden(path string, update bool, reports []race.Report) error {
-	got := goldenDoc{RaceCount: len(reports), Races: []raceJSON{}}
+	got := goldenDoc{RaceCount: len(reports), Races: []race.ReportJSON{}}
 	for _, r := range reports {
-		got.Races = append(got.Races, toJSON(r))
+		got.Races = append(got.Races, r.JSON())
 	}
 	if update {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -802,18 +719,4 @@ func checkGolden(path string, update bool, reports []race.Report) error {
 			path, got.RaceCount, want.RaceCount, diff)
 	}
 	return nil
-}
-
-func toJSON(r race.Report) raceJSON {
-	return raceJSON{
-		Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
-		OpI: op(r.WriteI), OpJ: op(r.WriteJ),
-	}
-}
-
-func op(w bool) string {
-	if w {
-		return "write"
-	}
-	return "read"
 }

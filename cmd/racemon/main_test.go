@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -155,11 +158,111 @@ func TestGeneratedFlagsCLI(t *testing.T) {
 		{"-private-locs", "70000"},
 		{"-emit", filepath.Join(dir, "t.ldtr"), "-checkpoint", ck},
 		{"-stream"},
+		{"-stale", "101"},
+		{"-skew", "NaN"},
+		{"-emit", filepath.Join(dir, "t.ldtr"), "-stale", "101"},
 	} {
 		// The case's own flags come last, so they win over the default.
 		wantExit2(t, bin, append([]string{"-events", "1000"}, args...)...)
-		if _, err := os.Stat(ck); !os.IsNotExist(err) {
-			t.Fatalf("racemon %v left a checkpoint file (stat: %v)", args, err)
+		for _, f := range []string{ck, filepath.Join(dir, "t.ldtr")} {
+			if _, err := os.Stat(f); !os.IsNotExist(err) {
+				t.Fatalf("racemon %v left %s behind (stat: %v)", args, filepath.Base(f), err)
+			}
+		}
+	}
+}
+
+// output runs the binary and returns its stdout.
+func output(t *testing.T, bin string, args ...string) []byte {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	}
+	return out
+}
+
+// TestWorkloadFlagsCLI: each generation flag without an error-path-only
+// test changes what is generated — a flag the binary ignored would
+// leave the emitted trace as it was.
+func TestWorkloadFlagsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	emit := func(args ...string) []byte {
+		return output(t, bin, append([]string{"-events", "20000", "-emit", "-", "-format", "text"}, args...)...)
+	}
+	count := func(trace []byte, suffix string) int {
+		n := 0
+		for _, line := range strings.Split(string(trace), "\n") {
+			if strings.HasSuffix(line, suffix) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := count(emit("-ra", "3"), " ra"); n != 3 {
+		t.Errorf("-ra 3: header declares %d ra locations, want 3", n)
+	}
+	if bytes.Equal(emit("-stale", "0"), emit("-stale", "100")) {
+		t.Error("-stale 0 and -stale 100 emit the same trace")
+	}
+	if bytes.Equal(emit("-skew", "0"), emit("-skew", "1.2")) {
+		t.Error("-skew 0 and -skew 1.2 emit the same trace")
+	}
+	// Under the unfair policy some threads run to completion within
+	// 20000 events; only -halts records their retirement.
+	if n := count(emit("-policy", "unfair"), " halt"); n != 0 {
+		t.Errorf("without -halts: %d halt lines", n)
+	}
+	if n := count(emit("-policy", "unfair", "-halts"), " halt"); n == 0 {
+		t.Error("with -halts: no halt lines")
+	}
+}
+
+// summary is the part of the -json summary these tests read.
+type summary struct {
+	RaceCount int               `json:"race_count"`
+	Races     []json.RawMessage `json:"races"`
+	Locations map[string]int    `json:"locations"`
+}
+
+func jsonSummary(t *testing.T, bin string, args ...string) summary {
+	t.Helper()
+	var s summary
+	out := output(t, bin, append(args, "-json")...)
+	if err := json.Unmarshal(out, &s); err != nil {
+		t.Fatalf("racemon %v: %v\n%s", args, err, out)
+	}
+	return s
+}
+
+// TestMaxRacesCLI: -max-races caps the listed reports, not the count.
+func TestMaxRacesCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	s := jsonSummary(t, buildRacemon(t), "-events", "20000", "-max-races", "3")
+	if len(s.Races) != 3 || s.RaceCount <= 3 {
+		t.Fatalf("-max-races 3: %d races listed of %d, want 3 of more than 3", len(s.Races), s.RaceCount)
+	}
+}
+
+// TestLocationsCLI: the generated run, its -emit and the -trace of the
+// emitted file report the same location counts, thread-private
+// locations included (8 threads × 4 on top of the 48 shared ones).
+func TestLocationsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	trace := filepath.Join(t.TempDir(), "t.ldtr")
+	work := []string{"-events", "20000", "-private-locs", "4", "-private-pct", "60"}
+	want := map[string]int{"nonatomic": 48 + 8*4, "atomic": 8, "ra": 8}
+	for _, args := range [][]string{work, append(work, "-emit", trace), {"-trace", trace}} {
+		if got := jsonSummary(t, bin, args...).Locations; !reflect.DeepEqual(got, want) {
+			t.Errorf("racemon %v: locations %v, want %v", args, got, want)
 		}
 	}
 }

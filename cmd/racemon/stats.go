@@ -1,10 +1,9 @@
 package main
 
-// Live run telemetry: the -stats-addr HTTP endpoint, the -stats-interval
-// progress line, and the "stats" object of the -json summary all read
-// the obs registry the monitor publishes into. Reads are
-// atomic snapshots with bounded staleness (one GC window/batch), so
-// scraping never perturbs the hot path.
+// Live run telemetry: the -stats-addr HTTP endpoint and the "stats"
+// object of the -json summary both read the obs registry the monitor
+// publishes into. Reads are atomic snapshots with bounded staleness (one
+// GC window/batch), so scraping never perturbs the hot path.
 
 import (
 	"encoding/json"
@@ -19,7 +18,7 @@ import (
 	"localdrf/internal/obs/obshttp"
 )
 
-// telemetry serves the run's monitor registry to the three consumers
+// telemetry serves the run's monitor registry to the two consumers
 // above. The mode runner attaches the registry once it has built the
 // monitor; the HTTP server may already be serving by then.
 type telemetry struct {
@@ -73,49 +72,4 @@ func startStats(addr string) {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "racemon: serving stats on http://%s/stats\n", bound)
-}
-
-// progressLoop prints a one-line telemetry digest to stderr every
-// interval until stop closes.
-func progressLoop(interval time.Duration, stop <-chan struct{}) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	prev := tel.snapshot()
-	prevAt := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		s := tel.snapshot()
-		now := time.Now()
-		var rate float64
-		if secs := now.Sub(prevAt).Seconds(); secs > 0 {
-			rate = float64(s.Delta(prev).Counter("monitor.events")) / secs
-		}
-		line := fmt.Sprintf("racemon: t=%.1fs events=%d (%.2fM/s) races=%d ra_live=%d gc_sweeps=%d",
-			now.Sub(tel.start).Seconds(), s.Counter("monitor.events"), rate/1e6,
-			liveRaces(s), s.Gauge("monitor.ra.live"), s.Counter("monitor.gc.sweeps"))
-		if occ := s.Vectors["pipeline.ring_occupancy"]; len(occ) > 0 {
-			line += fmt.Sprintf(" rings=%v", occ)
-		}
-		fmt.Fprintln(os.Stderr, line)
-		prev, prevAt = s, now
-	}
-}
-
-// liveRaces reads the race count visible mid-run: a sharded monitor's
-// back-ends publish per-shard tallies every batch, while monitor.races
-// is only aggregated at Stats() barriers, so take the larger.
-func liveRaces(s obs.Snapshot) uint64 {
-	n := s.Counter("monitor.races")
-	var v uint64
-	for _, x := range s.Vectors["pipeline.backend_races"] {
-		v += x
-	}
-	if v > n {
-		n = v
-	}
-	return n
 }

@@ -11,22 +11,25 @@
 //	racemond [-addr HOST:PORT] [-ckpt DIR] [-ckpt-every N] [-ckpt-ring K]
 //	         [-max-sessions M] [-shards S] [-read-timeout D]
 //	         [-idle-timeout D] [-retry-after D] [-stats-addr ADDR]
-//	         [-quiet]
 //
 //	racemond -drive N -addr HOST:PORT [-events E] [-threads T]
-//	         [-policy P] [-seed-base S] [-locs L] [-atomics A] [-ra R]
-//	         [-stale PCT] [-halts] [-attempts A] [-backoff D] [-json]
+//	         [-policy P] [-locs L] [-atomics A] [-ra R] [-stale PCT]
+//	         [-halts] [-seed-base S] [-attempts A] [-backoff D] [-json]
 //	         [-golden FILE] [-update-golden]
 //
-// The first form serves. The second is the load driver the CI smoke and
-// the chaos drills use: it generates N deterministic schedgen traces
-// (seeds seed-base .. seed-base+N-1), streams them as N concurrent
-// sessions through the full client (bounded exponential backoff,
-// resume-from-checkpoint), and prints one JSON document of the per-
-// session results. Because every session's outcome is deterministic in
-// its seed, the document can be checked against a committed golden —
-// including across a server kill -9 + restart in the middle of the
-// drive, which is exactly what the CI job does.
+// The first form serves; it logs one line per session event to stderr
+// (redirect it to silence them). The second is the load driver the CI
+// smoke and the chaos drills use: it generates N deterministic schedgen
+// traces (seeds seed-base .. seed-base+N-1), streams them as N
+// concurrent sessions through the full client (bounded exponential
+// backoff, resume-from-checkpoint), and prints a summary line — or,
+// with -json, one JSON document of the per-session results. Its
+// workload flags, -events through -halts, are the ones racemon takes,
+// registered and validated by the same schedgen.Scaled. Because every
+// session's outcome is deterministic in its seed, the results can be
+// checked against a committed golden with -golden — including across a
+// server kill -9 + restart in the middle of the drive, which is exactly
+// what the CI job does.
 //
 // -stats-addr serves the telemetry endpoint racemon serves too
 // (obshttp.Serve): GET /stats (aggregate + ?session=ID views; see
@@ -51,7 +54,6 @@ import (
 
 	"localdrf/internal/monitor"
 	"localdrf/internal/obs/obshttp"
-	"localdrf/internal/progsynth"
 	"localdrf/internal/schedgen"
 	"localdrf/internal/service"
 )
@@ -67,88 +69,92 @@ func usagef(format string, args ...any) {
 	os.Exit(2)
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7341", "listen address (serve mode) or server address (-drive)")
-	ckptDir := flag.String("ckpt", "", "checkpoint-ring root directory ('' = no checkpointing)")
-	ckptEvery := flag.Uint64("ckpt-every", 100_000, "checkpoint a session every N monitored events")
-	ckptRing := flag.Int("ckpt-ring", 3, "snapshot generations kept per session")
-	maxSessions := flag.Int("max-sessions", 64, "concurrently attached session cap (excess gets busy retry-after)")
-	shards := flag.Int("shards", 1, "race back-ends per session (1 = sequential monitor)")
-	readTimeout := flag.Duration("read-timeout", 10*time.Second, "per-read ingest deadline (slow-loris bound)")
-	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "evict detached session bookkeeping after this idle time")
-	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint sent with busy rejections")
-	statsAddr := flag.String("stats-addr", "", "serve /stats, expvar and pprof on this address")
-	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
+// options is every racemond flag. The serve-mode flags write straight
+// into the service.Config the server is built from, and the drive-mode
+// flags into the driveParams the drive runs from.
+type options struct {
+	addr      string
+	statsAddr string
+	svc       service.Config
+	drive     driveParams
+}
 
-	drive := flag.Int("drive", 0, "client mode: stream N concurrent generated sessions and print their results")
-	events := flag.Int("events", 250_000, "-drive: schedule length per session")
-	threads := flag.Int("threads", 8, "-drive: thread count of the generated programs")
-	policy := flag.String("policy", "bursty", "-drive: scheduling policy fair|unfair|bursty")
-	seedBase := flag.Int64("seed-base", 1, "-drive: session i uses seed seed-base+i")
-	locs := flag.Int("locs", 48, "-drive: nonatomic location count")
-	atomics := flag.Int("atomics", 8, "-drive: atomic location count")
-	ra := flag.Int("ra", 8, "-drive: release-acquire location count")
-	stale := flag.Int("stale", 10, "-drive: percent of stale reads (0..100)")
-	halts := flag.Bool("halts", false, "-drive: emit thread-retirement events")
-	attempts := flag.Int("attempts", 30, "-drive: connection attempts per session (rides through restarts)")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "-drive: initial retry backoff")
-	asJSON := flag.Bool("json", false, "-drive: emit the results as JSON (default: a summary line)")
-	golden := flag.String("golden", "", "-drive: compare the deterministic results against this golden JSON")
-	updateGolden := flag.Bool("update-golden", false, "-drive: rewrite the -golden file instead of comparing")
-	flag.Parse()
+// register declares every flag on fs, bound to a fresh options.
+func register(fs *flag.FlagSet) *options {
+	o := &options{drive: driveParams{work: schedgen.Scaled{
+		Seed: 1, Events: 250_000, Threads: 8, Policy: schedgen.Bursty,
+		Locs: 48, Atomics: 8, RAs: 8, Stale: 10,
+	}}}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7341", "listen address (serve mode) or server address (-drive)")
+	fs.StringVar(&o.svc.CheckpointDir, "ckpt", "", "checkpoint-ring root directory ('' = no checkpointing)")
+	fs.Uint64Var(&o.svc.CheckpointEvery, "ckpt-every", 100_000, "checkpoint a session every N monitored events")
+	fs.IntVar(&o.svc.CheckpointRing, "ckpt-ring", 3, "snapshot generations kept per session")
+	fs.IntVar(&o.svc.MaxSessions, "max-sessions", 64, "concurrently attached session cap (excess gets busy retry-after)")
+	fs.IntVar(&o.svc.Shards, "shards", 1, "race back-ends per session (1 = sequential monitor)")
+	fs.DurationVar(&o.svc.ReadTimeout, "read-timeout", 10*time.Second, "per-read ingest deadline (slow-loris bound)")
+	fs.DurationVar(&o.svc.IdleTimeout, "idle-timeout", 5*time.Minute, "evict detached session bookkeeping after this idle time")
+	fs.DurationVar(&o.svc.RetryAfter, "retry-after", time.Second, "backoff hint sent with busy rejections")
+	fs.StringVar(&o.statsAddr, "stats-addr", "", "serve /stats, expvar and pprof on this address")
 
-	// A negative count or duration would not fail loudly inside the
-	// service: -max-sessions -1 sheds every admission, a negative
-	// -read-timeout turns off the slow-loris deadline.
+	dp := &o.drive
+	fs.IntVar(&dp.n, "drive", 0, "client mode: stream N concurrent generated sessions and print their results")
+	dp.work.Flags(fs)
+	fs.Int64Var(&dp.work.Seed, "seed-base", dp.work.Seed, "-drive: session i uses seed seed-base+i")
+	fs.IntVar(&dp.attempts, "attempts", 30, "-drive: connection attempts per session (rides through restarts)")
+	fs.DurationVar(&dp.backoff, "backoff", 100*time.Millisecond, "-drive: initial retry backoff")
+	fs.BoolVar(&dp.asJSON, "json", false, "-drive: emit the results as JSON (default: a summary line)")
+	fs.StringVar(&dp.golden, "golden", "", "-drive: compare the deterministic results against this golden JSON")
+	fs.BoolVar(&dp.update, "update-golden", false, "-drive: rewrite the -golden file instead of comparing")
+	return o
+}
+
+// check refuses flag values that would not fail loudly later: a
+// negative count or duration (-max-sessions -1 sheds every admission, a
+// negative -read-timeout turns off the slow-loris deadline), and, with
+// -drive, a workload the generator cannot carry.
+func (o *options) check() error {
 	for _, f := range []struct {
 		name string
 		v    int64
 	}{
-		{"-max-sessions", int64(*maxSessions)}, {"-ckpt-ring", int64(*ckptRing)}, {"-shards", int64(*shards)},
-		{"-read-timeout", int64(*readTimeout)}, {"-idle-timeout", int64(*idleTimeout)},
-		{"-retry-after", int64(*retryAfter)}, {"-backoff", int64(*backoff)},
+		{"-max-sessions", int64(o.svc.MaxSessions)}, {"-ckpt-ring", int64(o.svc.CheckpointRing)},
+		{"-shards", int64(o.svc.Shards)}, {"-read-timeout", int64(o.svc.ReadTimeout)},
+		{"-idle-timeout", int64(o.svc.IdleTimeout)}, {"-retry-after", int64(o.svc.RetryAfter)},
+		{"-backoff", int64(o.drive.backoff)},
 	} {
 		if f.v < 0 {
-			usagef("%s must not be negative (0 selects the default)", f.name)
+			return fmt.Errorf("%s must not be negative (0 selects the default)", f.name)
 		}
 	}
+	if o.drive.n > 0 {
+		return o.drive.work.Check()
+	}
+	return nil
+}
 
-	if *drive > 0 {
-		pol, err := schedgen.ParsePolicy(*policy)
+func main() {
+	o := register(flag.CommandLine)
+	flag.Parse()
+	if err := o.check(); err != nil {
+		usagef("%v", err)
+	}
+
+	if o.drive.n > 0 {
+		doc, err := o.drive.run(o.addr)
 		if err != nil {
-			usagef("%v", err)
+			fatalf("%v", err)
 		}
-		dp := driveParams{
-			addr: *addr, n: *drive, events: *events, threads: *threads,
-			policy: pol, seedBase: *seedBase, locs: *locs, atomics: *atomics,
-			ra: *ra, stale: *stale, halts: *halts, attempts: *attempts,
-			backoff: *backoff, asJSON: *asJSON, golden: *golden, update: *updateGolden,
-		}
-		if err := schedgen.CheckScaled(dp.config(), dp.events); err != nil {
-			usagef("%v", err)
-		}
-		runDrive(dp)
+		o.drive.report(doc)
 		return
 	}
 
-	cfg := service.Config{
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		CheckpointRing:  *ckptRing,
-		MaxSessions:     *maxSessions,
-		Shards:          *shards,
-		ReadTimeout:     *readTimeout,
-		IdleTimeout:     *idleTimeout,
-		RetryAfter:      *retryAfter,
-	}
-	if !*quiet {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "racemond: "+format+"\n", args...)
-		}
+	cfg := o.svc
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "racemond: "+format+"\n", args...)
 	}
 	srv := service.New(cfg)
-	if *statsAddr != "" {
-		if _, _, err := obshttp.Serve(*statsAddr, srv.StatsHandler()); err != nil {
+	if o.statsAddr != "" {
+		if _, _, err := obshttp.Serve(o.statsAddr, srv.StatsHandler()); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -160,26 +166,19 @@ func main() {
 		srv.Close()
 	}()
 	fmt.Fprintf(os.Stderr, "racemond: serving on %s (ckpt=%q every=%d ring=%d max-sessions=%d shards=%d)\n",
-		*addr, *ckptDir, *ckptEvery, *ckptRing, *maxSessions, *shards)
-	if err := srv.ListenAndServe(*addr); err != nil {
+		o.addr, cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointRing, cfg.MaxSessions, cfg.Shards)
+	if err := srv.ListenAndServe(o.addr); err != nil {
 		fatalf("%v", err)
 	}
 }
 
 // ---- drive mode ----
 
+// driveParams is the drive's configuration: n sessions, session i
+// streaming the workload work with seed work.Seed+i.
 type driveParams struct {
-	addr     string
 	n        int
-	events   int
-	threads  int
-	policy   schedgen.Policy
-	seedBase int64
-	locs     int
-	atomics  int
-	ra       int
-	stale    int
-	halts    bool
+	work     schedgen.Scaled
 	attempts int
 	backoff  time.Duration
 	asJSON   bool
@@ -209,35 +208,26 @@ type goldenSession struct {
 	Races     []service.RaceJSON `json:"races"`
 }
 
-// config is the progsynth configuration every session's program is
-// built from, sized for the requested schedule length.
-func (dp driveParams) config() progsynth.ScaledConfig {
-	cfg := progsynth.ScaledDefaults()
-	cfg.Threads = dp.threads
-	cfg.NonAtomic = dp.locs
-	cfg.Atomics = dp.atomics
-	cfg.RAs = dp.ra
-	cfg.Iters = cfg.IterationsFor(dp.events)
-	return cfg
-}
-
 // genTrace encodes session i's deterministic wire-v2 trace.
 func (dp driveParams) genTrace(i int) []byte {
-	seed := dp.seedBase + int64(i)
-	p := progsynth.Scaled(seed, dp.config())
-	tb := monitor.NewTable(p)
+	work := dp.work
+	work.Seed += int64(i)
+	tb, _ := work.Program()
 	var buf bytes.Buffer
-	opts := schedgen.Options{
-		Policy: dp.policy, Seed: seed, MaxEvents: dp.events,
-		StaleReadPct: dp.stale, EmitHalts: dp.halts,
-	}
-	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, opts, monitor.BinaryV2); err != nil {
+	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, work.Options(), monitor.BinaryV2); err != nil {
 		fatalf("generate session %d: %v", i, err)
 	}
 	return buf.Bytes()
 }
 
-func runDrive(dp driveParams) {
+// session names session i of the drive.
+func (dp driveParams) session(i int) string {
+	return fmt.Sprintf("drive-%d", dp.work.Seed+int64(i))
+}
+
+// run generates the drive's traces, streams them as concurrent sessions
+// to the server at addr, and collects the results, sorted by session.
+func (dp driveParams) run(addr string) (driveDoc, error) {
 	traces := make([][]byte, dp.n)
 	var genWG sync.WaitGroup
 	for i := range traces {
@@ -258,8 +248,8 @@ func runDrive(dp driveParams) {
 		go func(i int) {
 			defer wg.Done()
 			c := &service.Client{
-				Addr:     dp.addr,
-				Session:  fmt.Sprintf("drive-%d", dp.seedBase+int64(i)),
+				Addr:     addr,
+				Session:  dp.session(i),
 				Source:   func() (io.Reader, error) { return bytes.NewReader(traces[i]), nil },
 				Attempts: dp.attempts,
 				Backoff:  dp.backoff,
@@ -274,7 +264,7 @@ func runDrive(dp driveParams) {
 	failed := 0
 	for i, res := range results {
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "racemond: session drive-%d: %v\n", dp.seedBase+int64(i), errs[i])
+			fmt.Fprintf(os.Stderr, "racemond: session %s: %v\n", dp.session(i), errs[i])
 			failed++
 			continue
 		}
@@ -285,9 +275,13 @@ func runDrive(dp driveParams) {
 	sort.Slice(doc.Sessions, func(i, j int) bool { return doc.Sessions[i].Session < doc.Sessions[j].Session })
 	doc.EventsPerSec = float64(doc.TotalEvents) / elapsed.Seconds()
 	if failed > 0 {
-		fatalf("%d of %d sessions failed", failed, dp.n)
+		return doc, fmt.Errorf("%d of %d sessions failed", failed, dp.n)
 	}
+	return doc, nil
+}
 
+// report checks the drive's results against -golden, then prints them.
+func (dp driveParams) report(doc driveDoc) {
 	if dp.golden != "" {
 		if err := checkDriveGolden(dp.golden, dp.update, doc); err != nil {
 			fatalf("%v", err)
@@ -302,7 +296,7 @@ func runDrive(dp driveParams) {
 		return
 	}
 	fmt.Printf("racemond drive: %d sessions, %d events, %.1f ms, %.2fM ev/s aggregate, %d resumes\n",
-		dp.n, doc.TotalEvents, float64(elapsed.Nanoseconds())/1e6, doc.EventsPerSec/1e6, doc.Resumes)
+		dp.n, doc.TotalEvents, float64(doc.ElapsedNs)/1e6, doc.EventsPerSec/1e6, doc.Resumes)
 }
 
 // checkDriveGolden compares (or rewrites) the deterministic subset of

@@ -245,9 +245,9 @@
 // snapshot of monotonic counters plus uptime_ns; clients derive rates
 // from two scrapes), expvar at /debug/vars and pprof at /debug/pprof
 // while the run ingests — the one obshttp.Serve endpoint racemond's
-// -stats-addr serves too; -stats-interval prints a progress line;
-// -stats-linger holds the endpoint open after short runs; and the
-// -json summary embeds the final exact snapshot under "stats".
+// -stats-addr serves too; -stats-linger holds the endpoint open after
+// short runs; and the -json summary embeds the final exact snapshot
+// under "stats".
 //
 // # Service
 //

@@ -42,8 +42,8 @@ import (
 // canonical states searches have interned, how many frontier tasks were
 // stolen versus popped locally, and how many searches ran. Workers count
 // in plain locals and publish once at exit, so the telemetry costs
-// nothing per state. Snapshot it before and after a search (or use
-// obs.Snapshot.Delta) to attribute counts to one run.
+// nothing per state. Snapshot it before and after a search to attribute
+// counts to one run.
 var Obs = obs.NewRegistry()
 
 var (

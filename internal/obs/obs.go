@@ -35,10 +35,9 @@
 //
 // Snapshot is safe to call from any goroutine at any time — every value
 // is an atomic load — and marshals to JSON with deterministic key order
-// (Go maps marshal sorted). Snapshot.Delta subtracts a previous snapshot
-// for rate computation, which is how racemon's -stats-interval progress
-// line derives events/sec between ticks. racemon and racemond serve
-// snapshots over HTTP through the subpackage obshttp.
+// (Go maps marshal sorted). Counters are monotonic, so a reader derives
+// a rate from two snapshots. racemon and racemond serve snapshots over
+// HTTP through the subpackage obshttp.
 package obs
 
 import (
@@ -325,59 +324,6 @@ func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 // Gauge returns the named gauge value (0 when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Delta returns s minus prev: counters, vectors and histogram
-// counts/sums are subtracted pairwise (saturating at 0, so a reset
-// between snapshots cannot render as an underflowed giant), gauges keep
-// their current value (a gauge has no meaningful difference). Metrics
-// absent from prev are carried over whole. The result is what happened
-// BETWEEN the two snapshots — divide by the wall-clock interval for
-// rates.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{Gauges: s.Gauges}
-	if len(s.Counters) > 0 {
-		d.Counters = make(map[string]uint64, len(s.Counters))
-		for n, v := range s.Counters {
-			d.Counters[n] = sub(v, prev.Counters[n])
-		}
-	}
-	if len(s.Vectors) > 0 {
-		d.Vectors = make(map[string][]uint64, len(s.Vectors))
-		for n, v := range s.Vectors {
-			pv := prev.Vectors[n]
-			dv := make([]uint64, len(v))
-			for i, x := range v {
-				if i < len(pv) {
-					dv[i] = sub(x, pv[i])
-				} else {
-					dv[i] = x
-				}
-			}
-			d.Vectors[n] = dv
-		}
-	}
-	if len(s.Histograms) > 0 {
-		d.Histograms = make(map[string]HistSnapshot, len(s.Histograms))
-		for n, h := range s.Histograms {
-			d.Histograms[n] = h.delta(prev.Histograms[n])
-		}
-	}
-	return d
-}
-
-func (h HistSnapshot) delta(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{Count: sub(h.Count, prev.Count), Sum: sub(h.Sum, prev.Sum)}
-	pb := make(map[uint64]uint64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		pb[b.Le] = b.N
-	}
-	for _, b := range h.Buckets {
-		if n := sub(b.N, pb[b.Le]); n > 0 {
-			d.Buckets = append(d.Buckets, HistBucket{Le: b.Le, N: n})
-		}
-	}
-	return d
-}
-
 // Merge combines snapshots taken from separate registries into one.
 // Metric names are expected to be disjoint (each subsystem prefixes its
 // own); on a collision the later snapshot wins.
@@ -410,11 +356,4 @@ func Merge(snaps ...Snapshot) Snapshot {
 		}
 	}
 	return m
-}
-
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }

@@ -97,44 +97,6 @@ func TestSnapshotStableJSON(t *testing.T) {
 	}
 }
 
-func TestDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	g := r.Gauge("live")
-	v := r.Vec("loads", 2)
-	h := r.Hist("batch")
-	c.Store(100)
-	g.Set(5)
-	v.Store(0, 10)
-	h.Observe(4)
-	prev := r.Snapshot()
-	c.Store(250)
-	g.Set(7)
-	v.Store(0, 25)
-	v.Store(1, 5)
-	h.Observe(4)
-	h.Observe(100)
-	d := r.Snapshot().Delta(prev)
-	if d.Counter("events") != 150 {
-		t.Fatalf("delta counter = %d, want 150", d.Counter("events"))
-	}
-	if d.Gauge("live") != 7 {
-		t.Fatalf("delta gauge = %d, want current value 7", d.Gauge("live"))
-	}
-	if dv := d.Vectors["loads"]; dv[0] != 15 || dv[1] != 5 {
-		t.Fatalf("delta vec = %v, want [15 5]", dv)
-	}
-	dh := d.Histograms["batch"]
-	if dh.Count != 2 || dh.Sum != 104 {
-		t.Fatalf("delta hist count=%d sum=%d, want 2/104", dh.Count, dh.Sum)
-	}
-	// A counter that went backwards (reset) saturates at 0.
-	c.Store(10)
-	if got := r.Snapshot().Delta(prev).Counter("events"); got != 0 {
-		t.Fatalf("reset delta = %d, want 0 (saturating)", got)
-	}
-}
-
 // TestConcurrentSnapshot hammers a registry from writer and reader
 // goroutines — meaningful under -race: every value crossing goroutines
 // must be an atomic cell.

@@ -141,14 +141,33 @@ type Report struct {
 }
 
 func (r Report) String() string {
-	op := func(w bool) string {
-		if w {
-			return "write"
-		}
-		return "read"
-	}
 	return fmt.Sprintf("race on %s: T%d %s vs T%d %s",
-		r.Loc, r.ThreadI, op(r.WriteI), r.ThreadJ, op(r.WriteJ))
+		r.Loc, r.ThreadI, opName(r.WriteI), r.ThreadJ, opName(r.WriteJ))
+}
+
+// ReportJSON is the JSON shape of a Report, the one cmd/racemon's -json
+// summary and goldens and racemond's session results share.
+type ReportJSON struct {
+	Loc     string `json:"loc"`
+	ThreadI int    `json:"thread_i"`
+	ThreadJ int    `json:"thread_j"`
+	OpI     string `json:"op_i"`
+	OpJ     string `json:"op_j"`
+}
+
+// JSON returns the report in its JSON shape.
+func (r Report) JSON() ReportJSON {
+	return ReportJSON{
+		Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
+		OpI: opName(r.WriteI), OpJ: opName(r.WriteJ),
+	}
+}
+
+func opName(write bool) string {
+	if write {
+		return "write"
+	}
+	return "read"
 }
 
 // FindRaces explores traces of p and returns the distinct races found

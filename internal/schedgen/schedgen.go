@@ -31,7 +31,6 @@ import (
 
 	"localdrf/internal/monitor"
 	"localdrf/internal/prog"
-	"localdrf/internal/progsynth"
 	"localdrf/internal/ts"
 )
 
@@ -109,17 +108,16 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses "fair", "unfair" or "bursty".
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "fair":
-		return Fair, nil
-	case "unfair":
-		return Unfair, nil
-	case "bursty":
-		return Bursty, nil
+// Set parses "fair", "unfair" or "bursty", making *Policy a
+// flag.Value: a bad policy is refused while the command line is parsed.
+func (p *Policy) Set(s string) error {
+	for _, q := range []Policy{Fair, Unfair, Bursty} {
+		if q.String() == s {
+			*p = q
+			return nil
+		}
 	}
-	return Fair, fmt.Errorf("schedgen: unknown policy %q (want fair|unfair|bursty)", s)
+	return fmt.Errorf("schedgen: unknown policy %q (want fair|unfair|bursty)", s)
 }
 
 // Options configures schedule generation.
@@ -202,24 +200,6 @@ func (c *cell) latest() (int64, prog.Val) { return c.times[c.head], c.vals[c.hea
 func (c *cell) at(i int) (int64, prog.Val) {
 	j := (c.head - i%c.n + c.depth) % c.depth
 	return c.times[j], c.vals[j]
-}
-
-// CheckScaled is the check to run before generating an events-long
-// schedule of progsynth.Scaled(seed, cfg): the event, thread and
-// nonatomic location counts must be ≥ 1 (progsynth draws from the
-// nonatomic pool, and a zero thread count would silently select its
-// defaults), the atomic, release-acquire and private pools ≥ 0, and the
-// program's trace header must fit the wire format (monitor.CheckShape),
-// so no run can fail on its header after monitoring began.
-func CheckScaled(cfg progsynth.ScaledConfig, events int) error {
-	if events < 1 || cfg.Threads < 1 || cfg.NonAtomic < 1 || cfg.Atomics < 0 || cfg.RAs < 0 || cfg.PrivateLocs < 0 {
-		return fmt.Errorf("schedgen: events, threads and nonatomic locations must be ≥ 1, atomic, release-acquire and private locations ≥ 0 (got %d, %d, %d; %d, %d, %d)",
-			events, cfg.Threads, cfg.NonAtomic, cfg.Atomics, cfg.RAs, cfg.PrivateLocs)
-	}
-	// Summed in float64 so that absurd counts saturate instead of
-	// wrapping below the limit.
-	locs := float64(cfg.NonAtomic) + float64(cfg.Atomics) + float64(cfg.RAs) + float64(cfg.Threads)*float64(cfg.PrivateLocs)
-	return monitor.CheckShape(cfg.Threads, int(min(locs, math.MaxInt32)))
 }
 
 // Generate executes p under the given options and appends the resulting

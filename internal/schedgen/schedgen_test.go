@@ -215,8 +215,9 @@ func TestBurstiness(t *testing.T) {
 // percentage outside 0..100 are errors, on every entry point, before any
 // event is emitted; the ends of the range are accepted.
 func TestOptionsRejected(t *testing.T) {
-	if _, err := ParsePolicy("greedy"); err == nil || !strings.Contains(err.Error(), "unknown policy") {
-		t.Fatalf("ParsePolicy(greedy): err = %v, want unknown policy", err)
+	var pol Policy
+	if err := pol.Set("greedy"); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Fatalf("Policy.Set(greedy): err = %v, want unknown policy", err)
 	}
 	p := progsynth.Scaled(4, smallCfg())
 	tb := monitor.NewTable(p)

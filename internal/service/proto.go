@@ -41,6 +41,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"localdrf/internal/race"
 )
 
 const (
@@ -234,15 +236,9 @@ func (cw *chunkWriter) End() error {
 	return err
 }
 
-// RaceJSON is one deduplicated race report in the response (the same
-// shape racemon's -json emits).
-type RaceJSON struct {
-	Loc     string `json:"loc"`
-	ThreadI int    `json:"thread_i"`
-	ThreadJ int    `json:"thread_j"`
-	OpI     string `json:"op_i"`
-	OpJ     string `json:"op_j"`
-}
+// RaceJSON is one deduplicated race report in the response, in the
+// shape racemon's -json emits.
+type RaceJSON = race.ReportJSON
 
 // SessionResult is the final "done" payload of one session: the
 // deterministic outcome of monitoring the whole uploaded trace. For a

@@ -46,7 +46,6 @@ import (
 	"localdrf/internal/faultinject"
 	"localdrf/internal/monitor"
 	"localdrf/internal/obs"
-	"localdrf/internal/race"
 )
 
 // Config tunes a Server. The zero value serves with defaults: no
@@ -557,7 +556,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		Resumed: sess.resumed,
 	}
 	for _, r := range reports {
-		res.Races = append(res.Races, toRaceJSON(r))
+		res.Races = append(res.Races, r.JSON())
 	}
 	events = res.Events
 	if _, err := fmt.Fprintf(conn, "done %s\n", res.JSON()); err != nil {
@@ -601,18 +600,4 @@ func (s *Server) fail(sess *session, conn net.Conn, m *monitor.Monitor, err erro
 		conn.SetWriteDeadline(time.Now().Add(time.Second))
 		fmt.Fprintf(conn, "err %v\n", err)
 	}
-}
-
-func toRaceJSON(r race.Report) RaceJSON {
-	return RaceJSON{
-		Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
-		OpI: opName(r.WriteI), OpJ: opName(r.WriteJ),
-	}
-}
-
-func opName(w bool) string {
-	if w {
-		return "write"
-	}
-	return "read"
 }

@@ -75,7 +75,7 @@ func referenceResult(t testing.TB, session string, trace []byte) SessionResult {
 		RALive: st.Live, RAPeak: st.Peak, RACollected: st.Collected,
 	}
 	for _, r := range reports {
-		res.Races = append(res.Races, toRaceJSON(r))
+		res.Races = append(res.Races, r.JSON())
 	}
 	return res
 }

@@ -76,14 +76,11 @@
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
 // after the N-th monitored event, stopping there. Works in every
 // monitoring mode (not with -emit). -resume FILE (with -trace) restores
-// the snapshot and continues over the trace: a checkpoint taken by
-// -trace over a binary trace carries the reader's byte offset and delta
-// context, so the resumed run seeks straight to where monitoring
-// stopped; a checkpoint taken by -trace over a text trace, or by a
-// generated run, carries no offset (it is the same plain snapshot), so
-// the resumed run skips the already-monitored prefix by count (the
-// trace must therefore be the same event stream, e.g. the -emit of the
-// same seed and parameters, in either format).
+// the snapshot and continues over the trace, skipping the
+// already-monitored prefix by count. A checkpoint is the monitor's
+// state alone, byte-identical whichever mode or trace format wrote it,
+// so it resumes over any trace of the same event stream (e.g. the -emit
+// of the same seed and parameters, in either format).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
 // run that never stopped. A snapshot records whether its run had a
@@ -225,7 +222,7 @@ func main() {
 	updateGolden := flag.Bool("update-golden", false, "rewrite the -golden file instead of comparing")
 	checkpointFile := flag.String("checkpoint", "", "write a monitor snapshot to FILE (at end of run, or at -checkpoint-at)")
 	checkpointAt := flag.Uint64("checkpoint-at", 0, "snapshot after this many monitored events and stop (0 = at end)")
-	resumeFile := flag.String("resume", "", "restore the monitor from this snapshot before ingesting (-trace only)")
+	resumeFile := flag.String("resume", "", "restore the monitor from this snapshot and skip the events it covers (-trace only, either format)")
 	statsAddr := flag.String("stats-addr", "", "serve live telemetry over HTTP on this address (GET /stats, /debug/vars, /debug/pprof)")
 	statsLinger := flag.Duration("stats-linger", 0, "keep the -stats-addr endpoint alive this long after the run finishes")
 	flag.Parse()
@@ -502,61 +499,31 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 	tel.attach(m.Obs())
 
 	// Completed records whether the run actually observed the end of
-	// the trace (as opposed to stopping at -checkpoint-at — the run
-	// cannot know whether more events follow without reading past the
-	// checkpoint position, which would move the resumable offset).
+	// the trace, as opposed to stopping at -checkpoint-at. The last
+	// batch is cut at the stop, as in runGenerated; a run resumed at or
+	// past the stop checkpoints at once.
 	completed := true
-	if ck.at > 0 {
-		// Batch up to a frame's worth short of the stop position, then
-		// step per event so the stop (and the reader checkpoint with its
-		// mid-frame pending events) is exact. 1<<16 is the wire format's
-		// maximum frame event count, so no batch can overshoot the stop.
-		const maxBatch = 1 << 16
-		var buf []monitor.Event
-		for m.Events()+maxBatch <= ck.at {
-			batch, ok, err := tr.NextBatch(buf[:0])
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			if !ok {
-				break
-			}
-			m.StepBatch(batch)
-			buf = batch
+	var buf []monitor.Event
+	for {
+		if ck.at > 0 && m.Events() >= ck.at {
+			completed = false
+			break
 		}
-		for {
-			if m.Events() >= ck.at {
-				completed = false
-				break
-			}
-			e, ok, err := tr.Next()
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			if !ok {
-				break
-			}
-			m.Step(e)
+		batch, ok, err := tr.NextBatch(buf[:0])
+		if err != nil {
+			fatalf("trace: %v", err)
 		}
-	} else {
-		// Batched ingestion: binary traces decode a frame at a time; text
-		// is batched by the reader. (An end-of-trace -checkpoint
-		// needs no mid-stream precision, so it takes this path too.)
-		var buf []monitor.Event
-		for {
-			batch, ok, err := tr.NextBatch(buf[:0])
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			if !ok {
-				break
-			}
-			m.StepBatch(batch)
-			buf = batch
+		if !ok {
+			break
 		}
+		buf = batch
+		if ck.at > 0 {
+			batch = batch[:min(uint64(len(batch)), ck.at-m.Events())]
+		}
+		m.StepBatch(batch)
 	}
 	if ck.file != "" {
-		writeSnapshot(ck.file, func(w io.Writer) error { return tr.Checkpoint(w, m) })
+		writeSnapshot(ck.file, m.Snapshot)
 	}
 
 	res := result{

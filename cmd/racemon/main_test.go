@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -223,6 +224,8 @@ func TestWorkloadFlagsCLI(t *testing.T) {
 
 // summary is the part of the -json summary these tests read.
 type summary struct {
+	Events    int               `json:"events"`
+	Completed bool              `json:"completed"`
 	RaceCount int               `json:"race_count"`
 	Races     []json.RawMessage `json:"races"`
 	Locations map[string]int    `json:"locations"`
@@ -263,6 +266,81 @@ func TestLocationsCLI(t *testing.T) {
 	for _, args := range [][]string{work, append(work, "-emit", trace), {"-trace", trace}} {
 		if got := jsonSummary(t, bin, args...).Locations; !reflect.DeepEqual(got, want) {
 			t.Errorf("racemon %v: locations %v, want %v", args, got, want)
+		}
+	}
+}
+
+// TestOneCheckpointFormCLI: a -checkpoint-at stop inside a wire frame
+// (event 5000 of 4096-event frames) writes one set of bytes along every
+// route there — the generated run, -trace over the binary or the text
+// trace, and -resume of an earlier checkpoint over either — at -shards
+// 1 and 4, and the checkpoint taken over the binary trace resumes over
+// the text trace to the unbroken run's reports.
+func TestOneCheckpointFormCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	dir := t.TempDir()
+	gen := []string{"-events", "20000", "-threads", "8", "-policy", "bursty"}
+	binTrace, txtTrace := filepath.Join(dir, "t.ldtr"), filepath.Join(dir, "t.txt")
+	output(t, bin, append(gen, "-emit", binTrace)...)
+	output(t, bin, append(gen, "-emit", txtTrace, "-format", "text")...)
+	early := filepath.Join(dir, "early.ldck")
+	output(t, bin, append(gen, "-checkpoint", early, "-checkpoint-at", "2000")...)
+	routes := [][]string{
+		gen,
+		{"-trace", binTrace},
+		{"-trace", txtTrace},
+		{"-trace", binTrace, "-resume", early},
+		{"-trace", txtTrace, "-resume", early},
+	}
+	var want []byte
+	for i, args := range routes {
+		for _, shards := range []string{"1", "4"} {
+			ck := filepath.Join(dir, fmt.Sprintf("ck-%d-%s.ldck", i, shards))
+			output(t, bin, append(args, "-shards", shards, "-checkpoint", ck, "-checkpoint-at", "5000")...)
+			got, err := os.ReadFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("racemon %v -shards %s: checkpoint differs from the generated run's (%d vs %d bytes)", args, shards, len(got), len(want))
+			}
+		}
+	}
+	unbroken := jsonSummary(t, bin, "-trace", binTrace)
+	resumed := jsonSummary(t, bin, "-trace", txtTrace, "-resume", filepath.Join(dir, "ck-1-1.ldck"))
+	if !reflect.DeepEqual(resumed, unbroken) {
+		t.Fatalf("binary-trace checkpoint resumed over the text trace: %+v, want %+v", resumed, unbroken)
+	}
+}
+
+// TestResumePastCheckpointAtCLI: a run resumed at or past its
+// -checkpoint-at stops at once and checkpoints at the resumed index.
+func TestResumePastCheckpointAtCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	dir := t.TempDir()
+	trace, at := filepath.Join(dir, "t.ldtr"), filepath.Join(dir, "at.ldck")
+	output(t, bin, "-events", "20000", "-emit", trace)
+	output(t, bin, "-trace", trace, "-checkpoint", at, "-checkpoint-at", "5000")
+	want, err := os.ReadFile(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []string{"5000", "1000"} {
+		again := filepath.Join(dir, "again-"+stop+".ldck")
+		s := jsonSummary(t, bin, "-trace", trace, "-resume", at, "-checkpoint", again, "-checkpoint-at", stop)
+		if s.Events != 5000 || s.Completed {
+			t.Errorf("-checkpoint-at %s after a resume at 5000: %d events, completed %v; want 5000, false", stop, s.Events, s.Completed)
+		}
+		if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("-checkpoint-at %s after a resume at 5000: checkpoint differs from the resumed one (%v)", stop, err)
 		}
 	}
 }

@@ -161,12 +161,11 @@
 // sequential monitor's at the same position, so checkpoints resume
 // sequentially, sharded at any count (Snapshot.Open routes each
 // restored location to its owning back-end), or under a different GC
-// regime, all report-preserving. One call checkpoints mid-ingestion of
-// either trace format, TraceReader.Checkpoint(w, m): over a binary
-// trace the snapshot carries the reader's byte offset and delta
-// context, so the resumed process (TraceReader.ResumeAt) seeks straight
-// to where monitoring stopped instead of re-decoding the prefix; over a
-// text trace it is the plain snapshot, resumed by event count. The
+// regime, all report-preserving. A snapshot is the monitor's state and
+// nothing else: it holds no trace position, so a checkpoint taken over
+// a generated run, a binary trace or a text trace of the same stream is
+// one set of bytes, and TraceReader.ResumeAt resumes it over either
+// trace format by skipping the events it covers. The
 // snapshot decoder validates everything and errors (never panics) on
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
@@ -264,7 +263,7 @@
 // SIGKILL all collapse into the same safe move: revert to the newest
 // checkpoint. Resume is deliberately stateless on the client
 // (service.Client): every attempt replays the trace from byte 0 and
-// the server discards up to the recovered offset, so the session id is
+// the server skips the events the recovered checkpoint covers, so the session id is
 // the only resume key. Overload is explicit — a session cap and
 // checkpoint backpressure shed admissions with "busy retry-after",
 // per-read deadlines bound slow-loris clients, idle bookkeeping is

@@ -99,10 +99,9 @@
 // the snapshot codec (snapshot.go) checkpoints a monitor — sharded
 // ones after a quiesce — at any event index, and ReadSnapshot then
 // Snapshot.Open resumes it with byte-identical reports and retention
-// statistics. TraceReader.Checkpoint snapshots a monitor at the reader's
-// position; over a binary trace the snapshot carries the reader
-// continuation (byte offset + v2 delta context), so interrupted trace
-// ingestion seeks instead of re-decoding.
+// statistics. The snapshot is the state alone, with no trace position:
+// TraceReader.ResumeAt resumes interrupted trace ingestion by skipping
+// the events the snapshot covers.
 //
 // # Predictive detection
 //
@@ -130,8 +129,8 @@
 //
 // The predicates run through the same checker seam, sharded back-ends
 // and snapshot codec as PredHB — reports are identical at
-// any shard count, and a checkpoint records its predicate (snapshot v2
-// carries the window state), which is authoritative on restore. See
+// any shard count, and a checkpoint records its predicate and window
+// state; the recorded predicate is authoritative on restore. See
 // predict.go for the construction and internal/predict for the
 // reference decider and the flag syntax ("hb", "syncp", "short:k")
 // racemon exposes.
@@ -147,10 +146,10 @@
 // Open(Header, PipelineConfig) builds the monitor for a stream. At most
 // one shard gives a sequential monitor, more a sharded one; the
 // config's GC interval, predicate and static filter apply either way.
-// Checkpointing is one call, TraceReader.Checkpoint(w, m), for both
-// trace formats; resuming is one path: ReadSnapshot, then
-// TraceReader.ResumeAt to position a reopened trace where the
-// checkpoint stopped, then Snapshot.Open, which builds the monitor as
+// Checkpointing is one call, Monitor.Snapshot(w), whatever fed the
+// monitor; resuming is one path: ReadSnapshot, then TraceReader.ResumeAt
+// to skip a reopened trace (either format) past the events the
+// checkpoint covers, then Snapshot.Open, which builds the monitor as
 // Open does. racemon and racemond build their engines through Open,
 // and both ingest with one loop: TraceReader.NextBatch, then
 // StepBatch. NewPipeline builds a sharded monitor without Open's clamp
@@ -160,6 +159,7 @@
 package monitor
 
 import (
+	"math"
 	"math/bits"
 
 	"localdrf/internal/obs"
@@ -524,7 +524,14 @@ func (m *Monitor) SetGCInterval(events uint64) {
 		events = defaultGCInterval
 	}
 	m.gcEvery = events
-	m.nextGC = m.events + events
+	m.scheduleGC()
+}
+
+// scheduleGC places the next sweep one interval on, saturating, so
+// events < nextGC ≤ events + gcEvery holds at any interval (the
+// snapshot decoder rejects a schedule outside it).
+func (m *Monitor) scheduleGC() {
+	m.nextGC = m.events + min(m.gcEvery, math.MaxUint64-m.events)
 }
 
 // RAStats is the release-acquire retention telemetry of a monitor run.
@@ -779,7 +786,7 @@ func (ck *checker) report(ls *naState, u, t int32, wi, wj bool) {
 func (m *Monitor) gc() {
 	m.gcSweeps++
 	if m.nthreads == 0 {
-		m.nextGC = m.events + m.gcEvery
+		m.scheduleGC()
 		return
 	}
 	min := m.minClock
@@ -826,7 +833,7 @@ func (m *Monitor) gc() {
 	if collected > 0 {
 		m.gcProductive++
 	}
-	m.nextGC = m.events + m.gcEvery
+	m.scheduleGC()
 	if m.p != nil {
 		m.p.barrier(m.minClock)
 	}

@@ -75,25 +75,14 @@ func clampShards(decls []LocDecl, shards int) int {
 }
 
 // ResumeAt positions a freshly opened reader where the checkpoint's
-// monitoring stopped: the trace must have the snapshot's header; then
-// the reader seeks to the recorded byte offset (a binary trace's
-// Checkpoint), or, for a snapshot without a reader continuation (a text
-// trace's Checkpoint, or Snapshot), decodes and drops the
-// already-monitored events by count (so the trace must be the same event
-// stream). Either way the reader then counts those events as delivered.
+// monitoring stopped: the trace must have the snapshot's header, and
+// the reader decodes and drops the already-monitored events by count.
+// A snapshot holds no trace position, so this one rule resumes it over
+// any encoding of the same event stream, binary or text, whichever run
+// wrote it.
 func (tr *TraceReader) ResumeAt(s *Snapshot) error {
 	if !s.hdr.Equal(tr.hdr) {
 		return fmt.Errorf("monitor: resume: the trace's header differs from the snapshot's")
-	}
-	if tr.delivered > 0 {
-		return fmt.Errorf("monitor: resume: the reader has already decoded events")
-	}
-	if s.rck != nil {
-		if err := tr.resume(s.rck); err != nil {
-			return err
-		}
-		tr.delivered = s.events
-		return nil
 	}
 	for skip := s.events; skip > 0; skip-- {
 		_, ok, err := tr.Next()

@@ -21,8 +21,8 @@ func stepAll(tr *TraceReader, m *Monitor) error {
 	}
 }
 
-// TestResumeAt: a checkpoint without a reader continuation resumes by
-// skipping the monitored prefix by count, in every wire format, into a
+// TestResumeAt: a checkpoint resumes by skipping the monitored prefix
+// by count, in every wire format, into a
 // monitor at a different shard count; a trace of another shape, or one
 // shorter than the monitored prefix, is refused.
 func TestResumeAt(t *testing.T) {

@@ -14,7 +14,7 @@ package monitor
 //
 // # Format
 //
-// A snapshot is the magic "LDCK", a version byte, and a sequence of
+// A snapshot is the magic "LDCK", the version byte 3, and a sequence of
 // framed sections, each
 //
 //	tag byte, uvarint payloadLen, payload
@@ -25,9 +25,8 @@ package monitor
 //	            nlocs × (uvarint len, name bytes, kind byte) — the binary
 //	            wire header's bytes after magic and version, written by
 //	            appendHeader and read by readHeader, same limits
-//	sync   (2)  uvarint events, gcEvery, nextGC, adaptMin, adaptMax
-//	            (both always 0: the retired adaptive-GC bounds),
-//	            raPeak, raCollected; halted bitset ⌈threads/8⌉ bytes
+//	sync   (2)  uvarint events, gcEvery, nextGC, raPeak, raCollected;
+//	            halted bitset ⌈threads/8⌉ bytes
 //	clocks (3)  threads × threads uvarints (row t = thread t's clock),
 //	            then threads uvarints (cached minimum frontier)
 //	atomic (4)  per ATOMIC location in declaration order:
@@ -52,13 +51,6 @@ package monitor
 //	            nondecreasing, uvarint epoch, uvarint thread, write
 //	            byte), mask byte (1 = threads² window dedup masks
 //	            follow); then uvarint window peak, uvarint pruned
-//	reader (7)  OPTIONAL, written by TraceReader.Checkpoint over a
-//	            binary trace (see readerCk): uvarint byte offset, wire-version
-//	            flag byte (always 1: binary v2), varint prevThread,
-//	            threads varints prevLoc, nlocs varints prevNum; halted
-//	            bitset; uvarint pending
-//	            count + pending events (kind byte, uvarint thread,
-//	            uvarint loc, RA kinds: varint num + uvarint den)
 //	end    (0)  empty payload, terminates the snapshot
 //
 // The atomic, ra and na sections are CHUNKED: the encoder flushes the
@@ -81,12 +73,16 @@ package monitor
 // configuration, which is what makes cross-mode resume (checkpoint
 // sequential, resume sharded, or vice versa) sound.
 //
+// A snapshot is the monitor's state at event N and nothing else: it
+// holds no trace position, so it resumes over any encoding of the same
+// event stream by skipping N events (TraceReader.ResumeAt).
+//
 // The decoder VALIDATES everything — section order and framing, header
 // limits, clock-vector lengths, epoch sentinels, thread/location bounds,
-// mask bits, reader-context lengths, pending events (including the halt
-// promise: a pending event of a halted thread is malformed) — and
-// returns errors on malformed input, never panics, and never builds a
-// monitor that a subsequent Step could crash.
+// mask bits, the GC schedule (events < nextGC ≤ events + gcEvery) and
+// the retention peaks against the live counts — and returns errors on
+// malformed input, never panics, and never builds a monitor that a
+// subsequent Step could crash.
 
 import (
 	"bufio"
@@ -98,14 +94,13 @@ import (
 	"time"
 
 	"localdrf/internal/prog"
-	"localdrf/internal/ts"
 )
 
 const (
 	snapMagic = "LDCK"
 	// snapVersion is the one version written and decoded; the decoder
 	// rejects any other.
-	snapVersion = 2
+	snapVersion = 3
 
 	snapTagEnd     = 0
 	snapTagHeader  = 1
@@ -114,13 +109,7 @@ const (
 	snapTagAtomic  = 4
 	snapTagRA      = 5
 	snapTagNA      = 6
-	snapTagReader  = 7
-	snapTagPredict = 8
-
-	// readerWireFlag is the reader section's wire-version flag byte: 1
-	// names binary v2, the only resumable trace format. The byte is kept
-	// so existing checkpoints stay byte-identical and restorable.
-	readerWireFlag = 1
+	snapTagPredict = 8 // tag 7 held version 2's trace-reader section
 
 	// maxSnapSection bounds one section's payload so a hostile length
 	// prefix cannot demand an arbitrary allocation. snapChunk is where
@@ -133,14 +122,12 @@ const (
 	snapChunk      = 1 << 20
 )
 
-// Snapshot is a decoded checkpoint: the restored monitor plus the
-// optional trace-reader continuation that was saved with it. Resume it
+// Snapshot is a decoded checkpoint: the restored monitor. Resume it
 // with TraceReader.ResumeAt and Open, in that order: Open hands the
 // restored state over once.
 type Snapshot struct {
 	hdr      Header
 	m        *Monitor
-	rck      *readerCk
 	filtered bool
 	// events is the restored monitor's event count, kept for
 	// TraceReader.ResumeAt after the monitor has been handed over.
@@ -163,18 +150,6 @@ func (s *Snapshot) take() *Monitor {
 	s.m = nil
 	return m
 }
-
-// Snapshot serialises the monitor's complete live state to w. The
-// monitor remains usable; opening the written bytes (ReadSnapshot, then
-// Snapshot.Open) continues the stream with reports and RAStats
-// byte-identical to this monitor's. A sharded monitor quiesces its
-// back-ends first and reassembles their per-location state in
-// declaration order, so its snapshot is byte-identical to a sequential
-// monitor's at the same stream position and GC configuration — it can
-// be resumed sequentially, at another shard count, or not at all. Must
-// be called from the feeding goroutine (between Steps); it fails on a
-// sharded monitor that was finished or aborted.
-func (m *Monitor) Snapshot(w io.Writer) error { return m.snapshotAt(w, nil) }
 
 // ---- Encoder ----
 
@@ -227,10 +202,18 @@ func (sw *snapWriter) chunk(tag byte) {
 	}
 }
 
-// snapshotAt is Snapshot with an optional reader continuation (see
-// TraceReader.Checkpoint). Each location's race state is read through
-// naAt, from whichever checker owns it.
-func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
+// Snapshot serialises the monitor's complete live state to w. The
+// monitor remains usable; opening the written bytes (ReadSnapshot, then
+// Snapshot.Open) continues the stream with reports and RAStats
+// byte-identical to this monitor's. A sharded monitor quiesces its
+// back-ends first and reassembles their per-location state in
+// declaration order, so its snapshot is byte-identical to a sequential
+// monitor's at the same stream position and GC configuration — it can
+// be resumed sequentially, at another shard count, or not at all. Must
+// be called from the feeding goroutine (between Steps); it fails on a
+// sharded monitor that was finished or aborted. Each location's race
+// state is read through naAt, from whichever checker owns it.
+func (m *Monitor) Snapshot(w io.Writer) error {
 	if p := m.p; p != nil {
 		if p.aborted.Load() {
 			return fmt.Errorf("monitor: snapshot: the back-ends were aborted")
@@ -245,11 +228,6 @@ func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
 	if err := validateHeader(hdr); err != nil {
 		return fmt.Errorf("monitor: snapshot: %w", err)
 	}
-	if rck != nil {
-		if err := rck.validate(hdr); err != nil {
-			return fmt.Errorf("monitor: snapshot: %w", err)
-		}
-	}
 	start := time.Now()
 	cw := &countingWriter{w: w}
 	sw := &snapWriter{w: bufio.NewWriter(cw)}
@@ -263,8 +241,6 @@ func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
 	sw.uvarint(m.events)
 	sw.uvarint(m.gcEvery)
 	sw.uvarint(m.nextGC)
-	sw.uvarint(0) // adaptMin, retired (see decodeSync)
-	sw.uvarint(0) // adaptMax, retired
 	sw.uvarint(uint64(m.raPeak))
 	sw.uvarint(m.raCollected)
 	sw.bitset(m.halted, m.nthreads)
@@ -386,33 +362,6 @@ func (m *Monitor) snapshotAt(w io.Writer, rck *readerCk) error {
 		sw.section(snapTagPredict)
 	}
 
-	if rck != nil {
-		sw.uvarint(uint64(rck.Offset))
-		sw.byte(readerWireFlag)
-		sw.varint(int64(rck.PrevThread))
-		for _, v := range rck.PrevLoc {
-			sw.varint(int64(v))
-		}
-		for _, v := range rck.PrevNum {
-			sw.varint(v)
-		}
-		sw.bitset(rck.Halted, hdr.Threads)
-		sw.uvarint(uint64(len(rck.Pending)))
-		for _, e := range rck.Pending {
-			sw.byte(byte(e.Kind))
-			sw.uvarint(uint64(e.Thread))
-			if e.Kind != KindHalt {
-				sw.uvarint(uint64(e.Loc))
-				if e.Kind == ReadRA || e.Kind == WriteRA {
-					num, den := e.Time.Fraction()
-					sw.varint(num)
-					sw.uvarint(uint64(den))
-				}
-			}
-		}
-		sw.section(snapTagReader)
-	}
-
 	sw.section(snapTagEnd)
 	if err := sw.w.Flush(); err != nil {
 		return err
@@ -435,72 +384,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += uint64(n)
 	return n, err
-}
-
-// validate checks a reader continuation against the snapshot header
-// before it is encoded (the decoder re-checks the same constraints, so
-// encoder and decoder accept exactly the same continuations).
-func (ck *readerCk) validate(hdr Header) error {
-	if ck.Offset < 0 {
-		return fmt.Errorf("reader checkpoint: negative offset %d", ck.Offset)
-	}
-	if len(ck.PrevLoc) != hdr.Threads {
-		return fmt.Errorf("reader checkpoint: prevLoc length %d, want %d threads", len(ck.PrevLoc), hdr.Threads)
-	}
-	if len(ck.PrevNum) != len(hdr.Decls) {
-		return fmt.Errorf("reader checkpoint: prevNum length %d, want %d locations", len(ck.PrevNum), len(hdr.Decls))
-	}
-	for t, l := range ck.PrevLoc {
-		if l < 0 || (int(l) >= len(hdr.Decls) && l != 0) {
-			return fmt.Errorf("reader checkpoint: prevLoc[%d] = %d out of range", t, l)
-		}
-	}
-	if ck.PrevThread < 0 || int(ck.PrevThread) >= hdr.Threads {
-		return fmt.Errorf("reader checkpoint: prevThread %d out of range [0,%d)", ck.PrevThread, hdr.Threads)
-	}
-	if ck.Halted != nil && len(ck.Halted) != hdr.Threads {
-		return fmt.Errorf("reader checkpoint: halted length %d, want %d threads", len(ck.Halted), hdr.Threads)
-	}
-	// Halted is the DECODE-position halt set: the whole current frame has
-	// been decoded, so it already includes halts still sitting in Pending
-	// (which take effect at their position within Pending, not before
-	// it). Unwind those to recover the delivery-position set, requiring
-	// each pending halt to be reflected — the two views must be
-	// consistent.
-	var halted []bool
-	if ck.Halted != nil {
-		halted = slices.Clone(ck.Halted)
-	}
-	for _, e := range ck.Pending {
-		if e.Kind != KindHalt {
-			continue
-		}
-		if int(e.Thread) >= hdr.Threads || e.Thread < 0 {
-			return fmt.Errorf("reader checkpoint: pending halt of out-of-range thread %d", e.Thread)
-		}
-		if halted == nil || !halted[e.Thread] {
-			return fmt.Errorf("reader checkpoint: pending halt of thread %d not reflected in the halted set (or halted twice)", e.Thread)
-		}
-		halted[e.Thread] = false
-	}
-	// Replay delivery: the halt promise must hold event by event — no
-	// pending access of a thread halted before the checkpoint or by an
-	// earlier pending halt.
-	for _, e := range ck.Pending {
-		if err := validateEvent(hdr, e); err != nil {
-			return fmt.Errorf("reader checkpoint: pending: %w", err)
-		}
-		if e.Kind != KindHalt && halted != nil && halted[e.Thread] {
-			return fmt.Errorf("reader checkpoint: pending event of halted thread %d", e.Thread)
-		}
-		if e.Kind == KindHalt {
-			if halted == nil {
-				halted = make([]bool, hdr.Threads)
-			}
-			halted[e.Thread] = true
-		}
-	}
-	return nil
 }
 
 // ---- Decoder ----
@@ -710,7 +593,7 @@ func (d *snapDecoder) more(c **snapCursor, tag byte, what string) error {
 }
 
 // ReadSnapshot decodes and validates a snapshot written by
-// Monitor.Snapshot or by TraceReader.Checkpoint. Malformed input
+// Monitor.Snapshot. Malformed input
 // produces an error, never a panic, and never a monitor that a
 // subsequent Step could crash.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
@@ -778,18 +661,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	if tag == snapTagReader {
-		c.what = "reader"
-		rck, err := decodeReader(c, hdr)
-		if err != nil {
-			return nil, err
-		}
-		s.rck = rck
-		tag, c, err = d.next()
-		if err != nil {
-			return nil, err
-		}
-	}
 	if tag != snapTagEnd {
 		return nil, fmt.Errorf("monitor: snapshot: want end section (tag %d), got tag %d", snapTagEnd, tag)
 	}
@@ -820,17 +691,11 @@ func (d *snapDecoder) decodeSync(m *Monitor) error {
 	if m.nextGC, err = c.uvarint("nextGC"); err != nil {
 		return err
 	}
-	// adaptMin and adaptMax held the retired adaptive-GC bounds. They
-	// are still written, as 0, so existing checkpoints stay
-	// byte-identical and restorable, as with readerWireFlag.
-	for _, field := range [...]string{"adaptMin", "adaptMax"} {
-		v, err := c.uvarint(field)
-		if err != nil {
-			return err
-		}
-		if v != 0 {
-			return c.errf("%s %d, want 0 (adaptive GC is retired)", field, v)
-		}
+	// The next sweep lies within one interval ahead, as New, gc and
+	// SetGCInterval keep it; a sweep never due would retain RA messages
+	// without bound.
+	if m.nextGC <= m.events || m.nextGC-m.events > m.gcEvery {
+		return c.errf("nextGC %d outside (%d, %d + gcEvery %d]", m.nextGC, m.events, m.events, m.gcEvery)
 	}
 	peak, err := c.uvarint("raPeak")
 	if err != nil {
@@ -939,6 +804,9 @@ func (d *snapDecoder) decodeRA(m *Monitor) error {
 			}
 		}
 		m.raLive += len(st.live)
+	}
+	if m.raPeak < m.raLive {
+		return c.errf("raPeak %d below live message count %d", m.raPeak, m.raLive)
 	}
 	return c.done()
 }
@@ -1147,106 +1015,4 @@ func (d *snapDecoder) decodePredict(c *snapCursor, m *Monitor) (bool, error) {
 		return false, err
 	}
 	return pf == 1, c.done()
-}
-
-func decodeReader(c *snapCursor, hdr Header) (*readerCk, error) {
-	off, err := c.uvarint("offset")
-	if err != nil {
-		return nil, err
-	}
-	if off > uint64(math.MaxInt64) {
-		return nil, c.errf("offset %d out of range", off)
-	}
-	flag, err := c.byte("wire-version flag")
-	if err != nil {
-		return nil, err
-	}
-	if flag != readerWireFlag {
-		return nil, c.errf("wire-version flag %d, want %d (binary v2)", flag, readerWireFlag)
-	}
-	rck := &readerCk{Offset: int64(off)}
-	prevThread, err := c.varint("prevThread")
-	if err != nil {
-		return nil, err
-	}
-	if prevThread < 0 || prevThread >= int64(hdr.Threads) {
-		return nil, c.errf("prevThread %d out of range [0,%d)", prevThread, hdr.Threads)
-	}
-	rck.PrevThread = int32(prevThread)
-	rck.PrevLoc = make([]int32, hdr.Threads)
-	for t := range rck.PrevLoc {
-		v, err := c.varint("prevLoc")
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 || (v >= int64(len(hdr.Decls)) && v != 0) {
-			return nil, c.errf("prevLoc[%d] = %d out of range", t, v)
-		}
-		rck.PrevLoc[t] = int32(v)
-	}
-	rck.PrevNum = make([]int64, len(hdr.Decls))
-	for l := range rck.PrevNum {
-		if rck.PrevNum[l], err = c.varint("prevNum"); err != nil {
-			return nil, err
-		}
-	}
-	if rck.Halted, err = c.bitset(hdr.Threads, "halted"); err != nil {
-		return nil, err
-	}
-	count, err := c.uvarint("pending count")
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(c.p)-c.pos) || count > maxFrameEvents {
-		return nil, c.errf("pending count %d exceeds the payload", count)
-	}
-	for i := uint64(0); i < count; i++ {
-		kb, err := c.byte("pending kind")
-		if err != nil {
-			return nil, err
-		}
-		e := Event{Kind: Kind(kb)}
-		thread, err := c.uvarint("pending thread")
-		if err != nil {
-			return nil, err
-		}
-		if thread > uint64(math.MaxInt32) {
-			return nil, c.errf("pending thread %d out of range", thread)
-		}
-		e.Thread = int32(thread)
-		if e.Kind != KindHalt {
-			loc, err := c.uvarint("pending location")
-			if err != nil {
-				return nil, err
-			}
-			if loc > uint64(math.MaxInt32) {
-				return nil, c.errf("pending location %d out of range", loc)
-			}
-			e.Loc = int32(loc)
-			if e.Kind == ReadRA || e.Kind == WriteRA {
-				num, err := c.varint("pending timestamp numerator")
-				if err != nil {
-					return nil, err
-				}
-				den, err := c.uvarint("pending timestamp denominator")
-				if err != nil {
-					return nil, err
-				}
-				if den == 0 || den > uint64(math.MaxInt64) {
-					return nil, c.errf("pending timestamp denominator %d out of range", den)
-				}
-				e.Time = ts.New(num, int64(den))
-			}
-		}
-		rck.Pending = append(rck.Pending, e)
-	}
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	// Shared validation with the encoder: bounds, kind-versus-declaration
-	// consistency, and the halt promise over the pending run.
-	if err := rck.validate(hdr); err != nil {
-		return nil, fmt.Errorf("monitor: snapshot reader section: %w", err)
-	}
-	return rck, nil
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"strings"
 	"testing"
 
@@ -83,6 +83,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					interval, k, endSnap.Len(), refSnap.Len())
 			}
 		}
+	}
+}
+
+// TestSnapshotLongGCInterval: an interval set mid-stream that would put
+// the next sweep past 2⁶⁴ events saturates instead of wrapping, so the
+// schedule stays within what the decoder accepts and round-trips.
+func TestSnapshotLongGCInterval(t *testing.T) {
+	decls, events := raWorkload(4, 8, 1_000, 3)
+	m := New(4, decls)
+	m.StepBatch(events[:500])
+	m.SetGCInterval(math.MaxUint64)
+	m.StepBatch(events[500:])
+	var a bytes.Buffer
+	if err := m.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restore(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatalf("decoder rejected the encoder's own output: %v", err)
+	}
+	if restored.nextGC != math.MaxUint64 || restored.RAStats() != m.RAStats() {
+		t.Fatalf("restored nextGC %d, stats %+v; want %d, %+v", restored.nextGC, restored.RAStats(), uint64(math.MaxUint64), m.RAStats())
 	}
 }
 
@@ -255,144 +277,100 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 	return buf.Bytes()
 }
 
-// TestReaderCheckpointResume: ingest k events from a binary trace, save
-// monitor + reader continuation, then reopen the trace, ResumeAt the
-// recorded offset and finish — reports and stats must equal a one-shot
-// ingest. Frame offsets with mid-frame pending events, at split points
-// inside and at frame boundaries.
+// ingestTo feeds tr into m with the NextBatch → StepBatch loop, cutting
+// the last batch at k events, as racemon -checkpoint-at does — so a k
+// inside a frame leaves the rest of that frame decoded but unstepped.
+func ingestTo(t *testing.T, tr *TraceReader, m *Monitor, k uint64) {
+	t.Helper()
+	var buf []Event
+	for m.Events() < k {
+		batch, ok, err := tr.NextBatch(buf[:0])
+		if err != nil || !ok {
+			t.Fatalf("ingest to %d: ok=%v err=%v after %d events", k, ok, err, m.Events())
+		}
+		buf = batch
+		m.StepBatch(batch[:min(uint64(len(batch)), k-m.Events())])
+	}
+}
+
+// TestReaderCheckpointResume: there is one checkpoint form. At every
+// split k, inside and at frame boundaries, a monitor that ingested k
+// events from a binary or a text trace, sequential or at 4 shards,
+// snapshots to the bytes of a monitor stepped over the events directly;
+// so does a resumed one, checkpointed again at once. That snapshot,
+// resumed over either format, finishes with the reports, stats and
+// event count of a one-shot ingest.
 func TestReaderCheckpointResume(t *testing.T) {
 	decls, events := raWorkload(5, 12, 10_000, 17)
 	hdr := Header{Threads: 5, Decls: decls}
-	data := encodeStream(t, hdr, events, BinaryV2)
-	want, err := ReadRaces(bytes.NewReader(data))
+	formats := []Format{BinaryV2, Text}
+	data := map[Format][]byte{}
+	for _, f := range formats {
+		data[f] = encodeStream(t, hdr, events, f)
+	}
+	ref, err := MonitorReader(bytes.NewReader(data[BinaryV2]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refM, err := MonitorReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	reader := func(f Format) *TraceReader {
+		tr, err := NewTraceReader(bytes.NewReader(data[f]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	snapshot := func(m *Monitor) []byte {
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	for _, k := range []int{0, 1, 3000, 4096, 5000, 8192, 9_999, 10_000} {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := tr.NewMonitor()
-		for i := 0; i < k; i++ {
-			e, ok, err := tr.Next()
-			if err != nil || !ok {
-				t.Fatalf("k=%d i=%d: next: ok=%v err=%v", k, i, ok, err)
+		direct := New(5, decls)
+		direct.StepBatch(events[:k])
+		want := snapshot(direct)
+		for _, f := range formats {
+			for _, shards := range []int{1, 4} {
+				m := Open(hdr, PipelineConfig{Shards: shards})
+				ingestTo(t, reader(f), m, uint64(k))
+				if got := snapshot(m); !bytes.Equal(got, want) {
+					t.Fatalf("k=%d %v shards=%d: checkpoint differs from the direct one (%d vs %d bytes)", k, f, shards, len(got), len(want))
+				}
+				m.Finish()
+
+				s, err := ReadSnapshot(bytes.NewReader(want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := reader(f)
+				if err := tr.ResumeAt(s); err != nil {
+					t.Fatalf("k=%d %v: resume: %v", k, f, err)
+				}
+				m2 := s.Open(PipelineConfig{Shards: shards})
+				if got := snapshot(m2); !bytes.Equal(got, want) {
+					t.Fatalf("k=%d %v shards=%d: re-checkpoint after resume differs (%d vs %d bytes)", k, f, shards, len(got), len(want))
+				}
+				if err := stepAll(tr, m2); err != nil {
+					t.Fatalf("k=%d %v: feed: %v", k, f, err)
+				}
+				if got := m2.Finish(); !race.ReportsEqual(got, ref.Reports()) {
+					t.Fatalf("k=%d %v shards=%d: resumed ingest diverged\ngot  %v\nwant %v", k, f, shards, got, ref.Reports())
+				}
+				if m2.RAStats() != ref.RAStats() || m2.Events() != ref.Events() {
+					t.Fatalf("k=%d %v shards=%d: RA stats %+v at %d events, want %+v at %d",
+						k, f, shards, m2.RAStats(), m2.Events(), ref.RAStats(), ref.Events())
+				}
 			}
-			m.Step(e)
-		}
-		var buf bytes.Buffer
-		if err := tr.Checkpoint(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.rck == nil {
-			t.Fatal("snapshot lost the reader continuation")
-		}
-		tr2, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr2.ResumeAt(s); err != nil {
-			t.Fatalf("k=%d: resume: %v", k, err)
-		}
-		m2 := s.take()
-		if err := stepAll(tr2, m2); err != nil {
-			t.Fatalf("k=%d: feed: %v", k, err)
-		}
-		if got := m2.Reports(); !race.ReportsEqual(got, want) {
-			t.Fatalf("k=%d: resumed ingest diverged\ngot  %v\nwant %v", k, got, want)
-		}
-		if m2.RAStats() != refM.RAStats() {
-			t.Fatalf("k=%d: RA stats %+v, want %+v", k, m2.RAStats(), refM.RAStats())
-		}
-		if m2.Events() != uint64(len(events)) {
-			t.Fatalf("k=%d: events %d, want %d", k, m2.Events(), len(events))
 		}
 	}
 }
 
-// TestReaderCheckpointMidFrameHalt is the regression bar for the
-// decode-versus-delivery halt-set confusion: a v2 frame's halts are in
-// the reader's halted set as soon as the FRAME is decoded, so a
-// checkpoint taken before the halting thread's earlier accesses have
-// been delivered carries both those accesses (Pending) and the halt
-// (Halted) — which is consistent, must snapshot without error, and must
-// resume to the same result as an unbroken ingest.
-func TestReaderCheckpointMidFrameHalt(t *testing.T) {
-	decls := []LocDecl{{Name: "x", Kind: prog.NonAtomic}}
-	hdr := Header{Threads: 3, Decls: decls}
-	// One frame: t1 acts, then halts, with t0 racing around it.
-	events := []Event{
-		{Thread: 0, Loc: 0, Kind: WriteNA},
-		{Thread: 1, Loc: 0, Kind: ReadNA},
-		{Thread: 1, Kind: KindHalt},
-		{Thread: 2, Loc: 0, Kind: WriteNA},
-		{Thread: 2, Kind: KindHalt},
-		{Thread: 0, Loc: 0, Kind: ReadNA},
-	}
-	data := encodeStream(t, hdr, events, BinaryV2)
-	ref, err := MonitorReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every split lands mid-frame (the whole stream is one frame), so
-	// each checkpoint with k < len carries pending events — including,
-	// for k ≤ 2, a pending pre-halt access of a thread whose halt is
-	// already in the decoder's halted set.
-	for k := 0; k <= len(events); k++ {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := tr.NewMonitor()
-		for i := 0; i < k; i++ {
-			e, ok, err := tr.Next()
-			if err != nil || !ok {
-				t.Fatalf("k=%d i=%d: ok=%v err=%v", k, i, ok, err)
-			}
-			m.Step(e)
-		}
-		var buf bytes.Buffer
-		if err := tr.Checkpoint(&buf, m); err != nil {
-			t.Fatalf("k=%d: snapshot rejected a legitimate mid-frame halt checkpoint: %v", k, err)
-		}
-		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if s.rck == nil {
-			t.Fatalf("k=%d: snapshot lost the reader continuation", k)
-		}
-		tr2, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr2.ResumeAt(s); err != nil {
-			t.Fatalf("k=%d: resume: %v", k, err)
-		}
-		m2 := s.take()
-		if err := stepAll(tr2, m2); err != nil {
-			t.Fatalf("k=%d: feed: %v", k, err)
-		}
-		if !race.ReportsEqual(m2.Reports(), ref.Reports()) || m2.Events() != ref.Events() {
-			t.Fatalf("k=%d: resumed halt stream diverged: %v (%d events) vs %v (%d events)",
-				k, m2.Reports(), m2.Events(), ref.Reports(), ref.Events())
-		}
-	}
-}
-
-// TestReaderCheckpointText: on a text trace Checkpoint writes the plain
-// snapshot — the bytes Snapshot writes, with no reader section — which
-// ResumeAt then resumes by count; a binary continuation cannot be
-// applied to a text reader.
+// TestReaderCheckpointText: a monitor fed event by event from a text
+// trace checkpoints with Monitor.Snapshot, and that checkpoint resumes
+// by count over the same text trace to the reports and event count of
+// a one-shot ingest. A text trace that ends inside the checkpoint's
+// already-monitored events is refused.
 func TestReaderCheckpointText(t *testing.T) {
 	decls, events := raWorkload(5, 12, 10_000, 17)
 	hdr := Header{Threads: 5, Decls: decls}
@@ -414,15 +392,9 @@ func TestReaderCheckpointText(t *testing.T) {
 			}
 			m.Step(e)
 		}
-		var ck, plain bytes.Buffer
-		if err := tr.Checkpoint(&ck, m); err != nil {
+		var ck bytes.Buffer
+		if err := m.Snapshot(&ck); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
-		}
-		if err := m.Snapshot(&plain); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ck.Bytes(), plain.Bytes()) {
-			t.Fatalf("k=%d: text checkpoint differs from the plain snapshot (%d vs %d bytes)", k, ck.Len(), plain.Len())
 		}
 		s, err := ReadSnapshot(bytes.NewReader(ck.Bytes()))
 		if err != nil {
@@ -443,107 +415,85 @@ func TestReaderCheckpointText(t *testing.T) {
 			t.Fatalf("k=%d: count resume diverged", k)
 		}
 	}
-	tr, err := NewTraceReader(bytes.NewReader(data))
+
+	full := New(5, decls)
+	full.StepBatch(events)
+	var ck bytes.Buffer
+	if err := full.Snapshot(&ck); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadSnapshot(bytes.NewReader(ck.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.resume(&readerCk{}); err == nil {
-		t.Fatal("text trace accepted a binary continuation")
+	short := encodeStream(t, hdr, events[:len(events)/2], Text)
+	tr, err := NewTraceReader(bytes.NewReader(short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.ResumeAt(s); err == nil {
+		t.Fatal("a text trace shorter than the checkpoint was accepted")
 	}
 }
 
-// TestCheckpointCountMismatch: Checkpoint refuses, writing nothing, a
-// monitor that has not consumed exactly the events the reader delivered —
-// in both formats, ahead or behind — and a resumed reader counts its
-// skipped prefix, so checkpointing again after ResumeAt works.
-func TestCheckpointCountMismatch(t *testing.T) {
-	decls, events := raWorkload(3, 6, 500, 7)
+// TestReaderCheckpointMidFrameHalt: a binary frame's halts enter the
+// decoder's halted set when the frame is decoded, before the halting
+// thread's earlier accesses are delivered. A checkpoint at every split
+// of a one-frame stream — for k ≤ 2 one with a pre-halt access still
+// undelivered — resumes by count to the result of an unbroken ingest.
+func TestReaderCheckpointMidFrameHalt(t *testing.T) {
+	decls := []LocDecl{{Name: "x", Kind: prog.NonAtomic}}
 	hdr := Header{Threads: 3, Decls: decls}
-	for _, format := range []Format{BinaryV2, Text} {
-		data := encodeStream(t, hdr, events, format)
+	// One frame: t1 acts, then halts, with t0 racing around it.
+	events := []Event{
+		{Thread: 0, Loc: 0, Kind: WriteNA},
+		{Thread: 1, Loc: 0, Kind: ReadNA},
+		{Thread: 1, Kind: KindHalt},
+		{Thread: 2, Loc: 0, Kind: WriteNA},
+		{Thread: 2, Kind: KindHalt},
+		{Thread: 0, Loc: 0, Kind: ReadNA},
+	}
+	data := encodeStream(t, hdr, events, BinaryV2)
+	ref, err := MonitorReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= len(events); k++ {
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		behind, ahead := tr.NewMonitor(), tr.NewMonitor()
-		for i := 0; i < 100; i++ {
-			e, _, err := tr.Next()
-			if err != nil {
-				t.Fatal(err)
+		m := tr.NewMonitor()
+		for i := 0; i < k; i++ {
+			e, ok, err := tr.Next()
+			if err != nil || !ok {
+				t.Fatalf("k=%d i=%d: ok=%v err=%v", k, i, ok, err)
 			}
-			ahead.Step(e)
-			if i < 99 {
-				behind.Step(e)
-			}
+			m.Step(e)
 		}
-		ahead.Step(events[100])
-		for _, sk := range []*Monitor{behind, ahead} {
-			var buf bytes.Buffer
-			if err := tr.Checkpoint(&buf, sk); err == nil || buf.Len() != 0 {
-				t.Fatalf("%v: monitor at %d events, reader at 100: err=%v, %d bytes written", format, sk.Events(), err, buf.Len())
-			}
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		// A resumed reader has delivered the snapshot's events.
-		var snap bytes.Buffer
-		if err := behind.Snapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+		s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("k=%d: %v", k, err)
 		}
 		tr2, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tr2.ResumeAt(s); err != nil {
-			t.Fatal(err)
+			t.Fatalf("k=%d: resume: %v", k, err)
 		}
-		var buf bytes.Buffer
-		if err := tr2.Checkpoint(&buf, s.take()); err != nil {
-			t.Fatalf("%v: checkpoint right after ResumeAt: %v", format, err)
+		m2 := s.take()
+		if err := stepAll(tr2, m2); err != nil {
+			t.Fatalf("k=%d: feed: %v", k, err)
 		}
-		if err := tr2.ResumeAt(s); err == nil {
-			t.Fatalf("%v: ResumeAt accepted a reader that has delivered events", format)
+		if !race.ReportsEqual(m2.Reports(), ref.Reports()) || m2.Events() != ref.Events() {
+			t.Fatalf("k=%d: resumed halt stream diverged: %v (%d events) vs %v (%d events)",
+				k, m2.Reports(), m2.Events(), ref.Reports(), ref.Events())
 		}
-	}
-}
-
-// TestReaderResumeValidation: in-header offsets, over-long offsets and
-// delta contexts sized for another header are rejected.
-func TestReaderResumeValidation(t *testing.T) {
-	decls, events := raWorkload(3, 6, 200, 7)
-	hdr := Header{Threads: 3, Decls: decls}
-	data := encodeStream(t, hdr, events, BinaryV2)
-
-	tr, _ := NewTraceReader(bytes.NewReader(data))
-	var snap bytes.Buffer
-	if err := tr.Checkpoint(&snap, tr.NewMonitor()); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := *s.rck
-	resume := func(mutate func(*readerCk)) error {
-		c := ck
-		c.PrevLoc, c.PrevNum = slices.Clone(ck.PrevLoc), slices.Clone(ck.PrevNum)
-		mutate(&c)
-		tr, _ := NewTraceReader(bytes.NewReader(data))
-		return tr.resume(&c)
-	}
-	if err := resume(func(*readerCk) {}); err != nil {
-		t.Fatalf("checkpoint at the first frame rejected: %v", err)
-	}
-	if err := resume(func(c *readerCk) { c.Offset = 1 }); err == nil {
-		t.Fatal("offset inside the header accepted")
-	}
-	if err := resume(func(c *readerCk) { c.Offset = int64(len(data)) + 100 }); err == nil {
-		t.Fatal("offset beyond the trace accepted")
-	}
-	if err := resume(func(c *readerCk) { c.PrevLoc = c.PrevLoc[:1] }); err == nil {
-		t.Fatal("delta context for another thread count accepted")
 	}
 }
 
@@ -552,6 +502,16 @@ func snapSection(tag byte, payload []byte) []byte {
 	out := []byte{tag}
 	out = appendUvarint(out, uint64(len(payload)))
 	return append(out, payload...)
+}
+
+// syncSection builds a sync section with the given schedule and RA
+// peak, no RA collected and no thread halted.
+func syncSection(events, gcEvery, nextGC, raPeak uint64) []byte {
+	var sy []byte
+	for _, v := range []uint64{events, gcEvery, nextGC, raPeak, 0} { // raCollected 0
+		sy = appendUvarint(sy, v)
+	}
+	return append(sy, 0) // halted bitset
 }
 
 // minimalSnapshot hand-builds a valid 1-thread, 1-NA-location snapshot,
@@ -565,16 +525,7 @@ func minimalSnapshot(mutate func(sections map[byte][]byte)) []byte {
 	h = append(h, 'x')
 	h = append(h, byte(prog.NonAtomic))
 	sections[snapTagHeader] = h
-	var sy []byte
-	sy = appendUvarint(sy, 10)   // events
-	sy = appendUvarint(sy, 4096) // gcEvery
-	sy = appendUvarint(sy, 4106) // nextGC
-	sy = appendUvarint(sy, 0)    // adaptMin
-	sy = appendUvarint(sy, 0)    // adaptMax
-	sy = appendUvarint(sy, 0)    // raPeak
-	sy = appendUvarint(sy, 0)    // raCollected
-	sy = append(sy, 0)           // halted bitset
-	sections[snapTagSync] = sy
+	sections[snapTagSync] = syncSection(10, 4096, 4106, 0)
 	var cl []byte
 	cl = appendUvarint(cl, 10) // clocks[0][0]
 	cl = appendUvarint(cl, 3)  // minClock[0]
@@ -599,16 +550,36 @@ func minimalSnapshot(mutate func(sections map[byte][]byte)) []byte {
 			out = append(out, snapSection(tag, p)...)
 		}
 	}
-	if p, ok := sections[snapTagReader]; ok {
-		out = append(out, snapSection(snapTagReader, p)...)
-	}
 	return append(out, snapSection(snapTagEnd, nil)...)
+}
+
+// withRAMessage adds a release-acquire location R holding one live
+// message to the minimal snapshot, with the given recorded RA peak.
+func withRAMessage(raPeak uint64) func(s map[byte][]byte) {
+	return func(s map[byte][]byte) {
+		var h []byte
+		h = appendUvarint(h, 1) // threads
+		h = appendUvarint(h, 2) // nlocs
+		h = appendUvarint(h, 1)
+		h = append(h, 'x', byte(prog.NonAtomic))
+		h = appendUvarint(h, 1)
+		h = append(h, 'R', byte(prog.ReleaseAcquire))
+		s[snapTagHeader] = h
+		s[snapTagSync] = syncSection(10, 4096, 4106, raPeak)
+		var ra []byte
+		ra = appendUvarint(ra, 1) // one message
+		ra = appendVarint(ra, 1)  // num
+		ra = appendUvarint(ra, 1) // den
+		ra = appendUvarint(ra, 0) // writer
+		ra = appendUvarint(ra, 7) // its clock
+		s[snapTagRA] = ra
+	}
 }
 
 // TestRestoreValidates: the decoder errors — never panics — on the
 // format's failure shapes: truncation anywhere, clock-count mismatches,
-// escalated epochs without vectors, out-of-range fields, bad masks, and
-// reader continuations that break the halt promise.
+// escalated epochs without vectors, out-of-range fields, bad masks, a
+// GC schedule no monitor keeps, and an RA peak below the live count.
 func TestRestoreValidates(t *testing.T) {
 	valid := minimalSnapshot(nil)
 	if _, err := ReadSnapshot(bytes.NewReader(valid)); err != nil {
@@ -618,6 +589,16 @@ func TestRestoreValidates(t *testing.T) {
 	for i := 0; i < len(valid); i++ {
 		if _, err := ReadSnapshot(bytes.NewReader(valid[:i])); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
+		}
+	}
+	// The schedule's edges and a live RA message under its peak are
+	// valid.
+	for name, mutate := range map[string]func(s map[byte][]byte){
+		"nextGC one event ahead": func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 11, 0) },
+		"RA peak at live count":  withRAMessage(1),
+	} {
+		if _, err := ReadSnapshot(bytes.NewReader(minimalSnapshot(mutate))); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
 	cases := []struct {
@@ -663,18 +644,15 @@ func TestRestoreValidates(t *testing.T) {
 			na = append(na, 0xF0) // mask byte with unknown bits
 			s[snapTagNA] = na
 		}},
-		{"gcEvery zero", func(s map[byte][]byte) {
-			var sy []byte
-			sy = appendUvarint(sy, 10)
-			sy = appendUvarint(sy, 0) // gcEvery 0
-			sy = appendUvarint(sy, 4106)
-			sy = appendUvarint(sy, 0)
-			sy = appendUvarint(sy, 0)
-			sy = appendUvarint(sy, 0)
-			sy = appendUvarint(sy, 0)
-			sy = append(sy, 0)
-			s[snapTagSync] = sy
+		{"gcEvery zero", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 0, 4106, 0) }},
+		{"nextGC never due", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, math.MaxUint64, 0) }},
+		{"nextGC behind events", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 3, 0) }},
+		{"nextGC at events", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 10, 0) }},
+		{"nextGC past one interval", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 4107, 0) }},
+		{"nextGC behind events, interval wraps", func(s map[byte][]byte) {
+			s[snapTagSync] = syncSection(10, math.MaxUint64, 9, 0)
 		}},
+		{"RA peak below live count", withRAMessage(0)},
 		{"halted bitset ghost bits", func(s map[byte][]byte) {
 			sy := bytes.Clone(s[snapTagSync])
 			sy[len(sy)-1] = 0x80 // bit 7 of a 1-thread set
@@ -682,36 +660,6 @@ func TestRestoreValidates(t *testing.T) {
 		}},
 		{"missing section", func(s map[byte][]byte) {
 			delete(s, snapTagRA)
-		}},
-		{"reader post-halt pending", func(s map[byte][]byte) {
-			var rd []byte
-			rd = appendUvarint(rd, 100)   // offset
-			rd = append(rd, 1)            // v2
-			rd = appendVarint(rd, 0)      // prevThread
-			rd = appendVarint(rd, 0)      // prevLoc[0]
-			rd = appendVarint(rd, 0)      // prevNum[0]
-			rd = append(rd, 1)            // halted: thread 0
-			rd = appendUvarint(rd, 1)     // one pending event
-			rd = append(rd, byte(ReadNA)) // … of the halted thread
-			rd = appendUvarint(rd, 0)
-			rd = appendUvarint(rd, 0)
-			s[snapTagReader] = rd
-		}},
-		{"reader pending kind mismatch", func(s map[byte][]byte) {
-			var rd []byte
-			rd = appendUvarint(rd, 100)
-			rd = append(rd, 1)
-			rd = appendVarint(rd, 0)
-			rd = appendVarint(rd, 0)
-			rd = appendVarint(rd, 0)
-			rd = append(rd, 0)
-			rd = appendUvarint(rd, 1)
-			rd = append(rd, byte(ReadRA)) // RA access on an NA location
-			rd = appendUvarint(rd, 0)
-			rd = appendUvarint(rd, 0)
-			rd = appendVarint(rd, 1)
-			rd = appendUvarint(rd, 1)
-			s[snapTagReader] = rd
 		}},
 	}
 	for _, tc := range cases {
@@ -723,54 +671,25 @@ func TestRestoreValidates(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("LDTR\x02"))); err == nil {
 		t.Error("wire magic accepted as snapshot")
 	}
-	// Version 2 is the only one decoded, a reader section must carry
-	// the binary-v2 flag byte 1, and the sync section's retired
-	// adaptive-GC bounds must be 0: pin the errors for the retired
-	// version-1 header, a future version, the retired v1 reader flag 0,
-	// and a nonzero adaptMin or adaptMax.
+	// Tag 7, version 2's trace-reader section, is no section of version
+	// 3: a snapshot carrying one before the end section is malformed.
+	withReader := append(bytes.Clone(valid[:len(valid)-2]), snapSection(7, []byte{0})...)
+	withReader = append(withReader, snapSection(snapTagEnd, nil)...)
+	const wantEnd = "monitor: snapshot: want end section (tag 0), got tag 7"
+	if _, err := ReadSnapshot(bytes.NewReader(withReader)); err == nil || err.Error() != wantEnd {
+		t.Errorf("reader section: got error %v, want %q", err, wantEnd)
+	}
+	// Version 3 is the only one decoded: pin the errors for the retired
+	// versions 1 and 2 and for a future version.
 	withVersion := func(ver byte) []byte {
 		b := bytes.Clone(valid)
 		b[len(snapMagic)] = ver
 		return b
 	}
-	withAdaptive := func(adaptMin, adaptMax uint64) []byte {
-		return minimalSnapshot(func(s map[byte][]byte) {
-			var sy []byte
-			sy = appendUvarint(sy, 10)   // events
-			sy = appendUvarint(sy, 4096) // gcEvery
-			sy = appendUvarint(sy, 4106) // nextGC
-			sy = appendUvarint(sy, adaptMin)
-			sy = appendUvarint(sy, adaptMax)
-			sy = appendUvarint(sy, 0) // raPeak
-			sy = appendUvarint(sy, 0) // raCollected
-			sy = append(sy, 0)        // halted bitset
-			s[snapTagSync] = sy
-		})
-	}
-	pinned := []struct {
-		name, want string
-		data       []byte
-	}{
-		{"version 1", "monitor: snapshot: unsupported version 1 (have 2)", withVersion(1)},
-		{"version 99", "monitor: snapshot: unsupported version 99 (have 2)", withVersion(99)},
-		{"reader flag 0", "monitor: snapshot reader section: wire-version flag 0, want 1 (binary v2)",
-			minimalSnapshot(func(s map[byte][]byte) {
-				var rd []byte
-				rd = appendUvarint(rd, 100) // offset
-				rd = append(rd, 0)          // the v1 trace flag
-				rd = appendVarint(rd, 0)    // prevThread
-				rd = append(rd, 0)          // halted
-				rd = appendUvarint(rd, 0)   // no pending events
-				s[snapTagReader] = rd
-			})},
-		{"adaptMin 16", "monitor: snapshot sync section: adaptMin 16, want 0 (adaptive GC is retired)",
-			withAdaptive(16, 4096)},
-		{"adaptMax 8192", "monitor: snapshot sync section: adaptMax 8192, want 0 (adaptive GC is retired)",
-			withAdaptive(0, 8192)},
-	}
-	for _, tc := range pinned {
-		if _, err := ReadSnapshot(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {
-			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+	for _, ver := range []byte{1, 2, 99} {
+		want := fmt.Sprintf("monitor: snapshot: unsupported version %d (have 3)", ver)
+		if _, err := ReadSnapshot(bytes.NewReader(withVersion(ver))); err == nil || err.Error() != want {
+			t.Errorf("version %d: got error %v, want %q", ver, err, want)
 		}
 	}
 }
@@ -886,8 +805,8 @@ func TestSnapshotChunkedSections(t *testing.T) {
 // FuzzRestore: the snapshot decoder must never panic, and any snapshot
 // it accepts must restore a monitor that can consume further events and
 // produce reports without crashing. Seeded with genuine snapshots at
-// several split points (sequential and mid-ingestion with reader
-// continuations) plus corruption shapes.
+// several split points (stepped directly and mid-ingestion of a binary
+// trace) plus corruption shapes.
 func FuzzRestore(f *testing.F) {
 	decls, events := raWorkload(4, 8, 2_000, 17)
 	hdr := Header{Threads: 4, Decls: decls}
@@ -904,8 +823,8 @@ func FuzzRestore(f *testing.F) {
 	f.Add(snapAt(0))
 	f.Add(snapAt(700))
 	f.Add(snapAt(2_000))
-	// A mid-ingestion snapshot with a v2 reader continuation (pending
-	// events included: 700 lands mid-frame at the default frame size).
+	// A snapshot taken mid-frame while ingesting the binary trace, at
+	// the default GC interval.
 	var wireBuf bytes.Buffer
 	tw, err := NewTraceWriter(&wireBuf, hdr, BinaryV2)
 	if err != nil {
@@ -931,11 +850,11 @@ func FuzzRestore(f *testing.F) {
 		}
 		m.Step(e)
 	}
-	var withReader bytes.Buffer
-	if err := tr.Checkpoint(&withReader, m); err != nil {
+	var ingested bytes.Buffer
+	if err := m.Snapshot(&ingested); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(withReader.Bytes())
+	f.Add(ingested.Bytes())
 	base := snapAt(700)
 	f.Add(base[:len(base)-3]) // truncated
 	f.Add(func() []byte {     // corrupted mid-section
@@ -943,7 +862,7 @@ func FuzzRestore(f *testing.F) {
 		b[len(b)/2] ^= 0xFF
 		return b
 	}())
-	f.Add([]byte("LDCK\x01"))
+	f.Add([]byte("LDCK\x02")) // the retired version 2
 	f.Add([]byte{})
 
 	// Many live RA messages at non-integer rational timestamps (negative
@@ -990,12 +909,6 @@ func FuzzRestore(f *testing.F) {
 		// real monitors but too slow to exercise per fuzz exec.
 		if h.Threads > 64 || len(h.Decls) > 1024 {
 			return
-		}
-		if s.rck != nil {
-			// Accepted continuations must satisfy their own invariants.
-			if err := s.rck.validate(h); err != nil {
-				t.Fatalf("accepted reader continuation fails validation: %v", err)
-			}
 		}
 		rm := s.take()
 		// The restored monitor must consume arbitrary in-bounds events

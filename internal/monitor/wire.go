@@ -483,7 +483,7 @@ func readHeader(r headerReader, budget int) (Header, error) {
 }
 
 // headerReader is what readHeader decodes from: the trace reader's
-// counting reader or a snapshot section cursor.
+// buffered reader or a snapshot section cursor.
 type headerReader interface {
 	io.Reader
 	io.ByteReader
@@ -513,16 +513,11 @@ func (tw *TraceWriter) Flush() error {
 // TraceReader decodes a wire-format trace (either encoding, sniffed from
 // the first bytes) and yields validated events, a batch at a time via
 // NextBatch (the loop every driver runs into Monitor.StepBatch) or one
-// at a time via Next (for an exact stop position). Malformed input
+// at a time via Next (ResumeAt's exact skip). Malformed input
 // produces an error, never a panic, and never an event the monitor
 // cannot safely consume.
 type TraceReader struct {
-	br *bufio.Reader
-	// cr counts the bytes the binary decoder consumes (ReadByte/Read pass
-	// through to br) — the logical stream offset that Checkpoint records
-	// and resume discards up to. The text decoder reads br directly; its
-	// checkpoints resume by event count.
-	cr   countReader
+	br   *bufio.Reader
 	hdr  Header
 	text bool
 	line int              // text mode: current line number, for errors
@@ -545,10 +540,6 @@ type TraceReader struct {
 	frameBuf []byte
 	batch    []Event
 	cur      int
-	// delivered counts the events handed out by Next and NextBatch,
-	// including a resumed reader's skipped prefix: Checkpoint requires
-	// the monitor to have consumed exactly these.
-	delivered uint64
 	// lim tightens the format caps for untrusted peers (see ReaderLimits).
 	lim ReaderLimits
 }
@@ -576,27 +567,6 @@ type ReaderLimits struct {
 // proportionally to the monitor state it would allocate.
 const headerDeclOverhead = 16
 
-// countReader passes reads through to the buffered reader, counting the
-// bytes consumed.
-type countReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *countReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // NewTraceReader sniffs the encoding of r, decodes and validates the
 // header, and returns a reader positioned at the first event.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
@@ -610,7 +580,6 @@ func NewTraceReaderLimits(r io.Reader, lim ReaderLimits) (*TraceReader, error) {
 		return nil, fmt.Errorf("monitor: trace reader: negative ReaderLimits")
 	}
 	tr := &TraceReader{br: bufio.NewReader(r), lim: lim}
-	tr.cr.br = tr.br
 	magic, err := tr.br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
 		if err := tr.readBinaryHeader(); err != nil {
@@ -640,11 +609,7 @@ func (tr *TraceReader) NewMonitor() *Monitor { return New(tr.hdr.Threads, tr.hdr
 // Next decodes and validates the next event; ok=false at end of trace.
 func (tr *TraceReader) Next() (Event, bool, error) {
 	if tr.text {
-		e, ok, err := tr.nextText()
-		if ok {
-			tr.delivered++
-		}
-		return e, ok, err
+		return tr.nextText()
 	}
 	if tr.cur >= len(tr.batch) {
 		var ok bool
@@ -657,7 +622,6 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 	}
 	e := tr.batch[tr.cur]
 	tr.cur++
-	tr.delivered++
 	return e, true, nil
 }
 
@@ -668,17 +632,12 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 // Monitor.StepBatch.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	if !tr.text {
-		base := len(dst)
-		var ok bool
-		var err error
 		if tr.cur < len(tr.batch) {
-			dst, ok = append(dst, tr.batch[tr.cur:]...), true
+			dst = append(dst, tr.batch[tr.cur:]...)
 			tr.cur = len(tr.batch)
-		} else {
-			dst, ok, err = tr.decodeFrame(dst)
+			return dst, true, nil
 		}
-		tr.delivered += uint64(len(dst) - base)
-		return dst, ok, err
+		return tr.decodeFrame(dst)
 	}
 	n := 0
 	for ; n < defaultFrameEvents; n++ {
@@ -696,7 +655,7 @@ func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 
 func (tr *TraceReader) readBinaryHeader() error {
 	var magicVer [len(binaryMagic) + 1]byte
-	if _, err := io.ReadFull(&tr.cr, magicVer[:]); err != nil {
+	if _, err := io.ReadFull(tr.br, magicVer[:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -705,7 +664,7 @@ func (tr *TraceReader) readBinaryHeader() error {
 	if ver := magicVer[len(binaryMagic)]; ver != binaryVersion {
 		return fmt.Errorf("monitor: trace header: unsupported version %d (have %d)", ver, binaryVersion)
 	}
-	hdr, err := readHeader(&tr.cr, tr.lim.MaxHeaderBytes)
+	hdr, err := readHeader(tr.br, tr.lim.MaxHeaderBytes)
 	if err != nil {
 		return fmt.Errorf("monitor: trace header: %w", err)
 	}
@@ -727,7 +686,7 @@ func (tr *TraceReader) readBinaryHeader() error {
 // validated events to dst. ok=false at a clean end of trace (EOF exactly
 // at a frame boundary).
 func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
-	payloadLen, err := binary.ReadUvarint(&tr.cr)
+	payloadLen, err := binary.ReadUvarint(tr.br)
 	if err != nil {
 		if err == io.EOF {
 			return dst, false, nil // clean end of trace
@@ -741,7 +700,7 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 		tr.frameBuf = make([]byte, payloadLen)
 	}
 	p := tr.frameBuf[:payloadLen]
-	if _, err := io.ReadFull(&tr.cr, p); err != nil {
+	if _, err := io.ReadFull(tr.br, p); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -1101,114 +1060,6 @@ func parseTime(s string) (ts.Time, error) {
 		}
 	}
 	return ts.New(num, den), nil
-}
-
-// ---- Checkpoint / resume ----
-
-// readerCk is a resumable position in a binary wire-format trace: the
-// byte offset of the next undecoded frame, the delta context carried
-// across frames, the decoder's halted-thread set, and — for checkpoints
-// taken mid-frame — the already-decoded events of the current frame
-// that were not yet delivered. Checkpoint stores one in the snapshot's
-// reader section; ResumeAt hands it to resume on a fresh reader over the
-// same trace.
-type readerCk struct {
-	// Offset is the number of logical trace bytes consumed: the header
-	// plus every fully decoded frame.
-	Offset int64
-	// PrevThread, PrevLoc, PrevNum are the delta context as of Offset.
-	PrevThread int32
-	PrevLoc    []int32
-	PrevNum    []int64
-	// Halted is the decoder's halted-thread set (nil when no thread has
-	// halted).
-	Halted []bool
-	// Pending holds the validated events of the current frame that
-	// were decoded but not yet delivered when the checkpoint was taken;
-	// resume yields them before decoding the frame at Offset.
-	Pending []Event
-}
-
-// Checkpoint writes m's snapshot at the reader's position — valid at
-// any event boundary. On a binary trace the snapshot carries the reader
-// continuation (byte offset, delta context, and mid-frame the
-// undelivered rest of the frame), so ResumeAt seeks straight back; on a
-// text trace it is the plain snapshot, which ResumeAt resumes by event
-// count. m must have consumed exactly the events this reader delivered
-// (a resumed reader counts its skipped prefix); otherwise Checkpoint
-// errors and writes nothing.
-func (tr *TraceReader) Checkpoint(w io.Writer, m *Monitor) error {
-	if got := m.Events(); got != tr.delivered {
-		return fmt.Errorf("monitor: trace checkpoint: the monitor has consumed %d events, the reader delivered %d", got, tr.delivered)
-	}
-	if tr.text {
-		return m.snapshotAt(w, nil)
-	}
-	ck := &readerCk{
-		Offset:     tr.cr.n,
-		PrevThread: tr.prevThread,
-		PrevLoc:    slices.Clone(tr.prevLoc),
-		PrevNum:    slices.Clone(tr.prevNum),
-	}
-	if tr.cur < len(tr.batch) {
-		ck.Pending = slices.Clone(tr.batch[tr.cur:])
-	}
-	if tr.halted != nil {
-		ck.Halted = slices.Clone(tr.halted)
-	}
-	return m.snapshotAt(w, ck)
-}
-
-// resume fast-forwards a fresh binary reader to a continuation taken
-// over the same trace: it discards the stream up to ck.Offset, installs
-// the delta context and halted set, and queues the pending events. The
-// trace must be the same bytes the continuation was taken over — a
-// different trace yields decode errors (or garbage events on a
-// maliciously matched one; the offset is a position, not a fingerprint).
-func (tr *TraceReader) resume(ck *readerCk) error {
-	if tr.text {
-		return fmt.Errorf("monitor: trace resume: a text trace cannot seek to a binary trace's offset")
-	}
-	if err := ck.validate(tr.hdr); err != nil {
-		return fmt.Errorf("monitor: trace resume: %w", err)
-	}
-	if ck.Offset < tr.cr.n {
-		return fmt.Errorf("monitor: trace resume: offset %d lies inside the %d-byte header", ck.Offset, tr.cr.n)
-	}
-	if err := tr.discard(ck.Offset - tr.cr.n); err != nil {
-		return fmt.Errorf("monitor: trace resume: %w", err)
-	}
-	tr.prevThread = ck.PrevThread
-	copy(tr.prevLoc, ck.PrevLoc)
-	copy(tr.prevNum, ck.PrevNum)
-	if len(ck.Pending) > 0 {
-		tr.batch = append(tr.batch[:0], ck.Pending...)
-		tr.cur = 0
-	}
-	if ck.Halted != nil {
-		tr.halted = slices.Clone(ck.Halted)
-	}
-	return nil
-}
-
-// discard consumes exactly n bytes, erroring if the stream ends first.
-func (tr *TraceReader) discard(n int64) error {
-	for n > 0 {
-		step := n
-		if step > 1<<20 {
-			step = 1 << 20
-		}
-		d, err := tr.br.Discard(int(step))
-		tr.cr.n += int64(d)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("trace shorter than checkpoint offset: %w", err)
-		}
-		n -= int64(d)
-	}
-	return nil
 }
 
 // ---- Convenience entry points ----

@@ -16,7 +16,7 @@ import (
 // disconnects, server restarts and busy shedding with bounded
 // exponential backoff. Resume needs no client-side state: every attempt
 // replays the trace from byte 0 (Source returns a fresh reader) and the
-// server discards up to its newest checkpoint — so the client is
+// server skips the events its newest checkpoint covers — so the client is
 // trivially correct and the durability problem lives entirely on the
 // server, where the checkpoints are.
 type Client struct {

@@ -26,10 +26,10 @@ package service
 // failure mode — drop the live session state and resume from the newest
 // checkpoint. Without it, a flipped byte inside a v2 delta frame can
 // decode into well-formed wrong events and poison every later
-// checkpoint. Resume is count- and offset-based (the client replays its
-// trace from byte 0 and the server discards up to the checkpoint's
-// offset), so the chunk boundaries of a retry need not match the
-// original — only the deframed byte stream must.
+// checkpoint. Resume is count-based (the client replays its trace from
+// byte 0 and the server skips the events the checkpoint covers), so the
+// chunk boundaries of a retry need not match the original — only the
+// deframed event stream must.
 
 import (
 	"bufio"

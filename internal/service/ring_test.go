@@ -3,6 +3,7 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"localdrf/internal/faultinject"
@@ -60,14 +61,28 @@ func TestRingEmpty(t *testing.T) {
 	}
 }
 
-// TestRingAllCorrupt: when every generation is damaged, recovery
-// reports an error (the caller logs it and restarts from event 0) and
-// positions the next write PAST the damaged generations so they are
-// never silently overwritten-in-place.
+// ckV2 is testMonitor(400)'s snapshot as the version-2 encoder wrote it,
+// the ring entry a server upgraded to version 3 finds on disk.
+const ckV2 = "\x4c\x44\x43\x4b\x02\x01\x05\x02\x01\x01\x78\x00\x02\x0b\x90\x03" +
+	"\x80\x20\x80\x20\x00\x00\x00\x00\x00\x03\x08\xc8\x01\x00\x00\xc8" +
+	"\x01\x00\x00\x04\x00\x05\x00\x06\x0e\x04\x03\x01\x01\x00\x02\xc8" +
+	"\x01\xc8\x01\x00\x08\x08\x00\x00\x00"
+
+// TestRingAllCorrupt: when every generation is damaged, or written in
+// the retired snapshot version 2, recovery reports an error (the caller
+// logs it and restarts from event 0, which is sound: the client replays
+// from byte 0) and positions the next write PAST the unusable
+// generations so they are never silently overwritten-in-place.
 func TestRingAllCorrupt(t *testing.T) {
 	r := newTestRing(t, 3)
 	writeGen(t, r, 100)
 	writeGen(t, r, 200)
+	if _, err := monitor.ReadSnapshot(strings.NewReader(ckV2)); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 entry: got %v, want an unsupported-version error", err)
+	}
+	if err := os.WriteFile(filepath.Join(r.dir, ckName(2)), []byte(ckV2), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// Damage both entries: one truncated to a prefix, one bit-flipped.
 	for i, name := range []string{ckName(0), ckName(1)} {
 		path := filepath.Join(r.dir, name)
@@ -89,12 +104,12 @@ func TestRingAllCorrupt(t *testing.T) {
 	if err == nil || snap != nil {
 		t.Fatalf("all-corrupt ring: recover() = (%v, %v), want error", snap, err)
 	}
-	if skipped != 2 {
-		t.Fatalf("skipped = %d, want 2", skipped)
+	if skipped != 3 {
+		t.Fatalf("skipped = %d, want 3", skipped)
 	}
-	// The next write must open generation 2, not clobber the evidence.
+	// The next write must open generation 3, not clobber the evidence.
 	writeGen(t, r2, 300)
-	if _, err := os.Stat(filepath.Join(r.dir, ckName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(r.dir, ckName(3))); err != nil {
 		t.Fatalf("post-recovery write did not use the next generation: %v", err)
 	}
 }

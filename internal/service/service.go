@@ -9,8 +9,8 @@
 // full disks, and SIGKILL of the server itself — because durable state
 // lives in a per-session ring of LDCK checkpoint files (see ring.go)
 // and the protocol's resume rule is radically simple: the client always
-// replays its trace from byte 0, and the server discards up to the
-// newest checkpoint's recorded offset (or skips by event count). The
+// replays its trace from byte 0, and the server skips the events the
+// newest checkpoint already monitored (TraceReader.ResumeAt). The
 // final report set and RAStats of a session are therefore
 // byte-identical to an uninterrupted run, a property PR 5's metamorphic
 // split-resume harness proves for the monitor core and this package's
@@ -37,7 +37,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -56,9 +55,10 @@ import (
 type Config struct {
 	// CheckpointDir is the root of the per-session checkpoint rings
 	// ("" disables checkpointing; sessions then recover by full replay).
-	// Sessions of either trace format checkpoint: a binary trace's
-	// snapshot resumes at its byte offset, a text trace's by event
-	// count.
+	// Sessions of either trace format checkpoint, and every snapshot
+	// resumes by event count. A ring entry the codec cannot decode,
+	// such as one written in an older snapshot version, is skipped like
+	// a torn one.
 	CheckpointDir string
 	// CheckpointEvery checkpoints a session after every N monitored
 	// events (0 means the default, 100000; requires CheckpointDir).
@@ -538,7 +538,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		events = m.Events()
 		buf = batch
 		if nextCk > 0 && events >= nextCk {
-			err := ring.write(func(w io.Writer) error { return tr.Checkpoint(w, m) })
+			err := ring.write(m.Snapshot)
 			s.noteCheckpoint(sess, err)
 			nextCk = (events/s.cfg.CheckpointEvery + 1) * s.cfg.CheckpointEvery
 		}

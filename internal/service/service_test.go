@@ -193,7 +193,7 @@ func TestServiceResumesAfterDisconnect(t *testing.T) {
 }
 
 // TestServiceTextTraceCheckpoints: a text-trace session checkpoints too —
-// its snapshots carry no byte offset and resume by event count — so a
+// like every snapshot, its snapshots resume by event count — so a
 // session cut mid-upload recovers to the reference outcome, no
 // checkpoint fails, and the server stays healthy: the next handshake is
 // admitted.

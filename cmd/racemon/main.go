@@ -71,6 +71,13 @@
 // hot-location workloads for a sharded monitor, whose back-ends own
 // locations by the static loc-mod-shards split.
 //
+// -static-prefilter analyses the generated program and skips checker
+// work on the locations it certifies race-free. The certificate covers
+// the program's traces only, so the flag exits 2 with -emit or -trace
+// (with or without -resume: a trace does not carry its program) and
+// with -skew, whose redirected accesses reach locations the program's
+// threads never touch.
+//
 // Checkpoint/resume: -checkpoint FILE snapshots the monitor (front-end
 // and, when sharded, back-ends) in the LDCK format of
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
@@ -83,12 +90,10 @@
 // of the same seed and parameters, in either format).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
-// run that never stopped. A snapshot records whether its run had a
-// static prefilter active, but not the mask itself (it is derived from
-// the generated program, which a trace does not carry) — so resuming a
-// prefiltered run warns that monitoring continues unfiltered, and
-// -static-prefilter alongside -resume warns that it is ignored rather
-// than silently dropping the flag.
+// run that never stopped. A static prefilter is not recorded: a sound
+// filter only leaves the certified locations' state empty, and no
+// access can race there, so a checkpoint of a -static-prefilter run
+// resumes over the -emit trace, unfiltered, with the same reports.
 //
 // Telemetry: -stats-addr ADDR serves the live obs-registry snapshot
 // over HTTP while the run ingests, through obshttp.Serve, the endpoint
@@ -273,13 +278,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racemon: -emit does not monitor, so -predicate has no effect; drop it or monitor the trace instead")
 		os.Exit(2)
 	}
-	fatalMsg, warn := staticFilterDecision(*staticPrefilter, *traceFile, *emitFile, *resumeFile)
-	if fatalMsg != "" {
-		fmt.Fprintln(os.Stderr, "racemon: "+fatalMsg)
+	if msg := staticFilterDecision(*staticPrefilter, *traceFile, *emitFile, work.Skew); msg != "" {
+		fmt.Fprintln(os.Stderr, "racemon: "+msg)
 		os.Exit(2)
-	}
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, "racemon: "+warn)
 	}
 	if *traceFile == "" {
 		// Generated modes: refuse a workload the generator or the wire
@@ -485,9 +486,6 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 		if err := tr.ResumeAt(snap); err != nil {
 			fatalf("resume %s: %v", name, err)
 		}
-		if snap.StaticFiltered() {
-			fmt.Fprintln(os.Stderr, "racemon: resume: the snapshotted run had a static prefilter active; the mask is not recorded, so monitoring continues unfiltered from here")
-		}
 		m = snap.Open(cfg)
 		requested := predict.Spec{Pred: cfg.Predicate, K: cfg.WindowK}
 		if warn := predicateOverrideWarning(requested, m.Predicate(), m.WindowK()); warn != "" {
@@ -547,29 +545,23 @@ func predicateOverrideWarning(requested predict.Spec, pred monitor.Predicate, k 
 	return fmt.Sprintf("-predicate %s ignored: the snapshot was taken under %s, which is authoritative on -resume", requested, restored)
 }
 
-// staticFilterDecision decides what to do with -static-prefilter
-// outside the generated modes. The flag analyses the generated
-// program, so with -emit or a plain -trace it is a configuration
-// error. With -trace -resume, though, the natural reading is "resume
-// my prefiltered run" — the mask cannot be reconstructed from a trace
-// (it is derived from the program, which the wire format does not
-// carry), but exiting would make resumption of prefiltered runs
-// impossible, and silently dropping the flag would hide that the
-// resumed half monitors unfiltered. So that combination proceeds with
-// a warning.
-func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string) (fatal, warning string) {
-	if !prefilter {
-		return "", ""
-	}
+// staticFilterDecision refuses -static-prefilter wherever the program's
+// certificate does not cover the monitored stream: -emit and -trace
+// (a trace does not carry its program, with or without -resume) and a
+// -skew stream, whose redirected accesses reach locations the program's
+// threads never touch — filtering those would drop real races.
+func staticFilterDecision(prefilter bool, traceFile, emitFile string, skew float64) string {
 	switch {
+	case !prefilter:
+		return ""
 	case emitFile != "":
-		return "-static-prefilter analyses the generated program; it cannot be used with -emit", ""
-	case traceFile != "" && resumeFile == "":
-		return "-static-prefilter analyses the generated program; it cannot be used with -trace", ""
+		return "-static-prefilter analyses the generated program; it cannot be used with -emit"
 	case traceFile != "":
-		return "", "-static-prefilter ignored: the filter mask is derived from the generated program and is not recorded in snapshots or traces, so the resumed run monitors unfiltered (reports may include locations the original run skipped)"
+		return "-static-prefilter analyses the generated program; it cannot be used with -trace"
+	case skew != 0:
+		return "-static-prefilter certifies the program's traces, and -skew redirects accesses outside them; drop one"
 	default:
-		return "", ""
+		return ""
 	}
 }
 

@@ -14,36 +14,30 @@ import (
 )
 
 // TestStaticFilterDecision pins the -static-prefilter interactions:
-// hard errors for -emit and plain -trace (the flag analyses the
-// generated program), a warning — never silence — for -trace -resume
-// (resuming a prefiltered run is legitimate, but the mask cannot be
-// reconstructed from a trace).
+// the flag analyses the generated program, so it is a hard error
+// wherever the monitored stream is not one of that program's traces —
+// -emit, -trace with or without -resume, and -skew.
 func TestStaticFilterDecision(t *testing.T) {
 	cases := []struct {
-		name                 string
-		prefilter            bool
-		trace, emit, resume  string
-		fatalHas, warningHas string
+		name        string
+		prefilter   bool
+		trace, emit string
+		skew        float64
+		fatalHas    string
 	}{
-		{name: "off", trace: "t.ldtr", resume: "s.ldck"},
+		{name: "off", trace: "t.ldtr", skew: 1.2},
 		{name: "generated", prefilter: true},
 		{name: "emit-fatal", prefilter: true, emit: "t.ldtr", fatalHas: "-emit"},
 		{name: "trace-fatal", prefilter: true, trace: "t.ldtr", fatalHas: "-trace"},
-		{name: "resume-warns", prefilter: true, trace: "t.ldtr", resume: "s.ldck", warningHas: "unfiltered"},
+		{name: "skew-fatal", prefilter: true, skew: 1.2, fatalHas: "-skew"},
 	}
 	for _, tc := range cases {
-		fatal, warn := staticFilterDecision(tc.prefilter, tc.trace, tc.emit, tc.resume)
+		fatal := staticFilterDecision(tc.prefilter, tc.trace, tc.emit, tc.skew)
 		if tc.fatalHas == "" && fatal != "" {
 			t.Errorf("%s: unexpected fatal %q", tc.name, fatal)
 		}
 		if tc.fatalHas != "" && !strings.Contains(fatal, tc.fatalHas) {
 			t.Errorf("%s: fatal %q does not mention %s", tc.name, fatal, tc.fatalHas)
-		}
-		if tc.warningHas == "" && warn != "" {
-			t.Errorf("%s: unexpected warning %q", tc.name, warn)
-		}
-		if tc.warningHas != "" && !strings.Contains(warn, tc.warningHas) {
-			t.Errorf("%s: warning %q does not mention %s", tc.name, warn, tc.warningHas)
 		}
 	}
 }
@@ -59,43 +53,35 @@ func buildRacemon(t *testing.T) string {
 	return bin
 }
 
-// TestStaticPrefilterResumeCLI runs the real binary through the
-// satellite scenario: resuming a checkpointed -trace run with
-// -static-prefilter must warn on stderr and proceed (exit 0), while a
-// plain -trace with the flag stays a hard configuration error.
+// TestStaticPrefilterResumeCLI: a snapshot does not record a static
+// prefilter, and needs not: a -static-prefilter run's checkpoint
+// resumes over the -emit trace of the same workload, unfiltered, to the
+// uninterrupted filtered run's report set. -static-prefilter itself is
+// a configuration error with -trace, with or without -resume.
 func TestStaticPrefilterResumeCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildRacemon(t)
 	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.ldtr")
-	if out, err := exec.Command(bin, "-events", "2000", "-emit", trace).CombinedOutput(); err != nil {
-		t.Fatalf("emit: %v\n%s", err, out)
+	work := []string{"-events", "20000", "-threads", "4", "-policy", "bursty", "-private-locs", "4", "-private-pct", "60"}
+	golden := filepath.Join(dir, "golden.json")
+	if out, err := exec.Command(bin, append(work, "-static-prefilter", "-golden", golden, "-update-golden")...).CombinedOutput(); err != nil {
+		t.Fatalf("filtered run: %v\n%s", err, out)
 	}
 	ck := filepath.Join(dir, "snap.ldck")
-	if out, err := exec.Command(bin, "-trace", trace, "-checkpoint", ck, "-checkpoint-at", "1000").CombinedOutput(); err != nil {
-		t.Fatalf("checkpoint: %v\n%s", err, out)
+	if out, err := exec.Command(bin, append(work, "-static-prefilter", "-checkpoint", ck, "-checkpoint-at", "10000")...).CombinedOutput(); err != nil {
+		t.Fatalf("filtered checkpoint: %v\n%s", err, out)
 	}
-
-	cmd := exec.Command(bin, "-trace", trace, "-resume", ck, "-static-prefilter")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("resume with -static-prefilter must warn, not fail: %v\n%s", err, stderr.String())
+	trace := filepath.Join(dir, "t.ldtr")
+	if out, err := exec.Command(bin, append(work, "-emit", trace)...).CombinedOutput(); err != nil {
+		t.Fatalf("emit: %v\n%s", err, out)
 	}
-	if !strings.Contains(stderr.String(), "-static-prefilter ignored") {
-		t.Fatalf("no warning on stderr:\n%s", stderr.String())
+	if s := jsonSummary(t, bin, "-trace", trace, "-resume", ck, "-golden", golden); s.RaceCount == 0 || s.Events != 20000 {
+		t.Fatalf("unfiltered resume: %d races over %d events, want the golden's over 20000", s.RaceCount, s.Events)
 	}
-
-	cmd = exec.Command(bin, "-trace", trace, "-static-prefilter")
-	stderr.Reset()
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("plain -trace with -static-prefilter: err=%v, want exit 2\n%s", err, stderr.String())
-	}
+	wantExit2(t, bin, "-trace", trace, "-resume", ck, "-static-prefilter")
+	wantExit2(t, bin, "-trace", trace, "-static-prefilter")
 }
 
 // TestPredicateResumeCLI: a checkpoint taken under -predicate short:16
@@ -162,6 +148,14 @@ func TestGeneratedFlagsCLI(t *testing.T) {
 		{"-stale", "101"},
 		{"-skew", "NaN"},
 		{"-emit", filepath.Join(dir, "t.ldtr"), "-stale", "101"},
+		// -skew sends accesses outside the program's traces, which the
+		// static certificate does not cover.
+		{"-skew", "1.2", "-static-prefilter", "-checkpoint", ck},
+		{"-skew", "1.2", "-static-prefilter", "-private-locs", "4", "-private-pct", "60"},
+		// Each field within its limit, the header over the format's
+		// 1 MiB budget.
+		{"-locs", "60000", "-threads", "2", "-atomics", "0", "-ra", "0"},
+		{"-emit", filepath.Join(dir, "t.ldtr"), "-locs", "60000", "-threads", "2", "-atomics", "0", "-ra", "0"},
 	} {
 		// The case's own flags come last, so they win over the default.
 		wantExit2(t, bin, append([]string{"-events", "1000"}, args...)...)

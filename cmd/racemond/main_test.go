@@ -121,6 +121,7 @@ func TestFlagErrorsCLI(t *testing.T) {
 		append(drive, "-stale", "101"),
 		append(drive, "-stale", "-5"),
 		append(drive, "-policy", "lifo"),
+		append(drive, "-locs", "60000", "-threads", "2", "-atomics", "0", "-ra", "0"), // header over 1 MiB
 		append(drive, "-backoff", "-1s"),
 		{"-addr", "127.0.0.1:0", "-max-sessions", "-1"},
 		{"-addr", "127.0.0.1:0", "-ckpt-ring", "-1"},

@@ -146,7 +146,7 @@
 // serialises the complete live state — thread and release clocks,
 // epoch-or-vector per-location last-access state, dedup bitmasks, live
 // RA messages, the GC frontier and interval, and the halt
-// set — in a versioned, self-describing framed binary format ("LDCK");
+// set — in a versioned binary format ("LDCK"), one flat stream of fields;
 // monitor.ReadSnapshot then Snapshot.Open rebuild a monitor that
 // finishes the stream with reports and RAStats byte-identical to a run
 // that never stopped. The
@@ -165,9 +165,10 @@
 // nothing else: it holds no trace position, so a checkpoint taken over
 // a generated run, a binary trace or a text trace of the same stream is
 // one set of bytes, and TraceReader.ResumeAt resumes it over either
-// trace format by skipping the events it covers. The
-// snapshot decoder validates everything and errors (never panics) on
-// malformed input — fuzzed, like the trace decoder. The metamorphic
+// trace format by skipping the events it covers. The stream has no
+// section framing: the decoder reads it field by field, validates
+// every field and errors (never panics) on malformed input, naming the
+// part and field — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
 // grid split point of all 210 schedgen streams (every tenth seed
 // Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default}
@@ -202,9 +203,12 @@
 // the internal/monitor bench BenchmarkSchedulePrivate/prefilter-on
 // exercise it) skip all
 // race-checker work for certified locations — by soundness the
-// reports, RAStats and snapshot bytes are proven identical with the
-// filter on, sequentially and at every shard count; only the time
-// changes. Second, certificate-strengthened compiler reorderings:
+// reports and RAStats are proven identical with the filter on,
+// sequentially and at every shard count, and a filtered monitor's
+// snapshot (which does not record the filter) resumes with or without
+// it to the same reports; only the time changes. The certificate
+// covers the program's traces only, so racemon refuses the filter with
+// -skew, whose redirected accesses leave them. Second, certificate-strengthened compiler reorderings:
 // CanReorderCert / DeriveOptimisationCert relax exactly the poRW
 // constraint — the one §7.1 rule that exists to protect racy read
 // values — when the certificate proves both locations race-free,

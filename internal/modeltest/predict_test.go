@@ -215,7 +215,7 @@ type predOutcome struct {
 // TestPredictSplitResumeParity extends the checkpoint metamorphic
 // harness to the predictive predicates: a snapshot taken under
 // -predicate syncp or short:k (the window state rides the snapshot's
-// predict section) must resume — sequentially and into pipelines at
+// predict part) must resume — sequentially and into pipelines at
 // every shard count, which need no predicate configuration because the
 // checkpointed predicate is authoritative — to the exact unsplit
 // outcome, including window telemetry; and a snapshot of a restored

@@ -444,9 +444,7 @@ type Monitor struct {
 	// staticSkip, when non-nil, marks nonatomic locations a sound static
 	// certificate proved race-free; their events bypass the checker (see
 	// staticfilter.go), or, on a sharded monitor, are not routed.
-	// The mask itself is never serialised into snapshots, but a snapshot
-	// records THAT a filter was active, so a resume without one can warn
-	// (see the predict section in snapshot.go).
+	// Snapshots do not record it.
 	staticSkip []bool
 	// pred is the race predicate decided (predict.go); windowK and win
 	// carry the PredShort distance bound and candidate window. Unlike

@@ -259,7 +259,7 @@ func TestSnapshotMetrics(t *testing.T) {
 
 // TestSnapshotDecodeBytesExact: decode_bytes records the bytes the
 // snapshot occupies, not what the decoder's buffered reader pulled in
-// from a stream that goes on past the end section.
+// from a stream that goes on past the end byte.
 func TestSnapshotDecodeBytesExact(t *testing.T) {
 	decls, events := raWorkload(5, 12, 20_000, 7)
 	m := New(5, decls)

@@ -15,7 +15,9 @@ import (
 // interval, predicate and static filter applied. cfg.Shards is clamped
 // to the number of nonatomic locations (a back-end with no location to
 // own would only replay clock deltas); at most one shard gives a
-// sequential monitor, more a sharded one.
+// sequential monitor, more a sharded one — except under PredShort,
+// whose window in the front-end checks every nonatomic access, so a
+// short:k monitor always runs sequentially.
 func Open(hdr Header, cfg PipelineConfig) *Monitor {
 	return newFor(hdr.Threads, hdr.Decls, cfg).open(cfg)
 }
@@ -42,10 +44,12 @@ func newFor(nthreads int, decls []LocDecl, cfg PipelineConfig) *Monitor {
 }
 
 // open is the tail both Opens share: clamp the shards, then configure
-// the monitor in place, with back-ends above one shard.
+// the monitor in place, with back-ends above one shard unless the
+// monitor runs PredShort (its back-ends would get no access to check,
+// only clock deltas to replay).
 func (m *Monitor) open(cfg PipelineConfig) *Monitor {
 	cfg.Shards = clampShards(m.decls, cfg.Shards)
-	if cfg.Shards > 1 {
+	if cfg.Shards > 1 && m.pred != PredShort {
 		m.shard(cfg)
 	} else {
 		m.configure(cfg)

@@ -75,3 +75,57 @@ func TestResumeAt(t *testing.T) {
 		t.Fatal("resumed a trace with a different header")
 	}
 }
+
+// TestOpenShortSequential: under short:k the front-end's window checks
+// every nonatomic access, so Open and Snapshot.Open run the monitor
+// without back-ends at any shard count, with the reports and snapshot
+// bytes of the 1-shard monitor.
+func TestOpenShortSequential(t *testing.T) {
+	decls, events := raWorkload(5, 12, 10_000, 17)
+	hdr := Header{Threads: 5, Decls: decls}
+	cfg := func(shards int) PipelineConfig {
+		return PipelineConfig{Shards: shards, Predicate: PredShort, WindowK: 64}
+	}
+	snap := func(m *Monitor) []byte {
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := Open(hdr, cfg(1)), Open(hdr, cfg(4))
+	if four.BackendLoads() != nil {
+		t.Fatalf("short:64 at 4 shards started back-ends: loads %v", four.BackendLoads())
+	}
+	const k = 4_321
+	one.StepBatch(events[:k])
+	four.StepBatch(events[:k])
+	mid := snap(one)
+	if !bytes.Equal(snap(four), mid) {
+		t.Fatal("snapshot at 4 shards differs from the 1-shard one")
+	}
+	s, err := ReadSnapshot(bytes.NewReader(mid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := s.Open(cfg(4))
+	if resumed.BackendLoads() != nil {
+		t.Fatalf("resumed short:64 at 4 shards started back-ends: loads %v", resumed.BackendLoads())
+	}
+	for _, m := range []*Monitor{one, four, resumed} {
+		m.StepBatch(events[k:])
+	}
+	end := snap(one)
+	want := one.Finish()
+	if len(want) == 0 {
+		t.Fatal("workload has no short:64 race; not a useful fixture")
+	}
+	for name, m := range map[string]*Monitor{"4 shards": four, "resumed at 4 shards": resumed} {
+		if !bytes.Equal(snap(m), end) {
+			t.Fatalf("%s: final snapshot differs from the 1-shard one", name)
+		}
+		if got := m.Finish(); !race.ReportsEqual(got, want) {
+			t.Fatalf("%s: reports diverged\ngot  %v\nwant %v", name, got, want)
+		}
+	}
+}

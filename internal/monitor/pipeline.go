@@ -92,8 +92,8 @@ type PipelineConfig struct {
 	// static certificate (internal/staticrace) proved race-free; their
 	// accesses are not routed to the back-ends at all (see
 	// staticfilter.go for the soundness contract). Length must equal the
-	// declaration count. Reports, RAStats and snapshots are identical
-	// with or without a sound filter.
+	// declaration count. Reports and RAStats are identical with or
+	// without a sound filter.
 	StaticFilter []bool
 	// Predicate selects the race definition (see Monitor.SetPredicate
 	// and predict.go): PredHB (default), PredSyncP, or PredShort with

@@ -45,7 +45,7 @@ package monitor
 // window lives in the synchronisation half (nonatomic accesses are not
 // routed to back-ends — the window needs the global event index, which
 // only the front-end has), and its state serialises in the snapshot's
-// predict section so split/resume stays byte-identical.
+// predict part so split/resume stays byte-identical.
 
 // Predicate selects the race definition a monitor decides. The zero
 // value is the observed-trace happens-before predicate.

@@ -194,7 +194,8 @@ func TestShardedMidStreamParity(t *testing.T) {
 		k    int
 	}{{monitor.PredHB, 0}, {monitor.PredSyncP, 0}, {monitor.PredShort, 64}} {
 		seq := monitor.Open(hdr, monitor.PipelineConfig{Predicate: pc.pred, WindowK: pc.k})
-		sh := monitor.Open(hdr, monitor.PipelineConfig{Shards: 4, Predicate: pc.pred, WindowK: pc.k})
+		// NewPipeline, unlike Open, shards a short:k monitor too.
+		sh := monitor.NewPipeline(hdr.Threads, hdr.Decls, monitor.PipelineConfig{Shards: 4, Predicate: pc.pred, WindowK: pc.k})
 		if len(sh.BackendLoads()) != 4 || seq.BackendLoads() != nil {
 			t.Fatalf("%v: want a 4-shard and a sequential monitor", pc.pred)
 		}

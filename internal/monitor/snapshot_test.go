@@ -497,89 +497,100 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 	}
 }
 
-// snapSection frames one section for hand-built malformed snapshots.
-func snapSection(tag byte, payload []byte) []byte {
-	out := []byte{tag}
-	out = appendUvarint(out, uint64(len(payload)))
-	return append(out, payload...)
+// snapParts is a hand-built snapshot, part by part in stream order, so
+// a test can corrupt one field of one part.
+type snapParts struct {
+	header, sync, clocks, atomic, ra, na, predict []byte
+	end                                           byte
 }
 
-// syncSection builds a sync section with the given schedule and RA
-// peak, no RA collected and no thread halted.
-func syncSection(events, gcEvery, nextGC, raPeak uint64) []byte {
-	var sy []byte
-	for _, v := range []uint64{events, gcEvery, nextGC, raPeak, 0} { // raCollected 0
-		sy = appendUvarint(sy, v)
+func (p *snapParts) bytes() []byte {
+	out := append([]byte(snapMagic), snapVersion)
+	for _, part := range [][]byte{p.header, p.sync, p.clocks, p.atomic, p.ra, p.na, p.predict} {
+		out = append(out, part...)
 	}
-	return append(sy, 0) // halted bitset
+	return append(out, p.end)
 }
 
-// minimalSnapshot hand-builds a valid 1-thread, 1-NA-location snapshot,
-// with hooks to corrupt individual sections.
-func minimalSnapshot(mutate func(sections map[byte][]byte)) []byte {
-	sections := map[byte][]byte{}
-	var h []byte
-	h = appendUvarint(h, 1) // threads
-	h = appendUvarint(h, 1) // nlocs
-	h = appendUvarint(h, 1) // name len
-	h = append(h, 'x')
-	h = append(h, byte(prog.NonAtomic))
-	sections[snapTagHeader] = h
-	sections[snapTagSync] = syncSection(10, 4096, 4106, 0)
-	var cl []byte
-	cl = appendUvarint(cl, 10) // clocks[0][0]
-	cl = appendUvarint(cl, 3)  // minClock[0]
-	sections[snapTagClocks] = cl
-	sections[snapTagAtomic] = []byte{}
-	sections[snapTagRA] = []byte{}
-	var na []byte
-	na = append(na, 0)         // flags
-	na = appendVarint(na, 0)   // wT = thread 0
-	na = appendUvarint(na, 10) // wC
-	na = appendVarint(na, -1)  // rT = noEpoch
-	na = appendUvarint(na, 0)  // rC
-	na = appendVarint(na, 0)   // lastT
-	sections[snapTagNA] = na
+// uvarints appends each value as a uvarint.
+func uvarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = appendUvarint(b, v)
+	}
+	return b
+}
+
+// syncPart builds a sync part with the given schedule and RA peak, no
+// RA collected and no thread halted.
+func syncPart(events, gcEvery, nextGC, raPeak uint64) []byte {
+	return append(uvarints(nil, events, gcEvery, nextGC, raPeak, 0), 0) // raCollected 0, halted bitset
+}
+
+// naPart builds one NA location's state: flags, write epoch (thread
+// wT, clock 10), no read epoch, last thread 0, then extra (a vector or
+// masks).
+func naPart(flags byte, wT int64, extra ...byte) []byte {
+	na := appendVarint([]byte{flags}, wT)
+	na = appendUvarint(na, 10)  // wC
+	na = appendVarint(na, -1)   // rT = noEpoch
+	na = appendUvarint(na, 0)   // rC
+	na = appendVarint(na, 0)    // lastT
+	return append(na, extra...) // vector or masks
+}
+
+// winPart encodes one short:k window entry of thread 0.
+func winPart(gidx uint64, write byte) []byte {
+	return append(uvarints(nil, gidx, 1, 0), write) // epoch 1, thread 0
+}
+
+// shortPredict builds a PredShort predict part for the one NA location:
+// window k, the given entries, no masks, then peak and pruned 0.
+func shortPredict(k uint64, peak uint64, entries ...[]byte) []byte {
+	p := uvarints([]byte{byte(PredShort)}, k, uint64(len(entries)))
+	for _, e := range entries {
+		p = append(p, e...)
+	}
+	p = append(p, 0) // mask flag
+	return uvarints(p, peak, 0)
+}
+
+// minimalSnapshot hand-builds a valid 1-thread, 1-NA-location snapshot
+// at event 10, with a hook to corrupt individual fields.
+func minimalSnapshot(mutate func(p *snapParts)) []byte {
+	p := &snapParts{
+		header:  append(uvarints(nil, 1, 1, 1), 'x', byte(prog.NonAtomic)), // 1 thread, 1 location "x"
+		sync:    syncPart(10, 4096, 4106, 0),
+		clocks:  uvarints(nil, 10, 3), // clocks[0][0], minClock[0]
+		na:      naPart(0, 0),
+		predict: []byte{byte(PredHB)},
+		end:     snapEnd,
+	}
 	if mutate != nil {
-		mutate(sections)
+		mutate(p)
 	}
-	out := []byte(snapMagic)
-	out = append(out, snapVersion)
-	for _, tag := range []byte{snapTagHeader, snapTagSync, snapTagClocks, snapTagAtomic, snapTagRA, snapTagNA} {
-		if p, ok := sections[tag]; ok {
-			out = append(out, snapSection(tag, p)...)
-		}
-	}
-	return append(out, snapSection(snapTagEnd, nil)...)
+	return p.bytes()
 }
 
 // withRAMessage adds a release-acquire location R holding one live
 // message to the minimal snapshot, with the given recorded RA peak.
-func withRAMessage(raPeak uint64) func(s map[byte][]byte) {
-	return func(s map[byte][]byte) {
-		var h []byte
-		h = appendUvarint(h, 1) // threads
-		h = appendUvarint(h, 2) // nlocs
-		h = appendUvarint(h, 1)
-		h = append(h, 'x', byte(prog.NonAtomic))
-		h = appendUvarint(h, 1)
-		h = append(h, 'R', byte(prog.ReleaseAcquire))
-		s[snapTagHeader] = h
-		s[snapTagSync] = syncSection(10, 4096, 4106, raPeak)
-		var ra []byte
-		ra = appendUvarint(ra, 1) // one message
-		ra = appendVarint(ra, 1)  // num
-		ra = appendUvarint(ra, 1) // den
-		ra = appendUvarint(ra, 0) // writer
-		ra = appendUvarint(ra, 7) // its clock
-		s[snapTagRA] = ra
+func withRAMessage(raPeak uint64) func(p *snapParts) {
+	return func(p *snapParts) {
+		h := uvarints(nil, 1, 2) // 1 thread, 2 locations
+		h = append(appendUvarint(h, 1), 'x', byte(prog.NonAtomic))
+		h = append(appendUvarint(h, 1), 'R', byte(prog.ReleaseAcquire))
+		p.header = h
+		p.sync = syncPart(10, 4096, 4106, raPeak)
+		ra := appendUvarint(nil, 1)  // one message
+		ra = appendVarint(ra, 1)     // num
+		p.ra = uvarints(ra, 1, 0, 7) // den, writer, its clock
 	}
 }
 
 // TestRestoreValidates: the decoder errors — never panics — on the
 // format's failure shapes: truncation anywhere, clock-count mismatches,
 // escalated epochs without vectors, out-of-range fields, bad masks, a
-// GC schedule no monitor keeps, and an RA peak below the live count.
+// GC schedule no monitor keeps, an RA peak below the live count, a
+// malformed short:k window and a bad predicate or end byte.
 func TestRestoreValidates(t *testing.T) {
 	valid := minimalSnapshot(nil)
 	if _, err := ReadSnapshot(bytes.NewReader(valid)); err != nil {
@@ -591,11 +602,13 @@ func TestRestoreValidates(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
-	// The schedule's edges and a live RA message under its peak are
-	// valid.
-	for name, mutate := range map[string]func(s map[byte][]byte){
-		"nextGC one event ahead": func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 11, 0) },
+	// The schedule's edges, a live RA message under its peak, and a
+	// short:k window at its peak are valid.
+	for name, mutate := range map[string]func(p *snapParts){
+		"nextGC one event ahead": func(p *snapParts) { p.sync = syncPart(10, 4096, 11, 0) },
 		"RA peak at live count":  withRAMessage(1),
+		"syncp":                  func(p *snapParts) { p.predict = []byte{byte(PredSyncP)} },
+		"short window":           func(p *snapParts) { p.predict = shortPredict(4, 2, winPart(8, 1), winPart(8, 0)) },
 	} {
 		if _, err := ReadSnapshot(bytes.NewReader(minimalSnapshot(mutate))); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
@@ -603,64 +616,36 @@ func TestRestoreValidates(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(s map[byte][]byte)
+		mutate func(p *snapParts)
 	}{
-		{"clock count short", func(s map[byte][]byte) {
-			var cl []byte
-			cl = appendUvarint(cl, 10) // missing minClock entry
-			s[snapTagClocks] = cl
-		}},
-		{"clock section trailing bytes", func(s map[byte][]byte) {
-			s[snapTagClocks] = appendUvarint(s[snapTagClocks], 99)
-		}},
-		{"escalated write without vector", func(s map[byte][]byte) {
-			var na []byte
-			na = append(na, 0)
-			na = appendVarint(na, -2) // escalated
-			na = appendUvarint(na, 10)
-			na = appendVarint(na, -1)
-			na = appendUvarint(na, 0)
-			na = appendVarint(na, 0)
-			s[snapTagNA] = na
-		}},
-		{"epoch thread out of range", func(s map[byte][]byte) {
-			var na []byte
-			na = append(na, 0)
-			na = appendVarint(na, 7) // thread 7 of 1
-			na = appendUvarint(na, 10)
-			na = appendVarint(na, -1)
-			na = appendUvarint(na, 0)
-			na = appendVarint(na, 0)
-			s[snapTagNA] = na
-		}},
-		{"bad mask bits", func(s map[byte][]byte) {
-			var na []byte
-			na = append(na, 4) // reported flag
-			na = appendVarint(na, 0)
-			na = appendUvarint(na, 10)
-			na = appendVarint(na, -1)
-			na = appendUvarint(na, 0)
-			na = appendVarint(na, 0)
-			na = append(na, 0xF0) // mask byte with unknown bits
-			s[snapTagNA] = na
-		}},
-		{"gcEvery zero", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 0, 4106, 0) }},
-		{"nextGC never due", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, math.MaxUint64, 0) }},
-		{"nextGC behind events", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 3, 0) }},
-		{"nextGC at events", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 10, 0) }},
-		{"nextGC past one interval", func(s map[byte][]byte) { s[snapTagSync] = syncSection(10, 4096, 4107, 0) }},
-		{"nextGC behind events, interval wraps", func(s map[byte][]byte) {
-			s[snapTagSync] = syncSection(10, math.MaxUint64, 9, 0)
-		}},
+		{"clock count short", func(p *snapParts) { p.clocks = uvarints(nil, 10) }}, // missing minClock entry
+		{"clock count long", func(p *snapParts) { p.clocks = uvarints(p.clocks, 99) }},
+		{"escalated write without vector", func(p *snapParts) { p.na = naPart(0, -2) }},
+		{"epoch thread out of range", func(p *snapParts) { p.na = naPart(0, 7) }}, // thread 7 of 1
+		{"unknown NA flag bits", func(p *snapParts) { p.na = naPart(8, 0) }},
+		{"bad mask bits", func(p *snapParts) { p.na = naPart(4, 0, 0xF0) }}, // reported, a mask byte with unknown bits
+		{"gcEvery zero", func(p *snapParts) { p.sync = syncPart(10, 0, 4106, 0) }},
+		{"nextGC never due", func(p *snapParts) { p.sync = syncPart(10, 4096, math.MaxUint64, 0) }},
+		{"nextGC behind events", func(p *snapParts) { p.sync = syncPart(10, 4096, 3, 0) }},
+		{"nextGC at events", func(p *snapParts) { p.sync = syncPart(10, 4096, 10, 0) }},
+		{"nextGC past one interval", func(p *snapParts) { p.sync = syncPart(10, 4096, 4107, 0) }},
+		{"nextGC behind events, interval wraps", func(p *snapParts) { p.sync = syncPart(10, math.MaxUint64, 9, 0) }},
 		{"RA peak below live count", withRAMessage(0)},
-		{"halted bitset ghost bits", func(s map[byte][]byte) {
-			sy := bytes.Clone(s[snapTagSync])
-			sy[len(sy)-1] = 0x80 // bit 7 of a 1-thread set
-			s[snapTagSync] = sy
+		{"halted bitset ghost bits", func(p *snapParts) { p.sync[len(p.sync)-1] = 0x80 }}, // bit 7 of a 1-thread set
+		{"window k under syncp", func(p *snapParts) { p.predict = []byte{byte(PredSyncP), 4} }},
+		{"window k zero", func(p *snapParts) { p.predict = shortPredict(0, 0) }},
+		{"window out of FIFO order", func(p *snapParts) { p.predict = shortPredict(4, 2, winPart(9, 1), winPart(8, 1)) }},
+		{"window entry beyond event count", func(p *snapParts) { p.predict = shortPredict(4, 1, winPart(11, 1)) }},
+		{"window write flag not 0 or 1", func(p *snapParts) { p.predict = shortPredict(4, 1, winPart(8, 2)) }},
+		{"window peak below live count", func(p *snapParts) { p.predict = shortPredict(4, 1, winPart(8, 1), winPart(9, 1)) }},
+		{"window entry thread out of range", func(p *snapParts) {
+			p.predict = shortPredict(4, 1, append(uvarints(nil, 8, 1, 1), 1)) // thread 1 of 1
 		}},
-		{"missing section", func(s map[byte][]byte) {
-			delete(s, snapTagRA)
+		{"window mask flag not 0 or 1", func(p *snapParts) {
+			p.predict = shortPredict(4, 0)
+			p.predict[len(p.predict)-3] = 2
 		}},
+		{"end byte", func(p *snapParts) { p.end = 0 }},
 	}
 	for _, tc := range cases {
 		data := minimalSnapshot(tc.mutate)
@@ -671,23 +656,28 @@ func TestRestoreValidates(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("LDTR\x02"))); err == nil {
 		t.Error("wire magic accepted as snapshot")
 	}
-	// Tag 7, version 2's trace-reader section, is no section of version
-	// 3: a snapshot carrying one before the end section is malformed.
-	withReader := append(bytes.Clone(valid[:len(valid)-2]), snapSection(7, []byte{0})...)
-	withReader = append(withReader, snapSection(snapTagEnd, nil)...)
-	const wantEnd = "monitor: snapshot: want end section (tag 0), got tag 7"
-	if _, err := ReadSnapshot(bytes.NewReader(withReader)); err == nil || err.Error() != wantEnd {
-		t.Errorf("reader section: got error %v, want %q", err, wantEnd)
+	// Errors name the part and the field: a byte 7 where the predicate
+	// goes (version 2's trace-reader section tag) and a cut inside the
+	// sync part.
+	withSeven := minimalSnapshot(func(p *snapParts) { p.predict = []byte{7} })
+	const wantPred = "monitor: snapshot predict: unknown predicate 7"
+	if _, err := ReadSnapshot(bytes.NewReader(withSeven)); err == nil || err.Error() != wantPred {
+		t.Errorf("predicate 7: got error %v, want %q", err, wantPred)
 	}
-	// Version 3 is the only one decoded: pin the errors for the retired
-	// versions 1 and 2 and for a future version.
+	cut := valid[:len(snapMagic)+1+5+3] // magic, version, header, events, gcEvery
+	const wantCut = "monitor: snapshot sync: nextGC: unexpected EOF"
+	if _, err := ReadSnapshot(bytes.NewReader(cut)); err == nil || err.Error() != wantCut {
+		t.Errorf("cut sync part: got error %v, want %q", err, wantCut)
+	}
+	// Version 4 is the only one decoded: pin the errors for the retired
+	// versions 1 to 3 and for a future version.
 	withVersion := func(ver byte) []byte {
 		b := bytes.Clone(valid)
 		b[len(snapMagic)] = ver
 		return b
 	}
-	for _, ver := range []byte{1, 2, 99} {
-		want := fmt.Sprintf("monitor: snapshot: unsupported version %d (have 3)", ver)
+	for _, ver := range []byte{1, 2, 3, 99} {
+		want := fmt.Sprintf("monitor: snapshot: unsupported version %d (have 4)", ver)
 		if _, err := ReadSnapshot(bytes.NewReader(withVersion(ver))); err == nil || err.Error() != want {
 			t.Errorf("version %d: got error %v, want %q", ver, err, want)
 		}
@@ -750,14 +740,12 @@ func TestSnapshotSizeBounded(t *testing.T) {
 	t.Logf("snapshot bytes at 100k-event checkpoints: bounded %v, unbounded control %v", boundedSizes, controlSizes)
 }
 
-// TestSnapshotChunkedSections: states whose per-location payload sums
-// past the ~1 MiB chunk size split across repeated sections, and
-// whatever Snapshot writes, ReadSnapshot accepts — the regression bar
-// for the encoder/decoder asymmetry where a wide monitor (hundreds of
-// threads, many raced locations, or an unbounded-GC RA backlog) wrote a
-// single section larger than the decoder's payload cap, making a
-// successfully written checkpoint unresumable.
-func TestSnapshotChunkedSections(t *testing.T) {
+// TestSnapshotLargeState: a wide monitor's state of several MiB —
+// hundreds of threads, many raced locations with threads² dedup masks,
+// an unbounded-GC RA backlog — round-trips, canonically: whatever
+// Snapshot writes, ReadSnapshot accepts, since no part of the stream
+// has a size cap of its own.
+func TestSnapshotLargeState(t *testing.T) {
 	const threads = 256
 	var decls []LocDecl
 	for i := 0; i < 40; i++ {
@@ -768,13 +756,12 @@ func TestSnapshotChunkedSections(t *testing.T) {
 	m := New(threads, decls)
 	m.SetGCInterval(1 << 62) // retain every RA message
 	// Race every NA location across two threads: each allocates a
-	// threads² = 64 KiB dedup mask, so the NA section alone spans
-	// multiple chunks.
+	// threads² = 64 KiB dedup mask.
 	for l := int32(0); l < raLoc; l++ {
 		m.Step(Event{Thread: int32(l) % threads, Loc: l, Kind: WriteNA})
 		m.Step(Event{Thread: (int32(l) + 1) % threads, Loc: l, Kind: WriteNA})
 	}
-	// And a deep RA backlog so the RA section chunks too.
+	// And a deep RA backlog.
 	for i := int64(1); i <= 2_000; i++ {
 		m.Step(Event{Thread: int32(i) % threads, Loc: raLoc, Kind: WriteRA, Time: ts.FromInt(i)})
 	}
@@ -782,8 +769,8 @@ func TestSnapshotChunkedSections(t *testing.T) {
 	if err := m.Snapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() < 3*snapChunk {
-		t.Fatalf("fixture too small to chunk: %d bytes", a.Len())
+	if a.Len() < 3<<20 {
+		t.Fatalf("fixture too small: %d bytes", a.Len())
 	}
 	restored, err := restore(bytes.NewReader(a.Bytes()))
 	if err != nil {
@@ -794,10 +781,10 @@ func TestSnapshotChunkedSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("chunked snapshot not canonical (%d vs %d bytes)", a.Len(), b.Len())
+		t.Fatalf("large snapshot not canonical (%d vs %d bytes)", a.Len(), b.Len())
 	}
 	if restored.RaceCount() != m.RaceCount() || restored.RAStats() != m.RAStats() {
-		t.Fatalf("chunked restore lost state: races %d/%d, stats %+v/%+v",
+		t.Fatalf("large restore lost state: races %d/%d, stats %+v/%+v",
 			restored.RaceCount(), m.RaceCount(), restored.RAStats(), m.RAStats())
 	}
 }
@@ -806,7 +793,7 @@ func TestSnapshotChunkedSections(t *testing.T) {
 // it accepts must restore a monitor that can consume further events and
 // produce reports without crashing. Seeded with genuine snapshots at
 // several split points (stepped directly and mid-ingestion of a binary
-// trace) plus corruption shapes.
+// trace, under each predicate) plus corruption shapes.
 func FuzzRestore(f *testing.F) {
 	decls, events := raWorkload(4, 8, 2_000, 17)
 	hdr := Header{Threads: 4, Decls: decls}
@@ -857,12 +844,12 @@ func FuzzRestore(f *testing.F) {
 	f.Add(ingested.Bytes())
 	base := snapAt(700)
 	f.Add(base[:len(base)-3]) // truncated
-	f.Add(func() []byte {     // corrupted mid-section
+	f.Add(func() []byte {     // corrupted mid-stream
 		b := bytes.Clone(base)
 		b[len(b)/2] ^= 0xFF
 		return b
 	}())
-	f.Add([]byte("LDCK\x02")) // the retired version 2
+	f.Add([]byte("LDCK\x03")) // the retired version 3
 	f.Add([]byte{})
 
 	// Many live RA messages at non-integer rational timestamps (negative
@@ -898,6 +885,22 @@ func FuzzRestore(f *testing.F) {
 		f.Fatalf("snapshot with a duplicated RA timestamp: got %v, want a duplicate-timestamp error", err)
 	}
 	f.Add(dupRA.Bytes())
+	// The predict part under syncp and under short:k, whose window
+	// entries and masks follow the predicate byte.
+	for _, k := range []int{0, 8} {
+		pm := New(4, decls)
+		if k == 0 {
+			pm.SetPredicate(PredSyncP, 0)
+		} else {
+			pm.SetPredicate(PredShort, k)
+		}
+		pm.StepBatch(events[:700])
+		var buf bytes.Buffer
+		if err := pm.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))

@@ -10,15 +10,15 @@ package monitor
 // an unfiltered one, and its reports are identical by the certificate's
 // soundness — both proven in the modeltest differential matrix.
 //
-// The filter is configuration, like the GC interval: the mask itself
-// is not serialised into snapshots — a restored monitor applies it
-// again via SetStaticFilter / PipelineConfig.StaticFilter. The snapshot
-// does record *whether* a filter was active (Snapshot.StaticFiltered),
-// so a resumer that cannot rebuild the mask can at least warn instead
-// of silently monitoring a filtered prefix unfiltered.
-// Filtered locations keep empty checker state, so filtered sequential
-// and sharded monitors still snapshot byte-identically at the same
-// stream position.
+// The filter is configuration, like the GC interval, and snapshots do
+// not record it. A certified location can never race, so its checker
+// state holds no report; a filtered monitor's snapshot is therefore a
+// valid state for an unfiltered one, and resuming it with or without
+// the filter (SetStaticFilter / PipelineConfig.StaticFilter) yields the
+// same reports. Filtered sequential and sharded monitors snapshot
+// byte-identically at the same stream position. The certificate covers
+// the program's traces only: a stream that is not one (schedgen's
+// LocSkew redirection) must run unfiltered.
 
 import "localdrf/internal/prog"
 

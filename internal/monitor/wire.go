@@ -152,6 +152,17 @@ const (
 	// so the per-dimension limits alone would let a tiny hostile header
 	// demand half a gigabyte before the first event is read.
 	maxWireCells = 1 << 22
+	// maxWireHeaderBytes bounds the header's declared size: the name
+	// bytes plus headerDeclOverhead per declaration must stay below it.
+	// The per-field limits alone admit 65536 locations × 4 KiB names,
+	// ~270 MB a hostile header could make a decoder allocate; both
+	// decoders charge each declaration before allocating its name.
+	maxWireHeaderBytes = 1 << 20
+	// headerDeclOverhead is the fixed per-declaration cost charged on top
+	// of the name bytes (LocDecl bookkeeping, dedup map entry), so a
+	// header of many short names still exhausts the budget in proportion
+	// to the monitor state it would allocate.
+	headerDeclOverhead = 16
 )
 
 // Header is the self-description of a wire-format trace: the thread
@@ -168,8 +179,8 @@ func (h Header) Equal(o Header) bool {
 
 // CheckShape reports whether a trace of the given thread and location
 // counts fits the format's size limits — the first checks every header
-// passes (validateHeader), exported so a producer can refuse an
-// oversized workload before generating any of it.
+// passes (CheckHeader), exported so a producer can refuse an absurdly
+// sized workload before building any of it.
 func CheckShape(threads, locs int) error {
 	if threads < 1 || threads > maxWireThreads {
 		return fmt.Errorf("monitor: trace header: thread count %d out of range [1,%d]", threads, maxWireThreads)
@@ -184,16 +195,33 @@ func CheckShape(threads, locs int) error {
 	return nil
 }
 
-// validateHeader checks the format limits and per-declaration sanity
-// shared by encoder and decoder.
-func validateHeader(hdr Header) error {
+// headerBudget charges one declaration with a name of n bytes to a
+// header whose first i declarations cost *used bytes, and errors once
+// the total reaches maxWireHeaderBytes — the one header-size rule the
+// encoder, both decoders and CheckHeader apply.
+func headerBudget(used *int, n, i int) error {
+	if *used += n + headerDeclOverhead; *used >= maxWireHeaderBytes {
+		return fmt.Errorf("declared sizes exceed the format's %d-byte header budget after %d locations", maxWireHeaderBytes, i)
+	}
+	return nil
+}
+
+// CheckHeader checks the format limits and per-declaration sanity: the
+// rule the encoder and both decoders apply, exported so a producer can
+// refuse a program whose header no trace could carry before generating
+// any of it.
+func CheckHeader(hdr Header) error {
 	if err := CheckShape(hdr.Threads, len(hdr.Decls)); err != nil {
 		return err
 	}
 	seen := make(map[prog.Loc]bool, len(hdr.Decls))
+	used := 0
 	for i, d := range hdr.Decls {
 		if len(d.Name) == 0 || len(d.Name) > maxWireName {
 			return fmt.Errorf("monitor: trace header: location %d has invalid name length %d", i, len(d.Name))
+		}
+		if err := headerBudget(&used, len(d.Name), i); err != nil {
+			return fmt.Errorf("monitor: trace header: %w", err)
 		}
 		// Reject anything the text decoder's tokenizer (strings.Fields,
 		// i.e. unicode.IsSpace) or comment stripping would mangle, so
@@ -305,7 +333,7 @@ func checkHalt(halted *[]bool, threads int, e Event) error {
 // NewTraceWriter validates the header, writes it to w in the chosen
 // format, and returns the event encoder.
 func NewTraceWriter(w io.Writer, hdr Header, format Format) (*TraceWriter, error) {
-	if err := validateHeader(hdr); err != nil {
+	if err := CheckHeader(hdr); err != nil {
 		return nil, err
 	}
 	tw := &TraceWriter{w: bufio.NewWriter(w), hdr: hdr, format: format}
@@ -416,7 +444,7 @@ func (tw *TraceWriter) flushFrame() {
 }
 
 // appendHeader appends the header fields both binary formats share: the
-// trace header after magic and version, and the LDCK header section.
+// trace header after magic and version, and the LDCK header part.
 func appendHeader(b []byte, hdr Header) []byte {
 	b = appendUvarint(b, uint64(hdr.Threads))
 	b = appendUvarint(b, uint64(len(hdr.Decls)))
@@ -429,10 +457,10 @@ func appendHeader(b []byte, hdr Header) []byte {
 }
 
 // readHeader decodes what appendHeader writes, charging each declaration
-// against budget (see ReaderLimits.MaxHeaderBytes; 0 = format caps only)
-// before its name is allocated. Errors name the field; the caller adds
-// the context and runs validateHeader.
-func readHeader(r headerReader, budget int) (Header, error) {
+// against the format's header budget before its name is allocated.
+// Errors name the field; the caller adds the context and runs
+// CheckHeader.
+func readHeader(r headerReader) (Header, error) {
 	field := func(what string, max uint64) (uint64, error) {
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -455,16 +483,14 @@ func readHeader(r headerReader, budget int) (Header, error) {
 		return Header{}, err
 	}
 	hdr := Header{Threads: int(threads)}
-	left := budget
-	for i := uint64(0); i < nlocs; i++ {
+	used := 0
+	for i := 0; i < int(nlocs); i++ {
 		nameLen, err := field("location name length", maxWireName)
 		if err != nil {
 			return Header{}, err
 		}
-		if budget > 0 {
-			if left -= int(nameLen) + headerDeclOverhead; left <= 0 {
-				return Header{}, fmt.Errorf("declared sizes exceed the reader's %d-byte header budget after %d locations", budget, i)
-			}
+		if err := headerBudget(&used, int(nameLen), i); err != nil {
+			return Header{}, err
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
@@ -483,7 +509,7 @@ func readHeader(r headerReader, budget int) (Header, error) {
 }
 
 // headerReader is what readHeader decodes from: the trace reader's
-// buffered reader or a snapshot section cursor.
+// buffered reader or the snapshot decoder.
 type headerReader interface {
 	io.Reader
 	io.ByteReader
@@ -540,46 +566,12 @@ type TraceReader struct {
 	frameBuf []byte
 	batch    []Event
 	cur      int
-	// lim tightens the format caps for untrusted peers (see ReaderLimits).
-	lim ReaderLimits
 }
-
-// ReaderLimits tightens the decoder's allocation caps below the format
-// limits, for readers fed by untrusted network peers. The format caps
-// alone admit headers that are individually valid but collectively
-// enormous: 65536 locations × 4 KiB names is ~270 MB of name bytes a
-// hostile header can demand before validateHeader ever runs. A server
-// decoding traces from the network sets a budget matched to its
-// tenancy; the zero value applies only the format caps (right for
-// trusted local files).
-type ReaderLimits struct {
-	// MaxHeaderBytes caps the total header-declared size: the sum over
-	// location declarations of name length + headerDeclOverhead bytes of
-	// fixed per-declaration cost. Exceeding it is a validation error
-	// raised before the oversized allocation happens. 0 = format caps
-	// only.
-	MaxHeaderBytes int
-}
-
-// headerDeclOverhead is the fixed per-declaration cost MaxHeaderBytes
-// charges on top of the name bytes (LocDecl bookkeeping, dedup map
-// entry), so a header of many empty-ish names still exhausts the budget
-// proportionally to the monitor state it would allocate.
-const headerDeclOverhead = 16
 
 // NewTraceReader sniffs the encoding of r, decodes and validates the
 // header, and returns a reader positioned at the first event.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	return NewTraceReaderLimits(r, ReaderLimits{})
-}
-
-// NewTraceReaderLimits is NewTraceReader with tightened allocation caps
-// for untrusted input (see ReaderLimits).
-func NewTraceReaderLimits(r io.Reader, lim ReaderLimits) (*TraceReader, error) {
-	if lim.MaxHeaderBytes < 0 {
-		return nil, fmt.Errorf("monitor: trace reader: negative ReaderLimits")
-	}
-	tr := &TraceReader{br: bufio.NewReader(r), lim: lim}
+	tr := &TraceReader{br: bufio.NewReader(r)}
 	magic, err := tr.br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
 		if err := tr.readBinaryHeader(); err != nil {
@@ -664,11 +656,11 @@ func (tr *TraceReader) readBinaryHeader() error {
 	if ver := magicVer[len(binaryMagic)]; ver != binaryVersion {
 		return fmt.Errorf("monitor: trace header: unsupported version %d (have %d)", ver, binaryVersion)
 	}
-	hdr, err := readHeader(tr.br, tr.lim.MaxHeaderBytes)
+	hdr, err := readHeader(tr.br)
 	if err != nil {
 		return fmt.Errorf("monitor: trace header: %w", err)
 	}
-	if err := validateHeader(hdr); err != nil {
+	if err := CheckHeader(hdr); err != nil {
 		return err
 	}
 	tr.hdr = hdr
@@ -915,7 +907,7 @@ func (tr *TraceReader) readTextHeader() error {
 	}
 	hdr := Header{Threads: threads}
 	tr.loc = map[string]int32{}
-	budget := tr.lim.MaxHeaderBytes
+	used := 0
 	for {
 		line, ok, err = tr.readLine()
 		if err != nil {
@@ -947,16 +939,13 @@ func (tr *TraceReader) readTextHeader() error {
 		if len(hdr.Decls) >= maxWireLocs {
 			return tr.textErr("more than %d locations", maxWireLocs)
 		}
-		if budget > 0 {
-			if budget -= len(f[1]) + headerDeclOverhead; budget <= 0 {
-				return tr.textErr("declared sizes exceed the reader's %d-byte header budget after %d locations",
-					tr.lim.MaxHeaderBytes, len(hdr.Decls))
-			}
+		if err := headerBudget(&used, len(f[1]), len(hdr.Decls)); err != nil {
+			return tr.textErr("%v", err)
 		}
 		tr.loc[f[1]] = int32(len(hdr.Decls))
 		hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(f[1]), Kind: kind})
 	}
-	if err := validateHeader(hdr); err != nil {
+	if err := CheckHeader(hdr); err != nil {
 		return err
 	}
 	tr.hdr = hdr

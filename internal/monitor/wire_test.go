@@ -317,19 +317,8 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte("LDTR\x02\x02\x01\x01x\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte("ldtrace 1\nthreads 3\nloc R ra\n0 w R -5/3\n0 halt\n"))
 	f.Add([]byte{})
-	f.Add(hostileHeader()) // must trip the budget path under limits below
+	f.Add(hostileHeader()) // rejected by the threads × locations limit
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A limits-constrained reader must never panic either — and tight
-		// limits mean it rejects hostile shapes early, so draining it is
-		// cheap regardless of what the header declares.
-		if tr, err := NewTraceReaderLimits(bytes.NewReader(data),
-			ReaderLimits{MaxHeaderBytes: 1 << 12}); err == nil {
-			for i := 0; i < 1<<16; i++ {
-				if _, ok, err := tr.Next(); err != nil || !ok {
-					break
-				}
-			}
-		}
 		for _, batched := range []bool{false, true} {
 			tr, err := NewTraceReader(bytes.NewReader(data))
 			if err != nil {
@@ -399,65 +388,78 @@ func encodeAllFuzz(f *testing.F, hdr Header, events []Event, format Format) []by
 	return buf.Bytes()
 }
 
-// TestTraceReaderLimits: ReaderLimits turns "individually legal,
-// collectively enormous" header declarations into validation errors
-// raised before the allocation they describe — the ingest hardening a
-// server decoding untrusted network traces relies on. Generous limits
-// must change nothing.
-func TestTraceReaderLimits(t *testing.T) {
-	hdr, events := wireWorkload()
-	v2 := encodeAll(t, hdr, events, BinaryV2)
-
-	t.Run("negative", func(t *testing.T) {
-		if _, err := NewTraceReaderLimits(bytes.NewReader(v2), ReaderLimits{MaxHeaderBytes: -1}); err == nil {
-			t.Error("negative MaxHeaderBytes accepted")
+// budgetHeader writes a trace header of 2 threads and n nonatomic
+// locations with 100-byte names in the given format, bypassing the
+// encoder's own check of the header budget.
+func budgetHeader(format Format, n int) []byte {
+	var buf bytes.Buffer
+	name := func(i int) string { return fmt.Sprintf("%0100d", i) }
+	if format == Text {
+		buf.WriteString("ldtrace 1\nthreads 2\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&buf, "loc %s na\n", name(i))
 		}
-	})
+		return buf.Bytes()
+	}
+	buf.WriteString(binaryMagic)
+	buf.WriteByte(binaryVersion)
+	var tmp [binary.MaxVarintLen64]byte
+	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
+	put(2)
+	put(uint64(n))
+	for i := 0; i < n; i++ {
+		put(100)
+		buf.WriteString(name(i))
+		buf.WriteByte(byte(prog.NonAtomic))
+	}
+	return buf.Bytes()
+}
 
+// TestTraceReaderLimits: the format's 1 MiB header budget turns
+// "individually legal, collectively enormous" header declarations into
+// validation errors raised before the allocation they describe — the
+// ingest hardening a server decoding untrusted network traces relies
+// on. Every field here is within its own limit; only the total is not.
+func TestTraceReaderLimits(t *testing.T) {
+	// 1<<14 declarations of 116 budget bytes each are 1.8 MiB: both
+	// decoders must stop at the 9040th, long before the last.
+	const n = 1 << 14
+	const wantAfter = "header budget after 9039 locations"
 	t.Run("hostile-binary-header", func(t *testing.T) {
-		// hostileHeader declares 2^14 locations; a 4 KiB budget must
-		// reject it within the first ~256 declarations, long before the
-		// format's own threads×locations check would fire.
-		_, err := NewTraceReaderLimits(bytes.NewReader(hostileHeader()), ReaderLimits{MaxHeaderBytes: 4096})
-		if err == nil || !strings.Contains(err.Error(), "header budget") {
-			t.Fatalf("hostile header: err = %v, want header-budget error", err)
+		_, err := NewTraceReader(bytes.NewReader(budgetHeader(BinaryV2, n)))
+		if err == nil || !strings.Contains(err.Error(), wantAfter) {
+			t.Fatalf("hostile header: err = %v, want %q", err, wantAfter)
 		}
 	})
 
 	t.Run("hostile-text-header", func(t *testing.T) {
-		var b strings.Builder
-		b.WriteString("ldtrace 1\nthreads 2\n")
-		for i := 0; i < 64; i++ {
-			fmt.Fprintf(&b, "loc %s%d na\n", strings.Repeat("n", 100), i)
-		}
-		_, err := NewTraceReaderLimits(strings.NewReader(b.String()), ReaderLimits{MaxHeaderBytes: 1024})
-		if err == nil || !strings.Contains(err.Error(), "header budget") {
-			t.Fatalf("hostile text header: err = %v, want header-budget error", err)
+		_, err := NewTraceReader(bytes.NewReader(budgetHeader(Text, n)))
+		if err == nil || !strings.Contains(err.Error(), wantAfter) {
+			t.Fatalf("hostile text header: err = %v, want %q", err, wantAfter)
 		}
 	})
 
-	t.Run("generous-limits-identical", func(t *testing.T) {
-		lim := ReaderLimits{MaxHeaderBytes: 1 << 20}
+	// One rule for both decoders, the encoder and CheckHeader: 9039
+	// declarations fit, 9040 do not.
+	t.Run("budget-edge", func(t *testing.T) {
 		for _, format := range []Format{BinaryV2, Text} {
-			data := encodeAll(t, hdr, events, format)
-			ref, err := NewTraceReader(bytes.NewReader(data))
+			tr, err := NewTraceReader(bytes.NewReader(budgetHeader(format, 9039)))
 			if err != nil {
-				t.Fatalf("%v: reference reader: %v", format, err)
+				t.Fatalf("%v: header under the budget rejected: %v", format, err)
 			}
-			ltd, err := NewTraceReaderLimits(bytes.NewReader(data), lim)
-			if err != nil {
-				t.Fatalf("%v: limited reader: %v", format, err)
+			hdr := tr.Header()
+			if err := CheckHeader(hdr); err != nil {
+				t.Fatalf("CheckHeader rejects what the %v decoder accepted: %v", format, err)
 			}
-			for {
-				we, wok, werr := ref.Next()
-				ge, gok, gerr := ltd.Next()
-				if wok != gok || (werr == nil) != (gerr == nil) || we != ge {
-					t.Fatalf("%v: limited reader diverged: (%+v,%v,%v) vs (%+v,%v,%v)",
-						format, ge, gok, gerr, we, wok, werr)
-				}
-				if !wok || werr != nil {
-					break
-				}
+			if _, err := NewTraceWriter(io.Discard, hdr, format); err != nil {
+				t.Fatalf("%v: encoder rejects what the decoder accepted: %v", format, err)
+			}
+			if _, err := NewTraceReader(bytes.NewReader(budgetHeader(format, 9040))); err == nil || !strings.Contains(err.Error(), wantAfter) {
+				t.Fatalf("%v: header at the budget: err = %v, want %q", format, err, wantAfter)
+			}
+			hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(fmt.Sprintf("%0100d", 9039)), Kind: prog.NonAtomic})
+			if _, err := NewTraceWriter(io.Discard, hdr, format); err == nil || !strings.Contains(err.Error(), wantAfter) {
+				t.Fatalf("%v: encoder at the budget: err = %v, want %q", format, err, wantAfter)
 			}
 		}
 	})

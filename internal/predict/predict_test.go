@@ -164,9 +164,7 @@ func FuzzPredict(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw uint16) {
-		tr, err := monitor.NewTraceReaderLimits(bytes.NewReader(data), monitor.ReaderLimits{
-			MaxHeaderBytes: 1 << 14,
-		})
+		tr, err := monitor.NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Skip()
 		}

@@ -52,7 +52,9 @@ func (s *Scaled) Flags(fs *flag.FlagSet) {
 // nonatomic pool, and a zero thread count would silently select its
 // defaults), the atomic, release-acquire and private pools ≥ 0, both
 // percentages in 0..100, the skew finite and ≥ 0, and the program's
-// trace header must fit the wire format (monitor.CheckShape).
+// trace header must fit the wire format: its shape first
+// (monitor.CheckShape, before any program is built), then the whole
+// header, names included (monitor.CheckHeader).
 func (s Scaled) Check() error {
 	if s.Events < 1 || s.Threads < 1 || s.Locs < 1 || s.Atomics < 0 || s.RAs < 0 || s.PrivateLocs < 0 {
 		return fmt.Errorf("schedgen: events, threads and nonatomic locations must be ≥ 1, atomic, release-acquire and private locations ≥ 0 (got %d, %d, %d; %d, %d, %d)",
@@ -67,7 +69,11 @@ func (s Scaled) Check() error {
 	// Summed in float64 so that absurd counts saturate instead of
 	// wrapping below the limit.
 	locs := float64(s.Locs) + float64(s.Atomics) + float64(s.RAs) + float64(s.Threads)*float64(s.PrivateLocs)
-	return monitor.CheckShape(s.Threads, int(min(locs, math.MaxInt32)))
+	if err := monitor.CheckShape(s.Threads, int(min(locs, math.MaxInt32))); err != nil {
+		return err
+	}
+	tb, _ := s.Program()
+	return monitor.CheckHeader(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()})
 }
 
 // Program builds the workload's program, with loop counts sized so no

@@ -155,10 +155,13 @@ type Options struct {
 	// the declared nonatomic locations (rank r has weight 1/(r+1)^s, rank
 	// 0 being the first nonatomic declaration — so low dense indices run
 	// hot). Skewed streams exercise the sharded pipeline's hot-location
-	// paths and its back-end imbalance; under the package's plausible-
-	// schedule contract the redirection is harmless — reads still return
-	// entries of the (redirected) location's own history, and the race
-	// oracle and monitor agree on any stream. 0 (the default) leaves
+	// paths and its back-end imbalance. The monitor and the race oracle
+	// still agree on any stream under the package's plausible-schedule
+	// contract (reads return entries of the redirected location's own
+	// history), but a skewed stream is no trace of the program: it sends
+	// a thread's accesses to locations its code never touches, so a
+	// static certificate of the program (internal/staticrace) does not
+	// cover it and must not filter its monitor. 0 (the default) leaves
 	// streams byte-identical to previous releases; enabling it costs one
 	// extra random draw per nonatomic event.
 	LocSkew float64

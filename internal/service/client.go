@@ -36,11 +36,6 @@ type Client struct {
 	// the next delay to at least its retry-after hint.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// DialTimeout bounds each dial (default 5s); RespTimeout bounds
-	// waiting for the handshake reply and the final done line
-	// (default 60s).
-	DialTimeout time.Duration
-	RespTimeout time.Duration
 	// ChunkSize is the CRC-chunk payload size (default 64 KiB).
 	ChunkSize int
 	// WrapConn, when non-nil, wraps each attempt's connection — the
@@ -50,6 +45,13 @@ type Client struct {
 	// Sleep replaces time.Sleep in tests (nil = real sleep).
 	Sleep func(time.Duration)
 }
+
+const (
+	// dialTimeout bounds each dial; respTimeout bounds waiting for the
+	// handshake reply and for the final done line.
+	dialTimeout = 5 * time.Second
+	respTimeout = 60 * time.Second
+)
 
 func (c *Client) withDefaults() Client {
 	out := *c
@@ -61,12 +63,6 @@ func (c *Client) withDefaults() Client {
 	}
 	if out.MaxBackoff == 0 {
 		out.MaxBackoff = 2 * time.Second
-	}
-	if out.DialTimeout == 0 {
-		out.DialTimeout = 5 * time.Second
-	}
-	if out.RespTimeout == 0 {
-		out.RespTimeout = 60 * time.Second
 	}
 	if out.ChunkSize == 0 {
 		out.ChunkSize = 64 << 10
@@ -124,7 +120,7 @@ func (c *Client) Run() (*SessionResult, error) {
 
 // attempt runs one connection attempt: handshake, stream, result.
 func (cc *Client) attempt(attempt int) (*SessionResult, time.Duration, error) {
-	raw, err := net.DialTimeout("tcp", cc.Addr, cc.DialTimeout)
+	raw, err := net.DialTimeout("tcp", cc.Addr, dialTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -138,7 +134,7 @@ func (cc *Client) attempt(attempt int) (*SessionResult, time.Duration, error) {
 		return nil, 0, err
 	}
 	br := bufio.NewReader(conn)
-	raw.SetReadDeadline(time.Now().Add(cc.RespTimeout))
+	raw.SetReadDeadline(time.Now().Add(respTimeout))
 	line, err := readLine(br)
 	if err != nil {
 		return nil, 0, err
@@ -184,7 +180,7 @@ func (cc *Client) attempt(attempt int) (*SessionResult, time.Duration, error) {
 		return nil, 0, err
 	}
 
-	raw.SetReadDeadline(time.Now().Add(cc.RespTimeout))
+	raw.SetReadDeadline(time.Now().Add(respTimeout))
 	line, err = readLine(br)
 	if err != nil {
 		return nil, 0, err

@@ -56,10 +56,6 @@ const (
 	maxLine = 1 << 20
 	// maxSessionID bounds the session identifier.
 	maxSessionID = 64
-	// maxHeaderBytes is the trace-header budget of a session (see
-	// monitor.ReaderLimits): a peer's header may declare at most this
-	// many bytes of location names plus per-declaration overhead.
-	maxHeaderBytes = 1 << 20
 )
 
 // castagnoli is the CRC-32C table (the polynomial with hardware support

@@ -16,7 +16,7 @@ package service
 // are kept; older generations are pruned after each successful write.
 //
 // Recovery walks the generations newest-first and returns the first one
-// whose snapshot decodes — the LDCK codec validates every section, so a
+// whose snapshot decodes — the LDCK codec validates every field, so a
 // torn, truncated or bit-flipped file fails closed and recovery falls
 // back one generation at a time. An empty or absent ring recovers to
 // "no state" (the session restarts from event 0, which is correct:

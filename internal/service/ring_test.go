@@ -62,16 +62,23 @@ func TestRingEmpty(t *testing.T) {
 }
 
 // ckV2 is testMonitor(400)'s snapshot as the version-2 encoder wrote it,
-// the ring entry a server upgraded to version 3 finds on disk.
+// a ring entry an upgraded server finds on disk.
 const ckV2 = "\x4c\x44\x43\x4b\x02\x01\x05\x02\x01\x01\x78\x00\x02\x0b\x90\x03" +
 	"\x80\x20\x80\x20\x00\x00\x00\x00\x00\x03\x08\xc8\x01\x00\x00\xc8" +
 	"\x01\x00\x00\x04\x00\x05\x00\x06\x0e\x04\x03\x01\x01\x00\x02\xc8" +
 	"\x01\xc8\x01\x00\x08\x08\x00\x00\x00"
 
-// TestRingAllCorrupt: when every generation is damaged, or written in
-// the retired snapshot version 2, recovery reports an error (the caller
-// logs it and restarts from event 0, which is sound: the client replays
-// from byte 0) and positions the next write PAST the unusable
+// ckV3 is the same snapshot as the version-3 encoder wrote it, in
+// tag/length-framed sections.
+const ckV3 = "\x4c\x44\x43\x4b\x03\x01\x05\x02\x01\x01\x78\x00\x02\x09\x90\x03" +
+	"\x80\x20\x80\x20\x00\x00\x00\x03\x08\xc8\x01\x00\x00\xc8\x01\x00" +
+	"\x00\x04\x00\x05\x00\x06\x0e\x04\x03\x01\x01\x00\x02\xc8\x01\xc8" +
+	"\x01\x00\x08\x08\x00\x00\x00"
+
+// TestRingAllCorrupt: when every generation is damaged, or written in a
+// retired snapshot version (2 or 3), recovery reports an error (the
+// caller logs it and restarts from event 0, which is sound: the client
+// replays from byte 0) and positions the next write PAST the unusable
 // generations so they are never silently overwritten-in-place.
 func TestRingAllCorrupt(t *testing.T) {
 	r := newTestRing(t, 3)
@@ -81,6 +88,12 @@ func TestRingAllCorrupt(t *testing.T) {
 		t.Fatalf("version-2 entry: got %v, want an unsupported-version error", err)
 	}
 	if err := os.WriteFile(filepath.Join(r.dir, ckName(2)), []byte(ckV2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := monitor.ReadSnapshot(strings.NewReader(ckV3)); err == nil || !strings.Contains(err.Error(), "unsupported version 3 (have 4)") {
+		t.Fatalf("version-3 entry: got %v, want an unsupported-version error", err)
+	}
+	if err := os.WriteFile(filepath.Join(r.dir, ckName(3)), []byte(ckV3), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Damage both entries: one truncated to a prefix, one bit-flipped.
@@ -99,24 +112,24 @@ func TestRingAllCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r2 := newRing(faultinject.OS(), r.dir, 3)
+	r2 := newRing(faultinject.OS(), r.dir, 4)
 	snap, skipped, err := r2.recover()
 	if err == nil || snap != nil {
 		t.Fatalf("all-corrupt ring: recover() = (%v, %v), want error", snap, err)
 	}
-	if skipped != 3 {
-		t.Fatalf("skipped = %d, want 3", skipped)
+	if skipped != 4 {
+		t.Fatalf("skipped = %d, want 4", skipped)
 	}
-	// The next write must open generation 3, not clobber the evidence.
+	// The next write must open generation 4, not clobber the evidence.
 	writeGen(t, r2, 300)
-	if _, err := os.Stat(filepath.Join(r.dir, ckName(3))); err != nil {
+	if _, err := os.Stat(filepath.Join(r.dir, ckName(4))); err != nil {
 		t.Fatalf("post-recovery write did not use the next generation: %v", err)
 	}
 }
 
 // TestRingNewestTruncated: a crash mid-checkpoint leaves the newest
 // entry truncated; recovery must fall back to the previous generation.
-// (The LDCK codec validates every section, so the torn file fails
+// (The LDCK codec validates every field, so the torn file fails
 // closed rather than restoring partial state.)
 func TestRingNewestTruncated(t *testing.T) {
 	r := newTestRing(t, 3)
@@ -127,7 +140,7 @@ func TestRingNewestTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut inside the state sections, past the magic/header, emulating a
+	// Cut inside the state, past the magic/header, emulating a
 	// write torn by power loss that still renamed (e.g. fsync lied).
 	if err := os.WriteFile(newest, data[:2*len(data)/3], 0o644); err != nil {
 		t.Fatal(err)

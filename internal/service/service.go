@@ -50,8 +50,7 @@ import (
 // Config tunes a Server. The zero value serves with defaults: no
 // checkpointing (sessions restart from event 0 on any failure),
 // sequential monitors, 64 sessions, 10s ingest timeout. A peer's trace
-// header may declare at most 1 MiB of location names and overhead
-// (maxHeaderBytes); that budget is a service constant, not a setting.
+// header is bounded by the wire format's own 1 MiB header budget.
 type Config struct {
 	// CheckpointDir is the root of the per-session checkpoint rings
 	// ("" disables checkpointing; sessions then recover by full replay).
@@ -503,7 +502,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// The trace decoder reads through the CRC chunk layer: damaged or
 	// truncated bytes surface as errors HERE, never as events.
 	cr := &chunkReader{br: br}
-	tr, err := monitor.NewTraceReaderLimits(cr, monitor.ReaderLimits{MaxHeaderBytes: maxHeaderBytes})
+	tr, err := monitor.NewTraceReader(cr)
 	if err != nil {
 		s.fail(sess, conn, m, err)
 		return

@@ -421,7 +421,6 @@ func runGenerated(work schedgen.Scaled, prefilter bool, cfg monitor.PipelineConf
 	tb, name := work.Program()
 	res := result{
 		Program: name, Mode: "stream", Threads: tb.Threads(), Policy: work.Policy.String(), Seed: work.Seed,
-		Shards: cfg.Shards,
 	}
 	fillLocations(&res, tb.Decls())
 	if prefilter {
@@ -526,7 +525,7 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 
 	res := result{
 		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
-		Completed: completed, Shards: cfg.Shards,
+		Completed: completed,
 	}
 	fillLocations(&res, hdr.Decls)
 	return res, finish(&res, m, start)
@@ -611,9 +610,10 @@ func runEmit(path string, format monitor.Format, work schedgen.Scaled) result {
 }
 
 // finish drains the monitor and records its outcome in the summary:
-// timing since start, throughput, RA retention, the decided predicate
-// (PredHB leaves those fields zero, so default summaries are unchanged)
-// with its short:k window telemetry, and the final metrics snapshot.
+// timing since start, throughput, the back-ends that ran, RA
+// retention, the decided predicate (PredHB leaves those fields zero, so
+// default summaries are unchanged) with its short:k window telemetry,
+// and the final metrics snapshot.
 func finish(res *result, m *monitor.Monitor, start time.Time) []race.Report {
 	reports := m.Finish()
 	res.MonitorNs = time.Since(start).Nanoseconds()
@@ -622,6 +622,7 @@ func finish(res *result, m *monitor.Monitor, start time.Time) []race.Report {
 		res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
 	}
 	res.RaceCount = len(reports)
+	res.Shards = m.Shards()
 	st := m.RAStats()
 	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
 	if pred := m.Predicate(); pred != monitor.PredHB {

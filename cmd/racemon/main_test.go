@@ -220,6 +220,7 @@ func TestWorkloadFlagsCLI(t *testing.T) {
 type summary struct {
 	Events    int               `json:"events"`
 	Completed bool              `json:"completed"`
+	Shards    int               `json:"shards"`
 	RaceCount int               `json:"race_count"`
 	Races     []json.RawMessage `json:"races"`
 	Locations map[string]int    `json:"locations"`
@@ -243,6 +244,35 @@ func TestMaxRacesCLI(t *testing.T) {
 	s := jsonSummary(t, buildRacemon(t), "-events", "20000", "-max-races", "3")
 	if len(s.Races) != 3 || s.RaceCount <= 3 {
 		t.Fatalf("-max-races 3: %d races listed of %d, want 3 of more than 3", len(s.Races), s.RaceCount)
+	}
+}
+
+// TestShardsCLI: the summary's shards are the back-ends that ran, in
+// the JSON and the text line alike — 1 under short:k, whose window runs
+// in the front-end at any -shards, and Open's clamp to the nonatomic
+// location count on a -trace run.
+func TestShardsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	trace := filepath.Join(t.TempDir(), "t.ldtr")
+	output(t, bin, "-events", "20000", "-locs", "2", "-emit", trace)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-events", "20000", "-shards", "4"}, 4},
+		{[]string{"-events", "20000", "-predicate", "short:64", "-shards", "4"}, 1},
+		{[]string{"-trace", trace, "-shards", "4"}, 2}, // 2 nonatomic locations
+		{[]string{"-trace", trace}, 1},
+	} {
+		if got := jsonSummary(t, bin, tc.args...).Shards; got != tc.want {
+			t.Errorf("racemon %v: JSON shards %d, want %d", tc.args, got, tc.want)
+		}
+		if line := fmt.Sprintf(" %d shard(s),", tc.want); !strings.Contains(string(output(t, bin, tc.args...)), line) {
+			t.Errorf("racemon %v: text summary lacks %q", tc.args, line)
+		}
 	}
 }
 

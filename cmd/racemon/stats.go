@@ -36,7 +36,7 @@ func (t *telemetry) snapshot() obs.Snapshot {
 	if reg := t.reg.Load(); reg != nil {
 		return reg.Snapshot()
 	}
-	return obs.Merge()
+	return obs.Snapshot{}
 }
 
 // statsDoc is the GET /stats response: the monitor's metric snapshot and

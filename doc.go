@@ -146,7 +146,10 @@
 // serialises the complete live state — thread and release clocks,
 // epoch-or-vector per-location last-access state, dedup bitmasks, live
 // RA messages, the GC frontier and interval, and the halt
-// set — in a versioned binary format ("LDCK"), one flat stream of fields;
+// set — in a versioned binary format ("LDCK" version 5, the only one
+// decoded), one flat stream of fields, where a nonatomic location is a
+// reported flag followed by its write side and its read side, each an
+// epoch or a per-thread vector;
 // monitor.ReadSnapshot then Snapshot.Open rebuild a monitor that
 // finishes the stream with reports and RAStats byte-identical to a run
 // that never stopped. The

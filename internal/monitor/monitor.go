@@ -45,18 +45,20 @@
 //
 // Two representations keep the live state bounded on long streams.
 //
-// Epochs: a nonatomic location starts in the FastTrack-style epoch
-// representation — its last write (and last read) is a single
-// thread@clock word, allocation-free, covering the overwhelmingly common
-// case of a location accessed by one thread at a time. The epoch is
-// *escalated* to a full per-thread vector only when a second thread
-// accesses the location while the previous epoch is still racy-reachable
-// (some thread's frontier has not yet passed it). When the cached minimum
-// frontier proves the old epoch dead — every thread already
-// happens-after it, so it can never appear in another race — the epoch is
-// overwritten in place instead, and ordered cross-thread handoffs stay in
-// the compact form forever. Escalation preserves the live entries, so the
-// report set is bit-for-bit the one the full-vector monitor computes.
+// Epochs: a nonatomic location has two access sides, its writes and its
+// reads, of one type (naSide) that one checker path serves for both.
+// Each side starts in the FastTrack-style epoch representation — its
+// last access is a single thread@clock word, allocation-free, covering
+// the overwhelmingly common case of a location accessed by one thread at
+// a time. A side is *escalated* to a full per-thread vector only when a
+// second thread's access joins it while the previous epoch is still
+// racy-reachable (some thread's frontier has not yet passed it). When
+// the cached minimum frontier proves the old epoch dead — every thread
+// already happens-after it, so it can never appear in another race — the
+// epoch is overwritten in place instead, and ordered cross-thread
+// handoffs stay in the compact form forever. Escalation preserves the
+// live entries, so the report set is bit-for-bit the one the full-vector
+// monitor computes.
 //
 // Windowed RA GC: release-acquire messages are retained only while some
 // thread could still gain an edge from them. The monitor periodically
@@ -221,41 +223,38 @@ type LocDecl struct {
 	Kind prog.LocKind
 }
 
-// Sentinel values of naState.wT / naState.rT.
+// Sentinel values of naSide.t.
 const (
-	// noEpoch: no live access of that kind yet.
+	// noEpoch: no live access on that side yet.
 	noEpoch int32 = -1
-	// escalated: the per-thread vector (writes/reads) is authoritative.
+	// escalated: the per-thread vector v is authoritative.
 	escalated int32 = -2
 )
 
-// naState is the race-checking state of one nonatomic location. It
-// starts in the compact epoch representation (wT/wC, rT/rC) and
-// escalates each side independently to a per-thread vector the first
-// time two threads' accesses of that kind are simultaneously live.
+// naSide is one access side (the writes, or the reads) of a nonatomic
+// location: the epoch t@c of its last access while at most one is live,
+// or, once a second thread's access is live beside it, the per-thread
+// vector v. t is noEpoch before the first access and escalated while v
+// is authoritative; v[u] is the event index of thread u's last access
+// (0 = none), and an access by thread t' races with it iff v[u] >
+// C_t'[u]. v is kept for reuse after a demotion.
+type naSide struct {
+	t int32
+	c uint64
+	v []uint64
+}
+
+// naState is the race-checking state of one nonatomic location: the
+// write side and the read side, each starting as an epoch and
+// escalating independently, and the dedup set.
 type naState struct {
-	// wT/wC: the thread and clock of the last write while at most one
-	// write is live (the epoch). wT is noEpoch before the first write and
-	// escalated once writes has been materialised. rT/rC likewise for the
-	// last read.
-	wT, rT int32
-	wC, rC uint64
-	// writes[u] / reads[u] hold the event index of thread u's last write /
-	// read of this location (0 = none) once escalated. An access by t
-	// races with u's last access iff the stored index exceeds C_t[u].
-	writes []uint64
-	reads  []uint64
+	w, r naSide
 	// reported is the location's dedup set, allocated on its first race.
 	reported pairSet
-	// lastT is the thread of the last access (-1 initially); while the
-	// same thread keeps accessing the location, the escalated scans can
-	// be skipped once they have come up clean (the vectors cannot have
-	// changed and C_t only grows). wClean / rClean record that the last
-	// scan of the corresponding vector by lastT found no unordered entry.
-	lastT  int32
-	wClean bool
-	rClean bool
 }
+
+// sides returns the location's write and read sides, in that order.
+func (ls *naState) sides() [2]*naSide { return [2]*naSide{&ls.w, &ls.r} }
 
 // pairSet is one location's dedup set, shared by the HB checker and
 // the short:k window: pairSet[u*threads+t] is a 4-bit set of the
@@ -322,13 +321,14 @@ func (ps pairSet) appendReports(out []race.Report, n int, loc prog.Loc) []race.R
 const defaultGCInterval = 4096
 
 // checker is the nonatomic race-checking half of the monitor: the
-// per-location epoch/vector histories, the dedup bitmasks, and the scan
-// logic. It reads — never writes — the thread clocks and the cached
-// minimum frontier it is given. A sequential Monitor embeds one checker
-// over its own clocks; each back-end of a sharded one owns a checker
-// over its mirrored copy of the clocks (updated by the front-end's delta
-// side channel), so both execute literally the same checking code and
-// produce bit-identical report state.
+// per-location write and read sides (each an epoch or a vector), the
+// dedup bitmasks, and the one access path that checks, records,
+// escalates and scans them. It reads — never writes — the thread clocks
+// and the cached minimum frontier it is given. A sequential Monitor
+// embeds one checker over its own clocks; each back-end of a sharded one
+// owns a checker over its mirrored copy of the clocks (updated by the
+// front-end's delta side channel), so both execute literally the same
+// checking code and produce bit-identical report state.
 type checker struct {
 	nthreads int
 	// clocks[t] is thread t's vector clock as of the current stream
@@ -361,7 +361,7 @@ func newChecker(nthreads int, nlocs int, clocks [][]uint64, minClock []uint64) c
 		// Every location starts in the empty epoch state; the per-thread
 		// vectors and dedup bitmasks are allocated only if the location's
 		// history ever escalates / races.
-		ck.na[l] = naState{wT: noEpoch, rT: noEpoch, lastT: -1}
+		ck.na[l] = naState{w: naSide{t: noEpoch}, r: naSide{t: noEpoch}}
 	}
 	return ck
 }
@@ -381,21 +381,8 @@ func (ck *checker) compactAll() {
 		return
 	}
 	for l := range ck.na {
-		ls := &ck.na[l]
-		if ls.wT == escalated {
-			if t, c, ok := ck.demote(ls.writes); ok {
-				ls.wT, ls.wC = t, c
-				clear(ls.writes)
-				ls.wClean = false
-				ck.escalatedSides--
-				ck.demotions++
-			}
-		}
-		if ls.rT == escalated {
-			if t, c, ok := ck.demote(ls.reads); ok {
-				ls.rT, ls.rC = t, c
-				clear(ls.reads)
-				ls.rClean = false
+		for _, sd := range ck.na[l].sides() {
+			if sd.t == escalated && ck.demote(sd) {
 				ck.escalatedSides--
 				ck.demotions++
 			}
@@ -403,21 +390,23 @@ func (ck *checker) compactAll() {
 	}
 }
 
-// demote scans one escalated vector for entries still above the minimum
+// demote scans one escalated side for entries still above the minimum
 // frontier. With zero live entries the side collapses to the empty epoch
 // (noEpoch); with exactly one it collapses to that entry's epoch; with
-// two or more the vector must stay (ok=false).
-func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
+// two or more the vector must stay (false).
+func (ck *checker) demote(sd *naSide) bool {
 	liveT, liveC := noEpoch, uint64(0)
-	for u, w := range v {
+	for u, w := range sd.v {
 		if w > ck.minClock[u] {
 			if liveT != noEpoch {
-				return 0, 0, false
+				return false
 			}
 			liveT, liveC = int32(u), w
 		}
 	}
-	return liveT, liveC, true
+	sd.t, sd.c = liveT, liveC
+	clear(sd.v)
+	return true
 }
 
 // Monitor is the streaming race detector, the one engine type. Create
@@ -596,10 +585,8 @@ func (m *Monitor) Step(e Event) {
 			m.win.access(e.Loc, e.Thread, e.Kind == WriteNA, c, m.events)
 		case m.p != nil:
 			m.p.route(e, c[t])
-		case e.Kind == ReadNA:
-			m.ck.readNA(&m.ck.na[e.Loc], e.Thread, c)
 		default:
-			m.ck.writeNA(&m.ck.na[e.Loc], e.Thread, c)
+			m.ck.access(&m.ck.na[e.Loc], e.Thread, c, e.Kind == WriteNA)
 		}
 	case ReadAT:
 		m.join(e.Thread, c, m.at[e.Loc])
@@ -659,110 +646,72 @@ func (m *Monitor) publishRA(loc int32, tm ts.Time, writer int32, c []uint64) {
 	}
 }
 
-// readNA checks a nonatomic read by thread t against the write history
-// and records it as the thread's last read.
-func (ck *checker) readNA(ls *naState, t int32, c []uint64) {
-	if ls.lastT != t {
-		ls.lastT = t
-		ls.wClean, ls.rClean = false, false
-	}
-	switch ls.wT {
-	case noEpoch, t:
-		// No foreign write live: nothing to race with.
-	case escalated:
-		if !ls.wClean {
-			ls.wClean = ck.scanWrites(ls, t, c, false)
+// access checks a nonatomic access by thread t (a write when write)
+// against the location's history — every access against the write
+// side, a write also against the read side — and records it as t's
+// last access of its kind. It is the per-access hot path of a
+// sequential monitor and of every back-end, so it stays one function:
+// the epoch checks run inline and only a vector scan is a call.
+func (ck *checker) access(ls *naState, t int32, c []uint64, write bool) {
+	for sd, wi := &ls.w, true; ; sd, wi = &ls.r, false {
+		switch sd.t {
+		case noEpoch, t:
+			// No foreign access live on this side: nothing to race with.
+		case escalated:
+			ck.scan(ls, sd, t, c, wi, write)
+		default:
+			if sd.c > c[sd.t] {
+				ck.report(ls, sd.t, t, wi, write)
+			}
 		}
-	default:
-		if ls.wC > c[ls.wT] {
-			ck.report(ls, ls.wT, t, true, false)
+		if !write || !wi {
+			break
 		}
 	}
-	switch ls.rT {
+	own := &ls.r
+	if write {
+		own = &ls.w
+	}
+	switch own.t {
 	case noEpoch, t:
-		ls.rT, ls.rC = t, c[t]
+		own.t, own.c = t, c[t]
 	case escalated:
-		ls.reads[t] = c[t]
+		own.v[t] = c[t]
 	default:
-		if ck.minClock[ls.rT] >= ls.rC {
-			// Every thread's frontier has passed the old read epoch: it
-			// can never race again, so overwriting it loses no report.
-			ls.rT, ls.rC = t, c[t]
+		if ck.minClock[own.t] >= own.c {
+			// Every thread's frontier has passed the old epoch: it can
+			// never race again, so overwriting it loses no report.
+			own.t, own.c = t, c[t]
 		} else {
-			ck.escalateReads(ls)
-			ls.reads[t] = c[t]
+			ck.escalate(own)
+			own.v[t] = c[t]
 		}
 	}
 }
 
-// writeNA checks a nonatomic write by thread t against both histories and
-// records it as the thread's last write.
-func (ck *checker) writeNA(ls *naState, t int32, c []uint64) {
-	if ls.lastT != t {
-		ls.lastT = t
-		ls.wClean, ls.rClean = false, false
+// escalate materialises a side's per-thread vector from its current
+// epoch. The slice is reused after a demotion.
+func (ck *checker) escalate(sd *naSide) {
+	if sd.v == nil {
+		sd.v = make([]uint64, ck.nthreads)
 	}
-	switch ls.wT {
-	case noEpoch, t:
-	case escalated:
-		if !ls.wClean {
-			ls.wClean = ck.scanWrites(ls, t, c, true)
-		}
-	default:
-		if ls.wC > c[ls.wT] {
-			ck.report(ls, ls.wT, t, true, true)
-		}
-	}
-	switch ls.rT {
-	case noEpoch, t:
-	case escalated:
-		if !ls.rClean {
-			ls.rClean = ck.scanReads(ls, t, c)
-		}
-	default:
-		if ls.rC > c[ls.rT] {
-			ck.report(ls, ls.rT, t, false, true)
-		}
-	}
-	switch ls.wT {
-	case noEpoch, t:
-		ls.wT, ls.wC = t, c[t]
-	case escalated:
-		ls.writes[t] = c[t]
-	default:
-		if ck.minClock[ls.wT] >= ls.wC {
-			ls.wT, ls.wC = t, c[t]
-		} else {
-			ck.escalateWrites(ls)
-			ls.writes[t] = c[t]
-		}
-	}
-}
-
-// escalateWrites materialises the per-thread write vector from the
-// current epoch. The slice is reused after a demotion.
-func (ck *checker) escalateWrites(ls *naState) {
-	if ls.writes == nil {
-		ls.writes = make([]uint64, ck.nthreads)
-	}
-	ls.writes[ls.wT] = ls.wC
-	ls.wT = escalated
-	ls.wClean = false
+	sd.v[sd.t] = sd.c
+	sd.t = escalated
 	ck.escalatedSides++
 	ck.escalations++
 }
 
-// escalateReads materialises the per-thread read vector from the current
-// epoch.
-func (ck *checker) escalateReads(ls *naState) {
-	if ls.reads == nil {
-		ls.reads = make([]uint64, ck.nthreads)
+// scan checks an access by thread t against every entry of an
+// escalated side, reporting each unordered pair (the earlier access a
+// write when wi, the later one when wj). u == t cannot trigger: the
+// thread's own entry is always below its (just incremented) clock
+// component.
+func (ck *checker) scan(ls *naState, sd *naSide, t int32, c []uint64, wi, wj bool) {
+	for u, v := range sd.v {
+		if v > c[u] {
+			ck.report(ls, int32(u), t, wi, wj)
+		}
 	}
-	ls.reads[ls.rT] = ls.rC
-	ls.rT = escalated
-	ls.rClean = false
-	ck.escalatedSides++
-	ck.escalations++
 }
 
 // report records one race (u's access earlier, t's later) in the
@@ -838,37 +787,6 @@ func (m *Monitor) gc() {
 	// The sweep is the hot path's publication point: a handful of atomic
 	// stores per window keeps the live endpoint at most one window stale.
 	m.publishObs()
-}
-
-// scanWrites checks the current access of thread t (a read, or a write
-// when isWrite) against the last write of every other thread, reporting
-// each unordered pair. It returns whether the vector was clean (no
-// unordered entry) — the condition under which the scan may be skipped
-// for subsequent same-thread accesses.
-func (ck *checker) scanWrites(ls *naState, t int32, c []uint64, isWrite bool) bool {
-	clean := true
-	for u, w := range ls.writes {
-		// u == t cannot trigger: the thread's own entry is always below
-		// its (just incremented) clock component.
-		if w > c[u] {
-			clean = false
-			ck.report(ls, int32(u), t, true, isWrite)
-		}
-	}
-	return clean
-}
-
-// scanReads checks a write by thread t against the last read of every
-// other thread (read/write races with the read first in the trace).
-func (ck *checker) scanReads(ls *naState, t int32, c []uint64) bool {
-	clean := true
-	for u, r := range ls.reads {
-		if r > c[u] {
-			clean = false
-			ck.report(ls, int32(u), t, false, true)
-		}
-	}
-	return clean
 }
 
 // Reports returns the distinct races observed so far, in the canonical

@@ -412,7 +412,7 @@ func raWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event) {
 		x ^= x << 17
 		return int(x % uint64(m))
 	}
-	lastTime := make([]int64, nlocs)
+	topTime := make([]int64, nlocs)
 	events := make([]Event, 0, n)
 	for len(events) < n {
 		t, l := rnd(nthreads), rnd(nlocs)
@@ -424,14 +424,14 @@ func raWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event) {
 				e.Kind = WriteAT
 			}
 		case prog.ReleaseAcquire:
-			if rnd(2) == 0 && lastTime[l] > 0 {
+			if rnd(2) == 0 && topTime[l] > 0 {
 				e.Kind = ReadRA
 				// Read anywhere in history: latest, stale, maybe GC'd.
-				e.Time = ts.FromInt(1 + int64(rnd(int(lastTime[l]))))
+				e.Time = ts.FromInt(1 + int64(rnd(int(topTime[l]))))
 			} else {
-				lastTime[l]++
+				topTime[l]++
 				e.Kind = WriteRA
-				e.Time = ts.FromInt(lastTime[l])
+				e.Time = ts.FromInt(topTime[l])
 			}
 		default:
 			e.Kind = ReadNA
@@ -485,8 +485,8 @@ func TestEpochEscalation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Step(Event{Thread: 0, Loc: 0, Kind: WriteNA})
 	}
-	if ls := &m.ck.na[0]; ls.wT != 0 || ls.writes != nil {
-		t.Fatalf("single-thread history escalated: wT=%d", ls.wT)
+	if ls := &m.ck.na[0]; ls.w.t != 0 || ls.w.v != nil {
+		t.Fatalf("single-thread history escalated: write side %d", ls.w.t)
 	}
 	// Ordered handoff via the atomic: frontier passes T0's epoch, so T1's
 	// write overwrites it in place.
@@ -494,8 +494,8 @@ func TestEpochEscalation(t *testing.T) {
 	m.Step(Event{Thread: 1, Loc: 1, Kind: WriteAT}) // joins T0's clock
 	m.Step(Event{Thread: 1, Loc: 1, Kind: WriteAT}) // next event: GC refreshes frontier
 	m.Step(Event{Thread: 1, Loc: 0, Kind: WriteNA})
-	if ls := &m.ck.na[0]; ls.wT != 1 || ls.writes != nil {
-		t.Fatalf("frontier-passed handoff escalated: wT=%d", ls.wT)
+	if ls := &m.ck.na[0]; ls.w.t != 1 || ls.w.v != nil {
+		t.Fatalf("frontier-passed handoff escalated: write side %d", ls.w.t)
 	}
 	if m.RaceCount() != 0 {
 		t.Fatalf("ordered handoff reported races: %v", m.Reports())
@@ -504,8 +504,8 @@ func TestEpochEscalation(t *testing.T) {
 	m2 := New(2, decls)
 	m2.Step(Event{Thread: 0, Loc: 0, Kind: WriteNA})
 	m2.Step(Event{Thread: 1, Loc: 0, Kind: WriteNA})
-	if ls := &m2.ck.na[0]; ls.wT != escalated || ls.writes == nil {
-		t.Fatalf("concurrent write did not escalate: wT=%d", ls.wT)
+	if ls := &m2.ck.na[0]; ls.w.t != escalated || ls.w.v == nil {
+		t.Fatalf("concurrent write did not escalate: write side %d", ls.w.t)
 	}
 	if m2.RaceCount() != 1 {
 		t.Fatalf("concurrent writes: %d races, want 1", m2.RaceCount())

@@ -218,15 +218,10 @@ func (b *backend) run() {
 			r := &batch[i]
 			t := int32(r.tk >> 3)
 			switch r.tk & 7 {
-			case opReadNA:
+			case opReadNA, opWriteNA:
 				c := ck.clocks[t]
 				c[t] = r.aux
-				ck.readNA(&ck.na[r.loc], t, c)
-				applied++
-			case opWriteNA:
-				c := ck.clocks[t]
-				c[t] = r.aux
-				ck.writeNA(&ck.na[r.loc], t, c)
+				ck.access(&ck.na[r.loc], t, c, r.tk&7 == opWriteNA)
 				applied++
 			case opClock:
 				ck.clocks[t][r.loc] = r.aux
@@ -357,14 +352,13 @@ func (m *Monitor) shard(cfg PipelineConfig) {
 	// retain it.
 	for l := range m.ck.na {
 		b := p.backs[p.owner[l]]
-		st := m.ck.na[l]
-		b.ck.na[p.dense[l]] = st
-		b.ck.races += st.reported.races()
-		if st.wT == escalated {
-			b.ck.escalatedSides++
-		}
-		if st.rT == escalated {
-			b.ck.escalatedSides++
+		ls := m.ck.na[l]
+		b.ck.na[p.dense[l]] = ls
+		b.ck.races += ls.reported.races()
+		for _, sd := range ls.sides() {
+			if sd.t == escalated {
+				b.ck.escalatedSides++
+			}
 		}
 	}
 	m.ck = checker{}
@@ -533,6 +527,16 @@ func (m *Monitor) Abort() {
 	}
 	p.wg.Wait()
 	close(p.tornDown)
+}
+
+// Shards returns the number of race back-ends the monitor runs: 1 for
+// a sequential monitor (short:k's included, at any requested count),
+// else the count it was opened with, after Open's clamp.
+func (m *Monitor) Shards() int {
+	if m.p == nil {
+		return 1
+	}
+	return len(m.p.backs)
 }
 
 // BackendLoads returns the number of nonatomic access records each

@@ -100,6 +100,34 @@ func BenchmarkScheduleBursty(b *testing.B) {
 	})
 }
 
+// BenchmarkScheduleZipf runs the hot-racy-location path: racemon's
+// default 1M-event bursty schedule with its nonatomic accesses
+// Zipf-skewed at 1.3 (ldbench's pipeline-zipf skew), so a few locations
+// take most of the traffic, escalate, and re-find pairs already
+// reported. hb is the sequential monitor, open2 Open at 2 shards with
+// Finish's drain inside the op.
+func BenchmarkScheduleZipf(b *testing.B) {
+	const n = 1_000_000
+	cfg := progsynth.ScaledDefaults()
+	cfg.Iters = cfg.IterationsFor(n)
+	tab, events := generate(b, cfg, schedgen.Options{Policy: schedgen.Bursty, Seed: 1, MaxEvents: n, StaleReadPct: 10, LocSkew: 1.3})
+	b.Run("hb", func(b *testing.B) {
+		monitor.BenchMonitor(b, tab.NewMonitor, events)
+	})
+	b.Run("open2", func(b *testing.B) {
+		hdr := monitor.Header{Threads: tab.Threads(), Decls: tab.Decls()}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := monitor.Open(hdr, monitor.PipelineConfig{Shards: 2})
+			b.StartTimer()
+			m.StepBatch(events)
+			m.Finish()
+		}
+		monitor.ReportEventRate(b, len(events))
+	})
+}
+
 // BenchmarkSchedulePrivate runs the sequential monitor over a 1M-event
 // bursty schedule of a private-heavy program (per-thread private
 // locations take 60% of the nonatomic traffic), without and with the

@@ -14,7 +14,7 @@ package monitor
 //
 // # Format
 //
-// A snapshot is the magic "LDCK", the version byte 4, and one flat
+// A snapshot is the magic "LDCK", the version byte 5, and one flat
 // stream of fields — no framing, no lengths — in this order:
 //
 //	header   uvarint threads, uvarint nlocs,
@@ -32,10 +32,11 @@ package monitor
 //	         (varint num, uvarint den, uvarint writer,
 //	         threads uvarints — the published clock)
 //	na       per NONATOMIC location in declaration order:
-//	         flags byte (bit0 wClean, bit1 rClean, bit2 reported),
-//	         varint wT, uvarint wC, varint rT, uvarint rC,
-//	         varint lastT; if wT/rT is the escalated sentinel the
-//	         per-thread vector follows (threads uvarints); if bit2,
+//	         flags byte (bit0 reported; no other bit is defined),
+//	         then the write side and the read side, each varint t
+//	         (a thread, or the noEpoch or escalated sentinel) and
+//	         then either uvarint c (the epoch t@c) or, escalated,
+//	         the per-thread vector (threads uvarints); if bit0,
 //	         the threads² dedup mask bytes follow
 //	predict  predicate byte; under PredShort only: uvarint window k,
 //	         then per NONATOMIC location in declaration order: uvarint
@@ -89,10 +90,13 @@ const (
 	snapMagic = "LDCK"
 	// snapVersion is the one version written and decoded; the decoder
 	// rejects any other.
-	snapVersion = 4
+	snapVersion = 5
 	// snapEnd closes the stream, so a snapshot cut after its last
 	// field still fails to decode.
 	snapEnd = 'E'
+	// naReported is the one bit of a nonatomic location's flags byte:
+	// its dedup masks follow.
+	naReported byte = 1
 )
 
 // Snapshot is a decoded checkpoint: the restored monitor. Resume it
@@ -223,26 +227,17 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 		}
 		ls := m.naAt(int32(l))
 		var flags byte
-		if ls.wClean {
-			flags |= 1
-		}
-		if ls.rClean {
-			flags |= 2
-		}
 		if ls.reported != nil {
-			flags |= 4
+			flags |= naReported
 		}
 		sw.byte(flags)
-		sw.varint(int64(ls.wT))
-		sw.uvarint(ls.wC)
-		sw.varint(int64(ls.rT))
-		sw.uvarint(ls.rC)
-		sw.varint(int64(ls.lastT))
-		if ls.wT == escalated {
-			sw.clock(ls.writes)
-		}
-		if ls.rT == escalated {
-			sw.clock(ls.reads)
+		for _, sd := range ls.sides() {
+			sw.varint(int64(sd.t))
+			if sd.t == escalated {
+				sw.clock(sd.v)
+			} else {
+				sw.uvarint(sd.c)
+			}
 		}
 		if ls.reported != nil {
 			sw.w.Write(ls.reported)
@@ -631,46 +626,27 @@ func (c *snapReader) decodeNA(m *Monitor) error {
 		if err != nil {
 			return err
 		}
-		if flags&^byte(7) != 0 {
+		if flags&^naReported != 0 {
 			return c.errf("unknown flag bits %#x", flags)
 		}
-		ls.wClean = flags&1 != 0
-		ls.rClean = flags&2 != 0
-		if ls.wT, err = c.epochThread("write epoch thread", m.nthreads); err != nil {
-			return err
-		}
-		if ls.wC, err = c.uvarint("write epoch clock"); err != nil {
-			return err
-		}
-		if ls.rT, err = c.epochThread("read epoch thread", m.nthreads); err != nil {
-			return err
-		}
-		if ls.rC, err = c.uvarint("read epoch clock"); err != nil {
-			return err
-		}
-		lastT, err := c.varint("last thread")
-		if err != nil {
-			return err
-		}
-		if lastT < -1 || lastT >= int64(m.nthreads) {
-			return c.errf("last thread %d out of range", lastT)
-		}
-		ls.lastT = int32(lastT)
-		if ls.wT == escalated {
-			ls.writes = make([]uint64, m.nthreads)
-			if err := c.clock(ls.writes, "write vector"); err != nil {
+		for i, sd := range ls.sides() {
+			side := [...]string{"write", "read"}[i]
+			if sd.t, err = c.epochThread(side+" epoch thread", m.nthreads); err != nil {
+				return err
+			}
+			if sd.t != escalated {
+				if sd.c, err = c.uvarint(side + " epoch clock"); err != nil {
+					return err
+				}
+				continue
+			}
+			sd.v = make([]uint64, m.nthreads)
+			if err := c.clock(sd.v, side+" vector"); err != nil {
 				return err
 			}
 			m.ck.escalatedSides++
 		}
-		if ls.rT == escalated {
-			ls.reads = make([]uint64, m.nthreads)
-			if err := c.clock(ls.reads, "read vector"); err != nil {
-				return err
-			}
-			m.ck.escalatedSides++
-		}
-		if flags&4 != 0 {
+		if flags&naReported != 0 {
 			if ls.reported, err = c.pairSet(m.nthreads, "dedup masks"); err != nil {
 				return err
 			}

@@ -526,15 +526,16 @@ func syncPart(events, gcEvery, nextGC, raPeak uint64) []byte {
 	return append(uvarints(nil, events, gcEvery, nextGC, raPeak, 0), 0) // raCollected 0, halted bitset
 }
 
-// naPart builds one NA location's state: flags, write epoch (thread
-// wT, clock 10), no read epoch, last thread 0, then extra (a vector or
-// masks).
+// naPart builds one NA location's state: flags, the write side (thread
+// wT, then clock 10 unless wT is the escalated sentinel, whose vector
+// extra must carry), an empty read side, then extra (a vector or masks).
 func naPart(flags byte, wT int64, extra ...byte) []byte {
 	na := appendVarint([]byte{flags}, wT)
-	na = appendUvarint(na, 10)  // wC
-	na = appendVarint(na, -1)   // rT = noEpoch
-	na = appendUvarint(na, 0)   // rC
-	na = appendVarint(na, 0)    // lastT
+	if wT != int64(escalated) {
+		na = appendUvarint(na, 10) // write epoch clock
+	}
+	na = appendVarint(na, -1)   // read side: noEpoch
+	na = appendUvarint(na, 0)   // its clock
 	return append(na, extra...) // vector or masks
 }
 
@@ -608,6 +609,7 @@ func TestRestoreValidates(t *testing.T) {
 		"nextGC one event ahead": func(p *snapParts) { p.sync = syncPart(10, 4096, 11, 0) },
 		"RA peak at live count":  withRAMessage(1),
 		"syncp":                  func(p *snapParts) { p.predict = []byte{byte(PredSyncP)} },
+		"escalated write side":   func(p *snapParts) { p.na = naPart(0, -2, 10) },
 		"short window":           func(p *snapParts) { p.predict = shortPredict(4, 2, winPart(8, 1), winPart(8, 0)) },
 	} {
 		if _, err := ReadSnapshot(bytes.NewReader(minimalSnapshot(mutate))); err != nil {
@@ -623,7 +625,8 @@ func TestRestoreValidates(t *testing.T) {
 		{"escalated write without vector", func(p *snapParts) { p.na = naPart(0, -2) }},
 		{"epoch thread out of range", func(p *snapParts) { p.na = naPart(0, 7) }}, // thread 7 of 1
 		{"unknown NA flag bits", func(p *snapParts) { p.na = naPart(8, 0) }},
-		{"bad mask bits", func(p *snapParts) { p.na = naPart(4, 0, 0xF0) }}, // reported, a mask byte with unknown bits
+		{"retired clean-bit flag", func(p *snapParts) { p.na = naPart(2, 0) }}, // version 4's read-side clean bit
+		{"bad mask bits", func(p *snapParts) { p.na = naPart(1, 0, 0xF0) }},    // reported, a mask byte with unknown bits
 		{"gcEvery zero", func(p *snapParts) { p.sync = syncPart(10, 0, 4106, 0) }},
 		{"nextGC never due", func(p *snapParts) { p.sync = syncPart(10, 4096, math.MaxUint64, 0) }},
 		{"nextGC behind events", func(p *snapParts) { p.sync = syncPart(10, 4096, 3, 0) }},
@@ -669,15 +672,15 @@ func TestRestoreValidates(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(cut)); err == nil || err.Error() != wantCut {
 		t.Errorf("cut sync part: got error %v, want %q", err, wantCut)
 	}
-	// Version 4 is the only one decoded: pin the errors for the retired
-	// versions 1 to 3 and for a future version.
+	// Version 5 is the only one decoded: pin the errors for the retired
+	// versions 1 to 4 and for a future version.
 	withVersion := func(ver byte) []byte {
 		b := bytes.Clone(valid)
 		b[len(snapMagic)] = ver
 		return b
 	}
-	for _, ver := range []byte{1, 2, 3, 99} {
-		want := fmt.Sprintf("monitor: snapshot: unsupported version %d (have 4)", ver)
+	for _, ver := range []byte{1, 2, 3, 4, 99} {
+		want := fmt.Sprintf("monitor: snapshot: unsupported version %d (have 5)", ver)
 		if _, err := ReadSnapshot(bytes.NewReader(withVersion(ver))); err == nil || err.Error() != want {
 			t.Errorf("version %d: got error %v, want %q", ver, err, want)
 		}
@@ -849,7 +852,7 @@ func FuzzRestore(f *testing.F) {
 		b[len(b)/2] ^= 0xFF
 		return b
 	}())
-	f.Add([]byte("LDCK\x03")) // the retired version 3
+	f.Add([]byte("LDCK\x04")) // the retired version 4
 	f.Add([]byte{})
 
 	// Many live RA messages at non-integer rational timestamps (negative

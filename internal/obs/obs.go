@@ -324,9 +324,11 @@ func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 // Gauge returns the named gauge value (0 when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Merge combines snapshots taken from separate registries into one.
-// Metric names are expected to be disjoint (each subsystem prefixes its
-// own); on a collision the later snapshot wins.
+// Merge sums snapshots of registries that share a catalogue — one per
+// session monitor, say — into their aggregate: each counter is the sum
+// of its values, each histogram the sum of its counts, sums and
+// buckets. Gauges and vectors describe one registry's state, not a
+// quantity that adds up, and are left out.
 func Merge(snaps ...Snapshot) Snapshot {
 	var m Snapshot
 	for _, s := range snaps {
@@ -334,26 +336,35 @@ func Merge(snaps ...Snapshot) Snapshot {
 			if m.Counters == nil {
 				m.Counters = make(map[string]uint64)
 			}
-			m.Counters[n] = v
+			m.Counters[n] += v
 		}
-		for n, v := range s.Gauges {
-			if m.Gauges == nil {
-				m.Gauges = make(map[string]int64)
-			}
-			m.Gauges[n] = v
-		}
-		for n, v := range s.Vectors {
-			if m.Vectors == nil {
-				m.Vectors = make(map[string][]uint64)
-			}
-			m.Vectors[n] = v
-		}
-		for n, v := range s.Histograms {
+		for n, h := range s.Histograms {
 			if m.Histograms == nil {
 				m.Histograms = make(map[string]HistSnapshot)
 			}
-			m.Histograms[n] = v
+			m.Histograms[n] = m.Histograms[n].add(h)
 		}
 	}
 	return m
+}
+
+// add returns the histogram of both snapshots' observations, its
+// buckets merged in bound order.
+func (h HistSnapshot) add(o HistSnapshot) HistSnapshot {
+	out := HistSnapshot{Count: h.Count + o.Count, Sum: h.Sum + o.Sum}
+	a, b := h.Buckets, o.Buckets
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Le < b[0].Le:
+			out.Buckets = append(out.Buckets, a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0].Le < a[0].Le:
+			out.Buckets = append(out.Buckets, b[0])
+			b = b[1:]
+		default:
+			out.Buckets = append(out.Buckets, HistBucket{Le: a[0].Le, N: a[0].N + b[0].N})
+			a, b = a[1:], b[1:]
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -136,5 +137,31 @@ func TestConcurrentSnapshot(t *testing.T) {
 	s := r.Snapshot()
 	if s.Counter("events") != r.Vec("loads", 4).Sum()/2 {
 		t.Fatalf("events=%d, loads sum/2=%d — writers disagree", s.Counter("events"), r.Vec("loads", 4).Sum()/2)
+	}
+}
+
+// TestMergeSums: Merge adds counters and histograms across registries
+// of one catalogue, bucket by bucket, and leaves gauges and vectors out.
+func TestMergeSums(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	for i, r := range []*Registry{a, b} {
+		r.Counter("c").Add(uint64(10 * (i + 1)))
+		r.Gauge("g").Set(int64(i + 1))
+		r.Vec("v", 2).Store(0, 5)
+	}
+	a.Hist("h").Observe(1)
+	a.Hist("h").Observe(100)
+	b.Hist("h").Observe(1)
+	b.Hist("h").Observe(5)
+	m := Merge(a.Snapshot(), b.Snapshot())
+	if got := m.Counter("c"); got != 30 {
+		t.Errorf("counter c = %d, want 30", got)
+	}
+	if len(m.Gauges) != 0 || len(m.Vectors) != 0 {
+		t.Errorf("merged gauges %v and vectors %v, want none", m.Gauges, m.Vectors)
+	}
+	want := HistSnapshot{Count: 4, Sum: 107, Buckets: []HistBucket{{Le: 1, N: 2}, {Le: 7, N: 1}, {Le: 127, N: 1}}}
+	if got := m.Histograms["h"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("histogram h = %+v, want %+v", got, want)
 	}
 }

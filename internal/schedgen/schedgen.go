@@ -136,13 +136,6 @@ type Options struct {
 	// exercise the monitor's per-message reads-from joins. Values
 	// outside 0..100 are an error.
 	StaleReadPct int
-	// HistoryDepth bounds how many recent writes per location are kept
-	// for stale reads (0 means 4). Memory stays O(locations × depth)
-	// regardless of schedule length.
-	HistoryDepth int
-	// BurstMean is the mean burst length for the Bursty policy (0 means
-	// 64).
-	BurstMean int
 	// EmitHalts appends a monitor.KindHalt event when a thread runs to
 	// completion, telling downstream windowed analyses (the monitor's RA
 	// GC) that the thread's frontier can be treated as +∞. Halt events
@@ -167,30 +160,36 @@ type Options struct {
 	LocSkew float64
 }
 
+const (
+	// historyDepth is how many recent writes per location are kept for
+	// stale reads, so memory stays O(locations) at any schedule length.
+	historyDepth = 4
+	// burstMean is the mean burst length of the Bursty policy.
+	burstMean = 64
+)
+
 // cell is the bounded write history of one location: a ring of the most
 // recent writes, each with a per-location integer timestamp. Index 0 of a
 // fresh cell is the initial write (value 0 at time 0, §3.1).
 type cell struct {
-	times [8]int64
-	vals  [8]prog.Val
-	n     int   // live entries (≤ depth)
+	times [historyDepth]int64
+	vals  [historyDepth]prog.Val
+	n     int   // live entries (≤ historyDepth)
 	head  int   // ring index of the latest write
 	next  int64 // timestamp for the next write
-	depth int
 }
 
-func newCell(depth int) cell {
-	c := cell{n: 1, next: 1, depth: depth}
-	return c // entry 0: time 0, value 0
+func newCell() cell {
+	return cell{n: 1, next: 1} // entry 0: time 0, value 0
 }
 
 func (c *cell) push(v prog.Val) int64 {
 	t := c.next
 	c.next++
-	c.head = (c.head + 1) % c.depth
+	c.head = (c.head + 1) % historyDepth
 	c.times[c.head] = t
 	c.vals[c.head] = v
-	if c.n < c.depth {
+	if c.n < historyDepth {
 		c.n++
 	}
 	return t
@@ -201,7 +200,7 @@ func (c *cell) latest() (int64, prog.Val) { return c.times[c.head], c.vals[c.hea
 
 // at returns the entry i steps behind the newest (0 ≤ i < n).
 func (c *cell) at(i int) (int64, prog.Val) {
-	j := (c.head - i%c.n + c.depth) % c.depth
+	j := (c.head - i%c.n + historyDepth) % historyDepth
 	return c.times[j], c.vals[j]
 }
 
@@ -290,17 +289,6 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 	if opt.StaleReadPct < 0 || opt.StaleReadPct > 100 {
 		return false, fmt.Errorf("schedgen: stale-read percentage %d outside 0..100", opt.StaleReadPct)
 	}
-	depth := opt.HistoryDepth
-	if depth <= 0 {
-		depth = 4
-	}
-	if depth > 8 {
-		depth = 8
-	}
-	burst := opt.BurstMean
-	if burst <= 0 {
-		burst = 64
-	}
 	r := newRNG(opt.Seed)
 
 	// Dense location state, indexed like the monitor's events.
@@ -308,7 +296,7 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 	cells := make([]cell, len(decls)) // NA and RA histories
 	atVals := make([]prog.Val, len(decls))
 	for i := range cells {
-		cells[i] = newCell(depth)
+		cells[i] = newCell()
 	}
 
 	// locAt[t][pc] is the dense location index of the Load/Store at that
@@ -396,7 +384,7 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 			}
 			return runnable[len(runnable)-1]
 		case Bursty:
-			if cur >= 0 && r.intn(burst) != 0 {
+			if cur >= 0 && r.intn(burstMean) != 0 {
 				for _, t := range runnable {
 					if t == cur {
 						return t

@@ -182,20 +182,41 @@ func TestChaosServerCrashRestart(t *testing.T) {
 	want := referenceResult(t, "crashy", trace)
 	cs := startCrashable(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 4_000})
 
+	// The first attempt uploads half the trace and then holds until the
+	// crash, so the crash lands mid-ingest at any host speed; a retry
+	// finds the gate open.
+	release := make(chan struct{})
+	c := slowClient(cs.addr, "crashy", trace)
+	half := len(trace) / 2
+	c.Source = func() (io.Reader, error) {
+		return io.MultiReader(bytes.NewReader(trace[:half]), gate{release}, bytes.NewReader(trace[half:])), nil
+	}
 	done := make(chan struct{})
 	var res *SessionResult
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = slowClient(cs.addr, "crashy", trace).Run()
+		res, runErr = c.Run()
 	}()
-	time.Sleep(80 * time.Millisecond) // mid-upload (~1ms per 4KiB chunk)
+	// The crash must leave a ring entry to recover from.
+	for deadline := time.Now().Add(10 * time.Second); counter(cs.cur, "service.checkpoints") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint written before the crash")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cs.crash()
+	close(release)
 	<-done
 	if runErr != nil {
 		t.Fatalf("session did not survive the crash: %v", runErr)
 	}
 	mustMatch(t, res, want)
+	// The restarted server admitted the session from its ring: a resume,
+	// though no process saw it attach twice.
+	if res.Resumed < 1 {
+		t.Errorf("Resumed = %d after recovering across the restart, want ≥ 1", res.Resumed)
+	}
 	checkConservation(t, cs.cur)
 }
 

@@ -250,8 +250,10 @@ type SessionResult struct {
 	RAPeak      int        `json:"ra_peak"`
 	RACollected uint64     `json:"ra_collected"`
 	// Resumed counts how many times this session was re-attached after
-	// its first admission (0 for an uninterrupted run). Excluded from
-	// parity comparisons — it describes the journey, not the outcome.
+	// its first admission, counting an admission that recovered from a
+	// checkpoint an earlier server process wrote (0 for an uninterrupted
+	// run). Excluded from parity comparisons — it describes the journey,
+	// not the outcome.
 	Resumed int `json:"resumed,omitempty"`
 }
 

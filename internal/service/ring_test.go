@@ -68,15 +68,15 @@ const ckV2 = "\x4c\x44\x43\x4b\x02\x01\x05\x02\x01\x01\x78\x00\x02\x0b\x90\x03" 
 	"\x01\x00\x00\x04\x00\x05\x00\x06\x0e\x04\x03\x01\x01\x00\x02\xc8" +
 	"\x01\xc8\x01\x00\x08\x08\x00\x00\x00"
 
-// ckV3 is the same snapshot as the version-3 encoder wrote it, in
-// tag/length-framed sections.
-const ckV3 = "\x4c\x44\x43\x4b\x03\x01\x05\x02\x01\x01\x78\x00\x02\x09\x90\x03" +
-	"\x80\x20\x80\x20\x00\x00\x00\x03\x08\xc8\x01\x00\x00\xc8\x01\x00" +
-	"\x00\x04\x00\x05\x00\x06\x0e\x04\x03\x01\x01\x00\x02\xc8\x01\xc8" +
-	"\x01\x00\x08\x08\x00\x00\x00"
+// ckV4 is the same snapshot as the version-4 encoder wrote it, with
+// the same-thread skip cache (clean bits and last thread) in its
+// nonatomic record.
+const ckV4 = "\x4c\x44\x43\x4b\x04\x02\x01\x01\x78\x00\x90\x03\x80\x20\x80\x20" +
+	"\x00\x00\x00\xc8\x01\x00\x00\xc8\x01\x00\x00\x04\x03\x01\x01\x00" +
+	"\x02\xc8\x01\xc8\x01\x00\x08\x08\x00\x00\x45"
 
 // TestRingAllCorrupt: when every generation is damaged, or written in a
-// retired snapshot version (2 or 3), recovery reports an error (the
+// retired snapshot version (2 or 4), recovery reports an error (the
 // caller logs it and restarts from event 0, which is sound: the client
 // replays from byte 0) and positions the next write PAST the unusable
 // generations so they are never silently overwritten-in-place.
@@ -90,10 +90,10 @@ func TestRingAllCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(r.dir, ckName(2)), []byte(ckV2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := monitor.ReadSnapshot(strings.NewReader(ckV3)); err == nil || !strings.Contains(err.Error(), "unsupported version 3 (have 4)") {
-		t.Fatalf("version-3 entry: got %v, want an unsupported-version error", err)
+	if _, err := monitor.ReadSnapshot(strings.NewReader(ckV4)); err == nil || !strings.Contains(err.Error(), "unsupported version 4 (have 5)") {
+		t.Fatalf("version-4 entry: got %v, want an unsupported-version error", err)
 	}
-	if err := os.WriteFile(filepath.Join(r.dir, ckName(3)), []byte(ckV3), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(r.dir, ckName(3)), []byte(ckV4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Damage both entries: one truncated to a prefix, one bit-flipped.

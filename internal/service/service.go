@@ -131,7 +131,7 @@ type session struct {
 	id        string
 	attached  bool
 	completed bool
-	resumed   int    // re-attachments after the first admission
+	resumed   int    // re-attachments, and a first admission that recovered from the ring
 	events    uint64 // events monitored as of the last detach/checkpoint
 	races     int    // race count as of completion
 	lastSeen  time.Time
@@ -493,6 +493,14 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		events = m.Events()
 		s.c.recovered.Add(1)
 		s.logf("session %s: recovered at event %d", sess.id, events)
+		s.mu.Lock()
+		if sess.resumed == 0 {
+			// The session's first admission by this process picked up
+			// where an earlier process left it: a resume across a
+			// restart. (admit counts every later re-attachment.)
+			sess.resumed = 1
+		}
+		s.mu.Unlock()
 	}
 	if _, err := fmt.Fprintf(conn, "ok %d\n", events); err != nil {
 		s.fail(sess, conn, m, err)

@@ -8,12 +8,15 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"localdrf/internal/faultinject"
 	"localdrf/internal/monitor"
+	"localdrf/internal/obs"
 	"localdrf/internal/progsynth"
 	"localdrf/internal/schedgen"
 )
@@ -418,6 +421,96 @@ func TestServiceStatsEndpoint(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats?session=nosuch", nil))
 	if rec.Code != 404 {
 		t.Fatalf("GET /stats?session=nosuch: %d, want 404", rec.Code)
+	}
+}
+
+// gate is a trace source part that blocks until release is closed,
+// holding its session attached mid-upload.
+type gate struct{ release chan struct{} }
+
+func (g gate) Read([]byte) (int, error) {
+	<-g.release
+	return 0, io.EOF
+}
+
+// TestServiceStatsAggregateSums: the /stats monitors aggregate sums
+// every counter and histogram over the attached sessions — two here,
+// each held mid-upload past a GC sweep and a checkpoint — and carries
+// none of their gauges or vectors, which only ?session=ID serves.
+func TestServiceStatsAggregateSums(t *testing.T) {
+	s, addr := startServer(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 5_000, ReadTimeout: 30 * time.Second})
+	ids := []string{"sum-a", "sum-b"}
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		trace := genTrace(t, 41+int64(i), 30_000)
+		half := len(trace) / 2
+		c := &Client{
+			Addr: addr, Session: id, ChunkSize: 8 << 10,
+			Source: func() (io.Reader, error) {
+				return io.MultiReader(bytes.NewReader(trace[:half]), gate{release}, bytes.NewReader(trace[half:])), nil
+			},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Run(); err != nil {
+				t.Errorf("session %s: %v", id, err)
+			}
+		}()
+	}
+	defer func() {
+		close(release)
+		wg.Wait()
+	}()
+	// metrics returns each session's live registry snapshot (nil while
+	// one is not attached).
+	metrics := func() []*obs.Snapshot {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out := make([]*obs.Snapshot, len(ids))
+		for i, id := range ids {
+			if sess := s.sessions[id]; sess != nil && sess.reg != nil {
+				snap := sess.reg.Snapshot()
+				out[i] = &snap
+			}
+		}
+		return out
+	}
+	ready := func(ms []*obs.Snapshot) bool {
+		for _, m := range ms {
+			if m == nil || m.Counter("monitor.gc.sweeps") == 0 || m.Histograms["monitor.snapshot.encode_bytes"].Count == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two sessions did not both pass a GC sweep and a checkpoint")
+		}
+		before := metrics()
+		agg := s.statsSnapshot().Monitors
+		// Counters and histograms only grow: equal snapshots either side
+		// of the aggregate mean it saw these values.
+		if !ready(before) || !reflect.DeepEqual(before, metrics()) {
+			continue
+		}
+		a, b := before[0], before[1]
+		for name, v := range a.Counters {
+			if got, want := agg.Counter(name), v+b.Counter(name); got != want {
+				t.Errorf("aggregate counter %s = %d, want %d + %d", name, got, v, b.Counter(name))
+			}
+		}
+		for name, h := range a.Histograms {
+			if got, want := agg.Histograms[name].Count, h.Count+b.Histograms[name].Count; got != want {
+				t.Errorf("aggregate histogram %s count = %d, want %d", name, got, want)
+			}
+		}
+		if len(agg.Gauges) != 0 || len(agg.Vectors) != 0 {
+			t.Errorf("aggregate carries gauges %v and vectors %v", agg.Gauges, agg.Vectors)
+		}
+		return
 	}
 }
 

@@ -33,7 +33,9 @@ type statsDoc struct {
 	Sessions []sessionStats `json:"sessions"`
 	// Service is the service.* registry snapshot; Monitors merges the
 	// monitor.*/pipeline.* registries of every attached session (the
-	// aggregate ingest view — counters sum across sessions).
+	// aggregate ingest view, obs.Merge): counters and histograms sum
+	// across sessions, and the per-session gauges and vectors are only
+	// in /stats?session=ID.
 	Service  obs.Snapshot `json:"service"`
 	Monitors obs.Snapshot `json:"monitors"`
 }

@@ -72,7 +72,12 @@
 // is then provably a no-op forever), so memory tracks the
 // synchronisation window rather than the trace length — O(events ×
 // threads) time worst case, O(locations + threads²) space until
-// histories actually race. Traces are ingested two ways: converted
+// histories actually race. Reports are deduplicated per location in a
+// flat bitmask set over (earlier thread, later thread, kind pair), with
+// a derived count per (later thread, kind pair) of the earlier threads
+// already reported: once that row is full, an access by the later
+// thread skips its vector scan, so a hot location whose races are all
+// reported costs O(1) per access, not O(threads). Traces are ingested two ways: converted
 // machine traces (monitor.Table), or the versioned raw wire format
 // (binary and text) whose validating decoder monitors executions
 // recorded outside the process (MonitorTraceReader), one decoded batch

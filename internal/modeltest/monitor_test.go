@@ -92,7 +92,9 @@ func TestMonitorMatchesRacesOnRandom(t *testing.T) {
 // transitions. Every tenth seed generates under a Zipf location skew
 // (LocSkew 1.3), so ~20 of the streams concentrate their nonatomic
 // traffic on a few hot locations, unevenly loading the pipeline's
-// back-ends. Every stream is checked twice — once with the default
+// back-ends; at least one of those must saturate a dedup row, so the
+// oracle also covers the checker's skipped vector scans, not only its
+// full ones. Every stream is checked twice — once with the default
 // monitor and once with an aggressive GC interval, so the windowed RA
 // collection and epoch handoffs are exercised on every stream and proved
 // report-preserving — and through the pipeline matrix. (Short streams:
@@ -107,6 +109,7 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 		WritePct: 45, SyncPct: 30, MaxConst: 3,
 	}
 	streams := 0
+	var skewedSkips uint64
 	for seed := int64(0); seed < 70; seed++ {
 		p := progsynth.Scaled(seed, cfg)
 		tb := monitor.NewTable(p)
@@ -127,6 +130,9 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 				m.Step(e)
 			}
 			got := m.Reports()
+			if skew > 0 {
+				skewedSkips += m.Stats().Counter("monitor.vector_scans_skipped")
+			}
 			want := race.Races(monitor.Transitions(events, tb.Decls()))
 			if !race.ReportsEqual(got, want) {
 				t.Fatalf("seed %d %v: monitor diverged on schedgen stream\nmonitor %v\noracle  %v",
@@ -255,5 +261,8 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("monitor == race.Races on %d schedgen streams (windowed GC + pipeline matrix, ~1/10 Zipf-skewed)", streams)
+	if skewedSkips == 0 {
+		t.Error("no Zipf-skewed stream saturated a dedup row: the skipped vector scans went unchecked")
+	}
+	t.Logf("monitor == race.Races on %d schedgen streams (windowed GC + pipeline matrix, ~1/10 Zipf-skewed; %d vector scans skipped on the skewed ones)", streams, skewedSkips)
 }

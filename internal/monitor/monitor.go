@@ -91,7 +91,12 @@
 // later access.
 //
 // Complexity: O(events × threads) time worst case, O(1) amortised per
-// event on single-thread and ordered-handoff locations. Space is
+// event on single-thread and ordered-handoff locations. A race already
+// reported costs O(1) to meet again once its row is saturated: when
+// every other thread is reported against the accessing thread for the
+// access's kind pair (pairSet.full), the vector scan could only re-find
+// those races and is skipped, so hot racy locations stop paying
+// O(threads) per access. Space is
 // O(locations + threads²) until histories actually race or interleave:
 // per-location vectors (O(threads)) and report bitmasks (O(threads²))
 // are allocated lazily on first escalation / first race, and live RA
@@ -257,39 +262,75 @@ type naState struct {
 func (ls *naState) sides() [2]*naSide { return [2]*naSide{&ls.w, &ls.r} }
 
 // pairSet is one location's dedup set, shared by the HB checker and
-// the short:k window: pairSet[u*threads+t] is a 4-bit set of the
+// the short:k window. mask[u*n+t] (n threads) is a 4-bit set of the
 // access-kind pairs (earlier kind, later kind) already reported for the
-// thread pair (u earlier, t later), bit 2·wi+wj. It is kept as flat
-// bitmasks so the racy-location hot path never touches a hash map, and
-// is nil until the location's first race.
-type pairSet []uint8
+// thread pair (u earlier, t later), bit pairBit(wi, wj); u ≠ t, as a
+// thread never races with itself. row[t*4+b] is derived from mask and
+// never serialised: the number of earlier threads u whose mask[u*n+t]
+// holds bit b. A row at n-1 is saturated — every other thread is
+// already reported against t for that kind pair — so a check by t for
+// that pair can only re-find reported races and is skipped (full). Both
+// are flat slices, so the racy-location hot path never touches a hash
+// map, and both are nil until the location's first race.
+type pairSet struct {
+	mask []uint8
+	row  []int32
+}
 
-// add records a race (u's access earlier, t's later, writes wi and wj)
-// in a set over n threads, allocating it on first use, and reports
-// whether the pair is new.
-func (ps *pairSet) add(n int, u, t int32, wi, wj bool) bool {
-	if *ps == nil {
-		*ps = make(pairSet, n*n)
-	}
-	b := uint8(0)
+// pairBit is the pairSet bit of the access-kind pair whose earlier
+// access is a write when wi and whose later one is a write when wj.
+func pairBit(wi, wj bool) int {
+	b := 0
 	if wi {
-		b |= 2
+		b = 2
 	}
 	if wj {
 		b |= 1
 	}
-	p := &(*ps)[int(u)*n+int(t)]
+	return b
+}
+
+// add records a race (u's access earlier, t's later, kind pair b) in a
+// set over n threads, allocating it on first use, and reports whether
+// the pair is new.
+func (ps *pairSet) add(n int, u, t int32, b int) bool {
+	if ps.mask == nil {
+		ps.mask = make([]uint8, n*n)
+		ps.row = make([]int32, n*4)
+	}
+	p := &ps.mask[int(u)*n+int(t)]
 	if *p&(1<<b) != 0 {
 		return false
 	}
 	*p |= 1 << b
+	ps.row[int(t)*4+b]++
 	return true
+}
+
+// full reports whether, in a set over n threads, every other thread is
+// already reported earlier than t for kind pair b.
+func (ps *pairSet) full(n int, t int32, b int) bool {
+	return ps.row != nil && ps.row[int(t)*4+b] == int32(n-1)
+}
+
+// pairSetOf builds the set over n threads whose masks are mask,
+// deriving its rows.
+func pairSetOf(n int, mask []uint8) pairSet {
+	ps := pairSet{mask: mask, row: make([]int32, n*4)}
+	for i, m := range mask {
+		for b := 0; b < 4; b++ {
+			if m&(1<<b) != 0 {
+				ps.row[i%n*4+b]++
+			}
+		}
+	}
+	return ps
 }
 
 // races returns the number of distinct races the set records.
 func (ps pairSet) races() int {
 	n := 0
-	for _, mask := range ps {
+	for _, mask := range ps.mask {
 		n += bits.OnesCount8(mask)
 	}
 	return n
@@ -297,7 +338,7 @@ func (ps pairSet) races() int {
 
 // appendReports decodes the set, over n threads, into reports on loc.
 func (ps pairSet) appendReports(out []race.Report, n int, loc prog.Loc) []race.Report {
-	for i, mask := range ps {
+	for i, mask := range ps.mask {
 		for b := uint8(0); b < 4; b++ {
 			if mask&(1<<b) != 0 {
 				out = append(out, race.Report{
@@ -345,9 +386,13 @@ type checker struct {
 	// and the fast-path skip for sweeps with nothing to demote.
 	escalatedSides int
 	// escalations / demotions count the lifetime transitions behind
-	// escalatedSides (plain fields; published via obs.go).
-	escalations uint64
-	demotions   uint64
+	// escalatedSides; vectorScans / scansSkipped count the escalated-side
+	// checks that scanned the vector and those a saturated dedup row
+	// skipped (plain fields; published via obs.go).
+	escalations  uint64
+	demotions    uint64
+	vectorScans  uint64
+	scansSkipped uint64
 }
 
 func newChecker(nthreads int, nlocs int, clocks [][]uint64, minClock []uint64) checker {
@@ -658,10 +703,16 @@ func (ck *checker) access(ls *naState, t int32, c []uint64, write bool) {
 		case noEpoch, t:
 			// No foreign access live on this side: nothing to race with.
 		case escalated:
-			ck.scan(ls, sd, t, c, wi, write)
+			if b := pairBit(wi, write); ls.reported.full(ck.nthreads, t, b) {
+				// Every other thread is already reported against t for this
+				// kind pair: the scan could only re-find those races.
+				ck.scansSkipped++
+			} else {
+				ck.scan(ls, sd, t, c, b)
+			}
 		default:
 			if sd.c > c[sd.t] {
-				ck.report(ls, sd.t, t, wi, write)
+				ck.report(ls, sd.t, t, pairBit(wi, write))
 			}
 		}
 		if !write || !wi {
@@ -702,22 +753,24 @@ func (ck *checker) escalate(sd *naSide) {
 }
 
 // scan checks an access by thread t against every entry of an
-// escalated side, reporting each unordered pair (the earlier access a
-// write when wi, the later one when wj). u == t cannot trigger: the
-// thread's own entry is always below its (just incremented) clock
-// component.
-func (ck *checker) scan(ls *naState, sd *naSide, t int32, c []uint64, wi, wj bool) {
+// escalated side, reporting each unordered pair of kind pair b. u == t
+// cannot trigger: the thread's own entry is always below its (just
+// incremented) clock component. access calls it only while t's dedup
+// row for b is unsaturated, so a pair already reported against every
+// other thread costs O(1), not O(threads).
+func (ck *checker) scan(ls *naState, sd *naSide, t int32, c []uint64, b int) {
+	ck.vectorScans++
 	for u, v := range sd.v {
 		if v > c[u] {
-			ck.report(ls, int32(u), t, wi, wj)
+			ck.report(ls, int32(u), t, b)
 		}
 	}
 }
 
-// report records one race (u's access earlier, t's later) in the
-// location's dedup set.
-func (ck *checker) report(ls *naState, u, t int32, wi, wj bool) {
-	if ls.reported.add(ck.nthreads, u, t, wi, wj) {
+// report records one race (u's access earlier, t's later, kind pair b)
+// in the location's dedup set.
+func (ck *checker) report(ls *naState, u, t int32, b int) {
+	if ls.reported.add(ck.nthreads, u, t, b) {
 		ck.races++
 	}
 }
@@ -818,9 +871,10 @@ func (m *Monitor) naAt(l int32) *naState {
 }
 
 // checkSum totals the race checkers' tallies (races, escalatedSides,
-// escalations, demotions): the monitor's own checker, every back-end's
-// (the caller has settled them; the front-end's own checker is then
-// empty), and the short:k window's races.
+// escalations, demotions, vectorScans, scansSkipped): the monitor's own
+// checker, every back-end's (the caller has settled them; the
+// front-end's own checker is then empty), and the short:k window's
+// races.
 func (m *Monitor) checkSum() checker {
 	var sum checker
 	add := func(ck *checker) {
@@ -828,6 +882,8 @@ func (m *Monitor) checkSum() checker {
 		sum.escalatedSides += ck.escalatedSides
 		sum.escalations += ck.escalations
 		sum.demotions += ck.demotions
+		sum.vectorScans += ck.vectorScans
+		sum.scansSkipped += ck.scansSkipped
 	}
 	add(&m.ck)
 	if m.p != nil {

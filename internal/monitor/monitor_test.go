@@ -34,6 +34,72 @@ func run(t *testing.T, nthreads int, decls []LocDecl, events []Event) []race.Rep
 	return m.Reports()
 }
 
+// dedupRows returns a copy of every dedup set's derived rows in m, by
+// location: the checker's (on whichever back-end owns the location,
+// settled first) and, under PredShort, the window's after it.
+func dedupRows(m *Monitor) [][]int32 {
+	m.settle()
+	var rows [][]int32
+	for l, d := range m.decls {
+		if d.Kind != prog.NonAtomic {
+			continue
+		}
+		rows = append(rows, append([]int32(nil), m.naAt(int32(l)).reported.row...))
+		if m.win != nil {
+			rows = append(rows, append([]int32(nil), m.win.locs[l].reported.row...))
+		}
+	}
+	return rows
+}
+
+// rowsMatchMasks checks the derived state of every dedup set of m (see
+// dedupRows for which): row[t*4+b] must equal the number of earlier
+// threads u whose mask[u*n+t] holds bit b, and a set without masks
+// must have no rows.
+func rowsMatchMasks(m *Monitor) error {
+	m.settle()
+	n := m.nthreads
+	check := func(l int, what string, ps pairSet) error {
+		if ps.mask == nil {
+			if ps.row != nil {
+				return fmt.Errorf("%s %s: rows without masks", m.decls[l].Name, what)
+			}
+			return nil
+		}
+		if len(ps.row) != n*4 {
+			return fmt.Errorf("%s %s: %d rows, want %d", m.decls[l].Name, what, len(ps.row), n*4)
+		}
+		for t := 0; t < n; t++ {
+			for b := 0; b < 4; b++ {
+				want := 0
+				for u := 0; u < n; u++ {
+					if ps.mask[u*n+t]&(1<<b) != 0 {
+						want++
+					}
+				}
+				if got := ps.row[t*4+b]; got != int32(want) {
+					return fmt.Errorf("%s %s: row[%d*4+%d] = %d, mask column holds %d", m.decls[l].Name, what, t, b, got, want)
+				}
+			}
+		}
+		return nil
+	}
+	for l, d := range m.decls {
+		if d.Kind != prog.NonAtomic {
+			continue
+		}
+		if err := check(l, "checker", m.naAt(int32(l)).reported); err != nil {
+			return err
+		}
+		if m.win != nil {
+			if err := check(l, "window", m.win.locs[l].reported); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // TestUnorderedConflict is the MP+na shape: write x, write f || read f,
 // read x with no synchronisation — every cross-thread pair races.
 func TestUnorderedConflict(t *testing.T) {

@@ -41,6 +41,8 @@ package monitor
 //	monitor.escalations              counter  epoch→vector transitions
 //	monitor.demotions                counter  vector→epoch compactions
 //	monitor.escalated_vectors        gauge    sides currently escalated
+//	monitor.vector_scans             counter  escalated-side checks that scanned the vector
+//	monitor.vector_scans_skipped     counter  escalated-side checks a saturated dedup row skipped
 //	monitor.snapshot.encode_bytes/_ns  hist   checkpoint sizes and latency
 //	monitor.snapshot.decode_bytes/_ns  hist   restore sizes and latency
 //
@@ -98,6 +100,8 @@ type monCells struct {
 	escalations  *obs.Counter
 	demotions    *obs.Counter
 	escalated    *obs.Gauge
+	scans        *obs.Counter
+	scansSkipped *obs.Counter
 	snapEncBytes *obs.Hist
 	snapEncNs    *obs.Hist
 	snapDecBytes *obs.Hist
@@ -148,6 +152,8 @@ func newMonCells(reg *obs.Registry) monCells {
 		escalations:  reg.Counter("monitor.escalations"),
 		demotions:    reg.Counter("monitor.demotions"),
 		escalated:    reg.Gauge("monitor.escalated_vectors"),
+		scans:        reg.Counter("monitor.vector_scans"),
+		scansSkipped: reg.Counter("monitor.vector_scans_skipped"),
 		snapEncBytes: reg.Hist("monitor.snapshot.encode_bytes"),
 		snapEncNs:    reg.Hist("monitor.snapshot.encode_ns"),
 		snapDecBytes: reg.Hist("monitor.snapshot.decode_bytes"),
@@ -216,6 +222,8 @@ func (m *Monitor) publishChecks() {
 	mo.escalations.Store(sum.escalations)
 	mo.demotions.Store(sum.demotions)
 	mo.escalated.Set(int64(sum.escalatedSides))
+	mo.scans.Store(sum.vectorScans)
+	mo.scansSkipped.Store(sum.scansSkipped)
 }
 
 // Obs returns the monitor's metric registry (monitor.*, predict.* and,

@@ -181,14 +181,23 @@ func newWindow(nthreads, nlocs int, k uint64) *window {
 
 // access checks one nonatomic access against the location's live window
 // and appends it. c is the accessor's (SP) clock, gidx the global
-// stream index of the access.
+// stream index of the access. The entry loop only reports, so it is
+// skipped when t's dedup rows are saturated for every kind pair the
+// access can race in: (write, read) for a read, (write, write) and
+// (read, write) for a write. An empty window has nothing to skip, so
+// the rows are read only when it holds entries.
 func (w *window) access(loc, t int32, write bool, c []uint64, gidx uint64) {
 	wl := &w.locs[loc]
 	w.pruneLoc(wl, gidx)
-	for i := wl.head; i < len(wl.entries); i++ {
-		e := &wl.entries[i]
-		if e.t != t && (e.write || write) && e.epoch > c[e.t] {
-			w.report(wl, e.t, t, e.write, write)
+	n := w.nthreads
+	skip := wl.head == len(wl.entries) ||
+		wl.reported.full(n, t, pairBit(true, write)) && (!write || wl.reported.full(n, t, pairBit(false, true)))
+	if !skip {
+		for i := wl.head; i < len(wl.entries); i++ {
+			e := &wl.entries[i]
+			if e.t != t && (e.write || write) && e.epoch > c[e.t] {
+				w.report(wl, e.t, t, pairBit(e.write, write))
+			}
 		}
 	}
 	wl.entries = append(wl.entries, winEntry{gidx: gidx, epoch: c[t], t: t, write: write})
@@ -228,8 +237,8 @@ func (w *window) pruneAll(gidx uint64) {
 
 // report records one window race in the location's dedup set — the
 // same set the HB checker keeps.
-func (w *window) report(wl *winLoc, u, t int32, wi, wj bool) {
-	if wl.reported.add(w.nthreads, u, t, wi, wj) {
+func (w *window) report(wl *winLoc, u, t int32, b int) {
+	if wl.reported.add(w.nthreads, u, t, b) {
 		w.races++
 	}
 }

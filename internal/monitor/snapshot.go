@@ -37,7 +37,8 @@ package monitor
 //	         (a thread, or the noEpoch or escalated sentinel) and
 //	         then either uvarint c (the epoch t@c) or, escalated,
 //	         the per-thread vector (threads uvarints); if bit0,
-//	         the threads² dedup mask bytes follow
+//	         the threads² dedup mask bytes follow (the dedup set's
+//	         saturation rows are derived from them on decode)
 //	predict  predicate byte; under PredShort only: uvarint window k,
 //	         then per NONATOMIC location in declaration order: uvarint
 //	         entry count, entries (uvarint gidx — nondecreasing,
@@ -68,9 +69,10 @@ package monitor
 // event stream by skipping N events (TraceReader.ResumeAt).
 //
 // The decoder VALIDATES every field — header limits, clock-vector
-// lengths, epoch sentinels, thread/location bounds, mask bits, the GC
-// schedule (events < nextGC ≤ events + gcEvery), the retention peaks
-// against the live counts, the window's FIFO order and the end byte —
+// lengths, epoch sentinels, thread/location bounds, mask bits (none
+// pairing a thread with itself), the GC schedule (events < nextGC ≤
+// events + gcEvery), the retention peaks against the live counts, the
+// window's FIFO order and the end byte —
 // and returns errors naming the part and field on malformed input,
 // never panics, and never builds a monitor that a subsequent Step could
 // crash.
@@ -227,7 +229,7 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 		}
 		ls := m.naAt(int32(l))
 		var flags byte
-		if ls.reported != nil {
+		if ls.reported.mask != nil {
 			flags |= naReported
 		}
 		sw.byte(flags)
@@ -239,8 +241,8 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 				sw.uvarint(sd.c)
 			}
 		}
-		if ls.reported != nil {
-			sw.w.Write(ls.reported)
+		if ls.reported.mask != nil {
+			sw.w.Write(ls.reported.mask)
 		}
 	}
 
@@ -265,9 +267,9 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 				}
 				sw.byte(wb)
 			}
-			if wl.reported != nil {
+			if wl.reported.mask != nil {
 				sw.byte(1)
-				sw.w.Write(wl.reported)
+				sw.w.Write(wl.reported.mask)
 			} else {
 				sw.byte(0)
 			}
@@ -424,18 +426,22 @@ func (c *snapReader) bitset(n int, field string) ([]bool, error) {
 }
 
 // pairSet decodes a dedup set over n threads: n² mask bytes, each a
-// subset of the four access-kind pair bits.
+// subset of the four access-kind pair bits, and none pairing a thread
+// with itself. The derived saturation rows are rebuilt from the masks.
 func (c *snapReader) pairSet(n int, field string) (pairSet, error) {
 	raw, err := c.take(n*n, field)
 	if err != nil {
-		return nil, err
+		return pairSet{}, err
 	}
-	for _, b := range raw {
+	for i, b := range raw {
 		if b > 15 {
-			return nil, c.errf("%s byte %#x has unknown bits", field, b)
+			return pairSet{}, c.errf("%s byte %#x has unknown bits", field, b)
+		}
+		if b != 0 && i/n == i%n {
+			return pairSet{}, c.errf("%s pair thread %d with itself", field, i%n)
 		}
 	}
-	return pairSet(raw), nil
+	return pairSetOf(n, raw), nil
 }
 
 // epochThread validates an epoch thread field: the two sentinels or a

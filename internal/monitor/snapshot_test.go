@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,6 +84,88 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					interval, k, endSnap.Len(), refSnap.Len())
 			}
 		}
+	}
+}
+
+// TestDedupRowsDerived: the dedup sets' saturation rows are derived
+// state, never serialised, so every path that builds a set — stepping,
+// ReadSnapshot, and migration to back-ends — must leave them equal to
+// the column popcounts of its masks, and a monitor restored mid-stream,
+// sequential or at 4 shards, must hold the uninterrupted monitor's rows
+// at the restore point and at the end. The stream must saturate a row
+// under both the checker (hb) and the window (short:k), so the skipped
+// scans run.
+func TestDedupRowsDerived(t *testing.T) {
+	decls, events := burstyWorkload(4, 8, 30_000, 5)
+	hdr := Header{Threads: 4, Decls: decls}
+	const mid = 11_111
+	saturated := func(rows [][]int32) bool {
+		for _, row := range rows {
+			for _, v := range row {
+				if v == 3 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, pc := range []PipelineConfig{{}, {Predicate: PredShort, WindowK: 64}} {
+		name := pc.Predicate.String()
+		whole := Open(hdr, pc)
+		whole.StepBatch(events[:mid])
+		if err := rowsMatchMasks(whole); err != nil {
+			t.Fatalf("%s: stepped to %d: %v", name, mid, err)
+		}
+		var snap bytes.Buffer
+		if err := whole.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		midRows := dedupRows(whole)
+		whole.StepBatch(events[mid:])
+		if err := rowsMatchMasks(whole); err != nil {
+			t.Fatalf("%s: stepped to the end: %v", name, err)
+		}
+		endRows := dedupRows(whole)
+		if !saturated(midRows) {
+			t.Fatalf("%s: no dedup row saturated by event %d", name, mid)
+		}
+		if pc.Predicate == PredHB && whole.Stats().Counter("monitor.vector_scans_skipped") == 0 {
+			t.Fatalf("%s: no vector scan skipped", name)
+		}
+		for _, shards := range []int{1, 4} {
+			s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rowsMatchMasks(s.m); err != nil {
+				t.Fatalf("%s: after ReadSnapshot: %v", name, err)
+			}
+			m := s.Open(PipelineConfig{Shards: shards})
+			if err := rowsMatchMasks(m); err != nil {
+				t.Fatalf("%s shards=%d: restored: %v", name, shards, err)
+			}
+			if !reflect.DeepEqual(dedupRows(m), midRows) {
+				t.Fatalf("%s shards=%d: restored rows differ from the uninterrupted monitor's at %d", name, shards, mid)
+			}
+			m.StepBatch(events[mid:])
+			if err := rowsMatchMasks(m); err != nil {
+				t.Fatalf("%s shards=%d: resumed to the end: %v", name, shards, err)
+			}
+			if !reflect.DeepEqual(dedupRows(m), endRows) {
+				t.Fatalf("%s shards=%d: resumed rows differ from the uninterrupted monitor's at the end", name, shards)
+			}
+			m.Finish()
+		}
+		// A monitor sharded from the start builds its sets in the back-ends.
+		sh := NewPipeline(4, decls, PipelineConfig{Shards: 4, Predicate: pc.Predicate, WindowK: pc.WindowK})
+		sh.StepBatch(events)
+		if err := rowsMatchMasks(sh); err != nil {
+			t.Fatalf("%s: sharded: %v", name, err)
+		}
+		if !reflect.DeepEqual(dedupRows(sh), endRows) {
+			t.Fatalf("%s: sharded rows differ from the sequential monitor's", name)
+		}
+		sh.Finish()
 	}
 }
 
@@ -627,6 +710,7 @@ func TestRestoreValidates(t *testing.T) {
 		{"unknown NA flag bits", func(p *snapParts) { p.na = naPart(8, 0) }},
 		{"retired clean-bit flag", func(p *snapParts) { p.na = naPart(2, 0) }}, // version 4's read-side clean bit
 		{"bad mask bits", func(p *snapParts) { p.na = naPart(1, 0, 0xF0) }},    // reported, a mask byte with unknown bits
+		{"mask pairs a thread with itself", func(p *snapParts) { p.na = naPart(1, 0, 0x01) }},
 		{"gcEvery zero", func(p *snapParts) { p.sync = syncPart(10, 0, 4106, 0) }},
 		{"nextGC never due", func(p *snapParts) { p.sync = syncPart(10, 4096, math.MaxUint64, 0) }},
 		{"nextGC behind events", func(p *snapParts) { p.sync = syncPart(10, 4096, 3, 0) }},
@@ -910,6 +994,10 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Every accepted snapshot rebuilds the dedup rows from its masks.
+		if err := rowsMatchMasks(s.m); err != nil {
+			t.Fatal(err)
+		}
 		h := s.hdr
 		// Cap the restored shape: the limits admit sizes that are fine for
 		// real monitors but too slow to exercise per fuzz exec.
@@ -934,6 +1022,9 @@ func FuzzRestore(f *testing.F) {
 		}
 		_ = rm.Reports()
 		_ = rm.RAStats()
+		if err := rowsMatchMasks(rm); err != nil {
+			t.Fatalf("after stepping the restored monitor: %v", err)
+		}
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +175,30 @@ func slowClient(addr, session string, trace []byte) *Client {
 	}
 }
 
+// gatedClient is a slowClient whose first attempt uploads half the
+// trace and then holds until release is closed, so a crash before the
+// release lands mid-ingest at any host speed; a retry finds the gate
+// open.
+func gatedClient(addr, session string, trace []byte, release chan struct{}) *Client {
+	c := slowClient(addr, session, trace)
+	half := len(trace) / 2
+	c.Source = func() (io.Reader, error) {
+		return io.MultiReader(bytes.NewReader(trace[:half]), gate{release}, bytes.NewReader(trace[half:])), nil
+	}
+	return c
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestChaosServerCrashRestart: the server is killed mid-ingest and
 // restarted; the session recovers from its checkpoint ring and finishes
 // with the uninterrupted outcome.
@@ -182,29 +207,16 @@ func TestChaosServerCrashRestart(t *testing.T) {
 	want := referenceResult(t, "crashy", trace)
 	cs := startCrashable(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 4_000})
 
-	// The first attempt uploads half the trace and then holds until the
-	// crash, so the crash lands mid-ingest at any host speed; a retry
-	// finds the gate open.
 	release := make(chan struct{})
-	c := slowClient(cs.addr, "crashy", trace)
-	half := len(trace) / 2
-	c.Source = func() (io.Reader, error) {
-		return io.MultiReader(bytes.NewReader(trace[:half]), gate{release}, bytes.NewReader(trace[half:])), nil
-	}
 	done := make(chan struct{})
 	var res *SessionResult
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = c.Run()
+		res, runErr = gatedClient(cs.addr, "crashy", trace, release).Run()
 	}()
 	// The crash must leave a ring entry to recover from.
-	for deadline := time.Now().Add(10 * time.Second); counter(cs.cur, "service.checkpoints") == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint written before the crash")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a checkpoint before the crash", func() bool { return counter(cs.cur, "service.checkpoints") > 0 })
 	cs.crash()
 	close(release)
 	<-done
@@ -222,9 +234,10 @@ func TestChaosServerCrashRestart(t *testing.T) {
 
 // TestChaosCrashWithTornCheckpoint: the crash interacts with the
 // checkpoint ring's own failure mode — one checkpoint file write tears
-// (half its bytes, then an error). The torn temp file must never become
-// a ring entry, recovery must fall back to an intact generation, and the
-// outcome must still match.
+// (half its bytes, then an error). The crash comes once the torn (third)
+// write has failed, with the two before it intact: the torn temp file
+// must never become a ring entry, recovery must fall back to an intact
+// generation, and the outcome must still match.
 func TestChaosCrashWithTornCheckpoint(t *testing.T) {
 	trace := genTrace(t, 307, 50_000)
 	want := referenceResult(t, "torn", trace)
@@ -232,26 +245,34 @@ func TestChaosCrashWithTornCheckpoint(t *testing.T) {
 	cs := startCrashable(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 4_000, FS: ffs,
 		RetryAfter: 10 * time.Millisecond})
 
+	release := make(chan struct{})
 	done := make(chan struct{})
 	var res *SessionResult
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = slowClient(cs.addr, "torn", trace).Run()
+		res, runErr = gatedClient(cs.addr, "torn", trace, release).Run()
 	}()
-	time.Sleep(80 * time.Millisecond)
+	waitFor(t, "the torn checkpoint write after an intact one", func() bool {
+		return counter(cs.cur, "service.checkpoint_failures") > 0 && counter(cs.cur, "service.checkpoints") > 0
+	})
 	cs.crash()
+	close(release)
 	<-done
 	if runErr != nil {
 		t.Fatalf("session did not survive crash + torn checkpoint: %v", runErr)
 	}
 	mustMatch(t, res, want)
+	if res.Resumed < 1 {
+		t.Errorf("Resumed = %d after recovering across the restart, want ≥ 1", res.Resumed)
+	}
 	checkConservation(t, cs.cur)
 }
 
 // TestChaosMultiSessionCrash: several concurrent sessions, one server
-// crash mid-flight — every session must converge on its own reference
-// outcome, independently.
+// crash mid-flight, once every session holds a ring entry — every
+// session must recover and converge on its own reference outcome,
+// independently.
 func TestChaosMultiSessionCrash(t *testing.T) {
 	const n = 6
 	traces := make([][]byte, n)
@@ -260,8 +281,10 @@ func TestChaosMultiSessionCrash(t *testing.T) {
 		traces[i] = genTrace(t, 400+int64(i), 30_000)
 		wants[i] = referenceResult(t, fmt.Sprintf("multi-%d", i), traces[i])
 	}
-	cs := startCrashable(t, Config{CheckpointDir: t.TempDir(), CheckpointEvery: 5_000})
+	dir := t.TempDir()
+	cs := startCrashable(t, Config{CheckpointDir: dir, CheckpointEvery: 5_000})
 
+	release := make(chan struct{})
 	results := make([]*SessionResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -269,11 +292,19 @@ func TestChaosMultiSessionCrash(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = slowClient(cs.addr, fmt.Sprintf("multi-%d", i), traces[i]).Run()
+			results[i], errs[i] = gatedClient(cs.addr, fmt.Sprintf("multi-%d", i), traces[i], release).Run()
 		}(i)
 	}
-	time.Sleep(70 * time.Millisecond)
+	waitFor(t, "a ring entry for every session", func() bool {
+		for i := range traces {
+			if entries, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("multi-%d", i), "ck-*"+ckSuffix)); len(entries) == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	cs.crash()
+	close(release)
 	wg.Wait()
 	for i := range results {
 		if errs[i] != nil {
@@ -281,6 +312,9 @@ func TestChaosMultiSessionCrash(t *testing.T) {
 			continue
 		}
 		mustMatch(t, results[i], wants[i])
+		if results[i].Resumed < 1 {
+			t.Errorf("session multi-%d: Resumed = %d after recovering across the restart, want ≥ 1", i, results[i].Resumed)
+		}
 	}
 	checkConservation(t, cs.cur)
 }

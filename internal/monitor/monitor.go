@@ -268,8 +268,10 @@ func (ls *naState) sides() [2]*naSide { return [2]*naSide{&ls.w, &ls.r} }
 // thread never races with itself. row[t*4+b] is derived from mask and
 // never serialised: the number of earlier threads u whose mask[u*n+t]
 // holds bit b. A row at n-1 is saturated — every other thread is
-// already reported against t for that kind pair — so a check by t for
-// that pair can only re-find reported races and is skipped (full). Both
+// already reported against t for that kind pair — so the checker's
+// vector scan for t's access of that pair can only re-find reported
+// races and is skipped (full); the window keeps the rows but scans its
+// entries regardless. Both
 // are flat slices, so the racy-location hot path never touches a hash
 // map, and both are nil until the location's first race.
 type pairSet struct {

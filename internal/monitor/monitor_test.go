@@ -34,32 +34,18 @@ func run(t *testing.T, nthreads int, decls []LocDecl, events []Event) []race.Rep
 	return m.Reports()
 }
 
-// dedupRows returns a copy of every dedup set's derived rows in m, by
-// location: the checker's (on whichever back-end owns the location,
-// settled first) and, under PredShort, the window's after it.
-func dedupRows(m *Monitor) [][]int32 {
-	m.settle()
-	var rows [][]int32
-	for l, d := range m.decls {
-		if d.Kind != prog.NonAtomic {
-			continue
-		}
-		rows = append(rows, append([]int32(nil), m.naAt(int32(l)).reported.row...))
-		if m.win != nil {
-			rows = append(rows, append([]int32(nil), m.win.locs[l].reported.row...))
-		}
-	}
-	return rows
-}
-
-// rowsMatchMasks checks the derived state of every dedup set of m (see
-// dedupRows for which): row[t*4+b] must equal the number of earlier
-// threads u whose mask[u*n+t] holds bit b, and a set without masks
-// must have no rows.
-func rowsMatchMasks(m *Monitor) error {
+// dedupRows checks the derived state of every dedup set of m — per
+// nonatomic location, the checker's (on whichever back-end owns the
+// location, settled first) and, under PredShort, the window's after it
+// — and returns a copy of their rows in that order. row[t*4+b] must
+// equal the number of earlier threads u whose mask[u*n+t] holds bit b,
+// and a set without masks must have no rows.
+func dedupRows(m *Monitor) ([][]int32, error) {
 	m.settle()
 	n := m.nthreads
+	var rows [][]int32
 	check := func(l int, what string, ps pairSet) error {
+		rows = append(rows, append([]int32(nil), ps.row...))
 		if ps.mask == nil {
 			if ps.row != nil {
 				return fmt.Errorf("%s %s: rows without masks", m.decls[l].Name, what)
@@ -89,15 +75,15 @@ func rowsMatchMasks(m *Monitor) error {
 			continue
 		}
 		if err := check(l, "checker", m.naAt(int32(l)).reported); err != nil {
-			return err
+			return nil, err
 		}
 		if m.win != nil {
 			if err := check(l, "window", m.win.locs[l].reported); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 // TestUnorderedConflict is the MP+na shape: write x, write f || read f,

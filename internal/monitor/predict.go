@@ -181,23 +181,14 @@ func newWindow(nthreads, nlocs int, k uint64) *window {
 
 // access checks one nonatomic access against the location's live window
 // and appends it. c is the accessor's (SP) clock, gidx the global
-// stream index of the access. The entry loop only reports, so it is
-// skipped when t's dedup rows are saturated for every kind pair the
-// access can race in: (write, read) for a read, (write, write) and
-// (read, write) for a write. An empty window has nothing to skip, so
-// the rows are read only when it holds entries.
+// stream index of the access.
 func (w *window) access(loc, t int32, write bool, c []uint64, gidx uint64) {
 	wl := &w.locs[loc]
 	w.pruneLoc(wl, gidx)
-	n := w.nthreads
-	skip := wl.head == len(wl.entries) ||
-		wl.reported.full(n, t, pairBit(true, write)) && (!write || wl.reported.full(n, t, pairBit(false, true)))
-	if !skip {
-		for i := wl.head; i < len(wl.entries); i++ {
-			e := &wl.entries[i]
-			if e.t != t && (e.write || write) && e.epoch > c[e.t] {
-				w.report(wl, e.t, t, pairBit(e.write, write))
-			}
+	for i := wl.head; i < len(wl.entries); i++ {
+		e := &wl.entries[i]
+		if e.t != t && (e.write || write) && e.epoch > c[e.t] {
+			w.report(wl, e.t, t, pairBit(e.write, write))
 		}
 	}
 	wl.entries = append(wl.entries, winEntry{gidx: gidx, epoch: c[t], t: t, write: write})

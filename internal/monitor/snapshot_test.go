@@ -93,8 +93,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // the column popcounts of its masks, and a monitor restored mid-stream,
 // sequential or at 4 shards, must hold the uninterrupted monitor's rows
 // at the restore point and at the end. The stream must saturate a row
-// under both the checker (hb) and the window (short:k), so the skipped
-// scans run.
+// under both the checker (hb) and the window (short:k), and under hb
+// the checker must skip a scan.
 func TestDedupRowsDerived(t *testing.T) {
 	decls, events := burstyWorkload(4, 8, 30_000, 5)
 	hdr := Header{Threads: 4, Decls: decls}
@@ -113,19 +113,19 @@ func TestDedupRowsDerived(t *testing.T) {
 		name := pc.Predicate.String()
 		whole := Open(hdr, pc)
 		whole.StepBatch(events[:mid])
-		if err := rowsMatchMasks(whole); err != nil {
+		midRows, err := dedupRows(whole)
+		if err != nil {
 			t.Fatalf("%s: stepped to %d: %v", name, mid, err)
 		}
 		var snap bytes.Buffer
 		if err := whole.Snapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
-		midRows := dedupRows(whole)
 		whole.StepBatch(events[mid:])
-		if err := rowsMatchMasks(whole); err != nil {
+		endRows, err := dedupRows(whole)
+		if err != nil {
 			t.Fatalf("%s: stepped to the end: %v", name, err)
 		}
-		endRows := dedupRows(whole)
 		if !saturated(midRows) {
 			t.Fatalf("%s: no dedup row saturated by event %d", name, mid)
 		}
@@ -137,21 +137,22 @@ func TestDedupRowsDerived(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rowsMatchMasks(s.m); err != nil {
+			if _, err := dedupRows(s.m); err != nil {
 				t.Fatalf("%s: after ReadSnapshot: %v", name, err)
 			}
 			m := s.Open(PipelineConfig{Shards: shards})
-			if err := rowsMatchMasks(m); err != nil {
+			rows, err := dedupRows(m)
+			if err != nil {
 				t.Fatalf("%s shards=%d: restored: %v", name, shards, err)
 			}
-			if !reflect.DeepEqual(dedupRows(m), midRows) {
+			if !reflect.DeepEqual(rows, midRows) {
 				t.Fatalf("%s shards=%d: restored rows differ from the uninterrupted monitor's at %d", name, shards, mid)
 			}
 			m.StepBatch(events[mid:])
-			if err := rowsMatchMasks(m); err != nil {
+			if rows, err = dedupRows(m); err != nil {
 				t.Fatalf("%s shards=%d: resumed to the end: %v", name, shards, err)
 			}
-			if !reflect.DeepEqual(dedupRows(m), endRows) {
+			if !reflect.DeepEqual(rows, endRows) {
 				t.Fatalf("%s shards=%d: resumed rows differ from the uninterrupted monitor's at the end", name, shards)
 			}
 			m.Finish()
@@ -159,10 +160,11 @@ func TestDedupRowsDerived(t *testing.T) {
 		// A monitor sharded from the start builds its sets in the back-ends.
 		sh := NewPipeline(4, decls, PipelineConfig{Shards: 4, Predicate: pc.Predicate, WindowK: pc.WindowK})
 		sh.StepBatch(events)
-		if err := rowsMatchMasks(sh); err != nil {
+		rows, err := dedupRows(sh)
+		if err != nil {
 			t.Fatalf("%s: sharded: %v", name, err)
 		}
-		if !reflect.DeepEqual(dedupRows(sh), endRows) {
+		if !reflect.DeepEqual(rows, endRows) {
 			t.Fatalf("%s: sharded rows differ from the sequential monitor's", name)
 		}
 		sh.Finish()
@@ -995,7 +997,7 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		// Every accepted snapshot rebuilds the dedup rows from its masks.
-		if err := rowsMatchMasks(s.m); err != nil {
+		if _, err := dedupRows(s.m); err != nil {
 			t.Fatal(err)
 		}
 		h := s.hdr
@@ -1022,7 +1024,7 @@ func FuzzRestore(f *testing.F) {
 		}
 		_ = rm.Reports()
 		_ = rm.RAStats()
-		if err := rowsMatchMasks(rm); err != nil {
+		if _, err := dedupRows(rm); err != nil {
 			t.Fatalf("after stepping the restored monitor: %v", err)
 		}
 	})

@@ -156,6 +156,57 @@ func BenchmarkSchedulePrivate(b *testing.B) {
 	})
 }
 
+// BenchmarkTraceIngest runs the offline racemon -trace loop at layer
+// level: racemon's default 1M-event bursty schedule, wire-encoded once,
+// then per op NewTraceReader, and NextBatch into StepBatch to the end
+// of the trace, each frame's decode overlapping the step of the one
+// before. hb is the sequential monitor, short64 the short:64 window.
+// BenchmarkDecodeV2 times the decode alone.
+func BenchmarkTraceIngest(b *testing.B) {
+	const n = 1_000_000
+	cfg := progsynth.ScaledDefaults()
+	cfg.Iters = cfg.IterationsFor(n)
+	p := progsynth.Scaled(1, cfg)
+	var trace bytes.Buffer
+	opt := schedgen.Options{Policy: schedgen.Bursty, Seed: 1, MaxEvents: n, StaleReadPct: 10}
+	events, _, err := schedgen.Encode(&trace, p, monitor.NewTable(p), opt, monitor.BinaryV2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pc := range []struct {
+		name string
+		pred monitor.Predicate
+		k    int
+	}{{"hb", monitor.PredHB, 0}, {"short64", monitor.PredShort, 64}} {
+		b.Run(pc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr, err := monitor.NewTraceReader(bytes.NewReader(trace.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := tr.NewMonitor()
+				m.SetPredicate(pc.pred, pc.k)
+				var buf []monitor.Event
+				for {
+					batch, ok, err := tr.NextBatch(buf[:0])
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					m.StepBatch(batch)
+					buf = batch
+				}
+				if m.Events() != uint64(events) {
+					b.Fatalf("monitored %d events, want %d", m.Events(), events)
+				}
+			}
+			monitor.ReportEventRate(b, events)
+		})
+	}
+}
+
 // TestCompactionDemotes: on a 16-thread unfair schedule whose threads
 // halt throughout, the GC's sweeps demote escalated vectors whose
 // writers went quiet back to epochs. The default-GC run must demote,

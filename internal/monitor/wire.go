@@ -542,6 +542,14 @@ func (tw *TraceWriter) Flush() error {
 // at a time via Next (ResumeAt's exact skip). Malformed input
 // produces an error, never a panic, and never an event the monitor
 // cannot safely consume.
+//
+// On a binary trace, NextBatch decodes the next frame on a goroutine
+// of its own while the caller steps the one it returned, so the source
+// io.Reader may be read on another goroutine between calls: the caller
+// must not touch it while the reader is live. At most one frame is in
+// flight, and a reader dropped mid-stream leaves at most that frame's
+// goroutine, which exits once that frame is decoded or its read fails;
+// no Close is needed.
 type TraceReader struct {
 	br   *bufio.Reader
 	hdr  Header
@@ -566,6 +574,16 @@ type TraceReader struct {
 	frameBuf []byte
 	batch    []Event
 	cur      int
+	// Decode-ahead (binary NextBatch): the goroutine decoding the next
+	// frame owns the decoder state above (br, the delta context, halted,
+	// frameBuf) until it stores its result in ahead* and signals on
+	// ahead. aheadBusy, read and written on the caller's goroutine only,
+	// says a frame is in flight.
+	ahead      chan struct{}
+	aheadBusy  bool
+	aheadBatch []Event
+	aheadOK    bool
+	aheadErr   error
 }
 
 // NewTraceReader sniffs the encoding of r, decodes and validates the
@@ -599,6 +617,8 @@ func (tr *TraceReader) Header() Header { return tr.hdr }
 func (tr *TraceReader) NewMonitor() *Monitor { return New(tr.hdr.Threads, tr.hdr.Decls) }
 
 // Next decodes and validates the next event; ok=false at end of trace.
+// It never decodes ahead: a frame NextBatch left in flight is taken
+// first.
 func (tr *TraceReader) Next() (Event, bool, error) {
 	if tr.text {
 		return tr.nextText()
@@ -606,7 +626,11 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 	if tr.cur >= len(tr.batch) {
 		var ok bool
 		var err error
-		tr.batch, ok, err = tr.decodeFrame(tr.batch[:0])
+		if tr.aheadBusy {
+			tr.batch, ok, err = tr.awaitAhead()
+		} else {
+			tr.batch, ok, err = tr.decodeFrame(tr.batch[:0])
+		}
 		tr.cur = 0
 		if err != nil || !ok {
 			return Event{}, false, err
@@ -621,7 +645,21 @@ func (tr *TraceReader) Next() (Event, bool, error) {
 // dst — for the binary format a whole frame at a time (the natural batch
 // boundary), for text a bounded run of single events. ok=false with
 // nothing appended means the end of the trace. Hand each batch to
-// Monitor.StepBatch.
+// Monitor.StepBatch, then hand its array back as the next call's
+// dst[:0]:
+//
+//	batch, ok, err := tr.NextBatch(buf[:0])
+//	...
+//	buf = batch
+//
+// On a binary trace, a call that returns a frame starts decoding the
+// next one into the array dst handed back (a fresh one if dst is nil),
+// and the next call receives it. A returned batch stays valid until it
+// is handed back; the reader never writes an array the caller has not
+// handed back. A non-empty dst hands back nothing: the frame is
+// appended to it. Nothing is decoded ahead after an error or the end of
+// the trace, and a bad frame yields its valid prefix and its error at
+// the same call as without the overlap.
 func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 	if !tr.text {
 		if tr.cur < len(tr.batch) {
@@ -629,7 +667,24 @@ func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 			tr.cur = len(tr.batch)
 			return dst, true, nil
 		}
-		return tr.decodeFrame(dst)
+		if !tr.aheadBusy {
+			batch, ok, err := tr.decodeFrame(dst)
+			if ok {
+				tr.decodeAhead(nil)
+			}
+			return batch, ok, err
+		}
+		batch, ok, err := tr.awaitAhead()
+		spare := dst
+		if len(dst) > 0 {
+			spare, batch = batch, append(dst, batch...)
+		} else if cap(dst) > 0 && cap(batch) > 0 && &dst[:1][0] == &batch[:1][0] {
+			spare = nil // dst is the array this call returns again
+		}
+		if ok {
+			tr.decodeAhead(spare[:0])
+		}
+		return batch, ok, err
 	}
 	n := 0
 	for ; n < defaultFrameEvents; n++ {
@@ -664,6 +719,7 @@ func (tr *TraceReader) readBinaryHeader() error {
 		return err
 	}
 	tr.hdr = hdr
+	tr.ahead = make(chan struct{}, 1)
 	tr.prevLoc = make([]int32, hdr.Threads)
 	tr.prevNum = make([]int64, len(hdr.Decls))
 	// prog.LocKind counts na, at, ra in the order Kind pairs them.
@@ -672,6 +728,23 @@ func (tr *TraceReader) readBinaryHeader() error {
 		tr.locClass[l] = uint8(d.Kind)
 	}
 	return nil
+}
+
+// decodeAhead starts decoding the next frame into dst on a goroutine of
+// its own; awaitAhead receives it.
+func (tr *TraceReader) decodeAhead(dst []Event) {
+	tr.aheadBusy = true
+	go func() {
+		tr.aheadBatch, tr.aheadOK, tr.aheadErr = tr.decodeFrame(dst)
+		tr.ahead <- struct{}{}
+	}()
+}
+
+func (tr *TraceReader) awaitAhead() ([]Event, bool, error) {
+	<-tr.ahead
+	batch := tr.aheadBatch
+	tr.aheadBusy, tr.aheadBatch = false, nil
+	return batch, tr.aheadOK, tr.aheadErr
 }
 
 // decodeFrame reads and decodes the next binary frame, appending its

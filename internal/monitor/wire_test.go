@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -293,8 +294,10 @@ func TestWireWriterRejects(t *testing.T) {
 // yield must be safe for the monitor to consume. Seeds cover both
 // formats (binary with and without halts, text) and a few corruption
 // shapes, including binary frames under the retired version byte 1 and
-// under a future version 3; the fuzz body exercises both the per-event
-// and the batch decoding paths.
+// under a future version 3. The per-event pass, which never decodes
+// ahead, is the reference: every batch pass must yield the same events
+// in the same order and end the same way, and monitoring either pass
+// reports the same races.
 func FuzzTraceReader(f *testing.F) {
 	hdr, events := wireWorkload()
 	noHalt := encodeAllFuzz(f, hdr, events, BinaryV2)
@@ -317,57 +320,214 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte("LDTR\x02\x02\x01\x01x\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte("ldtrace 1\nthreads 3\nloc R ra\n0 w R -5/3\n0 halt\n"))
 	f.Add([]byte{})
-	f.Add(hostileHeader()) // rejected by the threads × locations limit
+	f.Add(hostileHeader())   // rejected by the threads × locations limit
+	f.Add(smallFrames(f, 7)) // many frames, each decoded ahead of the last
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, batched := range []bool{false, true} {
-			tr, err := NewTraceReader(bytes.NewReader(data))
-			if err != nil {
-				return
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		h := tr.Header()
+		// Cap the monitored shape: the monitor's clock state is
+		// O(threads²) and the decoder's limits allow sizes that are fine
+		// for real traces but too slow to allocate per fuzz exec.
+		var ref, batched *Monitor
+		if h.Threads <= 64 && len(h.Decls) <= 1024 {
+			ref, batched = New(h.Threads, h.Decls), New(h.Threads, h.Decls)
+			ref.SetGCInterval(64)
+			batched.SetGCInterval(64)
+		}
+		want, wantEnd := drainNext(tr)
+		for _, e := range want {
+			if verr := validateEvent(h, e); verr != nil {
+				t.Fatalf("decoder yielded invalid event %+v: %v", e, verr)
 			}
-			h := tr.Header()
-			// Cap the monitored shape: the monitor's clock state is
-			// O(threads²) and the decoder's limits allow sizes that are fine
-			// for real traces but too slow to allocate per fuzz exec.
-			feed := h.Threads <= 64 && len(h.Decls) <= 1024
-			var m *Monitor
-			if feed {
-				m = New(h.Threads, h.Decls)
-				m.SetGCInterval(64)
+		}
+		if err := batchParity(data, want, wantEnd, batched); err != nil {
+			t.Fatal(err)
+		}
+		if ref != nil {
+			for _, e := range want {
+				ref.Step(e)
 			}
-			var batch []Event
-			for i := 0; i < 1<<16; i++ {
-				if batched {
-					var ok bool
-					batch, ok, err = tr.NextBatch(batch[:0])
-					if err != nil || !ok {
-						break
-					}
-					for _, e := range batch {
-						if verr := validateEvent(h, e); verr != nil {
-							t.Fatalf("batch decoder yielded invalid event %+v: %v", e, verr)
-						}
-					}
-					if feed {
-						m.StepBatch(batch)
-					}
-					continue
-				}
-				e, ok, err := tr.Next()
-				if err != nil || !ok {
-					break
-				}
-				if verr := validateEvent(h, e); verr != nil {
-					t.Fatalf("decoder yielded invalid event %+v: %v", e, verr)
-				}
-				if feed {
-					m.Step(e)
-				}
-			}
-			if feed {
-				_ = m.Reports()
+			if got, w := batched.Reports(), ref.Reports(); !race.ReportsEqual(got, w) {
+				t.Fatalf("batch pass reported %v, per-event pass %v", got, w)
 			}
 		}
 	})
+}
+
+// smallFrames is a binary trace of wireWorkload's stream six times
+// over, then two halts, cut into frames of every events (each Flush
+// ends a frame).
+func smallFrames(tb testing.TB, every int) []byte {
+	tb.Helper()
+	hdr, events := wireWorkload()
+	stream := append(slices.Repeat(events, 6), Event{Thread: 0, Kind: KindHalt}, Event{Thread: 2, Kind: KindHalt})
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, hdr, BinaryV2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range stream {
+		if err := tw.Write(e); err != nil {
+			tb.Fatal(err)
+		}
+		if (i+1)%every == 0 || i == len(stream)-1 {
+			if err := tw.Flush(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// traceEnd is how a decode pass ended: "" at a clean end of trace, else
+// the error text.
+func traceEnd(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// drainNext reads tr to its end with Next alone, which never decodes
+// ahead, and returns the events and how the trace ended. Every event
+// consumes input bytes, so the loop ends on any input.
+func drainNext(tr *TraceReader) ([]Event, string) {
+	var events []Event
+	for {
+		e, ok, err := tr.Next()
+		if err != nil || !ok {
+			return events, traceEnd(err)
+		}
+		events = append(events, e)
+	}
+}
+
+// batchModes are the ways a caller can hand batch arrays back to
+// NextBatch (see drainBatches).
+var batchModes = []string{"handback", "keep", "append", "fixed", "mixed"}
+
+// drainBatches reads tr to its end through NextBatch, handing arrays
+// back as mode says:
+//
+//   - handback: the drivers' loop, buf[:0] of the last batch;
+//   - keep: nil every time, keeping every batch until the end, so a
+//     write into an array not handed back shows as a changed event;
+//   - append: the growing slice of all events so far (dst non-empty);
+//   - fixed: the same array every time, whether or not it holds the
+//     last batch;
+//   - mixed: every third call is Next, the first one included.
+//
+// Except in handback mode, which keeps the overlap, each call waits for
+// the frame it left in flight to finish decoding before its batch is
+// read, so a write into an array the caller holds shows on any
+// schedule.
+//
+// It returns the events of the calls that succeeded, the valid prefix
+// a failing NextBatch returned with its error (nil if Next failed), and
+// how the trace ended. step, if non-nil, receives each batch of the
+// handback mode.
+func drainBatches(tr *TraceReader, mode string, step func([]Event)) (events, prefix []Event, end string) {
+	var buf []Event
+	var kept [][]Event
+	fixed := make([]Event, 0, defaultFrameEvents)
+	for i := 0; ; i++ {
+		var dst []Event
+		switch mode {
+		case "handback":
+			dst = buf[:0]
+		case "append":
+			dst = events
+		case "fixed":
+			dst = fixed[:0]
+		case "mixed":
+			if i%3 == 0 {
+				e, ok, err := tr.Next()
+				if err != nil || !ok {
+					return events, nil, traceEnd(err)
+				}
+				events = append(events, e)
+				continue
+			}
+			dst = buf[:0]
+		}
+		batch, ok, err := tr.NextBatch(dst)
+		if mode != "handback" && tr.aheadBusy {
+			tr.ahead <- <-tr.ahead // wait, leaving the signal for the next call
+		}
+		got := batch[len(dst):]
+		if err != nil || !ok {
+			for _, b := range kept {
+				events = append(events, b...)
+			}
+			return events, append(make([]Event, 0, len(got)), got...), traceEnd(err)
+		}
+		switch mode {
+		case "keep":
+			kept = append(kept, got)
+		case "append":
+			events = batch
+		default:
+			events = append(events, got...)
+			buf = batch
+		}
+		if step != nil && mode == "handback" {
+			step(got)
+		}
+	}
+}
+
+// batchParity decodes data in every batch mode and checks each pass
+// against the per-event reference want, wantEnd: the same events, in
+// order, and the same end. A failing call's valid prefix is the binary
+// frame's decoded part, which Next drops with the frame and a direct
+// decodeFrame pass yields; in text it is the events Next yields. m, if
+// non-nil, steps the handback pass's batches.
+func batchParity(data []byte, want []Event, wantEnd string, m *Monitor) error {
+	ref, err := NewTraceReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	var wantPrefix []Event
+	if !ref.text && wantEnd != "" {
+		for {
+			b, ok, _ := ref.decodeFrame(nil)
+			if !ok {
+				wantPrefix = b
+				break
+			}
+		}
+	}
+	for _, mode := range batchModes {
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		var step func([]Event)
+		if m != nil {
+			step = m.StepBatch
+		}
+		got, prefix, end := drainBatches(tr, mode, step)
+		if tr.aheadBusy {
+			return fmt.Errorf("%s: a frame is in flight after the end %q", mode, end)
+		}
+		if tr.text {
+			got, prefix = append(got, prefix...), nil
+		}
+		if end != wantEnd {
+			return fmt.Errorf("%s: ended with %q, per-event pass with %q", mode, end, wantEnd)
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%s: %d events differ from the per-event pass's %d", mode, len(got), len(want))
+		}
+		// A failing Next returns no prefix.
+		if prefix != nil && !slices.Equal(prefix, wantPrefix) {
+			return fmt.Errorf("%s: error prefix %v, want %v", mode, prefix, wantPrefix)
+		}
+	}
+	return nil
 }
 
 // encodeAllFuzz is encodeAll for fuzz seed construction (f.Fatal on error).

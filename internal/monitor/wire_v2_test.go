@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -117,6 +118,96 @@ func TestWireV2FrameBoundaries(t *testing.T) {
 			t.Fatalf("event %d: got %+v, want %+v", i, decoded[i], events[i])
 		}
 	}
+
+	// NextBatch decodes each frame while the caller steps the one before.
+	// Whichever way the caller hands arrays back (batchModes, Next mixed
+	// in), it must yield the per-event pass's events in order, never
+	// write an array the caller still holds, and end the same way: here
+	// and at every truncation of a trace of many small frames.
+	tr, err = NewTraceReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, end := drainNext(tr)
+	if !slices.Equal(want, decoded) || end != "" {
+		t.Fatalf("per-event pass: %d events, end %q; want the batch pass's %d, clean", len(want), end, len(decoded))
+	}
+	if err := batchParity(data, want, "", New(4, decls)); err != nil {
+		t.Fatal(err)
+	}
+	small := smallFrames(t, 5)
+	for cut := 0; cut <= len(small); cut++ {
+		tr, err := NewTraceReader(bytes.NewReader(small[:cut]))
+		if err != nil {
+			continue // the header is cut
+		}
+		want, end := drainNext(tr)
+		if err := batchParity(small[:cut], want, end, nil); err != nil {
+			t.Fatalf("cut at byte %d of %d: %v", cut, len(small), err)
+		}
+	}
+}
+
+// TestNextBatchResume: ResumeAt skips by Next, mid-frame or at a frame
+// boundary; NextBatch then yields the rest of that frame and decodes
+// ahead from there, in every batch mode.
+func TestNextBatchResume(t *testing.T) {
+	decls, events := syntheticWorkload(4, 16, 3*defaultFrameEvents+17, 5)
+	data := encodeAll(t, Header{Threads: 4, Decls: decls}, events, BinaryV2)
+	tr, err := NewTraceReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := drainNext(tr)
+	for _, k := range []int{0, 1, defaultFrameEvents - 1, defaultFrameEvents, 2*defaultFrameEvents + 5} {
+		m := New(4, decls)
+		m.StepBatch(events[:k])
+		var ck bytes.Buffer
+		if err := m.Snapshot(&ck); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ReadSnapshot(&ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range batchModes {
+			tr, err := NewTraceReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.ResumeAt(snap); err != nil {
+				t.Fatal(err)
+			}
+			got, _, end := drainBatches(tr, mode, nil)
+			if end != "" || !slices.Equal(got, want[k:]) {
+				t.Fatalf("resumed at %d, %s: %d events, end %q; want %d, clean", k, mode, len(got), end, len(want)-k)
+			}
+		}
+	}
+}
+
+// TestNextBatchAbandoned: a reader dropped with a frame in flight
+// leaves no goroutine behind once that frame is decoded.
+func TestNextBatchAbandoned(t *testing.T) {
+	decls, events := syntheticWorkload(4, 16, 4*defaultFrameEvents, 9)
+	data := encodeAll(t, Header{Threads: 4, Decls: decls}, events, BinaryV2)
+	mustNotLeakGoroutines(t, func() {
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []Event
+		for range 2 {
+			batch, ok, err := tr.NextBatch(buf[:0])
+			if err != nil || !ok {
+				t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
+			}
+			buf = batch
+		}
+		if !tr.aheadBusy {
+			t.Fatal("no frame in flight after the second batch")
+		}
+	})
 }
 
 // TestWireV2MonitorParity: monitoring the v2-decoded stream (per event

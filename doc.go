@@ -105,7 +105,8 @@
 //
 //	wire bytes ─▶ frame decode ─▶ sync front-end ─┬─▶ race back-end 1
 //	              (TraceReader,   (Monitor.Step)  ├─▶ race back-end 2
-//	               frame k+1)     (frame k)       └─▶ race back-end M
+//	               frames k+1..   (frame k)       └─▶ race back-end M
+//	               k+D, chained)
 //
 // On the left, the delta-compressed framed binary wire format (varint
 // thread/location/timestamp deltas, ~2.1 bytes per event on the
@@ -113,16 +114,17 @@
 // rejected) is decoded a frame at a time, in a single pass: the batch grows once by the frame's event
 // count and events decode in place, one-byte varints inline, and the
 // kind-versus-declaration check is one compare against a per-location
-// class table. TraceReader.NextBatch decodes frame k+1 on a goroutine
-// of its own while the caller steps frame k, into the batch array the
-// caller hands back, so decode leaves the critical path of a -trace
-// run without a second decode path. (A frame-parallel decoder — N
-// parsers passing the delta context along a chain, feeding an ordering
-// sequencer — was measured on a 2-CPU host against the single decoder
-// and lost, so it was removed. The overlap keeps one decoder, decoding
-// frames in order, at most one frame ahead: it spends the second core
-// on decode that Step would otherwise wait for, not on splitting decode
-// itself.)
+// class table. TraceReader.NextBatch keeps at most D frames in flight
+// (D = 3), chained in order, while the caller steps frame k: each
+// frame's goroutine decodes once its predecessor is done, the newest
+// into the batch array the caller hands back, so decode and the wake-up
+// of its goroutine leave the critical path of a -trace run without a
+// second decode path. (A frame-parallel decoder — N parsers passing the
+// delta context along a chain, feeding an ordering sequencer — was
+// measured on a 2-CPU host against the single decoder and lost, so it
+// was removed. The overlap keeps one decoder at a time, decoding frames
+// in order: it spends the second core on decode that Step would
+// otherwise wait for, not on splitting decode itself.)
 //
 // In the middle, a single synchronisation front-end — the monitor's
 // own Step, so both modes share one per-event path —

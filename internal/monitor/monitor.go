@@ -160,11 +160,11 @@
 // Open does. racemon and racemond build their engines through Open,
 // and both ingest with one loop: TraceReader.NextBatch, then
 // StepBatch, handing each batch's array back to the next NextBatch. On
-// a binary trace the reader decodes the next frame on a goroutine of
-// its own while StepBatch runs, into the array handed back: a batch
-// stays valid until it is handed back, and the source io.Reader may be
-// read on that goroutine between calls, so the caller leaves it alone
-// while the reader is live. NewPipeline builds a sharded monitor without Open's clamp
+// a binary trace the reader keeps at most D frames in flight, chained
+// in order, while StepBatch runs, the newest decoding into the array
+// handed back: a batch stays valid until it is handed back, and the
+// source io.Reader may be read on those goroutines between calls, so
+// the caller leaves it alone while the reader is live. NewPipeline builds a sharded monitor without Open's clamp
 // (Pipeline is its alias for Monitor); Table and ReadRaces
 // (MonitorReader's loop over a whole trace) are the one-call forms the
 // differential tests use.

@@ -159,9 +159,11 @@ func BenchmarkSchedulePrivate(b *testing.B) {
 // BenchmarkTraceIngest runs the offline racemon -trace loop at layer
 // level: racemon's default 1M-event bursty schedule, wire-encoded once,
 // then per op NewTraceReader, and NextBatch into StepBatch to the end
-// of the trace, each frame's decode overlapping the step of the one
-// before. hb is the sequential monitor, short64 the short:64 window.
-// BenchmarkDecodeV2 times the decode alone.
+// of the trace, the frames in flight decoding while the caller steps.
+// hb is the sequential monitor, short64 the short:64 window. Beside
+// ev/s it reports wait-ns/frame, the mean time a NextBatch call takes:
+// the decode left on the critical path. BenchmarkDecodeV2 times the
+// decode alone.
 func BenchmarkTraceIngest(b *testing.B) {
 	const n = 1_000_000
 	cfg := progsynth.ScaledDefaults()
@@ -179,6 +181,8 @@ func BenchmarkTraceIngest(b *testing.B) {
 		k    int
 	}{{"hb", monitor.PredHB, 0}, {"short64", monitor.PredShort, 64}} {
 		b.Run(pc.name, func(b *testing.B) {
+			var wait time.Duration
+			calls := 0
 			for i := 0; i < b.N; i++ {
 				tr, err := monitor.NewTraceReader(bytes.NewReader(trace.Bytes()))
 				if err != nil {
@@ -188,7 +192,10 @@ func BenchmarkTraceIngest(b *testing.B) {
 				m.SetPredicate(pc.pred, pc.k)
 				var buf []monitor.Event
 				for {
+					start := time.Now()
 					batch, ok, err := tr.NextBatch(buf[:0])
+					wait += time.Since(start)
+					calls++
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -203,6 +210,7 @@ func BenchmarkTraceIngest(b *testing.B) {
 				}
 			}
 			monitor.ReportEventRate(b, events)
+			b.ReportMetric(float64(wait.Nanoseconds())/float64(calls), "wait-ns/frame")
 		})
 	}
 }

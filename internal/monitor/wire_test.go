@@ -320,8 +320,9 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte("LDTR\x02\x02\x01\x01x\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte("ldtrace 1\nthreads 3\nloc R ra\n0 w R -5/3\n0 halt\n"))
 	f.Add([]byte{})
-	f.Add(hostileHeader())   // rejected by the threads × locations limit
-	f.Add(smallFrames(f, 7)) // many frames, each decoded ahead of the last
+	f.Add(hostileHeader()) // rejected by the threads × locations limit
+	small, _ := smallFrames(f, 7)
+	f.Add(small) // many frames, each decoded ahead of the last
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
@@ -359,8 +360,8 @@ func FuzzTraceReader(f *testing.F) {
 
 // smallFrames is a binary trace of wireWorkload's stream six times
 // over, then two halts, cut into frames of every events (each Flush
-// ends a frame).
-func smallFrames(tb testing.TB, every int) []byte {
+// ends a frame), and the byte offset at which each frame starts.
+func smallFrames(tb testing.TB, every int) (data []byte, starts []int) {
 	tb.Helper()
 	hdr, events := wireWorkload()
 	stream := append(slices.Repeat(events, 6), Event{Thread: 0, Kind: KindHalt}, Event{Thread: 2, Kind: KindHalt})
@@ -369,17 +370,22 @@ func smallFrames(tb testing.TB, every int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	flush := func() {
+		if err := tw.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		starts = append(starts, buf.Len())
+	}
+	flush() // the header alone: no frame is written
 	for i, e := range stream {
 		if err := tw.Write(e); err != nil {
 			tb.Fatal(err)
 		}
 		if (i+1)%every == 0 || i == len(stream)-1 {
-			if err := tw.Flush(); err != nil {
-				tb.Fatal(err)
-			}
+			flush()
 		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), starts[:len(starts)-1]
 }
 
 // traceEnd is how a decode pass ended: "" at a clean end of trace, else
@@ -421,7 +427,7 @@ var batchModes = []string{"handback", "keep", "append", "fixed", "mixed"}
 //   - mixed: every third call is Next, the first one included.
 //
 // Except in handback mode, which keeps the overlap, each call waits for
-// the frame it left in flight to finish decoding before its batch is
+// the frames it left in flight to finish decoding before its batch is
 // read, so a write into an array the caller holds shows on any
 // schedule.
 //
@@ -454,8 +460,8 @@ func drainBatches(tr *TraceReader, mode string, step func([]Event)) (events, pre
 			dst = buf[:0]
 		}
 		batch, ok, err := tr.NextBatch(dst)
-		if mode != "handback" && tr.aheadBusy {
-			tr.ahead <- <-tr.ahead // wait, leaving the signal for the next call
+		if mode != "handback" {
+			tr.waitAhead()
 		}
 		got := batch[len(dst):]
 		if err != nil || !ok {
@@ -484,7 +490,7 @@ func drainBatches(tr *TraceReader, mode string, step func([]Event)) (events, pre
 // order, and the same end. A failing call's valid prefix is the binary
 // frame's decoded part, which Next drops with the frame and a direct
 // decodeFrame pass yields; in text it is the events Next yields. m, if
-// non-nil, steps the handback pass's batches.
+// non-nil, steps the handback pass's batches and its text prefix.
 func batchParity(data []byte, want []Event, wantEnd string, m *Monitor) error {
 	ref, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
@@ -510,10 +516,15 @@ func batchParity(data []byte, want []Event, wantEnd string, m *Monitor) error {
 			step = m.StepBatch
 		}
 		got, prefix, end := drainBatches(tr, mode, step)
-		if tr.aheadBusy {
-			return fmt.Errorf("%s: a frame is in flight after the end %q", mode, end)
+		if len(tr.ahead) > 0 {
+			return fmt.Errorf("%s: %d frames in flight after the end %q", mode, len(tr.ahead), end)
 		}
 		if tr.text {
+			// A text prefix is events Next yields, so the reference
+			// monitor stepped them too.
+			if step != nil && mode == "handback" {
+				step(prefix)
+			}
 			got, prefix = append(got, prefix...), nil
 		}
 		if end != wantEnd {

@@ -3,7 +3,9 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -135,7 +137,7 @@ func TestWireV2FrameBoundaries(t *testing.T) {
 	if err := batchParity(data, want, "", New(4, decls)); err != nil {
 		t.Fatal(err)
 	}
-	small := smallFrames(t, 5)
+	small, _ := smallFrames(t, 5)
 	for cut := 0; cut <= len(small); cut++ {
 		tr, err := NewTraceReader(bytes.NewReader(small[:cut]))
 		if err != nil {
@@ -186,28 +188,106 @@ func TestNextBatchResume(t *testing.T) {
 	}
 }
 
-// TestNextBatchAbandoned: a reader dropped with a frame in flight
-// leaves no goroutine behind once that frame is decoded.
+// TestNextBatchAbandoned: a reader dropped with decodeDepth frames in
+// flight leaves no goroutine behind once they are decoded, and neither
+// does one whose first frame in flight is corrupt, so that the frames
+// chained after it end without reading.
 func TestNextBatchAbandoned(t *testing.T) {
-	decls, events := syntheticWorkload(4, 16, 4*defaultFrameEvents, 9)
-	data := encodeAll(t, Header{Threads: 4, Decls: decls}, events, BinaryV2)
-	mustNotLeakGoroutines(t, func() {
-		tr, err := NewTraceReader(bytes.NewReader(data))
+	decls, events := syntheticWorkload(4, 16, (decodeDepth+3)*defaultFrameEvents, 9)
+	clean := encodeAll(t, Header{Threads: 4, Decls: decls}, events, BinaryV2)
+	small, starts := smallFrames(t, 5)
+	corrupt := corruptFrame(small, starts[1])
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		reads int // NextBatch calls before the reader is dropped
+	}{
+		{"in-flight", clean, 2},
+		{"corrupt-first-in-flight", corrupt, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mustNotLeakGoroutines(t, func() {
+				tr, err := NewTraceReader(bytes.NewReader(tc.data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf []Event
+				for range tc.reads {
+					batch, ok, err := tr.NextBatch(buf[:0])
+					if err != nil || !ok {
+						t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
+					}
+					buf = batch
+				}
+				if len(tr.ahead) != decodeDepth {
+					t.Fatalf("%d frames in flight, want %d", len(tr.ahead), decodeDepth)
+				}
+			})
+		})
+	}
+}
+
+// corruptFrame returns a copy of data with the payload length of the
+// frame at byte offset at set to 0, which the decoder rejects after
+// reading that one byte.
+func corruptFrame(data []byte, at int) []byte {
+	b := slices.Clone(data)
+	b[at] = 0
+	return b
+}
+
+// readCounter is a trace source that yields one byte per Read and
+// counts its Reads, so every byte the decoder takes is one Read.
+type readCounter struct {
+	data  []byte
+	reads atomic.Int64
+}
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.reads.Add(1)
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	p[0], r.data = r.data[0], r.data[1:]
+	return 1, nil
+}
+
+// TestNextBatchReadsNothingPastEnd: once a frame ends the trace — a
+// corrupt frame, at every frame index, or the clean end — the frames
+// chained after it issue no further Read on the source. The per-event
+// pass, which never decodes ahead, gives the Read count at which the
+// trace ends; every batch mode must stop there, with its frames in
+// flight waited for.
+func TestNextBatchReadsNothingPastEnd(t *testing.T) {
+	small, starts := smallFrames(t, 5)
+	inputs := map[string][]byte{"clean-end": small}
+	for k, at := range starts {
+		inputs[fmt.Sprintf("corrupt-frame-%d", k)] = corruptFrame(small, at)
+	}
+	for name, data := range inputs {
+		src := &readCounter{data: data}
+		tr, err := NewTraceReader(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf []Event
-		for range 2 {
-			batch, ok, err := tr.NextBatch(buf[:0])
-			if err != nil || !ok {
-				t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
+		drainNext(tr)
+		want := src.reads.Load()
+		for _, mode := range batchModes {
+			src := &readCounter{data: data}
+			tr, err := NewTraceReader(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			buf = batch
+			drainBatches(tr, mode, nil)
+			tr.waitAhead()
+			if got := src.reads.Load(); got != want {
+				t.Fatalf("%s, %s: %d Reads, want the per-event pass's %d", name, mode, got, want)
+			}
 		}
-		if !tr.aheadBusy {
-			t.Fatal("no frame in flight after the second batch")
-		}
-	})
+	}
 }
 
 // TestWireV2MonitorParity: monitoring the v2-decoded stream (per event

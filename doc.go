@@ -111,10 +111,12 @@
 // On the left, the delta-compressed framed binary wire format (varint
 // thread/location/timestamp deltas, ~2.1 bytes per event on the
 // reference stream; the older per-event version 1 is retired and
-// rejected) is decoded a frame at a time, in a single pass: the batch grows once by the frame's event
-// count and events decode in place, one-byte varints inline, and the
-// kind-versus-declaration check is one compare against a per-location
-// class table. TraceReader.NextBatch keeps at most D frames in flight
+// rejected) is decoded a frame at a time, in a single pass: the batch
+// grows once by the frame's event count and one loop decodes the events
+// in place, with the delta context in locals and no call on its common
+// path (one-byte varints inline, a failed check formatted after the
+// loop), and the kind-versus-declaration check is one compare against a
+// per-location class table. TraceReader.NextBatch keeps at most D frames in flight
 // (D = 3), chained in order, while the caller steps frame k: each
 // frame's goroutine decodes once its predecessor is done, the newest
 // into the batch array the caller hands back, so decode and the wake-up

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"localdrf/internal/explore"
@@ -580,15 +581,17 @@ func BenchmarkMonitorRAHeavy(b *testing.B) {
 }
 
 // benchMonitor steps events through a fresh monitor per op, built
-// outside the timed region, and reports the throughput in ev/s.
+// outside the timed region, in StepBatch calls of defaultFrameEvents
+// events — the batches a trace driver steps — and reports the
+// throughput in ev/s.
 func benchMonitor(b *testing.B, fresh func() *Monitor, events []Event) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m := fresh()
 		b.StartTimer()
-		for _, e := range events {
-			m.Step(e)
+		for batch := range slices.Chunk(events, defaultFrameEvents) {
+			m.StepBatch(batch)
 		}
 	}
 	reportEventRate(b, len(events))

@@ -162,8 +162,10 @@ func BenchmarkSchedulePrivate(b *testing.B) {
 // of the trace, the frames in flight decoding while the caller steps.
 // hb is the sequential monitor, short64 the short:64 window. Beside
 // ev/s it reports wait-ns/frame, the mean time a NextBatch call takes:
-// the decode left on the critical path. BenchmarkDecodeV2 times the
-// decode alone.
+// the decode left on the critical path. decode runs NextBatch alone,
+// with no monitor: the decode cost of this trace's event mix (its RA
+// timestamps among them), which BenchmarkDecodeV2's synthetic stream
+// lacks.
 func BenchmarkTraceIngest(b *testing.B) {
 	const n = 1_000_000
 	cfg := progsynth.ScaledDefaults()
@@ -175,6 +177,31 @@ func BenchmarkTraceIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("decode", func(b *testing.B) {
+		var buf []monitor.Event
+		for i := 0; i < b.N; i++ {
+			tr, err := monitor.NewTraceReader(bytes.NewReader(trace.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			decoded := 0
+			for {
+				batch, ok, err := tr.NextBatch(buf[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				decoded += len(batch)
+				buf = batch
+			}
+			if decoded != events {
+				b.Fatalf("decoded %d events, want %d", decoded, events)
+			}
+		}
+		monitor.ReportEventRate(b, events)
+	})
 	for _, pc := range []struct {
 		name string
 		pred monitor.Predicate

@@ -831,9 +831,25 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 		}
 		return dst, false, fmt.Errorf("monitor: trace frame: %w", err)
 	}
+	dst, err = tr.decodePayload(p, dst)
+	return dst, err == nil, err
+}
+
+// decodePayload decodes a frame's payload p (event count, then the
+// delta-encoded events), appending the validated events to dst. On a bad
+// event it returns the events before it and the error. One loop decodes
+// every event with the delta context in locals, written back to tr once,
+// at the end of the frame or on an error; a failing event has updated the
+// context up to its last passed check. It performs every check
+// validateEvent and checkHalt would — the declaration check as one
+// compare against locClass — and gives their error text. A failed check
+// only records a frameFault and leaves the loop, and faultError formats
+// it afterwards, so the loop's common path makes no call (uvarintSlow
+// and ts.New inline) around which its locals would be spilled.
+func (tr *TraceReader) decodePayload(p []byte, dst []Event) ([]Event, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count == 0 || count > maxFrameEvents {
-		return dst, false, fmt.Errorf("monitor: trace frame: bad event count")
+		return dst, fmt.Errorf("monitor: trace frame: bad event count")
 	}
 	pos := n
 	// Grow dst once by the frame's event count and decode in place. Every
@@ -842,116 +858,203 @@ func (tr *TraceReader) decodeFrame(dst []Event) ([]Event, bool, error) {
 	// truncated one, as it would decoding event by event.
 	base, fit := len(dst), int(min(count, uint64(len(p)-pos)+1))
 	dst = slices.Grow(dst, fit)[:base+fit]
-	for i := base; i < len(dst); i++ {
-		next, err := tr.decodeV2Event(p, pos, &dst[i])
-		if err != nil {
-			return dst[:i], false, err
+	out := dst[base:]
+	// The thread and location counts are len(prevLoc) and len(locClass).
+	// The current thread's previous location and halt flag are held in
+	// locals as well, swapped only when the thread changes: most events
+	// continue their thread's burst.
+	prevThread, prevLoc, prevNum := tr.prevThread, tr.prevLoc, tr.prevNum
+	locClass, halted := tr.locClass, tr.halted
+	curLoc := prevLoc[prevThread]
+	curHalted := halted != nil && halted[prevThread]
+	var fault frameFault
+	var bad int64 // the value the failed check rejected
+	i := 0
+	for ; i < len(out); i++ {
+		if pos >= len(p) {
+			fault = faultTag
+			break
 		}
-		pos = next
+		tag := p[pos]
+		pos++
+		kind := Kind(tag & 7)
+		if kind > KindHalt {
+			fault, bad = faultKind, int64(kind)
+			break
+		}
+		// Varint fields: one-byte values — nearly all of them — decode
+		// inline; longer ones go through uvarintSlow.
+		var u uint64
+		if tag&(1<<3) != 0 {
+			if pos < len(p) && p[pos] < 0x80 {
+				u, pos = uint64(p[pos]), pos+1
+			} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+				fault = faultThreadVarint
+				break
+			}
+			thread := int64(prevThread) + unzigzag(u)
+			if uint64(thread) >= uint64(len(prevLoc)) {
+				fault, bad = faultThread, thread
+				break
+			}
+			prevLoc[prevThread] = curLoc
+			prevThread, curLoc = int32(thread), prevLoc[thread]
+			curHalted = halted != nil && halted[thread]
+		}
+		locField := tag >> 4
+		if kind == KindHalt {
+			if locField != 0 {
+				fault = faultHaltLoc
+				break
+			}
+			if curHalted {
+				fault, bad = faultHaltTwice, int64(prevThread)
+				break
+			}
+			if halted == nil {
+				halted = make([]bool, len(prevLoc))
+			}
+			halted[prevThread], curHalted = true, true
+			out[i] = Event{Thread: prevThread, Kind: KindHalt}
+			continue
+		}
+		d := int64(locField) - 7
+		if locField == 15 {
+			if pos < len(p) && p[pos] < 0x80 {
+				u, pos = uint64(p[pos]), pos+1
+			} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+				fault = faultLocVarint
+				break
+			}
+			d = unzigzag(u)
+		}
+		loc := int64(curLoc) + d
+		if uint64(loc) >= uint64(len(locClass)) {
+			fault, bad = faultLoc, loc
+			break
+		}
+		curLoc = int32(loc)
+		// The event is stored before the last two checks: on a failure it
+		// lies past the valid prefix.
+		if kind == ReadRA || kind == WriteRA {
+			if pos < len(p) && p[pos] < 0x80 {
+				u, pos = uint64(p[pos]), pos+1
+			} else if u, pos = uvarintSlow(p, pos); pos < 0 {
+				fault = faultNumVarint
+				break
+			}
+			num := prevNum[loc] + unzigzag(u)
+			var den uint64
+			if pos < len(p) && p[pos] < 0x80 {
+				den, pos = uint64(p[pos]), pos+1
+			} else if den, pos = uvarintSlow(p, pos); pos < 0 {
+				fault = faultDenVarint
+				break
+			}
+			if den == 0 || den > uint64(math.MaxInt64) {
+				fault, bad = faultDen, int64(den)
+				break
+			}
+			prevNum[loc] = num
+			out[i] = Event{Thread: prevThread, Loc: curLoc, Kind: kind, Time: ts.New(num, int64(den))}
+		} else {
+			out[i] = Event{Thread: prevThread, Loc: curLoc, Kind: kind}
+		}
+		if locClass[loc] != uint8(kind>>1) {
+			fault = faultDecl
+			break
+		}
+		if curHalted {
+			fault, bad = faultHalted, int64(prevThread)
+			break
+		}
+	}
+	prevLoc[prevThread] = curLoc
+	tr.prevThread, tr.halted = prevThread, halted
+	if fault != faultNone {
+		return dst[:base+i], tr.faultError(fault, bad, out[i])
 	}
 	if pos != len(p) {
-		return dst, false, fmt.Errorf("monitor: trace frame: %d trailing bytes after %d events", len(p)-pos, count)
+		return dst, fmt.Errorf("monitor: trace frame: %d trailing bytes after %d events", len(p)-pos, count)
 	}
-	return dst, true, nil
+	return dst, nil
 }
 
-// decodeV2Event decodes one delta-encoded event at p[pos:] into e,
-// updating the cross-frame delta context, and returns the next offset.
-// It performs every check validateEvent and checkHalt would — the
-// declaration check as one compare against locClass, the halt check only
-// once some thread has halted — and defers to them for the error text.
-func (tr *TraceReader) decodeV2Event(p []byte, pos int, e *Event) (int, error) {
-	if pos >= len(p) {
-		return 0, fmt.Errorf("monitor: trace frame: truncated event (missing tag)")
+// A frameFault names the check an event failed in decodePayload.
+type frameFault uint8
+
+const (
+	faultNone frameFault = iota
+	faultTag
+	faultKind
+	faultThreadVarint
+	faultThread
+	faultHaltLoc
+	faultHaltTwice
+	faultLocVarint
+	faultLoc
+	faultNumVarint
+	faultDenVarint
+	faultDen
+	faultDecl
+	faultHalted
+)
+
+// faultError is the error of a failed decodePayload check, given the
+// value the check rejected (a kind, thread, location or denominator) and,
+// for the declaration check, the event.
+func (tr *TraceReader) faultError(f frameFault, bad int64, e Event) error {
+	switch f {
+	case faultTag:
+		return fmt.Errorf("monitor: trace frame: truncated event (missing tag)")
+	case faultKind:
+		return fmt.Errorf("monitor: trace event: unknown kind %d", bad)
+	case faultThreadVarint:
+		return fmt.Errorf("monitor: trace event: bad thread delta varint")
+	case faultThread:
+		return fmt.Errorf("monitor: trace event: thread %d out of range [0,%d)", bad, tr.hdr.Threads)
+	case faultHaltLoc:
+		return fmt.Errorf("monitor: trace event: halt with nonzero location field")
+	case faultHaltTwice:
+		return fmt.Errorf("monitor: trace event: thread %d halted twice", bad)
+	case faultLocVarint:
+		return fmt.Errorf("monitor: trace event: bad location delta varint")
+	case faultLoc:
+		return fmt.Errorf("monitor: trace event: location index %d out of range [0,%d)", bad, len(tr.hdr.Decls))
+	case faultNumVarint:
+		return fmt.Errorf("monitor: trace event: bad timestamp delta varint")
+	case faultDenVarint:
+		return fmt.Errorf("monitor: trace event: bad timestamp denominator varint")
+	case faultDen:
+		return fmt.Errorf("monitor: trace event timestamp: denominator %d out of range", uint64(bad))
+	case faultDecl:
+		return validateEvent(tr.hdr, e)
+	default: // faultHalted
+		return fmt.Errorf("monitor: trace event: thread %d acts after its halt", bad)
 	}
-	tag := p[pos]
-	pos++
-	kind := Kind(tag & 7)
-	if kind > KindHalt {
-		return 0, fmt.Errorf("monitor: trace event: unknown kind %d", kind)
-	}
-	// Varint fields: one-byte values — nearly all of them — decode
-	// inline; longer ones go through uvarintSlow.
-	var u uint64
-	thread := int64(tr.prevThread)
-	if tag&(1<<3) != 0 {
-		if pos < len(p) && p[pos] < 0x80 {
-			u, pos = uint64(p[pos]), pos+1
-		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
-			return 0, fmt.Errorf("monitor: trace event: bad thread delta varint")
-		}
-		thread += unzigzag(u)
-	}
-	if thread < 0 || thread >= int64(tr.hdr.Threads) {
-		return 0, fmt.Errorf("monitor: trace event: thread %d out of range [0,%d)", thread, tr.hdr.Threads)
-	}
-	// The event is assembled in locals and stored through e once at the
-	// end, so the compiler need not reload the decoder state after it.
-	ev := Event{Thread: int32(thread), Kind: kind}
-	tr.prevThread = ev.Thread
-	locField := tag >> 4
-	if kind == KindHalt {
-		if locField != 0 {
-			return 0, fmt.Errorf("monitor: trace event: halt with nonzero location field")
-		}
-		*e = ev
-		return pos, checkHalt(&tr.halted, tr.hdr.Threads, ev)
-	}
-	d := int64(locField) - 7
-	if locField == 15 {
-		if pos < len(p) && p[pos] < 0x80 {
-			u, pos = uint64(p[pos]), pos+1
-		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
-			return 0, fmt.Errorf("monitor: trace event: bad location delta varint")
-		}
-		d = unzigzag(u)
-	}
-	loc := int64(tr.prevLoc[ev.Thread]) + d
-	if loc < 0 || loc >= int64(len(tr.hdr.Decls)) {
-		return 0, fmt.Errorf("monitor: trace event: location index %d out of range [0,%d)", loc, len(tr.hdr.Decls))
-	}
-	ev.Loc = int32(loc)
-	tr.prevLoc[ev.Thread] = ev.Loc
-	if kind == ReadRA || kind == WriteRA {
-		if pos < len(p) && p[pos] < 0x80 {
-			u, pos = uint64(p[pos]), pos+1
-		} else if u, pos = uvarintSlow(p, pos); pos < 0 {
-			return 0, fmt.Errorf("monitor: trace event: bad timestamp delta varint")
-		}
-		num := tr.prevNum[loc] + unzigzag(u)
-		var den uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			den, pos = uint64(p[pos]), pos+1
-		} else if den, pos = uvarintSlow(p, pos); pos < 0 {
-			return 0, fmt.Errorf("monitor: trace event: bad timestamp denominator varint")
-		}
-		if den == 0 || den > uint64(math.MaxInt64) {
-			return 0, fmt.Errorf("monitor: trace event timestamp: denominator %d out of range", den)
-		}
-		tr.prevNum[loc] = num
-		ev.Time = ts.New(num, int64(den))
-	}
-	if tr.locClass[loc] != uint8(kind>>1) {
-		return 0, validateEvent(tr.hdr, ev)
-	}
-	if tr.halted != nil {
-		if err := checkHalt(&tr.halted, tr.hdr.Threads, ev); err != nil {
-			return 0, err
-		}
-	}
-	*e = ev
-	return pos, nil
 }
 
 // uvarintSlow decodes the uvarint at p[pos:], returning the value and
 // the offset after it, or a negative offset if it is truncated or
-// overflows.
+// overflows (as binary.Uvarint rejects it). Small enough to inline, it
+// adds no call to the decode loop.
 func uvarintSlow(p []byte, pos int) (uint64, int) {
-	v, n := binary.Uvarint(p[pos:])
-	if n <= 0 {
-		return 0, -1
+	var x uint64
+	for s := uint(0); pos < len(p); s += 7 {
+		b := p[pos]
+		pos++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, pos
+		}
+		if s == 63 {
+			return 0, -1
+		}
+		x |= uint64(b&0x7f) << s
 	}
-	return v, pos + n
+	return 0, -1
 }
 
 // unzigzag maps a zigzag-encoded uvarint back to its signed value (as

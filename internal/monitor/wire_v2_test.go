@@ -2,8 +2,10 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -548,6 +550,347 @@ func TestWireV2TimestampDeltas(t *testing.T) {
 			t.Fatalf("event %d: timestamp %v, want %v", i, e.Time, want.Time)
 		}
 	}
+}
+
+// decodeV2Event is FuzzDecodeFrame's reference decoder: it decodes one
+// delta-encoded event at p[pos:] into e, updating the cross-frame delta
+// context in tr event by event, and returns the next offset. It performs
+// every check validateEvent and checkHalt would — the declaration check
+// as one compare against locClass, the halt check only once some thread
+// has halted — and defers to them for the error text.
+func (tr *TraceReader) decodeV2Event(p []byte, pos int, e *Event) (int, error) {
+	if pos >= len(p) {
+		return 0, fmt.Errorf("monitor: trace frame: truncated event (missing tag)")
+	}
+	tag := p[pos]
+	pos++
+	kind := Kind(tag & 7)
+	if kind > KindHalt {
+		return 0, fmt.Errorf("monitor: trace event: unknown kind %d", kind)
+	}
+	// Varint fields: one-byte values decode inline; longer ones go
+	// through refUvarint.
+	var u uint64
+	thread := int64(tr.prevThread)
+	if tag&(1<<3) != 0 {
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = refUvarint(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad thread delta varint")
+		}
+		thread += unzigzag(u)
+	}
+	if thread < 0 || thread >= int64(tr.hdr.Threads) {
+		return 0, fmt.Errorf("monitor: trace event: thread %d out of range [0,%d)", thread, tr.hdr.Threads)
+	}
+	ev := Event{Thread: int32(thread), Kind: kind}
+	tr.prevThread = ev.Thread
+	locField := tag >> 4
+	if kind == KindHalt {
+		if locField != 0 {
+			return 0, fmt.Errorf("monitor: trace event: halt with nonzero location field")
+		}
+		*e = ev
+		return pos, checkHalt(&tr.halted, tr.hdr.Threads, ev)
+	}
+	d := int64(locField) - 7
+	if locField == 15 {
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = refUvarint(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad location delta varint")
+		}
+		d = unzigzag(u)
+	}
+	loc := int64(tr.prevLoc[ev.Thread]) + d
+	if loc < 0 || loc >= int64(len(tr.hdr.Decls)) {
+		return 0, fmt.Errorf("monitor: trace event: location index %d out of range [0,%d)", loc, len(tr.hdr.Decls))
+	}
+	ev.Loc = int32(loc)
+	tr.prevLoc[ev.Thread] = ev.Loc
+	if kind == ReadRA || kind == WriteRA {
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if u, pos = refUvarint(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad timestamp delta varint")
+		}
+		num := tr.prevNum[loc] + unzigzag(u)
+		var den uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			den, pos = uint64(p[pos]), pos+1
+		} else if den, pos = refUvarint(p, pos); pos < 0 {
+			return 0, fmt.Errorf("monitor: trace event: bad timestamp denominator varint")
+		}
+		if den == 0 || den > uint64(math.MaxInt64) {
+			return 0, fmt.Errorf("monitor: trace event timestamp: denominator %d out of range", den)
+		}
+		tr.prevNum[loc] = num
+		ev.Time = ts.New(num, int64(den))
+	}
+	if tr.locClass[loc] != uint8(kind>>1) {
+		return 0, validateEvent(tr.hdr, ev)
+	}
+	if tr.halted != nil {
+		if err := checkHalt(&tr.halted, tr.hdr.Threads, ev); err != nil {
+			return 0, err
+		}
+	}
+	*e = ev
+	return pos, nil
+}
+
+// refUvarint decodes the uvarint at p[pos:] with binary.Uvarint,
+// returning the value and the offset after it, or a negative offset if
+// it is truncated or overflows.
+func refUvarint(p []byte, pos int) (uint64, int) {
+	v, n := binary.Uvarint(p[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
+// TestUvarintSlow: uvarintSlow accepts exactly the uvarints
+// binary.Uvarint does, with the same value and length: every length up
+// to the 10-byte limit, a 10th byte over 1 (overflow), an 11-byte run,
+// and every truncation of each, read from an offset.
+func TestUvarintSlow(t *testing.T) {
+	var cases [][]byte
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		cases = append(cases, binary.AppendUvarint(nil, v))
+	}
+	over := binary.AppendUvarint(nil, math.MaxUint64)
+	over[9] = 2
+	cases = append(cases, over, bytes.Repeat([]byte{0x80}, 11), append(bytes.Repeat([]byte{0x80}, 9), 0x01))
+	for _, c := range cases {
+		for cut := 0; cut <= len(c); cut++ {
+			b := append([]byte{0xff}, c[:cut]...)
+			want, n := binary.Uvarint(b[1:])
+			got, end := uvarintSlow(b, 1)
+			if (end >= 0) != (n > 0) || n > 0 && (got != want || end != 1+n) {
+				t.Errorf("uvarintSlow(% x) = %d, end %d; binary.Uvarint: %d, n %d", b[1:], got, end, want, n)
+			}
+		}
+	}
+}
+
+// refDecodePayload is decodePayload built on decodeV2Event: the event
+// count, one decodeV2Event call per event appended to dst, then the
+// trailing-bytes check.
+func (tr *TraceReader) refDecodePayload(p []byte, dst []Event) ([]Event, error) {
+	count, n := binary.Uvarint(p)
+	if n <= 0 || count == 0 || count > maxFrameEvents {
+		return dst, fmt.Errorf("monitor: trace frame: bad event count")
+	}
+	pos := n
+	for range count {
+		var e Event
+		next, err := tr.decodeV2Event(p, pos, &e)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, e)
+		pos = next
+	}
+	if pos != len(p) {
+		return dst, fmt.Errorf("monitor: trace frame: %d trailing bytes after %d events", len(p)-pos, count)
+	}
+	return dst, nil
+}
+
+// fuzzFrameHeader is FuzzDecodeFrame's header: 1+shape&0xff threads and
+// 1+shape>>8 locations, location l of kind l%3 (nonatomic, atomic, ra).
+func fuzzFrameHeader(shape uint16) Header {
+	hdr := Header{Threads: 1 + int(shape&0xff)}
+	for l := range 1 + int(shape>>8) {
+		hdr.Decls = append(hdr.Decls, LocDecl{Name: prog.Loc(fmt.Sprintf("l%d", l)), Kind: prog.LocKind(l % 3)})
+	}
+	return hdr
+}
+
+// withContext sets tr's delta context from ctx: prevThread, a halt mask
+// (when its flag byte is nonzero), each thread's prevLoc, then each
+// location's prevNum as varints. Missing bytes read as zero.
+func withContext(tr *TraceReader, ctx []byte) {
+	next := func() int {
+		if len(ctx) == 0 {
+			return 0
+		}
+		b := ctx[0]
+		ctx = ctx[1:]
+		return int(b)
+	}
+	threads, locs := tr.hdr.Threads, len(tr.hdr.Decls)
+	tr.prevThread = int32(next() % threads)
+	if next() != 0 {
+		tr.halted = make([]bool, threads)
+		for t := range tr.halted {
+			tr.halted[t] = next()&1 != 0
+		}
+	}
+	for t := range tr.prevLoc {
+		tr.prevLoc[t] = int32(next() % locs)
+	}
+	for l := range tr.prevNum {
+		v, n := binary.Varint(ctx)
+		if n <= 0 {
+			break
+		}
+		tr.prevNum[l], ctx = v, ctx[n:]
+	}
+}
+
+// encodedFrames is FuzzDecodeFrame's frames argument for the frames
+// one encoder writes under hdr, one frame per events slice.
+func encodedFrames(tb testing.TB, hdr Header, frames ...[]Event) []byte {
+	tb.Helper()
+	var head, all bytes.Buffer
+	if _, err := NewTraceWriter(&head, hdr, BinaryV2); err != nil {
+		tb.Fatal(err)
+	}
+	tw, err := NewTraceWriter(&all, hdr, BinaryV2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, events := range frames {
+		for _, e := range events {
+			if err := tw.Write(e); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil { // each Flush ends a frame
+			tb.Fatal(err)
+		}
+	}
+	var payloads [][]byte
+	for rest := all.Bytes()[head.Len():]; len(rest) > 0; {
+		n, k := binary.Uvarint(rest)
+		payloads = append(payloads, rest[k:k+int(n)])
+		rest = rest[k+int(n):]
+	}
+	return framesOf(payloads...)
+}
+
+// framesOf joins payloads as FuzzDecodeFrame's frames argument: each
+// payload behind a one-byte length.
+func framesOf(payloads ...[]byte) []byte {
+	var b []byte
+	for _, p := range payloads {
+		if len(p) > 0xff {
+			panic("framesOf: payload over 255 bytes")
+		}
+		b = append(append(b, byte(len(p))), p...)
+	}
+	return b
+}
+
+// FuzzDecodeFrame is a differential fuzz of the binary frame decoder:
+// decodePayload, the one loop every binary read runs, against
+// refDecodePayload, the same payload decoded event by event by
+// decodeV2Event. Both start from the same header and delta context (see
+// withContext) and decode the same frames in turn (each frames entry is
+// a length byte, then that many payload bytes). Per frame the events,
+// the valid prefix, the error text and the delta context carried out
+// must be equal; decoding stops after the first error. FuzzTraceReader
+// cannot catch a decode bug, as Next and NextBatch share decodePayload.
+func FuzzDecodeFrame(f *testing.F) {
+	// Big: 130 threads and locations, so deltas of 64 or more take
+	// multi-byte varints; location 101 is ra, 100 atomic, 99 nonatomic.
+	big := uint16(129 | 129<<8)
+	bigHdr := fuzzFrameHeader(big)
+	f.Add(big, []byte{}, encodedFrames(f, bigHdr, []Event{
+		{Thread: 100, Loc: 101, Kind: WriteRA, Time: ts.New(1000, 201)},
+		{Thread: 100, Loc: 101, Kind: ReadRA, Time: ts.New(-50000, 129)},
+		{Thread: 3, Loc: 101, Kind: WriteRA, Time: ts.New(7, 1)},
+		{Thread: 3, Loc: 2, Kind: ReadRA, Time: ts.New(-1, 1)},
+		{Thread: 120, Loc: 99, Kind: WriteNA},
+		{Thread: 120, Loc: 100, Kind: ReadAT},
+		{Thread: 120, Loc: 0, Kind: ReadNA},
+	}, []Event{
+		{Thread: 0, Loc: 101, Kind: ReadRA, Time: ts.New(9, 1)},
+		{Thread: 129, Kind: KindHalt},
+	}))
+	// A frame encoded from the zero context, decoded from another:
+	// prevThread 5, no halt mask, thread 0's prevLoc 1.
+	f.Add(big, []byte{5, 0, 1}, encodedFrames(f, bigHdr, []Event{
+		{Thread: 5, Loc: 101, Kind: WriteRA, Time: ts.New(1, 3)},
+	}))
+
+	// Small: 3 threads; x nonatomic, F atomic, R ra.
+	small := uint16(2 | 2<<8)
+	w := byte(WriteNA) | 7<<4 // a WriteNA by the last thread, same location
+	seeds := [][]byte{
+		// A halt mid-frame, then the other threads act on.
+		encodedFrames(f, fuzzFrameHeader(small), []Event{
+			{Thread: 0, Loc: 0, Kind: WriteNA},
+			{Thread: 1, Kind: KindHalt},
+			{Thread: 0, Loc: 2, Kind: ReadRA, Time: ts.New(4, 1)},
+			{Thread: 2, Kind: KindHalt},
+		}),
+		framesOf([]byte{0x02, byte(KindHalt), byte(KindHalt)}),  // second halt
+		framesOf([]byte{0x02, byte(KindHalt), w}),               // event after a halt
+		framesOf([]byte{0x01, byte(KindHalt)}, []byte{0x01, w}), // ... in the next frame
+		framesOf([]byte{0x01, w | 1<<3, 0x01}),                  // thread −1
+		framesOf([]byte{0x01, w | 1<<3, 0x06}),                  // thread 3 of 3
+		framesOf([]byte{0x01, byte(WriteNA)}),                   // location −7
+		framesOf([]byte{0x01, byte(WriteNA) | 15<<4, 0x06}),     // location 3 of 3
+		framesOf([]byte{0x01, byte(WriteNA) | 8<<4}),            // nonatomic access on F
+		framesOf([]byte{0x01, byte(ReadRA) | 7<<4, 0x02, 0x01}), // ra access on x
+		framesOf([]byte{0x02, w}),                               // tag truncated at the frame's end
+		framesOf([]byte{0x01, byte(ReadRA) | 9<<4, 0x02, 0x00}), // denominator 0
+		framesOf([]byte{0x01, byte(ReadRA) | 9<<4, 0x02}),       // denominator missing
+		framesOf([]byte{0x01, w | 1<<3, 0x80}),                  // thread delta varint cut
+		framesOf([]byte{0x01, 7 | 7<<4}),                        // kind 7
+		framesOf([]byte{0x01, byte(KindHalt) | 7<<4}),           // halt with a location field
+		framesOf([]byte{0x01, w, 0xAA}),                         // trailing byte
+		framesOf([]byte{0x00}),                                  // zero event count
+	}
+	for _, s := range seeds {
+		f.Add(small, []byte{}, s)
+	}
+	f.Fuzz(func(t *testing.T, shape uint16, ctx, frames []byte) {
+		hdr := fuzzFrameHeader(shape)
+		var head bytes.Buffer
+		if _, err := NewTraceWriter(&head, hdr, BinaryV2); err != nil {
+			t.Fatal(err)
+		}
+		reader := func() *TraceReader {
+			tr, err := NewTraceReader(bytes.NewReader(head.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			withContext(tr, ctx)
+			return tr
+		}
+		got, want := reader(), reader()
+		for k := 0; len(frames) > 0; k++ {
+			n := min(int(frames[0]), len(frames)-1)
+			p := frames[1 : 1+n]
+			frames = frames[1+n:]
+			// Every other frame appends to a non-empty dst.
+			var dst []Event
+			if k%2 == 1 {
+				dst = []Event{{Thread: -1}}
+			}
+			gotEv, gotErr := got.decodePayload(p, slices.Clone(dst))
+			wantEv, wantErr := want.refDecodePayload(p, slices.Clone(dst))
+			if !slices.Equal(gotEv, wantEv) {
+				t.Fatalf("frame %d: decoded %v, reference %v", k, gotEv, wantEv)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("frame %d: error %v, reference %v", k, gotErr, wantErr)
+			}
+			if got.prevThread != want.prevThread || !slices.Equal(got.prevLoc, want.prevLoc) ||
+				!slices.Equal(got.prevNum, want.prevNum) || !slices.Equal(got.halted, want.halted) {
+				t.Fatalf("frame %d: context (thread %d, locs %v, nums %v, halted %v), reference (%d, %v, %v, %v)", k,
+					got.prevThread, got.prevLoc, got.prevNum, got.halted,
+					want.prevThread, want.prevLoc, want.prevNum, want.halted)
+			}
+			if gotErr != nil {
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkDecodeV2 measures the decode layer alone: NewTraceReader plus

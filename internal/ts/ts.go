@@ -28,14 +28,25 @@ var Zero = Time{0, 1}
 // are constructed by the library from small integers, so overflow of the
 // normalised form indicates a bug rather than an input error.
 func New(num, den int64) Time {
+	if den == 1 || den == -1 {
+		return Time{num * den, 1} // an integer, sign flipped to den > 0
+	}
+	return reduce(num, den)
+}
+
+// reduce returns num/den in lowest terms with den > 0, panicking on a
+// zero den. It is New's general case, kept out of line so that New
+// inlines and an integer timestamp costs no call.
+//
+//go:noinline
+func reduce(num, den int64) Time {
 	if den == 0 {
 		panic("ts: zero denominator")
 	}
 	if den < 0 {
 		num, den = -num, -den
 	}
-	g := gcd(abs(num), den)
-	if g > 1 {
+	if g := gcd(abs(num), den); g > 1 {
 		num /= g
 		den /= g
 	}

@@ -1,6 +1,7 @@
 package ts
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,16 @@ func TestNewNormalises(t *testing.T) {
 		got := New(c.num, c.den)
 		if got.Num() != c.wantN || got.Den() != c.wantD {
 			t.Errorf("New(%d,%d) = %d/%d, want %d/%d", c.num, c.den, got.Num(), got.Den(), c.wantN, c.wantD)
+		}
+	}
+}
+
+// TestNewIntegers: New(n, 1) is FromInt(n) — same fields, so == holds —
+// at the extremes too, where the reduction is skipped.
+func TestNewIntegers(t *testing.T) {
+	for _, n := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
+		if got := New(n, 1); got != FromInt(n) {
+			t.Errorf("New(%d, 1) = %#v, want FromInt(%d) = %#v", n, got, n, FromInt(n))
 		}
 	}
 }

@@ -500,20 +500,18 @@ func runTrace(path, resumePath string, cfg monitor.PipelineConfig, ck ckParams) 
 	// batch is cut at the stop, as in runGenerated; a run resumed at or
 	// past the stop checkpoints at once.
 	completed := true
-	var buf []monitor.Event
 	for {
 		if ck.at > 0 && m.Events() >= ck.at {
 			completed = false
 			break
 		}
-		batch, ok, err := tr.NextBatch(buf[:0])
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil {
 			fatalf("trace: %v", err)
 		}
 		if !ok {
 			break
 		}
-		buf = batch
 		if ck.at > 0 {
 			batch = batch[:min(uint64(len(batch)), ck.at-m.Events())]
 		}

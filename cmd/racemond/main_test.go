@@ -55,15 +55,17 @@ func TestDriveHalts(t *testing.T) {
 		}
 		n := 0
 		for {
-			e, ok, err := tr.Next()
+			batch, ok, err := tr.NextBatch(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				return n
 			}
-			if e.Kind == monitor.KindHalt {
-				n++
+			for _, e := range batch {
+				if e.Kind == monitor.KindHalt {
+					n++
+				}
 			}
 		}
 	}

@@ -116,12 +116,13 @@
 // in place, with the delta context in locals and no call on its common
 // path (one-byte varints inline, a failed check formatted after the
 // loop), and the kind-versus-declaration check is one compare against a
-// per-location class table. TraceReader.NextBatch keeps at most D frames in flight
-// (D = 3), chained in order, while the caller steps frame k: each
-// frame's goroutine decodes once its predecessor is done, the newest
-// into the batch array the caller hands back, so decode and the wake-up
-// of its goroutine leave the critical path of a -trace run without a
-// second decode path. (A frame-parallel decoder — N parsers passing the
+// per-location class table. TraceReader.NextBatch keeps at most D frames
+// in flight (D = 3), chained in order, while the caller steps frame k:
+// each frame's goroutine decodes once its predecessor is done, the
+// newest into the array of frame k-1, which the reader owns and the
+// caller has finished with. So decode and the wake-up of its goroutine
+// leave the critical path of a -trace run without a second decode
+// path. (A frame-parallel decoder — N parsers passing the
 // delta context along a chain, feeding an ordering sequencer — was
 // measured on a 2-CPU host against the single decoder and lost, so it
 // was removed. The overlap keeps one decoder at a time, decoding frames

@@ -49,14 +49,12 @@ func (g gcMode) pipelineConfig(shards int) monitor.PipelineConfig {
 // stepAll drains tr into m with the NextBatch → StepBatch loop the
 // drivers run.
 func stepAll(tr *monitor.TraceReader, m *monitor.Monitor) error {
-	var buf []monitor.Event
 	for {
-		batch, ok, err := tr.NextBatch(buf[:0])
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil || !ok {
 			return err
 		}
 		m.StepBatch(batch)
-		buf = batch
 	}
 }
 
@@ -417,12 +415,12 @@ func TestWireResumeParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := tr.NewMonitor()
-				for i := 0; i < k; i++ {
-					e, ok, err := tr.Next()
+				for m.Events() < uint64(k) {
+					batch, ok, err := tr.NextBatch(nil)
 					if err != nil || !ok {
-						t.Fatalf("seed %d halts=%v k=%d: short trace (i=%d ok=%v err=%v)", seed, halts, k, i, ok, err)
+						t.Fatalf("seed %d halts=%v k=%d: short trace (at %d ok=%v err=%v)", seed, halts, k, m.Events(), ok, err)
 					}
-					m.Step(e)
+					m.StepBatch(batch[:min(len(batch), k-int(m.Events()))])
 				}
 				var snap bytes.Buffer
 				if err := m.Snapshot(&snap); err != nil {

@@ -159,15 +159,17 @@
 // checkpoint covers, then Snapshot.Open, which builds the monitor as
 // Open does. racemon and racemond build their engines through Open,
 // and both ingest with one loop: TraceReader.NextBatch, then
-// StepBatch, handing each batch's array back to the next NextBatch. On
-// a binary trace the reader keeps at most D frames in flight, chained
-// in order, while StepBatch runs, the newest decoding into the array
-// handed back: a batch stays valid until it is handed back, and the
+// StepBatch. The reader owns the batch arrays: a batch stays valid
+// until the next NextBatch. On a binary trace the reader keeps at most
+// D frames in flight, chained in order, while StepBatch runs, the
+// newest decoding into the array of the batch returned before. The
 // source io.Reader may be read on those goroutines between calls, so
-// the caller leaves it alone while the reader is live. NewPipeline builds a sharded monitor without Open's clamp
-// (Pipeline is its alias for Monitor); Table and ReadRaces
-// (MonitorReader's loop over a whole trace) are the one-call forms the
-// differential tests use.
+// the caller leaves it alone while the reader is live.
+//
+// NewPipeline builds a sharded monitor without Open's clamp (Pipeline
+// is its alias for Monitor); Table and ReadRaces (MonitorReader's loop
+// over a whole trace) are the one-call forms the differential tests
+// use.
 package monitor
 
 import (
@@ -590,15 +592,6 @@ func (m *Monitor) RAStats() RAStats {
 
 // Events returns the number of events consumed.
 func (m *Monitor) Events() uint64 { return m.events }
-
-// EscalatedVectors returns the number of per-thread access vectors
-// currently escalated (write and read sides counted separately, across
-// all back-ends of a sharded monitor, which settles them first) — the
-// live-state pressure the GC-time compaction pass works against.
-func (m *Monitor) EscalatedVectors() int {
-	m.settle()
-	return m.checkSum().escalatedSides
-}
 
 // RaceCount returns the number of distinct races reported so far (a
 // sharded monitor settles its back-ends first).

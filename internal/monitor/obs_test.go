@@ -54,12 +54,9 @@ func TestMonitorStats(t *testing.T) {
 		t.Fatalf("RA cells (%d/%d/%d) disagree with RAStats %+v",
 			s.Gauge("monitor.ra.live"), s.Gauge("monitor.ra.peak"), s.Counter("monitor.ra.collected"), rs)
 	}
-	if got := s.Gauge("monitor.escalated_vectors"); got != int64(m.EscalatedVectors()) {
-		t.Fatalf("monitor.escalated_vectors = %d, want %d", got, m.EscalatedVectors())
-	}
-	if s.Counter("monitor.escalations")-s.Counter("monitor.demotions") != uint64(m.EscalatedVectors()) {
+	if live := s.Gauge("monitor.escalated_vectors"); s.Counter("monitor.escalations")-s.Counter("monitor.demotions") != uint64(live) {
 		t.Fatalf("escalations %d - demotions %d != live %d",
-			s.Counter("monitor.escalations"), s.Counter("monitor.demotions"), m.EscalatedVectors())
+			s.Counter("monitor.escalations"), s.Counter("monitor.demotions"), live)
 	}
 	if got := s.Gauge("monitor.gc.interval"); got != 512 {
 		t.Fatalf("monitor.gc.interval = %d, want 512", got)

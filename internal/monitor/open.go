@@ -83,19 +83,26 @@ func clampShards(decls []LocDecl, shards int) int {
 // the reader decodes and drops the already-monitored events by count.
 // A snapshot holds no trace position, so this one rule resumes it over
 // any encoding of the same event stream, binary or text, whichever run
-// wrote it.
+// wrote it. The skip reads through NextBatch, so it decodes ahead as
+// ingest does; the unskipped tail of its last batch is what the next
+// NextBatch returns.
 func (tr *TraceReader) ResumeAt(s *Snapshot) error {
 	if !s.hdr.Equal(tr.hdr) {
 		return fmt.Errorf("monitor: resume: the trace's header differs from the snapshot's")
 	}
-	for skip := s.events; skip > 0; skip-- {
-		_, ok, err := tr.Next()
+	for skip := s.events; skip > 0; {
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil {
 			return fmt.Errorf("monitor: resume: %w", err)
 		}
 		if !ok {
 			return fmt.Errorf("monitor: resume: the trace ends inside the %d already-monitored events", s.events)
 		}
+		if uint64(len(batch)) > skip {
+			tr.rest = batch[skip:]
+			break
+		}
+		skip -= uint64(len(batch))
 	}
 	return nil
 }

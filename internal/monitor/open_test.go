@@ -10,14 +10,12 @@ import (
 // stepAll drains tr into m with the NextBatch → StepBatch loop the
 // drivers run.
 func stepAll(tr *TraceReader, m *Monitor) error {
-	var buf []Event
 	for {
-		batch, ok, err := tr.NextBatch(buf[:0])
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil || !ok {
 			return err
 		}
 		m.StepBatch(batch)
-		buf = batch
 	}
 }
 

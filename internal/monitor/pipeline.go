@@ -33,8 +33,8 @@ package monitor
 //
 // The methods whose behaviour depends on the mode branch once on
 // Monitor.p: Finish drains the back-ends, Abort tears them down, and
-// the readers of race state (Reports, RaceCount, EscalatedVectors,
-// Stats, Snapshot, BackendLoads) settle them first.
+// the readers of race state (Reports, RaceCount, Stats, Snapshot,
+// BackendLoads) settle them first.
 //
 // Records move in batches over bounded SPSC rings (engine.BatchQueue,
 // one per back-end, plus a reverse ring recycling spent buffers), so the
@@ -503,8 +503,8 @@ func (m *Monitor) Finish() []race.Report {
 //     dropped, so no coherent report set exists), Snapshot returns an
 //     error, and further Steps are silently discarded. Events() remains
 //     readable from the feeder; the race readers (Reports, RaceCount,
-//     EscalatedVectors, Stats, BackendLoads) wait for the teardown and
-//     read whatever the back-ends had applied.
+//     Stats, BackendLoads) wait for the teardown and read whatever the
+//     back-ends had applied.
 //   - The one prohibited overlap: Abort must not race with a
 //     *concurrently executing* Finish or Snapshot — those drain state
 //     that Abort is tearing down, and the snapshot bytes/report set

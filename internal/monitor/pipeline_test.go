@@ -386,7 +386,7 @@ func TestPipelineAbortContract(t *testing.T) {
 			// BackendLoads quiesces; after an abort the barrier must not
 			// wait on back-ends that will never acknowledge.
 			_ = p.BackendLoads()
-			_ = p.EscalatedVectors()
+			_ = p.Stats()
 			if p.Events() != 10_000 {
 				t.Fatalf("Events after abort = %d, want 10000", p.Events())
 			}

@@ -178,7 +178,6 @@ func BenchmarkTraceIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("decode", func(b *testing.B) {
-		var buf []monitor.Event
 		for i := 0; i < b.N; i++ {
 			tr, err := monitor.NewTraceReader(bytes.NewReader(trace.Bytes()))
 			if err != nil {
@@ -186,7 +185,7 @@ func BenchmarkTraceIngest(b *testing.B) {
 			}
 			decoded := 0
 			for {
-				batch, ok, err := tr.NextBatch(buf[:0])
+				batch, ok, err := tr.NextBatch(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +193,6 @@ func BenchmarkTraceIngest(b *testing.B) {
 					break
 				}
 				decoded += len(batch)
-				buf = batch
 			}
 			if decoded != events {
 				b.Fatalf("decoded %d events, want %d", decoded, events)
@@ -217,10 +215,9 @@ func BenchmarkTraceIngest(b *testing.B) {
 				}
 				m := tr.NewMonitor()
 				m.SetPredicate(pc.pred, pc.k)
-				var buf []monitor.Event
 				for {
 					start := time.Now()
-					batch, ok, err := tr.NextBatch(buf[:0])
+					batch, ok, err := tr.NextBatch(nil)
 					wait += time.Since(start)
 					calls++
 					if err != nil {
@@ -230,7 +227,6 @@ func BenchmarkTraceIngest(b *testing.B) {
 						break
 					}
 					m.StepBatch(batch)
-					buf = batch
 				}
 				if m.Events() != uint64(events) {
 					b.Fatalf("monitored %d events, want %d", m.Events(), events)
@@ -266,7 +262,7 @@ func TestCompactionDemotes(t *testing.T) {
 	noSweep := tab.NewMonitor()
 	noSweep.SetGCInterval(1 << 62)
 	noSweep.StepBatch(events)
-	got, never := m.EscalatedVectors(), noSweep.EscalatedVectors()
+	got, never := escalated(m), escalated(noSweep)
 	t.Logf("%d demotions; %d escalated vectors at the end with compaction, %d without", demotions, got, never)
 	if got >= never {
 		t.Fatalf("escalated vectors: %d with compaction, %d without", got, never)
@@ -286,14 +282,20 @@ func TestCompactionDemotes(t *testing.T) {
 	if got := p.Stats().Counter("monitor.demotions"); got != demotions {
 		t.Fatalf("pipeline demoted %d vectors, sequential %d", got, demotions)
 	}
-	if p.EscalatedVectors() != m.EscalatedVectors() {
-		t.Fatalf("pipeline ends with %d escalated vectors, sequential %d", p.EscalatedVectors(), m.EscalatedVectors())
+	if escalated(p) != escalated(m) {
+		t.Fatalf("pipeline ends with %d escalated vectors, sequential %d", escalated(p), escalated(m))
 	}
+}
+
+// escalated is m's count of escalated vectors, the exact
+// monitor.escalated_vectors gauge of Stats.
+func escalated(m *monitor.Monitor) int64 {
+	return m.Stats().Gauge("monitor.escalated_vectors")
 }
 
 // TestShardedMidStreamParity: at several positions of a schedgen stream,
 // a 4-shard monitor answers every race reader — Reports, RaceCount,
-// EscalatedVectors, RAStats and the monitor.* and predict.* metrics of
+// RAStats and the monitor.* and predict.* metrics of
 // Stats (the sharded snapshot adds only pipeline.* metrics) — exactly
 // as the sequential monitor does, under each predicate; feeding then
 // continues, and Finish agrees too.
@@ -324,9 +326,6 @@ func TestShardedMidStreamParity(t *testing.T) {
 			if got, want := sh.RaceCount(), seq.RaceCount(); got != want {
 				t.Fatalf("%v at %d: RaceCount %d, sequential %d", pc.pred, at, got, want)
 			}
-			if got, want := sh.EscalatedVectors(), seq.EscalatedVectors(); got != want {
-				t.Fatalf("%v at %d: EscalatedVectors %d, sequential %d", pc.pred, at, got, want)
-			}
 			if got, want := sh.RAStats(), seq.RAStats(); got != want {
 				t.Fatalf("%v at %d: RAStats %+v, sequential %+v", pc.pred, at, got, want)
 			}
@@ -343,7 +342,7 @@ func TestShardedMidStreamParity(t *testing.T) {
 			}
 		}
 		// Under short:k the window, not the checker, sees the accesses.
-		if seq.RaceCount() == 0 || (pc.pred != monitor.PredShort && seq.EscalatedVectors() == 0) {
+		if seq.RaceCount() == 0 || (pc.pred != monitor.PredShort && escalated(seq) == 0) {
 			t.Fatalf("%v: the stream must race and escalate", pc.pred)
 		}
 		if got, want := sh.Finish(), seq.Finish(); !race.ReportsEqual(got, want) || len(got) != sh.RaceCount() {

@@ -365,15 +365,13 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 // ingestTo feeds tr into m with the NextBatch → StepBatch loop, cutting
 // the last batch at k events, as racemon -checkpoint-at does — so a k
 // inside a frame leaves the rest of that frame decoded but unstepped.
-func ingestTo(t *testing.T, tr *TraceReader, m *Monitor, k uint64) {
-	t.Helper()
-	var buf []Event
+func ingestTo(tb testing.TB, tr *TraceReader, m *Monitor, k uint64) {
+	tb.Helper()
 	for m.Events() < k {
-		batch, ok, err := tr.NextBatch(buf[:0])
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil || !ok {
-			t.Fatalf("ingest to %d: ok=%v err=%v after %d events", k, ok, err, m.Events())
+			tb.Fatalf("ingest to %d: ok=%v err=%v after %d events", k, ok, err, m.Events())
 		}
-		buf = batch
 		m.StepBatch(batch[:min(uint64(len(batch)), k-m.Events())])
 	}
 }
@@ -451,8 +449,8 @@ func TestReaderCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestReaderCheckpointText: a monitor fed event by event from a text
-// trace checkpoints with Monitor.Snapshot, and that checkpoint resumes
+// TestReaderCheckpointText: a monitor fed k events from a text trace
+// checkpoints with Monitor.Snapshot, and that checkpoint resumes
 // by count over the same text trace to the reports and event count of
 // a one-shot ingest. A text trace that ends inside the checkpoint's
 // already-monitored events is refused.
@@ -470,13 +468,7 @@ func TestReaderCheckpointText(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := tr.NewMonitor()
-		for i := 0; i < k; i++ {
-			e, ok, err := tr.Next()
-			if err != nil || !ok {
-				t.Fatalf("k=%d i=%d: next: ok=%v err=%v", k, i, ok, err)
-			}
-			m.Step(e)
-		}
+		ingestTo(t, tr, m, uint64(k))
 		var ck bytes.Buffer
 		if err := m.Snapshot(&ck); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -549,13 +541,7 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := tr.NewMonitor()
-		for i := 0; i < k; i++ {
-			e, ok, err := tr.Next()
-			if err != nil || !ok {
-				t.Fatalf("k=%d i=%d: ok=%v err=%v", k, i, ok, err)
-			}
-			m.Step(e)
-		}
+		ingestTo(t, tr, m, uint64(k))
 		var buf bytes.Buffer
 		if err := m.Snapshot(&buf); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -919,13 +905,7 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	m := tr.NewMonitor()
-	for i := 0; i < 700; i++ {
-		e, _, err := tr.Next()
-		if err != nil {
-			f.Fatal(err)
-		}
-		m.Step(e)
-	}
+	ingestTo(f, tr, m, 700)
 	var ingested bytes.Buffer
 	if err := m.Snapshot(&ingested); err != nil {
 		f.Fatal(err)

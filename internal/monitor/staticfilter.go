@@ -54,15 +54,3 @@ func StaticFilter(decls []LocDecl, raceFree func(prog.Loc) bool) []bool {
 	}
 	return mask
 }
-
-// FilteredLocs counts the locations a mask skips (telemetry for CLIs
-// and benches).
-func FilteredLocs(mask []bool) int {
-	n := 0
-	for _, b := range mask {
-		if b {
-			n++
-		}
-	}
-	return n
-}

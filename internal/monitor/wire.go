@@ -537,21 +537,21 @@ func (tw *TraceWriter) Flush() error {
 // ---- Decoder ----
 
 // TraceReader decodes a wire-format trace (either encoding, sniffed from
-// the first bytes) and yields validated events, a batch at a time via
-// NextBatch (the loop every driver runs into Monitor.StepBatch) or one
-// at a time via Next (ResumeAt's exact skip). Malformed input
-// produces an error, never a panic, and never an event the monitor
-// cannot safely consume.
+// the first bytes) and yields validated events a batch at a time through
+// NextBatch, its one read verb. Malformed input produces an error, never
+// a panic, and never an event the monitor cannot safely consume.
 //
-// On a binary trace, NextBatch keeps at most decodeDepth frames in
-// flight, chained in order, while the caller steps the one it returned:
-// each frame decodes on a goroutine of its own once its predecessor is
-// done, so there is one decoder at a time and frames decode in stream
-// order. The source io.Reader may be read on another goroutine between
-// calls, so the caller must not touch it while the reader is live. A
-// reader dropped mid-stream leaves at most decodeDepth goroutines, each
-// of which exits once its frame is decoded, its read fails or its
-// predecessor ended the trace; no Close is needed.
+// The reader owns the arrays its batches live in: a batch stays valid
+// until the next call, as with bufio.Scanner.Bytes. On a binary trace,
+// NextBatch keeps at most decodeDepth frames in flight, chained in
+// order, while the caller steps the one it returned: each frame decodes
+// on a goroutine of its own once its predecessor is done, so there is
+// one decoder at a time and frames decode in stream order. The source
+// io.Reader may be read on another goroutine between calls, so the
+// caller must not touch it while the reader is live. A reader dropped
+// mid-stream leaves at most decodeDepth goroutines, each of which exits
+// once its frame is decoded, its read fails or its predecessor ended the
+// trace; no Close is needed.
 type TraceReader struct {
 	br   *bufio.Reader
 	hdr  Header
@@ -565,8 +565,7 @@ type TraceReader struct {
 	// halted[t]: thread t's halt has been decoded — later events of t
 	// are malformed (see checkHalt). Allocated on the first halt.
 	halted []bool
-	// Binary state: the delta context (carried across frames) and the
-	// decoded-but-not-yet-yielded events of the current frame.
+	// Binary state: the delta context, carried across frames.
 	prevThread int32
 	prevLoc    []int32
 	prevNum    []int64
@@ -574,8 +573,16 @@ type TraceReader struct {
 	// 1 at, 2 ra) — the binary decoder's one-compare declaration check.
 	locClass []uint8
 	frameBuf []byte
-	batch    []Event
-	cur      int
+	// held is the array of the batch returned last, the caller's until
+	// the next call, which reuses it for the newest frame it starts.
+	held []Event
+	// rest is the tail of held that ResumeAt did not skip, returned
+	// first by the next call.
+	rest []Event
+	// ended is set once a call returned ok=false; err is that call's
+	// error, nil at a clean end. Every later call returns them again.
+	ended bool
+	err   error
 	// ahead is the FIFO of frames in flight (binary NextBatch), oldest
 	// first, read and written on the caller's goroutine only. While it is
 	// non-empty the decoder state above (br, the delta context, halted,
@@ -593,11 +600,10 @@ type TraceReader struct {
 const decodeDepth = 3
 
 // aheadFrame is one frame in flight. Its goroutine waits for its
-// predecessor's done, decodes into dst unless the predecessor ended the
-// trace, stores batch, ok and err, and closes done.
+// predecessor's done, decodes unless the predecessor ended the trace,
+// stores batch, ok and err, and closes done.
 type aheadFrame struct {
 	done  chan struct{}
-	dst   []Event // the array handed to the decoder
 	batch []Event
 	ok    bool
 	err   error
@@ -633,81 +639,57 @@ func (tr *TraceReader) Header() Header { return tr.hdr }
 // NewMonitor returns a monitor sized for the trace's header.
 func (tr *TraceReader) NewMonitor() *Monitor { return New(tr.hdr.Threads, tr.hdr.Decls) }
 
-// Next decodes and validates the next event; ok=false at end of trace.
-// It never decodes ahead: frames NextBatch left in flight are taken
-// first, in order.
-func (tr *TraceReader) Next() (Event, bool, error) {
-	if tr.text {
-		return tr.nextText()
-	}
-	if tr.cur >= len(tr.batch) {
-		var ok bool
-		var err error
-		if len(tr.ahead) > 0 {
-			tr.batch, ok, err = tr.awaitAhead()
-		} else {
-			tr.batch, ok, err = tr.decodeFrame(tr.batch[:0])
-		}
-		tr.cur = 0
-		if err != nil || !ok {
-			return Event{}, false, err
-		}
-	}
-	e := tr.batch[tr.cur]
-	tr.cur++
-	return e, true, nil
-}
-
-// NextBatch decodes and validates the next batch of events, appending to
-// dst — for the binary format a whole frame at a time (the natural batch
-// boundary), for text a bounded run of single events. ok=false with
-// nothing appended means the end of the trace. Hand each batch to
-// Monitor.StepBatch, then hand its array back as the next call's
-// dst[:0]:
-//
-//	batch, ok, err := tr.NextBatch(buf[:0])
-//	...
-//	buf = batch
+// NextBatch decodes and validates the next batch of events: for the
+// binary format a whole frame (the natural batch boundary), for text a
+// bounded run of lines. ok=false means the end of the trace, with a nil
+// error if it is a clean one. The batch lives in an array the reader
+// owns and stays valid until the next call. The argument is ignored. A
+// bad frame or line yields the events before it with its error. The end
+// is sticky: every later call returns the same error and reads nothing.
 //
 // On a binary trace, at most decodeDepth frames are in flight, chained
 // in order: a call that returns frame k tops the FIFO up to frames
-// k+1..k+decodeDepth, the newest decoding into the array dst handed
-// back (a fresh one if dst is nil), and later calls receive them in
-// order. A returned batch stays valid until it is handed back; the
-// reader never writes an array the caller has not handed back, nor
-// hands one array to two frames in flight. A non-empty dst hands back
-// nothing: the frame is appended to it. Nothing is decoded ahead after
-// an error or the end of the trace, and a bad frame yields its valid
-// prefix and its error at the same call as without the overlap.
-func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
-	if !tr.text {
-		if tr.cur < len(tr.batch) {
-			dst = append(dst, tr.batch[tr.cur:]...)
-			tr.cur = len(tr.batch)
-			return dst, true, nil
-		}
-		var batch, spare []Event
-		var ok bool
-		var err error
+// k+1..k+decodeDepth, the newest decoding into the array of the batch
+// returned before, and later calls receive them in order. Nothing is
+// decoded ahead after an error or the end of the trace, and a bad frame
+// yields its valid prefix and its error at the same call as a
+// synchronous decode would.
+func (tr *TraceReader) NextBatch(_ []Event) ([]Event, bool, error) {
+	if tr.ended {
+		return nil, false, tr.err
+	}
+	if len(tr.rest) > 0 {
+		batch := tr.rest
+		tr.rest = nil
+		return batch, true, nil
+	}
+	var batch []Event
+	var ok bool
+	var err error
+	if tr.text {
+		batch, ok, err = tr.textBatch(tr.held[:0])
+	} else {
+		spare := tr.held[:0]
 		if len(tr.ahead) == 0 {
-			batch, ok, err = tr.decodeFrame(dst)
+			batch, ok, err = tr.decodeFrame(spare)
+			spare = nil
 		} else {
 			batch, ok, err = tr.awaitAhead()
-			if len(dst) > 0 {
-				spare, batch = batch, append(dst, batch...)
-			} else if !sameArray(dst, batch) && !tr.inFlight(dst) {
-				spare = dst
-			}
 		}
 		for ok && len(tr.ahead) < decodeDepth {
-			tr.decodeAhead(spare[:0])
+			tr.decodeAhead(spare)
 			spare = nil
 		}
-		return batch, ok, err
 	}
-	n := 0
-	for ; n < defaultFrameEvents; n++ {
-		e, ok, err := tr.Next()
+	tr.held, tr.ended, tr.err = batch, !ok, err
+	return batch, ok, err
+}
+
+// textBatch decodes up to defaultFrameEvents text events, appending to
+// dst. ok=false at the end of the trace or on an error.
+func (tr *TraceReader) textBatch(dst []Event) ([]Event, bool, error) {
+	for len(dst) < defaultFrameEvents {
+		e, ok, err := tr.nextText()
 		if err != nil {
 			return dst, false, err
 		}
@@ -716,7 +698,7 @@ func (tr *TraceReader) NextBatch(dst []Event) ([]Event, bool, error) {
 		}
 		dst = append(dst, e)
 	}
-	return dst, n > 0, nil
+	return dst, len(dst) > 0, nil
 }
 
 func (tr *TraceReader) readBinaryHeader() error {
@@ -752,7 +734,7 @@ func (tr *TraceReader) readBinaryHeader() error {
 // goroutine of its own once the frame before it in the FIFO is done;
 // awaitAhead receives it.
 func (tr *TraceReader) decodeAhead(dst []Event) {
-	f := &aheadFrame{done: make(chan struct{}), dst: dst}
+	f := &aheadFrame{done: make(chan struct{})}
 	var prev *aheadFrame
 	if n := len(tr.ahead); n > 0 {
 		prev = tr.ahead[n-1]
@@ -790,21 +772,6 @@ func (tr *TraceReader) waitAhead() {
 	for _, f := range tr.ahead {
 		<-f.done
 	}
-}
-
-// inFlight reports whether dst's array was handed to a frame in flight.
-func (tr *TraceReader) inFlight(dst []Event) bool {
-	for _, f := range tr.ahead {
-		if sameArray(dst, f.dst) {
-			return true
-		}
-	}
-	return false
-}
-
-// sameArray reports whether a and b share their first element's slot.
-func sameArray(a, b []Event) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // decodeFrame reads and decodes the next binary frame, appending its
@@ -1153,7 +1120,7 @@ func (tr *TraceReader) readTextHeader() error {
 			break
 		}
 		if !strings.HasPrefix(line, "loc ") {
-			// First event line: hand it back to Next.
+			// First event line: hand it back to nextText.
 			tr.pending, tr.hasPending = line, true
 			break
 		}
@@ -1297,9 +1264,8 @@ func MonitorReader(r io.Reader) (*Monitor, error) {
 		return nil, err
 	}
 	m := tr.NewMonitor()
-	var buf []Event
 	for {
-		batch, ok, err := tr.NextBatch(buf[:0])
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1307,7 +1273,6 @@ func MonitorReader(r io.Reader) (*Monitor, error) {
 			return m, nil
 		}
 		m.StepBatch(batch)
-		buf = batch
 	}
 }
 

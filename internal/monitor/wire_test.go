@@ -78,20 +78,18 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatalf("%v: decl %d mismatch: %+v vs %+v", format, i, got.Decls[i], hdr.Decls[i])
 			}
 		}
+		decoded, _, end := drainBatches(tr, nil)
+		if end != "" || len(decoded) != len(events) {
+			t.Fatalf("%v: decoded %d events, end %q; want %d, clean", format, len(decoded), end, len(events))
+		}
 		for i, want := range events {
-			e, ok, err := tr.Next()
-			if err != nil || !ok {
-				t.Fatalf("%v: event %d: ok=%v err=%v", format, i, ok, err)
-			}
+			e := decoded[i]
 			if e.Thread != want.Thread || e.Loc != want.Loc || e.Kind != want.Kind {
 				t.Fatalf("%v: event %d: got %+v, want %+v", format, i, e, want)
 			}
 			if (want.Kind == ReadRA || want.Kind == WriteRA) && !e.Time.Equal(want.Time) {
 				t.Fatalf("%v: event %d: timestamp %v, want %v", format, i, e.Time, want.Time)
 			}
-		}
-		if _, ok, err := tr.Next(); ok || err != nil {
-			t.Fatalf("%v: expected clean end of trace, got ok=%v err=%v", format, ok, err)
 		}
 	}
 }
@@ -173,7 +171,7 @@ func TestWireTextLineLimit(t *testing.T) {
 		f := &floodReader{prefix: prefix, n: maxTextLine + 2<<20}
 		tr, err := NewTraceReader(f)
 		if err == nil {
-			_, _, err = tr.Next()
+			_, _, err = tr.NextBatch(nil)
 		}
 		if err == nil || !strings.Contains(err.Error(), "longer than") {
 			t.Fatalf("prefix %q: err = %v, want a line-length error", prefix, err)
@@ -294,10 +292,10 @@ func TestWireWriterRejects(t *testing.T) {
 // yield must be safe for the monitor to consume. Seeds cover both
 // formats (binary with and without halts, text) and a few corruption
 // shapes, including binary frames under the retired version byte 1 and
-// under a future version 3. The per-event pass, which never decodes
-// ahead, is the reference: every batch pass must yield the same events
-// in the same order and end the same way, and monitoring either pass
-// reports the same races.
+// under a future version 3. The synchronous pass (syncPass), which
+// never decodes ahead, is the reference: NextBatch must yield the same
+// events in the same order and end the same way, and monitoring either
+// pass reports the same races.
 func FuzzTraceReader(f *testing.F) {
 	hdr, events := wireWorkload()
 	noHalt := encodeAllFuzz(f, hdr, events, BinaryV2)
@@ -338,21 +336,19 @@ func FuzzTraceReader(f *testing.F) {
 			ref.SetGCInterval(64)
 			batched.SetGCInterval(64)
 		}
-		want, wantEnd := drainNext(tr)
-		for _, e := range want {
+		want, prefix, err := batchParity(data, batched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range slices.Concat(want, prefix) {
 			if verr := validateEvent(h, e); verr != nil {
 				t.Fatalf("decoder yielded invalid event %+v: %v", e, verr)
 			}
 		}
-		if err := batchParity(data, want, wantEnd, batched); err != nil {
-			t.Fatal(err)
-		}
 		if ref != nil {
-			for _, e := range want {
-				ref.Step(e)
-			}
+			ref.StepBatch(want)
 			if got, w := batched.Reports(), ref.Reports(); !race.ReportsEqual(got, w) {
-				t.Fatalf("batch pass reported %v, per-event pass %v", got, w)
+				t.Fatalf("batch pass reported %v, synchronous pass %v", got, w)
 			}
 		}
 	})
@@ -397,148 +393,81 @@ func traceEnd(err error) string {
 	return err.Error()
 }
 
-// drainNext reads tr to its end with Next alone, which never decodes
-// ahead, and returns the events and how the trace ended. Every event
-// consumes input bytes, so the loop ends on any input.
-func drainNext(tr *TraceReader) ([]Event, string) {
-	var events []Event
+// syncPass reads tr to its end with nothing decoded ahead: a
+// decodeFrame loop on a binary trace, text batches on a text one. It
+// returns the events of the batches that succeeded, the valid prefix the
+// failing one returned with its error, and how the trace ended: the
+// reference a NextBatch pass must reproduce. Every batch consumes input
+// bytes, so the loop ends on any input.
+func syncPass(tr *TraceReader) (events, prefix []Event, end string) {
 	for {
-		e, ok, err := tr.Next()
-		if err != nil || !ok {
-			return events, traceEnd(err)
+		var batch []Event
+		var ok bool
+		var err error
+		if tr.text {
+			batch, ok, err = tr.textBatch(nil)
+		} else {
+			batch, ok, err = tr.decodeFrame(nil)
 		}
-		events = append(events, e)
+		if !ok {
+			return events, batch, traceEnd(err)
+		}
+		events = append(events, batch...)
 	}
 }
 
-// batchModes are the ways a caller can hand batch arrays back to
-// NextBatch (see drainBatches).
-var batchModes = []string{"handback", "keep", "append", "fixed", "mixed"}
-
-// drainBatches reads tr to its end through NextBatch, handing arrays
-// back as mode says:
-//
-//   - handback: the drivers' loop, buf[:0] of the last batch;
-//   - keep: nil every time, keeping every batch until the end, so a
-//     write into an array not handed back shows as a changed event;
-//   - append: the growing slice of all events so far (dst non-empty);
-//   - fixed: the same array every time, whether or not it holds the
-//     last batch;
-//   - mixed: every third call is Next, the first one included.
-//
-// Except in handback mode, which keeps the overlap, each call waits for
-// the frames it left in flight to finish decoding before its batch is
-// read, so a write into an array the caller holds shows on any
-// schedule.
-//
-// It returns the events of the calls that succeeded, the valid prefix
-// a failing NextBatch returned with its error (nil if Next failed), and
-// how the trace ended. step, if non-nil, receives each batch of the
-// handback mode.
-func drainBatches(tr *TraceReader, mode string, step func([]Event)) (events, prefix []Event, end string) {
-	var buf []Event
-	var kept [][]Event
-	fixed := make([]Event, 0, defaultFrameEvents)
+// drainBatches reads tr to its end through NextBatch and returns what
+// syncPass does. step, if non-nil, receives each batch. Every other call
+// waits for the frames it left in flight before the batch is read, so a
+// write into the array the caller holds shows as a changed event on any
+// schedule; the calls between keep the overlap.
+func drainBatches(tr *TraceReader, step func([]Event)) (events, prefix []Event, end string) {
 	for i := 0; ; i++ {
-		var dst []Event
-		switch mode {
-		case "handback":
-			dst = buf[:0]
-		case "append":
-			dst = events
-		case "fixed":
-			dst = fixed[:0]
-		case "mixed":
-			if i%3 == 0 {
-				e, ok, err := tr.Next()
-				if err != nil || !ok {
-					return events, nil, traceEnd(err)
-				}
-				events = append(events, e)
-				continue
-			}
-			dst = buf[:0]
+		batch, ok, err := tr.NextBatch(nil)
+		if !ok {
+			return events, slices.Clone(batch), traceEnd(err)
 		}
-		batch, ok, err := tr.NextBatch(dst)
-		if mode != "handback" {
+		if step != nil {
+			step(batch)
+		}
+		if i%2 == 1 {
 			tr.waitAhead()
 		}
-		got := batch[len(dst):]
-		if err != nil || !ok {
-			for _, b := range kept {
-				events = append(events, b...)
-			}
-			return events, append(make([]Event, 0, len(got)), got...), traceEnd(err)
-		}
-		switch mode {
-		case "keep":
-			kept = append(kept, got)
-		case "append":
-			events = batch
-		default:
-			events = append(events, got...)
-			buf = batch
-		}
-		if step != nil && mode == "handback" {
-			step(got)
-		}
+		events = append(events, batch...)
 	}
 }
 
-// batchParity decodes data in every batch mode and checks each pass
-// against the per-event reference want, wantEnd: the same events, in
-// order, and the same end. A failing call's valid prefix is the binary
-// frame's decoded part, which Next drops with the frame and a direct
-// decodeFrame pass yields; in text it is the events Next yields. m, if
-// non-nil, steps the handback pass's batches and its text prefix.
-func batchParity(data []byte, want []Event, wantEnd string, m *Monitor) error {
+// batchParity reads data with syncPass and through NextBatch and checks
+// that both passes yield the same events in order, the same valid
+// prefix and the same end, with no frame left in flight. m, if non-nil,
+// steps the NextBatch pass's batches. It returns syncPass's events and
+// prefix.
+func batchParity(data []byte, m *Monitor) (want, wantPrefix []Event, err error) {
 	ref, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	var wantPrefix []Event
-	if !ref.text && wantEnd != "" {
-		for {
-			b, ok, _ := ref.decodeFrame(nil)
-			if !ok {
-				wantPrefix = b
-				break
-			}
-		}
+	want, wantPrefix, wantEnd := syncPass(ref)
+	tr, err := NewTraceReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, mode := range batchModes {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		var step func([]Event)
-		if m != nil {
-			step = m.StepBatch
-		}
-		got, prefix, end := drainBatches(tr, mode, step)
-		if len(tr.ahead) > 0 {
-			return fmt.Errorf("%s: %d frames in flight after the end %q", mode, len(tr.ahead), end)
-		}
-		if tr.text {
-			// A text prefix is events Next yields, so the reference
-			// monitor stepped them too.
-			if step != nil && mode == "handback" {
-				step(prefix)
-			}
-			got, prefix = append(got, prefix...), nil
-		}
-		if end != wantEnd {
-			return fmt.Errorf("%s: ended with %q, per-event pass with %q", mode, end, wantEnd)
-		}
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("%s: %d events differ from the per-event pass's %d", mode, len(got), len(want))
-		}
-		// A failing Next returns no prefix.
-		if prefix != nil && !slices.Equal(prefix, wantPrefix) {
-			return fmt.Errorf("%s: error prefix %v, want %v", mode, prefix, wantPrefix)
-		}
+	var step func([]Event)
+	if m != nil {
+		step = m.StepBatch
 	}
-	return nil
+	got, prefix, end := drainBatches(tr, step)
+	switch {
+	case len(tr.ahead) > 0:
+		err = fmt.Errorf("%d frames in flight after the end %q", len(tr.ahead), end)
+	case end != wantEnd:
+		err = fmt.Errorf("NextBatch ended with %q, the synchronous pass with %q", end, wantEnd)
+	case !slices.Equal(got, want):
+		err = fmt.Errorf("NextBatch yielded %d events, different from the synchronous pass's %d", len(got), len(want))
+	case !slices.Equal(prefix, wantPrefix):
+		err = fmt.Errorf("NextBatch's error prefix %v, the synchronous pass's %v", prefix, wantPrefix)
+	}
+	return want, wantPrefix, err
 }
 
 // encodeAllFuzz is encodeAll for fuzz seed construction (f.Fatal on error).

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -29,57 +30,30 @@ func haltWorkload() (Header, []Event) {
 
 // TestWireV2RoundTrip: encode → decode through the delta-compressed v2
 // format reproduces the header and every event (including halts and RA
-// timestamps) exactly, via both Next and NextBatch.
+// timestamps) exactly.
 func TestWireV2RoundTrip(t *testing.T) {
 	hdr, events := haltWorkload()
-	data := encodeAll(t, hdr, events, BinaryV2)
-	for _, batched := range []bool{false, true} {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	tr, err := NewTraceReader(bytes.NewReader(encodeAll(t, hdr, events, BinaryV2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Header(); !got.Equal(hdr) {
+		t.Fatalf("header mismatch: %+v vs %+v", got, hdr)
+	}
+	decoded, _, end := drainBatches(tr, nil)
+	if end != "" || len(decoded) != len(events) {
+		t.Fatalf("decoded %d events, end %q; want %d, clean", len(decoded), end, len(events))
+	}
+	for i, want := range events {
+		e := decoded[i]
+		if e.Thread != want.Thread || e.Kind != want.Kind {
+			t.Fatalf("event %d: got %+v, want %+v", i, e, want)
 		}
-		got := tr.Header()
-		if got.Threads != hdr.Threads || len(got.Decls) != len(hdr.Decls) {
-			t.Fatalf("header mismatch: %+v vs %+v", got, hdr)
+		if want.Kind != KindHalt && e.Loc != want.Loc {
+			t.Fatalf("event %d: loc %d, want %d", i, e.Loc, want.Loc)
 		}
-		var decoded []Event
-		if batched {
-			for {
-				var ok bool
-				decoded, ok, err = tr.NextBatch(decoded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-		} else {
-			for {
-				e, ok, err := tr.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				decoded = append(decoded, e)
-			}
-		}
-		if len(decoded) != len(events) {
-			t.Fatalf("batched=%v: decoded %d events, want %d", batched, len(decoded), len(events))
-		}
-		for i, want := range events {
-			e := decoded[i]
-			if e.Thread != want.Thread || e.Kind != want.Kind {
-				t.Fatalf("batched=%v: event %d: got %+v, want %+v", batched, i, e, want)
-			}
-			if want.Kind != KindHalt && e.Loc != want.Loc {
-				t.Fatalf("batched=%v: event %d: loc %d, want %d", batched, i, e.Loc, want.Loc)
-			}
-			if (want.Kind == ReadRA || want.Kind == WriteRA) && !e.Time.Equal(want.Time) {
-				t.Fatalf("batched=%v: event %d: timestamp %v, want %v", batched, i, e.Time, want.Time)
-			}
+		if (want.Kind == ReadRA || want.Kind == WriteRA) && !e.Time.Equal(want.Time) {
+			t.Fatalf("event %d: timestamp %v, want %v", i, e.Time, want.Time)
 		}
 	}
 }
@@ -97,18 +71,17 @@ func TestWireV2FrameBoundaries(t *testing.T) {
 	var decoded []Event
 	batches := 0
 	for {
-		before := len(decoded)
-		var ok bool
-		decoded, ok, err = tr.NextBatch(decoded)
+		batch, ok, err := tr.NextBatch(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if len(decoded) == before {
+		if len(batch) == 0 {
 			t.Fatal("NextBatch returned ok with no events")
 		}
+		decoded = append(decoded, batch...)
 		batches++
 	}
 	if batches != 4 {
@@ -124,57 +97,76 @@ func TestWireV2FrameBoundaries(t *testing.T) {
 	}
 
 	// NextBatch decodes each frame while the caller steps the one before.
-	// Whichever way the caller hands arrays back (batchModes, Next mixed
-	// in), it must yield the per-event pass's events in order, never
-	// write an array the caller still holds, and end the same way: here
+	// It must yield the synchronous pass's events in order, never write
+	// the array of the batch the caller holds, and end the same way: here
 	// and at every truncation of a trace of many small frames.
-	tr, err = NewTraceReader(bytes.NewReader(data))
+	want, _, err := batchParity(data, New(4, decls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, end := drainNext(tr)
-	if !slices.Equal(want, decoded) || end != "" {
-		t.Fatalf("per-event pass: %d events, end %q; want the batch pass's %d, clean", len(want), end, len(decoded))
-	}
-	if err := batchParity(data, want, "", New(4, decls)); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(want, decoded) {
+		t.Fatalf("synchronous pass: %d events, want the batch pass's %d", len(want), len(decoded))
 	}
 	small, _ := smallFrames(t, 5)
 	for cut := 0; cut <= len(small); cut++ {
-		tr, err := NewTraceReader(bytes.NewReader(small[:cut]))
-		if err != nil {
+		if _, err := NewTraceReader(bytes.NewReader(small[:cut])); err != nil {
 			continue // the header is cut
 		}
-		want, end := drainNext(tr)
-		if err := batchParity(small[:cut], want, end, nil); err != nil {
+		if _, _, err := batchParity(small[:cut], nil); err != nil {
 			t.Fatalf("cut at byte %d of %d: %v", cut, len(small), err)
 		}
 	}
 }
 
-// TestNextBatchResume: ResumeAt skips by Next, mid-frame or at a frame
-// boundary; NextBatch then yields the rest of that frame and decodes
-// ahead from there, in every batch mode.
-func TestNextBatchResume(t *testing.T) {
-	decls, events := syntheticWorkload(4, 16, 3*defaultFrameEvents+17, 5)
-	data := encodeAll(t, Header{Threads: 4, Decls: decls}, events, BinaryV2)
-	tr, err := NewTraceReader(bytes.NewReader(data))
+// smallText is smallFrames's event stream as a text trace, with its
+// header and events.
+func smallText(tb testing.TB) (data []byte, hdr Header, events []Event) {
+	tb.Helper()
+	small, _ := smallFrames(tb, 5)
+	tr, err := NewTraceReader(bytes.NewReader(small))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	want, _ := drainNext(tr)
-	for _, k := range []int{0, 1, defaultFrameEvents - 1, defaultFrameEvents, 2*defaultFrameEvents + 5} {
-		m := New(4, decls)
+	events, _, end := syncPass(tr)
+	if end != "" {
+		tb.Fatal(end)
+	}
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, tr.Header(), Text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range events {
+		if err := tw.Write(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), tr.Header(), events
+}
+
+// TestNextBatchResume: ResumeAt skips through NextBatch and keeps the
+// unskipped tail of its last batch, which the next call returns first.
+// Resumed at every event offset of a trace of many small frames, binary
+// and text (one batch), so mid-frame and at frame edges, the reader
+// yields exactly the events after the offset.
+func TestNextBatchResume(t *testing.T) {
+	small, _ := smallFrames(t, 5)
+	text, hdr, events := smallText(t)
+	for k := 0; k <= len(events); k++ {
+		m := New(hdr.Threads, hdr.Decls)
 		m.StepBatch(events[:k])
 		var ck bytes.Buffer
 		if err := m.Snapshot(&ck); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := ReadSnapshot(&ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range batchModes {
+		for _, data := range [][]byte{small, text} {
+			snap, err := ReadSnapshot(bytes.NewReader(ck.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
 			tr, err := NewTraceReader(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -182,9 +174,47 @@ func TestNextBatchResume(t *testing.T) {
 			if err := tr.ResumeAt(snap); err != nil {
 				t.Fatal(err)
 			}
-			got, _, end := drainBatches(tr, mode, nil)
-			if end != "" || !slices.Equal(got, want[k:]) {
-				t.Fatalf("resumed at %d, %s: %d events, end %q; want %d, clean", k, mode, len(got), end, len(want)-k)
+			got, _, end := drainBatches(tr, nil)
+			if end != "" || !slices.Equal(got, events[k:]) {
+				t.Fatalf("text=%v, resumed at %d: %d events, end %q; want %d, clean", tr.text, k, len(got), end, len(events)-k)
+			}
+		}
+	}
+}
+
+// TestNextBatchIgnoresDst: the reader never writes an array the caller
+// passes as dst, empty or not, and its batches do not depend on it.
+func TestNextBatchIgnoresDst(t *testing.T) {
+	small, _ := smallFrames(t, 5)
+	text, _, events := smallText(t)
+	sentinel := Event{Thread: -1, Loc: -1}
+	for _, data := range [][]byte{small, text} {
+		foreign := make([]Event, defaultFrameEvents)
+		for i := range foreign {
+			foreign[i] = sentinel
+		}
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Event
+		for i := 0; ; i++ {
+			batch, ok, err := tr.NextBatch(foreign[:i%2*3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, batch...)
+		}
+		tr.waitAhead()
+		if !slices.Equal(got, events) {
+			t.Fatalf("text=%v: %d events, want %d", tr.text, len(got), len(events))
+		}
+		for i, e := range foreign {
+			if e != sentinel {
+				t.Fatalf("text=%v: dst[%d] written: %+v", tr.text, i, e)
 			}
 		}
 	}
@@ -213,13 +243,10 @@ func TestNextBatchAbandoned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf []Event
 				for range tc.reads {
-					batch, ok, err := tr.NextBatch(buf[:0])
-					if err != nil || !ok {
+					if _, ok, err := tr.NextBatch(nil); err != nil || !ok {
 						t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 					}
-					buf = batch
 				}
 				if len(tr.ahead) != decodeDepth {
 					t.Fatalf("%d frames in flight, want %d", len(tr.ahead), decodeDepth)
@@ -259,13 +286,21 @@ func (r *readCounter) Read(p []byte) (int, error) {
 
 // TestNextBatchReadsNothingPastEnd: once a frame ends the trace — a
 // corrupt frame, at every frame index, or the clean end — the frames
-// chained after it issue no further Read on the source. The per-event
+// chained after it issue no further Read on the source. The synchronous
 // pass, which never decodes ahead, gives the Read count at which the
-// trace ends; every batch mode must stop there, with its frames in
-// flight waited for.
+// trace ends; NextBatch must stop there, with its frames in flight
+// waited for. The end is sticky, in text too (a bad line, the clean
+// end): later calls return the same error and read nothing.
 func TestNextBatchReadsNothingPastEnd(t *testing.T) {
 	small, starts := smallFrames(t, 5)
-	inputs := map[string][]byte{"clean-end": small}
+	text, hdr, _ := smallText(t)
+	lines := strings.SplitAfter(string(text), "\n")
+	lines[2+len(hdr.Decls)+10] = "0 q x\n" // the 11th event line
+	inputs := map[string][]byte{
+		"clean-end":      small,
+		"text-clean-end": text,
+		"text-bad-line":  []byte(strings.Join(lines, "")),
+	}
 	for k, at := range starts {
 		inputs[fmt.Sprintf("corrupt-frame-%d", k)] = corruptFrame(small, at)
 	}
@@ -275,25 +310,31 @@ func TestNextBatchReadsNothingPastEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainNext(tr)
+		_, _, wantEnd := syncPass(tr)
 		want := src.reads.Load()
-		for _, mode := range batchModes {
-			src := &readCounter{data: data}
-			tr, err := NewTraceReader(src)
-			if err != nil {
-				t.Fatal(err)
+		src = &readCounter{data: data}
+		if tr, err = NewTraceReader(src); err != nil {
+			t.Fatal(err)
+		}
+		_, _, end := drainBatches(tr, nil)
+		tr.waitAhead()
+		if got := src.reads.Load(); got != want || end != wantEnd {
+			t.Fatalf("%s: %d Reads, end %q; want the synchronous pass's %d, %q", name, got, end, want, wantEnd)
+		}
+		for range 3 {
+			if batch, ok, err := tr.NextBatch(nil); ok || len(batch) > 0 || traceEnd(err) != end {
+				t.Fatalf("%s: after the end: %d events, ok=%v, err %v; want none, %q", name, len(batch), ok, err, end)
 			}
-			drainBatches(tr, mode, nil)
-			tr.waitAhead()
-			if got := src.reads.Load(); got != want {
-				t.Fatalf("%s, %s: %d Reads, want the per-event pass's %d", name, mode, got, want)
-			}
+		}
+		if got := src.reads.Load(); got != want {
+			t.Fatalf("%s: %d Reads after the end, want %d", name, got, want)
 		}
 	}
 }
 
-// TestWireV2MonitorParity: monitoring the v2-decoded stream (per event
-// and per batch) reports exactly what the original slice reports.
+// TestWireV2MonitorParity: monitoring the v2-decoded stream (through
+// ReadRaces and through stepAll) reports exactly what the original
+// slice reports.
 func TestWireV2MonitorParity(t *testing.T) {
 	hdr, events := haltWorkload()
 	direct := New(hdr.Threads, hdr.Decls)
@@ -333,17 +374,11 @@ func TestWireV2SemanticsMatchText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []Event
-		for {
-			e, ok, err := tr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return out
-			}
-			out = append(out, e)
+		out, _, end := drainBatches(tr, nil)
+		if end != "" {
+			t.Fatal(end)
 		}
+		return out
 	}
 	txt := decode(encodeAll(t, hdr, events, Text))
 	bin := decode(encodeAll(t, hdr, events, BinaryV2))
@@ -420,8 +455,8 @@ func TestWireV2Rejects(t *testing.T) {
 
 	// The declaration and halt checks run off the decoder's fast path
 	// (validateEvent and checkHalt only format the error), so pin their
-	// exact messages, through both Next and NextBatch. The header is
-	// x: nonatomic (0), F: atomic (1), R: ra (2).
+	// exact messages. The header is x: nonatomic (0), F: atomic (1),
+	// R: ra (2).
 	exact := []struct {
 		name, want string
 		data       []byte
@@ -458,21 +493,7 @@ func TestWireV2Rejects(t *testing.T) {
 	}
 	for _, tc := range exact {
 		if _, err := ReadRaces(bytes.NewReader(tc.data)); err == nil || err.Error() != tc.want {
-			t.Errorf("%s: Next: got error %v, want %q", tc.name, err, tc.want)
-		}
-		tr, err := NewTraceReader(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var batch []Event
-		for err == nil {
-			var ok bool
-			if batch, ok, err = tr.NextBatch(batch[:0]); !ok && err == nil {
-				break
-			}
-		}
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: NextBatch: got error %v, want %q", tc.name, err, tc.want)
+			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 
@@ -507,15 +528,12 @@ func TestWireV2TextHalt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded, _, end := drainBatches(tr, nil)
+	if end != "" {
+		t.Fatal(end)
+	}
 	halts := 0
-	for {
-		e, ok, err := tr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for _, e := range decoded {
 		if e.Kind == KindHalt {
 			halts++
 		}
@@ -541,12 +559,12 @@ func TestWireV2TimestampDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded, _, end := drainBatches(tr, nil)
+	if end != "" || len(decoded) != len(events) {
+		t.Fatalf("decoded %d events, end %q; want %d, clean", len(decoded), end, len(events))
+	}
 	for i, want := range events {
-		e, ok, err := tr.Next()
-		if err != nil || !ok {
-			t.Fatalf("event %d: ok=%v err=%v", i, ok, err)
-		}
-		if !e.Time.Equal(want.Time) {
+		if e := decoded[i]; !e.Time.Equal(want.Time) {
 			t.Fatalf("event %d: timestamp %v, want %v", i, e.Time, want.Time)
 		}
 	}
@@ -792,7 +810,8 @@ func framesOf(payloads ...[]byte) []byte {
 // a length byte, then that many payload bytes). Per frame the events,
 // the valid prefix, the error text and the delta context carried out
 // must be equal; decoding stops after the first error. FuzzTraceReader
-// cannot catch a decode bug, as Next and NextBatch share decodePayload.
+// cannot catch a decode bug, as NextBatch and its reference pass share
+// decodePayload.
 func FuzzDecodeFrame(f *testing.F) {
 	// Big: 130 threads and locations, so deltas of 64 or more take
 	// multi-byte varints; location 101 is ra, 100 atomic, 99 nonatomic.
@@ -912,7 +931,6 @@ func BenchmarkDecodeV2(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	batch := make([]Event, 0, defaultFrameEvents)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err := NewTraceReader(bytes.NewReader(data))
@@ -921,8 +939,7 @@ func BenchmarkDecodeV2(b *testing.B) {
 		}
 		n := 0
 		for {
-			var ok bool
-			batch, ok, err = tr.NextBatch(batch[:0])
+			batch, ok, err := tr.NextBatch(nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -175,14 +175,11 @@ func FuzzPredict(f *testing.F) {
 		const maxEvents = 2048
 		var events []monitor.Event
 		for len(events) < maxEvents {
-			batch, ok, err := tr.NextBatch(events)
-			if err != nil {
-				break // the validated prefix is still a legal trace
+			batch, ok, err := tr.NextBatch(nil)
+			if err != nil || !ok {
+				break // the events before an error are still a legal trace
 			}
-			events = batch
-			if !ok {
-				break
-			}
+			events = append(events, batch...)
 		}
 		if len(events) > maxEvents {
 			events = events[:maxEvents]

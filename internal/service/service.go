@@ -531,9 +531,8 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	if ring != nil && s.cfg.CheckpointEvery > 0 {
 		nextCk = (events/s.cfg.CheckpointEvery + 1) * s.cfg.CheckpointEvery
 	}
-	var buf []monitor.Event
 	for {
-		batch, more, err := tr.NextBatch(buf[:0])
+		batch, more, err := tr.NextBatch(nil)
 		if err != nil {
 			s.fail(sess, conn, m, err)
 			return
@@ -543,7 +542,6 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		}
 		m.StepBatch(batch)
 		events = m.Events()
-		buf = batch
 		if nextCk > 0 && events >= nextCk {
 			err := ring.write(m.Snapshot)
 			s.noteCheckpoint(sess, err)

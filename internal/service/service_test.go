@@ -58,17 +58,15 @@ func referenceResult(t testing.TB, session string, trace []byte) SessionResult {
 		t.Fatalf("reference reader: %v", err)
 	}
 	m := tr.NewMonitor()
-	var batch []monitor.Event
 	for {
-		b, more, err := tr.NextBatch(batch[:0])
+		batch, more, err := tr.NextBatch(nil)
 		if err != nil {
 			t.Fatalf("reference decode: %v", err)
 		}
 		if !more {
 			break
 		}
-		m.StepBatch(b)
-		batch = b
+		m.StepBatch(batch)
 	}
 	reports := m.Reports()
 	st := m.RAStats()

@@ -2,6 +2,8 @@ package schedgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
@@ -558,5 +560,71 @@ func TestSkewIndexBoundary(t *testing.T) {
 		if i := skewIndex(tail, u); i != len(tail)-1 {
 			t.Fatalf("rounded-tail CDF, u=%v: rank %d, want %d", u, i, len(tail)-1)
 		}
+	}
+}
+
+// TestEncodePinned pins the generator's output bytes: the SHA-256 of
+// Encode's wire output over a matrix of policies, formats and options.
+// The reports are goldened elsewhere, but many streams yield one report
+// set; this test fails on any change to the events the generator
+// draws, their order, or their encoding. A change that means to alter
+// the streams must update these hashes deliberately.
+func TestEncodePinned(t *testing.T) {
+	type pinned struct {
+		name    string
+		private bool
+		cfg     func() progsynth.ScaledConfig // nil: ScaledDefaults sized for opt.MaxEvents
+		opt     Options
+		format  monitor.Format
+		want    string
+	}
+	cases := []pinned{
+		{name: "fair-binary", opt: Options{Policy: Fair, Seed: 1, MaxEvents: 20_000, StaleReadPct: 10}, format: monitor.BinaryV2,
+			want: "2a0a044c269f33bc74fca27f5a4f26e15d86fecf139673a9d2198dba67ed71cc"},
+		{name: "unfair-binary", opt: Options{Policy: Unfair, Seed: 2, MaxEvents: 20_000, StaleReadPct: 10}, format: monitor.BinaryV2,
+			want: "cbe859eff13d6aabd22ad03a0f017d651712b294c7491e191b6179adfdf846a8"},
+		{name: "bursty-binary", opt: Options{Policy: Bursty, Seed: 3, MaxEvents: 20_000, StaleReadPct: 10}, format: monitor.BinaryV2,
+			want: "8f0db9a56e06bf2d60198cc5264d5ecbf04f15b0e4740bdb58ad87b618b62efd"},
+		{name: "bursty-text", opt: Options{Policy: Bursty, Seed: 3, MaxEvents: 20_000, StaleReadPct: 10}, format: monitor.Text,
+			want: "c7beae11e70867a8340c48a6dc0a0ec275a94b44e02b3195995496b5f1eb268d"},
+		{name: "zipf-binary", opt: Options{Policy: Bursty, Seed: 4, MaxEvents: 20_000, StaleReadPct: 10, LocSkew: 1.3}, format: monitor.BinaryV2,
+			want: "de14ae1511bb52d437577238043cbb46e6ec8c7f6c138d070d3eb85e98fccac3"},
+		{name: "fair-private-binary", private: true, opt: Options{Policy: Fair, Seed: 5, MaxEvents: 20_000, StaleReadPct: 10}, format: monitor.BinaryV2,
+			want: "c33c328f4113391273bc29710cf8b34d7de5356e77bd8fc2b42831c664ad127e"},
+		{name: "halts-complete-text", cfg: smallCfg, opt: Options{Policy: Unfair, Seed: 6, StaleReadPct: 10, EmitHalts: true}, format: monitor.Text,
+			want: "f11d321d5a838a01a09c8b53efc103a9234e8ae6e483761add2feeda9a18cb65"},
+		{name: "cut-binary", cfg: smallCfg, opt: Options{Policy: Fair, Seed: 7, MaxEvents: 777, StaleReadPct: 10}, format: monitor.BinaryV2,
+			want: "2435a1df9604a6e8bb0ed7adea7be5388ef8655d28de0939b962aa049a96f873"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var cfg progsynth.ScaledConfig
+			if c.cfg != nil {
+				cfg = c.cfg()
+			} else {
+				cfg = progsynth.ScaledDefaults()
+				cfg.Iters = cfg.IterationsFor(c.opt.MaxEvents)
+			}
+			if c.private {
+				cfg.PrivateLocs, cfg.PrivatePct = 6, 60
+			}
+			p := progsynth.Scaled(c.opt.Seed, cfg)
+			tb := monitor.NewTable(p)
+			var buf bytes.Buffer
+			n, completed, err := Encode(&buf, p, tb, c.opt, c.format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.opt.MaxEvents > 0 && (completed || n != c.opt.MaxEvents) {
+				t.Fatalf("%d events (completed %v), want a cut at %d", n, completed, c.opt.MaxEvents)
+			}
+			if c.opt.MaxEvents == 0 && !completed {
+				t.Fatal("terminating program did not complete")
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("%d events, %d bytes: sha256 %s, pinned %s", n, buf.Len(), got, c.want)
+			}
+		})
 	}
 }

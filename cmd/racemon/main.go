@@ -146,6 +146,11 @@ import (
 	"localdrf/internal/staticrace"
 )
 
+// result is the run summary. Its gen_ns is the generation time: the
+// whole run under -emit; in the fused stream mode, the part of
+// monitor_ns spent outside StepBatch until the schedule ends.
+// monitor_ns runs from the start to the drained report set, so in the
+// stream mode it includes generation.
 type result struct {
 	Program      string  `json:"program"`
 	Mode         string  `json:"mode"`
@@ -428,17 +433,26 @@ func runGenerated(work schedgen.Scaled, prefilter bool, cfg monitor.PipelineConf
 	}
 	m := monitor.Open(monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, cfg)
 	tel.attach(m.Obs())
+	// One clock pair per batch times the monitor's share of the fused
+	// loop; the rest of the loop is generation.
+	var stepNs int64
+	step := func(evs []monitor.Event) {
+		t0 := time.Now()
+		m.StepBatch(evs)
+		stepNs += time.Since(t0).Nanoseconds()
+	}
 	start := time.Now()
 	completed, err := schedgen.StreamBatch(tb.Program(), tb, work.Options(), 0, func(evs []monitor.Event) error {
 		if ck.at > 0 {
 			if remaining := ck.at - m.Events(); uint64(len(evs)) >= remaining {
-				m.StepBatch(evs[:remaining])
+				step(evs[:remaining])
 				return errCheckpointStop
 			}
 		}
-		m.StepBatch(evs)
+		step(evs)
 		return nil
 	})
+	res.GenNs = time.Since(start).Nanoseconds() - stepNs
 	if err == errCheckpointStop {
 		err, completed = nil, false
 	}

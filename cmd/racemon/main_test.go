@@ -224,6 +224,8 @@ type summary struct {
 	RaceCount int               `json:"race_count"`
 	Races     []json.RawMessage `json:"races"`
 	Locations map[string]int    `json:"locations"`
+	GenNs     int64             `json:"gen_ns"`
+	MonitorNs int64             `json:"monitor_ns"`
 }
 
 func jsonSummary(t *testing.T, bin string, args ...string) summary {
@@ -234,6 +236,19 @@ func jsonSummary(t *testing.T, bin string, args ...string) summary {
 		t.Fatalf("racemon %v: %v\n%s", args, err, out)
 	}
 	return s
+}
+
+// TestGenNsCLI: a generated run splits its time — gen_ns is the
+// generation inside the fused loop, a nonzero part of monitor_ns, the
+// whole run.
+func TestGenNsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	s := jsonSummary(t, buildRacemon(t), "-events", "250000")
+	if !(0 < s.GenNs && s.GenNs < s.MonitorNs) {
+		t.Fatalf("gen_ns %d, monitor_ns %d: want 0 < gen_ns < monitor_ns", s.GenNs, s.MonitorNs)
+	}
 }
 
 // TestMaxRacesCLI: -max-races caps the listed reports, not the count.

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,36 +118,37 @@ type Pending struct {
 // indicates a divergent silent loop.
 const MaxSilentStepsHint = 10_000
 
+// errSilentBudget is the error of a silent run that exceeds its step
+// budget, in both interpreters.
+var errSilentBudget = errors.New("prog: silent step budget exceeded (divergent loop?)")
+
 // StepSilent advances the thread through consecutive silent transitions
 // (e —ϵ→ e′) until it reaches a load, a store, or halts, returning the
 // resulting state and the pending action. maxSteps guards against
 // divergent silent loops (e.g. `L: goto L`); exceeding it returns an
 // error rather than spinning. The input state is not modified.
+//
+// This is the reference interpreter, over the map-based ThreadState the
+// exhaustive explorers need: they expand one state many ways, so they
+// clone it (Clone), and they intern states by name (Key,
+// AppendCanonical). The streaming schedule generator (internal/schedgen)
+// runs one schedule over millions of events and needs none of that; it
+// runs each thread as a Compiled, the same semantics over a register
+// file of slots, and FuzzCompiledStep holds the two in lockstep.
 func StepSilent(code []Instr, st ThreadState, maxSteps int) (ThreadState, Pending, error) {
 	s := st.Clone()
-	pend, err := StepSilentInPlace(code, &s, maxSteps)
-	return s, pend, err
-}
-
-// StepSilentInPlace is StepSilent without the defensive clone: it mutates
-// the caller's state directly. The exhaustive explorers always clone (a
-// machine state is expanded many ways), but the streaming schedule
-// generator (internal/schedgen) executes exactly one schedule over
-// millions of events, where a clone per transition would dominate the
-// run.
-func StepSilentInPlace(code []Instr, s *ThreadState, maxSteps int) (Pending, error) {
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
-			return Pending{}, fmt.Errorf("prog: silent step budget exceeded (divergent loop?)")
+			return s, Pending{}, errSilentBudget
 		}
 		if s.Halted(code) {
-			return Pending{Kind: OpHalted}, nil
+			return s, Pending{Kind: OpHalted}, nil
 		}
 		switch in := code[s.PC].(type) {
 		case Load:
-			return Pending{Kind: OpRead, Loc: in.Src, Dst: in.Dst}, nil
+			return s, Pending{Kind: OpRead, Loc: in.Src, Dst: in.Dst}, nil
 		case Store:
-			return Pending{Kind: OpWrite, Loc: in.Dst, Val: s.Eval(in.Src)}, nil
+			return s, Pending{Kind: OpWrite, Loc: in.Dst, Val: s.Eval(in.Src)}, nil
 		case Mov:
 			s.Regs[in.Dst] = s.Eval(in.Src)
 			s.PC++
@@ -180,7 +182,7 @@ func StepSilentInPlace(code []Instr, s *ThreadState, maxSteps int) (Pending, err
 		case Nop:
 			s.PC++
 		default:
-			return Pending{}, fmt.Errorf("prog: unknown instruction %T", in)
+			return s, Pending{}, fmt.Errorf("prog: unknown instruction %T", in)
 		}
 	}
 }
@@ -200,3 +202,197 @@ func ApplyWrite(st ThreadState) ThreadState {
 	s.PC++
 	return s
 }
+
+// Compiled is one thread's code compiled for the streaming interpreter,
+// with the thread's state. Each instruction is an opcode whose register
+// operands are slots of one register file (Regs) and whose immediates
+// are inline; a load or store carries the dense index of its location,
+// resolved once at compile time. So a silent run hashes no register or
+// location name, which the map-based StepSilent does on every step.
+type Compiled struct {
+	// PC is the program counter; Regs is the register file, slot 0 of
+	// which is always 0 (see operand).
+	PC   int
+	Regs []Val
+
+	code  []cinstr
+	names []Reg // names[slot] is the register in that slot (slot ≥ 1)
+}
+
+type opcode uint8
+
+const (
+	opLoad opcode = iota
+	opStore
+	opMov
+	opAdd
+	opMul
+	opCmpEq
+	opJmp
+	opJmpNZ
+	opJmpZ
+	opNop
+)
+
+// operand is a compiled Operand, read as Regs[slot] + imm: a register
+// is its slot with imm 0, an immediate is the zero slot 0 plus its
+// value, so an evaluation has no branch.
+type operand struct {
+	slot int32
+	imm  Val
+}
+
+// cinstr is one compiled instruction.
+type cinstr struct {
+	op opcode
+	// dst is the slot an instruction writes (a load's register too), or
+	// the slot JmpNZ and JmpZ test.
+	dst int32
+	// arg is a jump's target, or the location of a load or store.
+	arg  int32
+	a, b operand
+}
+
+// Compile compiles one thread's code, resolving each load's and store's
+// location to a dense index through locIndex. Registers take slots in
+// order of first mention. The result starts at pc 0 with every register
+// 0, as NewThreadState does.
+func Compile(code []Instr, locIndex func(Loc) (int32, bool)) (*Compiled, error) {
+	c := &Compiled{code: make([]cinstr, len(code)), names: []Reg{""}}
+	slots := map[Reg]int32{}
+	slot := func(r Reg) int32 {
+		s, ok := slots[r]
+		if !ok {
+			s = int32(len(c.names))
+			slots[r] = s
+			c.names = append(c.names, r)
+		}
+		return s
+	}
+	opnd := func(o Operand) operand {
+		if o.IsReg {
+			return operand{slot: slot(o.Reg)}
+		}
+		return operand{imm: o.Imm}
+	}
+	loc := func(l Loc) (int32, error) {
+		i, ok := locIndex(l)
+		if !ok {
+			return 0, fmt.Errorf("prog: undeclared location %q", l)
+		}
+		return i, nil
+	}
+	for pc, in := range code {
+		var ci cinstr
+		var err error
+		switch in := in.(type) {
+		case Load:
+			ci = cinstr{op: opLoad, dst: slot(in.Dst)}
+			ci.arg, err = loc(in.Src)
+		case Store:
+			ci = cinstr{op: opStore, a: opnd(in.Src)}
+			ci.arg, err = loc(in.Dst)
+		case Mov:
+			ci = cinstr{op: opMov, dst: slot(in.Dst), a: opnd(in.Src)}
+		case Add:
+			ci = cinstr{op: opAdd, dst: slot(in.Dst), a: opnd(in.A), b: opnd(in.B)}
+		case Mul:
+			ci = cinstr{op: opMul, dst: slot(in.Dst), a: opnd(in.A), b: opnd(in.B)}
+		case CmpEq:
+			ci = cinstr{op: opCmpEq, dst: slot(in.Dst), a: opnd(in.A), b: opnd(in.B)}
+		case Jmp:
+			ci = cinstr{op: opJmp, arg: int32(in.Target)}
+		case JmpNZ:
+			ci = cinstr{op: opJmpNZ, dst: slot(in.Cond), arg: int32(in.Target)}
+		case JmpZ:
+			ci = cinstr{op: opJmpZ, dst: slot(in.Cond), arg: int32(in.Target)}
+		case Nop:
+			ci = cinstr{op: opNop}
+		default:
+			err = fmt.Errorf("prog: unknown instruction %T", in)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pc %d: %w", pc, err)
+		}
+		c.code[pc] = ci
+	}
+	c.Regs = make([]Val, len(c.names))
+	return c, nil
+}
+
+// Action is the pending memory action of a Compiled thread.
+type Action struct {
+	Kind OpKind
+	// Loc is the dense index of the location (reads and writes).
+	Loc int32
+	// Val is the value to be written (writes only).
+	Val Val
+}
+
+// StepSilent is the package-level StepSilent on compiled code: it runs
+// the thread's silent steps in place, up to its next load or store (left
+// at PC) or its halt, within the same budget and with the same error.
+func (c *Compiled) StepSilent(maxSteps int) (Action, error) {
+	code, regs, pc := c.code, c.Regs, c.PC
+	for steps := 0; ; steps++ {
+		if steps > maxSteps {
+			c.PC = pc
+			return Action{}, errSilentBudget
+		}
+		if uint(pc) >= uint(len(code)) {
+			c.PC = pc
+			return Action{Kind: OpHalted}, nil
+		}
+		in := &code[pc]
+		switch in.op {
+		case opLoad:
+			c.PC = pc
+			return Action{Kind: OpRead, Loc: in.arg}, nil
+		case opStore:
+			c.PC = pc
+			return Action{Kind: OpWrite, Loc: in.arg, Val: regs[in.a.slot] + in.a.imm}, nil
+		case opMov:
+			regs[in.dst] = regs[in.a.slot] + in.a.imm
+			pc++
+		case opAdd:
+			regs[in.dst] = regs[in.a.slot] + in.a.imm + regs[in.b.slot] + in.b.imm
+			pc++
+		case opMul:
+			regs[in.dst] = (regs[in.a.slot] + in.a.imm) * (regs[in.b.slot] + in.b.imm)
+			pc++
+		case opCmpEq:
+			if regs[in.a.slot]+in.a.imm == regs[in.b.slot]+in.b.imm {
+				regs[in.dst] = 1
+			} else {
+				regs[in.dst] = 0
+			}
+			pc++
+		case opJmp:
+			pc = int(in.arg)
+		case opJmpNZ:
+			if regs[in.dst] != 0 {
+				pc = int(in.arg)
+			} else {
+				pc++
+			}
+		case opJmpZ:
+			if regs[in.dst] == 0 {
+				pc = int(in.arg)
+			} else {
+				pc++
+			}
+		default: // opNop
+			pc++
+		}
+	}
+}
+
+// ApplyRead completes the pending load at PC with the value supplied
+// by memory.
+func (c *Compiled) ApplyRead(v Val) {
+	c.Regs[c.code[c.PC].dst] = v
+	c.PC++
+}
+
+// ApplyWrite completes the pending store at PC.
+func (c *Compiled) ApplyWrite() { c.PC++ }

@@ -67,15 +67,43 @@ func (g *rng) next() uint64 {
 // at the small n drawn here.
 func (g *rng) intn(n int) int { return int(g.next() % uint64(n)) }
 
-// skewIndex maps a uniform draw u ∈ [0,1] to a rank along a normalised
-// CDF. The result must be clamped: the last CDF entry is 1.0 only up to
-// rounding (the normalising division can leave it at 0.99999…), so a
-// draw above it — u very close to, or exactly, 1 — lands past the end
-// of the search and would otherwise index out of range.
-func skewIndex(cdf []float64, u float64) int {
-	i := sort.SearchFloat64s(cdf, u)
-	if i >= len(cdf) {
-		i = len(cdf) - 1
+// skewBuckets is the bucket count of a skewTable's guide.
+const skewBuckets = 1024
+
+// skewTable maps a uniform draw u ∈ [0,1] to a rank along a normalised
+// CDF: the first rank whose CDF reaches u, as sort.SearchFloat64s finds
+// it, without a binary search per draw. guide[k] is the first rank
+// whose CDF reaches k/skewBuckets; a draw starts at the guide of its
+// bucket, ⌊u·skewBuckets⌋, and scans forward while the CDF is below u.
+// Every rank before the guide has a CDF below k/skewBuckets ≤ u (both
+// products are exact: skewBuckets is a power of two), so the scan ends
+// on exactly the binary search's rank, after about one step.
+type skewTable struct {
+	cdf   []float64
+	guide [skewBuckets]int32
+}
+
+func newSkewTable(cdf []float64) *skewTable {
+	z := &skewTable{cdf: cdf}
+	for k := range z.guide {
+		z.guide[k] = int32(sort.SearchFloat64s(cdf, float64(k)/skewBuckets))
+	}
+	return z
+}
+
+// index returns u's rank. The result must be clamped: the last CDF
+// entry is 1.0 only up to rounding (the normalising division can leave
+// it at 0.99999…), so a draw above it — u very close to, or exactly, 1
+// — scans past the end and would otherwise index out of range. u = 1
+// takes the last bucket.
+func (z *skewTable) index(u float64) int {
+	k := min(int(u*skewBuckets), skewBuckets-1)
+	i := int(z.guide[k])
+	for i < len(z.cdf) && z.cdf[i] < u {
+		i++
+	}
+	if i >= len(z.cdf) {
+		i = len(z.cdf) - 1
 	}
 	return i
 }
@@ -299,37 +327,23 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 		cells[i] = newCell()
 	}
 
-	// locAt[t][pc] is the dense location index of the Load/Store at that
-	// program counter (-1 elsewhere), precomputed so the per-event hot
-	// path never hashes a location name.
-	locAt := make([][]int32, len(p.Threads))
+	// Each thread runs compiled: registers in slots, each load's and
+	// store's location resolved to its dense index once, so the
+	// per-event hot path never hashes a register or location name.
+	threads := make([]*prog.Compiled, len(p.Threads))
 	for ti := range p.Threads {
-		code := p.Threads[ti].Code
-		locAt[ti] = make([]int32, len(code))
-		for pc, in := range code {
-			locAt[ti][pc] = -1
-			var name prog.Loc
-			switch op := in.(type) {
-			case prog.Load:
-				name = op.Src
-			case prog.Store:
-				name = op.Dst
-			default:
-				continue
-			}
-			loc, ok := tb.LocIndex(name)
-			if !ok {
-				return false, fmt.Errorf("schedgen: undeclared location %q", name)
-			}
-			locAt[ti][pc] = loc
+		c, err := prog.Compile(p.Threads[ti].Code, tb.LocIndex)
+		if err != nil {
+			return false, fmt.Errorf("schedgen: thread %d: %w", ti, err)
 		}
+		threads[ti] = c
 	}
 
 	// Zipf redirection table for LocSkew: the nonatomic locations in
 	// dense-index order (rank order) and the normalised CDF of their
-	// 1/(rank+1)^s weights. One binary search per nonatomic event.
+	// 1/(rank+1)^s weights; none with fewer than two to skew toward.
 	var skewLocs []int32
-	var skewCDF []float64
+	var skew *skewTable
 	if opt.LocSkew > 0 {
 		for i, d := range decls {
 			if d.Kind == prog.NonAtomic {
@@ -337,25 +351,19 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 			}
 		}
 		if len(skewLocs) > 1 {
-			skewCDF = make([]float64, len(skewLocs))
+			cdf := make([]float64, len(skewLocs))
 			sum := 0.0
 			for i := range skewLocs {
 				sum += 1 / math.Pow(float64(i+1), opt.LocSkew)
-				skewCDF[i] = sum
+				cdf[i] = sum
 			}
-			for i := range skewCDF {
-				skewCDF[i] /= sum
+			for i := range cdf {
+				cdf[i] /= sum
 			}
-		} else {
-			skewLocs = nil // nothing to skew toward
+			skew = newSkewTable(cdf)
 		}
 	}
 
-	// Mutable thread states.
-	states := make([]prog.ThreadState, len(p.Threads))
-	for i := range states {
-		states[i] = prog.NewThreadState()
-	}
 	runnable := make([]int, 0, len(p.Threads))
 	for i := range p.Threads {
 		runnable = append(runnable, i)
@@ -404,13 +412,12 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 			return false, nil
 		}
 		t := pick()
-		st := &states[t]
-		code := p.Threads[t].Code
-		pend, err := prog.StepSilentInPlace(code, st, prog.MaxSilentStepsHint)
+		th := threads[t]
+		act, err := th.StepSilent(prog.MaxSilentStepsHint)
 		if err != nil {
 			return false, fmt.Errorf("schedgen: thread %d: %w", t, err)
 		}
-		if pend.Kind == prog.OpHalted {
+		if act.Kind == prog.OpHalted {
 			drop(t)
 			if cur == t {
 				cur = -1
@@ -423,18 +430,17 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 			}
 			continue
 		}
-		// StepSilentInPlace leaves PC at the pending Load/Store.
-		loc := locAt[t][st.PC]
-		if skewLocs != nil && decls[loc].Kind == prog.NonAtomic {
+		loc := act.Loc
+		if skew != nil && decls[loc].Kind == prog.NonAtomic {
 			// Redirect the access along the Zipf CDF. The top 53 bits of
 			// one xorshift draw give a uniform float in [0,1) — platform-
 			// stable, so skewed streams stay deterministic per seed.
 			u := float64(r.next()>>11) / (1 << 53)
-			loc = skewLocs[skewIndex(skewCDF, u)]
+			loc = skewLocs[skew.index(u)]
 		}
 		ev := monitor.Event{Thread: int32(t), Loc: loc}
 		kind := decls[loc].Kind
-		if pend.Kind == prog.OpRead {
+		if act.Kind == prog.OpRead {
 			var v prog.Val
 			switch kind {
 			case prog.Atomic:
@@ -455,21 +461,20 @@ func Stream(p *prog.Program, tb *monitor.Table, opt Options, emit func(monitor.E
 					ev.Time = ts.FromInt(tm)
 				}
 			}
-			st.Regs[pend.Dst] = v
-			st.PC++
+			th.ApplyRead(v)
 		} else {
 			switch kind {
 			case prog.Atomic:
 				ev.Kind = monitor.WriteAT
-				atVals[loc] = pend.Val
+				atVals[loc] = act.Val
 			case prog.ReleaseAcquire:
 				ev.Kind = monitor.WriteRA
-				ev.Time = ts.FromInt(cells[loc].push(pend.Val))
+				ev.Time = ts.FromInt(cells[loc].push(act.Val))
 			default:
 				ev.Kind = monitor.WriteNA
-				ev.Time = ts.FromInt(cells[loc].push(pend.Val))
+				ev.Time = ts.FromInt(cells[loc].push(act.Val))
 			}
-			st.PC++
+			th.ApplyWrite()
 		}
 		emitted++
 		if err := emit(ev); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -288,6 +289,45 @@ func BenchmarkGenerateBursty(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode measures generate-and-encode throughput (binary wire
+// format, into a reused buffer) on the three trace shapes of
+// cmd/ldbench's workloads, 1M events each: bursty (trace-hb and
+// trace-short64), Zipf 1.3 (pipeline-zipf) and fair with 6 private
+// locations per thread at 60% (service-ckpt).
+func BenchmarkEncode(b *testing.B) {
+	const events = 1_000_000
+	for _, c := range []struct {
+		name    string
+		policy  Policy
+		skew    float64
+		private bool
+	}{
+		{name: "bursty", policy: Bursty},
+		{name: "zipf", policy: Bursty, skew: 1.3},
+		{name: "fair-private", policy: Fair, private: true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := progsynth.ScaledDefaults()
+			if c.private {
+				cfg.PrivateLocs, cfg.PrivatePct = 6, 60
+			}
+			cfg.Iters = cfg.IterationsFor(events)
+			p := progsynth.Scaled(1, cfg)
+			tb := monitor.NewTable(p)
+			opt := Options{Policy: c.policy, Seed: 1, MaxEvents: events, StaleReadPct: 10, LocSkew: c.skew}
+			var buf bytes.Buffer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if _, _, err := Encode(&buf, p, tb, opt, monitor.BinaryV2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "ev/s")
+		})
+	}
+}
+
 // TestEmitHalts: with EmitHalts a completed run carries exactly one halt
 // per thread (each after that thread's last access), the monitor's
 // report set is unchanged, and the non-halt prefix ordering is identical
@@ -511,15 +551,23 @@ func TestLocSkew(t *testing.T) {
 }
 
 // TestSkewIndexBoundary is the property test for the Zipf CDF lookup:
-// across a sweep of skew exponents and table sizes, skewIndex must stay
-// in range and order-correct for adversarial draws — exactly 1.0,
-// 1.0 minus one ulp, every CDF entry and its neighbourhoods — and the
-// hazard the clamp guards (a normalised CDF whose last entry rounds
-// below 1.0, pushing the binary search past the end) must actually
-// occur somewhere in the sweep.
+// across a sweep of skew exponents and table sizes, skewTable.index
+// must return exactly the rank of a clamped binary search
+// (sort.SearchFloat64s) for adversarial draws — 0, exactly 1.0, 1.0
+// minus one ulp, every guide bucket's edge and its neighbours, every
+// CDF entry and its neighbours — and for 10⁶ uniform draws spread over
+// the sweep, and the clamp must hold on a CDF whose last entry rounds
+// below 1.0.
 func TestSkewIndexBoundary(t *testing.T) {
-	for _, s := range []float64{0.2, 0.7, 1.0, 1.3, 1.5, 2.0, 3.7} {
-		for _, n := range []int{2, 3, 5, 7, 12, 64, 257} {
+	search := func(cdf []float64, u float64) int {
+		return min(sort.SearchFloat64s(cdf, u), len(cdf)-1)
+	}
+	exps := []float64{0.2, 0.7, 1.0, 1.3, 1.5, 2.0, 3.7}
+	sizes := []int{2, 3, 5, 7, 12, 48, 64, 257}
+	perTable := 1_000_000 / (len(exps) * len(sizes))
+	r := newRNG(1)
+	for _, s := range exps {
+		for _, n := range sizes {
 			cdf := make([]float64, n)
 			sum := 0.0
 			for i := range cdf {
@@ -529,35 +577,42 @@ func TestSkewIndexBoundary(t *testing.T) {
 			for i := range cdf {
 				cdf[i] /= sum
 			}
+			z := newSkewTable(cdf)
 			draws := []float64{0, math.Nextafter(1, 0), 1.0}
+			for k := 0; k <= skewBuckets; k++ {
+				e := float64(k) / skewBuckets
+				draws = append(draws, e, math.Nextafter(e, 0), math.Nextafter(e, 2))
+			}
 			for _, c := range cdf {
 				draws = append(draws, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
 			}
+			for range perTable {
+				draws = append(draws, float64(r.next()>>11)/(1<<53))
+			}
 			for _, u := range draws {
-				i := skewIndex(cdf, u)
+				if u < 0 || u > 1 {
+					continue
+				}
+				i := z.index(u)
 				if i < 0 || i >= n {
 					t.Fatalf("s=%v n=%d u=%v: index %d out of range", s, n, u, i)
 				}
-				// Order-correctness: the chosen rank's CDF covers u, and
-				// no earlier rank does (except at the clamped top).
-				if cdf[i] < u && i != n-1 {
-					t.Fatalf("s=%v n=%d u=%v: rank %d has cdf %v < u", s, n, u, i, cdf[i])
-				}
-				if i > 0 && cdf[i-1] >= u {
-					t.Fatalf("s=%v n=%d u=%v: earlier rank %d already covers u", s, n, u, i-1)
+				if want := search(cdf, u); i != want {
+					t.Fatalf("s=%v n=%d u=%v: rank %d, binary search %d", s, n, u, i, want)
 				}
 			}
 		}
 	}
 	// The generator's own normalisation ends on an exact x/x division,
-	// so ITS tail is exactly 1.0 — but the helper must also survive a
+	// so ITS tail is exactly 1.0 — but the table must also survive a
 	// CDF whose tail rounded below 1.0 (any normalisation that does not
 	// end on a self-division can produce one): a draw at or above such
-	// a tail lands past the binary search and must clamp to the last
-	// rank instead of indexing out of range.
+	// a tail scans past the end and must clamp to the last rank instead
+	// of indexing out of range.
 	tail := []float64{0.5, 0.9, math.Nextafter(1, 0)}
+	z := newSkewTable(tail)
 	for _, u := range []float64{math.Nextafter(1, 0), 1.0} {
-		if i := skewIndex(tail, u); i != len(tail)-1 {
+		if i := z.index(u); i != len(tail)-1 {
 			t.Fatalf("rounded-tail CDF, u=%v: rank %d, want %d", u, i, len(tail)-1)
 		}
 	}

@@ -224,8 +224,6 @@ type summary struct {
 	RaceCount int               `json:"race_count"`
 	Races     []json.RawMessage `json:"races"`
 	Locations map[string]int    `json:"locations"`
-	GenNs     int64             `json:"gen_ns"`
-	MonitorNs int64             `json:"monitor_ns"`
 }
 
 func jsonSummary(t *testing.T, bin string, args ...string) summary {
@@ -245,7 +243,14 @@ func TestGenNsCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	s := jsonSummary(t, buildRacemon(t), "-events", "250000")
+	out := output(t, buildRacemon(t), "-events", "250000", "-json")
+	var s struct {
+		GenNs     int64 `json:"gen_ns"`
+		MonitorNs int64 `json:"monitor_ns"`
+	}
+	if err := json.Unmarshal(out, &s); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
 	if !(0 < s.GenNs && s.GenNs < s.MonitorNs) {
 		t.Fatalf("gen_ns %d, monitor_ns %d: want 0 < gen_ns < monitor_ns", s.GenNs, s.MonitorNs)
 	}

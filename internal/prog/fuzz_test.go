@@ -106,14 +106,14 @@ end
 			st := NewThreadState()
 			same := func(when string) {
 				t.Helper()
-				if c.PC != st.PC {
-					t.Fatalf("thread %d %s: pc %d, reference %d", ti, when, c.PC, st.PC)
+				if c.pc != st.PC {
+					t.Fatalf("thread %d %s: pc %d, reference %d", ti, when, c.pc, st.PC)
 				}
-				if c.Regs[0] != 0 {
-					t.Fatalf("thread %d %s: zero slot holds %d", ti, when, c.Regs[0])
+				if c.regs[0] != 0 {
+					t.Fatalf("thread %d %s: zero slot holds %d", ti, when, c.regs[0])
 				}
 				got := map[Reg]Val{}
-				for slot, v := range c.Regs[1:] {
+				for slot, v := range c.regs[1:] {
 					if v != 0 {
 						got[c.names[slot+1]] = v
 					}

@@ -205,18 +205,15 @@ func ApplyWrite(st ThreadState) ThreadState {
 
 // Compiled is one thread's code compiled for the streaming interpreter,
 // with the thread's state. Each instruction is an opcode whose register
-// operands are slots of one register file (Regs) and whose immediates
+// operands are slots of one register file (regs) and whose immediates
 // are inline; a load or store carries the dense index of its location,
 // resolved once at compile time. So a silent run hashes no register or
 // location name, which the map-based StepSilent does on every step.
 type Compiled struct {
-	// PC is the program counter; Regs is the register file, slot 0 of
-	// which is always 0 (see operand).
-	PC   int
-	Regs []Val
-
 	code  []cinstr
 	names []Reg // names[slot] is the register in that slot (slot ≥ 1)
+	pc    int
+	regs  []Val // slot 0 is always 0 (see operand)
 }
 
 type opcode uint8
@@ -234,7 +231,7 @@ const (
 	opNop
 )
 
-// operand is a compiled Operand, read as Regs[slot] + imm: a register
+// operand is a compiled Operand, read as regs[slot] + imm: a register
 // is its slot with imm 0, an immediate is the zero slot 0 plus its
 // value, so an evaluation has no branch.
 type operand struct {
@@ -316,7 +313,7 @@ func Compile(code []Instr, locIndex func(Loc) (int32, bool)) (*Compiled, error) 
 		}
 		c.code[pc] = ci
 	}
-	c.Regs = make([]Val, len(c.names))
+	c.regs = make([]Val, len(c.names))
 	return c, nil
 }
 
@@ -331,25 +328,26 @@ type Action struct {
 
 // StepSilent is the package-level StepSilent on compiled code: it runs
 // the thread's silent steps in place, up to its next load or store (left
-// at PC) or its halt, within the same budget and with the same error.
+// at the program counter) or its halt, within the same budget and with
+// the same error.
 func (c *Compiled) StepSilent(maxSteps int) (Action, error) {
-	code, regs, pc := c.code, c.Regs, c.PC
+	code, regs, pc := c.code, c.regs, c.pc
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
-			c.PC = pc
+			c.pc = pc
 			return Action{}, errSilentBudget
 		}
 		if uint(pc) >= uint(len(code)) {
-			c.PC = pc
+			c.pc = pc
 			return Action{Kind: OpHalted}, nil
 		}
 		in := &code[pc]
 		switch in.op {
 		case opLoad:
-			c.PC = pc
+			c.pc = pc
 			return Action{Kind: OpRead, Loc: in.arg}, nil
 		case opStore:
-			c.PC = pc
+			c.pc = pc
 			return Action{Kind: OpWrite, Loc: in.arg, Val: regs[in.a.slot] + in.a.imm}, nil
 		case opMov:
 			regs[in.dst] = regs[in.a.slot] + in.a.imm
@@ -387,12 +385,12 @@ func (c *Compiled) StepSilent(maxSteps int) (Action, error) {
 	}
 }
 
-// ApplyRead completes the pending load at PC with the value supplied
-// by memory.
+// ApplyRead completes the pending load with the value supplied by
+// memory.
 func (c *Compiled) ApplyRead(v Val) {
-	c.Regs[c.code[c.PC].dst] = v
-	c.PC++
+	c.regs[c.code[c.pc].dst] = v
+	c.pc++
 }
 
-// ApplyWrite completes the pending store at PC.
-func (c *Compiled) ApplyWrite() { c.PC++ }
+// ApplyWrite completes the pending store.
+func (c *Compiled) ApplyWrite() { c.pc++ }

@@ -590,9 +590,6 @@ func TestSkewIndexBoundary(t *testing.T) {
 				draws = append(draws, float64(r.next()>>11)/(1<<53))
 			}
 			for _, u := range draws {
-				if u < 0 || u > 1 {
-					continue
-				}
 				i := z.index(u)
 				if i < 0 || i >= n {
 					t.Fatalf("s=%v n=%d u=%v: index %d out of range", s, n, u, i)

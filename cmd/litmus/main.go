@@ -3,7 +3,7 @@
 // Usage:
 //
 //	litmus -list
-//	litmus -run MP [-model op|ax|x86|arm-bal|arm-fbs|arm-sra|arm-naive]
+//	litmus -run MP [-model op|sc|ax|x86|x86-movstore|arm-bal|arm-fbs|arm-sra|arm-naive|arm-naive-atomics]
 //	litmus -file test.litmus [-model ...]
 //
 // With -run/-file, the program's outcome set under the selected model is
@@ -25,7 +25,7 @@ func main() {
 	list := flag.Bool("list", false, "list catalogued litmus tests")
 	run := flag.String("run", "", "run a catalogued test by name (or 'all')")
 	file := flag.String("file", "", "run a litmus file")
-	model := flag.String("model", "op", "model: op, ax, x86, x86-movstore, arm-bal, arm-fbs, arm-sra, arm-naive, arm-naive-atomics")
+	model := flag.String("model", "op", "model: op, sc, ax, x86, x86-movstore, arm-bal, arm-fbs, arm-sra, arm-naive, arm-naive-atomics")
 	par := flag.Int("par", 0, "worker parallelism for -run all (0 = GOMAXPROCS)")
 	flag.Parse()
 

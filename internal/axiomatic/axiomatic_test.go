@@ -235,11 +235,11 @@ func TestValueDomainFixpoint(t *testing.T) {
 	}
 	for _, v := range []prog.Val{0, 1, 2} {
 		if !dom["y"][v] {
-			t.Errorf("dom[y] = %v missing %d", dom.vals("y"), v)
+			t.Errorf("dom[y] = %v missing %d", dom.Vals("y"), v)
 		}
 	}
 	if dom["x"][2] {
-		t.Errorf("dom[x] = %v should not contain 2 (never written to x)", dom.vals("x"))
+		t.Errorf("dom[x] = %v should not contain 2 (never written to x)", dom.Vals("x"))
 	}
 	assertEquivalent(t, p)
 }

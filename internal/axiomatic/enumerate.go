@@ -29,43 +29,25 @@ type localExec struct {
 // threads, which the consistency check could never catch.
 const maxEventsPerThread = 64
 
-// Domain maps each location to the values a read of it may return.
-type Domain map[prog.Loc]map[prog.Val]bool
-
-func (d Domain) vals(l prog.Loc) []prog.Val { return sortedVals(d[l]) }
-
-// valueDomain computes, per location, a finite over-approximation of the
-// values a read may return: the initial value plus every value a store to
-// that location can produce given reads drawn from the domain, iterated
-// to a fixpoint. Keeping the domain per-location is essential: a global
-// domain fails to converge on chains like y = x+1 (each round would grow
-// the read values of x with values only ever written to y).
+// valueDomain is p's read-value domain: every thread's local executions
+// under the domain so far, then their writes.
 func valueDomain(p *prog.Program) (Domain, error) {
-	dom := Domain{}
-	for l := range p.Locs {
-		dom[l] = map[prog.Val]bool{prog.V0: true}
-	}
-	for round := 0; round < 16; round++ {
-		grew := false
+	return ValueDomain(p.Locs, func(dom Domain, store func(prog.Loc, prog.Val)) error {
 		execs, err := allLocalExecs(p, dom)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, perThread := range execs {
 			for _, le := range perThread {
 				for _, ev := range le.events {
-					if ev.isWrite && !dom[ev.loc][ev.val] {
-						dom[ev.loc][ev.val] = true
-						grew = true
+					if ev.isWrite {
+						store(ev.loc, ev.val)
 					}
 				}
 			}
 		}
-		if !grew {
-			return dom, nil
-		}
-	}
-	return nil, fmt.Errorf("axiomatic: value domain did not converge (unbounded value feedback loop?)")
+		return nil
+	})
 }
 
 // allLocalExecs enumerates the local executions of every thread given a
@@ -103,7 +85,7 @@ func threadExecs(code []prog.Instr, dom Domain) ([]localExec, error) {
 			ev := localEvent{loc: pend.Loc, isWrite: true, val: pend.Val}
 			return walk(prog.ApplyWrite(st2), append(events, ev))
 		case prog.OpRead:
-			for _, v := range dom.vals(pend.Loc) {
+			for _, v := range dom.Vals(pend.Loc) {
 				ev := localEvent{loc: pend.Loc, isWrite: false, val: v}
 				if err := walk(prog.ApplyRead(st2, pend, v), append(events, ev)); err != nil {
 					return err
@@ -142,36 +124,17 @@ func enumerate(p *prog.Program, includeInconsistent bool, visit func(*Execution)
 	if err != nil {
 		return err
 	}
-	// Iterate over the product of thread-local executions.
-	choice := make([]int, len(perThread))
-	for {
-		stop, err := enumerateGraphs(p, perThread, choice, includeInconsistent, visit)
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-		// Advance the product counter.
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(perThread[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return nil
-		}
-	}
+	// The product of thread-local executions, each a graph to search.
+	odometer(lens(perThread), func(choice []int) bool {
+		return !enumerateGraphs(p, perThread, choice, includeInconsistent, visit)
+	})
+	return nil
 }
 
 // enumerateGraphs builds the event graph for one combination of local
-// executions and enumerates rf and co assignments. Returns stop=true when
-// the visitor aborts.
+// executions and visits its candidates. It reports whether visit stopped.
 func enumerateGraphs(p *prog.Program, perThread [][]localExec, choice []int,
-	includeInconsistent bool, visit func(*Execution) bool) (bool, error) {
+	includeInconsistent bool, visit func(*Execution) bool) bool {
 
 	// Assemble events: initial writes first, then per-thread in order.
 	var events []Event
@@ -192,143 +155,23 @@ func enumerateGraphs(p *prog.Program, perThread [][]localExec, choice []int,
 		}
 		regs = append(regs, le.regs)
 	}
-	n := len(events)
-	po := rel.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if events[i].Thread >= 0 && events[i].Thread == events[j].Thread && events[i].Seq < events[j].Seq {
-				po.Set(i, j)
-			}
-		}
-	}
-
-	// rf candidates per read: writes to the same location with the same
-	// value (initial writes included).
-	var reads []int
-	rfCands := map[int][]int{}
-	for i, e := range events {
-		if e.IsWrite {
-			continue
-		}
-		reads = append(reads, i)
-		for j, w := range events {
-			if w.IsWrite && w.Loc == e.Loc && w.Val == e.Val {
-				rfCands[i] = append(rfCands[i], j)
-			}
-		}
-		if len(rfCands[i]) == 0 {
-			return false, nil // read value unjustifiable; prune this graph
-		}
-	}
-
-	// co: per location, the initial write first, then a permutation of
-	// the location's writes.
-	writesByLoc := map[prog.Loc][]int{}
-	initByLoc := map[prog.Loc]int{}
-	for i, e := range events {
-		if !e.IsWrite {
-			continue
-		}
-		if e.IsInit() {
-			initByLoc[e.Loc] = i
-		} else {
-			writesByLoc[e.Loc] = append(writesByLoc[e.Loc], i)
-		}
-	}
-	locs := p.SortedLocs()
-
-	// Enumerate rf assignments.
-	rfChoice := make([]int, len(reads))
-	for {
-		rf := rel.New(n)
-		for k, r := range reads {
-			rf.Set(rfCands[r][rfChoice[k]], r)
-		}
-		// Enumerate co as a product of per-location permutations.
-		stop, err := enumerateCO(p, events, locs, writesByLoc, initByLoc, po, rf, regs, includeInconsistent, visit)
-		if err != nil || stop {
-			return stop, err
-		}
-		// Advance rf counter.
-		i := 0
-		for ; i < len(rfChoice); i++ {
-			rfChoice[i]++
-			if rfChoice[i] < len(rfCands[reads[i]]) {
-				break
-			}
-			rfChoice[i] = 0
-		}
-		if i == len(rfChoice) {
-			return false, nil
-		}
-	}
-}
-
-func enumerateCO(p *prog.Program, events []Event, locs []prog.Loc,
-	writesByLoc map[prog.Loc][]int, initByLoc map[prog.Loc]int,
-	po, rf rel.Rel, regs []map[prog.Reg]prog.Val,
-	includeInconsistent bool, visit func(*Execution) bool) (bool, error) {
-
-	n := len(events)
-	perLocOrders := make([][][]int, 0, len(locs))
-	for _, l := range locs {
-		perLocOrders = append(perLocOrders, permutations(writesByLoc[l]))
-	}
-	choice := make([]int, len(locs))
-	for {
-		co := rel.New(n)
-		for li, l := range locs {
-			order := perLocOrders[li][choice[li]]
-			chain := append([]int{initByLoc[l]}, order...)
-			for a := 0; a < len(chain); a++ {
-				for b := a + 1; b < len(chain); b++ {
-					co.Set(chain[a], chain[b])
-				}
-			}
-		}
+	acc := accesses(events)
+	po := ProgramOrder(acc)
+	return Candidates(acc, func(rf, co rel.Rel) bool {
 		x := &Execution{Prog: p, Events: events, PO: po, RF: rf, CO: co, Regs: regs}
-		if includeInconsistent || x.Consistent() {
-			if !visit(x) {
-				return true, nil
-			}
+		if !includeInconsistent && !x.Consistent() {
+			return true
 		}
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(perLocOrders[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return false, nil
-		}
-	}
+		return visit(x)
+	})
 }
 
-// permutations returns all orderings of xs (including the empty one for
-// empty input).
-func permutations(xs []int) [][]int {
-	if len(xs) == 0 {
-		return [][]int{{}}
+// accesses returns the events as the candidate search sees them.
+func accesses(events []Event) []Access {
+	out := make([]Access, len(events))
+	for i, e := range events {
+		out[i] = Access{Thread: e.Thread, Seq: e.Seq, Loc: e.Loc, IsWrite: e.IsWrite, Val: e.Val}
 	}
-	var out [][]int
-	var recur func(cur []int, rest []int)
-	recur = func(cur, rest []int) {
-		if len(rest) == 0 {
-			cp := make([]int, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			return
-		}
-		for i := range rest {
-			next := make([]int, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			recur(append(cur, rest[i]), next)
-		}
-	}
-	recur(nil, xs)
 	return out
 }
 

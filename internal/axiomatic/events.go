@@ -7,17 +7,25 @@
 // and co (coherence); a consistent execution additionally satisfies
 // Causality (no cycles in hb ∪ rf ∪ frat), CoWW and CoWR.
 //
-// Enumeration is herd-style: each thread is executed locally with read
-// values drawn from a fixpoint value domain (resolving control flow and
-// computed store values), then rf and co are enumerated and the axioms
-// checked. Theorems 15/16 (the operational and axiomatic models define
-// the same behaviours) are validated empirically by comparing outcome
-// sets with package explore.
+// Enumeration is herd-style (Alglave, Maranget and Tautschnig, "Herding
+// Cats", TOPLAS 2014): each thread is executed locally with read values
+// drawn from a fixpoint value domain (ValueDomain; it resolves control
+// flow and computed store values), then Candidates enumerates rf and co
+// over the resulting event graph and the axioms are checked. Package hw
+// runs the same search for the §7 hardware models. The visit order is a
+// contract, since it decides which counterexample is reported first. The
+// product of local executions varies slowest, thread 0's choice fastest
+// within it. Within one event graph, rf varies slower than co; within rf
+// the first read's write varies fastest, and within co the first
+// location's permutation does, locations in the order of their initial
+// writes. TestCandidatesPinned in package modeltest pins that order.
+// Theorems 15/16 (the operational and axiomatic models define the same
+// behaviours) are validated empirically by comparing outcome sets with
+// package explore.
 package axiomatic
 
 import (
 	"fmt"
-	"sort"
 
 	"localdrf/internal/prog"
 	"localdrf/internal/rel"
@@ -281,14 +289,4 @@ func (x *Execution) Describe() string {
 	}
 	b = append(b, fmt.Sprintf("po=%v\nrf=%v\nco=%v\n", x.PO, x.RF, x.CO)...)
 	return string(b)
-}
-
-// sortedVals returns a deterministic ordering of a value set.
-func sortedVals(set map[prog.Val]bool) []prog.Val {
-	out := make([]prog.Val, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

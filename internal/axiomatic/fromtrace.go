@@ -57,15 +57,7 @@ func FromTrace(p *prog.Program, trace explore.Trace) (*Execution, error) {
 	}
 	n := len(events)
 
-	po := rel.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if events[i].Thread >= 0 && events[i].Thread == events[j].Thread && events[i].Seq < events[j].Seq {
-				po.Set(i, j)
-			}
-		}
-	}
-
+	po := ProgramOrder(accesses(events))
 	rf := rel.New(n)
 	co := rel.New(n)
 

@@ -2,10 +2,12 @@ package hw
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
+	"localdrf/internal/axiomatic"
 	"localdrf/internal/engine"
 	"localdrf/internal/prog"
 	"localdrf/internal/rel"
@@ -34,21 +36,10 @@ const maxEventsPerThread = 96
 // loop-free apart from (modelled-away) exclusive retries.
 const maxLocalSteps = 4096
 
-type domain map[prog.Loc]map[prog.Val]bool
-
-func (d domain) vals(l prog.Loc) []prog.Val {
-	out := make([]prog.Val, 0, len(d[l]))
-	for v := range d[l] {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // threadExecs enumerates the local executions of one hardware thread,
 // tracking register taint (which read events a register's value depends
 // on), control dependencies and fence counts.
-func threadExecs(code []Instr, dom domain) ([]localExec, error) {
+func threadExecs(code []Instr, dom axiomatic.Domain) ([]localExec, error) {
 	var out []localExec
 	type state struct {
 		pc       int
@@ -97,7 +88,7 @@ func threadExecs(code []Instr, dom domain) ([]localExec, error) {
 		switch in.Op {
 		case OpLd:
 			seq := len(events)
-			for _, v := range dom.vals(in.Loc) {
+			for _, v := range dom.Vals(in.Loc) {
 				ns := next
 				ns.regs = cloneMap(st.regs)
 				ns.taint = cloneTaint(st.taint)
@@ -224,34 +215,25 @@ func cloneTaint(m map[prog.Reg]map[int]bool) map[prog.Reg]map[int]bool {
 	return c
 }
 
-// valueDomain is the per-location read-value fixpoint, as in package
-// axiomatic.
-func valueDomain(p *Program) (domain, error) {
-	dom := domain{}
-	for l := range p.Locs {
-		dom[l] = map[prog.Val]bool{prog.V0: true}
-	}
-	for round := 0; round < 16; round++ {
-		grew := false
+// valueDomain is p's read-value domain (see axiomatic.ValueDomain). A
+// thread's writes join the domain before the next thread runs.
+func valueDomain(p *Program) (axiomatic.Domain, error) {
+	return axiomatic.ValueDomain(p.Locs, func(dom axiomatic.Domain, store func(prog.Loc, prog.Val)) error {
 		for _, t := range p.Threads {
 			execs, err := threadExecs(t.Code, dom)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, le := range execs {
 				for _, ev := range le.events {
-					if ev.isWrite && !dom[ev.loc][ev.val] {
-						dom[ev.loc][ev.val] = true
-						grew = true
+					if ev.isWrite {
+						store(ev.loc, ev.val)
 					}
 				}
 			}
 		}
-		if !grew {
-			return dom, nil
-		}
-	}
-	return nil, fmt.Errorf("hw: value domain did not converge")
+		return nil
+	})
 }
 
 // Enumerate yields every candidate execution of the hardware program that
@@ -299,7 +281,7 @@ func EnumerateParallel(p *Program, consistent func(*Execution) bool, parallelism
 			choice[t] = idx % len(perThread[t])
 			idx /= len(perThread[t])
 		}
-		_, err := enumerateGraphs(p, perThread, choice, consistent, func(x *Execution) bool {
+		enumerateGraphs(p, perThread, choice, consistent, func(x *Execution) bool {
 			// Re-check the cancellation flag per execution so partitions
 			// already in flight on other workers stop visiting too.
 			if stopped.Load() {
@@ -311,20 +293,18 @@ func EnumerateParallel(p *Program, consistent func(*Execution) bool, parallelism
 			}
 			return true
 		})
-		return err
+		return nil
 	})
 }
 
+// enumerateGraphs builds the event graph for one combination of local
+// executions and visits its candidates that consistent accepts, until
+// visit returns false.
 func enumerateGraphs(p *Program, perThread [][]localExec, choice []int,
-	consistent func(*Execution) bool, visit func(*Execution) bool) (bool, error) {
+	consistent func(*Execution) bool, visit func(*Execution) bool) {
 
 	var events []Event
-	var locs []prog.Loc
-	for l := range p.Locs {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	for _, l := range locs {
+	for _, l := range slices.Sorted(maps.Keys(p.Locs)) {
 		events = append(events, Event{Thread: -1, Loc: l, IsWrite: true, Val: prog.V0})
 	}
 	var regs []map[prog.Reg]prog.Val
@@ -340,135 +320,17 @@ func enumerateGraphs(p *Program, perThread [][]localExec, choice []int,
 		}
 		regs = append(regs, le.regs)
 	}
-	n := len(events)
-	po := rel.New(n)
-	rmw := rel.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if events[i].Thread >= 0 && events[i].Thread == events[j].Thread && events[i].Seq < events[j].Seq {
-				po.Set(i, j)
-				if events[j].rmwWithPrev && events[j].Seq == events[i].Seq+1 {
-					rmw.Set(i, j)
-				}
-			}
-		}
-	}
-
-	var reads []int
-	rfCands := map[int][]int{}
+	acc := make([]axiomatic.Access, len(events))
 	for i, e := range events {
-		if e.IsWrite {
-			continue
-		}
-		reads = append(reads, i)
-		for j, w := range events {
-			if w.IsWrite && w.Loc == e.Loc && w.Val == e.Val {
-				rfCands[i] = append(rfCands[i], j)
-			}
-		}
-		if len(rfCands[i]) == 0 {
-			return false, nil
-		}
+		acc[i] = axiomatic.Access{Thread: e.Thread, Seq: e.Seq, Loc: e.Loc, IsWrite: e.IsWrite, Val: e.Val}
 	}
-	writesByLoc := map[prog.Loc][]int{}
-	initByLoc := map[prog.Loc]int{}
-	for i, e := range events {
-		if !e.IsWrite {
-			continue
-		}
-		if e.IsInit() {
-			initByLoc[e.Loc] = i
-		} else {
-			writesByLoc[e.Loc] = append(writesByLoc[e.Loc], i)
-		}
-	}
-
-	rfChoice := make([]int, len(reads))
-	for {
-		rf := rel.New(n)
-		for k, r := range reads {
-			rf.Set(rfCands[r][rfChoice[k]], r)
-		}
-		stop, err := enumerateCO(p, events, locs, writesByLoc, initByLoc, po, rf, rmw, regs, consistent, visit)
-		if err != nil || stop {
-			return stop, err
-		}
-		i := 0
-		for ; i < len(rfChoice); i++ {
-			rfChoice[i]++
-			if rfChoice[i] < len(rfCands[reads[i]]) {
-				break
-			}
-			rfChoice[i] = 0
-		}
-		if i == len(rfChoice) {
-			return false, nil
-		}
-	}
-}
-
-func enumerateCO(p *Program, events []Event, locs []prog.Loc,
-	writesByLoc map[prog.Loc][]int, initByLoc map[prog.Loc]int,
-	po, rf, rmw rel.Rel, regs []map[prog.Reg]prog.Val,
-	consistent func(*Execution) bool, visit func(*Execution) bool) (bool, error) {
-
-	n := len(events)
-	perLocOrders := make([][][]int, 0, len(locs))
-	for _, l := range locs {
-		perLocOrders = append(perLocOrders, permutations(writesByLoc[l]))
-	}
-	choice := make([]int, len(locs))
-	for {
-		co := rel.New(n)
-		for li, l := range locs {
-			order := perLocOrders[li][choice[li]]
-			chain := append([]int{initByLoc[l]}, order...)
-			for a := 0; a < len(chain); a++ {
-				for b := a + 1; b < len(chain); b++ {
-					co.Set(chain[a], chain[b])
-				}
-			}
-		}
+	po := axiomatic.ProgramOrder(acc)
+	rmw := po.Filter(func(i, j int) bool { return events[j].rmwWithPrev && events[j].Seq == events[i].Seq+1 })
+	axiomatic.Candidates(acc, func(rf, co rel.Rel) bool {
 		x := &Execution{Prog: p, Events: events, PO: po, RF: rf, CO: co, RMW: rmw, Regs: regs}
-		if consistent(x) {
-			if !visit(x) {
-				return true, nil
-			}
+		if !consistent(x) {
+			return true
 		}
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(perLocOrders[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return false, nil
-		}
-	}
-}
-
-func permutations(xs []int) [][]int {
-	if len(xs) == 0 {
-		return [][]int{{}}
-	}
-	var out [][]int
-	var recur func(cur []int, rest []int)
-	recur = func(cur, rest []int) {
-		if len(rest) == 0 {
-			cp := make([]int, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			return
-		}
-		for i := range rest {
-			next := make([]int, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			recur(append(cur, rest[i]), next)
-		}
-	}
-	recur(nil, xs)
-	return out
+		return visit(x)
+	})
 }

@@ -12,10 +12,11 @@
 // Candidate executions follow §7: they are software candidate executions
 // extended with an rmw relation (the Wickerson et al. encoding of RMWs as
 // read/write pairs) and, for ARM, the annotations and dependency
-// relations (ctrl, dmbld, dmbst) of fig. 4. Enumeration mirrors package
-// axiomatic: per-thread local executions with read values drawn from a
-// per-location fixpoint domain, then rf/co enumeration; the architecture
-// model supplies the consistency predicate.
+// relations (ctrl, dmbld, dmbst) of fig. 4. Enumeration runs each
+// thread locally with read values drawn from axiomatic.ValueDomain, then
+// hands the event graph to axiomatic.Candidates for every rf × co
+// assignment, in its order; the architecture model supplies the
+// consistency predicate.
 package hw
 
 import (

@@ -292,7 +292,7 @@ func TestValueDomainPerLocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range []prog.Loc{"x", "f"} {
-		vals := dom.vals(l)
+		vals := dom.Vals(l)
 		if len(vals) != 2 || vals[0] != 0 || vals[1] != 1 {
 			t.Errorf("dom[%s] = %v, want [0 1]", l, vals)
 		}
